@@ -111,10 +111,7 @@ func BenchmarkE7Scalability(b *testing.B) {
 	b.ReportMetric(float64(r.QueryP50.Microseconds()), "query-p50-us")
 	b.ReportMetric(r.ChurnFullPerSec/1e3, "churn-full-kmut/s")
 	b.ReportMetric(r.ChurnIncrementalPerSec/1e3, "churn-incr-kmut/s")
-	b.ReportMetric(r.ChurnRegistryPerSec/1e3, "churn-registry-kmut/s")
-	b.ReportMetric(r.ChurnAutoTunePerSec/1e3, "churn-auto-kmut/s")
 	b.ReportMetric(r.ChurnSpeedup, "churn-speedup")
-	b.ReportMetric(r.ChurnRegistrySpeedup, "churn-registry-speedup")
 	b.ReportMetric(r.ReactUncoalescedPerSec/1e3, "react-uncoal-k/s")
 	b.ReportMetric(r.ReactCoalescedPerSec/1e3, "react-coal-k/s")
 	b.ReportMetric(r.ReactFlowsSaved, "react-flows-saved")

@@ -203,17 +203,26 @@ type ReadModelStats struct {
 
 func (s *Server) readModelStats() ReadModelStats {
 	var rm ReadModelStats
-	if u := s.cfg.LinkUtil; u != nil {
-		rm.OpsFolded = u.Ops()
-		rm.FlowStarts = u.Starts()
-		rm.FlowStops = u.Stops()
-		rm.CapacityEdits = u.CapacityEdits()
-		rm.UtilSamples = len(u.Series())
-		rm.Poisoned = u.Poisoned()
+	read := func() {
+		if u := s.cfg.LinkUtil; u != nil {
+			rm.OpsFolded = u.Ops()
+			rm.FlowStarts = u.Starts()
+			rm.FlowStops = u.Stops()
+			rm.CapacityEdits = u.CapacityEdits()
+			rm.UtilSamples = len(u.Series())
+			rm.Poisoned = u.Poisoned()
+		}
+		if q := s.cfg.QoE; q != nil {
+			rm.QoEIngested = q.Ingested()
+			rm.QoEGroups = len(q.Summaries())
+		}
 	}
-	if q := s.cfg.QoE; q != nil {
-		rm.QoEIngested = q.Ingested()
-		rm.QoEGroups = len(q.Summaries())
+	// The folders have no locks of their own: the engine folds into them
+	// under its lock, from the network's owner goroutine and from ingest.
+	if e := s.cfg.Engine; e != nil {
+		e.Read(read)
+	} else {
+		read()
 	}
 	return rm
 }

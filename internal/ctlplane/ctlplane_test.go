@@ -9,10 +9,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"eona/internal/auth"
+	"eona/internal/core"
 	"eona/internal/faults"
 	"eona/internal/journal"
 	"eona/internal/lookingglass"
@@ -40,7 +42,8 @@ func newFixture(t *testing.T, jw *journal.Writer, live *faults.Live) *fixture {
 	topo.AddLink("a", "b", 100e6, 5*time.Millisecond, "access")
 	topo.AddLink("b", "c", 50e6, 10*time.Millisecond, "peering")
 	util := projection.NewLinkUtil()
-	eng, err := projection.NewEngine(projection.Config{Writer: jw, CheckpointEvery: 4}, util)
+	qoe := projection.NewQoE(core.CollectorConfig{AppP: "vod", Window: time.Minute, Seed: 1})
+	eng, err := projection.NewEngine(projection.Config{Writer: jw, CheckpointEvery: 4}, util, qoe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +61,7 @@ func newFixture(t *testing.T, jw *journal.Writer, live *faults.Live) *fixture {
 		Topo:     topo,
 		Engine:   eng,
 		LinkUtil: util,
+		QoE:      qoe,
 		Partner:  live,
 		Clock:    func() time.Duration { clock += time.Millisecond; return clock },
 	})
@@ -405,6 +409,61 @@ func TestStreamAddsNoPublishAllocs(t *testing.T) {
 	with := testing.AllocsPerRun(300, mutate)
 	if with > base+0.5 {
 		t.Errorf("publish path allocs rose with an SSE subscriber: %.2f → %.2f per mutation", base, with)
+	}
+}
+
+// TestStatsUnderConcurrentFolds hammers GET /v1/stats while the engine folds
+// ingests (the caller's goroutine) and journaled capacity ops (the network's
+// owner goroutine) into the read models it reports. The read models have no
+// locks of their own, so this is a -race pin on readModelStats taking the
+// engine's read lock.
+func TestStatsUnderConcurrentFolds(t *testing.T) {
+	jw, err := journal.Open(journal.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := newFixture(t, jw, nil)
+	peering := fx.topo.Links()[1]
+	const rounds = 200
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			rec := core.QoERecord{
+				SessionID: fmt.Sprintf("s%d", i), AppP: "vod", ClientISP: "isp-a",
+				CDN: fmt.Sprintf("cdn%d", i%3), Cluster: "east", Score: float64(i % 100),
+			}
+			if err := fx.eng.AppendIngest(rec); err != nil {
+				t.Errorf("append ingest %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			fx.shared.SetLinkCapacity(peering.ID, 50e6-float64(i+1)*1e3)
+			fx.shared.Commit()
+		}
+	}()
+	for i := 0; i < rounds/4; i++ {
+		if code, body := fx.do("GET", "/v1/stats", "reader-token", ""); code != 200 {
+			t.Fatalf("stats: %d %s", code, body)
+		}
+	}
+	wg.Wait()
+
+	_, body := fx.do("GET", "/v1/stats", "reader-token", "")
+	var stats struct {
+		ReadModels ReadModelStats `json:"read_models"`
+	}
+	if err := json.Unmarshal(body, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if rm := stats.ReadModels; rm.QoEIngested != rounds || rm.QoEGroups != 3 || rm.CapacityEdits != rounds {
+		t.Errorf("read models after the storm = %+v, want %d ingests in 3 groups and %d capacity edits", rm, rounds, rounds)
 	}
 }
 

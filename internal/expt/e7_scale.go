@@ -125,27 +125,17 @@ type E7Result struct {
 
 	// Netsim allocator churn (session start/stop/adapt against the fair-
 	// share allocator — the other per-session hot path besides ingest).
-	// ChurnFullPerSec forces a full max-min recomputation per mutation;
-	// ChurnIncrementalPerSec uses the batched + incremental allocator
-	// with BFS dirty-set discovery (UseRegistry off).
+	// ChurnFullPerSec follows every mutation with a from-scratch
+	// Reallocate() of the whole network (the baseline); ChurnIncrementalPerSec
+	// is the allocator as shipped, which fills only the touched component.
 	ChurnFullPerSec        float64
 	ChurnIncrementalPerSec float64
 	// ChurnSpeedup = incremental/full.
 	ChurnSpeedup float64
-	// ChurnRegistryPerSec repeats the incremental run with the persistent
-	// component registry providing dirty-set discovery (the default path);
-	// ChurnRegistrySpeedup compares it to the BFS incremental rate.
-	ChurnRegistryPerSec  float64
-	ChurnRegistrySpeedup float64
-	// ChurnAutoTunePerSec repeats the registry run with AutoTuneCutoff
-	// deriving the cutoff (per-component) instead of the fixed default.
-	ChurnAutoTunePerSec float64
 	// Per-mutation heap cost of each churn variant (E7Config.MeasureAllocs).
 	ChurnFullAlloc        E7Alloc
 	ChurnIncrementalAlloc E7Alloc
-	ChurnRegistryAlloc    E7Alloc
-	ChurnAutoTuneAlloc    E7Alloc
-	// ChurnStats snapshots the allocator counters after the registry
+	// ChurnStats snapshots the allocator counters after the incremental
 	// churn run (printed under eona-bench -v).
 	ChurnStats netsim.Stats
 
@@ -291,9 +281,9 @@ func RunE7Config(cfg E7Config) E7Result {
 
 	// Allocator churn: session start/stop/adapt mutations against a
 	// many-component topology (64 disjoint "rails" of 3 links, 8 flows
-	// each). Each mutation touches one rail; the incremental allocator
-	// recomputes only that rail's component while the full pass re-solves
-	// all 512 flows every time.
+	// each). Each mutation touches one rail; the allocator recomputes only
+	// that rail's component while the baseline re-solves all 512 flows
+	// every time.
 	const (
 		churnRails    = 64
 		churnLinks    = 3
@@ -321,7 +311,7 @@ func RunE7Config(cfg E7Config) E7Result {
 	}
 
 	var churnStats netsim.Stats
-	churn := func(cutoff float64, autoTune, useRegistry bool) (float64, E7Alloc) {
+	churn := func(fullEachMutation bool) (float64, E7Alloc) {
 		topo := netsim.NewTopology()
 		paths := make([]netsim.Path, churnRails)
 		for r := 0; r < churnRails; r++ {
@@ -334,9 +324,6 @@ func RunE7Config(cfg E7Config) E7Result {
 			}
 		}
 		nw := netsim.NewNetwork(topo)
-		nw.IncrementalCutoff = cutoff
-		nw.AutoTuneCutoff = autoTune
-		nw.UseRegistry = useRegistry
 		flows := make([]*netsim.Flow, 0, churnRails*churnFlows)
 		nw.Batch(func() {
 			for r := 0; r < churnRails; r++ {
@@ -362,22 +349,20 @@ func RunE7Config(cfg E7Config) E7Result {
 				default:
 					nw.SetWeight(flows[i%len(flows)], float64(1+(i+i/len(flows))%4))
 				}
+				if fullEachMutation {
+					nw.Reallocate()
+				}
 			}
 			rate = float64(churnMuts) / time.Since(t0).Seconds()
 		})
 		churnStats = nw.Stats()
 		return rate, alloc
 	}
-	res.ChurnFullPerSec, res.ChurnFullAlloc = churn(0, false, false) // cutoff 0 forces full recomputation
-	res.ChurnIncrementalPerSec, res.ChurnIncrementalAlloc = churn(netsim.DefaultIncrementalCutoff, false, false)
-	res.ChurnRegistryPerSec, res.ChurnRegistryAlloc = churn(netsim.DefaultIncrementalCutoff, false, true)
+	res.ChurnFullPerSec, res.ChurnFullAlloc = churn(true)
+	res.ChurnIncrementalPerSec, res.ChurnIncrementalAlloc = churn(false)
 	res.ChurnStats = churnStats
-	res.ChurnAutoTunePerSec, res.ChurnAutoTuneAlloc = churn(netsim.DefaultIncrementalCutoff, true, true)
 	if res.ChurnFullPerSec > 0 {
 		res.ChurnSpeedup = res.ChurnIncrementalPerSec / res.ChurnFullPerSec
-	}
-	if res.ChurnIncrementalPerSec > 0 {
-		res.ChurnRegistrySpeedup = res.ChurnRegistryPerSec / res.ChurnIncrementalPerSec
 	}
 
 	// Coalesced-reaction churn: 8 same-instant monitor-style reactions per
@@ -645,7 +630,6 @@ func measureShardedIngest(recs []core.QoERecord, nsh int) float64 {
 // measurement show "-".
 func (r E7Result) Table() *Table {
 	allocMode := r.ChurnFullAlloc.Measured || r.ChurnIncrementalAlloc.Measured ||
-		r.ChurnRegistryAlloc.Measured || r.ChurnAutoTuneAlloc.Measured ||
 		r.ReactUncoalescedAlloc.Measured || r.ReactCoalescedAlloc.Measured
 	t := &Table{
 		Title:   "E7 (§5): A2I pipeline scalability (single core)",
@@ -681,18 +665,12 @@ func (r E7Result) Table() *Table {
 		fmt.Sprintf("%.2fM ops/s", r.P2AddPerSec/1e6), E7Alloc{}, "O(1) memory")
 	add("looking-glass query (loopback)",
 		fmt.Sprintf("p50 %s", r.QueryP50), E7Alloc{}, "auth + encode + HTTP round trip")
-	add("allocator churn (full recompute)",
+	add("allocator churn (Reallocate() per mutation)",
 		fmt.Sprintf("%.1fk muts/s", r.ChurnFullPerSec/1e3), r.ChurnFullAlloc,
 		"512 flows, 64 components, re-solve all per mutation")
-	add("allocator churn (incremental, BFS discovery)",
+	add("allocator churn (incremental)",
 		fmt.Sprintf("%.1fk muts/s", r.ChurnIncrementalPerSec/1e3), r.ChurnIncrementalAlloc,
-		fmt.Sprintf("affected component only — %.0f× faster", r.ChurnSpeedup))
-	add("allocator churn (component registry)",
-		fmt.Sprintf("%.1fk muts/s", r.ChurnRegistryPerSec/1e3), r.ChurnRegistryAlloc,
-		fmt.Sprintf("persistent membership, no per-commit BFS — %.2f× vs BFS", r.ChurnRegistrySpeedup))
-	add("allocator churn (auto-tuned cutoff)",
-		fmt.Sprintf("%.1fk muts/s", r.ChurnAutoTunePerSec/1e3), r.ChurnAutoTuneAlloc,
-		"registry + per-component cutoff tuning")
+		fmt.Sprintf("touched component only, found via the registry — %.0f× faster", r.ChurnSpeedup))
 	if len(r.DriverPoints) > 0 {
 		add("shared-network churn (serial baseline)",
 			fmt.Sprintf("%.1fk muts/s", r.SharedSerialPerSec/1e3), E7Alloc{},
@@ -742,7 +720,7 @@ func (r E7Result) Table() *Table {
 			fmt.Sprintf("engine rows run the full partitioned scenario at GOMAXPROCS=%d; worker count never changes results (digest-checked), only wall-clock", r.Procs))
 	}
 	t.Verbose = append(t.Verbose,
-		fmt.Sprintf("registry churn stats: %s", statsLine(r.ChurnStats)),
+		fmt.Sprintf("incremental churn stats: %s", statsLine(r.ChurnStats)),
 		fmt.Sprintf("coalesced reaction stats: %s", statsLine(r.ReactStats)))
 	return t
 }

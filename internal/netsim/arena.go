@@ -13,9 +13,7 @@ import (
 // path adjacency instead of chasing *Flow pointers and map entries. The
 // arena mirrors exactly the inputs the progressive filler reads — demand
 // (post-clamp), effective weight (weight(): ≤0 means 1) and the path's link
-// IDs — and is kept in lockstep by the mutation surface regardless of
-// whether the SoA fill is enabled, so UseSoA can be toggled for
-// differential testing without rebuilding anything.
+// IDs — and is kept in lockstep by the mutation surface.
 //
 // "Seen" bookkeeping (component expansion, link dedup, split checks) uses
 // epoch-stamped marks instead of clear-after-use bitmaps: a flow or link is
@@ -89,7 +87,7 @@ func (n *Network) markLink(id LinkID) { n.linkMark[id] = n.epoch }
 // --- SoA progressive fill ----------------------------------------------------
 
 // sortIdxsByID orders arena indices by ascending FlowID — the canonical
-// component order fill expects.
+// component order fillSoA expects.
 func (n *Network) sortIdxsByID(idxs []int32) {
 	ids := n.arID
 	slices.SortFunc(idxs, func(a, b int32) int {
@@ -112,14 +110,22 @@ func (n *Network) growFillScratch(k int) {
 	}
 }
 
-// fillSoA is fill() over arena indices: the same progressive-filling
-// arithmetic, reading demands and weights from the parallel arrays and the
-// []int32 adjacency instead of *Flow fields. Performing the identical float
-// operations in the identical order keeps its rates bit-identical to
-// fillRef — pinned by the SoA on/off differential tests.
+// fillSoA runs weighted max-min progressive filling over one link-connected
+// component, reading demands and weights from the arena's parallel arrays
+// and the []int32 adjacency. idxs must be sorted by flow ID and links must be
+// exactly the links those flows cross; because components are link-disjoint,
+// the result is independent of every other component. The fill level λ is in
+// rate-per-weight units: an unfrozen flow's tentative rate is λ×weight, so
+// at a shared bottleneck flows split capacity in proportion to their
+// weights. Runs in O(iterations × links × flows) over the component, where
+// iterations ≤ flows (see BenchmarkReallocate and
+// BenchmarkReallocateIncremental).
 //
-// idxs must be sorted by flow ID and links must be exactly the links those
-// flows cross.
+// fillSoA is a deterministic function of (flow IDs, paths, demands, weights,
+// link capacities, MaxRate): recomputing an unchanged component reproduces
+// its rates byte-identically. The test-only oracle (oracle_test.go) performs
+// the identical float operations in the identical ascending-ID order over
+// *Flow fields, which is what lets every differential suite compare with !=.
 func (n *Network) fillSoA(idxs []int32, links []LinkID) {
 	n.FlowsRecomputed += uint64(len(idxs))
 	n.ComponentsRecomputed++
@@ -145,6 +151,9 @@ func (n *Network) fillSoA(idxs []int32, links []LinkID) {
 	}
 	unfrozen := len(idxs)
 	for unfrozen > 0 {
+		// Fill level λ (rate per unit weight): the smallest over links
+		// that carry unfrozen flows. Flows not constrained by any link are
+		// bounded by MaxRate via the demand step below.
 		level := math.Inf(1)
 		for _, id := range links {
 			if weight[id] > 0 {
@@ -153,6 +162,8 @@ func (n *Network) fillSoA(idxs []int32, links []LinkID) {
 				}
 			}
 		}
+		// Flows whose capped demand is reached at or below the level
+		// freeze at that demand.
 		frozeAny := false
 		for k, i := range idxs {
 			if frozen[k] {
@@ -180,6 +191,8 @@ func (n *Network) fillSoA(idxs []int32, links []LinkID) {
 		if frozeAny {
 			continue
 		}
+		// Otherwise freeze every unfrozen flow that crosses a bottleneck
+		// link (a link whose fill level equals λ) at λ×weight.
 		const eps = 1e-9
 		for k, i := range idxs {
 			if frozen[k] {
@@ -212,6 +225,7 @@ func (n *Network) fillSoA(idxs []int32, links []LinkID) {
 			}
 		}
 		if !frozeAny {
+			// Cannot happen: some link always attains the level.
 			panic("netsim: progressive filling made no progress")
 		}
 	}

@@ -9,67 +9,21 @@ import (
 
 // --- Flow-index recycling under stop/restart storms -------------------------
 
-// stormMirror pairs the production configuration (registry + SoA fill) with
-// the simplest oracle (BFS + reference fill) and checks them bit-identical.
-type stormMirror struct {
-	reg, bfs           *Network
-	regPaths, bfsPaths []Path
-	regFlows, bfsFlows []*Flow
-}
-
-func newStormMirror(t *testing.T, build func() (*Network, []Path)) *stormMirror {
-	t.Helper()
-	m := &stormMirror{}
-	m.reg, m.regPaths = build()
-	m.bfs, m.bfsPaths = build()
-	m.bfs.UseRegistry = false
-	m.bfs.UseSoA = false
-	if len(m.regPaths) != len(m.bfsPaths) {
-		t.Fatal("fixture builders diverged")
-	}
-	return m
-}
-
-func (m *stormMirror) start(pi int, demand float64) {
-	m.regFlows = append(m.regFlows, m.reg.StartFlow(m.regPaths[pi], demand, ""))
-	m.bfsFlows = append(m.bfsFlows, m.bfs.StartFlow(m.bfsPaths[pi], demand, ""))
-}
-
-func (m *stormMirror) stop(fi int) {
-	m.reg.StopFlow(m.regFlows[fi])
-	m.bfs.StopFlow(m.bfsFlows[fi])
-}
-
-func (m *stormMirror) check(t *testing.T, phase string) {
-	t.Helper()
-	for i := range m.regFlows {
-		if m.regFlows[i].Rate != m.bfsFlows[i].Rate {
-			t.Fatalf("%s: flow %d: registry+SoA rate %v != BFS rate %v",
-				phase, i, m.regFlows[i].Rate, m.bfsFlows[i].Rate)
-		}
-	}
-	for id := 0; id < m.reg.Topology().NumLinks(); id++ {
-		if m.reg.LinkRate(LinkID(id)) != m.bfs.LinkRate(LinkID(id)) {
-			t.Fatalf("%s: link %d: registry+SoA %v != BFS %v",
-				phase, id, m.reg.LinkRate(LinkID(id)), m.bfs.LinkRate(LinkID(id)))
-		}
-	}
-}
-
 // TestFlowIndexRecyclingStorms drives stop/restart storms that fully drain
 // and refill the arena freelist, interleaved with the mutations that split
 // and re-merge registry components, on every differential topology fixture.
 // After the first storm the arena must never grow again — every restart
-// recycles indices — and the registry+SoA configuration must stay
-// bit-identical to the BFS reference throughout.
+// recycles indices — and the rates must stay bit-identical to the oracle
+// throughout.
 func TestFlowIndexRecyclingStorms(t *testing.T) {
 	var rebuilds uint64
 	for name, build := range diffFixtures() {
 		build := build
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
-			m := newStormMirror(t, build)
-			stormSize := 3 * len(m.regPaths)
+			n, paths := build()
+			var flows []*Flow
+			stormSize := 3 * len(paths)
 			var arenaCap int
 			for round := 0; round < 4; round++ {
 				// Start storm: grows the arena in round 0, must run entirely
@@ -79,46 +33,47 @@ func TestFlowIndexRecyclingStorms(t *testing.T) {
 					if rng.Intn(4) == 0 {
 						d = math.Inf(1)
 					}
-					m.start(rng.Intn(len(m.regPaths)), d)
+					flows = append(flows, n.StartFlow(paths[rng.Intn(len(paths))], d, ""))
 				}
-				m.check(t, "start storm")
+				requireOracle(t, n, "start storm")
 				if round == 0 {
-					arenaCap = len(m.reg.arFlow)
-				} else if got := len(m.reg.arFlow); got != arenaCap {
+					arenaCap = len(n.arFlow)
+				} else if got := len(n.arFlow); got != arenaCap {
 					t.Fatalf("round %d: arena grew to %d slots, want it capped at %d (freelist not recycled)",
 						round, got, arenaCap)
 				}
 
 				// Split-inducing interleave: stop a random half (bridge flows
 				// among them force re-splits) with demand churn in between.
-				live := len(m.regFlows)
+				live := len(flows)
 				for k := 0; k < live/2; k++ {
-					fi := rng.Intn(live)
-					m.stop(fi)
+					n.StopFlow(flows[rng.Intn(live)])
 					if k%3 == 0 {
-						gi := rng.Intn(live)
-						v := float64(1 + rng.Intn(99))
-						m.reg.SetDemand(m.regFlows[gi], v)
-						m.bfs.SetDemand(m.bfsFlows[gi], v)
+						n.SetDemand(flows[rng.Intn(live)], float64(1+rng.Intn(99)))
 					}
+					requireOracle(t, n, "half stop")
 				}
-				m.check(t, "half stop")
 
 				// Stop everything: the freelist must absorb the whole arena.
-				for fi := range m.regFlows {
-					m.stop(fi) // stopping an already-stopped flow is a no-op
+				for _, f := range flows {
+					n.StopFlow(f) // stopping an already-stopped flow is a no-op
 				}
-				if m.reg.NumFlows() != 0 {
-					t.Fatalf("round %d: %d flows live after stop-all", round, m.reg.NumFlows())
+				if n.NumFlows() != 0 {
+					t.Fatalf("round %d: %d flows live after stop-all", round, n.NumFlows())
 				}
-				if got := len(m.reg.arFree); got != len(m.reg.arFlow) {
+				if got := len(n.arFree); got != len(n.arFlow) {
 					t.Fatalf("round %d: freelist holds %d of %d arena slots after stop-all",
-						round, got, len(m.reg.arFlow))
+						round, got, len(n.arFlow))
 				}
-				m.check(t, "stop all")
-				m.regFlows, m.bfsFlows = m.regFlows[:0], m.bfsFlows[:0]
+				requireOracle(t, n, "stop all")
+				for _, f := range flows {
+					if f.Rate != 0 {
+						t.Fatalf("round %d: stopped flow %d still reads rate %v", round, f.ID, f.Rate)
+					}
+				}
+				flows = flows[:0]
 			}
-			rebuilds += m.reg.RegistryRebuilds
+			rebuilds += n.RegistryRebuilds
 		})
 	}
 	if rebuilds == 0 {
@@ -175,23 +130,14 @@ func TestFreelistExhaustionGrowth(t *testing.T) {
 // --- Zero-allocation steady states ------------------------------------------
 
 // TestSteadyStateAllocs pins the allocation-free steady states the SoA
-// refactor bought: demand churn on the rails topology (fixed and auto-tuned
-// cutoff) and idle snapshot reads through a SharedNetwork. Regressions here
-// are silent GC pressure in every simulation tick, so they fail loudly.
+// refactor bought: demand churn in both component-size regimes (many small
+// rails; one hub component holding ~70% of the flows) and idle snapshot reads
+// through a SharedNetwork. Regressions here are silent GC pressure in every
+// simulation tick, so they fail loudly.
 func TestSteadyStateAllocs(t *testing.T) {
-	churn := func(auto bool) func(*testing.T) {
+	churn := func(setup func() (*Network, []*Flow)) func(*testing.T) {
 		return func(t *testing.T) {
-			topo, links := rails(16, 3, 1e8)
-			n := NewNetwork(topo)
-			n.AutoTuneCutoff = auto
-			var flows []*Flow
-			n.Batch(func() {
-				for i := range links {
-					for k := 0; k < 8; k++ {
-						flows = append(flows, n.StartFlow(Path(links[i]), 1e6*float64(1+k), ""))
-					}
-				}
-			})
+			n, flows := setup()
 			i := 0
 			op := func() {
 				n.SetDemand(flows[i%len(flows)], 1e6*float64(1+(i+i/len(flows))%16))
@@ -201,12 +147,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 				op() // grow scratch to steady state
 			}
 			if a := testing.AllocsPerRun(500, op); a != 0 {
-				t.Errorf("rails churn (auto=%v) allocates %v allocs/op in steady state, want 0", auto, a)
+				t.Errorf("demand churn allocates %v allocs/op in steady state, want 0", a)
 			}
 		}
 	}
-	t.Run("churn-fixed", churn(false))
-	t.Run("churn-auto", churn(true))
+	t.Run("churn-rails", churn(func() (*Network, []*Flow) { return setupRails(16, 3, 8) }))
+	t.Run("churn-skewed", churn(func() (*Network, []*Flow) { return setupSkewed(140, 20) }))
 
 	t.Run("idle-snapshot-reads", func(t *testing.T) {
 		topo, links := rails(4, 3, 1e8)

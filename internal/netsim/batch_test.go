@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -197,27 +198,6 @@ func TestIncrementalLeavesOtherComponentsUntouched(t *testing.T) {
 	}
 }
 
-func TestIncrementalFallsBackAboveCutoff(t *testing.T) {
-	topo, p := line(100)
-	n := NewNetwork(topo)
-	var fs []*Flow
-	n.Batch(func() {
-		for i := 0; i < 4; i++ {
-			fs = append(fs, n.StartFlow(p, math.Inf(1), ""))
-		}
-	})
-	// Every flow shares the single link: any mutation dirties the whole
-	// flow set, which exceeds the 50% cutoff, so no incremental pass.
-	inc := n.IncrementalReallocations
-	n.SetDemand(fs[0], 10)
-	if n.IncrementalReallocations != inc {
-		t.Errorf("mutation affecting 100%% of flows took the incremental path")
-	}
-	if !almostEq(fs[0].Rate, 10) || !almostEq(fs[1].Rate, 30) {
-		t.Errorf("rates = %v, %v; want 10, 30", fs[0].Rate, fs[1].Rate)
-	}
-}
-
 func TestEmptyPathFlowIncremental(t *testing.T) {
 	topo, _ := line(100)
 	n := NewNetwork(topo)
@@ -289,24 +269,21 @@ func (op mutOp) apply(n *Network, links [][]*Link, flows *[]*Flow) {
 	}
 }
 
-// TestDifferentialIncrementalVsFull drives four mirror networks over
+// TestDifferentialIncrementalVsFull drives three mirror networks over
 // randomized topologies with randomized mutation sequences:
 //
-//   - inc: the default network (component registry on), reallocating
-//     incrementally per mutation
-//   - bfs: UseRegistry = false, so dirty-set discovery BFS-es linkFlows
+//   - inc: reallocating incrementally per mutation
 //   - bat: the same mutations grouped into random-size batches
-//   - ref: IncrementalCutoff = 0, so every recomputation is a full pass
+//   - full: per mutation, then a forced from-scratch Reallocate()
 //
-// and asserts, at every batch boundary, that all four agree on every flow
-// rate and every link rate — exactly, bit for bit. This is the equivalence
-// invariant of DESIGN.md §"Batched + incremental allocator": a component's
-// fill is a deterministic function of its own flows and links, so
-// recomputing a subset of components can never drift from the full pass —
-// and the registry only changes how components are found, never their
+// and asserts, at every batch boundary, that each agrees with the oracle
+// (oracle_test.go) on every flow rate and every link rate — exactly, bit for
+// bit. This is the equivalence invariant of DESIGN.md §"One allocator
+// path": a component's fill is a deterministic function of its own flows and
+// links, so recomputing a subset of components can never drift from the full
+// pass — and the registry only changes how components are found, never their
 // contents (registry.go invariants).
 func TestDifferentialIncrementalVsFull(t *testing.T) {
-	var incrementalPasses, bfsPasses uint64
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		nRails := 2 + rng.Intn(4)
@@ -328,13 +305,10 @@ func TestDifferentialIncrementalVsFull(t *testing.T) {
 			return NewNetwork(topo), links
 		}
 		inc, incLinks := build()
-		bfs, bfsLinks := build()
-		bfs.UseRegistry = false // per-commit BFS discovery
 		bat, batLinks := build()
-		ref, refLinks := build()
-		ref.IncrementalCutoff = 0 // every recomputation is full
+		full, fullLinks := build()
 
-		var incFlows, bfsFlows, batFlows, refFlows []*Flow
+		var incFlows, batFlows, fullFlows []*Flow
 
 		randOp := func() mutOp {
 			op := mutOp{kind: rng.Intn(6), rail: rng.Intn(nRails), val: float64(rng.Intn(100)) * 1e5}
@@ -371,13 +345,8 @@ func TestDifferentialIncrementalVsFull(t *testing.T) {
 				// identical across all three mirrors.
 				ops[i] = randOp()
 			}
-			// Apply: inc per-mutation, bat in one batch, ref
-			// per-mutation followed by a forced full pass.
 			for _, op := range ops {
 				op.apply(inc, incLinks, &incFlows)
-			}
-			for _, op := range ops {
-				op.apply(bfs, bfsLinks, &bfsFlows)
 			}
 			bat.Batch(func() {
 				for _, op := range ops {
@@ -385,43 +354,18 @@ func TestDifferentialIncrementalVsFull(t *testing.T) {
 				}
 			})
 			for _, op := range ops {
-				op.apply(ref, refLinks, &refFlows)
+				op.apply(full, fullLinks, &fullFlows)
 			}
-			ref.Reallocate()
+			full.Reallocate()
 
-			if len(incFlows) != len(refFlows) || len(bfsFlows) != len(refFlows) || len(batFlows) != len(refFlows) {
+			if len(batFlows) != len(incFlows) || len(fullFlows) != len(incFlows) {
 				t.Fatalf("trial %d step %d: mirror flow counts diverged", trial, step)
 			}
-			for i := range refFlows {
-				if incFlows[i].Rate != refFlows[i].Rate {
-					t.Fatalf("trial %d step %d flow %d: registry rate %v != full rate %v",
-						trial, step, i, incFlows[i].Rate, refFlows[i].Rate)
-				}
-				if bfsFlows[i].Rate != refFlows[i].Rate {
-					t.Fatalf("trial %d step %d flow %d: BFS rate %v != full rate %v",
-						trial, step, i, bfsFlows[i].Rate, refFlows[i].Rate)
-				}
-				if batFlows[i].Rate != refFlows[i].Rate {
-					t.Fatalf("trial %d step %d flow %d: batched rate %v != full rate %v",
-						trial, step, i, batFlows[i].Rate, refFlows[i].Rate)
-				}
-			}
-			for id := 0; id < inc.Topology().NumLinks(); id++ {
-				lid := LinkID(id)
-				if inc.LinkRate(lid) != ref.LinkRate(lid) || bfs.LinkRate(lid) != ref.LinkRate(lid) || bat.LinkRate(lid) != ref.LinkRate(lid) {
-					t.Fatalf("trial %d step %d link %d: link rates diverged: inc=%v bfs=%v bat=%v full=%v",
-						trial, step, id, inc.LinkRate(lid), bfs.LinkRate(lid), bat.LinkRate(lid), ref.LinkRate(lid))
-				}
-			}
+			at := fmt.Sprintf("trial %d step %d", trial, step)
+			requireOracle(t, inc, at+" incremental")
+			requireOracle(t, bat, at+" batched")
+			requireOracle(t, full, at+" full")
 		}
-		incrementalPasses += inc.IncrementalReallocations
-		bfsPasses += bfs.IncrementalReallocations
-	}
-	if incrementalPasses == 0 {
-		t.Error("registry incremental path never exercised across any trial")
-	}
-	if bfsPasses == 0 {
-		t.Error("BFS incremental path never exercised across any trial")
 	}
 }
 
@@ -514,14 +458,13 @@ func BenchmarkReallocateBatched(b *testing.B) {
 }
 
 // BenchmarkReallocateIncremental measures single-mutation cost on a
-// many-component network (64 rails × 3 links, 8 flows per rail): the
-// incremental path touches one component of 8 flows; the full path refills
-// all 512.
+// many-component network (64 rails × 3 links, 8 flows per rail): a commit
+// touches one component of 8 flows; the "full" arm follows each with a
+// from-scratch Reallocate() over all 512.
 func BenchmarkReallocateIncremental(b *testing.B) {
-	build := func(cutoff float64) (*Network, [][]*Link, []*Flow) {
+	build := func() (*Network, [][]*Link, []*Flow) {
 		topo, links := rails(64, 3, 1e8)
 		n := NewNetwork(topo)
-		n.IncrementalCutoff = cutoff
 		var flows []*Flow
 		n.Batch(func() {
 			for i := range links {
@@ -536,17 +479,18 @@ func BenchmarkReallocateIncremental(b *testing.B) {
 	// The demand must actually change on every visit to a flow (SetDemand
 	// no-ops on an unchanged value); i/len(flows) advances once per sweep.
 	b.Run("incremental", func(b *testing.B) {
-		n, _, flows := build(DefaultIncrementalCutoff)
+		n, _, flows := build()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			n.SetDemand(flows[i%len(flows)], 1e6*float64(1+(i+i/len(flows))%16))
 		}
 	})
 	b.Run("full", func(b *testing.B) {
-		n, _, flows := build(0)
+		n, _, flows := build()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			n.SetDemand(flows[i%len(flows)], 1e6*float64(1+(i+i/len(flows))%16))
+			n.Reallocate()
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -221,53 +222,88 @@ func TestFlowsOn(t *testing.T) {
 	}
 }
 
-// Property-based check of the max-min allocation invariants:
+// Property-based check of the allocation against the definition of weighted
+// max-min fairness, over random demands, weights and lifecycles on a
+// multi-component topology (three disjoint rings):
 //  1. no link is over capacity,
 //  2. no flow exceeds its demand or MaxRate,
-//  3. every flow is bottlenecked: it either hits its demand/MaxRate or
-//     crosses a link that is (numerically) saturated.
+//  3. every flow not pinned at min(Demand, MaxRate) crosses a saturated link
+//     on which its rate per unit weight is maximal among that link's flows —
+//     so no flow's share can grow except at the expense of one whose
+//     weighted share is already no larger.
 func TestQuickMaxMinInvariants(t *testing.T) {
 	type flowSpec struct {
 		A, B   uint8
 		Demand uint16
+		Weight uint8
 	}
 	f := func(specs []flowSpec) bool {
 		topo := NewTopology()
-		var links []*Link
-		// 4-node ring with modest capacities so saturation happens.
-		nodes := []NodeID{"n0", "n1", "n2", "n3"}
-		for i := range nodes {
-			links = append(links, topo.AddLink(nodes[i], nodes[(i+1)%4], 50+float64(i)*20, time.Millisecond, ""))
+		// Three 4-node rings with modest capacities so saturation happens.
+		var rings [3][]*Link
+		for r := range rings {
+			for i := 0; i < 4; i++ {
+				from := NodeID(fmt.Sprintf("r%d-n%d", r, i))
+				to := NodeID(fmt.Sprintf("r%d-n%d", r, (i+1)%4))
+				rings[r] = append(rings[r], topo.AddLink(from, to, 50+float64(i)*20+float64(r)*15, time.Millisecond, ""))
+			}
 		}
 		n := NewNetwork(topo)
 		n.MaxRate = 500
 		var flows []*Flow
 		for _, s := range specs {
-			if len(flows) >= 24 {
+			if len(flows) >= 36 {
 				break
 			}
+			if s.B >= 224 && len(flows) > 0 {
+				n.StopFlow(flows[int(s.A)%len(flows)])
+				continue
+			}
+			ring := rings[int(s.A/4)%len(rings)]
 			src := int(s.A) % 4
 			hops := 1 + int(s.B)%3
 			var p Path
 			for h := 0; h < hops; h++ {
-				p = append(p, links[(src+h)%4])
+				p = append(p, ring[(src+h)%4])
 			}
 			d := float64(s.Demand%200) + 0.5
-			flows = append(flows, n.StartFlow(p, d, ""))
+			if s.Demand%7 == 0 {
+				d = math.Inf(1)
+			}
+			fl := n.StartFlow(p, d, "")
+			n.SetWeight(fl, float64(s.Weight%5)) // 0 exercises "means 1"
+			flows = append(flows, fl)
+		}
+		var live []*Flow
+		for _, fl := range flows {
+			if n.attached(fl) {
+				live = append(live, fl)
+			}
 		}
 		const eps = 1e-6
+		// maxShare[l] is the largest rate/weight among the flows on link l.
+		maxShare := make([]float64, topo.NumLinks())
+		for _, fl := range live {
+			for _, l := range fl.Path {
+				maxShare[l.ID] = math.Max(maxShare[l.ID], fl.Rate/fl.weight())
+			}
+		}
 		for _, l := range topo.Links() {
 			if n.LinkRate(l.ID) > l.Capacity+eps {
 				return false
 			}
 		}
-		for _, fl := range flows {
-			if fl.Rate > fl.Demand+eps || fl.Rate > n.MaxRate+eps {
+		for _, fl := range live {
+			ceiling := math.Min(fl.Demand, n.MaxRate)
+			if fl.Rate > ceiling+eps {
 				return false
 			}
-			bottlenecked := fl.Rate >= fl.Demand-eps || fl.Rate >= n.MaxRate-eps
+			if fl.Rate >= ceiling-eps {
+				continue
+			}
+			bottlenecked := false
 			for _, l := range fl.Path {
-				if n.LinkRate(l.ID) >= l.Capacity-eps {
+				if n.LinkRate(l.ID) >= l.Capacity-eps && fl.Rate/fl.weight() >= maxShare[l.ID]-eps {
 					bottlenecked = true
 				}
 			}
@@ -277,7 +313,7 @@ func TestQuickMaxMinInvariants(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"time"
 )
@@ -44,11 +43,6 @@ func (f *Flow) weight() float64 {
 // allocation is finite even on an empty path. 1 Gbps.
 const DefaultMaxRate = 1e9
 
-// DefaultIncrementalCutoff is the fraction of active flows above which a
-// dirty recomputation falls back to a full pass: past this point the
-// component search bookkeeping buys nothing over just refilling everything.
-const DefaultIncrementalCutoff = 0.5
-
 // Network owns a topology plus the set of active flows and keeps flow rates
 // max-min fair. It is not safe for concurrent use; all EONA experiments
 // drive it from a single simulator goroutine.
@@ -74,39 +68,8 @@ type Network struct {
 	// (a bare field write is only picked up by the next recomputation
 	// of each component).
 	MaxRate float64
-	// IncrementalCutoff is the fraction of active flows above which a
-	// dirty recomputation falls back to a full pass. Zero forces every
-	// recomputation to be full (useful for differential testing);
-	// NewNetwork sets DefaultIncrementalCutoff.
-	IncrementalCutoff float64
-	// AutoTuneCutoff, when set, re-derives IncrementalCutoff after every
-	// recomputation from the observed affected-flow fraction: the cutoff
-	// tracks a decayed maximum of recent component sizes, with margin, so
-	// a topology whose dirty components are consistently large (where the
-	// hand-picked default would thrash into full passes) keeps taking the
-	// cheaper incremental path, and a topology of many small components
-	// keeps a tight cutoff. Opt-in; rates are unaffected — only the
-	// incremental-vs-full decision moves.
-	AutoTuneCutoff bool
-	// tuneFrac is the decayed maximum affected-flow fraction observed by
-	// the auto-tuner.
-	tuneFrac float64
-	// UseRegistry selects the persistent component registry (registry.go)
-	// for dirty-set discovery instead of per-commit BFS over linkFlows.
-	// NewNetwork enables it — the two paths allocate bit-identical rates
-	// (proven by the differential tests), the registry just discovers the
-	// touched components in O(dirty set). Disable before starting any
-	// flows to get the BFS path (differential tests, benchmarks).
-	UseRegistry bool
-	// UseSoA routes progressive fills through the arena-backed SoA filler
-	// (fillSoA, arena.go): parallel demand/weight/rate arrays and []int32
-	// path adjacency instead of *Flow pointer chasing, and no per-fill
-	// allocation. NewNetwork enables it; disable (any time) to force the
-	// pointer-walking reference filler — rates are bit-identical either
-	// way, pinned by the SoA on/off differential tests.
-	UseSoA bool
-	// comp is the registry's flow→component membership; nil entries never
-	// occur for live flows while UseRegistry is set from the start.
+	// comp is the persistent component registry's flow→component membership
+	// (registry.go); every live flow has an entry.
 	comp map[FlowID]*component
 
 	// Reallocations counts fair-share recomputation events (one per
@@ -146,7 +109,7 @@ type Network struct {
 	digestIDs []FlowID
 
 	// Index arena (arena.go): parallel arrays over dense flow indices,
-	// kept in lockstep by the mutators regardless of UseSoA.
+	// kept in lockstep by the mutators.
 	arFlow   []*Flow
 	arID     []FlowID
 	arDemand []float64
@@ -162,17 +125,14 @@ type Network struct {
 	epoch    uint64
 
 	// Scratch reused across commits; never escapes a single reallocate.
-	scratchStack    []*Flow   // expand's DFS stack
-	scratchSeeds    []*Flow   // BFS reallocate's deduped seed list
-	scratchFlows    []*Flow   // discovered component members, flat
-	scratchLinks    []LinkID  // discovered component links, flat
-	scratchEnds     [][2]int  // per-component [flowEnd, linkEnd] boundaries
-	scratchIdxs     []int32   // discovery-side index list (fullRealloc)
-	scratchFillIdxs []int32   // fill-dispatcher index list (must be distinct)
-	scratchRate     []float64 // per-component fill rates
-	scratchFrozen   []bool    // per-component fill freeze marks
-	scratchComps    []*component
-	scratchFracs    []float64
+	scratchStack    []*Flow      // expand's DFS stack
+	scratchFlows    []*Flow      // expand's component members
+	scratchLinks    []LinkID     // one component's links
+	scratchIdxs     []int32      // discovery-side index list (fullRealloc, chunk builds)
+	scratchFillIdxs []int32      // one component's fill order (must be distinct)
+	scratchRate     []float64    // per-component fill rates
+	scratchFrozen   []bool       // per-component fill freeze marks
+	scratchComps    []*component // components touched by one commit
 	compPool        []*component // recycled component husks (cleared maps)
 
 	// Snapshot copy-on-write bookkeeping (snapshot.go): per-facet dirty
@@ -197,23 +157,20 @@ type Network struct {
 // NewNetwork wraps a topology. The topology must not gain links afterwards.
 func NewNetwork(t *Topology) *Network {
 	n := &Network{
-		topo:              t,
-		flows:             make(map[FlowID]*Flow),
-		linkRate:          make([]float64, t.NumLinks()),
-		linkFlows:         make([]map[FlowID]*Flow, t.NumLinks()),
-		MaxRate:           DefaultMaxRate,
-		IncrementalCutoff: DefaultIncrementalCutoff,
-		UseRegistry:       true,
-		UseSoA:            true,
-		comp:              make(map[FlowID]*component),
-		dirtyFlows:        make(map[FlowID]struct{}),
-		dirtyLinks:        make(map[LinkID]struct{}),
-		scratchAvail:      make([]float64, t.NumLinks()),
-		scratchWeight:     make([]float64, t.NumLinks()),
-		linkMark:          make([]uint64, t.NumLinks()),
-		rateDirty:         make([]bool, t.NumLinks()),
-		activeOn:          make([]int32, t.NumLinks()),
-		snapDelay:         make([]time.Duration, t.NumLinks()),
+		topo:          t,
+		flows:         make(map[FlowID]*Flow),
+		linkRate:      make([]float64, t.NumLinks()),
+		linkFlows:     make([]map[FlowID]*Flow, t.NumLinks()),
+		MaxRate:       DefaultMaxRate,
+		comp:          make(map[FlowID]*component),
+		dirtyFlows:    make(map[FlowID]struct{}),
+		dirtyLinks:    make(map[LinkID]struct{}),
+		scratchAvail:  make([]float64, t.NumLinks()),
+		scratchWeight: make([]float64, t.NumLinks()),
+		linkMark:      make([]uint64, t.NumLinks()),
+		rateDirty:     make([]bool, t.NumLinks()),
+		activeOn:      make([]int32, t.NumLinks()),
+		snapDelay:     make([]time.Duration, t.NumLinks()),
 	}
 	for i := range n.snapDelay {
 		n.snapDelay[i] = t.links[i].Delay
@@ -332,9 +289,7 @@ func (n *Network) startFlowAs(f *Flow, path Path, demand float64, tag string) {
 	n.flows[f.ID] = f
 	n.indexFlow(f)
 	n.arenaAttach(f)
-	if n.UseRegistry {
-		n.regAdd(f)
-	}
+	n.regAdd(f)
 	if demand > 0 {
 		n.bumpActive(path, 1)
 	}
@@ -359,9 +314,7 @@ func (n *Network) StopFlow(f *Flow) {
 	}
 	delete(n.flows, f.ID)
 	n.unindexFlow(f)
-	if n.UseRegistry {
-		n.regRemove(f)
-	}
+	n.regRemove(f)
 	n.arenaDetach(f)
 	if f.Demand > 0 {
 		n.bumpActive(f.Path, -1)
@@ -410,11 +363,7 @@ func (n *Network) SetWeight(f *Flow, weight float64) {
 	}
 	f.Weight = weight
 	n.arWeight[f.idx] = f.weight()
-	if n.UseRegistry {
-		if c := n.comp[f.ID]; c != nil {
-			n.markChunkStatic(c) // weight is a static snapshot field
-		}
-	}
+	n.markChunkStatic(n.comp[f.ID]) // weight is a static snapshot field
 	n.markFlowDirty(f)
 	n.commit()
 }
@@ -430,9 +379,7 @@ func (n *Network) SetPath(f *Flow, path Path) {
 		return
 	}
 	n.unindexFlow(f)
-	if n.UseRegistry {
-		n.regRemove(f) // leaves the old component, possibly marking it stale
-	}
+	n.regRemove(f)          // leaves the old component, possibly marking it stale
 	n.markPathDirty(f.Path) // the links the flow is leaving
 	if f.Demand > 0 {
 		n.bumpActive(f.Path, -1)
@@ -440,9 +387,7 @@ func (n *Network) SetPath(f *Flow, path Path) {
 	f.Path = path
 	n.arenaSetPath(f)
 	n.indexFlow(f)
-	if n.UseRegistry {
-		n.regAdd(f) // joins (or founds) the component of the new path
-	}
+	n.regAdd(f) // joins (or founds) the component of the new path
 	if f.Demand > 0 {
 		n.bumpActive(path, 1)
 	}
@@ -489,7 +434,7 @@ func (n *Network) SetMaxRate(bps float64) {
 // Reallocate forces a full recomputation of every flow's rate immediately,
 // regardless of dirty state or open batches. Normal mutations recompute
 // incrementally on their own; this remains for benchmarks and as the
-// fallback the incremental path takes for oversized components.
+// from-scratch baseline the differential tests compare them against.
 func (n *Network) Reallocate() {
 	n.Reallocations++
 	n.fullRealloc()
@@ -506,125 +451,15 @@ func (n *Network) clearDirty() {
 	}
 }
 
-// Auto-tuner constants: the cutoff chases a decayed maximum of observed
-// affected-flow fractions, with headroom, clamped to a sane band.
-const (
-	autoTuneDecay  = 0.97
-	autoTuneMargin = 1.15
-	autoTuneMin    = 0.05
-	autoTuneMax    = 0.90
-)
-
-// tuneObserve feeds one recomputation's affected-flow fraction to the
-// auto-tuner and re-derives IncrementalCutoff.
-func (n *Network) tuneObserve(frac float64) {
-	n.tuneFrac *= autoTuneDecay
-	if frac > n.tuneFrac {
-		n.tuneFrac = frac
-	}
-	c := n.tuneFrac * autoTuneMargin
-	if c < autoTuneMin {
-		c = autoTuneMin
-	}
-	if c > autoTuneMax {
-		c = autoTuneMax
-	}
-	n.IncrementalCutoff = c
-}
-
-// reallocate recomputes rates for the dirtied components, falling back to a
-// full pass when the affected set exceeds IncrementalCutoff of all flows.
+// reallocate recomputes rates for the components the pending mutations
+// dirtied (reallocateRegistry). Only SetMaxRate, which every component
+// depends on, takes the full pass.
 func (n *Network) reallocate() {
 	n.Reallocations++
 	if n.dirtyAll {
-		if n.AutoTuneCutoff {
-			n.tuneObserve(1)
-		}
 		n.fullRealloc()
-		n.clearDirty()
-		return
-	}
-	if n.UseRegistry {
+	} else {
 		n.reallocateRegistry()
-		return
-	}
-	// The BFS path doesn't maintain per-component snapshot chunks; any
-	// published snapshot rebuilds its flow table from scratch.
-	n.snapAllFlows = true
-
-	// Seed the component search from explicitly dirtied flows and from
-	// every flow crossing a dirtied link, deduplicated under one epoch.
-	n.bumpEpoch()
-	seeds := n.scratchSeeds[:0]
-	for id := range n.dirtyFlows {
-		if f, ok := n.flows[id]; ok && !n.flowSeen(f) {
-			n.markFlow(f)
-			seeds = append(seeds, f)
-		}
-	}
-	for id := range n.dirtyLinks {
-		for _, f := range n.linkFlows[id] {
-			if !n.flowSeen(f) {
-				n.markFlow(f)
-				seeds = append(seeds, f)
-			}
-		}
-	}
-	n.scratchSeeds = seeds
-
-	// Expand seeds to full components under a fresh epoch (seed marks
-	// from the dedup pass above must not read as "already expanded").
-	// Components land flat in scratchFlows/scratchLinks with per-component
-	// end boundaries; seeds swallowed by an earlier expansion are skipped.
-	n.bumpEpoch()
-	flowsFlat := n.scratchFlows[:0]
-	linksFlat := n.scratchLinks[:0]
-	ends := n.scratchEnds[:0]
-	full := false
-	cutoff := int(n.IncrementalCutoff * float64(len(n.flows)))
-	for _, seed := range seeds {
-		if n.flowSeen(seed) {
-			continue
-		}
-		flowsFlat, linksFlat = n.expand(seed, flowsFlat, linksFlat)
-		ends = append(ends, [2]int{len(flowsFlat), len(linksFlat)})
-		// Under auto-tuning, keep expanding so the tuner sees the true
-		// affected fraction; the full-vs-incremental decision is made
-		// afterwards against the freshly tuned cutoff.
-		if !n.AutoTuneCutoff && len(flowsFlat) > cutoff {
-			full = true
-			break
-		}
-	}
-	affected := len(flowsFlat)
-	n.scratchFlows, n.scratchLinks, n.scratchEnds = flowsFlat, linksFlat, ends
-	if n.AutoTuneCutoff {
-		frac := 0.0
-		if len(n.flows) > 0 {
-			frac = float64(affected) / float64(len(n.flows))
-		}
-		n.tuneObserve(frac)
-		cutoff = int(n.IncrementalCutoff * float64(len(n.flows)))
-		full = affected > cutoff
-	}
-	if full {
-		n.fullRealloc()
-		n.clearDirty()
-		return
-	}
-	n.IncrementalReallocations++
-	f0, l0 := 0, 0
-	for _, e := range ends {
-		n.fill(flowsFlat[f0:e[0]], linksFlat[l0:e[1]])
-		f0, l0 = e[0], e[1]
-	}
-	// A dirtied link that no longer carries any flow belongs to no
-	// component; zero its stale allocation.
-	for id := range n.dirtyLinks {
-		if len(n.linkFlows[id]) == 0 {
-			n.linkRate[id] = 0
-			n.markRateDirty(id)
-		}
 	}
 	n.clearDirty()
 }
@@ -673,7 +508,8 @@ func (n *Network) expand(seed *Flow, flows []*Flow, links []LinkID) ([]*Flow, []
 	return flows, links
 }
 
-// fullRealloc recomputes every component from scratch.
+// fullRealloc recomputes every component from scratch, re-discovering the
+// components by BFS (expand) rather than trusting the registry.
 func (n *Network) fullRealloc() {
 	n.rateAll = true
 	n.snapAllFlows = true
@@ -701,150 +537,12 @@ func (n *Network) fullRealloc() {
 		}
 		flows, links := n.expand(seed, n.scratchFlows[:0], n.scratchLinks[:0])
 		n.scratchFlows, n.scratchLinks = flows, links
-		n.fill(flows, links)
-	}
-}
-
-// fill runs weighted max-min progressive filling over one link-connected
-// component. flows must be sorted by ID and links must be exactly the links
-// those flows cross; because components are link-disjoint, the result is
-// independent of every other component. The fill level λ is in
-// rate-per-weight units: an unfrozen flow's tentative rate is λ×weight, so
-// at a shared bottleneck flows split capacity in proportion to their
-// weights. Runs in O(iterations × links × flows) over the component, where
-// iterations ≤ flows (see BenchmarkReallocate and
-// BenchmarkReallocateIncremental).
-//
-// fill is a deterministic function of (flow IDs, paths, demands, weights,
-// link capacities, MaxRate): recomputing an unchanged component reproduces
-// its rates byte-identically, which is what the differential test in
-// batch_test.go leans on. Under UseSoA the arithmetic runs over the arena's
-// parallel arrays (fillSoA, arena.go); the float operations and their order
-// are identical, so the two fillers are bit-identical.
-func (n *Network) fill(flows []*Flow, links []LinkID) {
-	if n.UseSoA {
-		idxs := n.scratchFillIdxs[:0]
+		fill := n.scratchFillIdxs[:0]
 		for _, f := range flows {
-			idxs = append(idxs, f.idx)
+			fill = append(fill, f.idx)
 		}
-		n.scratchFillIdxs = idxs
-		n.fillSoA(idxs, links)
-		return
-	}
-	n.fillRef(flows, links)
-}
-
-// fillRef is the pointer-walking reference filler; see fill.
-func (n *Network) fillRef(flows []*Flow, links []LinkID) {
-	n.FlowsRecomputed += uint64(len(flows))
-	n.ComponentsRecomputed++
-	avail, weight := n.scratchAvail, n.scratchWeight
-	for _, id := range links {
-		avail[id] = n.topo.links[id].Capacity
-		weight[id] = 0
-		n.linkRate[id] = 0
-		n.markRateDirty(id)
-	}
-	for _, f := range flows {
-		for _, l := range f.Path {
-			weight[l.ID] += f.weight()
-		}
-	}
-
-	n.growFillScratch(len(flows))
-	rate := n.scratchRate[:len(flows)]
-	frozen := n.scratchFrozen[:len(flows)]
-	for i := range frozen {
-		frozen[i] = false
-	}
-	unfrozen := len(flows)
-	for unfrozen > 0 {
-		// Fill level λ (rate per unit weight): the smallest over
-		// links that carry unfrozen flows. Flows not constrained by
-		// any link are bounded by MaxRate via the demand step below.
-		level := math.Inf(1)
-		for _, id := range links {
-			if weight[id] > 0 {
-				if s := avail[id] / weight[id]; s < level {
-					level = s
-				}
-			}
-		}
-		// Flows whose capped demand is reached at or below the level
-		// freeze at that demand.
-		frozeAny := false
-		for i, f := range flows {
-			if frozen[i] {
-				continue
-			}
-			w := f.weight()
-			d := math.Min(f.Demand, n.MaxRate)
-			if d/w <= level {
-				rate[i] = d
-				frozen[i] = true
-				unfrozen--
-				frozeAny = true
-				for _, l := range f.Path {
-					avail[l.ID] -= d
-					if avail[l.ID] < 0 {
-						avail[l.ID] = 0
-					}
-					weight[l.ID] -= w
-					if weight[l.ID] < 0 {
-						weight[l.ID] = 0
-					}
-				}
-			}
-		}
-		if frozeAny {
-			continue
-		}
-		// Otherwise freeze every unfrozen flow that crosses a
-		// bottleneck link (a link whose fill level equals λ) at
-		// λ×weight.
-		const eps = 1e-9
-		for i, f := range flows {
-			if frozen[i] {
-				continue
-			}
-			w := f.weight()
-			bottlenecked := false
-			for _, l := range f.Path {
-				if weight[l.ID] > 0 && avail[l.ID]/weight[l.ID] <= level*(1+eps)+eps {
-					bottlenecked = true
-					break
-				}
-			}
-			if bottlenecked {
-				r := level * w
-				rate[i] = r
-				frozen[i] = true
-				unfrozen--
-				frozeAny = true
-				for _, l := range f.Path {
-					avail[l.ID] -= r
-					if avail[l.ID] < 0 {
-						avail[l.ID] = 0
-					}
-					weight[l.ID] -= w
-					if weight[l.ID] < 0 {
-						weight[l.ID] = 0
-					}
-				}
-			}
-		}
-		if !frozeAny {
-			// Cannot happen: some link always attains the level.
-			panic("netsim: progressive filling made no progress")
-		}
-	}
-
-	for i, f := range flows {
-		f.Rate = rate[i]
-		n.arRate[f.idx] = rate[i]
-		for _, l := range f.Path {
-			n.linkRate[l.ID] += rate[i]
-		}
+		n.scratchFillIdxs = fill
+		n.fillSoA(fill, links)
 	}
 }
 
@@ -877,16 +575,10 @@ func (n *Network) FlowsOn(id LinkID) int {
 // demand — what an operator sees as "currently sending" when sizing
 // per-flow guidance.
 func (n *Network) ActiveFlowsOn(id LinkID) int {
-	if int(id) < 0 || int(id) >= len(n.linkFlows) {
+	if int(id) < 0 || int(id) >= len(n.activeOn) {
 		return 0
 	}
-	c := 0
-	for _, f := range n.linkFlows[id] {
-		if f.Demand > 0 {
-			c++
-		}
-	}
-	return c
+	return int(n.activeOn[id])
 }
 
 // QueueDelay estimates the queueing delay added by a link at its current

@@ -1,17 +1,15 @@
 package netsim
 
-import "slices"
-
 // Component registry: persistent flow→component membership.
 //
 // The incremental allocator needs, at every commit, the set of connected
-// components touched by the dirty flows and links. Without the registry that
-// set is re-discovered by BFS over linkFlows (expand), costing O(component)
-// map traffic per commit even when the membership did not change. The
-// registry keeps membership across commits, maintained on the only three
-// mutations that can change it — StartFlow, StopFlow and SetPath — so
-// dirty-set discovery becomes a map lookup per dirty flow plus one per dirty
-// link.
+// components touched by the dirty flows and links. Re-discovering that set
+// by BFS over linkFlows (expand) costs O(component) map traffic per commit
+// even when the membership did not change. The registry keeps membership
+// across commits, maintained on the only three mutations that can change it
+// — StartFlow, StopFlow and SetPath — so dirty-set discovery becomes a map
+// lookup per dirty flow plus one per dirty link, and component sizes and the
+// per-component snapshot chunks (snapshot.go) come for free.
 //
 // Invariants (see DESIGN.md §5 for the full argument):
 //
@@ -22,10 +20,10 @@ import "slices"
 //     component stale (union of exact sets along shared links is exact);
 //     only a removal can, by deleting the flow that bridged two halves.
 //   - Stale components are re-split into exact ones lazily, at the first
-//     commit that touches them and before any rate is computed. fill()
-//     therefore always runs on exact components, which keeps the registry
-//     path bit-identical to the BFS path (filling a union of disjoint
-//     components would reorder float operations and drift).
+//     commit that touches them and before any rate is computed. fillSoA
+//     therefore always runs on exact components, which keeps an incremental
+//     commit bit-identical to a from-scratch pass (filling a union of
+//     disjoint components would reorder float operations and drift).
 //
 // The structure is a weighted quick-union on direct component pointers
 // rather than a classic parent-pointer DSU: merging moves the smaller
@@ -185,29 +183,8 @@ func (n *Network) resplit(c *component) {
 	n.snapIndex = true
 }
 
-// compFlowsLinks flattens a (fresh) component into the sorted flow slice and
-// link set that fillRef expects, reusing the commit-scoped scratch buffers.
-func (n *Network) compFlowsLinks(c *component) ([]*Flow, []LinkID) {
-	flows := n.scratchFlows[:0]
-	for _, f := range c.flows {
-		flows = append(flows, f)
-	}
-	slices.SortFunc(flows, flowIDCmp)
-	n.bumpEpoch()
-	links := n.scratchLinks[:0]
-	for _, f := range flows {
-		for _, l := range f.Path {
-			if !n.linkSeen(l.ID) {
-				n.markLink(l.ID)
-				links = append(links, l.ID)
-			}
-		}
-	}
-	n.scratchFlows, n.scratchLinks = flows, links
-	return flows, links
-}
-
-// compIdxLinks is compFlowsLinks over arena indices, for fillSoA.
+// compIdxLinks flattens a (fresh) component into the ID-sorted arena index
+// list and link set that fillSoA expects, reusing the commit-scoped scratch.
 func (n *Network) compIdxLinks(c *component) ([]int32, []LinkID) {
 	idxs := n.scratchFillIdxs[:0]
 	for _, f := range c.flows {
@@ -229,10 +206,13 @@ func (n *Network) compIdxLinks(c *component) ([]int32, []LinkID) {
 	return idxs, links
 }
 
-// reallocateRegistry is the registry-backed commit path: dirty flows and
-// links map straight to their persistent components — re-splitting stale
-// ones first — so discovery costs O(dirty set + touched members) with no
-// BFS over linkFlows and no per-commit visited map.
+// reallocateRegistry is the commit path: dirty flows and links map straight
+// to their persistent components — re-splitting stale ones first — so
+// discovery costs O(dirty set + touched members) with no BFS over linkFlows
+// and no per-commit visited map, and only the touched components are filled.
+// There is no "too much is dirty, refill everything" fallback: with sizes
+// known up front, filling the touched components is never more work than the
+// full pass (DESIGN.md "One allocator path" has the measurements).
 func (n *Network) reallocateRegistry() {
 	// Pass 1: re-split every stale component the dirty set touches.
 	// Splitting before collecting means a dirty flow in a shrunken
@@ -252,15 +232,12 @@ func (n *Network) reallocateRegistry() {
 		}
 	}
 
-	// Pass 2: collect the touched components. Sizes come straight from
-	// the member maps — no expansion.
+	// Pass 2: collect the touched components.
 	comps := n.scratchComps[:0]
-	affected := 0
 	for id := range n.dirtyFlows {
 		if c := n.comp[id]; c != nil && !c.mark {
 			c.mark = true
 			comps = append(comps, c)
-			affected += len(c.flows)
 		}
 	}
 	for id := range n.dirtyLinks {
@@ -268,54 +245,17 @@ func (n *Network) reallocateRegistry() {
 			if c := n.comp[fid]; c != nil && !c.mark {
 				c.mark = true
 				comps = append(comps, c)
-				affected += len(c.flows)
 			}
 			break
 		}
 	}
-	for _, c := range comps {
-		c.mark = false
-	}
 	n.scratchComps = comps
 
-	total := len(n.flows)
-	if n.AutoTuneCutoff {
-		// Per-component tuning (the registry makes sizes free): feed
-		// each touched component's own fraction rather than the batch
-		// sum, so a wide batch of small components doesn't inflate the
-		// cutoff the way one genuinely large component should. Fed
-		// largest-first because the decayed maximum is order-sensitive
-		// and map iteration order is not deterministic.
-		fracs := n.scratchFracs[:0]
-		for _, c := range comps {
-			fr := 0.0
-			if total > 0 {
-				fr = float64(len(c.flows)) / float64(total)
-			}
-			fracs = append(fracs, fr)
-		}
-		slices.Sort(fracs)
-		for i := len(fracs) - 1; i >= 0; i-- {
-			n.tuneObserve(fracs[i])
-		}
-		n.scratchFracs = fracs
-	}
-	cutoff := int(n.IncrementalCutoff * float64(total))
-	if affected > cutoff {
-		n.fullRealloc()
-		n.clearDirty()
-		return
-	}
 	n.IncrementalReallocations++
 	for _, c := range comps {
+		c.mark = false
 		n.markChunkDirty(c)
-		if n.UseSoA {
-			idxs, links := n.compIdxLinks(c)
-			n.fillSoA(idxs, links)
-		} else {
-			flows, links := n.compFlowsLinks(c)
-			n.fillRef(flows, links)
-		}
+		n.fillSoA(n.compIdxLinks(c))
 	}
 	// A dirtied link that no longer carries any flow belongs to no
 	// component; zero its stale allocation.
@@ -325,7 +265,6 @@ func (n *Network) reallocateRegistry() {
 			n.markRateDirty(id)
 		}
 	}
-	n.clearDirty()
 }
 
 // Stats is a point-in-time snapshot of the allocator's work counters,
@@ -334,8 +273,8 @@ func (n *Network) reallocateRegistry() {
 // operation's cost.
 type Stats struct {
 	// Reallocations counts commit events (one per unbatched mutation or
-	// batch close); IncrementalReallocations is the subset that took the
-	// incremental path.
+	// batch close); IncrementalReallocations is the subset that filled only
+	// the touched components — everything but SetMaxRate and Reallocate().
 	Reallocations            uint64
 	IncrementalReallocations uint64
 	// FlowsRecomputed sums component sizes passed through the progressive

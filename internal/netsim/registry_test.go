@@ -1,87 +1,57 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
 )
 
-// --- Registry/SoA ≡ BFS differential on the existing topology fixtures -----
+// --- Allocator ≡ oracle differential on the topology fixtures ---------------
 
-// runRegistryDifferential drives four mirror networks — every combination of
-// {registry, BFS} × {SoA fill, reference fill} — through an identical
-// randomized mutation sequence over the fixture's path set, asserting after
-// every mutation that every flow rate and every link rate agrees exactly,
-// bit for bit, across all four. The registry+SoA mirror is the production
-// configuration; the BFS+reference mirror is the simplest possible oracle.
+// runRegistryDifferential drives one network through a randomized mutation
+// sequence over the fixture's path set, asserting after every mutation that
+// every flow rate and every link rate equals the oracle's (oracle_test.go)
+// exactly, bit for bit. Returns the number of lazy registry re-splits the
+// sequence provoked.
 func runRegistryDifferential(t *testing.T, seed int64, build func() (*Network, []Path)) uint64 {
 	t.Helper()
-	type mirror struct {
-		n     *Network
-		paths []Path
-		flows []*Flow
-	}
-	mirrors := make([]*mirror, 4)
-	for i := range mirrors {
-		n, paths := build()
-		n.UseRegistry = i < 2
-		n.UseSoA = i%2 == 0
-		mirrors[i] = &mirror{n: n, paths: paths}
-	}
-	ref := mirrors[0]
+	n, paths := build()
+	var flows []*Flow
 	rng := rand.New(rand.NewSource(seed))
-	nflows := 0
 	for step := 0; step < 400; step++ {
 		op := rng.Intn(5)
-		if nflows == 0 {
+		if len(flows) == 0 {
 			op = 0
 		}
-		pi := rng.Intn(len(ref.paths))
+		pi := rng.Intn(len(paths))
 		val := float64(1+rng.Intn(300)) * 1e0
 		if rng.Intn(5) == 0 {
 			val = math.Inf(1)
 		}
 		fi, w := 0, 0.0
-		if nflows > 0 {
-			fi = rng.Intn(nflows)
+		if len(flows) > 0 {
+			fi = rng.Intn(len(flows))
 		}
 		if op == 3 {
 			w = float64(1 + rng.Intn(4))
 		}
-		for _, m := range mirrors {
-			switch op {
-			case 0:
-				m.flows = append(m.flows, m.n.StartFlow(m.paths[pi], val, ""))
-			case 1:
-				m.n.StopFlow(m.flows[fi])
-			case 2:
-				m.n.SetDemand(m.flows[fi], val)
-			case 3:
-				m.n.SetWeight(m.flows[fi], w)
-			case 4:
-				m.n.SetPath(m.flows[fi], m.paths[pi])
-			}
+		switch op {
+		case 0:
+			flows = append(flows, n.StartFlow(paths[pi], val, ""))
+		case 1:
+			n.StopFlow(flows[fi])
+		case 2:
+			n.SetDemand(flows[fi], val)
+		case 3:
+			n.SetWeight(flows[fi], w)
+		case 4:
+			n.SetPath(flows[fi], paths[pi])
 		}
-		if op == 0 {
-			nflows++
-		}
-		for _, m := range mirrors[1:] {
-			for i := range ref.flows {
-				if ref.flows[i].Rate != m.flows[i].Rate {
-					t.Fatalf("step %d flow %d: registry+SoA rate %v != mirror(reg=%v soa=%v) rate %v",
-						step, i, ref.flows[i].Rate, m.n.UseRegistry, m.n.UseSoA, m.flows[i].Rate)
-				}
-			}
-			for id := 0; id < ref.n.Topology().NumLinks(); id++ {
-				if ref.n.LinkRate(LinkID(id)) != m.n.LinkRate(LinkID(id)) {
-					t.Fatalf("step %d link %d: registry+SoA %v != mirror(reg=%v soa=%v) %v", step, id,
-						ref.n.LinkRate(LinkID(id)), m.n.UseRegistry, m.n.UseSoA, m.n.LinkRate(LinkID(id)))
-				}
-			}
-		}
+		requireOracle(t, n, fmt.Sprintf("step %d", step))
 	}
-	return ref.n.IncrementalReallocations
+	return n.RegistryRebuilds
 }
 
 // diffFixtures is the topology fixture set every differential test runs
@@ -124,20 +94,20 @@ func diffFixtures() map[string]func() (*Network, []Path) {
 }
 
 func TestRegistryDifferentialOnFixtures(t *testing.T) {
-	// Single-component fixtures (line, e1 under heavy sharing) legitimately
-	// never take the incremental path; assert it was exercised somewhere
-	// across the fixture set rather than per fixture.
-	var incremental uint64
+	// Single-link fixtures (line, skewed) can never split a component;
+	// assert the lazy re-split was exercised somewhere across the fixture
+	// set rather than per fixture.
+	var rebuilds uint64
 	for name, build := range diffFixtures() {
 		build := build
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(0); seed < 5; seed++ {
-				incremental += runRegistryDifferential(t, seed, build)
+				rebuilds += runRegistryDifferential(t, seed, build)
 			}
 		})
 	}
-	if incremental == 0 {
-		t.Error("registry incremental path never exercised across any fixture")
+	if rebuilds == 0 {
+		t.Error("registry re-split never exercised across any fixture")
 	}
 }
 
@@ -179,15 +149,7 @@ func TestRegistrySetPathInsideNestedBatch(t *testing.T) {
 		t.Errorf("nested batch cost %d reallocations, want 1", got)
 	}
 
-	ref, refLinks, refFlows := build()
-	ref.IncrementalCutoff = 0
-	mutate(ref, refLinks, refFlows)
-	ref.Reallocate()
-	for i := range flows {
-		if flows[i].Rate != refFlows[i].Rate {
-			t.Errorf("flow %d: rate %v != reference %v", i, flows[i].Rate, refFlows[i].Rate)
-		}
-	}
+	requireOracle(t, n, "nested batch")
 }
 
 // Stopping and restarting flows on the same path must keep membership
@@ -311,57 +273,6 @@ func TestRegistryNoRebuildWhenCovered(t *testing.T) {
 	}
 }
 
-// --- Per-component auto-tuning ---------------------------------------------
-
-// A wide batch touching many small components must not inflate the
-// auto-tuned cutoff the way one genuinely large component should: the
-// registry feeds per-component fractions, the BFS path can only feed the
-// batch sum.
-func TestRegistryAutoTunePerComponent(t *testing.T) {
-	build := func(useRegistry bool) (*Network, []*Flow) {
-		topo, links := rails(10, 1, 90)
-		n := NewNetwork(topo)
-		n.UseRegistry = useRegistry
-		n.AutoTuneCutoff = true
-		var flows []*Flow
-		n.Batch(func() {
-			for i := range links {
-				for k := 0; k < 4; k++ {
-					flows = append(flows, n.StartFlow(Path(links[i]), math.Inf(1), ""))
-				}
-			}
-		})
-		return n, flows
-	}
-	reg, regFlows := build(true)
-	bfs, bfsFlows := build(false)
-	// One flow in each of 8 rails: 8 components × 4 flows = 80% of all
-	// flows in one batch, but no single component above 10%.
-	churn := func(n *Network, flows []*Flow, val float64) {
-		n.Batch(func() {
-			for rail := 0; rail < 8; rail++ {
-				n.SetDemand(flows[rail*4], val)
-			}
-		})
-	}
-	for i := 0; i < 5; i++ {
-		churn(reg, regFlows, float64(10+i))
-		churn(bfs, bfsFlows, float64(10+i))
-	}
-	if reg.IncrementalCutoff >= bfs.IncrementalCutoff {
-		t.Errorf("per-component cutoff %v not tighter than batch-sum cutoff %v",
-			reg.IncrementalCutoff, bfs.IncrementalCutoff)
-	}
-	if reg.IncrementalCutoff > 0.2 {
-		t.Errorf("per-component cutoff %v, want ≤ 0.2 with no component above 10%%", reg.IncrementalCutoff)
-	}
-	for i := range regFlows {
-		if regFlows[i].Rate != bfsFlows[i].Rate {
-			t.Fatalf("flow %d: registry rate %v != BFS rate %v", i, regFlows[i].Rate, bfsFlows[i].Rate)
-		}
-	}
-}
-
 // --- Stats snapshot ---------------------------------------------------------
 
 func TestStatsSnapshot(t *testing.T) {
@@ -390,60 +301,49 @@ func TestStatsSnapshot(t *testing.T) {
 // --- Benchmarks -------------------------------------------------------------
 
 // BenchmarkChurnDiscovery measures single-mutation commits on the 64×3-rail
-// topology (512 flows in 64 components): registry vs BFS dirty-set
-// discovery. The fill work is identical — one 8-flow component per op — so
-// the delta is pure discovery cost.
+// topology (512 flows in 64 components): each op finds and fills one 8-flow
+// component.
 func BenchmarkChurnDiscovery(b *testing.B) {
-	run := func(b *testing.B, useRegistry bool) {
-		topo, links := rails(64, 3, 1e8)
-		n := NewNetwork(topo)
-		n.UseRegistry = useRegistry
-		var flows []*Flow
-		n.Batch(func() {
-			for i := range links {
-				for k := 0; k < 8; k++ {
-					flows = append(flows, n.StartFlow(Path(links[i]), 1e6*float64(1+k), ""))
-				}
+	topo, links := rails(64, 3, 1e8)
+	n := NewNetwork(topo)
+	var flows []*Flow
+	n.Batch(func() {
+		for i := range links {
+			for k := 0; k < 8; k++ {
+				flows = append(flows, n.StartFlow(Path(links[i]), 1e6*float64(1+k), ""))
 			}
-		})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			n.SetDemand(flows[i%len(flows)], 1e6*float64(1+(i+i/len(flows))%16))
 		}
-		b.ReportMetric(float64(n.FlowsRecomputed)/float64(b.N), "flows-recomputed/op")
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.SetDemand(flows[i%len(flows)], 1e6*float64(1+(i+i/len(flows))%16))
 	}
-	b.Run("registry", func(b *testing.B) { run(b, true) })
-	b.Run("bfs", func(b *testing.B) { run(b, false) })
+	b.ReportMetric(float64(n.FlowsRecomputed)/float64(b.N), "flows-recomputed/op")
 }
 
 // BenchmarkChurnLifecycle exercises the registry's maintenance path:
 // stop+restart of a flow per op (the session-arrival/departure shape), where
 // the registry must remove and re-union membership while proving no split.
 func BenchmarkChurnLifecycle(b *testing.B) {
-	run := func(b *testing.B, useRegistry bool) {
-		topo, links := rails(64, 3, 1e8)
-		n := NewNetwork(topo)
-		n.UseRegistry = useRegistry
-		var flows []*Flow
-		n.Batch(func() {
-			for i := range links {
-				for k := 0; k < 8; k++ {
-					flows = append(flows, n.StartFlow(Path(links[i]), 1e6*float64(1+k), ""))
-				}
+	topo, links := rails(64, 3, 1e8)
+	n := NewNetwork(topo)
+	var flows []*Flow
+	n.Batch(func() {
+		for i := range links {
+			for k := 0; k < 8; k++ {
+				flows = append(flows, n.StartFlow(Path(links[i]), 1e6*float64(1+k), ""))
 			}
-		})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			idx := i % len(flows)
-			old := flows[idx]
-			n.Batch(func() {
-				n.StopFlow(old)
-				flows[idx] = n.StartFlow(old.Path, old.Demand, "")
-			})
 		}
-		b.StopTimer()
-		b.ReportMetric(float64(n.RegistryRebuilds)/float64(b.N), "rebuilds/op")
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx := i % len(flows)
+		old := flows[idx]
+		n.Batch(func() {
+			n.StopFlow(old)
+			flows[idx] = n.StartFlow(old.Path, old.Demand, "")
+		})
 	}
-	b.Run("registry", func(b *testing.B) { run(b, true) })
-	b.Run("bfs", func(b *testing.B) { run(b, false) })
+	b.StopTimer()
+	b.ReportMetric(float64(n.RegistryRebuilds)/float64(b.N), "rebuilds/op")
 }

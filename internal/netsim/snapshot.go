@@ -267,43 +267,23 @@ func (n *Network) refreshChunkDyn(c *component, prev *flowChunk) *flowChunk {
 	return &flowChunk{views: prev.views, dyn: dyn}
 }
 
-// buildFlowTable freezes every live flow: per-component chunks under the
-// registry, one flat chunk otherwise.
+// buildFlowTable freezes every live flow, one chunk per registry component.
 func (n *Network) buildFlowTable() flowTable {
-	t := flowTable{count: len(n.flows)}
-	if n.UseRegistry {
-		t.chunks = make([]*flowChunk, len(n.slotComp))
-		t.index = make(map[FlowID]int64, len(n.flows))
-		for s, c := range n.slotComp {
-			if c == nil {
-				continue
-			}
-			ch := n.buildChunk(c)
-			t.chunks[s] = ch
-			for pos, v := range ch.views {
-				t.index[v.ID] = int64(s)<<32 | int64(pos)
-			}
-		}
-		return t
+	t := flowTable{
+		count:  len(n.flows),
+		chunks: make([]*flowChunk, len(n.slotComp)),
+		index:  make(map[FlowID]int64, len(n.flows)),
 	}
-	idxs := n.scratchIdxs[:0]
-	for i, f := range n.arFlow {
-		if f != nil {
-			idxs = append(idxs, int32(i))
+	for s, c := range n.slotComp {
+		if c == nil {
+			continue
+		}
+		ch := n.buildChunk(c)
+		t.chunks[s] = ch
+		for pos, v := range ch.views {
+			t.index[v.ID] = int64(s)<<32 | int64(pos)
 		}
 	}
-	n.sortIdxsByID(idxs)
-	n.scratchIdxs = idxs
-	ch := &flowChunk{views: make([]FlowView, len(idxs)), dyn: make([]float64, 2*len(idxs))}
-	t.index = make(map[FlowID]int64, len(idxs))
-	for pos, i := range idxs {
-		f := n.arFlow[i]
-		ch.views[pos] = FlowView{ID: f.ID, Weight: f.Weight, Tag: f.Tag}
-		ch.dyn[2*pos] = n.arRate[i]
-		ch.dyn[2*pos+1] = n.arDemand[i]
-		t.index[f.ID] = int64(pos) // single chunk: slot 0
-	}
-	t.chunks = []*flowChunk{ch}
 	return t
 }
 
@@ -311,7 +291,7 @@ func (n *Network) buildFlowTable() flowTable {
 // table's chunks for components untouched since it was published, and the
 // static views of components that were only re-filled.
 func (n *Network) deltaFlowTable(prev *flowTable) flowTable {
-	if n.snapAllFlows || !n.UseRegistry {
+	if n.snapAllFlows {
 		return n.buildFlowTable()
 	}
 	if !n.snapIndex && n.dirtyChunks == 0 {
@@ -636,8 +616,7 @@ type ComponentView struct {
 }
 
 // Components returns the link-connected component membership at snapshot
-// time, ordered by slot. Snapshots taken without the component registry
-// report a single component holding every flow. This is a query-surface
+// time, ordered by slot. This is a query-surface
 // accessor: it allocates the result and is not part of the publish path.
 func (s *Snapshot) Components() []ComponentView {
 	var out []ComponentView

@@ -6,15 +6,18 @@
 #   - allocates more allocs/op than recorded (zero-alloc steady states must
 #     stay zero-alloc),
 #   - regressed B/op beyond max(1.2x, +16 bytes) of the recorded value.
-# Skips cleanly when nothing has been recorded yet or when no benchmark
-# names overlap (e.g. a machine with a different core count suffixes names
-# differently).
+# Skips cleanly when nothing has been recorded yet. go test suffixes
+# benchmark names with -GOMAXPROCS (when it is not 1), so the fresh run is
+# pinned to the recording's gomaxprocs: names line up on any machine, and a
+# run that still shares no name with the recording is a failure (the
+# pattern or the recording is stale), not a skip.
 # Usage: scripts/bench_gate.sh [pattern]
 set -eu
 cd "$(dirname "$0")/.."
 
 # Default to the stable hot-path benchmarks: single-threaded collector
-# ingest, incremental reallocation, steady-state churn, snapshot reads
+# ingest, incremental reallocation, steady-state churn (demand churn in both
+# component-size regimes, discovery, flow lifecycle), snapshot reads
 # under writes, journal append, and the lockstep engine's serial instant
 # loop, plus the projection hot paths: the incremental fold, checkpoint-
 # seeded materialization and the live (allocation-free) projected query.
@@ -23,11 +26,16 @@ cd "$(dirname "$0")/.."
 # especially on small machines. (go test treats each unbracketed "|"
 # alternative as its own slash-separated pattern, so the /workers-1 below
 # filters only the ParallelEngineInstants sub-benchmarks.)
-pattern="${1:-^BenchmarkCollectorIngest\$|ParallelEngineInstants/workers-1|ReallocateIncremental|ChurnRails|ChurnSkewed|SharedReadScaling|^BenchmarkJournalAppend\$|^BenchmarkProjectionFold\$|^BenchmarkMaterializeAt\$|^BenchmarkProjectedQuery\$}"
+pattern="${1:-^BenchmarkCollectorIngest\$|ParallelEngineInstants/workers-1|ReallocateIncremental|ChurnRails|ChurnSkewed|ChurnDiscovery|ChurnLifecycle|SharedReadScaling|^BenchmarkJournalAppend\$|^BenchmarkProjectionFold\$|^BenchmarkMaterializeAt\$|^BenchmarkProjectedQuery\$}"
 latest=$(ls BENCH_*.json 2>/dev/null | sort | tail -1 || true)
 if [ -z "$latest" ]; then
 	echo "bench gate: no BENCH_*.json recorded; skipping"
 	exit 0
+fi
+procs=$(sed -n 's/.*"gomaxprocs": *\([0-9][0-9]*\).*/\1/p' "$latest" | head -1)
+if [ -z "$procs" ]; then
+	echo "bench gate: $latest carries no gomaxprocs" >&2
+	exit 1
 fi
 
 tmp=$(mktemp)
@@ -84,8 +92,8 @@ gate_check() {
 			}
 		}
 		if (checked == 0) {
-			print "bench gate: no overlapping benchmarks with " latest "; skipping"
-			exit 0
+			print "bench gate: FAIL no benchmark run here shares a name with " latest
+			exit 2
 		}
 		if (failed > 0) exit 1
 		printf "bench gate: %d benchmark(s) within bounds of %s\n", checked, latest
@@ -101,12 +109,15 @@ gate_check() {
 # first attempt as the last.
 attempts=3
 for attempt in $(seq "$attempts"); do
-	go test -run '^$' -bench "$pattern" -benchtime 0.3s -count 5 -benchmem \
+	GOMAXPROCS="$procs" go test -run '^$' -bench "$pattern" -benchtime 0.3s -count 5 -benchmem \
 		./internal/sim/... ./internal/core/... ./internal/netsim/... \
 		./internal/journal/... ./internal/projection/... >>"$tmp"
-	if gate_check "$latest" "$tmp"; then
-		exit 0
-	fi
+	rc=0
+	gate_check "$latest" "$tmp" || rc=$?
+	case "$rc" in
+	0) exit 0 ;;
+	2) exit 1 ;; # no shared names: re-measuring cannot help
+	esac
 	if [ "$attempt" -lt "$attempts" ]; then
 		echo "bench gate: over bounds on attempt $attempt/$attempts; re-measuring (min accumulates)"
 	fi

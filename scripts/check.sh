@@ -10,6 +10,11 @@ if [ -n "$unformatted" ]; then
 fi
 go build ./...
 go vet ./...
+# The benchmark harness is a nested module (outside ./...) built against
+# this tree: an API removal that breaks it must fail here, not in the
+# benchmark run. It is one main package, so -o keeps the binary out of the
+# checkout.
+(cd bench && go build -o /dev/null ./... && go vet ./...)
 # Fast-fail on the concurrency-heavy packages (sharded collector, merge
 # primitives, shared network + snapshots, looking-glass pollers, event
 # journal, control plane + SSE streaming) and the allocator/control-loop
