@@ -12,7 +12,6 @@ package eona_test
 // reproducible (E7's wall-clock throughputs vary by machine).
 
 import (
-	"fmt"
 	"testing"
 
 	"eona"
@@ -95,16 +94,11 @@ func BenchmarkE6Staleness(b *testing.B) {
 	b.ReportMetric(r.Baseline.MeanScore, "noeona-score")
 }
 
-// BenchmarkE7Scalability — §5: A2I pipeline throughput, including the
-// cluster-mode shard sweep (per-shard metrics are shardN-Mrec/s and
-// shardN-speedup; speedups are bounded by GOMAXPROCS on the machine).
+// BenchmarkE7Scalability — §5: A2I pipeline throughput.
 func BenchmarkE7Scalability(b *testing.B) {
 	var r eona.ScalabilityResult
 	for i := 0; i < b.N; i++ {
-		r = eona.RunScalabilityConfig(eona.ScalabilityConfig{
-			Records:     200_000,
-			ShardCounts: []int{1, 2, 4, 8},
-		})
+		r = eona.RunScalabilityConfig(eona.ScalabilityConfig{Records: 200_000})
 	}
 	b.ReportMetric(r.CollectorPerSec, "ingest-rec/s")
 	b.ReportMetric(r.ImpliedSessionsPerDay/1e9, "sessions-B/day")
@@ -115,10 +109,6 @@ func BenchmarkE7Scalability(b *testing.B) {
 	b.ReportMetric(r.ReactUncoalescedPerSec/1e3, "react-uncoal-k/s")
 	b.ReportMetric(r.ReactCoalescedPerSec/1e3, "react-coal-k/s")
 	b.ReportMetric(r.ReactFlowsSaved, "react-flows-saved")
-	for _, p := range r.ShardPoints {
-		b.ReportMetric(p.PerSec/1e6, fmt.Sprintf("shard%d-Mrec/s", p.Shards))
-		b.ReportMetric(p.Speedup, fmt.Sprintf("shard%d-speedup", p.Shards))
-	}
 }
 
 // BenchmarkE8InterfaceWidth — §4: interface width ladder.

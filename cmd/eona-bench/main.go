@@ -3,19 +3,17 @@
 //
 // Usage:
 //
-//	eona-bench [-seed N] [-only E2,E8] [-list] [-skip-slow] [-shards 1,2,4,8] [-drivers 1,2,4] [-engine-drivers 1,2,4] [-parallel N] [-alloc] [-v]
+//	eona-bench [-seed N] [-only E2,E8] [-list] [-skip-slow] [-drivers 1,2,4] [-engine-drivers 1,2,4] [-parallel N] [-alloc] [-v]
 //
 // -only selects a comma-separated subset by experiment ID; -list prints
 // the registry (ID, slow flag, title) and exits. -skip-slow omits the
 // experiments the registry marks slow: the fleet simulations (E1, E4) and
-// the wall-clock measurement (E7), which dominate runtime. -shards sets
-// the shard counts swept by E7's cluster-mode ingest rows; -drivers sets
+// the wall-clock measurement (E7), which dominate runtime. -drivers sets
 // the driver counts swept by E7's shared-network churn rows (concurrent
 // goroutines pushing mutations through one owner). -engine-drivers sets
 // the worker counts swept by E7's multi-driver engine rows (the lockstep
 // partitioned simulation; every count is digest-checked bit-identical to
-// workers=1) — its maximum also becomes the worker count the E1/E4 arms
-// run under. -parallel runs that many experiments concurrently (0 =
+// workers=1). -parallel runs that many experiments concurrently (0 =
 // GOMAXPROCS); tables still print in suite order. E7's wall-clock rows
 // are only meaningful at -parallel 1, since co-running experiments steal
 // the cycles it is timing. -alloc widens E7's allocator churn and reaction
@@ -39,9 +37,8 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment IDs to run (e.g. E2,E8); empty = all")
 	list := flag.Bool("list", false, "print the experiment registry and exit")
 	skipSlow := flag.Bool("skip-slow", false, "skip the experiments marked slow in the registry (E1, E4, E7)")
-	shards := flag.String("shards", "1,2,4,8", "comma-separated shard counts for E7's cluster-mode ingest rows")
 	drivers := flag.String("drivers", "1,2,4", "comma-separated driver counts for E7's shared-network churn rows")
-	engineDrivers := flag.String("engine-drivers", "1,2,4", "comma-separated worker counts for E7's multi-driver engine rows; max also drives E1/E4")
+	engineDrivers := flag.String("engine-drivers", "1,2,4", "comma-separated worker counts for E7's multi-driver engine rows")
 	parallel := flag.Int("parallel", 1, "experiments to run concurrently (0 = GOMAXPROCS)")
 	alloc := flag.Bool("alloc", false, "add B/op and allocs/op columns to E7's allocator churn and reaction rows")
 	verbose := flag.Bool("v", false, "print each table's diagnostic lines (allocator stats counters)")
@@ -59,11 +56,6 @@ func main() {
 		return
 	}
 
-	shardCounts, err := parseCounts("-shards", *shards)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "eona-bench: %v\n", err)
-		os.Exit(2)
-	}
 	driverCounts, err := parseCounts("-drivers", *drivers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "eona-bench: %v\n", err)
@@ -74,22 +66,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "eona-bench: %v\n", err)
 		os.Exit(2)
 	}
-	maxWorkers := 0
-	for _, w := range engineWorkerCounts {
-		if w > maxWorkers {
-			maxWorkers = w
-		}
-	}
 
 	cfg := eona.ExperimentConfig{
 		Seed: *seed,
 		E7: eona.ScalabilityConfig{
-			ShardCounts:        shardCounts,
 			DriverCounts:       driverCounts,
 			EngineWorkerCounts: engineWorkerCounts,
 			MeasureAllocs:      *alloc,
 		},
-		EngineDrivers: maxWorkers,
 	}
 	want := selector(*only, *skipSlow)
 	var selected []eona.Experiment

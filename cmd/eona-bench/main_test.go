@@ -57,7 +57,7 @@ func TestSelectorOnlyOverridesSkipSlow(t *testing.T) {
 }
 
 func TestParseCounts(t *testing.T) {
-	got, err := parseCounts("-shards", "1, 2,4,8")
+	got, err := parseCounts("-drivers", "1, 2,4,8")
 	if err != nil || !reflect.DeepEqual(got, []int{1, 2, 4, 8}) {
 		t.Errorf("parseCounts = %v, %v; want [1 2 4 8]", got, err)
 	}

@@ -415,14 +415,21 @@ func healthHandler(peer string, snap *lookingglass.Snapshot[[]core.PeeringInfo])
 // folded into the read model either way. On a restart the caller has
 // already Resumed the engine, so the read model holds the journaled
 // history and the synthetic feed is skipped: the rollups come back exactly
-// as the crashed process had them, without re-journaling history.
+// as the crashed process had them, without re-journaling history. The read
+// model has no lock of its own, so both sources query it under Engine.Read.
 func apppSources(eng *projection.Engine, qoeModel *projection.QoE) eona.Sources {
 	if qoeModel.Ingested() == 0 {
 		feedSyntheticSessions(eng)
 	}
 	return eona.Sources{
-		QoESummaries:     qoeModel.Summaries,
-		TrafficEstimates: func() []eona.TrafficEstimate { return qoeModel.TrafficEstimates(200 * time.Second) },
+		QoESummaries: func() (out []eona.QoESummary) {
+			eng.Read(func() { out = qoeModel.Summaries() })
+			return out
+		},
+		TrafficEstimates: func() (out []eona.TrafficEstimate) {
+			eng.Read(func() { out = qoeModel.TrafficEstimates(200 * time.Second) })
+			return out
+		},
 	}
 }
 

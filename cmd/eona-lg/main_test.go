@@ -352,3 +352,57 @@ func TestInfpSourcesServeI2A(t *testing.T) {
 		t.Errorf("hints = %+v", hints)
 	}
 }
+
+// TestSummariesUnderConcurrentIngest pins that the A2I sources read the QoE
+// model under Engine.Read: the engine folds AppendIngest into the same
+// lock-free read model the looking glass serves, so a bare source races
+// with every ingest (run under -race).
+func TestSummariesUnderConcurrentIngest(t *testing.T) {
+	eng, qoeModel, _, _, err := buildEngine(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := eona.NewAuthStore()
+	store.Register("demo-token", "demo", eona.ScopeAdmin)
+	ts := httptest.NewServer(newRouter(eona.NewServer(store, nil, apppSources(eng, qoeModel)), "", nil, nil, nil))
+	defer ts.Close()
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rec := eona.RecordFrom(eona.DefaultModel(), eona.SessionMetrics{PlayTime: time.Minute, AvgBitrate: 1e6},
+			"s", "demo-vod", "isp-a", "cdnX", "east", 0)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rec.Timestamp = time.Duration(i) * time.Millisecond
+			if err := eng.AppendIngest(rec); err != nil {
+				t.Errorf("AppendIngest: %v", err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		for _, path := range []string{"/v1/a2i/summaries", "/v1/a2i/traffic"} {
+			req, err := http.NewRequest("GET", ts.URL+path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Authorization", "Bearer demo-token")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s = %d", path, resp.StatusCode)
+			}
+		}
+	}
+	close(stop)
+	<-done
+}

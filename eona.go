@@ -114,26 +114,20 @@ type (
 	// QoERecords into windowed, blinded summaries and traffic
 	// estimates.
 	Collector = core.Collector
-	// ShardedCollector is the cluster-mode Collector: N shards selected
-	// by session-ID hash, each owned by its own goroutine, merged
-	// lock-free at query time into the same summary outputs.
-	ShardedCollector = core.ShardedCollector
 	// ExportPolicy sets the blinding level of an A2I export
 	// (k-anonymity, Laplace noise, coarsening) — §4's
 	// effectiveness-vs-minimality knob.
 	ExportPolicy = core.ExportPolicy
 	// CollectorConfig is the constructor input for A2I collectors: AppP,
-	// policy, traffic window, noise seed, and shard count (0 or 1 =
-	// single-goroutine, >1 = cluster mode). Zero value is runnable.
+	// policy, traffic window and noise seed. Zero value is runnable.
 	CollectorConfig = core.CollectorConfig
-	// A2ICollector is the collector surface shared by Collector and
-	// ShardedCollector (ingest, summaries, traffic estimates, flush/close).
+	// A2ICollector is the one ingest seam *Collector implements (ingest,
+	// summaries, traffic estimates).
 	A2ICollector = core.A2ICollector
 )
 
-// NewA2ICollector builds the collector cfg describes: a *Collector when
-// cfg.Shards <= 1, a *ShardedCollector otherwise.
-func NewA2ICollector(cfg CollectorConfig) A2ICollector { return core.NewA2ICollector(cfg) }
+// NewA2ICollector builds the collector cfg describes.
+func NewA2ICollector(cfg CollectorConfig) *Collector { return core.NewA2ICollector(cfg) }
 
 // Per-collaborator standing: which surfaces each partner may read and
 // under which blinding policy (§3 "choose the subset of collaborators",
@@ -472,12 +466,9 @@ func RunFlashCrowdConfig(cfg FlashCrowdConfig) FlashCrowdArm { return expt.RunE1
 // table.
 func RunEnergySavingConfig(cfg ExperimentConfig) EnergyResult { return expt.RunE5(cfg.Seed) }
 
-// ScalabilityConfig parameterizes E7: record volume and the shard counts
-// swept for the cluster-mode rows.
+// ScalabilityConfig parameterizes E7: record volume and the driver and
+// engine-worker counts swept.
 type ScalabilityConfig = expt.E7Config
-
-// ScalabilityShardPoint is one cluster-mode measurement.
-type ScalabilityShardPoint = expt.E7ShardPoint
 
 // ScalabilityDriverPoint is one shared-network churn measurement (N
 // concurrent drivers pushing mutations through one owner goroutine).

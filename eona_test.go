@@ -131,7 +131,6 @@ func TestFacadeCollectorConfig(t *testing.T) {
 	if len(sums) != 1 || sums[0].Key.CDN != "cdnX" || sums[0].Sessions != 4 {
 		t.Errorf("config-built summaries = %+v", sums)
 	}
-	col.Close()
 }
 
 // TestFacadeSharedNetwork drives the concurrency surface end to end

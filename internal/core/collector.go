@@ -46,25 +46,23 @@ type Collector struct {
 // on exported volumes.
 const volumeSensitivity = 3e6
 
-// NewCollector builds a collector for one AppP. window sizes the traffic
-// estimate window (default 5 minutes if zero); seed feeds the privacy
-// noiser.
-//
-// Deprecated: use NewA2ICollector(CollectorConfig{...}), which names the
-// parameters and covers both single-goroutine and sharded collectors.
-func NewCollector(appP string, policy ExportPolicy, window time.Duration, seed int64) *Collector {
+// NewA2ICollector builds the collector cfg describes. cfg.Window sizes the
+// traffic estimate window (default 5 minutes if zero); cfg.Seed feeds the
+// privacy noisers.
+func NewA2ICollector(cfg CollectorConfig) *Collector {
+	window := cfg.Window
 	if window <= 0 {
 		window = 5 * time.Minute
 	}
 	return &Collector{
-		AppP:            appP,
-		Policy:          policy,
+		AppP:            cfg.AppP,
+		Policy:          cfg.Policy,
 		rollup:          agg.NewRollup[SummaryKey](),
 		trafficBits:     make(map[string]*agg.Windowed),
 		trafficSessions: make(map[string]*agg.Windowed),
 		window:          window,
-		noiser:          privacy.NewNoiser(policy.NoiseEpsilon, 1, seed),
-		volNoiser:       privacy.NewNoiser(policy.NoiseEpsilon, volumeSensitivity, seed+1),
+		noiser:          privacy.NewNoiser(cfg.Policy.NoiseEpsilon, 1, cfg.Seed),
+		volNoiser:       privacy.NewNoiser(cfg.Policy.NoiseEpsilon, volumeSensitivity, cfg.Seed+1),
 	}
 }
 
@@ -109,18 +107,14 @@ func (c *Collector) SummariesUnder(policy ExportPolicy, seed int64) []QoESummary
 	return c.summariesUnder(policy, privacy.NewNoiser(policy.NoiseEpsilon, 1, seed))
 }
 
-func (c *Collector) summariesUnder(policy ExportPolicy, noiser *privacy.Noiser) []QoESummary {
-	return summarizeRollup(c.rollup, c.rollup.Keys(), policy, noiser)
-}
-
-// summarizeRollup renders the groups named by keys, in that order, under a
+// summariesUnder renders every group, in first-observation order, under a
 // policy. Suppressed groups are skipped; noise is drawn only for surviving
 // groups, in key order, so the noiser stream position is a deterministic
-// function of the exported set. Shared by Collector and ShardedCollector.
-func summarizeRollup(r *agg.Rollup[SummaryKey], keys []SummaryKey, policy ExportPolicy, noiser *privacy.Noiser) []QoESummary {
+// function of the exported set.
+func (c *Collector) summariesUnder(policy ExportPolicy, noiser *privacy.Noiser) []QoESummary {
 	var out []QoESummary
-	for _, k := range keys {
-		if s, ok := summarizeGroup(r.Group(k), k, policy, noiser); ok {
+	for _, k := range c.rollup.Keys() {
+		if s, ok := summarizeGroup(c.rollup.Group(k), k, policy, noiser); ok {
 			out = append(out, s)
 		}
 	}
@@ -165,33 +159,25 @@ func (c *Collector) SummaryFor(key SummaryKey) (QoESummary, bool) {
 // TrafficEstimates returns per-CDN demand estimates over the window ending
 // at now: mean bits/s plus sessions completed in the window.
 func (c *Collector) TrafficEstimates(now time.Duration) []TrafficEstimate {
-	return trafficEstimates(c.AppP, c.trafficBits, c.trafficSessions,
-		c.window, now, c.Policy, c.noiser, c.volNoiser)
-}
-
-// trafficEstimates renders per-CDN windowed volume/session estimates under
-// a policy. Shared by Collector and ShardedCollector.
-func trafficEstimates(appP string, trafficBits, trafficSessions map[string]*agg.Windowed,
-	window, now time.Duration, policy ExportPolicy, noiser, volNoiser *privacy.Noiser) []TrafficEstimate {
 	var out []TrafficEstimate
 	// Deterministic order: iterate CDNs sorted.
-	cdns := make([]string, 0, len(trafficBits))
-	for cdnName := range trafficBits {
+	cdns := make([]string, 0, len(c.trafficBits))
+	for cdnName := range c.trafficBits {
 		cdns = append(cdns, cdnName)
 	}
 	sort.Strings(cdns)
 	for _, cdnName := range cdns {
-		bits := trafficBits[cdnName].Sum(now)
-		sessions := trafficSessions[cdnName].Sum(now)
+		bits := c.trafficBits[cdnName].Sum(now)
+		sessions := c.trafficSessions[cdnName].Sum(now)
 		est := TrafficEstimate{
-			AppP:      appP,
+			AppP:      c.AppP,
 			CDN:       cdnName,
-			VolumeBps: bits / window.Seconds(),
+			VolumeBps: bits / c.window.Seconds(),
 			Sessions:  sessions,
 		}
-		if policy.NoiseEpsilon > 0 {
-			est.Sessions = noiser.NoisyCount(uint64(est.Sessions))
-			if v := volNoiser.Noise(est.VolumeBps); v > 0 {
+		if c.Policy.NoiseEpsilon > 0 {
+			est.Sessions = c.noiser.NoisyCount(uint64(est.Sessions))
+			if v := c.volNoiser.Noise(est.VolumeBps); v > 0 {
 				est.VolumeBps = v
 			} else {
 				est.VolumeBps = 0

@@ -2,11 +2,9 @@ package core
 
 import "time"
 
-// CollectorConfig is the one constructor input for A2I collectors. The two
-// positional constructors (NewCollector's four arguments, NewShardedCollector's
-// five) grew apart one parameter at a time; the config struct replaces both.
-// The zero value is runnable: anonymous AppP, export-everything policy,
-// 5-minute traffic window, seed 0, single-shard.
+// CollectorConfig is the one constructor input for A2I collectors. The zero
+// value is runnable: anonymous AppP, export-everything policy, 5-minute
+// traffic window, seed 0.
 type CollectorConfig struct {
 	// AppP names the application provider the collector aggregates for.
 	AppP string
@@ -14,19 +12,13 @@ type CollectorConfig struct {
 	Policy ExportPolicy
 	// Window sizes the traffic-estimate window (default 5 minutes).
 	Window time.Duration
-	// Seed feeds the privacy noisers; per-partner and per-shard streams are
-	// derived from it, so runs are reproducible.
+	// Seed feeds the privacy noisers; per-partner streams are derived from
+	// it, so runs are reproducible.
 	Seed int64
-	// Shards selects cluster mode: values above 1 build a ShardedCollector
-	// with that many goroutine-owned shards. 0 and 1 both mean the plain
-	// single-goroutine Collector.
-	Shards int
 }
 
-// A2ICollector is the collector surface the rest of the system consumes,
-// implemented by both *Collector and *ShardedCollector. Code written
-// against it is oblivious to whether ingest is single-goroutine or
-// sharded; Flush and Close are no-ops on the single-goroutine form.
+// A2ICollector is the one ingest seam: the collector surface the rest of
+// the system consumes, implemented by *Collector.
 type A2ICollector interface {
 	// Ingest records one finished session.
 	Ingest(rec QoERecord)
@@ -42,28 +34,9 @@ type A2ICollector interface {
 	SummaryFor(key SummaryKey) (QoESummary, bool)
 	// TrafficEstimates returns per-CDN demand estimates at now.
 	TrafficEstimates(now time.Duration) []TrafficEstimate
-	// Flush blocks until every record ingested so far is visible to
-	// queries. No-op on a single-goroutine collector.
-	Flush()
-	// Close flushes and stops any background goroutines. No-op on a
-	// single-goroutine collector.
-	Close()
 }
 
-var (
-	_ A2ICollector = (*Collector)(nil)
-	_ A2ICollector = (*ShardedCollector)(nil)
-)
-
-// NewA2ICollector builds the collector cfg describes: a *Collector when
-// cfg.Shards <= 1, a *ShardedCollector otherwise. The concrete types stay
-// exported for callers that need them; type-assert the result if so.
-func NewA2ICollector(cfg CollectorConfig) A2ICollector {
-	if cfg.Shards > 1 {
-		return NewShardedCollector(cfg.AppP, cfg.Policy, cfg.Window, cfg.Seed, cfg.Shards)
-	}
-	return NewCollector(cfg.AppP, cfg.Policy, cfg.Window, cfg.Seed)
-}
+var _ A2ICollector = (*Collector)(nil)
 
 // IngestBatch records a batch of finished sessions.
 func (c *Collector) IngestBatch(recs []QoERecord) {
@@ -71,11 +44,3 @@ func (c *Collector) IngestBatch(recs []QoERecord) {
 		c.Ingest(rec)
 	}
 }
-
-// Flush is a no-op: a single-goroutine Collector is always caught up. It
-// exists so *Collector satisfies A2ICollector.
-func (c *Collector) Flush() {}
-
-// Close is a no-op: a single-goroutine Collector owns no goroutines. It
-// exists so *Collector satisfies A2ICollector.
-func (c *Collector) Close() {}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -24,7 +26,7 @@ func rec(ispName, cdnName, cluster string, score, bufratio float64, at time.Dura
 }
 
 func TestCollectorSummaries(t *testing.T) {
-	c := NewCollector("vod", ExportPolicy{}, time.Minute, 1)
+	c := NewA2ICollector(CollectorConfig{AppP: "vod", Window: time.Minute, Seed: 1})
 	c.Ingest(rec("isp1", "cdnX", "east", 80, 0.01, 0))
 	c.Ingest(rec("isp1", "cdnX", "east", 60, 0.03, time.Second))
 	c.Ingest(rec("isp1", "cdnY", "west", 40, 0.10, time.Second))
@@ -48,7 +50,7 @@ func TestCollectorSummaries(t *testing.T) {
 }
 
 func TestCollectorKAnonymity(t *testing.T) {
-	c := NewCollector("vod", ExportPolicy{MinGroupSessions: 3}, time.Minute, 1)
+	c := NewA2ICollector(CollectorConfig{AppP: "vod", Policy: ExportPolicy{MinGroupSessions: 3}, Window: time.Minute, Seed: 1})
 	for i := 0; i < 3; i++ {
 		c.Ingest(rec("isp1", "cdnX", "east", 80, 0, 0))
 	}
@@ -66,8 +68,8 @@ func TestCollectorKAnonymity(t *testing.T) {
 }
 
 func TestCollectorNoise(t *testing.T) {
-	exact := NewCollector("vod", ExportPolicy{}, time.Minute, 1)
-	noisy := NewCollector("vod", ExportPolicy{NoiseEpsilon: 0.5}, time.Minute, 1)
+	exact := NewA2ICollector(CollectorConfig{AppP: "vod", Window: time.Minute, Seed: 1})
+	noisy := NewA2ICollector(CollectorConfig{AppP: "vod", Policy: ExportPolicy{NoiseEpsilon: 0.5}, Window: time.Minute, Seed: 1})
 	for i := 0; i < 50; i++ {
 		r := rec("isp1", "cdnX", "east", 70, 0.02, 0)
 		exact.Ingest(r)
@@ -87,7 +89,7 @@ func TestCollectorNoise(t *testing.T) {
 }
 
 func TestCollectorCoarsening(t *testing.T) {
-	c := NewCollector("vod", ExportPolicy{CoarsenScoreStep: 10}, time.Minute, 1)
+	c := NewA2ICollector(CollectorConfig{AppP: "vod", Policy: ExportPolicy{CoarsenScoreStep: 10}, Window: time.Minute, Seed: 1})
 	c.Ingest(rec("isp1", "cdnX", "east", 77, 0, 0))
 	s := c.Summaries()[0]
 	if s.MeanScore != 70 {
@@ -96,7 +98,7 @@ func TestCollectorCoarsening(t *testing.T) {
 }
 
 func TestTrafficEstimates(t *testing.T) {
-	c := NewCollector("vod", ExportPolicy{}, time.Minute, 1)
+	c := NewA2ICollector(CollectorConfig{AppP: "vod", Window: time.Minute, Seed: 1})
 	// 2 Mbps × 600s of play = 1.2e9 bits within the window buckets.
 	c.Ingest(rec("isp1", "cdnX", "east", 80, 0, 30*time.Second))
 	c.Ingest(rec("isp1", "cdnY", "west", 80, 0, 30*time.Second))
@@ -222,5 +224,58 @@ func TestSegmentStrings(t *testing.T) {
 		if seg.String() != want {
 			t.Errorf("%d.String() = %q, want %q", seg, seg.String(), want)
 		}
+	}
+}
+
+// genRecords builds a deterministic stream of QoERecords spread over many
+// sessions, ISPs, CDNs, and clusters.
+func genRecords(n int, seed int64) []QoERecord {
+	rng := rand.New(rand.NewSource(seed))
+	recs := make([]QoERecord, n)
+	for i := range recs {
+		recs[i] = QoERecord{
+			SessionID:      fmt.Sprintf("sess-%d", rng.Intn(n/2+1)),
+			Timestamp:      time.Duration(i) * 7 * time.Millisecond,
+			AppP:           "appp-1",
+			ClientISP:      fmt.Sprintf("isp%d", rng.Intn(5)),
+			CDN:            fmt.Sprintf("cdn%d", rng.Intn(3)),
+			Cluster:        fmt.Sprintf("cl%d", rng.Intn(4)),
+			Score:          rng.Float64() * 100,
+			BufferingRatio: rng.Float64() * 0.2,
+			AvgBitrateBps:  1e6 + rng.Float64()*4e6,
+			StartupDelay:   time.Duration(rng.Intn(4000)) * time.Millisecond,
+			PlayTime:       time.Duration(30+rng.Intn(300)) * time.Second,
+			Abandoned:      rng.Intn(10) == 0,
+		}
+	}
+	return recs
+}
+
+func BenchmarkCollectorIngest(b *testing.B) {
+	recs := genRecords(1<<14, 1)
+	c := NewA2ICollector(CollectorConfig{AppP: "appp-1", Window: time.Minute, Seed: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Ingest(recs[i&(1<<14-1)])
+	}
+}
+
+// TestIngestAllocFree pins Collector.Ingest at zero allocations in steady
+// state: once the rollup groups and per-CDN traffic windows exist, ingesting
+// another record must not allocate (the E7 hot loop runs millions of these).
+func TestIngestAllocFree(t *testing.T) {
+	recs := genRecords(1<<12, 1)
+	c := NewA2ICollector(CollectorConfig{AppP: "appp-1", Window: time.Minute, Seed: 1})
+	for _, r := range recs {
+		c.Ingest(r) // warm every group and window
+	}
+	i := 0
+	op := func() {
+		c.Ingest(recs[i&(1<<12-1)])
+		i++
+	}
+	if a := testing.AllocsPerRun(500, op); a != 0 {
+		t.Errorf("Collector.Ingest allocates %v allocs/op in steady state, want 0", a)
 	}
 }

@@ -47,7 +47,7 @@ func TestRegistryPolicyForUnknownIsRestrictive(t *testing.T) {
 	r := NewRegistry()
 	pol, _ := r.PolicyFor("stranger")
 	// The restrictive default must suppress every group.
-	col := NewCollector("vod", ExportPolicy{}, time.Minute, 1)
+	col := NewA2ICollector(CollectorConfig{AppP: "vod", Window: time.Minute, Seed: 1})
 	for i := 0; i < 100; i++ {
 		col.Ingest(rec("isp1", "cdnX", "east", 80, 0, 0))
 	}
@@ -111,7 +111,7 @@ func TestRegistryConcurrent(t *testing.T) {
 }
 
 func TestSummariesUnderPerPartnerPolicies(t *testing.T) {
-	col := NewCollector("vod", ExportPolicy{}, time.Minute, 1)
+	col := NewA2ICollector(CollectorConfig{AppP: "vod", Window: time.Minute, Seed: 1})
 	for i := 0; i < 5; i++ {
 		col.Ingest(rec("isp1", "cdnX", "east", 77, 0.01, 0))
 	}

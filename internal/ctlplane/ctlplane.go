@@ -237,6 +237,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, _ string) {
 		}
 	}
 	s.mu.Unlock()
+	journalError := ""
+	if err := s.cfg.Shared.JournalError(); err != nil {
+		journalError = err.Error()
+	}
 	writeJSON(w, struct {
 		Seq               uint64         `json:"seq"`
 		Flows             int            `json:"flows"`
@@ -244,6 +248,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, _ string) {
 		Allocator         netsim.Stats   `json:"allocator"`
 		ReadModels        ReadModelStats `json:"read_models"`
 		ActiveImpairments int            `json:"active_impairments"`
+		// JournalError is the network's first journal sink error; absent
+		// while the journal is healthy.
+		JournalError string `json:"journal_error,omitempty"`
 	}{
 		Seq:               snap.Seq,
 		Flows:             snap.NumFlows(),
@@ -251,6 +258,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, _ string) {
 		Allocator:         snap.Stats(),
 		ReadModels:        s.readModelStats(),
 		ActiveImpairments: active,
+		JournalError:      journalError,
 	})
 }
 

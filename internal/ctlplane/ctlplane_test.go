@@ -467,6 +467,47 @@ func TestStatsUnderConcurrentFolds(t *testing.T) {
 	}
 }
 
+// brokenSink is a journal sink whose disk is gone.
+type brokenSink struct{}
+
+func (brokenSink) AppendOp(netsim.Op, uint64) error             { return fmt.Errorf("disk gone") }
+func (brokenSink) AppendSnapshot(netsim.NetState, uint64) error { return fmt.Errorf("disk gone") }
+func (brokenSink) AppendOpaque() error                          { return fmt.Errorf("disk gone") }
+
+// TestStatsReportsJournalError: /v1/stats carries the running network's
+// first sink error as journal_error, and omits the field while healthy.
+func TestStatsReportsJournalError(t *testing.T) {
+	stats := func(sink netsim.OpSink) string {
+		topo := netsim.NewTopology()
+		l := topo.AddLink("a", "b", 100e6, time.Millisecond, "access")
+		shared := netsim.NewShared(netsim.NewNetwork(topo), netsim.SharedConfig{Journal: sink})
+		defer shared.Close()
+		shared.StartFlow(netsim.Path{l}, 1e6, "demo")
+		srv, err := New(Config{Shared: shared, Topo: topo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.handleStats(rec, httptest.NewRequest("GET", "/v1/stats", nil), "")
+		var out struct {
+			JournalError *string `json:"journal_error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("stats body %s: %v", rec.Body, err)
+		}
+		if out.JournalError == nil {
+			return ""
+		}
+		return *out.JournalError
+	}
+	if got := stats(nil); got != "" {
+		t.Errorf("healthy network reports journal_error %q", got)
+	}
+	if got := stats(brokenSink{}); got != "disk gone" {
+		t.Errorf("journal_error = %q, want %q", got, "disk gone")
+	}
+}
+
 // TestReadEndpointPayloads spot-checks the inspection payload shapes.
 func TestReadEndpointPayloads(t *testing.T) {
 	fx := newFixture(t, nil, nil)

@@ -50,10 +50,6 @@ type E1Config struct {
 	// Trace, when non-nil, replays a recorded workload (see
 	// workload.ReadTrace / cmd/eona-trace) instead of generating one.
 	Trace []workload.Session
-	// Drivers, when positive, runs the arm on the lockstep multi-driver
-	// engine (one partition, Drivers workers) instead of the serial
-	// Engine. Results are bit-identical either way; see newArmEngine.
-	Drivers int
 }
 
 func (c *E1Config) applyDefaults() {
@@ -119,7 +115,7 @@ func e1Workload(cfg E1Config) []workload.Session {
 // RunE1Arm executes one arm.
 func RunE1Arm(cfg E1Config) E1Result {
 	cfg.applyDefaults()
-	eng, peng := newArmEngine(cfg.Seed, cfg.Drivers)
+	eng := sim.NewEngine(cfg.Seed)
 
 	topo := netsim.NewTopology()
 	access := topo.AddLink("clients", "border", cfg.AccessBps, 2*time.Millisecond, "access")
@@ -146,7 +142,7 @@ func RunE1Arm(cfg E1Config) E1Result {
 		sessions = e1Workload(cfg)
 	}
 
-	collector := core.NewCollector("vod", core.ExportPolicy{}, time.Minute, cfg.Seed)
+	collector := core.NewA2ICollector(core.CollectorConfig{AppP: "vod", Window: time.Minute, Seed: cfg.Seed})
 
 	type session struct {
 		p   *player.Player
@@ -301,7 +297,7 @@ func RunE1Arm(cfg E1Config) E1Result {
 		})
 	}
 
-	runArm(eng, peng, cfg.Horizon)
+	eng.Run(cfg.Horizon)
 
 	res := E1Result{Config: cfg, CapEpochs: capEpochs}
 	for _, s := range all {
@@ -363,16 +359,9 @@ type E1Pair struct {
 
 // RunE1 executes both arms with identical workloads.
 func RunE1(seed int64) E1Pair {
-	return RunE1Drivers(seed, 0)
-}
-
-// RunE1Drivers is RunE1 on the lockstep multi-driver engine (drivers
-// workers; 0 keeps the serial engine). Tables are bit-identical for every
-// drivers value — pinned by TestE1DriversBitIdentical.
-func RunE1Drivers(seed int64, drivers int) E1Pair {
 	return E1Pair{
-		Baseline: RunE1Arm(E1Config{Seed: seed, Drivers: drivers}),
-		EONA:     RunE1Arm(E1Config{Seed: seed, EONA: true, Drivers: drivers}),
+		Baseline: RunE1Arm(E1Config{Seed: seed}),
+		EONA:     RunE1Arm(E1Config{Seed: seed, EONA: true}),
 	}
 }
 

@@ -174,7 +174,6 @@ func TestE7SharedDriverArm(t *testing.T) {
 	}
 	r := RunE7Config(E7Config{
 		Records:      2_000,
-		ShardCounts:  []int{}, // skip cluster rows; this test is about drivers
 		DriverCounts: []int{1, 3},
 	})
 	if r.SharedSerialPerSec <= 0 {
@@ -207,7 +206,7 @@ func TestE7DriverSweepSkips(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement")
 	}
-	r := RunE7Config(E7Config{Records: 2_000, ShardCounts: []int{}, DriverCounts: []int{}})
+	r := RunE7Config(E7Config{Records: 2_000, DriverCounts: []int{}})
 	if r.SharedSerialPerSec != 0 || len(r.DriverPoints) != 0 {
 		t.Errorf("empty DriverCounts should skip the arm; got baseline=%v points=%+v",
 			r.SharedSerialPerSec, r.DriverPoints)

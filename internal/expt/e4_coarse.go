@@ -40,10 +40,6 @@ type E4Config struct {
 	ArrivalRate float64
 	// FailAt is when server east-s00 dies. Default 4 min.
 	FailAt time.Duration
-	// Drivers, when positive, runs the arm on the lockstep multi-driver
-	// engine (one partition, Drivers workers) instead of the serial
-	// Engine. Results are bit-identical either way; see newArmEngine.
-	Drivers int
 }
 
 func (c *E4Config) applyDefaults() {
@@ -81,7 +77,7 @@ type E4Result struct {
 // RunE4Arm executes one arm.
 func RunE4Arm(cfg E4Config) E4Result {
 	cfg.applyDefaults()
-	eng, peng := newArmEngine(cfg.Seed, cfg.Drivers)
+	eng := sim.NewEngine(cfg.Seed)
 	rng := rand.New(rand.NewSource(cfg.Seed + 2000))
 
 	topo := netsim.NewTopology()
@@ -213,7 +209,7 @@ func RunE4Arm(cfg E4Config) E4Result {
 		})
 	})
 
-	runArm(eng, peng, cfg.Horizon)
+	eng.Run(cfg.Horizon)
 
 	res := E4Result{Config: cfg}
 	hits, misses := east.Cache.Stats()
@@ -257,16 +253,9 @@ type E4Pair struct {
 
 // RunE4 executes both arms with identical workloads and failure.
 func RunE4(seed int64) E4Pair {
-	return RunE4Drivers(seed, 0)
-}
-
-// RunE4Drivers is RunE4 on the lockstep multi-driver engine (drivers
-// workers; 0 keeps the serial engine). Tables are bit-identical for every
-// drivers value — pinned by TestE4DriversBitIdentical.
-func RunE4Drivers(seed int64, drivers int) E4Pair {
 	return E4Pair{
-		Baseline: RunE4Arm(E4Config{Seed: seed, Drivers: drivers}),
-		EONA:     RunE4Arm(E4Config{Seed: seed, EONA: true, Drivers: drivers}),
+		Baseline: RunE4Arm(E4Config{Seed: seed}),
+		EONA:     RunE4Arm(E4Config{Seed: seed, EONA: true}),
 	}
 }
 

@@ -39,10 +39,6 @@ import (
 type E7Config struct {
 	// Records is the ingest volume (default 500k when 0).
 	Records int
-	// ShardCounts lists the ShardedCollector sizes to sweep for the
-	// cluster-mode rows (default 1, 2, 4, 8; nil uses the default, empty
-	// non-nil skips the sweep).
-	ShardCounts []int
 	// DriverCounts lists the concurrent-goroutine driver counts to sweep
 	// against one netsim.SharedNetwork (default 1, 2, 4; nil uses the
 	// default, empty non-nil skips the sweep). Each driver mutates a
@@ -94,17 +90,6 @@ type E7EnginePoint struct {
 	// matched the workers=1 reference — the determinism contract, checked
 	// on every sweep, not just in tests.
 	Identical bool
-}
-
-// E7ShardPoint is one cluster-mode measurement: ingest throughput with the
-// sharded collector at a given shard count, each shard fed by its own
-// producer goroutine.
-type E7ShardPoint struct {
-	Shards int
-	// PerSec is IngestBatch records/second end-to-end (including drain).
-	PerSec float64
-	// Speedup is PerSec over the single-goroutine Collector's rate.
-	Speedup float64
 }
 
 // E7Result carries measured rates.
@@ -161,13 +146,10 @@ type E7Result struct {
 	// count).
 	DriverPoints []E7DriverPoint
 
-	// ShardPoints are the cluster-mode rows (one per swept shard count).
-	ShardPoints []E7ShardPoint
 	// EnginePoints are the multi-driver engine rows (one per swept worker
 	// count).
 	EnginePoints []E7EnginePoint
-	// Procs is runtime.GOMAXPROCS(0) at measurement time — shard speedups
-	// are bounded by it.
+	// Procs is runtime.GOMAXPROCS(0) at measurement time.
 	Procs int
 }
 
@@ -207,16 +189,12 @@ func RunE7Config(cfg E7Config) E7Result {
 	if n <= 0 {
 		n = 500_000
 	}
-	shardCounts := cfg.ShardCounts
-	if shardCounts == nil {
-		shardCounts = []int{1, 2, 4, 8}
-	}
 	recs := e7Records(n)
 	var res E7Result
 	res.Procs = runtime.GOMAXPROCS(0)
 
 	// Collector ingest.
-	col := core.NewCollector("vod", core.ExportPolicy{}, time.Minute, 1)
+	col := core.NewA2ICollector(core.CollectorConfig{AppP: "vod", Window: time.Minute, Seed: 1})
 	start := time.Now()
 	for i := range recs {
 		col.Ingest(recs[i])
@@ -224,16 +202,6 @@ func RunE7Config(cfg E7Config) E7Result {
 	el := time.Since(start).Seconds()
 	res.CollectorPerSec = float64(n) / el
 	res.ImpliedSessionsPerDay = res.CollectorPerSec * 86400
-
-	// Cluster mode: sharded collector ingest, one producer per shard.
-	for _, nsh := range shardCounts {
-		perSec := measureShardedIngest(recs, nsh)
-		res.ShardPoints = append(res.ShardPoints, E7ShardPoint{
-			Shards:  nsh,
-			PerSec:  perSec,
-			Speedup: perSec / res.CollectorPerSec,
-		})
-	}
 
 	// Count-min.
 	cm := agg.NewCountMinWithError(0.001, 0.001)
@@ -597,34 +565,6 @@ func measureSharedDrivers(drivers int) float64 {
 	return float64(drivers*perDriver) / el
 }
 
-// measureShardedIngest times end-to-end sharded ingest of recs: nsh shards,
-// one producer goroutine per shard pushing 512-record batches, closed and
-// drained before the clock stops.
-func measureShardedIngest(recs []core.QoERecord, nsh int) float64 {
-	sc := core.NewShardedCollector("vod", core.ExportPolicy{}, time.Minute, 1, nsh)
-	chunk := (len(recs) + nsh - 1) / nsh
-	start := time.Now()
-	var wg sync.WaitGroup
-	for p := 0; p < nsh; p++ {
-		lo := p * chunk
-		hi := min(lo+chunk, len(recs))
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(part []core.QoERecord) {
-			defer wg.Done()
-			const batch = 512
-			for i := 0; i < len(part); i += batch {
-				sc.IngestBatch(part[i:min(i+batch, len(part))])
-			}
-		}(recs[lo:hi])
-	}
-	wg.Wait()
-	sc.Close()
-	return float64(len(recs)) / time.Since(start).Seconds()
-}
-
 // Table renders the measurements. When any row carries alloc columns
 // (eona-bench -alloc) the table widens to five columns and rows without a
 // measurement show "-".
@@ -653,11 +593,6 @@ func (r E7Result) Table() *Table {
 	add("Collector.Ingest (full rollup)",
 		fmt.Sprintf("%.2fM rec/s", r.CollectorPerSec/1e6), E7Alloc{},
 		fmt.Sprintf("≈ %.1fB sessions/day", r.ImpliedSessionsPerDay/1e9))
-	for _, p := range r.ShardPoints {
-		add(fmt.Sprintf("cluster ingest (%d shards)", p.Shards),
-			fmt.Sprintf("%.2fM rec/s", p.PerSec/1e6), E7Alloc{},
-			fmt.Sprintf("%.2f× vs single-goroutine", p.Speedup))
-	}
 	add("count-min sketch add",
 		fmt.Sprintf("%.2fM ops/s", r.SketchAddPerSec/1e6), E7Alloc{},
 		fmt.Sprintf("%.1f MiB at ε=δ=0.1%%", float64(r.SketchMemoryBytes)/(1<<20)))
@@ -704,10 +639,6 @@ func (r E7Result) Table() *Table {
 	}
 	t.Notes = append(t.Notes,
 		"paper: 'tens [of] millions of sessions each day' — one core covers that with orders of magnitude to spare")
-	if len(r.ShardPoints) > 0 {
-		t.Notes = append(t.Notes,
-			fmt.Sprintf("cluster rows measured at GOMAXPROCS=%d; shard speedup is bounded by available cores", r.Procs))
-	}
 	if len(r.DriverPoints) > 0 {
 		note := fmt.Sprintf("driver rows measured at GOMAXPROCS=%d", r.Procs)
 		if r.Procs == 1 {

@@ -176,31 +176,6 @@ func RunEngineArm(cfg EngineArmConfig) EngineArmResult {
 	return res
 }
 
-// newArmEngine returns the engine an experiment arm schedules on, plus the
-// lockstep wrapper when one is in play. drivers <= 0 keeps the classic
-// serial Engine. drivers >= 1 returns partition 0 of a one-partition
-// ParallelEngine with that worker count — bit-identical to the serial
-// engine by construction (same seed, same event order, same tick-end
-// semantics), so legacy single-network scenarios run unchanged on the
-// lockstep loop and their tables are pinned equal by the drivers
-// differential tests.
-func newArmEngine(seed int64, drivers int) (*sim.Engine, *sim.ParallelEngine) {
-	if drivers <= 0 {
-		return sim.NewEngine(seed), nil
-	}
-	pe := sim.NewParallel(seed, 1, drivers)
-	return pe.Partition(0), pe
-}
-
-// runArm drives whichever engine newArmEngine produced to the horizon.
-func runArm(eng *sim.Engine, pe *sim.ParallelEngine, horizon time.Duration) {
-	if pe != nil {
-		pe.Run(horizon)
-		return
-	}
-	eng.Run(horizon)
-}
-
 // DefaultEngineArmTopology builds the standard multi-driver benchmark
 // shape: regions disjoint two-hop rails plus one shared hub link every
 // region can also route over, so the fault schedule and cross-region

@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -173,43 +172,5 @@ func BenchmarkEngineArm(b *testing.B) {
 				RunEngineArm(engineArmConfig(build, workers))
 			}
 		})
-	}
-}
-
-// TestE1DriversBitIdentical pins the facade contract: an E1 arm run on the
-// serial engine, on the lockstep engine with 1 worker, and with 4 workers
-// produces the same result bit for bit.
-func TestE1DriversBitIdentical(t *testing.T) {
-	arm := func(drivers int) E1Result {
-		r := RunE1Arm(E1Config{Seed: 11, Horizon: 4 * time.Minute, Drivers: drivers})
-		r.Config = E1Config{} // configs differ only in Drivers
-		return r
-	}
-	serial := arm(0)
-	for _, d := range []int{1, 4} {
-		if got := arm(d); !reflect.DeepEqual(got, serial) {
-			t.Errorf("Drivers=%d diverged from serial:\n%+v\nvs\n%+v", d, got, serial)
-		}
-	}
-	if serial.Sessions == 0 {
-		t.Error("arm saw no sessions; identity check is vacuous")
-	}
-}
-
-// TestE4DriversBitIdentical is the E4 counterpart.
-func TestE4DriversBitIdentical(t *testing.T) {
-	arm := func(drivers int) E4Result {
-		r := RunE4Arm(E4Config{Seed: 11, Horizon: 3 * time.Minute, FailAt: time.Minute, Drivers: drivers})
-		r.Config = E4Config{}
-		return r
-	}
-	serial := arm(0)
-	for _, d := range []int{1, 4} {
-		if got := arm(d); !reflect.DeepEqual(got, serial) {
-			t.Errorf("Drivers=%d diverged from serial:\n%+v\nvs\n%+v", d, got, serial)
-		}
-	}
-	if serial.Sessions == 0 {
-		t.Error("arm saw no sessions; identity check is vacuous")
 	}
 }

@@ -12,15 +12,9 @@ package expt
 type Config struct {
 	// Seed drives each experiment's private rand.New(rand.NewSource(Seed)).
 	Seed int64
-	// E7 parameterizes the scalability pipeline (record volume, shard and
-	// driver sweeps). Only E7 reads it.
+	// E7 parameterizes the scalability pipeline (record volume, driver and
+	// engine-worker sweeps). Only E7 reads it.
 	E7 E7Config
-	// EngineDrivers, when positive, runs the simulation-backed arms that
-	// support it (E1, E4) on the lockstep multi-driver engine with that
-	// many workers. Tables are bit-identical to the serial engine for
-	// every value — the knob exists so eona-bench can exercise and time
-	// the parallel path across the suite.
-	EngineDrivers int
 }
 
 // Definition is one registered experiment: its identity plus a Run hook
@@ -50,13 +44,13 @@ func (d Definition) Bind(cfg Config) Experiment {
 func Definitions() []Definition {
 	return []Definition{
 		{ID: "E1", Title: "flash crowd at the ISP access link (Figure 3)", Slow: true,
-			Run: func(c Config) *Table { return RunE1Drivers(c.Seed, c.EngineDrivers).Table() }},
+			Run: func(c Config) *Table { return RunE1(c.Seed).Table() }},
 		{ID: "E2", Title: "independent control loops oscillate; EONA converges (Figure 5)",
 			Run: func(c Config) *Table { return RunE2(c.Seed).Table() }},
 		{ID: "E3", Title: "inferring QoE from network metrics vs direct A2I (Figure 4)",
 			Run: func(c Config) *Table { return RunE3(c.Seed).Table() }},
 		{ID: "E4", Title: "server failure — CDN switch vs I2A server hint (§2)", Slow: true,
-			Run: func(c Config) *Table { return RunE4Drivers(c.Seed, c.EngineDrivers).Table() }},
+			Run: func(c Config) *Table { return RunE4(c.Seed).Table() }},
 		{ID: "E5", Title: "off-peak server shutdown — energy vs experience (§2/§5)",
 			Run: func(c Config) *Table { return RunE5(c.Seed).Table() }},
 		{ID: "E6", Title: "control quality vs interface staleness (§5)",
@@ -96,8 +90,7 @@ func Lookup(id string) (Definition, bool) {
 	return Definition{}, false
 }
 
-// BindAll binds every registered definition to cfg, in suite order —
-// the registry-backed replacement for Suite.
+// BindAll binds every registered definition to cfg, in suite order.
 func BindAll(cfg Config) []Experiment {
 	defs := Definitions()
 	exps := make([]Experiment, len(defs))

@@ -15,25 +15,16 @@ type Experiment struct {
 	Run func() *Table
 }
 
-// Suite returns the full E1–E15 experiment list, each closure bound to the
-// given seed. Every experiment draws randomness from its own
-// rand.New(rand.NewSource(seed)) and simulates against private state, so
-// suite entries are independent and safe to run concurrently with
-// RunConcurrent. The caveat is wall-clock honesty, not correctness: E7's
-// throughput rows are timing measurements, and co-running experiments
-// steal cycles from them — run E7 alone (or with parallelism 1) when its
-// absolute numbers matter.
-//
-// Deprecated: use BindAll(Config{Seed: seed, E7: e7}), which draws from
-// the experiment registry (Definitions); Suite is a thin wrapper kept for
-// callers of the original two-argument shape.
-func Suite(seed int64, e7 E7Config) []Experiment {
-	return BindAll(Config{Seed: seed, E7: e7})
-}
-
 // RunConcurrent executes the experiments with at most parallelism workers
 // (GOMAXPROCS(0) when parallelism <= 0) and returns their tables in input
 // order. parallelism 1 reproduces the sequential runner exactly.
+//
+// Every experiment draws randomness from its own rand.New(rand.NewSource(seed))
+// and simulates against private state, so entries are independent and safe
+// to run concurrently. The caveat is wall-clock honesty, not correctness:
+// E7's throughput rows are timing measurements, and co-running experiments
+// steal cycles from them — run E7 alone (or with parallelism 1) when its
+// absolute numbers matter.
 func RunConcurrent(exps []Experiment, parallelism int) []*Table {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)

@@ -7,7 +7,7 @@ import (
 )
 
 func TestSuiteShape(t *testing.T) {
-	exps := Suite(1, E7Config{})
+	exps := BindAll(Config{Seed: 1})
 	if len(exps) != 17 {
 		t.Fatalf("suite has %d experiments, want 17", len(exps))
 	}
@@ -61,7 +61,7 @@ func TestRunConcurrentOrderAndCap(t *testing.T) {
 func TestRunConcurrentMatchesSequential(t *testing.T) {
 	pick := func() []Experiment {
 		var out []Experiment
-		for _, e := range Suite(3, E7Config{}) {
+		for _, e := range BindAll(Config{Seed: 3}) {
 			if e.ID == "E6" || e.ID == "E9" {
 				out = append(out, e)
 			}

@@ -363,9 +363,7 @@ func (r *Recovered) ReplayPrefix(opIndex int) (*netsim.Network, error) {
 
 // ReplayIngests feeds the recovered ingest stream into a collector as one
 // batch in journal order — warm-start cost matches the batched ingest path
-// instead of a record-at-a-time loop. Call it on the *inner* collector
-// before wrapping with WrapCollector, so replay does not re-journal the
-// records it came from.
+// instead of a record-at-a-time loop.
 func (r *Recovered) ReplayIngests(col core.A2ICollector) {
 	if len(r.Ingests) > 0 {
 		col.IngestBatch(r.Ingests)

@@ -22,7 +22,7 @@ func newHTTPTestServer(t *testing.T, srv *Server) string {
 // query the same endpoint and receive differently-blinded views, wired
 // through a core.Registry.
 func TestPerPartnerBlindedExports(t *testing.T) {
-	col := core.NewCollector("vod", core.ExportPolicy{}, time.Minute, 1)
+	col := core.NewA2ICollector(core.CollectorConfig{AppP: "vod", Window: time.Minute, Seed: 1})
 	for i := 0; i < 5; i++ {
 		col.Ingest(core.QoERecord{ClientISP: "isp1", CDN: "cdnX", Cluster: "east", Score: 77, PlayTime: 10 * time.Minute})
 	}

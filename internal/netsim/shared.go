@@ -113,7 +113,7 @@ type SharedConfig struct {
 	// Journal, when set, receives every committed op (and, on the
 	// SnapshotEvery cadence, full state snapshots) in commit order — the
 	// durable mirror of Record. Sink errors do not fail mutations; the
-	// first one is retained and surfaced by JournalError after Close.
+	// first one is retained and surfaced by JournalError.
 	Journal OpSink
 	// SnapshotEvery appends a state snapshot to Journal after that many
 	// journaled ops, always at a commit boundary (never mid-window in
@@ -207,7 +207,10 @@ type SharedNetwork struct {
 	logComplete  bool
 	pubSeq       uint64
 	opsSinceSnap int
-	journalErr   error
+
+	// journalErr is the first sink error: stored once by the owner
+	// goroutine, readable from any goroutine while it runs.
+	journalErr atomic.Pointer[error]
 }
 
 // NewShared wraps a serial Network and starts the owner goroutine, taking
@@ -385,16 +388,15 @@ func (s *SharedNetwork) Log() ([]Op, bool) {
 	return s.log, s.logComplete
 }
 
-// JournalError returns the first error the journal sink reported, if any.
-// Like Log it is only valid after Close (it panics otherwise): sink errors
-// belong to the owner goroutine while it runs. A run whose JournalError is
+// JournalError returns the first error the journal sink reported, nil while
+// the journal is healthy. It may be polled from any goroutine at any time;
+// once Close has returned the answer is final. A run whose JournalError is
 // non-nil has an incomplete journal; its recovery is untrustworthy.
 func (s *SharedNetwork) JournalError() error {
-	if !s.closed.Load() {
-		panic("netsim: SharedNetwork.JournalError before Close")
+	if p := s.journalErr.Load(); p != nil {
+		return *p
 	}
-	<-s.done
-	return s.journalErr
+	return nil
 }
 
 // Driver returns a command handle with its own deterministic op sequence.
@@ -660,8 +662,11 @@ func (s *SharedNetwork) maybeSnapshot() {
 }
 
 func (s *SharedNetwork) noteJournalErr(err error) {
-	if err != nil && s.journalErr == nil {
-		s.journalErr = err
+	if err != nil && s.journalErr.Load() == nil {
+		// Store a copy: taking the parameter's address would heap-allocate
+		// it on every call, including the healthy ones.
+		first := err
+		s.journalErr.Store(&first)
 	}
 }
 

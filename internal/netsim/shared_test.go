@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -347,6 +348,106 @@ func TestSharedUseAfterClosePanics(t *testing.T) {
 		}
 	}()
 	s.StartFlow(p, 1, "")
+}
+
+// failAfterSink is an OpSink that accepts the first ok ops and fails every
+// append after them with a distinct error.
+type failAfterSink struct {
+	ok, calls int
+}
+
+func (f *failAfterSink) fail() error {
+	f.calls++
+	if f.calls <= f.ok {
+		return nil
+	}
+	return fmt.Errorf("sink full at append %d", f.calls)
+}
+
+func (f *failAfterSink) AppendOp(Op, uint64) error             { return f.fail() }
+func (f *failAfterSink) AppendSnapshot(NetState, uint64) error { return f.fail() }
+func (f *failAfterSink) AppendOpaque() error                   { return f.fail() }
+
+// TestSharedJournalErrorPollable pins JournalError as callable while the
+// owner goroutine runs (it used to panic before Close): nil while the sink
+// is healthy, the first sink error from the moment it happens, unchanged by
+// later errors and by Close. The poller spins concurrently with the
+// mutations, so under -race this also pins the read as synchronised.
+func TestSharedJournalErrorPollable(t *testing.T) {
+	topo, p := line(100)
+	const healthy = 20
+	s := NewShared(NewNetwork(topo), SharedConfig{Journal: &failAfterSink{ok: healthy}, SnapshotEvery: 8})
+	if err := s.JournalError(); err != nil {
+		t.Fatalf("JournalError before any op = %v", err)
+	}
+
+	stop := make(chan struct{})
+	polled := make(chan error, 1)
+	go func() {
+		var first error
+		for {
+			if err := s.JournalError(); err != nil {
+				if first == nil {
+					first = err
+				} else if err != first {
+					t.Errorf("JournalError changed from %v to %v", first, err)
+				}
+			}
+			select {
+			case <-stop:
+				polled <- first
+				return
+			default:
+			}
+		}
+	}()
+
+	f := s.StartFlow(p, 1e6, "")
+	for i := 0; i < 200; i++ {
+		s.SetDemand(f, float64(2+i)*1e6)
+		if i < healthy/2 {
+			if err := s.JournalError(); err != nil {
+				t.Fatalf("JournalError = %v with the sink still healthy", err)
+			}
+		}
+	}
+	s.Commit()
+	live := s.JournalError()
+	if live == nil {
+		t.Fatal("JournalError still nil while running, after the sink failed")
+	}
+	if want := fmt.Sprintf("sink full at append %d", healthy+1); live.Error() != want {
+		t.Errorf("JournalError = %q, want the first failure %q", live, want)
+	}
+	close(stop)
+	if first := <-polled; first != nil && first != live {
+		t.Errorf("poller saw %v, owner reports %v", first, live)
+	}
+	s.Close()
+	if after := s.JournalError(); after != live {
+		t.Errorf("JournalError after Close = %v, want %v", after, live)
+	}
+}
+
+// TestSharedJournalAddsNoMutationAllocs pins the journal hook at zero
+// allocations per mutation while the sink is healthy: the digest, the
+// AppendOp call and the error bookkeeping must add nothing to what an
+// unjournaled mutation (command, apply, snapshot publish) already costs.
+func TestSharedJournalAddsNoMutationAllocs(t *testing.T) {
+	measure := func(sink OpSink) float64 {
+		topo, p := line(100)
+		s := NewShared(NewNetwork(topo), SharedConfig{Journal: sink})
+		defer s.Close()
+		f := s.StartFlow(p, 1e6, "")
+		i := 0
+		return testing.AllocsPerRun(500, func() {
+			i++
+			s.SetDemand(f, float64(1+i%7)*1e6)
+		})
+	}
+	if base, with := measure(nil), measure(&failAfterSink{ok: 1 << 30}); with > base {
+		t.Errorf("journaled SetDemand allocates %v allocs/op, unjournaled %v", with, base)
+	}
 }
 
 // BenchmarkSharedReadScaling measures snapshot reads under RunParallel —

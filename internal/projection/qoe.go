@@ -19,11 +19,8 @@ type QoE struct {
 	col *core.Collector
 }
 
-// NewQoE builds the folder over a fresh collector. cfg.Shards is forced to
-// the single-goroutine collector: a folder is already single-writer under
-// the engine lock, and checkpoint state export lives on *Collector.
+// NewQoE builds the folder over a fresh collector.
 func NewQoE(cfg core.CollectorConfig) *QoE {
-	cfg.Shards = 0
 	q := &QoE{cfg: cfg}
 	q.Reset()
 	return q
@@ -34,7 +31,7 @@ func (q *QoE) Name() string { return "qoe" }
 // Reset rebuilds the empty collector (noise streams restart from the
 // configured seed, as on any journal restart).
 func (q *QoE) Reset() {
-	q.col = core.NewA2ICollector(q.cfg).(*core.Collector)
+	q.col = core.NewA2ICollector(q.cfg)
 }
 
 // FoldIngest feeds one session record into the rollups.

@@ -6,6 +6,11 @@
 #   - allocates more allocs/op than recorded (zero-alloc steady states must
 #     stay zero-alloc),
 #   - regressed B/op beyond max(1.2x, +16 bytes) of the recorded value.
+# The gate is total: with the default pattern it also fails when the
+# recording holds a benchmark that the pattern does not match and that
+# scripts/bench_exempt.txt does not list with a reason, so a recorded number
+# is either defended or explicitly waived. (A pattern given on the command
+# line narrows the gate on purpose and skips that check.)
 # Skips cleanly when nothing has been recorded yet. go test suffixes
 # benchmark names with -GOMAXPROCS (when it is not 1), so the fresh run is
 # pinned to the recording's gomaxprocs: names line up on any machine, and a
@@ -21,11 +26,13 @@ cd "$(dirname "$0")/.."
 # under writes, journal append, and the lockstep engine's serial instant
 # loop, plus the projection hot paths: the incremental fold, checkpoint-
 # seeded materialization and the live (allocation-free) projected query.
-# The multi-worker and sharded variants are deliberately excluded —
-# their timings are scheduler-bound and too noisy for a 20% gate,
-# especially on small machines. (go test treats each unbracketed "|"
+# Everything else the recording holds is waived, one reason per name, in
+# scripts/bench_exempt.txt (multi-worker variants are scheduler-bound,
+# synced appends disk-bound, ...). (go test treats each unbracketed "|"
 # alternative as its own slash-separated pattern, so the /workers-1 below
 # filters only the ParallelEngineInstants sub-benchmarks.)
+total=$(($# == 0))
+exempt=scripts/bench_exempt.txt
 pattern="${1:-^BenchmarkCollectorIngest\$|ParallelEngineInstants/workers-1|ReallocateIncremental|ChurnRails|ChurnSkewed|ChurnDiscovery|ChurnLifecycle|SharedReadScaling|^BenchmarkJournalAppend\$|^BenchmarkProjectionFold\$|^BenchmarkMaterializeAt\$|^BenchmarkProjectedQuery\$}"
 latest=$(ls BENCH_*.json 2>/dev/null | sort | tail -1 || true)
 if [ -z "$latest" ]; then
@@ -42,10 +49,15 @@ tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
 gate_check() {
-	awk -v latest="$1" '
-	# Pass 1: recorded metrics by benchmark name (our JSON keeps one
+	awk -v latest="$1" -v exempt="$exempt" -v procs="$procs" -v total="$total" '
+	# Pass 1: exempted names (GOMAXPROCS suffix stripped) need a reason.
+	FILENAME == exempt {
+		if ($0 !~ /^#/ && NF > 0) waived[$1] = NF > 1
+		next
+	}
+	# Pass 2: recorded metrics by benchmark name (our JSON keeps one
 	# benchmark per line).
-	NR == FNR {
+	FILENAME == latest {
 		if (match($0, /"name": "[^"]+"/)) {
 			name = substr($0, RSTART + 9, RLENGTH - 10)
 			if (match($0, /"ns\/op": [0-9.eE+-]+/))
@@ -57,7 +69,7 @@ gate_check() {
 		}
 		next
 	}
-	# Pass 2: fresh runs — keep each name'\''s min per metric across counts.
+	# Pass 3: fresh runs — keep each name'\''s min per metric across counts.
 	/^Benchmark/ {
 		for (i = 3; i + 1 <= NF; i += 2) {
 			v = $i + 0
@@ -95,10 +107,21 @@ gate_check() {
 			print "bench gate: FAIL no benchmark run here shares a name with " latest
 			exit 2
 		}
+		uncovered = 0
+		for (name in rec) {
+			if (!total || (name in fresh)) continue
+			base = name
+			if (procs != 1) sub("-" procs "$", "", base)
+			if (!waived[base]) {
+				uncovered++
+				printf "bench gate: FAIL %s is recorded in %s but neither gated nor listed with a reason in %s\n", name, latest, exempt
+			}
+		}
+		if (uncovered > 0) exit 2
 		if (failed > 0) exit 1
 		printf "bench gate: %d benchmark(s) within bounds of %s\n", checked, latest
 	}
-	' "$1" "$2"
+	' "$exempt" "$1" "$2"
 }
 
 # Timing noise only ever inflates ns/op (scheduler steal, a co-running
@@ -116,7 +139,7 @@ for attempt in $(seq "$attempts"); do
 	gate_check "$latest" "$tmp" || rc=$?
 	case "$rc" in
 	0) exit 0 ;;
-	2) exit 1 ;; # no shared names: re-measuring cannot help
+	2) exit 1 ;; # no shared names, or an uncovered one: re-measuring cannot help
 	esac
 	if [ "$attempt" -lt "$attempts" ]; then
 		echo "bench gate: over bounds on attempt $attempt/$attempts; re-measuring (min accumulates)"

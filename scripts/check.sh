@@ -14,11 +14,11 @@ go vet ./...
 # this tree: an API removal that breaks it must fail here, not in the
 # benchmark run. It is one main package, so -o keeps the binary out of the
 # checkout.
-(cd bench && go build -o /dev/null ./... && go vet ./...)
-# Fast-fail on the concurrency-heavy packages (sharded collector, merge
-# primitives, shared network + snapshots, looking-glass pollers, event
-# journal, control plane + SSE streaming) and the allocator/control-loop
-# packages (component registry, reaction coalescing) before the full sweep.
+(cd bench && go build -o /dev/null ./... && go vet ./... && go test ./...)
+# Fast-fail on the concurrency-heavy packages (collector, merge primitives,
+# shared network + snapshots, looking-glass pollers, event journal, control
+# plane + SSE streaming) and the allocator/control-loop packages (component
+# registry, reaction coalescing) before the full sweep.
 go test -race ./internal/core/... ./internal/agg/... ./internal/netsim/... \
 	./internal/control/... ./internal/lookingglass/... ./internal/journal/... \
 	./internal/projection/... ./internal/ctlplane/...
