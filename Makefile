@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench chaos recover timetravel dashboard fmt
+.PHONY: check build vet test race bench benchcheck chaos recover timetravel dashboard fmt
 
 # Tier-1 gate: everything a PR must pass before merging.
 check: build vet race
@@ -19,6 +19,11 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
+
+# Can the frozen served-path benchmark still build and run here? One short
+# net-churn run untraced and one traced; both must report "correct":true.
+benchcheck:
+	scripts/benchcheck.sh
 
 # Chaos suite: the deterministic fault-injection tests (E15 + faults pkg).
 chaos:

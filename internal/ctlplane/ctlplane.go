@@ -195,7 +195,7 @@ type ReadModelStats struct {
 	FlowStarts    uint64 `json:"flow_starts"`
 	FlowStops     uint64 `json:"flow_stops"`
 	CapacityEdits uint64 `json:"capacity_edits"`
-	UtilSamples   int    `json:"util_samples"`
+	UtilSamples   uint64 `json:"util_samples"`
 	Poisoned      bool   `json:"poisoned"`
 	QoEIngested   uint64 `json:"qoe_ingested"`
 	QoEGroups     int    `json:"qoe_groups"`
@@ -209,7 +209,7 @@ func (s *Server) readModelStats() ReadModelStats {
 			rm.FlowStarts = u.Starts()
 			rm.FlowStops = u.Stops()
 			rm.CapacityEdits = u.CapacityEdits()
-			rm.UtilSamples = len(u.Series())
+			rm.UtilSamples = u.Samples()
 			rm.Poisoned = u.Poisoned()
 		}
 		if q := s.cfg.QoE; q != nil {

@@ -1,6 +1,8 @@
 package journal
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -282,6 +284,68 @@ func TestOpenRepairsTornTail(t *testing.T) {
 	}
 	if after.TruncatedBytes != 0 || !after.Opaque || len(after.Ops) != len(before.Ops) {
 		t.Fatalf("post-repair recovery: %d ops, truncated %d, opaque %v", len(after.Ops), after.TruncatedBytes, after.Opaque)
+	}
+}
+
+// TestOtherVersionSegmentIsReportedNotRepaired: a segment whose magic matches
+// up to the version byte is an intact log in a format this build cannot
+// verify. It used to scan as "torn at offset 0", which Open's tail repair
+// answers by truncating the file to nothing. Recover, Open and scanSegment
+// must each report ErrVersion, and Open must leave the bytes alone — also
+// when the foreign segment follows a readable one.
+func TestOtherVersionSegmentIsReportedNotRepaired(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Config{Dir: dir, SegmentBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, paths, ts := fixtures()["line"]()
+	if err := w.AppendTopology(ts); err != nil {
+		t.Fatal(err)
+	}
+	driveJournaled(t, w, net, paths, 8, 4)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := segBytes(t, dir)
+	if len(segs) < 2 {
+		t.Fatalf("want a rotated journal, got %d segment(s)", len(segs))
+	}
+	for _, seg := range []int{0, len(segs) - 1} {
+		v1 := append([]byte(nil), segs[seg]...)
+		v1[len(segMagic)-1] = '1'
+		if _, err := scanSegment(v1, nil); !errors.Is(err, ErrVersion) || errors.Is(err, ErrTorn) {
+			t.Fatalf("segment %d: scanSegment = %v, want ErrVersion and not ErrTorn", seg, err)
+		}
+		path := filepath.Join(dir, segName(seg))
+		if err := os.WriteFile(path, v1, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Recover(dir); !errors.Is(err, ErrVersion) {
+			t.Fatalf("segment %d: Recover = %v, want ErrVersion", seg, err)
+		}
+		if _, err := Open(Config{Dir: dir}); !errors.Is(err, ErrVersion) {
+			t.Fatalf("segment %d: Open = %v, want ErrVersion", seg, err)
+		}
+		after := segBytes(t, dir)
+		if len(after) != len(segs) {
+			t.Fatalf("segment %d: Open left %d segments of %d", seg, len(after), len(segs))
+		}
+		for i, got := range after {
+			want := segs[i]
+			if i == seg {
+				want = v1
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("segment %d: Open changed segment %d (%d bytes, was %d)", seg, i, len(got), len(want))
+			}
+		}
+		if err := os.WriteFile(path, segs[seg], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := Recover(dir); err != nil {
+		t.Fatalf("restored journal: %v", err)
 	}
 }
 

@@ -44,8 +44,11 @@ const frameHeader = 9
 const MaxFrame = 16 << 20
 
 // segMagic opens every segment file, so recovery cannot misread an
-// arbitrary file as a journal. The trailing byte is the format version.
-var segMagic = []byte("EONAJ\x00\x001")
+// arbitrary file as a journal. The trailing byte is the format version:
+// '2' since netsim.StateDigest became a multiset hash — the frames are laid
+// out as in version 1, but every recorded op and snapshot digest means
+// something else, so a version-1 log cannot be verified by this build.
+var segMagic = []byte("EONAJ\x00\x002")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -53,6 +56,12 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // not a complete, checksummed frame. Everything before the reported offset
 // is valid; everything at and after it is the crash tail.
 var ErrTorn = errors.New("journal: torn or corrupt frame")
+
+// ErrVersion reports a segment written in another format version: its magic
+// matches up to the version byte. Unlike a tear it is not crash residue, so
+// nothing treats it as one — Recover fails and Open refuses to repair
+// (truncating it at offset zero would silently destroy an intact log).
+var ErrVersion = errors.New("journal: unsupported segment format version")
 
 // appendFrame appends one framed record to buf and returns the extended
 // buffer.
@@ -143,10 +152,14 @@ func SegmentPaths(dir string) ([]string, error) {
 // header) calling fn per record. It returns the number of valid bytes — the
 // truncation point on a torn tail — and ErrTorn when the segment ends in a
 // tear rather than cleanly. A segment missing its magic is torn at offset
-// zero.
+// zero; one carrying the magic of another format version is ErrVersion.
 func scanSegment(data []byte, fn func(typ byte, payload []byte) error) (valid int, err error) {
-	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != string(segMagic) {
+	v := len(segMagic) - 1
+	if len(data) < len(segMagic) || string(data[:v]) != string(segMagic[:v]) {
 		return 0, fmt.Errorf("%w: bad segment magic", ErrTorn)
+	}
+	if data[v] != segMagic[v] {
+		return 0, fmt.Errorf("%w: segment is version %q, this build reads %q", ErrVersion, data[v], segMagic[v])
 	}
 	off := len(segMagic)
 	for {

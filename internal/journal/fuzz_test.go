@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
@@ -21,7 +22,10 @@ func fuzzSegment(frames ...[]byte) []byte {
 
 // FuzzScanSegment exercises the frame scanner with arbitrary bytes: it must
 // never panic, the valid prefix it reports must re-scan cleanly to the same
-// records, and nothing past the reported prefix may have been delivered.
+// records, and nothing past the reported prefix may have been delivered. A
+// scan ends one of three ways — clean, torn, or ErrVersion for a segment
+// whose magic differs only in its version byte, which must deliver nothing
+// and never read as a tear.
 // Run with `go test -fuzz=FuzzScanSegment ./internal/journal` for a real
 // fuzzing session; the seed corpus runs as a normal unit test.
 func FuzzScanSegment(f *testing.F) {
@@ -41,6 +45,11 @@ func FuzzScanSegment(f *testing.F) {
 	f.Add(valid[:len(segMagic)+5]) // torn mid-header
 	f.Add([]byte("not a journal"))
 	f.Add([]byte{})
+
+	// Another format version: intact frames behind a version-1 magic.
+	v1 := append([]byte(nil), valid...)
+	v1[len(segMagic)-1] = '1'
+	f.Add(v1)
 
 	// Flipped CRC byte.
 	flipped := append([]byte(nil), valid...)
@@ -68,6 +77,17 @@ func FuzzScanSegment(f *testing.F) {
 		})
 		if valid < 0 || valid > len(data) {
 			t.Fatalf("valid prefix %d out of range [0,%d]", valid, len(data))
+		}
+		v := len(segMagic) - 1
+		otherVersion := len(data) >= len(segMagic) && bytes.Equal(data[:v], segMagic[:v]) && data[v] != segMagic[v]
+		if got := errors.Is(err, ErrVersion); got != otherVersion {
+			t.Fatalf("ErrVersion reported = %v for a segment whose version byte differs = %v (err %v)", got, otherVersion, err)
+		}
+		if otherVersion && (errors.Is(err, ErrTorn) || valid != 0 || len(got) != 0) {
+			t.Fatalf("other-version segment: err %v, valid prefix %d, %d records delivered", err, valid, len(got))
+		}
+		if err != nil && !otherVersion && !errors.Is(err, ErrTorn) {
+			t.Fatalf("scan failed with neither ErrTorn nor ErrVersion: %v", err)
 		}
 		if err == nil && valid != len(data) {
 			t.Fatalf("clean scan consumed %d of %d bytes", valid, len(data))

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -122,7 +123,9 @@ type Writer struct {
 // crash mid-write — is truncated at the last valid frame boundary, and any
 // segments after a torn one (residue of a crash mid-rotation) are deleted.
 // Appends then continue the surviving log; the op count resumes so snapshot
-// offsets stay consistent across restarts.
+// offsets stay consistent across restarts. A segment of another format
+// version is not a tear: Open fails with ErrVersion and leaves every file as
+// it found it.
 func Open(cfg Config) (*Writer, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("journal: Config.Dir is required")
@@ -159,6 +162,9 @@ func Open(cfg Config) (*Writer, error) {
 			w.recCount++
 			return nil
 		})
+		if errors.Is(serr, ErrVersion) {
+			return nil, fmt.Errorf("journal: segment %s: %w", name, serr)
+		}
 		if serr != nil {
 			// Torn segment: truncate it and drop everything after it.
 			if err := os.Truncate(path, int64(valid)); err != nil {

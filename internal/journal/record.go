@@ -341,9 +341,8 @@ func decodeCkptPayload(p []byte) (name string, offset, digest uint64, state []by
 }
 
 // Fingerprint hashes a byte slice with FNV-1a 64 — the digest stamped into
-// checkpoint frames and used by projections to compare encoded states. Same
-// construction as netsim.StateDigest's hasher, exported so folders outside
-// this package agree on the function.
+// checkpoint frames and used by projections to compare encoded states.
+// Exported so folders outside this package agree on the function.
 func Fingerprint(p []byte) uint64 {
 	const prime = 1099511628211
 	h := uint64(1469598103934665603)

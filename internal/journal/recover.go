@@ -135,7 +135,8 @@ type Recovered struct {
 // everything before the first tear is decoded, everything after it is
 // counted into TruncatedBytes/DroppedSegments. A missing directory or one
 // with no segments yields an empty Recovered, not an error — a first boot
-// has no journal yet.
+// has no journal yet. A segment written in another format version is an
+// error (ErrVersion), never read as a tear.
 func Recover(dir string) (*Recovered, error) {
 	rec := &Recovered{}
 	segs, err := segmentFiles(dir)

@@ -13,7 +13,9 @@ import (
 // path adjacency instead of chasing *Flow pointers and map entries. The
 // arena mirrors exactly the inputs the progressive filler reads — demand
 // (post-clamp), effective weight (weight(): ≤0 means 1) and the path's link
-// IDs — and is kept in lockstep by the mutation surface.
+// IDs — and is kept in lockstep by the mutation surface. Beside them it
+// caches each flow's state-digest fingerprint (digest.go), maintained at the
+// same three points: attach, detach and re-path.
 //
 // "Seen" bookkeeping (component expansion, link dedup, split checks) uses
 // epoch-stamped marks instead of clear-after-use bitmaps: a flow or link is
@@ -40,6 +42,8 @@ func (n *Network) arenaAttach(f *Flow) {
 		n.arWeight = append(n.arWeight, 0)
 		n.arRate = append(n.arRate, 0)
 		n.arPath = append(n.arPath, nil)
+		n.arStatic = append(n.arStatic, 0)
+		n.arFP = append(n.arFP, 0)
 		n.flowMark = append(n.flowMark, 0)
 	}
 	f.idx = i
@@ -52,23 +56,29 @@ func (n *Network) arenaAttach(f *Flow) {
 	n.flowMark[i] = 0
 }
 
-// arenaDetach releases f's arena index back to the freelist.
+// arenaDetach releases f's arena index back to the freelist and withdraws
+// its fingerprint from the digest sum.
 func (n *Network) arenaDetach(f *Flow) {
 	i := f.idx
 	n.arFlow[i] = nil
 	n.arRate[i] = 0
+	n.flowSum -= n.arFP[i]
+	n.arFP[i] = 0
 	n.arFree = append(n.arFree, i)
 	f.idx = noIdx
 }
 
 // arenaSetPath refreshes the []int32 path adjacency for f's slot, reusing
-// the slot's previous backing array.
+// the slot's previous backing array, and re-fingerprints the flow over its
+// new path.
 func (n *Network) arenaSetPath(f *Flow) {
 	p := n.arPath[f.idx][:0]
 	for _, l := range f.Path {
 		p = append(p, int32(l.ID))
 	}
 	n.arPath[f.idx] = p
+	n.arStatic[f.idx] = flowStatic(f)
+	n.refingerprint(f)
 }
 
 // --- epoch-stamped seen marks ----------------------------------------------

@@ -34,6 +34,7 @@ func TestFlowIndexRecyclingStorms(t *testing.T) {
 						d = math.Inf(1)
 					}
 					flows = append(flows, n.StartFlow(paths[rng.Intn(len(paths))], d, ""))
+					requireDigest(t, n, "start storm")
 				}
 				requireOracle(t, n, "start storm")
 				if round == 0 {
@@ -57,6 +58,7 @@ func TestFlowIndexRecyclingStorms(t *testing.T) {
 				// Stop everything: the freelist must absorb the whole arena.
 				for _, f := range flows {
 					n.StopFlow(f) // stopping an already-stopped flow is a no-op
+					requireDigest(t, n, "stop all")
 				}
 				if n.NumFlows() != 0 {
 					t.Fatalf("round %d: %d flows live after stop-all", round, n.NumFlows())
@@ -197,7 +199,7 @@ func TestStormsUnderRegistrySplitsShared(t *testing.T) {
 	paths := []Path{{a}, {b}, {a, b}}
 
 	n := NewNetwork(topo)
-	s := NewShared(n, SharedConfig{})
+	s := NewShared(n, SharedConfig{Journal: oracleSink{t, n}})
 	defer s.Close()
 	mirror := NewNetwork(topo)
 
@@ -213,6 +215,7 @@ func TestStormsUnderRegistrySplitsShared(t *testing.T) {
 			s.StopFlow(sFlows[fi])
 			mirror.StopFlow(mFlows[fi])
 		}
+		requireDigest(t, mirror, "serial mirror")
 		sn := s.Snapshot()
 		for i, mf := range mFlows {
 			v, ok := sn.Flow(sFlows[i].ID)

@@ -103,10 +103,9 @@ type Network struct {
 	scratchAvail  []float64
 	scratchWeight []float64
 
-	// digestIDs is StateDigest's flow-ID sort buffer, reused per call so
-	// per-op digesting (journal capture, replay verification) stays
-	// allocation-free.
-	digestIDs []FlowID
+	// flowSum is the wrapping sum of the live flows' digest fingerprints
+	// (arFP) — the multiset half of StateDigest (digest.go).
+	flowSum uint64
 
 	// Index arena (arena.go): parallel arrays over dense flow indices,
 	// kept in lockstep by the mutators.
@@ -116,7 +115,9 @@ type Network struct {
 	arWeight []float64 // effective weight (weight())
 	arRate   []float64
 	arPath   [][]int32
-	arFree   []int32 // freelist of recycled arena indices
+	arStatic []uint64 // flowStatic: digest hash of (ID, tag, path)
+	arFP     []uint64 // the slot's contribution to flowSum; 0 when free
+	arFree   []int32  // freelist of recycled arena indices
 
 	// Epoch-stamped "seen" marks (arena.go): a flow/link is seen iff its
 	// stamp equals epoch, so clearing a mark set is one increment.
@@ -348,6 +349,7 @@ func (n *Network) SetDemand(f *Flow, demand float64) {
 	}
 	f.Demand = demand
 	n.arDemand[f.idx] = demand
+	n.refingerprint(f)
 	n.markFlowDirty(f)
 	n.commit()
 }
@@ -363,6 +365,7 @@ func (n *Network) SetWeight(f *Flow, weight float64) {
 	}
 	f.Weight = weight
 	n.arWeight[f.idx] = f.weight()
+	n.refingerprint(f)
 	n.markChunkStatic(n.comp[f.ID]) // weight is a static snapshot field
 	n.markFlowDirty(f)
 	n.commit()

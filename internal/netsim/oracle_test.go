@@ -159,9 +159,11 @@ func oracleFill(flows []*Flow, links []LinkID, topo *Topology, maxRate float64, 
 }
 
 // requireOracle fails the test unless every live flow's rate and every link
-// rate of n equal the oracle's, bit for bit.
+// rate of n equal the oracle's, bit for bit, and the state digest equals
+// its own.
 func requireOracle(t *testing.T, n *Network, phase string) {
 	t.Helper()
+	requireDigest(t, n, phase)
 	rates, linkRate := oracleRates(n)
 	for id, f := range n.flows {
 		if f.Rate != rates[id] {
@@ -177,3 +179,54 @@ func requireOracle(t *testing.T, n *Network, phase string) {
 		}
 	}
 }
+
+// --- State digest oracle ------------------------------------------------------
+
+// stateDigestOracle is the state-digest reference: the full recompute the
+// production StateDigest replaced. It walks n.flows and the topology and
+// fingerprints every flow from its fields with the same per-element hash,
+// trusting nothing the mutators maintain — not flowSum, not the arena's
+// cached fingerprints — so a mutator that forgets its subtract-old/add-new
+// parts ways with it on the next check.
+func stateDigestOracle(n *Network) uint64 {
+	var sum uint64
+	for _, f := range n.flows {
+		sum += flowFingerprint(flowStatic(f), f.Demand, f.Weight)
+	}
+	h := mixWord(digestSeed, uint64(n.nextID))
+	h = mixWord(h, math.Float64bits(n.MaxRate))
+	h = mixWord(h, uint64(len(n.flows)))
+	h = mixWord(h, sum)
+	for _, l := range n.topo.links {
+		h = mixWord(h, math.Float64bits(l.Capacity))
+	}
+	return fmix64(h)
+}
+
+// requireDigest fails the test unless StateDigest equals its oracle. Unlike
+// requireOracle it is valid inside an open Batch: inputs update eagerly.
+func requireDigest(t *testing.T, n *Network, phase string) {
+	t.Helper()
+	if got, want := n.StateDigest(), stateDigestOracle(n); got != want {
+		t.Fatalf("%s: StateDigest %016x != oracle %016x", phase, got, want)
+	}
+}
+
+// oracleSink is an OpSink that checks the digest a SharedNetwork hands the
+// journal against the oracle after every committed op — including ops
+// applied mid-window in deterministic mode. It runs on the owner goroutine,
+// where reading the network is safe.
+type oracleSink struct {
+	t   *testing.T
+	net *Network
+}
+
+func (s oracleSink) AppendOp(op Op, digest uint64) error {
+	if want := stateDigestOracle(s.net); digest != want {
+		s.t.Errorf("journaled digest after %v op on flow %d: %016x != oracle %016x", op.Kind, op.Flow, digest, want)
+	}
+	return nil
+}
+
+func (s oracleSink) AppendSnapshot(NetState, uint64) error { return nil }
+func (s oracleSink) AppendOpaque() error                   { return nil }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -81,11 +82,13 @@ func TestReplayerFromImportedState(t *testing.T) {
 	if err := restored.ImportState(st); err != nil {
 		t.Fatalf("import: %v", err)
 	}
+	requireDigest(t, restored, "imported")
 	r := NewReplayer(restored)
 	for i, op := range ops[cut:] {
 		if err := r.Apply(op); err != nil {
 			t.Fatalf("tail op %d: %v", i, err)
 		}
+		requireDigest(t, restored, fmt.Sprintf("tail op %d", i))
 	}
 	requireIdenticalNetworks(t, "snapshot+tail vs full run", restored, want)
 }

@@ -81,8 +81,9 @@ func (t *Topology) pathOf(ids []LinkID) (Path, error) {
 // locking against the network but must not call back into it.
 type OpSink interface {
 	// AppendOp records one committed op together with the post-apply
-	// StateDigest of the network (an FNV-1a fingerprint of the allocator
-	// inputs), which replay tools compare per op to bisect divergence.
+	// StateDigest of the network (a fingerprint of the allocator inputs,
+	// O(links) to read), which replay tools compare per op to bisect
+	// divergence.
 	AppendOp(op Op, digest uint64) error
 	// AppendSnapshot records a full state snapshot; recovery loads the
 	// latest snapshot and replays only the ops after it.

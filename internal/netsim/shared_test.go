@@ -84,7 +84,9 @@ func requireIdenticalNetworks(t *testing.T, label string, a, b *Network) {
 func driveSharedDeterministic(t *testing.T, build func() (*Network, []Path), seed int64, drivers, rounds, opsPerRound int) ([]Op, *Network) {
 	t.Helper()
 	net, paths := build()
-	s := NewShared(net, SharedConfig{Deterministic: true, Record: true})
+	// The sink asserts the digest handed to a journal equals the oracle
+	// after every op, mid-window included.
+	s := NewShared(net, SharedConfig{Deterministic: true, Record: true, Journal: oracleSink{t, net}})
 	drv := make([]*Driver, drivers)
 	handles := make([][]*Flow, drivers)
 	for d := range drv {
@@ -157,10 +159,17 @@ func TestSharedDifferentialOnFixtures(t *testing.T) {
 				requireIdenticalNetworks(t, "run1 vs run2", net1, net2)
 
 				mirror, _ := build()
-				if err := Replay(mirror, ops1); err != nil {
-					t.Fatalf("seed %d: replay: %v", seed, err)
+				r := NewReplayer(mirror)
+				for i, op := range ops1 {
+					if err := r.Apply(op); err != nil {
+						t.Fatalf("seed %d: replay: %v", seed, err)
+					}
+					requireDigest(t, mirror, fmt.Sprintf("seed %d: replayed op %d", seed, i))
 				}
 				requireIdenticalNetworks(t, "shared vs serial replay", net1, mirror)
+				if a, b := net1.StateDigest(), mirror.StateDigest(); a != b {
+					t.Fatalf("seed %d: shared digest %016x != serial replay %016x", seed, a, b)
+				}
 			}
 		})
 	}
@@ -432,13 +441,14 @@ func TestSharedJournalErrorPollable(t *testing.T) {
 // TestSharedJournalAddsNoMutationAllocs pins the journal hook at zero
 // allocations per mutation while the sink is healthy: the digest, the
 // AppendOp call and the error bookkeeping must add nothing to what an
-// unjournaled mutation (command, apply, snapshot publish) already costs.
+// unjournaled mutation (command, apply, snapshot publish) already costs —
+// at a flow count where a digest that walked the flows would need scratch.
 func TestSharedJournalAddsNoMutationAllocs(t *testing.T) {
 	measure := func(sink OpSink) float64 {
-		topo, p := line(100)
-		s := NewShared(NewNetwork(topo), SharedConfig{Journal: sink})
+		n, _, live := churnLike(1000)
+		s := NewShared(n, SharedConfig{Journal: sink})
 		defer s.Close()
-		f := s.StartFlow(p, 1e6, "")
+		f := live[0]
 		i := 0
 		return testing.AllocsPerRun(500, func() {
 			i++
@@ -446,7 +456,7 @@ func TestSharedJournalAddsNoMutationAllocs(t *testing.T) {
 		})
 	}
 	if base, with := measure(nil), measure(&failAfterSink{ok: 1 << 30}); with > base {
-		t.Errorf("journaled SetDemand allocates %v allocs/op, unjournaled %v", with, base)
+		t.Errorf("journaled SetDemand allocates %v allocs/op, unjournaled %v: the journal hook must add 0", with, base)
 	}
 }
 

@@ -2,9 +2,7 @@ package netsim
 
 import (
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 	"time"
 )
 
@@ -56,15 +54,25 @@ func (n *Network) ExportState() NetState {
 	}
 	copy(st.LinkRates, n.linkRate)
 	ids := make([]FlowID, 0, len(n.flows))
-	for id := range n.flows {
+	hops := 0
+	for id, f := range n.flows {
 		ids = append(ids, id)
+		hops += len(f.Path)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	// Every FlowState.Links is carved from one backing array; the
+	// full-slice expression caps each at its own length, so an append to
+	// one cannot write into its neighbour.
+	links := make([]LinkID, 0, hops)
 	st.Flows = make([]FlowState, 0, len(ids))
 	for _, id := range ids {
 		f := n.flows[id]
+		from := len(links)
+		for _, l := range f.Path {
+			links = append(links, l.ID)
+		}
 		st.Flows = append(st.Flows, FlowState{
-			ID: id, Links: linkIDs(f.Path), Demand: f.Demand, Weight: f.Weight, Tag: f.Tag,
+			ID: id, Links: links[from:len(links):len(links)], Demand: f.Demand, Weight: f.Weight, Tag: f.Tag,
 		})
 	}
 	return st
@@ -122,70 +130,6 @@ func (n *Network) ImportState(st NetState) error {
 		n.nextID = st.NextID
 	})
 	return err
-}
-
-// StateDigest hashes the network's allocator-input state — flow set (IDs,
-// paths, demands, weights, tags), link capacities, ID counter and MaxRate —
-// with FNV-1a. Rates are excluded on purpose: inputs are updated eagerly
-// even inside an open Batch, while rates lag until the batch commits, so an
-// input digest is a well-defined per-op fingerprint in both SharedNetwork
-// modes, and rates are a pure function of the digested inputs anyway. Two
-// networks with equal digests that share an allocator therefore allocate
-// bit-identical rates; the journal records this digest per op, and bisect
-// replays a log until the digests part ways.
-func (n *Network) StateDigest() uint64 {
-	h := newFNV()
-	h.u64(uint64(n.nextID))
-	h.u64(math.Float64bits(n.MaxRate))
-	// The ID sort buffer is owned by the network: digests are taken per
-	// committed op on the journaling hot path and per replayed op during
-	// recovery, so a fresh slice + sort closure here would dominate replay
-	// allocations.
-	ids := n.digestIDs[:0]
-	for id := range n.flows {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	n.digestIDs = ids
-	for _, id := range ids {
-		f := n.flows[id]
-		h.u64(uint64(id))
-		h.u64(math.Float64bits(f.Demand))
-		h.u64(math.Float64bits(f.Weight))
-		h.str(f.Tag)
-		h.u64(uint64(len(f.Path)))
-		for _, l := range f.Path {
-			h.u64(uint64(l.ID))
-		}
-	}
-	for _, l := range n.topo.links {
-		h.u64(math.Float64bits(l.Capacity))
-	}
-	return h.sum
-}
-
-// fnv is an incremental FNV-1a 64 hasher over fixed-width words, shared by
-// StateDigest and the journal's digest checks.
-type fnv struct{ sum uint64 }
-
-func newFNV() *fnv { return &fnv{sum: 1469598103934665603} }
-
-func (h *fnv) byte(b byte) {
-	h.sum ^= uint64(b)
-	h.sum *= 1099511628211
-}
-
-func (h *fnv) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		h.byte(byte(v >> (8 * i)))
-	}
-}
-
-func (h *fnv) str(s string) {
-	h.u64(uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h.byte(s[i])
-	}
 }
 
 // LinkState is one link of an exported topology.

@@ -14,10 +14,18 @@ type UtilPoint struct {
 	Links    int // links with positive capacity contributing to the means
 }
 
+// UtilRetention is how many of the newest utilization samples LinkUtil
+// keeps. The series is a chart's recent window, not an archive (the journal
+// is the archive): a bounded store keeps the folder's memory, its checkpoint
+// frames and every /v1/stats read O(1) in the length of the run, where an
+// ever-growing series made each checkpoint re-encode all of history.
+const UtilRetention = 512
+
 // LinkUtil is the infrastructure-side read model: a utilization time series
-// over the op log, sampled at every journaled network snapshot, plus live
-// op-derived counters (ops folded, flow starts/stops, capacity edits). It
-// is the projection an InfP looking glass charts without replaying history.
+// over the op log, sampled at every journaled network snapshot and bounded
+// to the newest UtilRetention points, plus live op-derived counters (ops
+// folded, flow starts/stops, capacity edits, samples taken). It is the
+// projection an InfP looking glass charts without replaying history.
 //
 // Poison rule: an opaque-batch marker means ops stopped describing the
 // network, so every op-derived number after it is suspect. The folder
@@ -25,7 +33,11 @@ type UtilPoint struct {
 // tells consumers how far to trust it.
 type LinkUtil struct {
 	Base
+	// series is a ring once full: sample k (counting from zero) lives at
+	// k % UtilRetention, so the oldest retained point is at samples %
+	// UtilRetention.
 	series   []UtilPoint
+	samples  uint64
 	ops      uint64
 	starts   uint64
 	stops    uint64
@@ -44,6 +56,7 @@ func (l *LinkUtil) Name() string { return "linkutil" }
 
 func (l *LinkUtil) Reset() {
 	l.series = l.series[:0]
+	l.samples = 0
 	l.ops, l.starts, l.stops, l.capEdits = 0, 0, 0, 0
 	l.poisoned = false
 }
@@ -79,13 +92,34 @@ func (l *LinkUtil) FoldSnapshot(opIndex int, st *netsim.NetState) {
 	if pt.Links > 0 {
 		pt.MeanUtil /= float64(pt.Links)
 	}
-	l.series = append(l.series, pt)
+	if len(l.series) < UtilRetention {
+		l.series = append(l.series, pt)
+	} else {
+		l.series[l.samples%UtilRetention] = pt // overwrites the oldest
+	}
+	l.samples++
+}
+
+// oldest is the ring position of the oldest retained point.
+func (l *LinkUtil) oldest() int {
+	if len(l.series) < UtilRetention {
+		return 0
+	}
+	return int(l.samples % UtilRetention)
 }
 
 func (l *LinkUtil) FoldOpaque() { l.poisoned = true }
 
-// Series returns the sampled utilization points in journal order.
-func (l *LinkUtil) Series() []UtilPoint { return append([]UtilPoint(nil), l.series...) }
+// Series returns the retained utilization points — the newest UtilRetention
+// at most — in journal order.
+func (l *LinkUtil) Series() []UtilPoint {
+	o := l.oldest()
+	return append(append(make([]UtilPoint, 0, len(l.series)), l.series[o:]...), l.series[:o]...)
+}
+
+// Samples returns how many utilization samples have been folded in total,
+// retained or not.
+func (l *LinkUtil) Samples() uint64 { return l.samples }
 
 // Ops, Starts, Stops and CapacityEdits are the folded op counters.
 func (l *LinkUtil) Ops() uint64 { return l.ops }
@@ -113,12 +147,16 @@ func (l *LinkUtil) EncodeState(buf []byte) []byte {
 	} else {
 		buf = append(buf, 0)
 	}
+	buf = putUvarint(buf, l.samples)
 	buf = putUvarint(buf, uint64(len(l.series)))
-	for _, pt := range l.series {
-		buf = putUvarint(buf, uint64(pt.OpIndex))
-		buf = putF64(buf, pt.MeanUtil)
-		buf = putF64(buf, pt.MaxUtil)
-		buf = putUvarint(buf, uint64(pt.Links))
+	o := l.oldest()
+	for _, part := range [2][]UtilPoint{l.series[o:], l.series[:o]} {
+		for _, pt := range part {
+			buf = putUvarint(buf, uint64(pt.OpIndex))
+			buf = putF64(buf, pt.MeanUtil)
+			buf = putF64(buf, pt.MaxUtil)
+			buf = putUvarint(buf, uint64(pt.Links))
+		}
 	}
 	return buf
 }
@@ -138,21 +176,26 @@ func (l *LinkUtil) DecodeState(p []byte) error {
 			r.b = r.b[1:]
 		}
 	}
+	samples := r.uvarint("linkutil sample count")
 	n := r.uvarint("linkutil point count")
-	var series []UtilPoint
+	if n != min(samples, UtilRetention) {
+		r.fail("linkutil point count")
+		n = 0
+	}
+	// Points arrive oldest first; each goes straight to its ring position.
+	series := make([]UtilPoint, n)
 	for i := uint64(0); r.err == nil && i < n; i++ {
-		var pt UtilPoint
+		pt := &series[(samples-n+i)%UtilRetention]
 		pt.OpIndex = int(r.uvarint("linkutil point op index"))
 		pt.MeanUtil = r.f64("linkutil point mean")
 		pt.MaxUtil = r.f64("linkutil point max")
 		pt.Links = int(r.uvarint("linkutil point links"))
-		series = append(series, pt)
 	}
 	if err := r.done("linkutil state"); err != nil {
 		return err
 	}
 	l.ops, l.starts, l.stops, l.capEdits = ops, starts, stops, capEdits
 	l.poisoned = poisoned
-	l.series = series
+	l.series, l.samples = series, samples
 	return nil
 }

@@ -15,6 +15,8 @@ go vet ./...
 # benchmark run. It is one main package, so -o keeps the binary out of the
 # checkout.
 (cd bench && go build -o /dev/null ./... && go vet ./... && go test ./...)
+# ...and must still run it: a short net-churn run, untraced and traced.
+scripts/benchcheck.sh
 # Fast-fail on the concurrency-heavy packages (collector, merge primitives,
 # shared network + snapshots, looking-glass pollers, event journal, control
 # plane + SSE streaming) and the allocator/control-loop packages (component
