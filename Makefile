@@ -21,7 +21,9 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # Can the frozen served-path benchmark still build and run here? One short
-# net-churn run untraced and one traced; both must report "correct":true.
+# net-churn run untraced, one traced, and one short sim-arms run (its
+# reproduce check catches a non-deterministic allocator); all must report
+# "correct":true.
 benchcheck:
 	scripts/benchcheck.sh
 

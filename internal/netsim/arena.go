@@ -45,6 +45,7 @@ func (n *Network) arenaAttach(f *Flow) {
 		n.arStatic = append(n.arStatic, 0)
 		n.arFP = append(n.arFP, 0)
 		n.flowMark = append(n.flowMark, 0)
+		n.flowDirty = append(n.flowDirty, false)
 	}
 	f.idx = i
 	n.arFlow[i] = f

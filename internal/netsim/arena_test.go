@@ -215,7 +215,7 @@ func TestStormsUnderRegistrySplitsShared(t *testing.T) {
 			s.StopFlow(sFlows[fi])
 			mirror.StopFlow(mFlows[fi])
 		}
-		requireDigest(t, mirror, "serial mirror")
+		requireOracle(t, mirror, "serial mirror")
 		sn := s.Snapshot()
 		for i, mf := range mFlows {
 			v, ok := sn.Flow(sFlows[i].ID)

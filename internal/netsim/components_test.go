@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -45,5 +47,63 @@ func TestSnapshotComponents(t *testing.T) {
 	n.StopFlow(f3)
 	if comps := n.Snapshot().Components(); len(comps) != 1 {
 		t.Errorf("after stop, components = %d, want 1", len(comps))
+	}
+}
+
+// TestComponentsReproducible pins that component slot numbering is a function
+// of the op sequence alone: the same seeded storm on two fresh networks must
+// publish identical Components() after every commit. A re-split hands out
+// slots while walking the stale component's members, and a commit re-splits
+// stale components while walking its dirty lists, so this holds only because
+// the first walk is in ID order and the second in op order — when either was
+// a map iteration, every multi-way split (and every batch that left two
+// components stale) took its slots in a different order each run.
+func TestComponentsReproducible(t *testing.T) {
+	run := func() (trace [][]ComponentView, rebuilds uint64) {
+		topo, links := rails(3, 4, 90)
+		var paths []Path
+		for _, r := range links {
+			paths = append(paths, Path(r), Path(r[:2]), Path(r[2:]))
+			for _, l := range r {
+				paths = append(paths, Path{l})
+			}
+		}
+		n := NewNetwork(topo)
+		rng := rand.New(rand.NewSource(5))
+		var flows []*Flow
+		var op func(depth int)
+		op = func(depth int) {
+			pick := func() *Flow { return flows[rng.Intn(len(flows))] }
+			switch k := rng.Intn(8); {
+			case k < 3 || len(flows) == 0:
+				flows = append(flows, n.StartFlow(paths[rng.Intn(len(paths))], float64(1+rng.Intn(50)), ""))
+			case k < 5:
+				n.StopFlow(pick())
+			case k < 7:
+				n.SetPath(pick(), paths[rng.Intn(len(paths))])
+			case depth < 2:
+				n.Batch(func() {
+					for i := rng.Intn(6); i >= 0; i-- {
+						op(depth + 1)
+					}
+				})
+			}
+		}
+		for step := 0; step < 600; step++ {
+			op(0)
+			trace = append(trace, n.Snapshot().Components())
+		}
+		requireOracle(t, n, "storm end")
+		return trace, n.RegistryRebuilds
+	}
+	first, rebuilds := run()
+	if rebuilds < 12 {
+		t.Fatalf("storm provoked %d re-splits, want at least a dozen", rebuilds)
+	}
+	second, _ := run()
+	for step := range first {
+		if !reflect.DeepEqual(first[step], second[step]) {
+			t.Fatalf("step %d: two runs of one storm disagree on components:\n%+v\n%+v", step, first[step], second[step])
+		}
 	}
 }

@@ -89,6 +89,8 @@ func TestStateDigestRandomOps(t *testing.T) {
 				phase := fmt.Sprintf("step %d", step)
 				requireDigest(t, nets[0], phase)
 				requireDigest(t, nets[1], phase)
+				requireRegistry(t, nets[0], phase)
+				requireRegistry(t, nets[1], phase)
 
 				if step%250 == 249 {
 					// Export/import onto a third network over the same
@@ -147,13 +149,17 @@ func TestStateDigestIsAMultisetHash(t *testing.T) {
 	requireDigest(t, n, "restarted")
 }
 
-// churnLike builds the bench/ net-churn shape at a chosen size: regions of
-// eight access links into one aggregation link, flows spread over the
-// two-hop paths.
-func churnLike(flows int) (*Network, []Path, []*Flow) {
+// churnLike builds the bench/ net-churn shape at a chosen size: eight
+// regions of eight access links into one aggregation link, flows spread over
+// the two-hop paths.
+func churnLike(flows int) (*Network, []Path, []*Flow) { return churnRegions(8, flows) }
+
+// churnRegions is churnLike with the region count chosen too, so the flow
+// count can grow while each region — one component — keeps its size.
+func churnRegions(regions, flows int) (*Network, []Path, []*Flow) {
 	topo := NewTopology()
 	var paths []Path
-	for r := 0; r < 8; r++ {
+	for r := 0; r < regions; r++ {
 		agg, core := NodeID(fmt.Sprintf("r%d-agg", r)), NodeID(fmt.Sprintf("r%d-core", r))
 		up := topo.AddLink(agg, core, 1e9, 0, "")
 		for a := 0; a < 8; a++ {
@@ -189,6 +195,27 @@ func TestDigestAndExportCost(t *testing.T) {
 	_ = append(first, 9999)
 	if second[0] != want {
 		t.Fatal("appending to one FlowState.Links overwrote its neighbour")
+	}
+}
+
+// TestPublishChurnAllocs pins the other half of the write path's cost: one
+// flow leaving and one arriving among 1 000, each committed and published
+// through a SharedNetwork, allocate what rebuilding one 125-flow component's
+// chunk takes (17 allocations for the pair) and nothing that grows with the
+// flow count — a per-flow index rebuilt on each publish added 12.
+func TestPublishChurnAllocs(t *testing.T) {
+	n, paths, live := churnLike(1000)
+	s := NewShared(n, SharedConfig{})
+	defer s.Close()
+	i := 0
+	a := testing.AllocsPerRun(200, func() {
+		k := i % len(live)
+		s.StopFlow(live[k])
+		live[k] = s.StartFlow(paths[(i*7)%len(paths)], float64(1+i%16)*0.5e6, "churn")
+		i++
+	})
+	if a > 20 {
+		t.Errorf("StopFlow+StartFlow publish allocates %v allocs at 1000 flows, want <= 20", a)
 	}
 }
 

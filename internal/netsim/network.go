@@ -95,8 +95,16 @@ type Network struct {
 	batchDepth int
 	pending    bool
 	dirtyAll   bool
-	dirtyFlows map[FlowID]struct{}
-	dirtyLinks map[LinkID]struct{}
+	// dirtyFlows (arena indices) and dirtyLinks list what the mutations
+	// since the last commit touched, in op order, each once (flowDirty and
+	// linkDirty say who is listed). Walking or emptying a list costs its
+	// length; a map charges its high-water capacity for both, on every later
+	// one-flow commit. A listed index may since have been vacated (skipped
+	// at commit) or re-used by a new flow (dirty anyway).
+	dirtyFlows []int32
+	dirtyLinks []LinkID
+	flowDirty  []bool // by arena index
+	linkDirty  []bool // by LinkID
 
 	// Scratch buffers reused across fills (indexed by LinkID; only
 	// entries for the component being filled are initialized).
@@ -129,12 +137,12 @@ type Network struct {
 	scratchStack    []*Flow      // expand's DFS stack
 	scratchFlows    []*Flow      // expand's component members
 	scratchLinks    []LinkID     // one component's links
-	scratchIdxs     []int32      // discovery-side index list (fullRealloc, chunk builds)
-	scratchFillIdxs []int32      // one component's fill order (must be distinct)
+	scratchIdxs     []int32      // discovery-side index list (fullRealloc)
+	scratchFillIdxs []int32      // one component's fill order (fullRealloc; must be distinct)
 	scratchRate     []float64    // per-component fill rates
 	scratchFrozen   []bool       // per-component fill freeze marks
 	scratchComps    []*component // components touched by one commit
-	compPool        []*component // recycled component husks (cleared maps)
+	compPool        []*component // recycled component husks (cleared member lists)
 
 	// Snapshot copy-on-write bookkeeping (snapshot.go): per-facet dirty
 	// flags consumed by SharedNetwork's snapshotDelta, and per-component
@@ -150,7 +158,7 @@ type Network struct {
 	snapCap      bool            // a link capacity changed
 	snapOn       bool            // flowsOn/activeOn changed
 	snapAllFlows bool            // flow table must be fully rebuilt
-	snapIndex    bool            // flow→chunk index must be rebuilt
+	snapFreed    bool            // a chunk slot was freed: the table changed even with no dirty chunk
 	snapDelay    []time.Duration // immutable per-link delays, shared by snapshots
 	activeOn     []int32         // per-link count of flows with Demand > 0
 }
@@ -164,11 +172,10 @@ func NewNetwork(t *Topology) *Network {
 		linkFlows:     make([]map[FlowID]*Flow, t.NumLinks()),
 		MaxRate:       DefaultMaxRate,
 		comp:          make(map[FlowID]*component),
-		dirtyFlows:    make(map[FlowID]struct{}),
-		dirtyLinks:    make(map[LinkID]struct{}),
 		scratchAvail:  make([]float64, t.NumLinks()),
 		scratchWeight: make([]float64, t.NumLinks()),
 		linkMark:      make([]uint64, t.NumLinks()),
+		linkDirty:     make([]bool, t.NumLinks()),
 		rateDirty:     make([]bool, t.NumLinks()),
 		activeOn:      make([]int32, t.NumLinks()),
 		snapDelay:     make([]time.Duration, t.NumLinks()),
@@ -230,12 +237,22 @@ func (n *Network) commit() {
 }
 
 func (n *Network) markFlowDirty(f *Flow) {
-	n.dirtyFlows[f.ID] = struct{}{}
+	if !n.flowDirty[f.idx] {
+		n.flowDirty[f.idx] = true
+		n.dirtyFlows = append(n.dirtyFlows, f.idx)
+	}
+}
+
+func (n *Network) markLinkDirty(id LinkID) {
+	if !n.linkDirty[id] {
+		n.linkDirty[id] = true
+		n.dirtyLinks = append(n.dirtyLinks, id)
+	}
 }
 
 func (n *Network) markPathDirty(p Path) {
 	for _, l := range p {
-		n.dirtyLinks[l.ID] = struct{}{}
+		n.markLinkDirty(l.ID)
 	}
 }
 
@@ -321,7 +338,6 @@ func (n *Network) StopFlow(f *Flow) {
 		n.bumpActive(f.Path, -1)
 	}
 	n.snapOn = true
-	delete(n.dirtyFlows, f.ID)
 	f.Rate = 0
 	n.markPathDirty(f.Path)
 	n.commit()
@@ -416,7 +432,7 @@ func (n *Network) SetLinkCapacity(id LinkID, capacity float64) {
 	}
 	l.Capacity = capacity
 	n.snapCap = true
-	n.dirtyLinks[id] = struct{}{}
+	n.markLinkDirty(id)
 	n.commit()
 }
 
@@ -446,12 +462,13 @@ func (n *Network) Reallocate() {
 
 func (n *Network) clearDirty() {
 	n.dirtyAll = false
-	for id := range n.dirtyFlows {
-		delete(n.dirtyFlows, id)
+	for _, i := range n.dirtyFlows {
+		n.flowDirty[i] = false
 	}
-	for id := range n.dirtyLinks {
-		delete(n.dirtyLinks, id)
+	for _, id := range n.dirtyLinks {
+		n.linkDirty[id] = false
 	}
+	n.dirtyFlows, n.dirtyLinks = n.dirtyFlows[:0], n.dirtyLinks[:0]
 }
 
 // reallocate recomputes rates for the components the pending mutations

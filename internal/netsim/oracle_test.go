@@ -159,11 +159,12 @@ func oracleFill(flows []*Flow, links []LinkID, topo *Topology, maxRate float64, 
 }
 
 // requireOracle fails the test unless every live flow's rate and every link
-// rate of n equal the oracle's, bit for bit, and the state digest equals
-// its own.
+// rate of n equal the oracle's, bit for bit, the state digest equals its
+// own, and the component registry is well-formed.
 func requireOracle(t *testing.T, n *Network, phase string) {
 	t.Helper()
 	requireDigest(t, n, phase)
+	requireRegistry(t, n, phase)
 	rates, linkRate := oracleRates(n)
 	for id, f := range n.flows {
 		if f.Rate != rates[id] {
@@ -176,6 +177,65 @@ func requireOracle(t *testing.T, n *Network, phase string) {
 	for id := range linkRate {
 		if got := n.LinkRate(LinkID(id)); got != linkRate[id] {
 			t.Fatalf("%s: link %d: rate %v != oracle %v", phase, id, got, linkRate[id])
+		}
+	}
+}
+
+// --- Registry invariants ------------------------------------------------------
+
+// requireRegistry fails the test unless the component registry is
+// well-formed: every component's members are arena indices of live flows,
+// strictly ascending by flow ID (the order the fill and the snapshot chunks
+// read without sorting), each member maps back to its component and nobody
+// else does, the member counts add up to the live flows, all flows on one
+// link share a component, and every pooled husk is empty. Like requireDigest it is valid inside
+// an open Batch: membership updates eagerly, and a stale superset satisfies
+// every clause.
+func requireRegistry(t *testing.T, n *Network, phase string) {
+	t.Helper()
+	members := 0
+	for s, c := range n.slotComp {
+		if c == nil {
+			continue
+		}
+		if int(c.slot) != s {
+			t.Fatalf("%s: component in slot %d believes it owns slot %d", phase, s, c.slot)
+		}
+		if len(c.flows) == 0 {
+			t.Fatalf("%s: live component in slot %d has no members", phase, s)
+		}
+		members += len(c.flows)
+		last := FlowID(-1)
+		for k, i := range c.flows {
+			f := n.arFlow[i]
+			if f == nil || f.idx != i || n.flows[f.ID] != f {
+				t.Fatalf("%s: slot %d member %d is arena index %d, which holds no live flow", phase, s, k, i)
+			}
+			if f.ID <= last {
+				t.Fatalf("%s: slot %d members not strictly ascending at %d: %d then %d", phase, s, k, last, f.ID)
+			}
+			last = f.ID
+			if n.comp[f.ID] != c {
+				t.Fatalf("%s: flow %d is a member of slot %d but maps elsewhere", phase, f.ID, s)
+			}
+		}
+	}
+	if members != len(n.flows) || len(n.comp) != len(n.flows) {
+		t.Fatalf("%s: %d component members, %d registry entries, %d live flows", phase, members, len(n.comp), len(n.flows))
+	}
+	for id, on := range n.linkFlows {
+		var c *component
+		for fid := range on {
+			if c == nil {
+				c = n.comp[fid]
+			} else if n.comp[fid] != c {
+				t.Fatalf("%s: flows on link %d are split across components", phase, id)
+			}
+		}
+	}
+	for _, c := range n.compPool {
+		if len(c.flows) != 0 {
+			t.Fatalf("%s: pooled husk still lists %d members", phase, len(c.flows))
 		}
 	}
 }

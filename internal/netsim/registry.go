@@ -1,5 +1,10 @@
 package netsim
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Component registry: persistent flow→component membership.
 //
 // The incremental allocator needs, at every commit, the set of connected
@@ -27,14 +32,18 @@ package netsim
 //
 // The structure is a weighted quick-union on direct component pointers
 // rather than a classic parent-pointer DSU: merging moves the smaller
-// member map into the larger (O(n log n) pointer moves amortized over a
-// component's lifetime), and deleting a flow is a plain map delete — no
+// member list into the larger (O(n log n) pointer moves amortized over a
+// component's lifetime), and deleting a flow removes it from its list — no
 // tombstones to leak over millions of session arrivals and departures.
-// Retired components (emptied, or the loser of a union) park in a pool with
-// their member maps cleared, so steady-state churn recycles husks instead of
-// allocating.
+// Member lists hold arena indices in ascending flow-ID order — exactly the
+// list fillSoA takes and the order the snapshot chunks are built in, so
+// neither sorts or copies: a started flow carries the largest ID ever issued
+// and appends, a removal is a binary search plus a shift, and a union merges
+// two sorted runs. Retired components (emptied, or the loser of a union) park
+// in a pool with their member lists emptied, so steady-state churn recycles
+// husks instead of allocating.
 type component struct {
-	flows map[FlowID]*Flow
+	flows []int32 // members' arena indices, in ascending flow ID
 	// stale marks that a removal may have disconnected this component: it
 	// is still a superset of each member's true component, but must be
 	// re-split (resplit) before its sizes or memberships are trusted.
@@ -54,7 +63,7 @@ type component struct {
 // per link suffices.
 func (n *Network) regAdd(f *Flow) {
 	c := n.newComp()
-	c.flows[f.ID] = f
+	c.flows = append(c.flows, f.idx)
 	n.comp[f.ID] = c
 	for _, l := range f.Path {
 		for gid := range n.linkFlows[l.ID] {
@@ -66,10 +75,9 @@ func (n *Network) regAdd(f *Flow) {
 		}
 	}
 	n.markChunkStatic(c)
-	n.snapIndex = true
 }
 
-// regUnion merges two components, moving the smaller member map into the
+// regUnion merges two components, moving the smaller member list into the
 // larger, and returns the survivor. Staleness is contagious: a superset of
 // a stale superset is still only a superset. The loser's husk is pooled.
 func (n *Network) regUnion(a, b *component) *component {
@@ -79,10 +87,10 @@ func (n *Network) regUnion(a, b *component) *component {
 	if len(a.flows) < len(b.flows) {
 		a, b = b, a
 	}
-	for id, f := range b.flows {
-		a.flows[id] = f
-		n.comp[id] = a
+	for _, i := range b.flows {
+		n.comp[n.arID[i]] = a
 	}
+	a.flows = n.mergeByID(a.flows, b.flows)
 	if b.stale {
 		a.stale = true
 	}
@@ -102,8 +110,8 @@ func (n *Network) regRemove(f *Flow) {
 		return
 	}
 	delete(n.comp, f.ID)
-	delete(c.flows, f.ID)
-	n.snapIndex = true
+	i := n.memberPos(c.flows, f.ID)
+	c.flows = slices.Delete(c.flows, i, i+1)
 	if len(c.flows) == 0 {
 		n.retireComp(c)
 		return
@@ -159,20 +167,23 @@ func (n *Network) removalMaySplit(f *Flow) bool {
 
 // resplit rebuilds the exact components of a stale one by BFS over its
 // members only (a true component is a subset of its stale superset, so
-// expand never escapes it). Counted in RegistryRebuilds; registry tests
-// assert this stays rare under realistic churn.
+// expand never escapes it). Members are walked in ascending ID, so the
+// pieces take their chunk slots in the order of their smallest member — the
+// same on every run. Counted in RegistryRebuilds; registry tests assert this
+// stays rare under realistic churn.
 func (n *Network) resplit(c *component) {
 	n.RegistryRebuilds++
 	n.bumpEpoch()
-	for _, f := range c.flows {
+	for _, i := range c.flows {
+		f := n.arFlow[i]
 		if n.flowSeen(f) {
 			continue
 		}
 		flows, links := n.expand(f, n.scratchFlows[:0], n.scratchLinks[:0])
 		n.scratchFlows, n.scratchLinks = flows, links
 		nc := n.newComp()
-		for _, g := range flows {
-			nc.flows[g.ID] = g
+		for _, g := range flows { // expand sorts by ID
+			nc.flows = append(nc.flows, g.idx)
 			n.comp[g.ID] = nc
 		}
 		n.markChunkStatic(nc)
@@ -180,20 +191,41 @@ func (n *Network) resplit(c *component) {
 	// Retire the stale superset only after the member walk above: it still
 	// owns c.flows while we iterate.
 	n.retireComp(c)
-	n.snapIndex = true
 }
 
-// compIdxLinks flattens a (fresh) component into the ID-sorted arena index
-// list and link set that fillSoA expects, reusing the commit-scoped scratch.
-func (n *Network) compIdxLinks(c *component) ([]int32, []LinkID) {
-	idxs := n.scratchFillIdxs[:0]
-	for _, f := range c.flows {
-		idxs = append(idxs, f.idx)
+// memberPos returns where flow id sits, or would be inserted, in an ID-ordered
+// member list.
+func (n *Network) memberPos(members []int32, id FlowID) int {
+	ids := n.arID
+	pos, _ := slices.BinarySearchFunc(members, id, func(i int32, id FlowID) int {
+		return cmp.Compare(ids[i], id)
+	})
+	return pos
+}
+
+// mergeByID merges the ID-ordered src into the disjoint ID-ordered dst and
+// returns the extended dst. dst grows once and is merged in place from the
+// back: each src member, largest first, is placed by binary search and the
+// survivors above it move up in one block — no moves at all when every src
+// ID exceeds every dst ID, the common case of a fresh flow joining older ones.
+func (n *Network) mergeByID(dst, src []int32) []int32 {
+	i := len(dst) // dst[:i] is still unmerged
+	dst = append(dst, src...)
+	for j := len(src) - 1; j >= 0; j-- {
+		pos := n.memberPos(dst[:i], n.arID[src[j]])
+		copy(dst[pos+j+1:], dst[pos:i])
+		dst[pos+j] = src[j]
+		i = pos
 	}
-	n.sortIdxsByID(idxs)
+	return dst
+}
+
+// compLinks collects a (fresh) component's link set, the other argument of
+// fillSoA beside the member list, into the commit-scoped scratch.
+func (n *Network) compLinks(c *component) []LinkID {
 	n.bumpEpoch()
 	links := n.scratchLinks[:0]
-	for _, i := range idxs {
+	for _, i := range c.flows {
 		for _, l := range n.arPath[i] {
 			id := LinkID(l)
 			if !n.linkSeen(id) {
@@ -202,8 +234,8 @@ func (n *Network) compIdxLinks(c *component) ([]int32, []LinkID) {
 			}
 		}
 	}
-	n.scratchFillIdxs, n.scratchLinks = idxs, links
-	return idxs, links
+	n.scratchLinks = links
+	return links
 }
 
 // reallocateRegistry is the commit path: dirty flows and links map straight
@@ -217,13 +249,14 @@ func (n *Network) reallocateRegistry() {
 	// Pass 1: re-split every stale component the dirty set touches.
 	// Splitting before collecting means a dirty flow in a shrunken
 	// component no longer drags the detached remainder into the
-	// recomputation.
-	for id := range n.dirtyFlows {
-		if c := n.comp[id]; c != nil && c.stale {
-			n.resplit(c)
+	// recomputation. The dirty lists are in op order, so which piece takes
+	// which chunk slot depends on the ops alone.
+	for _, i := range n.dirtyFlows {
+		if f := n.arFlow[i]; f != nil && n.comp[f.ID].stale {
+			n.resplit(n.comp[f.ID])
 		}
 	}
-	for id := range n.dirtyLinks {
+	for _, id := range n.dirtyLinks {
 		for fid := range n.linkFlows[id] {
 			if c := n.comp[fid]; c != nil && c.stale {
 				n.resplit(c)
@@ -234,13 +267,15 @@ func (n *Network) reallocateRegistry() {
 
 	// Pass 2: collect the touched components.
 	comps := n.scratchComps[:0]
-	for id := range n.dirtyFlows {
-		if c := n.comp[id]; c != nil && !c.mark {
-			c.mark = true
-			comps = append(comps, c)
+	for _, i := range n.dirtyFlows {
+		if f := n.arFlow[i]; f != nil {
+			if c := n.comp[f.ID]; !c.mark {
+				c.mark = true
+				comps = append(comps, c)
+			}
 		}
 	}
-	for id := range n.dirtyLinks {
+	for _, id := range n.dirtyLinks {
 		for fid := range n.linkFlows[id] {
 			if c := n.comp[fid]; c != nil && !c.mark {
 				c.mark = true
@@ -255,11 +290,11 @@ func (n *Network) reallocateRegistry() {
 	for _, c := range comps {
 		c.mark = false
 		n.markChunkDirty(c)
-		n.fillSoA(n.compIdxLinks(c))
+		n.fillSoA(c.flows, n.compLinks(c))
 	}
 	// A dirtied link that no longer carries any flow belongs to no
 	// component; zero its stale allocation.
-	for id := range n.dirtyLinks {
+	for _, id := range n.dirtyLinks {
 		if len(n.linkFlows[id]) == 0 {
 			n.linkRate[id] = 0
 			n.markRateDirty(id)

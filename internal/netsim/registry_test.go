@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -214,6 +216,70 @@ func TestRegistryEmptyComponentCleanup(t *testing.T) {
 			t.Errorf("link %d rate = %v after all flows stopped", id, n.LinkRate(LinkID(id)))
 		}
 	}
+}
+
+// --- ID-sorted membership ---------------------------------------------------
+
+// A started flow carries the largest ID ever issued, so StartFlow only ever
+// appends to a member list. These are the membership changes that do not:
+// merges whose two sides interleave or arrive in the "wrong" order, and
+// removals at each end and in the middle.
+func TestRegistryMembersStaySorted(t *testing.T) {
+	topo := NewTopology()
+	a := topo.AddLink("A", "B", 100, time.Millisecond, "")
+	b := topo.AddLink("B", "C", 100, time.Millisecond, "")
+	n := NewNetwork(topo)
+	want := func(phase string, comps ...[]FlowID) {
+		t.Helper()
+		requireOracle(t, n, phase)
+		var got [][]FlowID
+		for _, c := range n.Snapshot().Components() {
+			got = append(got, c.Flows)
+		}
+		slices.SortFunc(got, func(x, y []FlowID) int { return int(x[0] - y[0]) })
+		if !reflect.DeepEqual(got, comps) {
+			t.Fatalf("%s: components %v, want %v", phase, got, comps)
+		}
+	}
+
+	// Two singletons tie on size, so the *new* one survives and the older,
+	// lower-ID one is merged in beneath it.
+	f0 := n.StartFlow(Path{a}, 10, "")
+	f1 := n.StartFlow(Path{a}, 10, "")
+	want("new singleton survives", []FlowID{0, 1})
+
+	// Interleave the two links' members: a = {0,1,3,5}, b = {2,4,6}.
+	var f [7]*Flow
+	f[0], f[1] = f0, f1
+	for id := 2; id < len(f); id++ {
+		f[id] = n.StartFlow(Path{[]*Link{b, a}[id%2]}, 10, "")
+	}
+	want("interleaved setup", []FlowID{0, 1, 3, 5}, []FlowID{2, 4, 6})
+
+	// The lowest ID of all moves into the other component: a singleton that
+	// belongs in front of every member of the survivor.
+	n.SetPath(f[0], Path{b})
+	want("lowest ID joins", []FlowID{0, 2, 4, 6}, []FlowID{1, 3, 5})
+
+	// Removals: first, middle and last member of a list.
+	n.StopFlow(f[0])
+	want("first removed", []FlowID{1, 3, 5}, []FlowID{2, 4, 6})
+	n.StopFlow(f[4])
+	want("middle removed", []FlowID{1, 3, 5}, []FlowID{2, 6})
+	n.StopFlow(f[5])
+	want("last removed", []FlowID{1, 3}, []FlowID{2, 6})
+
+	// A bridge unions two multi-member components whose IDs interleave.
+	bridge := n.StartFlow(Path{a, b}, 10, "")
+	want("interleaved union", []FlowID{1, 2, 3, 6, bridge.ID})
+
+	// ...and re-pathing a middle member inside a nested batch puts it back
+	// where it was.
+	n.Batch(func() {
+		n.Batch(func() { n.SetPath(f[3], Path{b}) })
+		n.SetPath(f[3], Path{a})
+	})
+	want("middle member re-pathed", []FlowID{1, 2, 3, 6, bridge.ID})
 }
 
 // --- Lazy re-split ----------------------------------------------------------

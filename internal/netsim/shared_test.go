@@ -164,8 +164,9 @@ func TestSharedDifferentialOnFixtures(t *testing.T) {
 					if err := r.Apply(op); err != nil {
 						t.Fatalf("seed %d: replay: %v", seed, err)
 					}
-					requireDigest(t, mirror, fmt.Sprintf("seed %d: replayed op %d", seed, i))
+					requireOracle(t, mirror, fmt.Sprintf("seed %d: replayed op %d", seed, i))
 				}
+				requireOracle(t, net1, fmt.Sprintf("seed %d: shared final", seed))
 				requireIdenticalNetworks(t, "shared vs serial replay", net1, mirror)
 				if a, b := net1.StateDigest(), mirror.StateDigest(); a != b {
 					t.Fatalf("seed %d: shared digest %016x != serial replay %016x", seed, a, b)

@@ -1,6 +1,10 @@
 package netsim
 
-import "time"
+import (
+	"cmp"
+	"slices"
+	"time"
+)
 
 // Reader is the read surface shared by the live *Network, an immutable
 // *Snapshot of it, and a *SharedNetwork (which serves every read from its
@@ -112,22 +116,28 @@ func (ch *flowChunk) view(pos int) FlowView {
 }
 
 // flowTable is a snapshot's flow set: per-component chunks indexed by the
-// component's slot, plus an ID index packing slot<<32|pos. The index is
-// shared across snapshots while membership is unchanged — a pure re-fill
-// keeps every view at the same (slot, pos) because chunk order is sorted by
-// ID and membership didn't move.
+// component's slot, and nothing per flow — a publish costs what the chunks it
+// rebuilds cost, and the one by-ID read (lookup) searches the chunks.
 type flowTable struct {
 	count  int
-	chunks []*flowChunk     // by slot; nil for free slots
-	index  map[FlowID]int64 // id → slot<<32 | pos
+	chunks []*flowChunk // by slot; nil for free slots
 }
 
+// lookup finds a flow by ID: chunks are ID-sorted, so each is ruled out by
+// its ID range or binary-searched.
 func (t *flowTable) lookup(id FlowID) (FlowView, bool) {
-	packed, ok := t.index[id]
-	if !ok {
-		return FlowView{}, false
+	for _, ch := range t.chunks {
+		if ch == nil || id < ch.views[0].ID || id > ch.views[len(ch.views)-1].ID {
+			continue
+		}
+		pos, ok := slices.BinarySearchFunc(ch.views, id, func(v FlowView, id FlowID) int {
+			return cmp.Compare(v.ID, id)
+		})
+		if ok {
+			return ch.view(pos), true
+		}
 	}
-	return t.chunks[packed>>32].view(int(packed & 0xffffffff)), true
+	return FlowView{}, false
 }
 
 // ratePatch is one changed link rate relative to a snapshot's shared base
@@ -152,7 +162,7 @@ func (n *Network) newComp() *component {
 		c = n.compPool[k-1]
 		n.compPool = n.compPool[:k-1]
 	} else {
-		c = &component{flows: make(map[FlowID]*Flow)}
+		c = &component{}
 	}
 	c.stale, c.mark = false, false
 	n.assignSlot(c)
@@ -163,7 +173,7 @@ func (n *Network) newComp() *component {
 // pool. The component must no longer be reachable from n.comp.
 func (n *Network) retireComp(c *component) {
 	n.freeSlot(c)
-	clear(c.flows)
+	c.flows = c.flows[:0]
 	c.stale, c.mark = false, false
 	n.compPool = append(n.compPool, c)
 }
@@ -193,7 +203,7 @@ func (n *Network) freeSlot(c *component) {
 	n.chunkStatic[s] = false
 	n.slotFree = append(n.slotFree, s)
 	c.slot = -1
-	n.snapIndex = true // the slot's chunk disappears from the next table
+	n.snapFreed = true // the slot's chunk disappears from the next table
 }
 
 // markChunkDirty flags a component's snapshot chunk for a dynamic rebuild
@@ -231,57 +241,30 @@ func (n *Network) markRateDirty(id LinkID) {
 
 // buildChunk freezes one component into a chunk.
 func (n *Network) buildChunk(c *component) *flowChunk {
-	idxs := n.scratchIdxs[:0]
-	for _, f := range c.flows {
-		idxs = append(idxs, f.idx)
-	}
-	n.sortIdxsByID(idxs)
-	n.scratchIdxs = idxs
-	ch := &flowChunk{views: make([]FlowView, len(idxs)), dyn: make([]float64, 2*len(idxs))}
-	for pos, i := range idxs {
+	ch := &flowChunk{views: make([]FlowView, len(c.flows)), dyn: n.chunkDyn(c)}
+	for pos, i := range c.flows {
 		f := n.arFlow[i]
 		ch.views[pos] = FlowView{ID: f.ID, Weight: f.Weight, Tag: f.Tag}
-		ch.dyn[2*pos] = n.arRate[i]
-		ch.dyn[2*pos+1] = n.arDemand[i]
 	}
 	return ch
 }
 
-// refreshChunkDyn rebuilds only a chunk's dynamic half (rates and demands),
-// sharing prev's static views. Valid only while the component's membership
-// and static fields are unchanged since prev was built — guaranteed by the
-// chunkStatic mark, which every membership or weight mutation sets. The
-// member order matches prev.views because both sort by flow ID.
-func (n *Network) refreshChunkDyn(c *component, prev *flowChunk) *flowChunk {
-	idxs := n.scratchIdxs[:0]
-	for _, f := range c.flows {
-		idxs = append(idxs, f.idx)
-	}
-	n.sortIdxsByID(idxs)
-	n.scratchIdxs = idxs
-	dyn := make([]float64, 2*len(idxs))
-	for pos, i := range idxs {
+// chunkDyn freezes a component's rates and demands in member (ID) order.
+func (n *Network) chunkDyn(c *component) []float64 {
+	dyn := make([]float64, 2*len(c.flows))
+	for pos, i := range c.flows {
 		dyn[2*pos] = n.arRate[i]
 		dyn[2*pos+1] = n.arDemand[i]
 	}
-	return &flowChunk{views: prev.views, dyn: dyn}
+	return dyn
 }
 
 // buildFlowTable freezes every live flow, one chunk per registry component.
 func (n *Network) buildFlowTable() flowTable {
-	t := flowTable{
-		count:  len(n.flows),
-		chunks: make([]*flowChunk, len(n.slotComp)),
-		index:  make(map[FlowID]int64, len(n.flows)),
-	}
+	t := flowTable{count: len(n.flows), chunks: make([]*flowChunk, len(n.slotComp))}
 	for s, c := range n.slotComp {
-		if c == nil {
-			continue
-		}
-		ch := n.buildChunk(c)
-		t.chunks[s] = ch
-		for pos, v := range ch.views {
-			t.index[v.ID] = int64(s)<<32 | int64(pos)
+		if c != nil {
+			t.chunks[s] = n.buildChunk(c)
 		}
 	}
 	return t
@@ -294,7 +277,7 @@ func (n *Network) deltaFlowTable(prev *flowTable) flowTable {
 	if n.snapAllFlows {
 		return n.buildFlowTable()
 	}
-	if !n.snapIndex && n.dirtyChunks == 0 {
+	if !n.snapFreed && n.dirtyChunks == 0 {
 		return *prev
 	}
 	t := flowTable{count: len(n.flows), chunks: make([]*flowChunk, len(n.slotComp))}
@@ -310,23 +293,13 @@ func (n *Network) deltaFlowTable(prev *flowTable) flowTable {
 		case !n.chunkDirty[s] && prevCh != nil:
 			t.chunks[s] = prevCh
 		case !n.chunkStatic[s] && prevCh != nil && len(prevCh.views) == len(c.flows):
-			t.chunks[s] = n.refreshChunkDyn(c, prevCh)
+			// Only rates and demands moved: membership and static fields
+			// are unchanged since prevCh was built (every membership or
+			// weight mutation sets chunkStatic), so its views are shared —
+			// they and c.flows are both in flow-ID order.
+			t.chunks[s] = &flowChunk{views: prevCh.views, dyn: n.chunkDyn(c)}
 		default:
 			t.chunks[s] = n.buildChunk(c)
-		}
-	}
-	if !n.snapIndex && prev.index != nil {
-		// Pure re-fills keep (slot, pos) stable; the index carries over.
-		t.index = prev.index
-	} else {
-		t.index = make(map[FlowID]int64, t.count)
-		for s, ch := range t.chunks {
-			if ch == nil {
-				continue
-			}
-			for pos, v := range ch.views {
-				t.index[v.ID] = int64(s)<<32 | int64(pos)
-			}
 		}
 	}
 	return t
@@ -466,7 +439,7 @@ func (n *Network) snapshotDelta(seq uint64, prev *Snapshot) *Snapshot {
 // clearSnapFlags resets the per-facet delta flags, chunk dirty marks and the
 // rate-dirty set after a delta publication consumed them.
 func (n *Network) clearSnapFlags() {
-	n.snapCap, n.snapOn, n.snapAllFlows, n.snapIndex = false, false, false, false
+	n.snapCap, n.snapOn, n.snapAllFlows, n.snapFreed = false, false, false, false
 	if n.dirtyChunks > 0 {
 		for i, d := range n.chunkDirty {
 			if d {
@@ -587,7 +560,11 @@ func (s *Snapshot) NumFlows() int { return s.flows.count }
 func (s *Snapshot) NumLinks() int { return len(s.rateBase) }
 
 // Flow returns the frozen state of one flow, if it was live at snapshot
-// time.
+// time. The snapshot keeps no per-flow index (publishing one would cost
+// O(flows) on every flow arrival or departure), so this is a range check per
+// component and a binary search in the ones that could hold the ID —
+// O(components · log flows-per-component), not O(1). It allocates nothing.
+// To read many flows, use Flows.
 func (s *Snapshot) Flow(id FlowID) (FlowView, bool) {
 	return s.flows.lookup(id)
 }

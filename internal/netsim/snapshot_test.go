@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -107,4 +108,75 @@ func TestSnapshotImmutable(t *testing.T) {
 	if got := n.Snapshot().LinkRate(p[0].ID); got != 10 {
 		t.Errorf("fresh snapshot link rate = %v, want 10", got)
 	}
+}
+
+// TestSnapshotFlowLookup pins Snapshot.Flow on the index-free flow table:
+// after every op of a seeded run through a SharedNetwork (so the chunks come
+// from the copy-on-write publish path, shared, re-filled and rebuilt), Flow
+// must agree with a map built from Flows for every ID ever issued — live
+// hits, stopped flows, IDs that fall between two chunks' ranges — and for
+// IDs below and above all of them. It must also allocate nothing.
+func TestSnapshotFlowLookup(t *testing.T) {
+	n, paths := sharedFixtures()["rails"]()
+	s := NewShared(n, SharedConfig{})
+	defer s.Close()
+	var flows []*Flow
+	issued := FlowID(0)
+	live, freed := map[int]bool{}, map[int]bool{} // chunk slots: in the last snapshot; freed at least once
+	reused := false
+	check := func(phase string) {
+		t.Helper()
+		sn := s.Snapshot()
+		want := map[FlowID]FlowView{}
+		sn.Flows(func(v FlowView) { want[v.ID] = v })
+		if len(want) != sn.NumFlows() {
+			t.Fatalf("%s: Flows visited %d distinct flows, NumFlows %d", phase, len(want), sn.NumFlows())
+		}
+		for id := FlowID(-2); id <= issued+2; id++ {
+			got, ok := sn.Flow(id)
+			if w, live := want[id]; ok != live || got != w {
+				t.Fatalf("%s: Flow(%d) = %+v, %v; Flows says %+v, %v", phase, id, got, ok, w, live)
+			}
+		}
+		now := map[int]bool{}
+		for _, c := range sn.Components() {
+			now[c.Slot] = true
+			reused = reused || freed[c.Slot]
+		}
+		for slot := range live {
+			freed[slot] = freed[slot] || !now[slot]
+		}
+		live = now
+	}
+	check("empty")
+	rng := rand.New(rand.NewSource(3))
+	for step := 0; step < 300; step++ {
+		switch op := rng.Intn(7); {
+		case op < 3 || len(flows) == 0:
+			flows = append(flows, s.StartFlow(paths[rng.Intn(len(paths))], float64(1+rng.Intn(300)), "look"))
+			issued = flows[len(flows)-1].ID
+		case op < 5:
+			s.StopFlow(flows[rng.Intn(len(flows))])
+		case op == 5:
+			s.SetPath(flows[rng.Intn(len(flows))], paths[rng.Intn(len(paths))])
+		default:
+			s.SetDemand(flows[rng.Intn(len(flows))], float64(1+rng.Intn(300)))
+		}
+		check(fmt.Sprintf("step %d", step))
+	}
+	if !reused {
+		t.Error("run never reused a freed chunk slot")
+	}
+	sn, hit := s.Snapshot(), FlowID(-1)
+	sn.Flows(func(v FlowView) { hit = v.ID })
+	if a := testing.AllocsPerRun(200, func() {
+		sn.Flow(hit)
+		sn.Flow(issued + 1)
+	}); hit < 0 || a != 0 {
+		t.Errorf("Flow allocates %v allocs per hit+miss (hit ID %d), want 0", a, hit)
+	}
+	for _, f := range flows {
+		s.StopFlow(f)
+	}
+	check("drained")
 }

@@ -22,7 +22,8 @@ cd "$(dirname "$0")/.."
 
 # Default to the stable hot-path benchmarks: single-threaded collector
 # ingest, incremental reallocation, steady-state churn (demand churn in both
-# component-size regimes, discovery, flow lifecycle), snapshot reads
+# component-size regimes, discovery, flow lifecycle, a flow replaced and
+# published at two flow counts), snapshot reads
 # under writes, the O(links) state digest at two flow counts, the journaled
 # net-churn window, journal append, and the lockstep engine's serial instant
 # loop, plus the projection hot paths: the incremental fold, checkpoint-
@@ -34,7 +35,7 @@ cd "$(dirname "$0")/.."
 # filters only the ParallelEngineInstants sub-benchmarks.)
 total=$(($# == 0))
 exempt=scripts/bench_exempt.txt
-pattern="${1:-^BenchmarkCollectorIngest\$|ParallelEngineInstants/workers-1|ReallocateIncremental|ChurnRails|ChurnSkewed|ChurnDiscovery|ChurnLifecycle|SharedReadScaling|StateDigest|^BenchmarkJournaledWindow\$|^BenchmarkJournalAppend\$|^BenchmarkProjectionFold\$|^BenchmarkMaterializeAt\$|^BenchmarkProjectedQuery\$}"
+pattern="${1:-^BenchmarkCollectorIngest\$|ParallelEngineInstants/workers-1|ReallocateIncremental|ChurnRails|ChurnSkewed|ChurnDiscovery|ChurnLifecycle|PublishChurn|SharedReadScaling|StateDigest|^BenchmarkJournaledWindow\$|^BenchmarkJournalAppend\$|^BenchmarkProjectionFold\$|^BenchmarkMaterializeAt\$|^BenchmarkProjectedQuery\$}"
 latest=$(ls BENCH_*.json 2>/dev/null | sort | tail -1 || true)
 if [ -z "$latest" ]; then
 	echo "bench gate: no BENCH_*.json recorded; skipping"

@@ -11,7 +11,7 @@ out="BENCH_$(date +%F).json"
 cpus="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
 gomaxprocs="${GOMAXPROCS:-$cpus}"
 
-go test -run '^$' -bench 'Collector|Realloc|Churn|Coalesc|SharedRead|ParallelEngine|EngineArm|Journal|StateDigest|Projection|Projected|MaterializeAt' -benchmem \
+go test -run '^$' -bench 'Collector|Realloc|Churn|RepathBatch|Coalesc|SharedRead|ParallelEngine|EngineArm|Journal|StateDigest|Projection|Projected|MaterializeAt' -benchmem \
 	-benchtime "$benchtime" ./internal/core/... ./internal/netsim/... ./internal/control/... \
 	./internal/sim/... ./internal/expt/... ./internal/journal/... ./internal/projection/... |
 	awk -v date="$(date +%F)" -v goversion="$(go env GOVERSION)" \
