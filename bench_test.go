@@ -98,17 +98,11 @@ func BenchmarkE6Staleness(b *testing.B) {
 func BenchmarkE7Scalability(b *testing.B) {
 	var r eona.ScalabilityResult
 	for i := 0; i < b.N; i++ {
-		r = eona.RunScalabilityConfig(eona.ScalabilityConfig{Records: 200_000})
+		r = expt.RunE7(200_000)
 	}
 	b.ReportMetric(r.CollectorPerSec, "ingest-rec/s")
 	b.ReportMetric(r.ImpliedSessionsPerDay/1e9, "sessions-B/day")
 	b.ReportMetric(float64(r.QueryP50.Microseconds()), "query-p50-us")
-	b.ReportMetric(r.ChurnFullPerSec/1e3, "churn-full-kmut/s")
-	b.ReportMetric(r.ChurnIncrementalPerSec/1e3, "churn-incr-kmut/s")
-	b.ReportMetric(r.ChurnSpeedup, "churn-speedup")
-	b.ReportMetric(r.ReactUncoalescedPerSec/1e3, "react-uncoal-k/s")
-	b.ReportMetric(r.ReactCoalescedPerSec/1e3, "react-coal-k/s")
-	b.ReportMetric(r.ReactFlowsSaved, "react-flows-saved")
 }
 
 // BenchmarkE8InterfaceWidth — §4: interface width ladder.

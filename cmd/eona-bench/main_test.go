@@ -1,7 +1,12 @@
 package main
 
 import (
-	"reflect"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"eona"
@@ -56,21 +61,57 @@ func TestSelectorOnlyOverridesSkipSlow(t *testing.T) {
 	}
 }
 
-func TestParseCounts(t *testing.T) {
-	got, err := parseCounts("-drivers", "1, 2,4,8")
-	if err != nil || !reflect.DeepEqual(got, []int{1, 2, 4, 8}) {
-		t.Errorf("parseCounts = %v, %v; want [1 2 4 8]", got, err)
-	}
-	for _, bad := range []string{"", "0", "-1", "two", "4,"} {
-		if bad == "4," {
-			// Trailing commas are tolerated.
-			if _, err := parseCounts("-drivers", bad); err != nil {
-				t.Errorf("parseCounts(%q) rejected: %v", bad, err)
+// TestDocsNameOnlyDefinedFlags scans the docs for `eona-bench … -flag`
+// invocations and fails on any flag this binary does not define, so a
+// deleted flag cannot live on in prose that quotes its output.
+func TestDocsNameOnlyDefinedFlags(t *testing.T) {
+	check := func(where, text string) {
+		for _, tok := range strings.Fields(text) {
+			tok = strings.Trim(tok, "`[]().,;:'\"")
+			if !flagToken.MatchString(tok) {
+				continue
 			}
-			continue
+			if flag.Lookup(tok[1:]) == nil {
+				t.Errorf("%s names undefined flag %s", where, tok)
+			}
 		}
-		if _, err := parseCounts("-drivers", bad); err == nil {
-			t.Errorf("parseCounts(%q) accepted", bad)
+	}
+
+	// The package doc is about this binary throughout: every flag-shaped
+	// token in it counts.
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, ok := strings.Cut(string(src), "\npackage main")
+	if !ok {
+		t.Fatal("main.go: no package clause")
+	}
+	check("main.go package doc", strings.ReplaceAll(doc, "//", " "))
+
+	// In the markdown docs a flag counts when it follows "eona-bench" on
+	// the same line — up to the closing backtick when the mention sits in
+	// a code span, else to the end of the line.
+	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		body, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(body), "\n") {
+			for {
+				before, after, found := strings.Cut(line, "eona-bench")
+				if !found {
+					break
+				}
+				line = after
+				args := after
+				if strings.Count(before, "`")%2 == 1 {
+					args, _, _ = strings.Cut(after, "`")
+				}
+				check(fmt.Sprintf("%s:%d", name, i+1), args)
+			}
 		}
 	}
 }
+
+var flagToken = regexp.MustCompile(`^-[a-z][a-z-]*$`)

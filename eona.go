@@ -38,7 +38,7 @@
 //     internal/stability — streaming aggregation, blinding, the inference
 //     baseline of Figure 4, information-gain feature selection, and
 //     oscillation detection/dampening
-//   - internal/expt — experiments E1–E15 reproducing every figure and
+//   - internal/expt — experiments E1–E17 reproducing every figure and
 //     scenario in the paper (see DESIGN.md §4 and EXPERIMENTS.md)
 //
 // # Quickstart
@@ -325,7 +325,7 @@ type (
 
 // AllocatorStats is a snapshot of the fluid allocator's work counters
 // (reallocations, flows/components re-solved, registry rebuilds, coalesced
-// reactions). E7 embeds one per churn arm; eona-bench -v prints them.
+// reactions), as returned by Network.Stats and served under /v1/stats.
 type AllocatorStats = netsim.Stats
 
 // ---- The simulated network (downstream what-if studies) ----
@@ -466,37 +466,23 @@ func RunFlashCrowdConfig(cfg FlashCrowdConfig) FlashCrowdArm { return expt.RunE1
 // table.
 func RunEnergySavingConfig(cfg ExperimentConfig) EnergyResult { return expt.RunE5(cfg.Seed) }
 
-// ScalabilityConfig parameterizes E7: record volume and the driver and
-// engine-worker counts swept.
-type ScalabilityConfig = expt.E7Config
-
-// ScalabilityDriverPoint is one shared-network churn measurement (N
-// concurrent drivers pushing mutations through one owner goroutine).
-type ScalabilityDriverPoint = expt.E7DriverPoint
-
-// RunScalabilityConfig measures the A2I pipeline with explicit knobs.
-func RunScalabilityConfig(cfg ScalabilityConfig) ScalabilityResult { return expt.RunE7Config(cfg) }
-
 // ---- The E-suite as data (experiment registry + parallel runner) ----
 
 type (
-	// Experiment is one runnable E-suite entry (ID, slow flag, Run).
-	Experiment = expt.Experiment
 	// ExperimentTable is the rendered result of one experiment.
 	ExperimentTable = expt.Table
 	// ExperimentConfig carries every knob an experiment can draw from
-	// (seed, E7 scalability parameters). The zero value is runnable.
+	// (the seed). The zero value is runnable.
 	ExperimentConfig = expt.Config
 	// ExperimentDef is one registered experiment: ID, title, slow flag,
-	// and a Run hook over ExperimentConfig. Bind one to a config to get a
-	// runnable Experiment.
+	// and a Run hook over ExperimentConfig.
 	ExperimentDef = expt.Definition
 )
 
 // Experiments returns the full registry in suite order. This is the one
 // enumeration of the E-suite; RunExperiment runs any entry by ID, and the
 // typed config runners (RunScenario, RunFlashCrowdConfig,
-// RunEnergySavingConfig, RunScalabilityConfig) cover callers that need
+// RunEnergySavingConfig) cover callers that need
 // structured results instead of rendered tables.
 func Experiments() []ExperimentDef { return expt.Definitions() }
 
@@ -513,13 +499,9 @@ func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentTable, bool) {
 	return d.Run(cfg), true
 }
 
-// BindExperiments binds every registered definition to cfg, in suite
-// order — the input RunExperiments consumes.
-func BindExperiments(cfg ExperimentConfig) []Experiment { return expt.BindAll(cfg) }
-
-// RunExperiments executes experiments with at most parallelism workers
-// (GOMAXPROCS when ≤ 0), returning tables in input order. parallelism 1
-// reproduces the sequential runner exactly.
-func RunExperiments(exps []Experiment, parallelism int) []*ExperimentTable {
-	return expt.RunConcurrent(exps, parallelism)
+// RunExperiments runs each definition under cfg with at most parallelism
+// workers (GOMAXPROCS when ≤ 0), returning tables in input order.
+// parallelism 1 reproduces the sequential runner exactly.
+func RunExperiments(defs []ExperimentDef, cfg ExperimentConfig, parallelism int) []*ExperimentTable {
+	return expt.RunConcurrent(defs, cfg, parallelism)
 }

@@ -90,7 +90,8 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 	if len(defs) != 17 {
 		t.Fatalf("registry lists %d experiments, want 17", len(defs))
 	}
-	if _, ok := eona.LookupExperiment("E2"); !ok {
+	e2, ok := eona.LookupExperiment("E2")
+	if !ok {
 		t.Fatal("E2 missing from registry")
 	}
 	if _, ok := eona.RunExperiment("E99", eona.ExperimentConfig{}); ok {
@@ -112,8 +113,9 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 	if want := r.Table().String(); tb.String() != want {
 		t.Error("registry E2 table differs from the typed scenario composition")
 	}
-	if got := len(eona.BindExperiments(eona.ExperimentConfig{Seed: 1})); got != 17 {
-		t.Errorf("BindExperiments bound %d experiments, want 17", got)
+	out := eona.RunExperiments([]eona.ExperimentDef{e2}, eona.ExperimentConfig{Seed: 3}, 1)
+	if len(out) != 1 || out[0].String() != tb.String() {
+		t.Error("RunExperiments([E2]) differs from RunExperiment(E2)")
 	}
 }
 

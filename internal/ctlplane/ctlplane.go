@@ -65,6 +65,11 @@ type Server struct {
 	cfg   Config
 	clock func() time.Duration
 
+	// linkMu serializes link-impairment inject and restore end to end, so
+	// the base capacity an inject records is never one a concurrent inject
+	// or an unfinished restore has degraded. Taken before mu.
+	linkMu sync.Mutex
+
 	mu     sync.Mutex
 	nextID int
 	imps   map[int]*impairment
@@ -161,10 +166,11 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request, _ string
 }
 
 func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request, _ string) {
+	snap := s.cfg.Shared.Snapshot()
 	writeJSON(w, struct {
 		Seq   uint64       `json:"seq"`
 		Links []LinkStatus `json:"links"`
-	}{Seq: s.cfg.Shared.Snapshot().Seq, Links: s.linkStatuses(s.cfg.Shared.Snapshot())})
+	}{Seq: snap.Seq, Links: s.linkStatuses(snap)})
 }
 
 func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request, _ string) {
@@ -395,6 +401,15 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request, collab str
 				return
 			}
 		}
+		// One link impairment per link: a second one would record the
+		// degraded capacity as its base and restore to it.
+		s.linkMu.Lock()
+		defer s.linkMu.Unlock()
+		if id, ok := s.activeOnLink(l.ID); ok {
+			lookingglass.WriteError(w, http.StatusConflict,
+				fmt.Sprintf("link %q already impaired by impairment %d; restore it first", l.Name, id))
+			return
+		}
 		base := s.cfg.Shared.Snapshot().Capacity(l.ID)
 		applied := base * factor
 		if applied < 1 {
@@ -446,10 +461,26 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request, collab str
 	json.NewEncoder(w).Encode(imp.Impairment)
 }
 
+// activeOnLink returns the active link impairment on a link, if any.
+func (s *Server) activeOnLink(id netsim.LinkID) (int, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, imp := range s.imps {
+		if imp.Active && imp.linkID == id && (imp.Kind == KindLinkThrottle || imp.Kind == KindLinkFlap) {
+			return imp.ID, true
+		}
+	}
+	return 0, false
+}
+
 // restoreByID undoes one impairment: link kinds re-apply the recorded base
 // capacity (journaled like the injection), partner kinds close their live
 // window. Idempotent; timers and DELETE race safely.
 func (s *Server) restoreByID(id int) (Impairment, bool) {
+	// Held from the Active flip to the capacity write: an inject that sees
+	// the link free must also see its restored capacity.
+	s.linkMu.Lock()
+	defer s.linkMu.Unlock()
 	s.mu.Lock()
 	imp, ok := s.imps[id]
 	if !ok || !imp.Active {

@@ -167,6 +167,9 @@ func TestEndpointScopes(t *testing.T) {
 // TestImpairmentValidation pins the 4xx surface of the write endpoints.
 func TestImpairmentValidation(t *testing.T) {
 	fx := newFixture(t, nil, nil)
+	if code, body := fx.do("POST", "/v1/impairments", "writer-token", `{"kind":"link-flap","link":"access"}`); code != 201 {
+		t.Fatalf("setup flap on access: %d %s", code, body)
+	}
 	cases := []struct {
 		name, body string
 		want       int
@@ -178,6 +181,7 @@ func TestImpairmentValidation(t *testing.T) {
 		{"missing factor", `{"kind":"link-throttle","link":"peering"}`, 400},
 		{"factor too big", `{"kind":"link-throttle","link":"peering","factor":1.5}`, 400},
 		{"bad duration", `{"kind":"link-flap","link":"peering","duration":"soon"}`, 400},
+		{"stacked on an impaired link", `{"kind":"link-throttle","link":"access","factor":0.5}`, 409},
 		{"partner outage without partner", `{"kind":"partner-outage"}`, 409},
 		{"latency spike without partner", `{"kind":"latency-spike","extra":"100ms"}`, 409},
 	}
@@ -196,6 +200,108 @@ func TestImpairmentValidation(t *testing.T) {
 	}
 	if code, body := fx.do("DELETE", "/v1/impairments?id=99", "writer-token", ""); code != 404 {
 		t.Errorf("unknown restore id: %d %s", code, body)
+	}
+}
+
+// TestStackedLinkImpairmentRejected pins one link impairment per link: a
+// second inject on an impaired link is a 409 naming the blocker (it would
+// otherwise record the degraded capacity as its base and restore to it), and
+// after the restore the link is back at the topology's capacity and free to
+// impair again.
+func TestStackedLinkImpairmentRejected(t *testing.T) {
+	fx := newFixture(t, nil, nil)
+	access := fx.topo.Links()[0]
+	original := access.Capacity
+	const throttle = `{"kind":"link-throttle","link":"access","factor":0.2}`
+
+	inject := func() Impairment {
+		t.Helper()
+		code, body := fx.do("POST", "/v1/impairments", "writer-token", throttle)
+		if code != 201 {
+			t.Fatalf("inject: %d %s", code, body)
+		}
+		var imp Impairment
+		if err := json.Unmarshal(body, &imp); err != nil {
+			t.Fatal(err)
+		}
+		if imp.BaseBps != original {
+			t.Errorf("impairment %d recorded base %v, want the topology's %v", imp.ID, imp.BaseBps, original)
+		}
+		return imp
+	}
+	restore := func(id int) {
+		t.Helper()
+		if code, body := fx.do("DELETE", fmt.Sprintf("/v1/impairments?id=%d", id), "writer-token", ""); code != 200 {
+			t.Fatalf("restore %d: %d %s", id, code, body)
+		}
+	}
+
+	first := inject()
+	code, body := fx.do("POST", "/v1/impairments", "writer-token", `{"kind":"link-flap","link":"access"}`)
+	if code != 409 || envelopeCode(t, body) != 409 {
+		t.Fatalf("stacked inject: %d %s, want 409 envelope", code, body)
+	}
+	if want := fmt.Sprintf("impairment %d", first.ID); !strings.Contains(string(body), want) {
+		t.Errorf("409 body %s does not name the blocking %q", body, want)
+	}
+	if got := fx.shared.Snapshot().Capacity(access.ID); got != first.AppliedBps {
+		t.Errorf("rejected inject moved capacity to %v, want %v", got, first.AppliedBps)
+	}
+	restore(first.ID)
+	restore(inject().ID)
+	if got := fx.shared.Snapshot().Capacity(access.ID); got != original {
+		t.Errorf("capacity after the last restore = %v, want the topology's %v", got, original)
+	}
+}
+
+// TestLinksServedFromOneSnapshot polls /v1/links beside a writer that
+// alternates one link's capacity between two values, one per commit, so a
+// commit's parity names its capacity. A body pairing commit N's seq with
+// commit N+1's rows — the handler loading the snapshot twice — breaks that.
+func TestLinksServedFromOneSnapshot(t *testing.T) {
+	fx := newFixture(t, nil, nil)
+	peering := fx.topo.Links()[1]
+	byParity := [2]float64{40e6, 60e6}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() { close(stop); wg.Wait() }() // before the fixture closes the network
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// Sole writer, one publish per op: the next commit is Seq+1.
+		for seq := fx.shared.Snapshot().Seq + 1; ; seq++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			fx.shared.SetLinkCapacity(peering.ID, byParity[seq%2])
+			if got := fx.shared.Snapshot().Seq; got != seq {
+				t.Errorf("writer expected commit %d, network is at %d", seq, got)
+				return
+			}
+		}
+	}()
+
+	req := httptest.NewRequest("GET", "/v1/links", nil)
+	first := fx.shared.Snapshot().Seq
+	for i := 0; i < 5_000 && !t.Failed(); i++ {
+		rec := httptest.NewRecorder()
+		fx.srv.handleLinks(rec, req, "reader")
+		var got struct {
+			Seq   uint64       `json:"seq"`
+			Links []LinkStatus `json:"links"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Seq <= first { // not yet one of the writer's commits
+			continue
+		}
+		if c := got.Links[1].CapacityBps; c != byParity[got.Seq%2] {
+			t.Errorf("poll %d: seq %d served with capacity %v, that commit set %v", i, got.Seq, c, byParity[got.Seq%2])
+		}
 	}
 }
 

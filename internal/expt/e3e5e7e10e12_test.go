@@ -163,59 +163,6 @@ func TestE12TableRenders(t *testing.T) {
 	}
 }
 
-// TestE7SharedDriverArm pins the multi-driver rows: a serial baseline plus
-// one row per swept driver count, each with a positive throughput and a
-// speedup relative to the baseline. Runs under -race in check.sh, so it
-// doubles as the hammer for N drivers pushing through one owner goroutine
-// while a snapshot reader spins.
-func TestE7SharedDriverArm(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement")
-	}
-	r := RunE7Config(E7Config{
-		Records:      2_000,
-		DriverCounts: []int{1, 3},
-	})
-	if r.SharedSerialPerSec <= 0 {
-		t.Fatalf("serial baseline = %v muts/s", r.SharedSerialPerSec)
-	}
-	if len(r.DriverPoints) != 2 {
-		t.Fatalf("driver points = %+v, want 2 entries", r.DriverPoints)
-	}
-	for _, p := range r.DriverPoints {
-		if p.PerSec <= 0 || p.Speedup <= 0 {
-			t.Errorf("driver point %+v has non-positive rate or speedup", p)
-		}
-	}
-	s := r.Table().String()
-	for _, want := range []string{
-		"shared-network churn (serial baseline)",
-		"shared-network churn (1 drivers)",
-		"shared-network churn (3 drivers)",
-		"vs direct serial",
-	} {
-		if !contains(s, want) {
-			t.Errorf("table missing %q:\n%s", want, s)
-		}
-	}
-}
-
-// TestE7DriverSweepSkips pins the sweep-gating contract: a non-nil empty
-// DriverCounts skips the arm entirely (no baseline measured, no rows).
-func TestE7DriverSweepSkips(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock measurement")
-	}
-	r := RunE7Config(E7Config{Records: 2_000, DriverCounts: []int{}})
-	if r.SharedSerialPerSec != 0 || len(r.DriverPoints) != 0 {
-		t.Errorf("empty DriverCounts should skip the arm; got baseline=%v points=%+v",
-			r.SharedSerialPerSec, r.DriverPoints)
-	}
-	if s := r.Table().String(); contains(s, "shared-network churn") {
-		t.Error("table should have no shared-network rows when the sweep is skipped")
-	}
-}
-
 func TestE7PipelineMeetsPaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement")
@@ -232,7 +179,27 @@ func TestE7PipelineMeetsPaperScale(t *testing.T) {
 	if r.QueryP50 <= 0 || r.QueryP50 > time.Second {
 		t.Errorf("query p50 = %v, out of sane range", r.QueryP50)
 	}
-	if s := r.Table().String(); !contains(s, "sessions/day") {
-		t.Error("table malformed")
+	// The table is the paper's claim and nothing else: the four pipeline
+	// stages, with the implied sessions/day on the ingest row.
+	tb := r.Table()
+	stages := []string{
+		"Collector.Ingest (full rollup)",
+		"count-min sketch add",
+		"P² quantile add",
+		"looking-glass query (loopback)",
+	}
+	if len(tb.Rows) != len(stages) {
+		t.Fatalf("table has %d rows, want the %d stage rows:\n%s", len(tb.Rows), len(stages), tb)
+	}
+	for i, want := range stages {
+		if tb.Rows[i][0] != want {
+			t.Errorf("row %d stage = %q, want %q", i, tb.Rows[i][0], want)
+		}
+	}
+	if !contains(tb.Rows[0][2], "sessions/day") {
+		t.Errorf("ingest row note = %q, want the implied sessions/day", tb.Rows[0][2])
+	}
+	if len(tb.Notes) != 1 || !contains(tb.Notes[0], "sessions each day") {
+		t.Errorf("notes = %q, want only the paper's sessions/day claim", tb.Notes)
 	}
 }

@@ -1,5 +1,5 @@
 // Package expt contains the experiment harness: one runnable experiment per
-// figure/scenario of the paper, as indexed in DESIGN.md §4 (E1–E15). Each
+// figure/scenario of the paper, as indexed in DESIGN.md §4 (E1–E17). Each
 // experiment is a pure function from a typed config (with a seed) to a
 // typed result, so the same code backs the unit tests that assert the
 // paper's qualitative claims, the top-level benchmarks that regenerate the
@@ -18,9 +18,6 @@ type Table struct {
 	Rows    [][]string
 	// Notes carry the paper-claim context printed under the table.
 	Notes []string
-	// Verbose carries diagnostic lines (e.g. allocator stats counters)
-	// that String omits; eona-bench -v renders them via VerboseString.
-	Verbose []string
 }
 
 // AddRow appends a formatted row; values are rendered with %v (floats with
@@ -79,16 +76,6 @@ func (t *Table) String() string {
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
-	}
-	return b.String()
-}
-
-// VerboseString renders the table plus its Verbose diagnostic lines.
-func (t *Table) VerboseString() string {
-	var b strings.Builder
-	b.WriteString(t.String())
-	for _, v := range t.Verbose {
-		fmt.Fprintf(&b, "  -v %s\n", v)
 	}
 	return b.String()
 }

@@ -4,22 +4,19 @@ package expt
 // Callers used to reach for fifteen RunE* functions with drifting
 // signatures (some take a seed, some a record count, some a config
 // struct); the registry collapses that to a single shape — look up a
-// Definition, bind it to a Config, run it — while the RunE* functions
-// remain the typed per-experiment entry points underneath.
+// Definition, run it under a Config — while the RunE* functions remain the
+// typed per-experiment entry points underneath.
 
 // Config carries every knob an experiment can draw from. Zero value is
-// runnable: seed 0 and E7's built-in defaults.
+// runnable: seed 0.
 type Config struct {
 	// Seed drives each experiment's private rand.New(rand.NewSource(Seed)).
+	// E7 is a wall-clock measurement and ignores it.
 	Seed int64
-	// E7 parameterizes the scalability pipeline (record volume, driver and
-	// engine-worker sweeps). Only E7 reads it.
-	E7 E7Config
 }
 
 // Definition is one registered experiment: its identity plus a Run hook
-// taking the shared Config. Definitions are static; bind one to a Config
-// with Bind to get a runnable Experiment.
+// taking the shared Config. Definitions are static.
 type Definition struct {
 	// ID is the short name ("E7") used by eona-bench's -only filter and
 	// Lookup.
@@ -31,12 +28,6 @@ type Definition struct {
 	Slow bool
 	// Run executes the experiment under cfg and renders its table.
 	Run func(cfg Config) *Table
-}
-
-// Bind fixes the Definition's config, yielding the closure form the
-// concurrent runner consumes.
-func (d Definition) Bind(cfg Config) Experiment {
-	return Experiment{ID: d.ID, Slow: d.Slow, Run: func() *Table { return d.Run(cfg) }}
 }
 
 // Definitions returns the full E1–E17 registry in suite order. The slice
@@ -56,7 +47,7 @@ func Definitions() []Definition {
 		{ID: "E6", Title: "control quality vs interface staleness (§5)",
 			Run: func(c Config) *Table { return RunE6(c.Seed).Table() }},
 		{ID: "E7", Title: "A2I pipeline scalability (§5)", Slow: true,
-			Run: func(c Config) *Table { return RunE7Config(c.E7).Table() }},
+			Run: func(Config) *Table { return RunE7(0).Table() }},
 		{ID: "E8", Title: "interface width vs control quality (§4)",
 			Run: func(c Config) *Table { return RunE8(c.Seed).Table() }},
 		{ID: "E9", Title: "timescale coupling — undampened vs dampened switching (§5)",
@@ -88,14 +79,4 @@ func Lookup(id string) (Definition, bool) {
 		}
 	}
 	return Definition{}, false
-}
-
-// BindAll binds every registered definition to cfg, in suite order.
-func BindAll(cfg Config) []Experiment {
-	defs := Definitions()
-	exps := make([]Experiment, len(defs))
-	for i, d := range defs {
-		exps[i] = d.Bind(cfg)
-	}
-	return exps
 }

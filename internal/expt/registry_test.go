@@ -25,10 +25,8 @@ func TestRegistryShape(t *testing.T) {
 	if _, ok := Lookup("E18"); ok {
 		t.Error("Lookup(E18) hit a ghost experiment")
 	}
-	d, _ := Lookup("E4")
-	e := d.Bind(Config{Seed: 9})
-	if e.ID != "E4" || !e.Slow || e.Run == nil {
-		t.Errorf("Bind dropped identity: %+v", e)
+	if d, _ := Lookup("E4"); d.ID != "E4" || !d.Slow || d.Run == nil {
+		t.Errorf("Lookup(E4) dropped identity: %+v", d)
 	}
 }
 

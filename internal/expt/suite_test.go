@@ -1,23 +1,28 @@
 package expt
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
+// TestSuiteShape runs the whole registry through RunConcurrent with each
+// Run hook stubbed out: every entry must receive the caller's Config and
+// the tables must come back in suite order.
 func TestSuiteShape(t *testing.T) {
-	exps := BindAll(Config{Seed: 1})
-	if len(exps) != 17 {
-		t.Fatalf("suite has %d experiments, want 17", len(exps))
+	defs := Definitions()
+	for i := range defs {
+		id := defs[i].ID
+		defs[i].Run = func(c Config) *Table { return &Table{Title: fmt.Sprintf("%s/%d", id, c.Seed)} }
 	}
-	slow := map[string]bool{"E1": true, "E4": true, "E7": true, "E17": true}
-	for i, e := range exps {
-		if e.ID == "" || e.Run == nil {
-			t.Fatalf("experiment %d incomplete: %+v", i, e)
-		}
-		if e.Slow != slow[e.ID] {
-			t.Errorf("%s Slow = %v, want %v", e.ID, e.Slow, slow[e.ID])
+	out := RunConcurrent(defs, Config{Seed: 9}, 0)
+	if len(out) != 17 {
+		t.Fatalf("suite ran %d experiments, want 17", len(out))
+	}
+	for i, tb := range out {
+		if want := fmt.Sprintf("E%d/9", i+1); tb.Title != want {
+			t.Errorf("table %d = %q, want %q", i, tb.Title, want)
 		}
 	}
 }
@@ -26,10 +31,10 @@ func TestRunConcurrentOrderAndCap(t *testing.T) {
 	const n, parallelism = 20, 3
 	var active, peak atomic.Int64
 	var mu sync.Mutex
-	exps := make([]Experiment, n)
-	for i := range exps {
+	defs := make([]Definition, n)
+	for i := range defs {
 		i := i
-		exps[i] = Experiment{ID: "X", Run: func() *Table {
+		defs[i] = Definition{ID: "X", Run: func(Config) *Table {
 			cur := active.Add(1)
 			mu.Lock()
 			if cur > peak.Load() {
@@ -41,7 +46,7 @@ func TestRunConcurrentOrderAndCap(t *testing.T) {
 			return tb
 		}}
 	}
-	out := RunConcurrent(exps, parallelism)
+	out := RunConcurrent(defs, Config{}, parallelism)
 	if len(out) != n {
 		t.Fatalf("got %d tables, want %d", len(out), n)
 	}
@@ -59,17 +64,15 @@ func TestRunConcurrentOrderAndCap(t *testing.T) {
 // and checks the rendered tables agree — the determinism contract of the
 // parallel runner.
 func TestRunConcurrentMatchesSequential(t *testing.T) {
-	pick := func() []Experiment {
-		var out []Experiment
-		for _, e := range BindAll(Config{Seed: 3}) {
-			if e.ID == "E6" || e.ID == "E9" {
-				out = append(out, e)
-			}
+	var pick []Definition
+	for _, d := range Definitions() {
+		if d.ID == "E6" || d.ID == "E9" {
+			pick = append(pick, d)
 		}
-		return out
 	}
-	seq := RunConcurrent(pick(), 1)
-	par := RunConcurrent(pick(), 4)
+	cfg := Config{Seed: 3}
+	seq := RunConcurrent(pick, cfg, 1)
+	par := RunConcurrent(pick, cfg, 4)
 	for i := range seq {
 		if seq[i].String() != par[i].String() {
 			t.Errorf("experiment %d differs between sequential and parallel runs", i)

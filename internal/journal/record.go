@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"time"
 
 	"eona/internal/core"
@@ -57,106 +56,17 @@ type PollRecord struct {
 // which encoding/json rejects. Varints for IDs and counts, fixed 8-byte
 // little-endian for float bits and digests.
 
-// byteReader walks a payload; the first malformed field latches err and
-// every later read returns zero values, so decoders check err once at the
-// end.
-type byteReader struct {
-	b   []byte
-	err error
-}
-
-func (r *byteReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("journal: truncated or malformed %s", what)
-	}
-}
-
-func (r *byteReader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail(what)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *byteReader) u64(what string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.fail(what)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *byteReader) f64(what string) float64 { return math.Float64frombits(r.u64(what)) }
-
-func (r *byteReader) str(what string) string {
-	n := r.uvarint(what)
-	if r.err != nil {
-		return ""
-	}
-	if uint64(len(r.b)) < n {
-		r.fail(what)
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-// bytes reads a uvarint-length-prefixed byte field, aliasing the payload —
-// callers copy if they retain it past the frame.
-func (r *byteReader) bytes(what string) []byte {
-	n := r.uvarint(what)
-	if r.err != nil {
-		return nil
-	}
-	if uint64(len(r.b)) < n {
-		r.fail(what)
-		return nil
-	}
-	b := r.b[:n]
-	r.b = r.b[n:]
-	return b
-}
-
-func (r *byteReader) done(what string) error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("journal: %d trailing bytes after %s", len(r.b), what)
-	}
-	return nil
-}
-
-func appendU64(buf []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(buf, v) }
-
-func appendStr(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
 func appendOpPayload(buf []byte, op netsim.Op, digest uint64) []byte {
 	buf = append(buf, byte(op.Kind))
 	buf = binary.AppendUvarint(buf, uint64(op.Flow))
-	buf = appendU64(buf, math.Float64bits(op.Value))
+	buf = AppendF64(buf, op.Value)
 	buf = binary.AppendUvarint(buf, uint64(op.Link))
 	buf = binary.AppendUvarint(buf, uint64(len(op.Links)))
 	for _, l := range op.Links {
 		buf = binary.AppendUvarint(buf, uint64(l))
 	}
-	buf = appendStr(buf, op.Tag)
-	buf = appendU64(buf, digest)
+	buf = AppendStr(buf, op.Tag)
+	buf = AppendU64(buf, digest)
 	return buf
 }
 
@@ -215,23 +125,23 @@ func (d *decoder) decodeOp(p []byte) (netsim.Op, uint64, error) {
 		return op, 0, fmt.Errorf("journal: empty op payload")
 	}
 	op.Kind = netsim.OpKind(p[0])
-	r := &byteReader{b: p[1:]}
-	op.Flow = netsim.FlowID(r.uvarint("op flow"))
-	op.Value = r.f64("op value")
-	op.Link = netsim.LinkID(r.uvarint("op link"))
-	n := r.uvarint("op path length")
+	r := NewPayloadReader(p[1:])
+	op.Flow = netsim.FlowID(r.Uvarint("op flow"))
+	op.Value = r.F64("op value")
+	op.Link = netsim.LinkID(r.Uvarint("op link"))
+	n := r.Uvarint("op path length")
 	if r.err == nil && n > uint64(len(r.b)) {
-		r.fail("op path")
+		r.Fail("op path")
 	}
 	if r.err == nil && n > 0 {
 		op.Links = d.linkSlice(int(n))
 		for i := range op.Links {
-			op.Links[i] = netsim.LinkID(r.uvarint("op path link"))
+			op.Links[i] = netsim.LinkID(r.Uvarint("op path link"))
 		}
 	}
-	op.Tag = d.intern(r.bytes("op tag"))
-	digest := r.u64("op digest")
-	return op, digest, r.done("op record")
+	op.Tag = d.intern(r.Bytes("op tag"))
+	digest := r.U64("op digest")
+	return op, digest, r.Done("op record")
 }
 
 // decodeOpPayload is the scratch-free form, kept for one-shot callers
@@ -243,15 +153,15 @@ func decodeOpPayload(p []byte) (netsim.Op, uint64, error) {
 
 func appendSnapPayload(buf []byte, opIndex uint64, st netsim.NetState, digest uint64) []byte {
 	buf = binary.AppendUvarint(buf, opIndex)
-	buf = appendU64(buf, digest)
+	buf = AppendU64(buf, digest)
 	buf = binary.AppendUvarint(buf, uint64(st.NextID))
-	buf = appendU64(buf, math.Float64bits(st.MaxRate))
+	buf = AppendF64(buf, st.MaxRate)
 	buf = binary.AppendUvarint(buf, uint64(len(st.Flows)))
 	for _, f := range st.Flows {
 		buf = binary.AppendUvarint(buf, uint64(f.ID))
-		buf = appendU64(buf, math.Float64bits(f.Demand))
-		buf = appendU64(buf, math.Float64bits(f.Weight))
-		buf = appendStr(buf, f.Tag)
+		buf = AppendF64(buf, f.Demand)
+		buf = AppendF64(buf, f.Weight)
+		buf = AppendStr(buf, f.Tag)
 		buf = binary.AppendUvarint(buf, uint64(len(f.Links)))
 		for _, l := range f.Links {
 			buf = binary.AppendUvarint(buf, uint64(l))
@@ -259,58 +169,58 @@ func appendSnapPayload(buf []byte, opIndex uint64, st netsim.NetState, digest ui
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(st.Capacities)))
 	for _, c := range st.Capacities {
-		buf = appendU64(buf, math.Float64bits(c))
+		buf = AppendF64(buf, c)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(st.LinkRates)))
 	for _, v := range st.LinkRates {
-		buf = appendU64(buf, math.Float64bits(v))
+		buf = AppendF64(buf, v)
 	}
 	return buf
 }
 
 func (d *decoder) decodeSnap(p []byte) (opIndex uint64, st netsim.NetState, digest uint64, err error) {
-	r := &byteReader{b: p}
-	opIndex = r.uvarint("snapshot op index")
-	digest = r.u64("snapshot digest")
-	st.NextID = netsim.FlowID(r.uvarint("snapshot next id"))
-	st.MaxRate = r.f64("snapshot max rate")
-	nf := r.uvarint("snapshot flow count")
+	r := NewPayloadReader(p)
+	opIndex = r.Uvarint("snapshot op index")
+	digest = r.U64("snapshot digest")
+	st.NextID = netsim.FlowID(r.Uvarint("snapshot next id"))
+	st.MaxRate = r.F64("snapshot max rate")
+	nf := r.Uvarint("snapshot flow count")
 	if r.err == nil && nf > uint64(len(r.b)) {
-		r.fail("snapshot flows")
+		r.Fail("snapshot flows")
 	}
 	for i := uint64(0); r.err == nil && i < nf; i++ {
 		var f netsim.FlowState
-		f.ID = netsim.FlowID(r.uvarint("flow id"))
-		f.Demand = r.f64("flow demand")
-		f.Weight = r.f64("flow weight")
-		f.Tag = d.intern(r.bytes("flow tag"))
-		nl := r.uvarint("flow path length")
+		f.ID = netsim.FlowID(r.Uvarint("flow id"))
+		f.Demand = r.F64("flow demand")
+		f.Weight = r.F64("flow weight")
+		f.Tag = d.intern(r.Bytes("flow tag"))
+		nl := r.Uvarint("flow path length")
 		if r.err == nil && nl > uint64(len(r.b)) {
-			r.fail("flow path")
+			r.Fail("flow path")
 		}
 		if r.err == nil && nl > 0 {
 			f.Links = d.linkSlice(int(nl))
 			for j := range f.Links {
-				f.Links[j] = netsim.LinkID(r.uvarint("flow path link"))
+				f.Links[j] = netsim.LinkID(r.Uvarint("flow path link"))
 			}
 		}
 		st.Flows = append(st.Flows, f)
 	}
-	nc := r.uvarint("capacity count")
+	nc := r.Uvarint("capacity count")
 	if r.err == nil && nc > uint64(len(r.b))/8+1 {
-		r.fail("capacities")
+		r.Fail("capacities")
 	}
 	for i := uint64(0); r.err == nil && i < nc; i++ {
-		st.Capacities = append(st.Capacities, r.f64("capacity"))
+		st.Capacities = append(st.Capacities, r.F64("capacity"))
 	}
-	nr := r.uvarint("link-rate count")
+	nr := r.Uvarint("link-rate count")
 	if r.err == nil && nr > uint64(len(r.b))/8+1 {
-		r.fail("link rates")
+		r.Fail("link rates")
 	}
 	for i := uint64(0); r.err == nil && i < nr; i++ {
-		st.LinkRates = append(st.LinkRates, r.f64("link rate"))
+		st.LinkRates = append(st.LinkRates, r.F64("link rate"))
 	}
-	return opIndex, st, digest, r.done("snapshot record")
+	return opIndex, st, digest, r.Done("snapshot record")
 }
 
 // decodeSnapPayload is the scratch-free form, kept for one-shot callers.
@@ -322,17 +232,17 @@ func decodeSnapPayload(p []byte) (opIndex uint64, st netsim.NetState, digest uin
 // appendCkptPayload frames one projection checkpoint: name, offset, state
 // fingerprint, then the raw state bytes to the end of the payload.
 func appendCkptPayload(buf []byte, name string, offset, digest uint64, state []byte) []byte {
-	buf = appendStr(buf, name)
+	buf = AppendStr(buf, name)
 	buf = binary.AppendUvarint(buf, offset)
-	buf = appendU64(buf, digest)
+	buf = AppendU64(buf, digest)
 	return append(buf, state...)
 }
 
 func decodeCkptPayload(p []byte) (name string, offset, digest uint64, state []byte, err error) {
-	r := &byteReader{b: p}
-	name = r.str("checkpoint name")
-	offset = r.uvarint("checkpoint offset")
-	digest = r.u64("checkpoint digest")
+	r := NewPayloadReader(p)
+	name = r.Str("checkpoint name")
+	offset = r.Uvarint("checkpoint offset")
+	digest = r.U64("checkpoint digest")
 	if r.err != nil {
 		return "", 0, 0, nil, r.err
 	}

@@ -96,9 +96,6 @@ type OpSink interface {
 
 // SharedConfig configures a SharedNetwork.
 type SharedConfig struct {
-	// Queue is the command channel capacity (backpressure bound for
-	// writers). Zero means DefaultSharedQueue.
-	Queue int
 	// Deterministic buffers mutations instead of applying them on arrival:
 	// nothing commits until Commit(), which applies the buffered window
 	// sorted by (driver, per-driver sequence). Concurrent drivers that
@@ -122,9 +119,10 @@ type SharedConfig struct {
 	SnapshotEvery int
 }
 
-// DefaultSharedQueue is the command channel capacity when SharedConfig.Queue
-// is zero.
-const DefaultSharedQueue = 128
+// sharedQueue is the command channel capacity: the backpressure bound for
+// writers. It only has to absorb a burst of buffered deterministic-mode ops
+// between owner wake-ups; immediate-mode writers block on their reply anyway.
+const sharedQueue = 128
 
 type cmdKind uint8
 
@@ -219,13 +217,10 @@ type SharedNetwork struct {
 // initial snapshot reflects n's state at handoff, so n may be pre-populated
 // serially before sharing.
 func NewShared(n *Network, cfg SharedConfig) *SharedNetwork {
-	if cfg.Queue <= 0 {
-		cfg.Queue = DefaultSharedQueue
-	}
 	s := &SharedNetwork{
 		net:         n,
 		cfg:         cfg,
-		cmds:        make(chan *sharedCmd, cfg.Queue),
+		cmds:        make(chan *sharedCmd, sharedQueue),
 		done:        make(chan struct{}),
 		logComplete: true,
 	}

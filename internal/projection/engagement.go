@@ -1,6 +1,11 @@
 package projection
 
-import "eona/internal/core"
+import (
+	"encoding/binary"
+
+	"eona/internal/core"
+	"eona/internal/journal"
+)
 
 // EngagementRow is one ISP's accumulated engagement: the paper's core
 // observation is that delivery quality drives engagement (play time,
@@ -90,36 +95,36 @@ func (e *Engagement) Rows() []EngagementRow {
 }
 
 func (e *Engagement) EncodeState(buf []byte) []byte {
-	buf = putUvarint(buf, uint64(len(e.order)))
+	buf = binary.AppendUvarint(buf, uint64(len(e.order)))
 	for _, isp := range e.order {
 		row := e.rows[isp]
-		buf = putStr(buf, isp)
-		buf = putUvarint(buf, row.Sessions)
-		buf = putF64(buf, row.PlaySeconds)
-		buf = putF64(buf, row.ScoreSum)
-		buf = putUvarint(buf, row.Abandoned)
-		buf = putUvarint(buf, row.Switches)
+		buf = journal.AppendStr(buf, isp)
+		buf = binary.AppendUvarint(buf, row.Sessions)
+		buf = journal.AppendF64(buf, row.PlaySeconds)
+		buf = journal.AppendF64(buf, row.ScoreSum)
+		buf = binary.AppendUvarint(buf, row.Abandoned)
+		buf = binary.AppendUvarint(buf, row.Switches)
 	}
 	return buf
 }
 
 func (e *Engagement) DecodeState(p []byte) error {
-	r := &reader{b: p}
-	n := r.uvarint("engagement row count")
+	r := journal.NewPayloadReader(p)
+	n := r.Uvarint("engagement row count")
 	rows := make(map[string]*EngagementRow, n)
 	var order []string
-	for i := uint64(0); r.err == nil && i < n; i++ {
+	for i := uint64(0); r.Err() == nil && i < n; i++ {
 		row := &EngagementRow{}
-		row.ISP = r.str("engagement isp")
-		row.Sessions = r.uvarint("engagement sessions")
-		row.PlaySeconds = r.f64("engagement play seconds")
-		row.ScoreSum = r.f64("engagement score sum")
-		row.Abandoned = r.uvarint("engagement abandoned")
-		row.Switches = r.uvarint("engagement switches")
+		row.ISP = r.Str("engagement isp")
+		row.Sessions = r.Uvarint("engagement sessions")
+		row.PlaySeconds = r.F64("engagement play seconds")
+		row.ScoreSum = r.F64("engagement score sum")
+		row.Abandoned = r.Uvarint("engagement abandoned")
+		row.Switches = r.Uvarint("engagement switches")
 		rows[row.ISP] = row
 		order = append(order, row.ISP)
 	}
-	if err := r.done("engagement state"); err != nil {
+	if err := r.Done("engagement state"); err != nil {
 		return err
 	}
 	e.rows, e.order = rows, order

@@ -1,6 +1,7 @@
 package projection
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"time"
 
@@ -57,31 +58,31 @@ func (h *Hints) Sources() []string { return append([]string(nil), h.order...) }
 func (h *Hints) Polls() uint64 { return h.polls }
 
 func (h *Hints) EncodeState(buf []byte) []byte {
-	buf = putUvarint(buf, h.polls)
-	buf = putUvarint(buf, uint64(len(h.order)))
+	buf = binary.AppendUvarint(buf, h.polls)
+	buf = binary.AppendUvarint(buf, uint64(len(h.order)))
 	for _, src := range h.order {
 		pr := h.latest[src]
-		buf = putStr(buf, src)
-		buf = putI64(buf, pr.At.UnixNano())
-		buf = putBytes(buf, pr.Data)
+		buf = journal.AppendStr(buf, src)
+		buf = journal.AppendI64(buf, pr.At.UnixNano())
+		buf = journal.AppendBytes(buf, pr.Data)
 	}
 	return buf
 }
 
 func (h *Hints) DecodeState(p []byte) error {
-	r := &reader{b: p}
-	polls := r.uvarint("hints poll count")
-	n := r.uvarint("hints source count")
+	r := journal.NewPayloadReader(p)
+	polls := r.Uvarint("hints poll count")
+	n := r.Uvarint("hints source count")
 	latest := make(map[string]journal.PollRecord, n)
 	var order []string
-	for i := uint64(0); r.err == nil && i < n; i++ {
-		src := r.str("hint source")
-		at := r.i64("hint time")
-		data := r.bytes("hint data")
+	for i := uint64(0); r.Err() == nil && i < n; i++ {
+		src := r.Str("hint source")
+		at := r.I64("hint time")
+		data := r.BytesCopy("hint data")
 		order = append(order, src)
 		latest[src] = journal.PollRecord{Source: src, At: time.Unix(0, at).UTC(), Data: json.RawMessage(data)}
 	}
-	if err := r.done("hints state"); err != nil {
+	if err := r.Done("hints state"); err != nil {
 		return err
 	}
 	h.latest, h.order, h.polls = latest, order, polls

@@ -1,6 +1,9 @@
 package projection
 
 import (
+	"encoding/binary"
+
+	"eona/internal/journal"
 	"eona/internal/netsim"
 )
 
@@ -138,60 +141,52 @@ func (l *LinkUtil) CapacityEdits() uint64 { return l.capEdits }
 func (l *LinkUtil) Poisoned() bool { return l.poisoned }
 
 func (l *LinkUtil) EncodeState(buf []byte) []byte {
-	buf = putUvarint(buf, l.ops)
-	buf = putUvarint(buf, l.starts)
-	buf = putUvarint(buf, l.stops)
-	buf = putUvarint(buf, l.capEdits)
+	buf = binary.AppendUvarint(buf, l.ops)
+	buf = binary.AppendUvarint(buf, l.starts)
+	buf = binary.AppendUvarint(buf, l.stops)
+	buf = binary.AppendUvarint(buf, l.capEdits)
 	if l.poisoned {
 		buf = append(buf, 1)
 	} else {
 		buf = append(buf, 0)
 	}
-	buf = putUvarint(buf, l.samples)
-	buf = putUvarint(buf, uint64(len(l.series)))
+	buf = binary.AppendUvarint(buf, l.samples)
+	buf = binary.AppendUvarint(buf, uint64(len(l.series)))
 	o := l.oldest()
 	for _, part := range [2][]UtilPoint{l.series[o:], l.series[:o]} {
 		for _, pt := range part {
-			buf = putUvarint(buf, uint64(pt.OpIndex))
-			buf = putF64(buf, pt.MeanUtil)
-			buf = putF64(buf, pt.MaxUtil)
-			buf = putUvarint(buf, uint64(pt.Links))
+			buf = binary.AppendUvarint(buf, uint64(pt.OpIndex))
+			buf = journal.AppendF64(buf, pt.MeanUtil)
+			buf = journal.AppendF64(buf, pt.MaxUtil)
+			buf = binary.AppendUvarint(buf, uint64(pt.Links))
 		}
 	}
 	return buf
 }
 
 func (l *LinkUtil) DecodeState(p []byte) error {
-	r := &reader{b: p}
-	ops := r.uvarint("linkutil ops")
-	starts := r.uvarint("linkutil starts")
-	stops := r.uvarint("linkutil stops")
-	capEdits := r.uvarint("linkutil capacity edits")
-	var poisoned bool
-	if r.err == nil {
-		if len(r.b) == 0 {
-			r.fail("linkutil poisoned flag")
-		} else {
-			poisoned = r.b[0] != 0
-			r.b = r.b[1:]
-		}
-	}
-	samples := r.uvarint("linkutil sample count")
-	n := r.uvarint("linkutil point count")
+	r := journal.NewPayloadReader(p)
+	ops := r.Uvarint("linkutil ops")
+	starts := r.Uvarint("linkutil starts")
+	stops := r.Uvarint("linkutil stops")
+	capEdits := r.Uvarint("linkutil capacity edits")
+	poisoned := r.Byte("linkutil poisoned flag") != 0
+	samples := r.Uvarint("linkutil sample count")
+	n := r.Uvarint("linkutil point count")
 	if n != min(samples, UtilRetention) {
-		r.fail("linkutil point count")
+		r.Fail("linkutil point count")
 		n = 0
 	}
 	// Points arrive oldest first; each goes straight to its ring position.
 	series := make([]UtilPoint, n)
-	for i := uint64(0); r.err == nil && i < n; i++ {
+	for i := uint64(0); r.Err() == nil && i < n; i++ {
 		pt := &series[(samples-n+i)%UtilRetention]
-		pt.OpIndex = int(r.uvarint("linkutil point op index"))
-		pt.MeanUtil = r.f64("linkutil point mean")
-		pt.MaxUtil = r.f64("linkutil point max")
-		pt.Links = int(r.uvarint("linkutil point links"))
+		pt.OpIndex = int(r.Uvarint("linkutil point op index"))
+		pt.MeanUtil = r.F64("linkutil point mean")
+		pt.MaxUtil = r.F64("linkutil point max")
+		pt.Links = int(r.Uvarint("linkutil point links"))
 	}
-	if err := r.done("linkutil state"); err != nil {
+	if err := r.Done("linkutil state"); err != nil {
 		return err
 	}
 	l.ops, l.starts, l.stops, l.capEdits = ops, starts, stops, capEdits

@@ -65,7 +65,12 @@ type Folder interface {
 	FoldFault(ev faults.Event)
 	// FoldOpaque consumes an opaque-batch marker (see the poison rule).
 	FoldOpaque()
-	// EncodeState appends the folder's state to buf and returns it.
+	// EncodeState appends the folder's state to buf and returns it. The
+	// encoding is binary, in the journal's payload fields
+	// (journal.PayloadReader and the Append helpers), for the reason op
+	// records are: aggregator state carries values JSON cannot (±Inf
+	// demands in link-utilization inputs), and encode(decode(p)) == p is
+	// what lets a Fingerprint be compared across processes.
 	EncodeState(buf []byte) []byte
 	// DecodeState replaces the folder's state with a previously encoded
 	// one.

@@ -1,10 +1,12 @@
 package projection
 
 import (
+	"encoding/binary"
 	"time"
 
 	"eona/internal/agg"
 	"eona/internal/core"
+	"eona/internal/journal"
 )
 
 // QoE is the A2I read model: per-(ISP, CDN, cluster) QoE rollups and
@@ -66,25 +68,25 @@ func (q *QoE) Collector() *core.Collector { return q.col }
 // guarantees, so equal collector states encode equal bytes.
 func (q *QoE) EncodeState(buf []byte) []byte {
 	st := q.col.ExportState()
-	buf = putUvarint(buf, st.Ingested)
-	buf = putUvarint(buf, uint64(len(st.Groups)))
+	buf = binary.AppendUvarint(buf, st.Ingested)
+	buf = binary.AppendUvarint(buf, uint64(len(st.Groups)))
 	for _, g := range st.Groups {
-		buf = putStr(buf, g.Key.ClientISP)
-		buf = putStr(buf, g.Key.CDN)
-		buf = putStr(buf, g.Key.Cluster)
-		buf = putUvarint(buf, uint64(len(g.Metrics)))
+		buf = journal.AppendStr(buf, g.Key.ClientISP)
+		buf = journal.AppendStr(buf, g.Key.CDN)
+		buf = journal.AppendStr(buf, g.Key.Cluster)
+		buf = binary.AppendUvarint(buf, uint64(len(g.Metrics)))
 		for _, m := range g.Metrics {
-			buf = putStr(buf, m.Name)
-			buf = putUvarint(buf, m.Welford.N)
-			buf = putF64(buf, m.Welford.Mean)
-			buf = putF64(buf, m.Welford.M2)
-			buf = putF64(buf, m.Welford.Min)
-			buf = putF64(buf, m.Welford.Max)
+			buf = journal.AppendStr(buf, m.Name)
+			buf = binary.AppendUvarint(buf, m.Welford.N)
+			buf = journal.AppendF64(buf, m.Welford.Mean)
+			buf = journal.AppendF64(buf, m.Welford.M2)
+			buf = journal.AppendF64(buf, m.Welford.Min)
+			buf = journal.AppendF64(buf, m.Welford.Max)
 		}
 	}
-	buf = putUvarint(buf, uint64(len(st.Traffic)))
+	buf = binary.AppendUvarint(buf, uint64(len(st.Traffic)))
 	for _, t := range st.Traffic {
-		buf = putStr(buf, t.CDN)
+		buf = journal.AppendStr(buf, t.CDN)
 		buf = putWindowed(buf, t.Bits)
 		buf = putWindowed(buf, t.Sessions)
 	}
@@ -92,63 +94,63 @@ func (q *QoE) EncodeState(buf []byte) []byte {
 }
 
 func putWindowed(buf []byte, st agg.WindowedState) []byte {
-	buf = putI64(buf, int64(st.BucketDur))
-	buf = putUvarint(buf, uint64(len(st.Buckets)))
+	buf = journal.AppendI64(buf, int64(st.BucketDur))
+	buf = binary.AppendUvarint(buf, uint64(len(st.Buckets)))
 	for i := range st.Buckets {
-		buf = putF64(buf, st.Buckets[i])
-		buf = putI64(buf, int64(st.Starts[i]))
+		buf = journal.AppendF64(buf, st.Buckets[i])
+		buf = journal.AppendI64(buf, int64(st.Starts[i]))
 	}
 	return buf
 }
 
 func (q *QoE) DecodeState(p []byte) error {
-	r := &reader{b: p}
+	r := journal.NewPayloadReader(p)
 	var st core.CollectorState
-	st.Ingested = r.uvarint("qoe ingested")
-	ng := r.uvarint("qoe group count")
-	for i := uint64(0); r.err == nil && i < ng; i++ {
+	st.Ingested = r.Uvarint("qoe ingested")
+	ng := r.Uvarint("qoe group count")
+	for i := uint64(0); r.Err() == nil && i < ng; i++ {
 		var g core.GroupState
-		g.Key.ClientISP = r.str("group isp")
-		g.Key.CDN = r.str("group cdn")
-		g.Key.Cluster = r.str("group cluster")
-		nm := r.uvarint("group metric count")
-		for j := uint64(0); r.err == nil && j < nm; j++ {
+		g.Key.ClientISP = r.Str("group isp")
+		g.Key.CDN = r.Str("group cdn")
+		g.Key.Cluster = r.Str("group cluster")
+		nm := r.Uvarint("group metric count")
+		for j := uint64(0); r.Err() == nil && j < nm; j++ {
 			var m core.MetricState
-			m.Name = r.str("metric name")
-			m.Welford.N = r.uvarint("metric n")
-			m.Welford.Mean = r.f64("metric mean")
-			m.Welford.M2 = r.f64("metric m2")
-			m.Welford.Min = r.f64("metric min")
-			m.Welford.Max = r.f64("metric max")
+			m.Name = r.Str("metric name")
+			m.Welford.N = r.Uvarint("metric n")
+			m.Welford.Mean = r.F64("metric mean")
+			m.Welford.M2 = r.F64("metric m2")
+			m.Welford.Min = r.F64("metric min")
+			m.Welford.Max = r.F64("metric max")
 			g.Metrics = append(g.Metrics, m)
 		}
 		st.Groups = append(st.Groups, g)
 	}
-	nt := r.uvarint("qoe traffic count")
-	for i := uint64(0); r.err == nil && i < nt; i++ {
+	nt := r.Uvarint("qoe traffic count")
+	for i := uint64(0); r.Err() == nil && i < nt; i++ {
 		var t core.TrafficState
-		t.CDN = r.str("traffic cdn")
+		t.CDN = r.Str("traffic cdn")
 		t.Bits = readWindowed(r, "traffic bits")
 		t.Sessions = readWindowed(r, "traffic sessions")
 		st.Traffic = append(st.Traffic, t)
 	}
-	if err := r.done("qoe state"); err != nil {
+	if err := r.Done("qoe state"); err != nil {
 		return err
 	}
 	q.Reset()
 	return q.col.ImportState(st)
 }
 
-func readWindowed(r *reader, what string) agg.WindowedState {
+func readWindowed(r *journal.PayloadReader, what string) agg.WindowedState {
 	var st agg.WindowedState
-	st.BucketDur = time.Duration(r.i64(what + " bucket duration"))
-	n := r.uvarint(what + " bucket count")
-	if r.err == nil && n > uint64(len(r.b))/16+1 {
-		r.fail(what + " buckets")
+	st.BucketDur = time.Duration(r.I64(what + " bucket duration"))
+	n := r.Uvarint(what + " bucket count")
+	if r.Err() == nil && n > uint64(r.Len())/16+1 {
+		r.Fail(what + " buckets")
 	}
-	for i := uint64(0); r.err == nil && i < n; i++ {
-		st.Buckets = append(st.Buckets, r.f64(what+" bucket"))
-		st.Starts = append(st.Starts, time.Duration(r.i64(what+" bucket start")))
+	for i := uint64(0); r.Err() == nil && i < n; i++ {
+		st.Buckets = append(st.Buckets, r.F64(what+" bucket"))
+		st.Starts = append(st.Starts, time.Duration(r.I64(what+" bucket start")))
 	}
 	return st
 }

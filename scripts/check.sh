@@ -33,9 +33,6 @@ go test -race -run 'TestCrashAtEveryRecordBoundary|TestOpenRepairsTornTail|TestT
 	./internal/journal/
 go test -race -run 'TestProjectionCrashSweep|TestResumeEqualsFromScratchFold|TestMaterializeAtDifferentialSweep' \
 	./internal/projection/
-# The E7 shared-network driver arm: concurrent drivers against one owner
-# goroutine, hammered under the race detector.
-go test -race -run 'TestE7SharedDriverArm|TestE7DriverSweepSkips' ./internal/expt/
 # The multi-driver engine determinism pin: worker-pool lockstep runs vs the
 # serial reference on every topology fixture, under the race detector.
 go test -race -run 'TestEngineArmDifferentialOnFixtures|TestParallel' ./internal/expt/ ./internal/sim/
