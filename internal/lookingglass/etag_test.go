@@ -127,6 +127,89 @@ func TestETagHeaderShape(t *testing.T) {
 	}
 }
 
+// TestETagGolden pins one served body and its ETag byte for byte. Partners
+// cache ETags across releases, so a change to what is hashed — the
+// encoder's trailing newline or envelope bytes leaking into the payload
+// span — must fail here rather than silently invalidate every cache.
+func TestETagGolden(t *testing.T) {
+	store := auth.NewStore()
+	store.Register("tok", "p", auth.ScopeI2APeering)
+	srv := NewServer(store, nil, Sources{PeeringInfo: func(string) []core.PeeringInfo {
+		return []core.PeeringInfo{{PeeringID: "B<&>", CDN: "cdnX", Congestion: netsim.CongestionHigh, HeadroomBps: 1e6, CapacityBps: 1e8, Current: true}}
+	}})
+	srv.Now = func() int64 { return fixedNow }
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodGet, "/v1/i2a/peering", nil)
+	req.Header.Set("Authorization", "Bearer tok")
+	srv.Handler().ServeHTTP(rec, req)
+
+	const wantETag = `"1147f5a2280e1162"`
+	const wantBody = `{"version":"eona/1","type":"i2a.peering_info","generated_at_ms":1700000000123,` +
+		`"payload":[{"peering_id":"B\u003c\u0026\u003e","cdn":"cdnX","congestion":2,"headroom_bps":1000000,"capacity_bps":100000000,"current":true}]}`
+	if got := rec.Header().Get("ETag"); got != wantETag {
+		t.Errorf("ETag = %s, want %s", got, wantETag)
+	}
+	if got := rec.Body.String(); got != wantBody {
+		t.Errorf("body = %s\nwant   %s", got, wantBody)
+	}
+}
+
+// TestIfNoneMatchWeakListComparison drives If-None-Match through the server:
+// RFC 9110 §13.1.2 weak comparison over a comma-separated list, or "*".
+func TestIfNoneMatchWeakListComparison(t *testing.T) {
+	store := auth.NewStore()
+	store.Register("tok", "p", auth.ScopeI2APeering)
+	srv := NewServer(store, nil, Sources{
+		PeeringInfo: func(string) []core.PeeringInfo { return []core.PeeringInfo{{PeeringID: "B"}} },
+	})
+	h := srv.Handler()
+	get := func(inm ...string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodGet, "/v1/i2a/peering", nil)
+		req.Header.Set("Authorization", "Bearer tok")
+		for _, v := range inm {
+			req.Header.Add("If-None-Match", v)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	etag := get().Header().Get("ETag")
+	if len(etag) != 18 {
+		t.Fatalf("ETag = %q", etag)
+	}
+	cases := []struct {
+		name   string
+		header []string
+		want   int
+	}{
+		{"single", []string{etag}, http.StatusNotModified},
+		{"list-first", []string{etag + `, "a", "b"`}, http.StatusNotModified},
+		{"list-middle", []string{`"a",` + etag + ` ,"b"`}, http.StatusNotModified},
+		{"list-last", []string{`"a", W/"b",` + etag}, http.StatusNotModified},
+		{"weak", []string{"W/" + etag}, http.StatusNotModified},
+		{"weak-in-list", []string{`"a", W/` + etag}, http.StatusNotModified},
+		{"star", []string{"*"}, http.StatusNotModified},
+		{"second-field-line", []string{`"a"`, etag}, http.StatusNotModified},
+		{"no-match-list", []string{`"a", W/"b", "0000000000000000"`}, http.StatusOK},
+		{"absent", nil, http.StatusOK},
+		{"empty", []string{""}, http.StatusOK},
+		{"garbage", []string{"garbage"}, http.StatusOK},
+		{"unquoted", []string{etag[1 : len(etag)-1]}, http.StatusOK},
+		{"unterminated", []string{etag[:len(etag)-1]}, http.StatusOK},
+		{"after-garbage", []string{`junk, ` + etag}, http.StatusOK},
+		{"star-in-list", []string{`"a", *`}, http.StatusOK},
+	}
+	for _, tc := range cases {
+		rec := get(tc.header...)
+		if rec.Code != tc.want {
+			t.Errorf("%s: If-None-Match %q: status %d, want %d", tc.name, tc.header, rec.Code, tc.want)
+		}
+		if tc.want == http.StatusNotModified && rec.Body.Len() != 0 {
+			t.Errorf("%s: 304 carried %d body bytes", tc.name, rec.Body.Len())
+		}
+	}
+}
+
 func TestErrorsNotCached(t *testing.T) {
 	// 4xx responses must not poison the conditional cache.
 	store := auth.NewStore()

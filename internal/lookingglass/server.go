@@ -12,10 +12,10 @@ package lookingglass
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"log"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"eona/internal/auth"
@@ -118,34 +118,81 @@ func (s *Server) deny(w http.ResponseWriter, code int, msg string) {
 	WriteError(w, code, msg)
 }
 
+// maxPooledReply caps the reply buffers kept for reuse: a rare oversized
+// body is left to the collector rather than pinned in the pool.
+const maxPooledReply = 1 << 20
+
+// replyBufs holds encode buffers across replies, so a poll allocates
+// nothing sized to its body.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 func (s *Server) reply(w http.ResponseWriter, r *http.Request, t wire.MessageType, payload any) {
+	buf := replyBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*buf) <= maxPooledReply {
+			replyBufs.Put(buf)
+		}
+	}()
+	msg, raw, err := wire.AppendEncode((*buf)[:0], t, s.Now(), payload)
+	if err != nil {
+		s.logf("lookingglass: encode %s: %v", t, err)
+		WriteError(w, http.StatusInternalServerError, "encoding failure")
+		return
+	}
+	*buf = msg
 	// ETag over the payload (not the envelope: the envelope timestamp
 	// changes every call even when the data hasn't) so pollers can use
 	// If-None-Match and skip unchanged bodies — EONA peers poll these
 	// endpoints continuously.
-	body, err := json.Marshal(payload)
-	if err != nil {
-		s.logf("lookingglass: marshal %s: %v", t, err)
-		http.Error(w, "encoding failure", http.StatusInternalServerError)
-		return
-	}
-	sum := sha256.Sum256(body)
+	sum := sha256.Sum256(raw)
 	etag := `"` + hex.EncodeToString(sum[:8]) + `"`
 	w.Header().Set("ETag", etag)
-	if r.Header.Get("If-None-Match") == etag {
+	if noneMatch(r.Header.Values("If-None-Match"), etag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	data, err := wire.Encode(t, s.Now(), payload)
-	if err != nil {
-		s.logf("lookingglass: encode %s: %v", t, err)
-		http.Error(w, "encoding failure", http.StatusInternalServerError)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(data); err != nil {
+	if _, err := w.Write(msg); err != nil {
 		s.logf("lookingglass: write response: %v", err)
 	}
+}
+
+// noneMatch reports whether If-None-Match field values name etag, under the
+// weak comparison RFC 9110 §13.1.2 prescribes: a field is "*" (any current
+// representation) or a comma-separated list of entity tags, each possibly
+// W/-prefixed. Parsing stops at the first malformed element of a list.
+func noneMatch(fields []string, etag string) bool {
+	for _, list := range fields {
+		if strings.TrimSpace(list) == "*" {
+			return true
+		}
+		for {
+			list = strings.TrimLeft(list, " \t,")
+			tag, rest, ok := cutETag(list)
+			if !ok {
+				break
+			}
+			if tag == etag {
+				return true
+			}
+			list = rest
+		}
+	}
+	return false
+}
+
+// cutETag splits the entity tag at the head of s from the rest, dropping a
+// W/ prefix: weak comparison ignores it.
+func cutETag(s string) (tag, rest string, ok bool) {
+	s = strings.TrimPrefix(s, "W/")
+	if !strings.HasPrefix(s, `"`) {
+		return "", "", false
+	}
+	end := strings.IndexByte(s[1:], '"')
+	if end < 0 {
+		return "", "", false
+	}
+	return s[:end+2], s[end+2:], true
 }
 
 func (s *Server) handleSummaries(w http.ResponseWriter, r *http.Request, collab string) {

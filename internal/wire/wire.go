@@ -8,9 +8,11 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -103,21 +105,40 @@ var (
 	ErrType    = errors.New("wire: unknown or mismatched message type")
 )
 
-// Encode wraps payload in a versioned envelope.
+// Encode returns payload wrapped in a versioned envelope: AppendEncode into
+// a fresh buffer.
 func Encode(t MessageType, generatedAtMs int64, payload any) ([]byte, error) {
+	msg, _, err := AppendEncode(nil, t, generatedAtMs, payload)
+	return msg, err
+}
+
+// AppendEncode appends payload, wrapped in a versioned envelope, to dst. It
+// returns the extended buffer and raw, the payload's JSON inside it. The
+// payload is marshalled exactly once, straight after the envelope's fixed
+// fields. The bytes are those encoding/json emits for the whole Envelope:
+// its pass over a RawMessage payload only re-compacts, and a marshalled
+// payload is already compact and HTML-escaped. On error it returns dst
+// unchanged.
+func AppendEncode(dst []byte, t MessageType, generatedAtMs int64, payload any) (msg, raw []byte, err error) {
 	if !knownTypes[t] {
-		return nil, fmt.Errorf("%w: %q", ErrType, t)
+		return dst, nil, fmt.Errorf("%w: %q", ErrType, t)
 	}
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return nil, fmt.Errorf("wire: marshal payload: %w", err)
+	// Known types are plain ASCII: no string escaping needed.
+	msg = append(dst, `{"version":"`+Version+`","type":"`...)
+	msg = append(msg, t...)
+	msg = append(msg, `","generated_at_ms":`...)
+	msg = strconv.AppendInt(msg, generatedAtMs, 10)
+	msg = append(msg, `,"payload":`...)
+	start := len(msg)
+	buf := bytes.NewBuffer(msg)
+	if err := json.NewEncoder(buf).Encode(payload); err != nil {
+		return dst, nil, fmt.Errorf("wire: marshal payload: %w", err)
 	}
-	return json.Marshal(Envelope{
-		Version:       Version,
-		Type:          t,
-		GeneratedAtMs: generatedAtMs,
-		Payload:       raw,
-	})
+	// The encoder ends each value with a newline; it becomes the envelope's
+	// closing brace.
+	msg = buf.Bytes()
+	msg[len(msg)-1] = '}'
+	return msg, msg[start : len(msg)-1 : len(msg)-1], nil
 }
 
 // Decode parses an envelope and validates its version and type.

@@ -27,7 +27,8 @@ cd "$(dirname "$0")/.."
 # under writes, the O(links) state digest at two flow counts, the journaled
 # net-churn window, journal append, and the lockstep engine's serial instant
 # loop, plus the projection hot paths: the incremental fold, checkpoint-
-# seeded materialization and the live (allocation-free) projected query.
+# seeded materialization and the live (allocation-free) projected query,
+# and one looking-glass summaries reply (encode once into a pooled buffer).
 # Everything else the recording holds is waived, one reason per name, in
 # scripts/bench_exempt.txt (multi-worker variants are scheduler-bound,
 # synced appends disk-bound, ...). (go test treats each unbracketed "|"
@@ -35,7 +36,7 @@ cd "$(dirname "$0")/.."
 # filters only the ParallelEngineInstants sub-benchmarks.)
 total=$(($# == 0))
 exempt=scripts/bench_exempt.txt
-pattern="${1:-^BenchmarkCollectorIngest\$|ParallelEngineInstants/workers-1|ReallocateIncremental|ChurnRails|ChurnSkewed|ChurnDiscovery|ChurnLifecycle|PublishChurn|SharedReadScaling|StateDigest|^BenchmarkJournaledWindow\$|^BenchmarkJournalAppend\$|^BenchmarkProjectionFold\$|^BenchmarkMaterializeAt\$|^BenchmarkProjectedQuery\$}"
+pattern="${1:-^BenchmarkCollectorIngest\$|ParallelEngineInstants/workers-1|ReallocateIncremental|ChurnRails|ChurnSkewed|ChurnDiscovery|ChurnLifecycle|PublishChurn|SharedReadScaling|StateDigest|^BenchmarkJournaledWindow\$|^BenchmarkJournalAppend\$|^BenchmarkProjectionFold\$|^BenchmarkMaterializeAt\$|^BenchmarkProjectedQuery\$|^BenchmarkServeSummaries\$}"
 latest=$(ls BENCH_*.json 2>/dev/null | sort | tail -1 || true)
 if [ -z "$latest" ]; then
 	echo "bench gate: no BENCH_*.json recorded; skipping"
@@ -136,7 +137,7 @@ attempts=3
 for attempt in $(seq "$attempts"); do
 	GOMAXPROCS="$procs" go test -run '^$' -bench "$pattern" -benchtime 0.3s -count 5 -benchmem \
 		./internal/sim/... ./internal/core/... ./internal/netsim/... \
-		./internal/journal/... ./internal/projection/... >>"$tmp"
+		./internal/journal/... ./internal/projection/... ./internal/lookingglass/... >>"$tmp"
 	rc=0
 	gate_check "$latest" "$tmp" || rc=$?
 	case "$rc" in

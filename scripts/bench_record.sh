@@ -1,7 +1,8 @@
 #!/bin/sh
-# Record the collector and allocator micro-benchmarks to a dated JSON file
-# (BENCH_<yyyy-mm-dd>.json in the repo root), so perf regressions are
-# diffable across commits. Usage: scripts/bench_record.sh [benchtime]
+# Record the collector, allocator, journal, projection and looking-glass
+# serve micro-benchmarks to a dated JSON file (BENCH_<yyyy-mm-dd>.json in the
+# repo root), so perf regressions are diffable across commits.
+# Usage: scripts/bench_record.sh [benchtime]
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -11,9 +12,10 @@ out="BENCH_$(date +%F).json"
 cpus="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
 gomaxprocs="${GOMAXPROCS:-$cpus}"
 
-go test -run '^$' -bench 'Collector|Realloc|Churn|RepathBatch|Coalesc|SharedRead|ParallelEngine|EngineArm|Journal|StateDigest|Projection|Projected|MaterializeAt' -benchmem \
+go test -run '^$' -bench 'Collector|Realloc|Churn|RepathBatch|Coalesc|SharedRead|ParallelEngine|EngineArm|Journal|StateDigest|Projection|Projected|MaterializeAt|ServeSummaries' -benchmem \
 	-benchtime "$benchtime" ./internal/core/... ./internal/netsim/... ./internal/control/... \
-	./internal/sim/... ./internal/expt/... ./internal/journal/... ./internal/projection/... |
+	./internal/sim/... ./internal/expt/... ./internal/journal/... ./internal/projection/... \
+	./internal/lookingglass/... |
 	awk -v date="$(date +%F)" -v goversion="$(go env GOVERSION)" \
 		-v gomaxprocs="$gomaxprocs" -v cpus="$cpus" '
 	BEGIN {
