@@ -340,20 +340,20 @@ type (
 	NetworkFlow = netsim.Flow
 	// NetworkPath is an ordered list of links a flow crosses.
 	NetworkPath = netsim.Path
-	// NetworkReader is the read surface shared by Network, NetSnapshot
-	// and SharedNetwork — write analysis code against it and it runs
-	// identically over live or frozen state.
-	NetworkReader = netsim.Reader
 	// NetSnapshot is an immutable copy of a network's read surface, safe
-	// for unsynchronized use from any goroutine.
+	// for unsynchronized use from any goroutine. Take one and read every
+	// value from it, so they all describe the same commit.
 	NetSnapshot = netsim.Snapshot
 	// SharedNetwork wraps a Network for concurrent drivers: one owner
-	// goroutine applies mutations, every read is served lock-free from
-	// the latest published NetSnapshot.
+	// goroutine applies mutations, and readers take the latest published
+	// NetSnapshot lock-free (SharedNetwork.Snapshot).
 	SharedNetwork = netsim.SharedNetwork
-	// SharedConfig parameterizes NewSharedNetwork (queue depth,
-	// deterministic sequencer mode, op recording).
+	// SharedConfig parameterizes NewSharedNetwork (deterministic sequencer
+	// mode, journal sink, snapshot cadence).
 	SharedConfig = netsim.SharedConfig
+	// NetOpLog is the in-memory journal sink: set it as
+	// SharedConfig.Journal to keep every committed op for Replay.
+	NetOpLog = netsim.OpLog
 	// CongestionLevel classifies link utilization for I2A export.
 	CongestionLevel = netsim.CongestionLevel
 )

@@ -146,12 +146,11 @@ func TestFacadeSharedNetwork(t *testing.T) {
 	if got, ok := sn.Flow(f.ID); !ok || got.Rate != 4e6 {
 		t.Errorf("snapshot flow = %+v, %v", got, ok)
 	}
-	var r eona.NetworkReader = sn
-	if r.Utilization(l.ID) != 0.4 {
-		t.Errorf("utilization = %v, want 0.4", r.Utilization(l.ID))
+	if sn.Utilization(l.ID) != 0.4 {
+		t.Errorf("utilization = %v, want 0.4", sn.Utilization(l.ID))
 	}
-	if s.Congestion(l.ID) != eona.CongestionNone {
-		t.Errorf("congestion = %v", s.Congestion(l.ID))
+	if sn.Congestion(l.ID) != eona.CongestionNone {
+		t.Errorf("congestion = %v", sn.Congestion(l.ID))
 	}
 	s.Close()
 }

@@ -29,7 +29,7 @@ func TestFullStackFigure5OverHTTP(t *testing.T) {
 	topo.AddLink("ixp", "cdnX", 400e6, time.Millisecond, "ixp-cdnX")
 	topo.AddLink("ixp", "cdnY", 80e6, time.Millisecond, "ixp-cdnY")
 	net := netsim.NewNetwork(topo)
-	net.MaxRate = 10e9
+	net.SetMaxRate(10e9)
 	ispNet := isp.New(net, isp.Config{Name: "isp1", ClientNode: "clients", Border: "border", Access: access})
 	ispNet.AddPeering("B", linkB, "cdnX")
 	ispNet.AddPeering("C", linkC, "cdnX", "cdnY")

@@ -138,13 +138,13 @@ func TestCoalescingHalvesFlowsRecomputed(t *testing.T) {
 	direct := driveReactions(ticks, reactions, comps, perComp, spread, false)
 	coal := driveReactions(ticks, reactions, comps, perComp, spread, true)
 
-	if coal.CoalescedReactions != ticks*reactions {
-		t.Fatalf("CoalescedReactions = %d, want %d", coal.CoalescedReactions, ticks*reactions)
+	if coal.Stats().CoalescedReactions != ticks*reactions {
+		t.Fatalf("CoalescedReactions = %d, want %d", coal.Stats().CoalescedReactions, ticks*reactions)
 	}
-	ratio := float64(direct.FlowsRecomputed) / float64(coal.FlowsRecomputed)
+	ratio := float64(direct.Stats().FlowsRecomputed) / float64(coal.Stats().FlowsRecomputed)
 	if ratio < 2 {
 		t.Errorf("coalescing re-solved only %.2f× fewer flows (%d vs %d), want ≥2×",
-			ratio, direct.FlowsRecomputed, coal.FlowsRecomputed)
+			ratio, direct.Stats().FlowsRecomputed, coal.Stats().FlowsRecomputed)
 	}
 	// 8 reactions over 2 components per tick: 8 single-component commits
 	// collapse into 1 two-component commit → exactly 4× here.
@@ -160,7 +160,7 @@ func TestCoalescingHalvesFlowsRecomputed(t *testing.T) {
 func BenchmarkCoalescedReactions(b *testing.B) {
 	run := func(b *testing.B, coalesce bool) {
 		net := driveReactions(b.N, 8, 4, 8, 2, coalesce)
-		b.ReportMetric(float64(net.FlowsRecomputed)/float64(b.N), "flows-recomputed/op")
+		b.ReportMetric(float64(net.Stats().FlowsRecomputed)/float64(b.N), "flows-recomputed/op")
 	}
 	b.Run("uncoalesced", func(b *testing.B) { run(b, false) })
 	b.Run("coalesced", func(b *testing.B) { run(b, true) })

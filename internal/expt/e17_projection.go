@@ -126,8 +126,7 @@ func runE17History(seed int64, records int) []E17Point {
 		panic(fmt.Sprintf("expt: E17 topology record: %v", err))
 	}
 	s := netsim.NewShared(netsim.NewNetwork(topo), netsim.SharedConfig{
-		Deterministic: true, Record: true,
-		Journal: e, SnapshotEvery: E17Every,
+		Deterministic: true, Journal: e, SnapshotEvery: E17Every,
 	})
 	churn := s.Driver(1)
 	rng := rand.New(rand.NewSource(seed + int64(records)))

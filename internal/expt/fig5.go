@@ -193,7 +193,7 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 	ixpX := topo.AddLink("ixp", "cdnX", cfg.IXPToXBps, time.Millisecond, "ixp-cdnX")
 	ixpY := topo.AddLink("ixp", "cdnY", cfg.IXPToYBps, time.Millisecond, "ixp-cdnY")
 	net := netsim.NewNetwork(topo)
-	net.MaxRate = 10e9 // aggregate flow: no per-NIC cap
+	net.SetMaxRate(10e9) // aggregate flow: no per-NIC cap
 
 	if err := cfg.Faults.Schedule(eng, net, map[string]faults.Target{
 		"access":    {ID: access.ID, BaseBps: cfg.AccessBps},

@@ -107,7 +107,8 @@ func RunEngineArm(cfg EngineArmConfig) EngineArmResult {
 		panic("expt: RunEngineArm requires a topology Build func")
 	}
 	top := cfg.Build()
-	shared := netsim.NewShared(netsim.NewNetwork(top.Topo), netsim.SharedConfig{Deterministic: true, Record: true})
+	log := &netsim.OpLog{}
+	shared := netsim.NewShared(netsim.NewNetwork(top.Topo), netsim.SharedConfig{Deterministic: true, Journal: log})
 	pe := sim.NewParallel(cfg.Seed, cfg.Regions+1, cfg.Workers)
 
 	type regionStats struct{ started, stopped, triggers int }
@@ -153,16 +154,15 @@ func RunEngineArm(cfg EngineArmConfig) EngineArmResult {
 	end := pe.Run(cfg.Horizon)
 	elapsed := time.Since(start)
 	final := shared.Close()
-	ops, _ := shared.Log()
 
 	res := EngineArmResult{
 		Regions:    cfg.Regions,
 		Workers:    pe.Workers(),
 		Processed:  pe.Processed(),
 		Instants:   pe.Instants,
-		Ops:        len(ops),
+		Ops:        len(log.Ops),
 		FinalClock: end,
-		Digest:     engineArmDigest(ops, final),
+		Digest:     engineArmDigest(log.Ops, final),
 		Elapsed:    elapsed,
 	}
 	for _, s := range stats {

@@ -117,7 +117,7 @@ func TestScheduleAppliesAndRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := net.Reallocations
+	before := net.Stats().Reallocations
 	eng.Run(15 * time.Second)
 	if a.Capacity != 10e6 {
 		t.Errorf("link a capacity during fault = %v, want 10e6", a.Capacity)
@@ -125,7 +125,7 @@ func TestScheduleAppliesAndRestores(t *testing.T) {
 	if b.Capacity != 1 {
 		t.Errorf("link b capacity during outage = %v, want floor 1", b.Capacity)
 	}
-	if got := net.Reallocations - before; got != 1 {
+	if got := net.Stats().Reallocations - before; got != 1 {
 		t.Errorf("same-instant faults cost %d reallocations, want 1 (batched)", got)
 	}
 

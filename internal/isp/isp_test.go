@@ -236,11 +236,11 @@ func TestSetEgressBatchesReallocation(t *testing.T) {
 			flows = append(flows, f)
 		}
 	})
-	before := net.Reallocations
+	before := net.Stats().Reallocations
 	if err := i.SetEgress("cdnX", "C"); err != nil {
 		t.Fatalf("SetEgress: %v", err)
 	}
-	if got := net.Reallocations - before; got != 1 {
+	if got := net.Stats().Reallocations - before; got != 1 {
 		t.Errorf("SetEgress over 20 flows cost %d reallocations, want 1", got)
 	}
 	for _, f := range flows {

@@ -54,15 +54,32 @@ func fixtures() map[string]func() (*netsim.Network, []netsim.Path, netsim.TopoSt
 	}
 }
 
+// loggedWriter journals into a Writer and keeps an in-memory OpLog beside
+// it: the independent record recovery is checked against.
+type loggedWriter struct {
+	*Writer
+	log netsim.OpLog
+}
+
+func (l *loggedWriter) AppendOp(op netsim.Op, digest uint64) error {
+	l.log.AppendOp(op, digest)
+	return l.Writer.AppendOp(op, digest)
+}
+
+func (l *loggedWriter) AppendOpaque() error {
+	l.log.AppendOpaque()
+	return l.Writer.AppendOpaque()
+}
+
 // driveJournaled runs the canonical seeded multi-driver workload against a
 // deterministic SharedNetwork journaling into w, and returns the final
 // network plus the recorded op log.
 func driveJournaled(t *testing.T, w *Writer, net *netsim.Network, paths []netsim.Path, seed int64, snapshotEvery int) (*netsim.Network, []netsim.Op) {
 	t.Helper()
 	const drivers, rounds, opsPerRound = 3, 4, 8
+	sink := &loggedWriter{Writer: w}
 	s := netsim.NewShared(net, netsim.SharedConfig{
-		Deterministic: true, Record: true,
-		Journal: w, SnapshotEvery: snapshotEvery,
+		Deterministic: true, Journal: sink, SnapshotEvery: snapshotEvery,
 	})
 	drv := make([]*netsim.Driver, drivers)
 	handles := make([][]*netsim.Flow, drivers)
@@ -113,11 +130,10 @@ func driveJournaled(t *testing.T, w *Writer, net *netsim.Network, paths []netsim
 	if err := s.JournalError(); err != nil {
 		t.Fatalf("journal error during drive: %v", err)
 	}
-	ops, complete := s.Log()
-	if !complete {
+	if sink.log.Opaque {
 		t.Fatal("op log incomplete without any opaque Batch")
 	}
-	return final, ops
+	return final, sink.log.Ops
 }
 
 // requireSameNetworks asserts two networks agree bit for bit through the

@@ -117,6 +117,12 @@ func TestSnapshotLastAttemptAdvancesOnFailure(t *testing.T) {
 	fail = true
 	mu.Unlock()
 	waitFor(t, func() bool { return snap.Err() != nil })
+	// Successful polls may have landed between the reads above and the
+	// switch to failing. Polls run one at a time, so once a failure is
+	// visible no success can follow: re-read the clocks here, where they are
+	// the outage's baseline.
+	_, fetchedAt, _ = snap.Get()
+	firstAttempt, _ = snap.LastAttempt()
 	// Let at least one more failing poll land.
 	waitFor(t, func() bool {
 		at, _ := snap.LastAttempt()

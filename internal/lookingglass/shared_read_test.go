@@ -161,8 +161,8 @@ func TestServerFromSharedSnapshotUnderChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if att.Level != shared.Congestion(access) {
-		t.Errorf("attribution level %v != snapshot congestion %v", att.Level, shared.Congestion(access))
+	if want := shared.Snapshot().Congestion(access); att.Level != want {
+		t.Errorf("attribution level %v != snapshot congestion %v", att.Level, want)
 	}
 	if h := snap.Health(time.Now()); h.Successes == 0 {
 		t.Errorf("poller health recorded no successes: %+v", h)

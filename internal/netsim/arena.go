@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // Index arena: the struct-of-arrays (SoA) core of the allocator.
 //
@@ -97,22 +94,6 @@ func (n *Network) markLink(id LinkID) { n.linkMark[id] = n.epoch }
 
 // --- SoA progressive fill ----------------------------------------------------
 
-// sortIdxsByID orders arena indices by ascending FlowID — the canonical
-// component order fillSoA expects.
-func (n *Network) sortIdxsByID(idxs []int32) {
-	ids := n.arID
-	slices.SortFunc(idxs, func(a, b int32) int {
-		switch {
-		case ids[a] < ids[b]:
-			return -1
-		case ids[a] > ids[b]:
-			return 1
-		default:
-			return 0
-		}
-	})
-}
-
 // growFillScratch sizes the per-component rate/frozen scratch.
 func (n *Network) growFillScratch(k int) {
 	if cap(n.scratchRate) < k {
@@ -129,8 +110,7 @@ func (n *Network) growFillScratch(k int) {
 // rate-per-weight units: an unfrozen flow's tentative rate is λ×weight, so
 // at a shared bottleneck flows split capacity in proportion to their
 // weights. Runs in O(iterations × links × flows) over the component, where
-// iterations ≤ flows (see BenchmarkReallocate and
-// BenchmarkReallocateIncremental).
+// iterations ≤ flows (see the BenchmarkChurn* family).
 //
 // fillSoA is a deterministic function of (flow IDs, paths, demands, weights,
 // link capacities, MaxRate): recomputing an unchanged component reproduces
@@ -138,8 +118,8 @@ func (n *Network) growFillScratch(k int) {
 // the identical float operations in the identical ascending-ID order over
 // *Flow fields, which is what lets every differential suite compare with !=.
 func (n *Network) fillSoA(idxs []int32, links []LinkID) {
-	n.FlowsRecomputed += uint64(len(idxs))
-	n.ComponentsRecomputed++
+	n.stats.FlowsRecomputed += uint64(len(idxs))
+	n.stats.ComponentsRecomputed++
 	avail, weight := n.scratchAvail, n.scratchWeight
 	for _, id := range links {
 		avail[id] = n.topo.links[id].Capacity
@@ -181,7 +161,7 @@ func (n *Network) fillSoA(idxs []int32, links []LinkID) {
 				continue
 			}
 			w := n.arWeight[i]
-			d := math.Min(n.arDemand[i], n.MaxRate)
+			d := math.Min(n.arDemand[i], n.maxRate)
 			if d/w <= level {
 				rate[k] = d
 				frozen[k] = true

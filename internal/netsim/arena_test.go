@@ -75,7 +75,7 @@ func TestFlowIndexRecyclingStorms(t *testing.T) {
 				}
 				flows = flows[:0]
 			}
-			rebuilds += n.RegistryRebuilds
+			rebuilds += n.stats.RegistryRebuilds
 		})
 	}
 	if rebuilds == 0 {
@@ -199,7 +199,7 @@ func TestStormsUnderRegistrySplitsShared(t *testing.T) {
 	paths := []Path{{a}, {b}, {a, b}}
 
 	n := NewNetwork(topo)
-	s := NewShared(n, SharedConfig{Journal: oracleSink{t, n}})
+	s := NewShared(n, SharedConfig{Journal: &oracleSink{t: t, net: n}})
 	defer s.Close()
 	mirror := NewNetwork(topo)
 

@@ -13,14 +13,14 @@ import (
 func TestBatchCoalescesReallocations(t *testing.T) {
 	topo, p := line(100)
 	n := NewNetwork(topo)
-	before := n.Reallocations
+	before := n.stats.Reallocations
 	var flows []*Flow
 	n.Batch(func() {
 		for i := 0; i < 10; i++ {
 			flows = append(flows, n.StartFlow(p, math.Inf(1), ""))
 		}
 	})
-	if got := n.Reallocations - before; got != 1 {
+	if got := n.stats.Reallocations - before; got != 1 {
 		t.Errorf("batched 10 starts cost %d reallocations, want 1", got)
 	}
 	for _, f := range flows {
@@ -33,7 +33,7 @@ func TestBatchCoalescesReallocations(t *testing.T) {
 func TestBatchNesting(t *testing.T) {
 	topo, p := line(100)
 	n := NewNetwork(topo)
-	before := n.Reallocations
+	before := n.stats.Reallocations
 	var f *Flow
 	n.Batch(func() {
 		n.Batch(func() {
@@ -42,12 +42,12 @@ func TestBatchNesting(t *testing.T) {
 		if !n.InBatch() {
 			t.Error("outer batch not open after inner EndBatch")
 		}
-		if n.Reallocations != before {
+		if n.stats.Reallocations != before {
 			t.Error("inner EndBatch committed inside outer batch")
 		}
 		n.StartFlow(p, math.Inf(1), "")
 	})
-	if got := n.Reallocations - before; got != 1 {
+	if got := n.stats.Reallocations - before; got != 1 {
 		t.Errorf("nested batches cost %d reallocations, want 1", got)
 	}
 	if !almostEq(f.Rate, 50) {
@@ -91,10 +91,10 @@ func TestEndBatchWithoutBegin(t *testing.T) {
 func TestBatchEmptyCommitsNothing(t *testing.T) {
 	topo, _ := line(100)
 	n := NewNetwork(topo)
-	before := n.Reallocations
+	before := n.stats.Reallocations
 	n.Batch(func() {})
-	if n.Reallocations != before {
-		t.Errorf("empty batch triggered %d reallocations", n.Reallocations-before)
+	if n.stats.Reallocations != before {
+		t.Errorf("empty batch triggered %d reallocations", n.stats.Reallocations-before)
 	}
 }
 
@@ -109,15 +109,15 @@ func TestMutationsOnStoppedFlowAreNoOps(t *testing.T) {
 	if !almostEq(live.Rate, 100) {
 		t.Fatalf("live rate = %v, want 100", live.Rate)
 	}
-	before := n.Reallocations
+	before := n.stats.Reallocations
 
 	n.SetDemand(dead, 1)
 	n.SetWeight(dead, 7)
 	n.SetPath(dead, p)
 	n.StopFlow(dead) // double stop, already a documented no-op
 
-	if n.Reallocations != before {
-		t.Errorf("mutating a stopped flow triggered %d reallocations", n.Reallocations-before)
+	if n.stats.Reallocations != before {
+		t.Errorf("mutating a stopped flow triggered %d reallocations", n.stats.Reallocations-before)
 	}
 	if dead.Demand != math.Inf(1) || dead.Weight != 0 {
 		// SetDemand/SetWeight return before writing, so the dead flow
@@ -139,8 +139,8 @@ func TestMutationsOnNilFlowAreNoOps(t *testing.T) {
 	n.SetWeight(nil, 2)
 	n.SetPath(nil, p)
 	n.StopFlow(nil)
-	if n.Reallocations != 0 {
-		t.Errorf("nil-flow mutations triggered %d reallocations", n.Reallocations)
+	if n.stats.Reallocations != 0 {
+		t.Errorf("nil-flow mutations triggered %d reallocations", n.stats.Reallocations)
 	}
 }
 
@@ -179,13 +179,13 @@ func TestIncrementalLeavesOtherComponentsUntouched(t *testing.T) {
 	for _, f := range append(flows[1], flows[2]...) {
 		before = append(before, f.Rate)
 	}
-	incBefore := n.IncrementalReallocations
+	incBefore := n.stats.IncrementalReallocations
 	// Churn rail 0 only.
 	n.SetDemand(flows[0][0], 5)
 	n.StopFlow(flows[0][1])
 	n.StartFlow(Path{links[0][0]}, 20, "")
-	if n.IncrementalReallocations-incBefore != 3 {
-		t.Errorf("expected 3 incremental reallocations, got %d", n.IncrementalReallocations-incBefore)
+	if n.stats.IncrementalReallocations-incBefore != 3 {
+		t.Errorf("expected 3 incremental reallocations, got %d", n.stats.IncrementalReallocations-incBefore)
 	}
 	var after []float64
 	for _, f := range append(flows[1], flows[2]...) {
@@ -202,8 +202,8 @@ func TestEmptyPathFlowIncremental(t *testing.T) {
 	topo, _ := line(100)
 	n := NewNetwork(topo)
 	f := n.StartFlow(Path{}, math.Inf(1), "local")
-	if !almostEq(f.Rate, n.MaxRate) {
-		t.Fatalf("local flow rate = %v, want MaxRate %v", f.Rate, n.MaxRate)
+	if !almostEq(f.Rate, n.maxRate) {
+		t.Fatalf("local flow rate = %v, want MaxRate %v", f.Rate, n.maxRate)
 	}
 	n.SetDemand(f, 42)
 	if !almostEq(f.Rate, 42) {
@@ -274,15 +274,16 @@ func (op mutOp) apply(n *Network, links [][]*Link, flows *[]*Flow) {
 //
 //   - inc: reallocating incrementally per mutation
 //   - bat: the same mutations grouped into random-size batches
-//   - full: per mutation, then a forced from-scratch Reallocate()
+//   - full: per mutation, then a SetMaxRate that dirties and refills every
+//     component, stale ones included
 //
 // and asserts, at every batch boundary, that each agrees with the oracle
 // (oracle_test.go) on every flow rate and every link rate — exactly, bit for
 // bit. This is the equivalence invariant of DESIGN.md §"One allocator
 // path": a component's fill is a deterministic function of its own flows and
-// links, so recomputing a subset of components can never drift from the full
-// pass — and the registry only changes how components are found, never their
-// contents (registry.go invariants).
+// links, so recomputing a subset of components can never drift from a
+// from-scratch pass — and the registry only changes how components are found,
+// never their contents (registry.go invariants).
 func TestDifferentialIncrementalVsFull(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -356,7 +357,13 @@ func TestDifferentialIncrementalVsFull(t *testing.T) {
 			for _, op := range ops {
 				op.apply(full, fullLinks, &fullFlows)
 			}
-			full.Reallocate()
+			// Alternate the bound so every SetMaxRate changes it; 1e7 binds
+			// greedy flows on the roomier links, DefaultMaxRate binds none.
+			if step%2 == 0 {
+				full.SetMaxRate(1e7)
+			} else {
+				full.SetMaxRate(DefaultMaxRate)
+			}
 
 			if len(batFlows) != len(incFlows) || len(fullFlows) != len(incFlows) {
 				t.Fatalf("trial %d step %d: mirror flow counts diverged", trial, step)
@@ -405,12 +412,12 @@ func TestBatchedSetupReallocationSavings(t *testing.T) {
 	batched, q1, q2 := e1SetupTopology()
 	batched.Batch(func() { setup(batched, q1, q2) })
 
-	if batched.Reallocations != 1 {
-		t.Errorf("batched setup cost %d reallocations, want 1", batched.Reallocations)
+	if batched.stats.Reallocations != 1 {
+		t.Errorf("batched setup cost %d reallocations, want 1", batched.stats.Reallocations)
 	}
-	if plain.Reallocations < 5*batched.Reallocations {
+	if plain.stats.Reallocations < 5*batched.stats.Reallocations {
 		t.Errorf("unbatched %d vs batched %d reallocations: want ≥ 5× savings",
-			plain.Reallocations, batched.Reallocations)
+			plain.stats.Reallocations, batched.stats.Reallocations)
 	}
 	// Both end in the same allocation.
 	if plain.LinkRate(0) != batched.LinkRate(0) {
@@ -442,14 +449,14 @@ func BenchmarkReallocateBatched(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			n, p1, p2 := e1SetupTopology()
 			setup(n, p1, p2)
-			plainReallocs = n.Reallocations
+			plainReallocs = n.stats.Reallocations
 		}
 	})
 	b.Run("batched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			n, p1, p2 := e1SetupTopology()
 			n.Batch(func() { setup(n, p1, p2) })
-			batchedReallocs = n.Reallocations
+			batchedReallocs = n.stats.Reallocations
 		}
 	})
 	if batchedReallocs > 0 {
@@ -459,8 +466,7 @@ func BenchmarkReallocateBatched(b *testing.B) {
 
 // BenchmarkReallocateIncremental measures single-mutation cost on a
 // many-component network (64 rails × 3 links, 8 flows per rail): a commit
-// touches one component of 8 flows; the "full" arm follows each with a
-// from-scratch Reallocate() over all 512.
+// touches one component of 8 flows.
 func BenchmarkReallocateIncremental(b *testing.B) {
 	build := func() (*Network, [][]*Link, []*Flow) {
 		topo, links := rails(64, 3, 1e8)
@@ -483,14 +489,6 @@ func BenchmarkReallocateIncremental(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			n.SetDemand(flows[i%len(flows)], 1e6*float64(1+(i+i/len(flows))%16))
-		}
-	})
-	b.Run("full", func(b *testing.B) {
-		n, _, flows := build()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			n.SetDemand(flows[i%len(flows)], 1e6*float64(1+(i+i/len(flows))%16))
-			n.Reallocate()
 		}
 	})
 }

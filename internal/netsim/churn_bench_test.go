@@ -62,7 +62,7 @@ func benchChurn(b *testing.B, n *Network, flows []*Flow) {
 		f := flows[rng.Intn(len(flows))]
 		n.SetDemand(f, float64(1+rng.Intn(200)))
 	}
-	b.ReportMetric(float64(n.FlowsRecomputed)/float64(b.N), "flows-recomputed/op")
+	b.ReportMetric(float64(n.stats.FlowsRecomputed)/float64(b.N), "flows-recomputed/op")
 }
 
 func BenchmarkChurnRails(b *testing.B) {

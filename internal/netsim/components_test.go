@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -57,7 +58,9 @@ func TestSnapshotComponents(t *testing.T) {
 // stale components while walking its dirty lists, so this holds only because
 // the first walk is in ID order and the second in op order — when either was
 // a map iteration, every multi-way split (and every batch that left two
-// components stale) took its slots in a different order each run.
+// components stale) took its slots in a different order each run. SetMaxRate
+// is in the mix because it dirties every flow, so one commit re-splits every
+// stale component at once; the refill must still match the oracle.
 func TestComponentsReproducible(t *testing.T) {
 	run := func() (trace [][]ComponentView, rebuilds uint64) {
 		topo, links := rails(3, 4, 90)
@@ -74,13 +77,15 @@ func TestComponentsReproducible(t *testing.T) {
 		var op func(depth int)
 		op = func(depth int) {
 			pick := func() *Flow { return flows[rng.Intn(len(flows))] }
-			switch k := rng.Intn(8); {
+			switch k := rng.Intn(9); {
 			case k < 3 || len(flows) == 0:
 				flows = append(flows, n.StartFlow(paths[rng.Intn(len(paths))], float64(1+rng.Intn(50)), ""))
 			case k < 5:
 				n.StopFlow(pick())
 			case k < 7:
 				n.SetPath(pick(), paths[rng.Intn(len(paths))])
+			case k == 7:
+				n.SetMaxRate(float64(20 + rng.Intn(40))) // binds below the largest demands
 			case depth < 2:
 				n.Batch(func() {
 					for i := rng.Intn(6); i >= 0; i-- {
@@ -91,10 +96,10 @@ func TestComponentsReproducible(t *testing.T) {
 		}
 		for step := 0; step < 600; step++ {
 			op(0)
+			requireOracle(t, n, fmt.Sprintf("step %d", step))
 			trace = append(trace, n.Snapshot().Components())
 		}
-		requireOracle(t, n, "storm end")
-		return trace, n.RegistryRebuilds
+		return trace, n.stats.RegistryRebuilds
 	}
 	first, rebuilds := run()
 	if rebuilds < 12 {

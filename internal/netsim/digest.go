@@ -14,12 +14,11 @@ import "math"
 // swapping demands moves it).
 //
 // Only the flow set is summed incrementally. nextID, MaxRate and the link
-// capacities are hashed when the digest is read, because they have writers
-// the network cannot see: ImportState assigns nextID directly, MaxRate is an
-// exported field callers write bare, and capacities live in the *Topology,
+// capacities are hashed when the digest is read: ImportState assigns nextID
+// directly, MaxRate is a single word, and capacities live in the *Topology,
 // which several networks may share — a capacity edit through one of them is
-// an early-return no-op on the others. Reading them costs O(links), and
-// links do not grow with load.
+// an early-return no-op on the others, so no mutator of this network sees it.
+// Reading them costs O(links), and links do not grow with load.
 //
 // The digest is an integrity fingerprint beside the journal's frame CRC —
 // it catches replay divergence and corruption the CRC cannot see — not a
@@ -105,7 +104,7 @@ func (n *Network) refingerprint(f *Flow) {
 // digests part ways.
 func (n *Network) StateDigest() uint64 {
 	h := mixWord(digestSeed, uint64(n.nextID))
-	h = mixWord(h, math.Float64bits(n.MaxRate))
+	h = mixWord(h, math.Float64bits(n.maxRate))
 	h = mixWord(h, uint64(len(n.flows)))
 	h = mixWord(h, n.flowSum)
 	for _, l := range n.topo.links {

@@ -32,9 +32,9 @@ func TestSetLinkCapacityNoopOnSameValue(t *testing.T) {
 	topo, p := line(100)
 	n := NewNetwork(topo)
 	n.StartFlow(p, 10, "")
-	before := n.Reallocations
+	before := n.stats.Reallocations
 	n.SetLinkCapacity(p[0].ID, 100)
-	if n.Reallocations != before {
+	if n.stats.Reallocations != before {
 		t.Error("same-capacity set triggered a reallocation")
 	}
 }

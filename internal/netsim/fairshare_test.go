@@ -147,7 +147,7 @@ func TestEmptyPathCappedAtMaxRate(t *testing.T) {
 func TestMaxRateCapsAllFlows(t *testing.T) {
 	topo, p := line(1e12)
 	n := NewNetwork(topo)
-	n.MaxRate = 5e6
+	n.SetMaxRate(5e6)
 	f := n.StartFlow(p, math.Inf(1), "")
 	if !almostEq(f.Rate, 5e6) {
 		t.Errorf("rate = %v, want 5e6", f.Rate)
@@ -249,7 +249,7 @@ func TestQuickMaxMinInvariants(t *testing.T) {
 			}
 		}
 		n := NewNetwork(topo)
-		n.MaxRate = 500
+		n.SetMaxRate(500)
 		var flows []*Flow
 		for _, s := range specs {
 			if len(flows) >= 36 {
@@ -294,7 +294,7 @@ func TestQuickMaxMinInvariants(t *testing.T) {
 			}
 		}
 		for _, fl := range live {
-			ceiling := math.Min(fl.Demand, n.MaxRate)
+			ceiling := math.Min(fl.Demand, n.maxRate)
 			if fl.Rate > ceiling+eps {
 				return false
 			}
@@ -329,22 +329,4 @@ func TestStartFlowDisconnectedPanics(t *testing.T) {
 		}
 	}()
 	n.StartFlow(Path{l1, l2}, 1, "")
-}
-
-func BenchmarkReallocate(b *testing.B) {
-	topo := NewTopology()
-	var links []*Link
-	for i := 0; i < 20; i++ {
-		links = append(links, topo.AddLink(NodeID(rune('a'+i)), NodeID(rune('a'+i+1)), 1e8, time.Millisecond, ""))
-	}
-	n := NewNetwork(topo)
-	for i := 0; i < 200; i++ {
-		start := i % 15
-		p := Path{links[start], links[start+1], links[start+2]}
-		n.StartFlow(p, math.Inf(1), "")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Reallocate()
-	}
 }

@@ -15,8 +15,8 @@ type Flow struct {
 	ID   FlowID
 	Path Path
 	// Demand is the application-limited sending rate ceiling in bits/s.
-	// Use math.Inf(1) (or Network.MaxRate) for a greedy flow such as a
-	// video segment download.
+	// Use math.Inf(1) for a greedy flow such as a video segment download;
+	// the Network's MaxRate (SetMaxRate) caps it.
 	Demand float64
 	// Rate is the currently allocated rate in bits/s.
 	Rate float64
@@ -63,38 +63,19 @@ type Network struct {
 	// component discovery and O(1) FlowsOn.
 	linkFlows []map[FlowID]*Flow
 	nextID    FlowID
-	// MaxRate bounds every flow's rate (models the client NIC / last
-	// hop). Set it before starting flows, or via SetMaxRate afterwards
-	// (a bare field write is only picked up by the next recomputation
-	// of each component).
-	MaxRate float64
+	// maxRate bounds every flow's rate (models the client NIC / last hop).
+	// SetMaxRate is its only writer.
+	maxRate float64
 	// comp is the persistent component registry's flow→component membership
 	// (registry.go); every live flow has an entry.
 	comp map[FlowID]*component
 
-	// Reallocations counts fair-share recomputation events (one per
-	// unbatched mutation or per batch commit), for benchmarks.
-	Reallocations uint64
-	// IncrementalReallocations counts recomputation events that took the
-	// incremental path (a strict subset of Reallocations).
-	IncrementalReallocations uint64
-	// FlowsRecomputed sums the component sizes passed through the
-	// progressive filler — the actual allocator work done.
-	FlowsRecomputed uint64
-	// ComponentsRecomputed counts individual component fills.
-	ComponentsRecomputed uint64
-	// RegistryRebuilds counts lazy re-splits of stale registry components;
-	// tests assert these stay rare under churn.
-	RegistryRebuilds uint64
-	// CoalescedReactions counts control-loop reactions folded into shared
-	// end-of-tick batches; incremented by control.Coalescer, read via
-	// Stats.
-	CoalescedReactions uint64
+	// stats holds the allocator's work counters, read through Stats.
+	stats Stats
 
 	// Batching and dirty tracking.
 	batchDepth int
 	pending    bool
-	dirtyAll   bool
 	// dirtyFlows (arena indices) and dirtyLinks list what the mutations
 	// since the last commit touched, in op order, each once (flowDirty and
 	// linkDirty say who is listed). Walking or emptying a list costs its
@@ -134,33 +115,29 @@ type Network struct {
 	epoch    uint64
 
 	// Scratch reused across commits; never escapes a single reallocate.
-	scratchStack    []*Flow      // expand's DFS stack
-	scratchFlows    []*Flow      // expand's component members
-	scratchLinks    []LinkID     // one component's links
-	scratchIdxs     []int32      // discovery-side index list (fullRealloc)
-	scratchFillIdxs []int32      // one component's fill order (fullRealloc; must be distinct)
-	scratchRate     []float64    // per-component fill rates
-	scratchFrozen   []bool       // per-component fill freeze marks
-	scratchComps    []*component // components touched by one commit
-	compPool        []*component // recycled component husks (cleared member lists)
+	scratchStack  []*Flow      // expand's DFS stack
+	scratchFlows  []*Flow      // expand's component members
+	scratchLinks  []LinkID     // one component's links
+	scratchRate   []float64    // per-component fill rates
+	scratchFrozen []bool       // per-component fill freeze marks
+	scratchComps  []*component // components touched by one commit
+	compPool      []*component // recycled component husks (cleared member lists)
 
 	// Snapshot copy-on-write bookkeeping (snapshot.go): per-facet dirty
 	// flags consumed by SharedNetwork's snapshotDelta, and per-component
 	// chunk slots for the flow table.
-	slotComp     []*component // slot → owning component (nil when free)
-	slotFree     []int32      // freelist of chunk slots
-	chunkDirty   []bool       // slot → chunk rates/demands need rebuild
-	chunkStatic  []bool       // slot → chunk membership/weights changed too
-	dirtyChunks  int
-	rateDirty    []bool          // link → rate changed since last delta snapshot
-	rateList     []LinkID        // the set bits of rateDirty, in mark order
-	rateAll      bool            // every link rate may have changed (full realloc)
-	snapCap      bool            // a link capacity changed
-	snapOn       bool            // flowsOn/activeOn changed
-	snapAllFlows bool            // flow table must be fully rebuilt
-	snapFreed    bool            // a chunk slot was freed: the table changed even with no dirty chunk
-	snapDelay    []time.Duration // immutable per-link delays, shared by snapshots
-	activeOn     []int32         // per-link count of flows with Demand > 0
+	slotComp    []*component // slot → owning component (nil when free)
+	slotFree    []int32      // freelist of chunk slots
+	chunkDirty  []bool       // slot → chunk rates/demands need rebuild
+	chunkStatic []bool       // slot → chunk membership/weights changed too
+	dirtyChunks int
+	rateDirty   []bool          // link → rate changed since last delta snapshot
+	rateList    []LinkID        // the set bits of rateDirty, in mark order
+	snapCap     bool            // a link capacity changed
+	snapOn      bool            // flowsOn/activeOn changed
+	snapFreed   bool            // a chunk slot was freed: the table changed even with no dirty chunk
+	snapDelay   []time.Duration // immutable per-link delays, shared by snapshots
+	activeOn    []int32         // per-link count of flows with Demand > 0
 }
 
 // NewNetwork wraps a topology. The topology must not gain links afterwards.
@@ -170,7 +147,7 @@ func NewNetwork(t *Topology) *Network {
 		flows:         make(map[FlowID]*Flow),
 		linkRate:      make([]float64, t.NumLinks()),
 		linkFlows:     make([]map[FlowID]*Flow, t.NumLinks()),
-		MaxRate:       DefaultMaxRate,
+		maxRate:       DefaultMaxRate,
 		comp:          make(map[FlowID]*component),
 		scratchAvail:  make([]float64, t.NumLinks()),
 		scratchWeight: make([]float64, t.NumLinks()),
@@ -436,32 +413,26 @@ func (n *Network) SetLinkCapacity(id LinkID, capacity float64) {
 	n.commit()
 }
 
-// SetMaxRate changes the per-flow rate bound and reallocates everything
-// (every component depends on it).
+// SetMaxRate changes the per-flow rate bound and reallocates. Every
+// component depends on the bound, so every live flow is marked dirty and the
+// commit refills them all through the one incremental path.
 func (n *Network) SetMaxRate(bps float64) {
 	if bps <= 0 {
 		panic(fmt.Sprintf("netsim: non-positive MaxRate %v", bps))
 	}
-	if n.MaxRate == bps {
+	if n.maxRate == bps {
 		return
 	}
-	n.MaxRate = bps
-	n.dirtyAll = true
+	n.maxRate = bps
+	for _, f := range n.arFlow {
+		if f != nil {
+			n.markFlowDirty(f)
+		}
+	}
 	n.commit()
 }
 
-// Reallocate forces a full recomputation of every flow's rate immediately,
-// regardless of dirty state or open batches. Normal mutations recompute
-// incrementally on their own; this remains for benchmarks and as the
-// from-scratch baseline the differential tests compare them against.
-func (n *Network) Reallocate() {
-	n.Reallocations++
-	n.fullRealloc()
-	n.clearDirty()
-}
-
 func (n *Network) clearDirty() {
-	n.dirtyAll = false
 	for _, i := range n.dirtyFlows {
 		n.flowDirty[i] = false
 	}
@@ -472,15 +443,11 @@ func (n *Network) clearDirty() {
 }
 
 // reallocate recomputes rates for the components the pending mutations
-// dirtied (reallocateRegistry). Only SetMaxRate, which every component
-// depends on, takes the full pass.
+// dirtied (reallocateRegistry).
 func (n *Network) reallocate() {
-	n.Reallocations++
-	if n.dirtyAll {
-		n.fullRealloc()
-	} else {
-		n.reallocateRegistry()
-	}
+	n.stats.Reallocations++
+	n.stats.IncrementalReallocations++
+	n.reallocateRegistry()
 	n.clearDirty()
 }
 
@@ -526,44 +493,6 @@ func (n *Network) expand(seed *Flow, flows []*Flow, links []LinkID) ([]*Flow, []
 	n.scratchStack = stack
 	slices.SortFunc(flows[f0:], flowIDCmp)
 	return flows, links
-}
-
-// fullRealloc recomputes every component from scratch, re-discovering the
-// components by BFS (expand) rather than trusting the registry.
-func (n *Network) fullRealloc() {
-	n.rateAll = true
-	n.snapAllFlows = true
-	for i := range n.linkRate {
-		n.linkRate[i] = 0
-	}
-	if len(n.flows) == 0 {
-		return
-	}
-	// Deterministic component order: walk live arena slots by ascending
-	// flow ID.
-	idxs := n.scratchIdxs[:0]
-	for i, f := range n.arFlow {
-		if f != nil {
-			idxs = append(idxs, int32(i))
-		}
-	}
-	n.sortIdxsByID(idxs)
-	n.scratchIdxs = idxs
-	n.bumpEpoch()
-	for _, i := range idxs {
-		seed := n.arFlow[i]
-		if n.flowSeen(seed) {
-			continue
-		}
-		flows, links := n.expand(seed, n.scratchFlows[:0], n.scratchLinks[:0])
-		n.scratchFlows, n.scratchLinks = flows, links
-		fill := n.scratchFillIdxs[:0]
-		for _, f := range flows {
-			fill = append(fill, f.idx)
-		}
-		n.scratchFillIdxs = fill
-		n.fillSoA(fill, links)
-	}
 }
 
 // LinkRate returns the total allocated rate on a link in bits/s.
@@ -687,10 +616,9 @@ func (n *Network) Headroom(id LinkID) float64 {
 	return h
 }
 
-// NoteCoalescedReactions adds k to the CoalescedReactions counter. Control
-// loops call this (rather than writing the field) so the accounting has a
-// single entry point that SharedNetwork.Batch can route through its owner
-// goroutine.
+// NoteCoalescedReactions adds k to the CoalescedReactions counter — its
+// only writer, so SharedNetwork.Batch can route the accounting through its
+// owner goroutine.
 func (n *Network) NoteCoalescedReactions(k uint64) {
-	n.CoalescedReactions += k
+	n.stats.CoalescedReactions += k
 }

@@ -70,7 +70,7 @@ func oracleRates(n *Network) (map[FlowID]float64, []float64) {
 			}
 		}
 		slices.SortFunc(flows, flowIDCmp)
-		for i, r := range oracleFill(flows, links, n.topo, n.MaxRate, avail, weight) {
+		for i, r := range oracleFill(flows, links, n.topo, n.maxRate, avail, weight) {
 			rates[flows[i].ID] = r
 			for _, l := range flows[i].Path {
 				linkRate[l.ID] += r
@@ -254,7 +254,7 @@ func stateDigestOracle(n *Network) uint64 {
 		sum += flowFingerprint(flowStatic(f), f.Demand, f.Weight)
 	}
 	h := mixWord(digestSeed, uint64(n.nextID))
-	h = mixWord(h, math.Float64bits(n.MaxRate))
+	h = mixWord(h, math.Float64bits(n.maxRate))
 	h = mixWord(h, uint64(len(n.flows)))
 	h = mixWord(h, sum)
 	for _, l := range n.topo.links {
@@ -272,21 +272,19 @@ func requireDigest(t *testing.T, n *Network, phase string) {
 	}
 }
 
-// oracleSink is an OpSink that checks the digest a SharedNetwork hands the
-// journal against the oracle after every committed op — including ops
+// oracleSink is an OpLog that also checks the digest a SharedNetwork hands
+// the journal against the oracle after every committed op — including ops
 // applied mid-window in deterministic mode. It runs on the owner goroutine,
 // where reading the network is safe.
 type oracleSink struct {
+	OpLog
 	t   *testing.T
 	net *Network
 }
 
-func (s oracleSink) AppendOp(op Op, digest uint64) error {
+func (s *oracleSink) AppendOp(op Op, digest uint64) error {
 	if want := stateDigestOracle(s.net); digest != want {
 		s.t.Errorf("journaled digest after %v op on flow %d: %016x != oracle %016x", op.Kind, op.Flow, digest, want)
 	}
-	return nil
+	return s.OpLog.AppendOp(op, digest)
 }
-
-func (s oracleSink) AppendSnapshot(NetState, uint64) error { return nil }
-func (s oracleSink) AppendOpaque() error                   { return nil }

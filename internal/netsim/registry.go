@@ -172,7 +172,7 @@ func (n *Network) removalMaySplit(f *Flow) bool {
 // same on every run. Counted in RegistryRebuilds; registry tests assert this
 // stays rare under realistic churn.
 func (n *Network) resplit(c *component) {
-	n.RegistryRebuilds++
+	n.stats.RegistryRebuilds++
 	n.bumpEpoch()
 	for _, i := range c.flows {
 		f := n.arFlow[i]
@@ -242,9 +242,11 @@ func (n *Network) compLinks(c *component) []LinkID {
 // to their persistent components — re-splitting stale ones first — so
 // discovery costs O(dirty set + touched members) with no BFS over linkFlows
 // and no per-commit visited map, and only the touched components are filled.
-// There is no "too much is dirty, refill everything" fallback: with sizes
-// known up front, filling the touched components is never more work than the
-// full pass (DESIGN.md "One allocator path" has the measurements).
+// It is the only commit path: SetMaxRate, which every component depends on,
+// dirties every live flow and comes through here too. There is no "too much
+// is dirty, refill everything" fallback: with sizes known up front, filling
+// the touched components is never more work than a from-scratch pass
+// (DESIGN.md "One allocator path" has the measurements).
 func (n *Network) reallocateRegistry() {
 	// Pass 1: re-split every stale component the dirty set touches.
 	// Splitting before collecting means a dirty flow in a shrunken
@@ -286,7 +288,6 @@ func (n *Network) reallocateRegistry() {
 	}
 	n.scratchComps = comps
 
-	n.IncrementalReallocations++
 	for _, c := range comps {
 		c.mark = false
 		n.markChunkDirty(c)
@@ -308,8 +309,9 @@ func (n *Network) reallocateRegistry() {
 // operation's cost.
 type Stats struct {
 	// Reallocations counts commit events (one per unbatched mutation or
-	// batch close); IncrementalReallocations is the subset that filled only
-	// the touched components — everything but SetMaxRate and Reallocate().
+	// batch close). IncrementalReallocations always equals it — every
+	// commit fills only the touched components — and is kept for readers
+	// that report the ratio.
 	Reallocations            uint64
 	IncrementalReallocations uint64
 	// FlowsRecomputed sums component sizes passed through the progressive
@@ -324,13 +326,4 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of the allocator's work counters.
-func (n *Network) Stats() Stats {
-	return Stats{
-		Reallocations:            n.Reallocations,
-		IncrementalReallocations: n.IncrementalReallocations,
-		FlowsRecomputed:          n.FlowsRecomputed,
-		ComponentsRecomputed:     n.ComponentsRecomputed,
-		RegistryRebuilds:         n.RegistryRebuilds,
-		CoalescedReactions:       n.CoalescedReactions,
-	}
-}
+func (n *Network) Stats() Stats { return n.stats }

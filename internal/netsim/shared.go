@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // OpKind enumerates the mutations a SharedNetwork accepts and records.
@@ -47,11 +46,11 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is one committed mutation in a SharedNetwork's log: a value type that
-// can be replayed onto a fresh serial Network (Replay) or serialized for a
-// future multi-process cluster mode. The log records ops in application
-// order, so replaying it serially reproduces the shared run's flow and
-// link rates bit for bit (pinned by TestSharedDifferentialOnFixtures).
+// Op is one committed mutation, as a SharedNetwork hands it to its OpSink: a
+// value type that can be replayed onto a fresh serial Network (Replay) or
+// serialized for a future multi-process cluster mode. Ops reach the sink in
+// application order, so replaying them serially reproduces the shared run's
+// flow and link rates bit for bit (pinned by TestSharedDifferentialOnFixtures).
 type Op struct {
 	Kind  OpKind
 	Flow  FlowID
@@ -94,6 +93,20 @@ type OpSink interface {
 	AppendOpaque() error
 }
 
+// OpLog is the in-memory OpSink: it keeps every committed op, in commit
+// order, for Replay-based differential checks and op-sequence export, and
+// notes whether an opaque Batch made the log incomplete. Snapshots are not
+// kept — the ops alone replay the run. The owner goroutine writes it, so read
+// it only after Close.
+type OpLog struct {
+	Ops    []Op
+	Opaque bool
+}
+
+func (l *OpLog) AppendOp(op Op, _ uint64) error        { l.Ops = append(l.Ops, op); return nil }
+func (l *OpLog) AppendSnapshot(NetState, uint64) error { return nil }
+func (l *OpLog) AppendOpaque() error                   { l.Opaque = true; return nil }
+
 // SharedConfig configures a SharedNetwork.
 type SharedConfig struct {
 	// Deterministic buffers mutations instead of applying them on arrival:
@@ -105,13 +118,11 @@ type SharedConfig struct {
 	// are unspecified until the next Commit, and reads see the previous
 	// commit's snapshot.
 	Deterministic bool
-	// Record keeps the op log (Log), enabling Replay-based differential
-	// checks and op-sequence export.
-	Record bool
 	// Journal, when set, receives every committed op (and, on the
-	// SnapshotEvery cadence, full state snapshots) in commit order — the
-	// durable mirror of Record. Sink errors do not fail mutations; the
-	// first one is retained and surfaced by JournalError.
+	// SnapshotEvery cadence, full state snapshots) in commit order: a
+	// durable journal, or an OpLog to keep the ops in memory. Sink errors
+	// do not fail mutations; the first one is retained and surfaced by
+	// JournalError.
 	Journal OpSink
 	// SnapshotEvery appends a state snapshot to Journal after that many
 	// journaled ops, always at a commit boundary (never mid-window in
@@ -178,8 +189,8 @@ func putCmd(c *sharedCmd) {
 //     call returns, exactly like the serial Network, just serialized
 //     through the owner. Safe for any number of concurrent writers;
 //     the interleaving (and thus flow-ID assignment) follows arrival
-//     order, so distinct runs may differ — the op log still makes any
-//     single run exactly replayable.
+//     order, so distinct runs may differ — an OpLog journal still makes
+//     any single run exactly replayable.
 //
 //   - Deterministic (SharedConfig.Deterministic): mutations buffer into a
 //     window and Commit() applies the window as one batch, ordered by
@@ -202,8 +213,6 @@ type SharedNetwork struct {
 
 	// Owner-goroutine state.
 	window       []*sharedCmd // deterministic mode: ops buffered until Commit
-	log          []Op
-	logComplete  bool
 	pubSeq       uint64
 	opsSinceSnap int
 
@@ -218,11 +227,10 @@ type SharedNetwork struct {
 // serially before sharing.
 func NewShared(n *Network, cfg SharedConfig) *SharedNetwork {
 	s := &SharedNetwork{
-		net:         n,
-		cfg:         cfg,
-		cmds:        make(chan *sharedCmd, sharedQueue),
-		done:        make(chan struct{}),
-		logComplete: true,
+		net:  n,
+		cfg:  cfg,
+		cmds: make(chan *sharedCmd, sharedQueue),
+		done: make(chan struct{}),
 	}
 	// The initial publication is a full snapshot that also consumes the
 	// pending delta flags, so the first delta publish diffs against an
@@ -238,41 +246,9 @@ func NewShared(n *Network, cfg SharedConfig) *SharedNetwork {
 func (s *SharedNetwork) Network() *Network { return s.net }
 
 // Snapshot returns the latest published read snapshot: one atomic load,
-// never nil, safe from any goroutine.
+// never nil, safe from any goroutine. It is the read surface: take one
+// Snapshot and read every value from it, so they all describe one commit.
 func (s *SharedNetwork) Snapshot() *Snapshot { return s.snap.Load() }
-
-// --- Reader: every read is served from the latest snapshot -----------------
-
-// LinkRate returns the total allocated rate on a link at the last commit.
-func (s *SharedNetwork) LinkRate(id LinkID) float64 { return s.Snapshot().LinkRate(id) }
-
-// Utilization returns allocated/capacity for a link at the last commit.
-func (s *SharedNetwork) Utilization(id LinkID) float64 { return s.Snapshot().Utilization(id) }
-
-// Congestion classifies a link's utilization at the last commit.
-func (s *SharedNetwork) Congestion(id LinkID) CongestionLevel { return s.Snapshot().Congestion(id) }
-
-// Headroom returns a link's unallocated capacity at the last commit.
-func (s *SharedNetwork) Headroom(id LinkID) float64 { return s.Snapshot().Headroom(id) }
-
-// QueueDelay estimates a link's queueing delay at the last commit.
-func (s *SharedNetwork) QueueDelay(id LinkID) time.Duration { return s.Snapshot().QueueDelay(id) }
-
-// PathRTT returns a path's round-trip time at the last commit.
-func (s *SharedNetwork) PathRTT(p Path) time.Duration { return s.Snapshot().PathRTT(p) }
-
-// LossRate estimates a link's loss probability at the last commit.
-func (s *SharedNetwork) LossRate(id LinkID) float64 { return s.Snapshot().LossRate(id) }
-
-// PathLoss returns a path's combined loss probability at the last commit.
-func (s *SharedNetwork) PathLoss(p Path) float64 { return s.Snapshot().PathLoss(p) }
-
-// FlowsOn returns the number of flows crossing a link at the last commit.
-func (s *SharedNetwork) FlowsOn(id LinkID) int { return s.Snapshot().FlowsOn(id) }
-
-// ActiveFlowsOn returns the number of positive-demand flows on a link at
-// the last commit.
-func (s *SharedNetwork) ActiveFlowsOn(id LinkID) int { return s.Snapshot().ActiveFlowsOn(id) }
 
 // NumFlows returns the number of active flows at the last commit.
 func (s *SharedNetwork) NumFlows() int { return s.Snapshot().NumFlows() }
@@ -326,7 +302,7 @@ func (s *SharedNetwork) SetLinkCapacity(id LinkID, capacity float64) {
 // Network, committing once when fn returns — the compound-mutation escape
 // hatch for control loops. fn must use the passed Network, not the
 // SharedNetwork (calling back in would deadlock). A Batch's mutations are
-// opaque to the op log, so Log reports the log incomplete after one. In
+// opaque to the journal, which gets an AppendOpaque in their place. In
 // deterministic mode the batch is buffered like any op and fn runs at the
 // next Commit.
 func (s *SharedNetwork) Batch(fn func(*Network)) {
@@ -370,18 +346,6 @@ func (s *SharedNetwork) Close() *Network {
 	<-s.done
 	putCmd(c)
 	return s.net
-}
-
-// Log returns the recorded op log and whether it is complete (no opaque
-// Batch diluted it). Only valid after Close; it panics otherwise, since the
-// log belongs to the owner goroutine while it runs. Requires
-// SharedConfig.Record.
-func (s *SharedNetwork) Log() ([]Op, bool) {
-	if !s.closed.Load() {
-		panic("netsim: SharedNetwork.Log before Close")
-	}
-	<-s.done
-	return s.log, s.logComplete
 }
 
 // JournalError returns the first error the journal sink reported, nil while
@@ -577,9 +541,6 @@ func (s *SharedNetwork) commitWindow() {
 }
 
 func (s *SharedNetwork) runBatch(c *sharedCmd) {
-	if s.cfg.Record {
-		s.logComplete = false
-	}
 	if s.cfg.Journal != nil {
 		s.noteJournalErr(s.cfg.Journal.AppendOpaque())
 	}
@@ -590,8 +551,8 @@ func (s *SharedNetwork) runBatch(c *sharedCmd) {
 // detached flows are no-ops and are not recorded (their handles may carry a
 // stale or zero ID that would corrupt a replay). Recording happens after
 // the mutation so the journal sink sees the post-apply state digest; the Op
-// value (and its Links slice) is only materialized when a log or journal is
-// actually attached, so unrecorded runs pay nothing for it.
+// value (and its Links slice) is only materialized when a journal is
+// attached, so unjournaled runs pay nothing for it.
 func (s *SharedNetwork) apply(c *sharedCmd) {
 	n := s.net
 	live := true
@@ -613,7 +574,7 @@ func (s *SharedNetwork) apply(c *sharedCmd) {
 	case OpSetLinkCapacity:
 		n.SetLinkCapacity(c.op.Link, c.op.Value)
 	}
-	if !live || (!s.cfg.Record && s.cfg.Journal == nil) {
+	if !live || s.cfg.Journal == nil {
 		return
 	}
 	var op Op
@@ -631,17 +592,8 @@ func (s *SharedNetwork) apply(c *sharedCmd) {
 	case OpSetLinkCapacity:
 		op = Op{Kind: OpSetLinkCapacity, Link: c.op.Link, Value: c.op.Value}
 	}
-	s.record(op)
-}
-
-func (s *SharedNetwork) record(op Op) {
-	if s.cfg.Record {
-		s.log = append(s.log, op)
-	}
-	if s.cfg.Journal != nil {
-		s.noteJournalErr(s.cfg.Journal.AppendOp(op, s.net.StateDigest()))
-		s.opsSinceSnap++
-	}
+	s.noteJournalErr(s.cfg.Journal.AppendOp(op, s.net.StateDigest()))
+	s.opsSinceSnap++
 }
 
 // maybeSnapshot appends a journal snapshot once SnapshotEvery ops have been

@@ -86,7 +86,8 @@ func driveSharedDeterministic(t *testing.T, build func() (*Network, []Path), see
 	net, paths := build()
 	// The sink asserts the digest handed to a journal equals the oracle
 	// after every op, mid-window included.
-	s := NewShared(net, SharedConfig{Deterministic: true, Record: true, Journal: oracleSink{t, net}})
+	sink := &oracleSink{t: t, net: net}
+	s := NewShared(net, SharedConfig{Deterministic: true, Journal: sink})
 	drv := make([]*Driver, drivers)
 	handles := make([][]*Flow, drivers)
 	for d := range drv {
@@ -133,11 +134,10 @@ func driveSharedDeterministic(t *testing.T, build func() (*Network, []Path), see
 		s.Commit()
 	}
 	final := s.Close()
-	ops, complete := s.Log()
-	if !complete {
+	if sink.Opaque {
 		t.Fatal("op log reported incomplete without any opaque Batch")
 	}
-	return ops, final
+	return sink.Ops, final
 }
 
 // TestSharedDifferentialOnFixtures is the tentpole pin: on every topology
@@ -184,7 +184,8 @@ func TestSharedDifferentialOnFixtures(t *testing.T) {
 func TestSharedImmediateHammer(t *testing.T) {
 	build := sharedFixtures()["rails"]
 	net, paths := build()
-	s := NewShared(net, SharedConfig{Record: true})
+	log := &OpLog{}
+	s := NewShared(net, SharedConfig{Journal: log})
 	nl := net.Topology().NumLinks()
 
 	const writers = 4
@@ -211,7 +212,7 @@ func TestSharedImmediateHammer(t *testing.T) {
 				_ = sn.QueueDelay(id)
 				_ = sn.PathRTT(paths[i%len(paths)])
 				_ = sn.Stats()
-				_ = s.NumFlows() // Reader-through-SharedNetwork path
+				_ = s.NumFlows()
 				i++
 			}
 		}(g)
@@ -253,8 +254,8 @@ func TestSharedImmediateHammer(t *testing.T) {
 	wg.Wait()
 
 	final := s.Close()
-	ops, complete := s.Log()
-	if !complete {
+	ops := log.Ops
+	if log.Opaque {
 		t.Fatal("op log incomplete without any Batch")
 	}
 	// No-ops on already-stopped handles are not logged, so the log is at
@@ -271,7 +272,8 @@ func TestSharedImmediateHammer(t *testing.T) {
 
 func TestSharedImmediateBasics(t *testing.T) {
 	topo, p := line(100)
-	s := NewShared(NewNetwork(topo), SharedConfig{Record: true})
+	log := &OpLog{}
+	s := NewShared(NewNetwork(topo), SharedConfig{Journal: log})
 	f1 := s.StartFlow(p, math.Inf(1), "a")
 	f2 := s.StartFlow(p, math.Inf(1), "b")
 	// Single-writer immediate mode keeps serial semantics: the commit
@@ -286,8 +288,8 @@ func TestSharedImmediateBasics(t *testing.T) {
 	if v, ok := sn.Flow(f1.ID); !ok || v.Rate != 50 || v.Tag != "a" {
 		t.Errorf("snapshot flow view = %+v, %v", v, ok)
 	}
-	if got := s.Utilization(p[0].ID); got != 1 {
-		t.Errorf("shared utilization = %v, want 1", got)
+	if got := sn.Utilization(p[0].ID); got != 1 {
+		t.Errorf("snapshot utilization = %v, want 1", got)
 	}
 	s.SetDemand(f1, 20)
 	if f1.Rate != 20 || f2.Rate != 80 {
@@ -299,11 +301,10 @@ func TestSharedImmediateBasics(t *testing.T) {
 	s.StopFlow(f2)
 	s.StopFlow(f2) // no-op, must not log
 	net := s.Close()
-	ops, complete := s.Log()
 	// 2 starts + 1 set-demand + 1 stop; the second stop is a detached
 	// no-op and must not be logged.
-	if !complete || len(ops) != 4 {
-		t.Fatalf("log = %d ops (complete=%v), want 4 complete", len(ops), complete)
+	if log.Opaque || len(log.Ops) != 4 {
+		t.Fatalf("log = %d ops (opaque=%v), want 4 complete", len(log.Ops), log.Opaque)
 	}
 	if net.NumFlows() != 1 {
 		t.Errorf("final flows = %d, want 1", net.NumFlows())
@@ -330,7 +331,8 @@ func TestSharedDeterministicPlaceholders(t *testing.T) {
 
 func TestSharedBatchMarksLogIncomplete(t *testing.T) {
 	topo, p := line(100)
-	s := NewShared(NewNetwork(topo), SharedConfig{Record: true})
+	log := &OpLog{}
+	s := NewShared(NewNetwork(topo), SharedConfig{Journal: log})
 	s.Batch(func(n *Network) {
 		n.StartFlow(p, 10, "inside")
 		n.NoteCoalescedReactions(3)
@@ -342,7 +344,7 @@ func TestSharedBatchMarksLogIncomplete(t *testing.T) {
 		t.Errorf("NumFlows = %d, want 1", got)
 	}
 	s.Close()
-	if _, complete := s.Log(); complete {
+	if !log.Opaque {
 		t.Error("log claims complete despite an opaque Batch")
 	}
 }

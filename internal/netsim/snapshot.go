@@ -6,32 +6,6 @@ import (
 	"time"
 )
 
-// Reader is the read surface shared by the live *Network, an immutable
-// *Snapshot of it, and a *SharedNetwork (which serves every read from its
-// latest published snapshot). Control loops, the I2A looking glass and the
-// ISP report code are written against Reader so the same logic runs
-// single-threaded over a Network or lock-free over a snapshot.
-type Reader interface {
-	LinkRate(LinkID) float64
-	Utilization(LinkID) float64
-	Congestion(LinkID) CongestionLevel
-	Headroom(LinkID) float64
-	QueueDelay(LinkID) time.Duration
-	PathRTT(Path) time.Duration
-	LossRate(LinkID) float64
-	PathLoss(Path) float64
-	FlowsOn(LinkID) int
-	ActiveFlowsOn(LinkID) int
-	NumFlows() int
-	Stats() Stats
-}
-
-var (
-	_ Reader = (*Network)(nil)
-	_ Reader = (*Snapshot)(nil)
-	_ Reader = (*SharedNetwork)(nil)
-)
-
 // Shared read-model formulas. Network and Snapshot answer every derived
 // read (utilization, congestion class, queue delay, loss) through these
 // helpers so the two surfaces cannot drift.
@@ -274,9 +248,6 @@ func (n *Network) buildFlowTable() flowTable {
 // table's chunks for components untouched since it was published, and the
 // static views of components that were only re-filled.
 func (n *Network) deltaFlowTable(prev *flowTable) flowTable {
-	if n.snapAllFlows {
-		return n.buildFlowTable()
-	}
 	if !n.snapFreed && n.dirtyChunks == 0 {
 		return *prev
 	}
@@ -308,10 +279,11 @@ func (n *Network) deltaFlowTable(prev *flowTable) flowTable {
 // Snapshot is an immutable copy of a Network's read surface: per-link rates
 // and capacities, per-flow allocations, and the allocator work counters.
 // It is safe for unsynchronized use from any number of goroutines and
-// answers every Reader query without touching the live network — this is
-// the value a SharedNetwork publishes through its atomic pointer at each
-// commit, and the one canonical read model a multi-process cluster mode
-// can serialize.
+// answers every read without touching the live network — this is the value
+// a SharedNetwork publishes through its atomic pointer at each commit, and
+// the one canonical read model a multi-process cluster mode can serialize.
+// A reader that needs several values takes one Snapshot and reads them all
+// from it, so they describe the same commit.
 //
 // Path-shaped queries (PathRTT, PathLoss) index the snapshot's arrays by
 // the path's link IDs; the *Link pointers themselves are only read for ID
@@ -384,12 +356,9 @@ func (n *Network) snapshotDelta(seq uint64, prev *Snapshot) *Snapshot {
 		return s
 	}
 	s := &Snapshot{Seq: seq, delay: n.snapDelay, stats: n.Stats()}
-	switch {
-	case n.rateAll:
-		s.rateBase = append([]float64(nil), n.linkRate...)
-	case len(n.rateList) == 0:
+	if len(n.rateList) == 0 {
 		s.rateBase, s.ratePatch = prev.rateBase, prev.ratePatch
-	default:
+	} else {
 		// Carry forward the previous overlay entries not re-dirtied, add the
 		// freshly changed links; compact into a new base past the bound.
 		keep := 0
@@ -439,7 +408,7 @@ func (n *Network) snapshotDelta(seq uint64, prev *Snapshot) *Snapshot {
 // clearSnapFlags resets the per-facet delta flags, chunk dirty marks and the
 // rate-dirty set after a delta publication consumed them.
 func (n *Network) clearSnapFlags() {
-	n.snapCap, n.snapOn, n.snapAllFlows, n.snapFreed = false, false, false, false
+	n.snapCap, n.snapOn, n.snapFreed = false, false, false
 	if n.dirtyChunks > 0 {
 		for i, d := range n.chunkDirty {
 			if d {
@@ -453,7 +422,6 @@ func (n *Network) clearSnapFlags() {
 		n.rateDirty[id] = false
 	}
 	n.rateList = n.rateList[:0]
-	n.rateAll = false
 }
 
 func (s *Snapshot) inRange(id LinkID) bool {

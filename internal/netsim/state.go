@@ -45,7 +45,7 @@ type NetState struct {
 func (n *Network) ExportState() NetState {
 	st := NetState{
 		NextID:     n.nextID,
-		MaxRate:    n.MaxRate,
+		MaxRate:    n.maxRate,
 		Capacities: make([]float64, n.topo.NumLinks()),
 		LinkRates:  make([]float64, n.topo.NumLinks()),
 	}

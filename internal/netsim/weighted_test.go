@@ -59,16 +59,16 @@ func TestSetWeightReallocates(t *testing.T) {
 	if !almostEq(f1.Rate, 45) {
 		t.Fatalf("pre rate = %v", f1.Rate)
 	}
-	before := n.Reallocations
+	before := n.stats.Reallocations
 	n.SetWeight(f1, 1) // 0→1 is a change of the stored field
 	_ = before
 	n.SetWeight(f2, 8)
 	if !almostEq(f1.Rate, 10) || !almostEq(f2.Rate, 80) {
 		t.Errorf("rates = %v/%v, want 10/80", f1.Rate, f2.Rate)
 	}
-	r := n.Reallocations
+	r := n.stats.Reallocations
 	n.SetWeight(f2, 8) // no-op
-	if n.Reallocations != r {
+	if n.stats.Reallocations != r {
 		t.Error("same-weight set triggered a reallocation")
 	}
 }

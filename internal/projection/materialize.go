@@ -2,6 +2,7 @@ package projection
 
 import (
 	"fmt"
+	"slices"
 
 	"eona/internal/journal"
 )
@@ -51,16 +52,34 @@ func Fold(rec *journal.Recovered, f Folder, offset int) error {
 	return foldStream(rec, f, 0, offset)
 }
 
+// restore loads a checkpoint into f and verifies it: the decoded state must
+// re-encode to the fingerprint the checkpoint recorded, so a folder whose
+// decoder drifted from its encoder fails loudly instead of being folded over.
+// buf is encode scratch, grown once to the checkpoint's size (what an
+// undrifted state re-encodes to) and returned for reuse.
+func restore(f Folder, cp journal.Checkpoint, buf []byte) ([]byte, error) {
+	if err := f.DecodeState(cp.State); err != nil {
+		return buf, err
+	}
+	buf = f.EncodeState(slices.Grow(buf[:0], len(cp.State)))
+	if got := journal.Fingerprint(buf); got != cp.Digest {
+		return buf, fmt.Errorf("decoded state re-encodes to %016x, checkpoint recorded %016x (folder schema drift?)", got, cp.Digest)
+	}
+	return buf, nil
+}
+
 // MaterializeAt rebuilds each folder's read model as of stream offset —
 // time travel for derived state, the projection counterpart of
 // journal.Recovered.MaterializeAt. For each folder the newest checkpoint
-// committed at or below offset is decoded and only the gap up to offset is
-// folded: O(distance to the nearest checkpoint), not O(offset). Folders
-// with no usable checkpoint fold from scratch.
+// committed at or below offset is restored (decoded and verified, as Resume
+// does) and only the gap up to offset is folded: O(distance to the nearest
+// checkpoint), not O(offset). Folders with no usable checkpoint fold from
+// scratch.
 func MaterializeAt(rec *journal.Recovered, offset int, folders ...Folder) error {
 	if offset < 0 || offset > len(rec.Stream) {
 		return fmt.Errorf("projection: offset %d out of stream bounds [0, %d]", offset, len(rec.Stream))
 	}
+	var buf []byte
 	for _, f := range folders {
 		from := 0
 		f.Reset()
@@ -69,7 +88,8 @@ func MaterializeAt(rec *journal.Recovered, offset int, folders ...Folder) error 
 		cps := rec.Checkpoints[f.Name()]
 		for i := len(cps) - 1; i >= 0; i-- {
 			if cps[i].Offset <= uint64(offset) {
-				if err := f.DecodeState(cps[i].State); err != nil {
+				var err error
+				if buf, err = restore(f, cps[i], buf); err != nil {
 					return fmt.Errorf("projection: materialize %q: %w", f.Name(), err)
 				}
 				from = int(cps[i].Offset)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,8 +92,7 @@ func driveProjected(t testing.TB, e *Engine, net *netsim.Network, paths []netsim
 		t.Fatal(err)
 	}
 	s := netsim.NewShared(net, netsim.SharedConfig{
-		Deterministic: true, Record: true,
-		Journal: e, SnapshotEvery: snapEvery,
+		Deterministic: true, Journal: e, SnapshotEvery: snapEvery,
 	})
 	drv := s.Driver(1)
 	rng := rand.New(rand.NewSource(seed))
@@ -445,6 +445,71 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 				t.Errorf("%s: decode of %d-byte prefix succeeded", f.Name(), cut)
 			}
 		}
+	}
+}
+
+// lossyFolder counts ingests, and its decoder has drifted from its encoder:
+// it drops the count's low bit. Every checkpoint it writes at an odd count
+// decodes to a different state without any decode error.
+type lossyFolder struct {
+	Base
+	n uint64
+}
+
+func (l *lossyFolder) Name() string                  { return "lossy" }
+func (l *lossyFolder) Reset()                        { l.n = 0 }
+func (l *lossyFolder) FoldIngest(core.QoERecord)     { l.n++ }
+func (l *lossyFolder) EncodeState(buf []byte) []byte { return journal.AppendU64(buf, l.n) }
+func (l *lossyFolder) DecodeState(p []byte) error {
+	r := journal.NewPayloadReader(p)
+	n := r.U64("lossy count")
+	if err := r.Done("lossy state"); err != nil {
+		return err
+	}
+	l.n = n &^ 1
+	return nil
+}
+
+// TestCheckpointDriftFailsLoudly pins the verify-on-restore contract on both
+// checkpoint readers: Resume and MaterializeAt must reject a checkpoint whose
+// decoded state does not re-encode to its recorded fingerprint, instead of
+// folding the tail over a wrong state and serving it.
+func TestCheckpointDriftFailsLoudly(t *testing.T) {
+	dir := t.TempDir()
+	w, err := journal.Open(journal.Config{Dir: dir, Sync: journal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(Config{Writer: w, CheckpointEvery: 5}, &lossyFolder{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 7; i++ { // one checkpoint, at count 5
+		if err := e.AppendIngest(synthIngest(rng, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := journal.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Checkpoints["lossy"]) == 0 {
+		t.Fatal("no checkpoint recovered; the drift is never read back")
+	}
+	const want = "re-encodes to"
+	if err := MaterializeAt(rec, len(rec.Stream), &lossyFolder{}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("MaterializeAt over a drifted checkpoint: err = %v, want one containing %q", err, want)
+	}
+	e2, err := NewEngine(Config{}, &lossyFolder{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e2.Resume(rec); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Resume over a drifted checkpoint: err = %v, want one containing %q", err, want)
 	}
 }
 
