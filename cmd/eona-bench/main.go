@@ -1,5 +1,5 @@
 // Command eona-bench regenerates every experiment table from the paper
-// reproduction (DESIGN.md §4, E1–E17) and prints them.
+// reproduction (DESIGN.md §4, E1–E15) and prints them.
 //
 // Usage:
 //
@@ -7,12 +7,11 @@
 //
 // -only selects a comma-separated subset by experiment ID; -list prints
 // the registry (ID, slow flag, title) and exits. -skip-slow omits the
-// experiments the registry marks slow: the fleet simulations (E1, E4), the
-// wall-clock measurement (E7) and the projection-resume sweep (E17), which
-// dominate runtime. -parallel runs that many experiments concurrently (0 =
-// GOMAXPROCS); tables still print in suite order. E7's wall-clock rows
-// are only meaningful at -parallel 1, since co-running experiments steal
-// the cycles it is timing.
+// experiments the registry marks slow: the fleet simulations (E1, E4) and
+// the wall-clock measurement (E7), which dominate runtime. -parallel runs
+// that many experiments concurrently (0 = GOMAXPROCS); tables still print
+// in suite order. E7's wall-clock rows are only meaningful at -parallel 1,
+// since co-running experiments steal the cycles it is timing.
 package main
 
 import (
@@ -30,7 +29,7 @@ var (
 	seed     = flag.Int64("seed", 1, "simulation seed (results are deterministic per seed)")
 	only     = flag.String("only", "", "comma-separated experiment IDs to run (e.g. E2,E8); empty = all")
 	list     = flag.Bool("list", false, "print the experiment registry and exit")
-	skipSlow = flag.Bool("skip-slow", false, "skip the experiments marked slow in the registry (E1, E4, E7, E17)")
+	skipSlow = flag.Bool("skip-slow", false, "skip the experiments marked slow in the registry (E1, E4, E7)")
 	parallel = flag.Int("parallel", 1, "experiments to run concurrently (0 = GOMAXPROCS)")
 )
 

@@ -115,3 +115,36 @@ func TestDocsNameOnlyDefinedFlags(t *testing.T) {
 }
 
 var flagToken = regexp.MustCompile(`^-[a-z][a-z-]*$`)
+
+// TestDocsNameOnlyRegisteredExperiments keeps the experiment docs and the
+// registry in step: every `## E<n>` heading in EXPERIMENTS.md and every
+// `| E<n> |` table row in README.md and DESIGN.md names a registered
+// experiment, and every registered experiment has its EXPERIMENTS.md
+// heading.
+func TestDocsNameOnlyRegisteredExperiments(t *testing.T) {
+	docs := map[string]*regexp.Regexp{
+		"EXPERIMENTS.md": regexp.MustCompile(`(?m)^## (E\d+)\b`),
+		"README.md":      regexp.MustCompile(`(?m)^\| (E\d+) \|`),
+		"DESIGN.md":      regexp.MustCompile(`(?m)^\| (E\d+) \|`),
+	}
+	headed := map[string]bool{}
+	for name, re := range docs {
+		body, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range re.FindAllStringSubmatch(string(body), -1) {
+			if _, ok := eona.LookupExperiment(m[1]); !ok {
+				t.Errorf("%s names unregistered experiment %s", name, m[1])
+			}
+			if name == "EXPERIMENTS.md" {
+				headed[m[1]] = true
+			}
+		}
+	}
+	for _, d := range eona.Experiments() {
+		if !headed[d.ID] {
+			t.Errorf("EXPERIMENTS.md has no `## %s` heading", d.ID)
+		}
+	}
+}

@@ -38,7 +38,7 @@
 //     internal/stability — streaming aggregation, blinding, the inference
 //     baseline of Figure 4, information-gain feature selection, and
 //     oscillation detection/dampening
-//   - internal/expt — experiments E1–E17 reproducing every figure and
+//   - internal/expt — experiments E1–E15 reproducing every figure and
 //     scenario in the paper (see DESIGN.md §4 and EXPERIMENTS.md)
 //
 // # Quickstart

@@ -87,8 +87,8 @@ func TestFacadeExperimentsRender(t *testing.T) {
 // with the typed scenario runners.
 func TestFacadeExperimentRegistry(t *testing.T) {
 	defs := eona.Experiments()
-	if len(defs) != 17 {
-		t.Fatalf("registry lists %d experiments, want 17", len(defs))
+	if len(defs) != 15 {
+		t.Fatalf("registry lists %d experiments, want 15", len(defs))
 	}
 	e2, ok := eona.LookupExperiment("E2")
 	if !ok {

@@ -1,5 +1,5 @@
 // Package expt contains the experiment harness: one runnable experiment per
-// figure/scenario of the paper, as indexed in DESIGN.md §4 (E1–E17). Each
+// figure/scenario of the paper, as indexed in DESIGN.md §4 (E1–E15). Each
 // experiment is a pure function from a typed config (with a seed) to a
 // typed result, so the same code backs the unit tests that assert the
 // paper's qualitative claims, the top-level benchmarks that regenerate the

@@ -30,7 +30,7 @@ type Definition struct {
 	Run func(cfg Config) *Table
 }
 
-// Definitions returns the full E1–E17 registry in suite order. The slice
+// Definitions returns the full E1–E15 registry in suite order. The slice
 // is freshly allocated; callers may filter or reorder it.
 func Definitions() []Definition {
 	return []Definition{
@@ -64,10 +64,6 @@ func Definitions() []Definition {
 			Run: func(c Config) *Table { return RunE14(c.Seed).Table() }},
 		{ID: "E15", Title: "chaos sweep — access flap + partner-exchange outage (§5)",
 			Run: func(c Config) *Table { return RunE15(c.Seed).Table() }},
-		{ID: "E16", Title: "crash/recovery sweep — recovery time vs journal length",
-			Run: func(c Config) *Table { return RunE16(c.Seed).Table() }},
-		{ID: "E17", Title: "projection resume — recovery cost vs history length", Slow: true,
-			Run: func(c Config) *Table { return RunE17(c.Seed).Table() }},
 	}
 }
 

@@ -4,10 +4,10 @@ import "testing"
 
 func TestRegistryShape(t *testing.T) {
 	defs := Definitions()
-	if len(defs) != 17 {
-		t.Fatalf("registry has %d definitions, want 17", len(defs))
+	if len(defs) != 15 {
+		t.Fatalf("registry has %d definitions, want 15", len(defs))
 	}
-	slow := map[string]bool{"E1": true, "E4": true, "E7": true, "E17": true}
+	slow := map[string]bool{"E1": true, "E4": true, "E7": true}
 	for i, d := range defs {
 		if d.ID == "" || d.Title == "" || d.Run == nil {
 			t.Fatalf("definition %d incomplete: %+v", i, d)
@@ -22,8 +22,8 @@ func TestRegistryShape(t *testing.T) {
 	if _, ok := Lookup("E7"); !ok {
 		t.Error("Lookup(E7) missed")
 	}
-	if _, ok := Lookup("E18"); ok {
-		t.Error("Lookup(E18) hit a ghost experiment")
+	if _, ok := Lookup("E16"); ok {
+		t.Error("Lookup(E16) hit a ghost experiment")
 	}
 	if d, _ := Lookup("E4"); d.ID != "E4" || !d.Slow || d.Run == nil {
 		t.Errorf("Lookup(E4) dropped identity: %+v", d)

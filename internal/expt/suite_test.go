@@ -17,8 +17,8 @@ func TestSuiteShape(t *testing.T) {
 		defs[i].Run = func(c Config) *Table { return &Table{Title: fmt.Sprintf("%s/%d", id, c.Seed)} }
 	}
 	out := RunConcurrent(defs, Config{Seed: 9}, 0)
-	if len(out) != 17 {
-		t.Fatalf("suite ran %d experiments, want 17", len(out))
+	if len(out) != 15 {
+		t.Fatalf("suite ran %d experiments, want 15", len(out))
 	}
 	for i, tb := range out {
 		if want := fmt.Sprintf("E%d/9", i+1); tb.Title != want {

@@ -181,7 +181,7 @@ func (p *Plan) Schedule(eng *sim.Engine, net *netsim.Network, targets map[string
 }
 
 // CapacityChange is one resolved capacity edit of a fired fault instant,
-// as exported to an event sink.
+// as recorded in an Event.
 type CapacityChange struct {
 	Link netsim.LinkID `json:"link"`
 	Bps  float64       `json:"bps"`
@@ -197,14 +197,6 @@ type Event struct {
 	Changes []CapacityChange `json:"changes"`
 }
 
-// Sink receives fault events as they fire. Implemented by the journal
-// writer; Append errors are retained by the sink itself (the engine
-// callback has nowhere to return them), so callers check the sink after
-// the run.
-type Sink interface {
-	AppendFault(e Event) error
-}
-
 // ScheduleDriver installs the plan's link faults onto the engine through a
 // netsim.Driver instead of a bare Network — the fault-schedule partition of
 // a multi-driver run. Each instant's capacity changes are stamped with the
@@ -213,14 +205,6 @@ type Sink interface {
 // whole instant's ops in canonical order and publishes one snapshot — the
 // multi-driver equivalent of Schedule's one-Batch-per-instant rule.
 func (p *Plan) ScheduleDriver(eng *sim.Engine, drv *netsim.Driver, targets map[string]Target) error {
-	return p.ScheduleDriverTo(eng, drv, targets, nil)
-}
-
-// ScheduleDriverTo is ScheduleDriver with an event sink: each fault instant
-// that fires is also appended to sink (when non-nil) as an Event, in fire
-// order — the durable audit trail of which faults a crashed run had
-// already injected.
-func (p *Plan) ScheduleDriverTo(eng *sim.Engine, drv *netsim.Driver, targets map[string]Target, sink Sink) error {
 	if p == nil {
 		return nil
 	}
@@ -229,17 +213,10 @@ func (p *Plan) ScheduleDriverTo(eng *sim.Engine, drv *netsim.Driver, targets map
 		return err
 	}
 	for _, t := range instants {
-		t, changes := t, at[t]
+		changes := at[t]
 		eng.ScheduleAt(t, func(*sim.Engine) {
 			for _, c := range changes {
 				drv.SetLinkCapacity(c.id, c.bps)
-			}
-			if sink != nil {
-				ev := Event{At: t, Changes: make([]CapacityChange, 0, len(changes))}
-				for _, c := range changes {
-					ev.Changes = append(ev.Changes, CapacityChange{Link: c.id, Bps: c.bps})
-				}
-				_ = sink.AppendFault(ev) // sink retains its own first error
 			}
 		})
 	}

@@ -42,10 +42,11 @@ func (l *Live) Now() time.Duration { return l.clock() }
 // cancelled.
 const openEnd = time.Duration(math.MaxInt64)
 
+// window opens [now, now+d), clamped to openEnd when now+d would overflow.
 func (l *Live) window(d time.Duration) Window {
 	start := l.clock()
 	end := openEnd
-	if d > 0 {
+	if d > 0 && d <= openEnd-start {
 		end = start + d
 	}
 	return Window{Start: start, End: end}

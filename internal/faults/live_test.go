@@ -3,6 +3,7 @@ package faults
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -49,6 +50,25 @@ func TestLiveWindows(t *testing.T) {
 	}
 	if l.Cancel(oid) {
 		t.Error("double cancel reported success")
+	}
+}
+
+// TestLiveWindowsClampHugeDurations: a duration that would overflow
+// now+d opens a window that ends at the open end, never one that wraps
+// negative and so never applies.
+func TestLiveWindowsClampHugeDurations(t *testing.T) {
+	l := NewLive(func() time.Duration { return time.Second })
+	if _, w := l.AddOutage(math.MaxInt64); w.End != openEnd {
+		t.Errorf("outage window = %+v, want End = openEnd", w)
+	}
+	if l.PartnerUp() {
+		t.Error("partner up inside a maximal outage window")
+	}
+	if _, w := l.AddLatencySpike(time.Millisecond, math.MaxInt64); w.End != openEnd {
+		t.Errorf("spike window = %+v, want End = openEnd", w)
+	}
+	if got := l.Delay(); got != time.Millisecond {
+		t.Errorf("delay inside a maximal spike window = %v, want 1ms", got)
 	}
 }
 

@@ -345,7 +345,7 @@ func (w *Writer) AppendCheckpoint(name string, state []byte) error {
 // recovery says so.
 func (w *Writer) AppendOpaque() error { return w.append(recOpaque, nil) }
 
-// AppendFault implements faults.Sink.
+// AppendFault records one fault event.
 func (w *Writer) AppendFault(ev faults.Event) error {
 	p, err := marshalJSONPayload("fault event", ev)
 	if err != nil {
@@ -430,4 +430,3 @@ func (w *Writer) Close() error {
 }
 
 var _ netsim.OpSink = (*Writer)(nil)
-var _ faults.Sink = (*Writer)(nil)

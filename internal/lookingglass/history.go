@@ -32,7 +32,7 @@ func HistoryHandler(maxOffset func() int, at func(offset int) (any, error)) http
 		offset := max
 		if q := r.URL.Query().Get("offset"); q != "" {
 			n, err := strconv.Atoi(q)
-			if err != nil {
+			if err != nil || n < -1 {
 				WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad offset %q", q))
 				return
 			}

@@ -59,8 +59,8 @@ func TestHistoryHandlerOffsets(t *testing.T) {
 		}
 	}
 
-	// Beyond the end and non-numeric are client errors.
-	for _, q := range []string{"?offset=11", "?offset=abc"} {
+	// Beyond the end, below -1 and non-numeric are client errors.
+	for _, q := range []string{"?offset=11", "?offset=-2", "?offset=abc"} {
 		if code, _ = getHistory(t, ts.URL+q); code != http.StatusBadRequest {
 			t.Fatalf("%q → %d, want 400", q, code)
 		}

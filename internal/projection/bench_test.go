@@ -17,8 +17,8 @@ func benchJournal(b *testing.B, checkpointEvery int) *journal.Recovered {
 	if err != nil {
 		b.Fatal(err)
 	}
-	qoe, hints, eng, lu := newFolders()
-	e, err := NewEngine(Config{Writer: w, CheckpointEvery: checkpointEvery}, qoe, hints, eng, lu)
+	qoe, hints, lu := newFolders()
+	e, err := NewEngine(Config{Writer: w, CheckpointEvery: checkpointEvery}, qoe, hints, lu)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,12 +35,12 @@ func benchJournal(b *testing.B, checkpointEvery int) *journal.Recovered {
 }
 
 // BenchmarkProjectionFold measures the from-scratch fold of a full recovered
-// stream into the four standard read models — the cost Resume pays only for
+// stream into the three standard read models — the cost Resume pays only for
 // the tail.
 func BenchmarkProjectionFold(b *testing.B) {
 	rec := benchJournal(b, 64)
-	qoe, hints, eng, lu := newFolders()
-	folders := []Folder{qoe, hints, eng, lu}
+	qoe, hints, lu := newFolders()
+	folders := []Folder{qoe, hints, lu}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -57,8 +57,8 @@ func BenchmarkProjectionFold(b *testing.B) {
 // offset.
 func BenchmarkMaterializeAt(b *testing.B) {
 	rec := benchJournal(b, 32)
-	qoe, hints, eng, lu := newFolders()
-	folders := []Folder{qoe, hints, eng, lu}
+	qoe, hints, lu := newFolders()
+	folders := []Folder{qoe, hints, lu}
 	off := len(rec.Stream) / 2
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -70,11 +70,11 @@ func BenchmarkMaterializeAt(b *testing.B) {
 }
 
 // BenchmarkProjectedQuery measures the steady-state live query path:
-// summary, engagement and hint lookups against warm read models. This is
-// the O(1), allocation-free path restarts buy back.
+// summary and hint lookups against warm read models. This is the O(1),
+// allocation-free path restarts buy back.
 func BenchmarkProjectedQuery(b *testing.B) {
-	qoe, hints, eng, lu := newFolders()
-	e, err := NewEngine(Config{}, qoe, hints, eng, lu)
+	qoe, hints, lu := newFolders()
+	e, err := NewEngine(Config{}, qoe, hints, lu)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -96,9 +96,8 @@ func BenchmarkProjectedQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, _ := qoe.SummaryFor(key)
-		row, _ := eng.Row("isp-a")
 		pr, _ := hints.Latest("peer-a")
-		sink = s.MeanScore + row.PlaySeconds + float64(len(pr.Data)) + float64(lu.Ops())
+		sink = s.MeanScore + float64(len(pr.Data)) + float64(lu.Ops())
 	}
 	_ = sink
 }

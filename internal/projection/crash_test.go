@@ -27,8 +27,8 @@ func TestProjectionCrashSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			qoe, hints, eng, lu := newFolders()
-			e, err := NewEngine(Config{Writer: w, CheckpointEvery: 8}, qoe, hints, eng, lu)
+			qoe, hints, lu := newFolders()
+			e, err := NewEngine(Config{Writer: w, CheckpointEvery: 8}, qoe, hints, lu)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,8 +100,8 @@ func checkProjectionCrash(t *testing.T, segs []string, si, cut int) {
 	}
 
 	// Arm 1: resume through the engine (checkpoint + tail).
-	q1, h1, e1, l1 := newFolders()
-	eng1, err := NewEngine(Config{}, q1, h1, e1, l1)
+	q1, h1, l1 := newFolders()
+	eng1, err := NewEngine(Config{}, q1, h1, l1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +111,14 @@ func checkProjectionCrash(t *testing.T, segs []string, si, cut int) {
 	}
 
 	// Arm 2: from-scratch fold of the surviving prefix.
-	q2, h2, e2, l2 := newFolders()
-	scratch := []Folder{q2, h2, e2, l2}
+	q2, h2, l2 := newFolders()
+	scratch := []Folder{q2, h2, l2}
 	for _, f := range scratch {
 		if err := Fold(rec, f, len(rec.Stream)); err != nil {
 			t.Fatalf("seg %d cut %d: fold: %v", si, cut, err)
 		}
 	}
-	resumed := []Folder{q1, h1, e1, l1}
+	resumed := []Folder{q1, h1, l1}
 	for i, f := range resumed {
 		if dr, ds := StateDigest(f), StateDigest(scratch[i]); dr != ds {
 			t.Fatalf("seg %d cut %d: folder %q resumed %016x != from-scratch %016x (tail %d)",

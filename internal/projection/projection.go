@@ -1,13 +1,12 @@
 // Package projection is the read-model half of the durability layer: the
 // actualizer pattern over internal/journal's event log. A Folder is a pure
 // fold — it consumes journal records in stream order and maintains derived
-// state (QoE rollups, I2A hint feeds, engagement projections,
-// link-utilization series) that live queries read in O(1) instead of
-// recomputing from history. The Engine routes every appended record through
-// the journal writer and then through each folder under one lock, so fold
-// order equals journal order by construction, and periodically commits each
-// folder's encoded state as a checkpoint frame carrying the offset it is
-// durable through. A restarted node Resumes from (checkpoint state,
+// state (QoE rollups, I2A hint feeds, link-utilization series) that live
+// queries read in O(1) instead of recomputing from history. The Engine
+// routes every appended record through the journal writer and then through
+// each folder under one lock, so fold order equals journal order by
+// construction, and periodically commits each folder's encoded state as a
+// checkpoint frame carrying the offset it is durable through. A restarted node Resumes from (checkpoint state,
 // committed offset) and folds only the record tail — O(checkpoint delta),
 // not O(history) — and MaterializeAt rebuilds the read models at any
 // journaled offset for time-travel queries.
@@ -23,7 +22,7 @@
 //     data.
 //   - Checkpoint cadence bounds recovery: with CheckpointEvery = k, resume
 //     refolds at most k records per folder plus whatever trailed the last
-//     checkpoint. E17 measures exactly this.
+//     checkpoint. TestResumeEqualsFromScratchFold pins the bound.
 //   - Poison rule: an opaque-batch marker (a Batch the journal could not
 //     capture op-by-op) poisons every op-derived read model from that point
 //     on. Folders that depend on op replay latch Poisoned and say so in
@@ -117,8 +116,8 @@ type Config struct {
 // directly to the shared Writer would be journaled but never folded, and
 // the read models would silently diverge from the log.
 //
-// Engine implements netsim.OpSink and faults.Sink, so it drops into every
-// slot the bare Writer used to fill.
+// Engine implements netsim.OpSink, so it drops into every slot the bare
+// Writer used to fill.
 type Engine struct {
 	mu      sync.RWMutex
 	w       *journal.Writer
@@ -157,8 +156,7 @@ func (e *Engine) Read(fn func()) {
 
 // Err surfaces the journal writer's latched error, nil in fold-only mode.
 // Folding continues past a write error — the read models stay live even
-// when the disk is gone — so operators check Err, like faults.Sink users
-// always have.
+// when the disk is gone — so operators check Err.
 func (e *Engine) Err() error {
 	if e.w == nil {
 		return nil
@@ -186,19 +184,6 @@ func (e *Engine) checkpointLocked() {
 		_ = e.w.AppendCheckpoint(f.Name(), e.buf)
 	}
 	e.since = 0
-}
-
-// Checkpoint commits every folder's state now, regardless of cadence — for
-// shutdown paths that want the next boot's tail empty. No-op in fold-only
-// mode.
-func (e *Engine) Checkpoint() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.w == nil {
-		return nil
-	}
-	e.checkpointLocked()
-	return e.w.Err()
 }
 
 // AppendTopology journals and folds the topology record.
@@ -262,7 +247,7 @@ func (e *Engine) AppendOpaque() error {
 	return err
 }
 
-// AppendFault implements faults.Sink.
+// AppendFault journals and folds one fault event.
 func (e *Engine) AppendFault(ev faults.Event) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -308,7 +293,6 @@ func (e *Engine) AppendPoll(pr journal.PollRecord) error {
 }
 
 var _ netsim.OpSink = (*Engine)(nil)
-var _ faults.Sink = (*Engine)(nil)
 
 // ResumeStats reports what Resume did per folder: how many tail records
 // were folded on top of the recovered checkpoint (TailFolded == total
