@@ -20,7 +20,7 @@ import (
 
 // BenchmarkE1FlashCrowd — Figure 3: flash crowd at the ISP access link.
 func BenchmarkE1FlashCrowd(b *testing.B) {
-	var r eona.FlashCrowdResult
+	var r expt.E1Pair
 	for i := 0; i < b.N; i++ {
 		r = expt.RunE1(1)
 	}
@@ -46,7 +46,7 @@ func BenchmarkE2Oscillation(b *testing.B) {
 
 // BenchmarkE3Inference — Figure 4: QoE inference vs direct measurement.
 func BenchmarkE3Inference(b *testing.B) {
-	var r eona.InferenceResult
+	var r expt.E3Result
 	for i := 0; i < b.N; i++ {
 		r = expt.RunE3(1)
 	}
@@ -57,7 +57,7 @@ func BenchmarkE3Inference(b *testing.B) {
 
 // BenchmarkE4CoarseControl — §2: server failure, CDN switch vs server hint.
 func BenchmarkE4CoarseControl(b *testing.B) {
-	var r eona.CoarseControlResult
+	var r expt.E4Pair
 	for i := 0; i < b.N; i++ {
 		r = expt.RunE4(1)
 	}
@@ -85,7 +85,7 @@ func BenchmarkE5EnergySaving(b *testing.B) {
 
 // BenchmarkE6Staleness — §5: control quality vs interface delay.
 func BenchmarkE6Staleness(b *testing.B) {
-	var r eona.StalenessResult
+	var r expt.E6Result
 	for i := 0; i < b.N; i++ {
 		r = expt.RunE6(1)
 	}
@@ -96,7 +96,7 @@ func BenchmarkE6Staleness(b *testing.B) {
 
 // BenchmarkE7Scalability — §5: A2I pipeline throughput.
 func BenchmarkE7Scalability(b *testing.B) {
-	var r eona.ScalabilityResult
+	var r expt.E7Result
 	for i := 0; i < b.N; i++ {
 		r = expt.RunE7(200_000)
 	}
@@ -107,7 +107,7 @@ func BenchmarkE7Scalability(b *testing.B) {
 
 // BenchmarkE8InterfaceWidth — §4: interface width ladder.
 func BenchmarkE8InterfaceWidth(b *testing.B) {
-	var r eona.InterfaceWidthResult
+	var r expt.E8Result
 	for i := 0; i < b.N; i++ {
 		r = expt.RunE8(1)
 	}
@@ -124,7 +124,7 @@ func BenchmarkE8InterfaceWidth(b *testing.B) {
 
 // BenchmarkE9Timescales — §5: timescale coupling and dampening.
 func BenchmarkE9Timescales(b *testing.B) {
-	var r eona.TimescaleResult
+	var r expt.E9Result
 	for i := 0; i < b.N; i++ {
 		r = expt.RunE9(1)
 	}
@@ -136,7 +136,7 @@ func BenchmarkE9Timescales(b *testing.B) {
 
 // BenchmarkE10Fairness — §5: fairness across AppPs.
 func BenchmarkE10Fairness(b *testing.B) {
-	var r eona.FairnessResult
+	var r expt.E10Result
 	for i := 0; i < b.N; i++ {
 		r = expt.RunE10(1)
 	}
@@ -146,7 +146,7 @@ func BenchmarkE10Fairness(b *testing.B) {
 
 // BenchmarkE11Privacy — §4: blinding level vs control quality.
 func BenchmarkE11Privacy(b *testing.B) {
-	var r eona.PrivacyResult
+	var r expt.E11Result
 	for i := 0; i < b.N; i++ {
 		r = expt.RunE11(1)
 	}
@@ -157,7 +157,7 @@ func BenchmarkE11Privacy(b *testing.B) {
 
 // BenchmarkE12FeatureSelection — §4: information-gain attribute ranking.
 func BenchmarkE12FeatureSelection(b *testing.B) {
-	var r eona.FeatureSelectionResult
+	var r expt.E12Result
 	for i := 0; i < b.N; i++ {
 		r = expt.RunE12(1)
 	}
@@ -167,7 +167,7 @@ func BenchmarkE12FeatureSelection(b *testing.B) {
 
 // BenchmarkE13WebCellular — Figures 1(a)+4: cellular web inference.
 func BenchmarkE13WebCellular(b *testing.B) {
-	var r eona.WebCellularResult
+	var r expt.E13Result
 	for i := 0; i < b.N; i++ {
 		r = expt.RunE13(1)
 	}
@@ -178,7 +178,7 @@ func BenchmarkE13WebCellular(b *testing.B) {
 
 // BenchmarkE14SearchSpace — §5: exhaustive vs EONA-guided exploration.
 func BenchmarkE14SearchSpace(b *testing.B) {
-	var r eona.SearchSpaceResult
+	var r expt.E14Result
 	for i := 0; i < b.N; i++ {
 		r = expt.RunE14(1)
 	}

@@ -69,7 +69,6 @@ import (
 	"eona/internal/lookingglass"
 	"eona/internal/netsim"
 	"eona/internal/qoe"
-	"eona/internal/sim"
 	"eona/internal/wire"
 )
 
@@ -105,6 +104,18 @@ const (
 	SegmentAccess  = core.SegmentAccess
 	SegmentPeering = core.SegmentPeering
 	SegmentCDN     = core.SegmentCDN
+)
+
+// CongestionLevel classifies link utilization for I2A export
+// (PeeringInfo.Congestion).
+type CongestionLevel = netsim.CongestionLevel
+
+// Congestion levels, least to most loaded.
+const (
+	CongestionNone     = netsim.CongestionNone
+	CongestionModerate = netsim.CongestionModerate
+	CongestionHigh     = netsim.CongestionHigh
+	CongestionSevere   = netsim.CongestionSevere
 )
 
 // ---- A2I production ----
@@ -289,140 +300,15 @@ func NewClient(baseURL, token string) *Client {
 
 // ---- Experiments (the paper's figures and scenarios, runnable) ----
 
-// Experiment result types; each has a Table() renderer.
+// Typed experiment results, for the experiments the facade composes or runs
+// with a custom config; each has a Table() renderer. Every experiment renders
+// through RunExperiment.
 type (
-	// FlashCrowdResult is E1 / Figure 3.
-	FlashCrowdResult = expt.E1Pair
-	// OscillationResult is E2 / Figure 5.
+	// OscillationResult is E2 / Figure 5: compose it from RunScenario arms.
 	OscillationResult = expt.E2Result
-	// InferenceResult is E3 / Figure 4.
-	InferenceResult = expt.E3Result
-	// CoarseControlResult is E4 / §2.
-	CoarseControlResult = expt.E4Pair
-	// EnergyResult is E5 / §2+§5.
+	// EnergyResult is E5 / §2+§5, as RunEnergySavingConfig returns it.
 	EnergyResult = expt.E5Result
-	// StalenessResult is E6 / §5.
-	StalenessResult = expt.E6Result
-	// ScalabilityResult is E7 / §5.
-	ScalabilityResult = expt.E7Result
-	// InterfaceWidthResult is E8 / §4.
-	InterfaceWidthResult = expt.E8Result
-	// TimescaleResult is E9 / §5.
-	TimescaleResult = expt.E9Result
-	// FairnessResult is E10 / §5.
-	FairnessResult = expt.E10Result
-	// PrivacyResult is E11 / §4.
-	PrivacyResult = expt.E11Result
-	// FeatureSelectionResult is E12 / §4.
-	FeatureSelectionResult = expt.E12Result
-	// WebCellularResult is E13 / Figures 1(a)+4.
-	WebCellularResult = expt.E13Result
-	// SearchSpaceResult is E14 / §5.
-	SearchSpaceResult = expt.E14Result
-	// ChaosResult is E15 / §5 (fault injection).
-	ChaosResult = expt.E15Result
 )
-
-// AllocatorStats is a snapshot of the fluid allocator's work counters
-// (reallocations, flows/components re-solved, registry rebuilds, coalesced
-// reactions), as returned by Network.Stats and served under /v1/stats.
-type AllocatorStats = netsim.Stats
-
-// ---- The simulated network (downstream what-if studies) ----
-
-type (
-	// Topology is an immutable set of directed links between nodes.
-	Topology = netsim.Topology
-	// Network allocates weighted max-min fair rates over a Topology. It
-	// is single-goroutine; wrap it in a SharedNetwork for concurrent use.
-	Network = netsim.Network
-	// NetworkFlow is a flow handle returned by StartFlow.
-	NetworkFlow = netsim.Flow
-	// NetworkPath is an ordered list of links a flow crosses.
-	NetworkPath = netsim.Path
-	// NetSnapshot is an immutable copy of a network's read surface, safe
-	// for unsynchronized use from any goroutine. Take one and read every
-	// value from it, so they all describe the same commit.
-	NetSnapshot = netsim.Snapshot
-	// SharedNetwork wraps a Network for concurrent drivers: one owner
-	// goroutine applies mutations, and readers take the latest published
-	// NetSnapshot lock-free (SharedNetwork.Snapshot).
-	SharedNetwork = netsim.SharedNetwork
-	// SharedConfig parameterizes NewSharedNetwork (deterministic sequencer
-	// mode, journal sink, snapshot cadence).
-	SharedConfig = netsim.SharedConfig
-	// NetOpLog is the in-memory journal sink: set it as
-	// SharedConfig.Journal to keep every committed op for Replay.
-	NetOpLog = netsim.OpLog
-	// CongestionLevel classifies link utilization for I2A export.
-	CongestionLevel = netsim.CongestionLevel
-)
-
-// Congestion levels, least to most loaded.
-const (
-	CongestionNone     = netsim.CongestionNone
-	CongestionModerate = netsim.CongestionModerate
-	CongestionHigh     = netsim.CongestionHigh
-	CongestionSevere   = netsim.CongestionSevere
-)
-
-// NewTopology returns an empty topology; add links, then freeze it into a
-// Network.
-func NewTopology() *Topology { return netsim.NewTopology() }
-
-// NewNetwork builds a single-goroutine max-min network over a topology.
-func NewNetwork(t *Topology) *Network { return netsim.NewNetwork(t) }
-
-// NewSharedNetwork wraps a Network for concurrent drivers and snapshot
-// readers. The Network must not be touched directly afterwards; Close
-// returns it.
-func NewSharedNetwork(n *Network, cfg SharedConfig) *SharedNetwork {
-	return netsim.NewShared(n, cfg)
-}
-
-// ---- The simulation engines (downstream what-if studies) ----
-
-type (
-	// SimEngine is the deterministic single-threaded discrete-event
-	// engine every experiment runs on.
-	SimEngine = sim.Engine
-	// SimParallelEngine is the multi-driver engine: partition engines
-	// advancing in lockstep over virtual instants, with a per-instant
-	// barrier for deterministic SharedNetwork commits. Worker count never
-	// changes results, only wall-clock.
-	SimParallelEngine = sim.ParallelEngine
-)
-
-// NewSimEngine returns a serial engine seeded with seed.
-func NewSimEngine(seed int64) *SimEngine { return sim.NewEngine(seed) }
-
-// NewSimParallelEngine returns a lockstep multi-driver engine: partitions
-// partition engines (partition p seeded seed+p) run by up to workers
-// goroutines per instant (0 = GOMAXPROCS). Pair it with a deterministic
-// SharedNetwork: give each partition its own Driver and call Commit from an
-// OnInstantEnd hook.
-func NewSimParallelEngine(seed int64, partitions, workers int) *SimParallelEngine {
-	return sim.NewParallel(seed, partitions, workers)
-}
-
-// Fault injection (E15 and downstream chaos studies): deterministic,
-// seeded fault plans applied to scenarios via ScenarioConfig.Faults, or to
-// live looking-glass traffic via the wrappers in internal/faults.
-type (
-	// FaultPlan is a materialized fault schedule (link flaps/outages,
-	// partner-exchange outages, error bursts, latency spikes).
-	FaultPlan = faults.Plan
-	// FaultConfig parameterizes GenerateFaults.
-	FaultConfig = faults.Config
-	// LinkFaultConfig describes one link's fault process.
-	LinkFaultConfig = faults.LinkFaultConfig
-	// PartnerFaultConfig describes the partner-exchange fault process.
-	PartnerFaultConfig = faults.PartnerFaultConfig
-)
-
-// GenerateFaults materializes a fault plan from a seeded config: the same
-// seed always yields the same plan.
-func GenerateFaults(cfg FaultConfig) *FaultPlan { return faults.Generate(cfg) }
 
 // Scenario types for custom Figure 5 runs (cmd/eona-sim and downstream
 // what-if studies).
@@ -437,6 +323,11 @@ type (
 	// Mode selects a party's control generation.
 	Mode = expt.Mode
 )
+
+// FaultPlan is a materialized, seeded fault schedule (link flaps and
+// outages, partner-exchange outages and error bursts) that a scenario
+// injects through ScenarioConfig.Faults (E15).
+type FaultPlan = faults.Plan
 
 // Control-policy generations.
 const (

@@ -135,26 +135,6 @@ func TestFacadeCollectorConfig(t *testing.T) {
 	}
 }
 
-// TestFacadeSharedNetwork drives the concurrency surface end to end
-// through the facade: topology, shared wrapper, snapshot reads.
-func TestFacadeSharedNetwork(t *testing.T) {
-	topo := eona.NewTopology()
-	l := topo.AddLink("a", "b", 10e6, time.Millisecond, "link")
-	s := eona.NewSharedNetwork(eona.NewNetwork(topo), eona.SharedConfig{})
-	f := s.StartFlow(eona.NetworkPath{l}, 4e6, "t")
-	sn := s.Snapshot()
-	if got, ok := sn.Flow(f.ID); !ok || got.Rate != 4e6 {
-		t.Errorf("snapshot flow = %+v, %v", got, ok)
-	}
-	if sn.Utilization(l.ID) != 0.4 {
-		t.Errorf("utilization = %v, want 0.4", sn.Utilization(l.ID))
-	}
-	if sn.Congestion(l.ID) != eona.CongestionNone {
-		t.Errorf("congestion = %v", sn.Congestion(l.ID))
-	}
-	s.Close()
-}
-
 func TestFacadePolicies(t *testing.T) {
 	var appP eona.AppPPolicy = &eona.BaselineAppP{Threshold: 60}
 	var infP eona.InfPPolicy = &eona.EONAInfP{Margin: 0.1, HighWater: 0.9}

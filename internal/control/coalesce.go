@@ -17,14 +17,9 @@ import (
 // the same simulated instant. No simulated time passes in between, but
 // other same-instant events observe the pre-reaction network state; the
 // simulation stays deterministic either way.
-//
-// The commit target is pluggable: NewCoalescer batches directly on a serial
-// Network, NewSharedCoalescer routes the same batch through a
-// SharedNetwork's owner goroutine so concurrent snapshot readers stay
-// race-free while the sim thread keeps writing.
 type Coalescer struct {
 	eng     *sim.Engine
-	commit  func(fns []func())
+	net     *netsim.Network
 	pending []func()
 	// free is the previous flush's drained pending buffer, reused by the
 	// next Defer so steady-state ticks don't grow a fresh slice. Kept
@@ -37,33 +32,7 @@ type Coalescer struct {
 // NewCoalescer returns a Coalescer committing deferred reactions on net at
 // the end of each of eng's ticks.
 func NewCoalescer(eng *sim.Engine, net *netsim.Network) *Coalescer {
-	return &Coalescer{eng: eng, commit: func(fns []func()) {
-		net.NoteCoalescedReactions(uint64(len(fns)))
-		net.Batch(func() {
-			for _, fn := range fns {
-				fn()
-			}
-		})
-	}}
-}
-
-// NewSharedCoalescer returns a Coalescer committing deferred reactions
-// through a SharedNetwork: the whole tick's reactions run as one command on
-// the owner goroutine, publishing a single new snapshot. The deferred
-// closures run with the inner network exclusively held, so reactions built
-// against the raw *Network the SharedNetwork wraps (the usual sim wiring:
-// one simulation thread writes, other goroutines read snapshots) stay
-// correct unchanged; reactions must not call back into the SharedNetwork's
-// own mutation methods, which would deadlock on the owner.
-func NewSharedCoalescer(eng *sim.Engine, net *netsim.SharedNetwork) *Coalescer {
-	return &Coalescer{eng: eng, commit: func(fns []func()) {
-		net.Batch(func(n *netsim.Network) {
-			n.NoteCoalescedReactions(uint64(len(fns)))
-			for _, fn := range fns {
-				fn()
-			}
-		})
-	}}
+	return &Coalescer{eng: eng, net: net}
 }
 
 // Defer queues fn for the shared end-of-tick commit. The first deferral of
@@ -90,7 +59,12 @@ func (c *Coalescer) flush(*sim.Engine) {
 		c.free = fns
 		return
 	}
-	c.commit(fns)
+	c.net.NoteCoalescedReactions(uint64(len(fns)))
+	c.net.Batch(func() {
+		for _, fn := range fns {
+			fn()
+		}
+	})
 	for i := range fns {
 		fns[i] = nil
 	}

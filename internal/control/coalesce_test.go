@@ -1,7 +1,6 @@
 package control
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -164,75 +163,4 @@ func BenchmarkCoalescedReactions(b *testing.B) {
 	}
 	b.Run("uncoalesced", func(b *testing.B) { run(b, false) })
 	b.Run("coalesced", func(b *testing.B) { run(b, true) })
-}
-
-// The shared-network variant of the coalescing contract: the sim thread
-// drives monitors whose reactions commit through a SharedNetwork's owner
-// goroutine (NewSharedCoalescer), while concurrent goroutines hammer the
-// published snapshots. Same pin — M same-instant reactions, ONE
-// reallocation — now with the read plane live and race-free.
-func TestSharedCoalescerSnapshotReaders(t *testing.T) {
-	const M = 6
-	e := sim.NewEngine(1)
-	raw, flows := coalesceNet(3, M)
-	shared := netsim.NewShared(raw, netsim.SharedConfig{})
-	coal := NewSharedCoalescer(e, shared)
-
-	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		readers.Add(1)
-		go func(g int) {
-			defer readers.Done()
-			i := g
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				sn := shared.Snapshot()
-				_ = sn.Utilization(netsim.LinkID(i % 3))
-				_ = sn.Congestion(netsim.LinkID(i % 3))
-				_ = sn.Stats()
-				i++
-			}
-		}(g)
-	}
-
-	reacted := 0
-	for i := 0; i < M; i++ {
-		i := i
-		p, conn := newSession(e, 1e6, 5*time.Minute)
-		// Reactions run on the owner goroutine with the inner network
-		// exclusively held (see NewSharedCoalescer), so mutating raw
-		// directly is the intended wiring.
-		NewMonitor(e, p, MonitorConfig{Coalesce: coal}, func(*Monitor, Reason) {
-			reacted++
-			raw.SetDemand(flows[i], 9e6)
-		})
-		e.Schedule(10*time.Second, func(*sim.Engine) { conn.rate = 1e4 })
-	}
-	base := shared.Stats()
-	e.Run(20 * time.Second)
-	close(stop)
-	readers.Wait()
-	shared.Close()
-
-	st := shared.Stats()
-	if reacted != M {
-		t.Fatalf("%d of %d monitors reacted", reacted, M)
-	}
-	if got := st.CoalescedReactions - base.CoalescedReactions; got != M {
-		t.Errorf("CoalescedReactions delta = %d, want %d", got, M)
-	}
-	if got := st.Reallocations - base.Reallocations; got != 1 {
-		t.Errorf("%d same-instant reactions cost %d reallocations, want exactly 1", M, got)
-	}
-	sn := shared.Snapshot()
-	for i := 0; i < M; i++ {
-		if v, ok := sn.Flow(flows[i].ID); !ok || v.Demand != 9e6 {
-			t.Errorf("reaction %d not applied: view %+v ok=%v", i, v, ok)
-		}
-	}
 }

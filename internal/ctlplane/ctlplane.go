@@ -202,7 +202,6 @@ type ReadModelStats struct {
 	FlowStops     uint64 `json:"flow_stops"`
 	CapacityEdits uint64 `json:"capacity_edits"`
 	UtilSamples   uint64 `json:"util_samples"`
-	Poisoned      bool   `json:"poisoned"`
 	QoEIngested   uint64 `json:"qoe_ingested"`
 	QoEGroups     int    `json:"qoe_groups"`
 }
@@ -216,7 +215,6 @@ func (s *Server) readModelStats() ReadModelStats {
 			rm.FlowStops = u.Stops()
 			rm.CapacityEdits = u.CapacityEdits()
 			rm.UtilSamples = u.Samples()
-			rm.Poisoned = u.Poisoned()
 		}
 		if q := s.cfg.QoE; q != nil {
 			rm.QoEIngested = q.Ingested()

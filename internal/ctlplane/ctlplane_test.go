@@ -478,6 +478,40 @@ func TestStreamObservesCapacityChange(t *testing.T) {
 	}
 }
 
+// TestStreamOutlivesServerWriteTimeout: a server's WriteTimeout is fixed when
+// the request is read, so a stream that outlasts it must move its write
+// deadline per event, or its first write past the timeout fails and the
+// client sees the stream cut short (cmd/eona-lg sets a 10 s WriteTimeout; its
+// dashboard streams without a count).
+func TestStreamOutlivesServerWriteTimeout(t *testing.T) {
+	fx := newFixture(t, nil, nil)
+	ts := httptest.NewUnstartedServer(fx.ts.Config.Handler)
+	ts.Config.WriteTimeout = 200 * time.Millisecond
+	ts.Start()
+	defer ts.Close()
+
+	req, err := http.NewRequest("GET", ts.URL+"/v1/stream?interval=50ms&count=10", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer reader-token")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	events := 0
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if strings.HasPrefix(sc.Text(), "data: ") {
+			events++
+		}
+	}
+	if events != 10 {
+		t.Fatalf("stream delivered %d of 10 events past a 200ms WriteTimeout (read error: %v)", events, sc.Err())
+	}
+}
+
 // TestStreamAddsNoPublishAllocs is the acceptance pin for "SSE adds 0
 // allocations to the snapshot publish path": the same mutation loop must
 // allocate no more with an idle SSE subscriber attached than without one.
@@ -578,7 +612,6 @@ type brokenSink struct{}
 
 func (brokenSink) AppendOp(netsim.Op, uint64) error             { return fmt.Errorf("disk gone") }
 func (brokenSink) AppendSnapshot(netsim.NetState, uint64) error { return fmt.Errorf("disk gone") }
-func (brokenSink) AppendOpaque() error                          { return fmt.Errorf("disk gone") }
 
 // TestStatsReportsJournalError: /v1/stats carries the running network's
 // first sink error as journal_error, and omits the field while healthy.

@@ -2,6 +2,7 @@ package ctlplane
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -13,6 +14,10 @@ import (
 // minStreamInterval bounds how hard one SSE subscriber can hammer the
 // sampler.
 const minStreamInterval = 50 * time.Millisecond
+
+// streamWriteSlack is how long past one interval a stream waits on a client
+// that stops reading before the write fails and the connection drops.
+const streamWriteSlack = 5 * time.Second
 
 // StreamSample is one SSE event: the node's live metrics sampled off the
 // snapshot pointer. Sampling is pull-only — the publish path never knows a
@@ -60,7 +65,10 @@ func (s *Server) sample() StreamSample {
 // handleStream serves Server-Sent Events: one StreamSample immediately, then
 // one per interval (?interval=250ms, default 1s, floor 50ms) until the
 // client disconnects or ?count=N samples were sent (0 = unbounded; tests
-// and curl smoke use a bound).
+// and curl smoke use a bound). A server WriteTimeout is fixed when the
+// request is read, so before each event the write deadline moves to one
+// interval plus streamWriteSlack from now: the stream outlives the timeout,
+// and a client that stops reading is still cut within that bound.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, _ string) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -97,7 +105,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, _ string) 
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	ctx := r.Context()
+	rc := http.NewResponseController(w)
 	for sent := 0; ; {
+		if err := rc.SetWriteDeadline(time.Now().Add(interval + streamWriteSlack)); err != nil && !errors.Is(err, http.ErrNotSupported) {
+			s.logf("ctlplane: stream write deadline: %v", err)
+			return
+		}
 		data, err := json.Marshal(s.sample())
 		if err != nil {
 			s.logf("ctlplane: stream marshal: %v", err)

@@ -2,8 +2,8 @@
 // experiments (E15) and for hardening tests of the partner exchange.
 //
 // A Plan is pure data: a set of link-capacity faults (flaps, partial
-// degradations, outages) plus partner-exchange faults (outage windows,
-// latency spikes, error bursts) positioned on the simulation timeline.
+// degradations, outages) plus partner-exchange faults (outage windows and
+// error bursts) positioned on the simulation timeline.
 // Plans come either from an explicit literal or from Generate, which
 // places fault windows with a seeded RNG — the same seed always yields the
 // same plan, so every chaos run is bit-for-bit reproducible.
@@ -11,10 +11,10 @@
 // Link faults are applied to a netsim.Network through Schedule: each fault
 // instant becomes one sim.Engine event that commits all of that instant's
 // capacity changes inside a single netsim Batch, i.e. one reallocation per
-// fault regardless of how many links it touches. Partner faults gate
-// looking-glass exchanges: in-sim through PartnerUp/PartnerErrored/
-// PartnerDelay, and against real HTTP through Transport and WrapFetch
-// (http.go).
+// fault regardless of how many links it touches. Partner faults gate the
+// simulated looking-glass exchange through PartnerUp and PartnerErrored. A
+// running node's partner faults are Live windows (live.go), which Gate
+// applies to a real poller's fetches.
 package faults
 
 import (
@@ -49,8 +49,8 @@ type LinkFault struct {
 	Factor float64
 }
 
-// LatencySpike adds Extra delay to every partner exchange inside its
-// window.
+// LatencySpike adds Extra delay to every gated partner exchange inside its
+// window (see Live.AddLatencySpike).
 type LatencySpike struct {
 	Window
 	Extra time.Duration
@@ -69,8 +69,6 @@ type Plan struct {
 	// ErrorBursts are windows during which the partner responds, but with
 	// errors (HTTP 5xx / decode failures).
 	ErrorBursts []Window
-	// LatencySpikes slow exchanges down without failing them.
-	LatencySpikes []LatencySpike
 }
 
 // PartnerUp reports whether the partner exchange is reachable at t. A nil
@@ -98,21 +96,6 @@ func (p *Plan) PartnerErrored(t time.Duration) bool {
 		}
 	}
 	return false
-}
-
-// PartnerDelay returns the extra exchange latency injected at t (0 outside
-// every spike; overlapping spikes add up).
-func (p *Plan) PartnerDelay(t time.Duration) time.Duration {
-	if p == nil {
-		return 0
-	}
-	var d time.Duration
-	for _, s := range p.LatencySpikes {
-		if s.Contains(t) {
-			d += s.Extra
-		}
-	}
-	return d
 }
 
 // Target binds a plan link name to a simulated link and its healthy
@@ -243,16 +226,12 @@ type LinkFaultConfig struct {
 // PartnerFaultConfig describes the partner-exchange fault process for
 // Generate. The single outage window is pinned (OutageAt/OutageLen)
 // because chaos sweeps vary its length as the independent variable; bursts
-// and spikes are seed-placed.
+// are seed-placed.
 type PartnerFaultConfig struct {
 	OutageAt, OutageLen time.Duration
 
 	ErrorBursts int
 	BurstLen    time.Duration
-
-	LatencySpikes int
-	SpikeLen      time.Duration
-	SpikeExtra    time.Duration
 }
 
 // Config parameterizes Generate.
@@ -297,9 +276,6 @@ func Generate(cfg Config) *Plan {
 		p.PartnerOutages = append(p.PartnerOutages, Window{Start: pc.OutageAt, End: pc.OutageAt + pc.OutageLen})
 	}
 	p.ErrorBursts = slotWindows(rng, cfg.Horizon, pc.ErrorBursts, pc.BurstLen)
-	for _, w := range slotWindows(rng, cfg.Horizon, pc.LatencySpikes, pc.SpikeLen) {
-		p.LatencySpikes = append(p.LatencySpikes, LatencySpike{Window: w, Extra: pc.SpikeExtra})
-	}
 	return p
 }
 

@@ -20,7 +20,6 @@ func sweepConfig(seed int64) Config {
 		Partner: PartnerFaultConfig{
 			OutageAt: time.Hour, OutageLen: 30 * time.Minute,
 			ErrorBursts: 2, BurstLen: 4 * time.Minute,
-			LatencySpikes: 2, SpikeLen: 6 * time.Minute, SpikeExtra: 200 * time.Millisecond,
 		},
 	}
 }
@@ -56,8 +55,8 @@ func TestGenerateWindowsWellFormed(t *testing.T) {
 	if len(p.PartnerOutages) != 1 || p.PartnerOutages[0].Duration() != 30*time.Minute {
 		t.Errorf("outages = %+v", p.PartnerOutages)
 	}
-	if len(p.ErrorBursts) != 2 || len(p.LatencySpikes) != 2 {
-		t.Errorf("bursts = %+v spikes = %+v", p.ErrorBursts, p.LatencySpikes)
+	if len(p.ErrorBursts) != 2 {
+		t.Errorf("bursts = %+v", p.ErrorBursts)
 	}
 }
 
@@ -77,7 +76,6 @@ func TestPartnerPredicates(t *testing.T) {
 	p := &Plan{
 		PartnerOutages: []Window{{Start: 10 * time.Minute, End: 20 * time.Minute}},
 		ErrorBursts:    []Window{{Start: 30 * time.Minute, End: 31 * time.Minute}},
-		LatencySpikes:  []LatencySpike{{Window: Window{Start: 40 * time.Minute, End: 41 * time.Minute}, Extra: time.Second}},
 	}
 	if !p.PartnerUp(9*time.Minute) || p.PartnerUp(10*time.Minute) || p.PartnerUp(19*time.Minute+59*time.Second) || !p.PartnerUp(20*time.Minute) {
 		t.Error("outage window edges wrong (half-open [start,end) expected)")
@@ -85,11 +83,8 @@ func TestPartnerPredicates(t *testing.T) {
 	if p.PartnerErrored(29*time.Minute) || !p.PartnerErrored(30*time.Minute) {
 		t.Error("error burst window wrong")
 	}
-	if p.PartnerDelay(40*time.Minute+30*time.Second) != time.Second || p.PartnerDelay(42*time.Minute) != 0 {
-		t.Error("latency spike wrong")
-	}
 	var nilPlan *Plan
-	if !nilPlan.PartnerUp(0) || nilPlan.PartnerErrored(0) || nilPlan.PartnerDelay(0) != 0 {
+	if !nilPlan.PartnerUp(0) || nilPlan.PartnerErrored(0) {
 		t.Error("nil plan must be the empty plan")
 	}
 }

@@ -2,18 +2,29 @@ package faults
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"time"
 )
 
+// ErrPartnerDown is the error injected for exchanges attempted inside a
+// partner outage window.
+var ErrPartnerDown = errors.New("faults: injected partner outage")
+
+// WallClock returns a clock mapping wall time to fault-window time, with t=0
+// at start: the timeline a running process positions its Live windows on.
+func WallClock(start time.Time) func() time.Duration {
+	return func() time.Duration { return time.Since(start) }
+}
+
 // Live is the interactive counterpart of a Plan's partner faults: a mutable,
 // concurrency-safe set of outage and latency-spike windows that operators
 // open and close at runtime (the control plane's partner-outage and
 // latency-spike impairments). A Plan is sealed at generation time; Live
-// windows are added while the system runs, but evaluate exactly like plan
-// windows — against a clock on the same timeline — so a gated poller cannot
-// tell the difference.
+// windows are added while the system runs, but are the same half-open
+// Windows evaluated against a clock, and Gate applies them to a real
+// poller's fetches.
 type Live struct {
 	clock func() time.Duration
 
@@ -105,8 +116,8 @@ func (l *Live) PartnerUp() bool {
 	return true
 }
 
-// Delay reports the extra exchange latency injected right now (the sum of
-// all live spike windows containing now, mirroring Plan.PartnerDelay).
+// Delay reports the extra exchange latency injected right now: the sum of
+// all live spike windows containing now.
 func (l *Live) Delay() time.Duration {
 	now := l.clock()
 	l.mu.Lock()
@@ -120,10 +131,9 @@ func (l *Live) Delay() time.Duration {
 	return d
 }
 
-// Gate wraps a looking-glass-style fetch function with the live fault set,
-// like WrapFetch does for a sealed Plan: latency spikes delay the call
-// (respecting ctx cancellation) and outage windows fail it with
-// ErrPartnerDown. A nil Live gates nothing.
+// Gate wraps a looking-glass-style fetch function with the live fault set:
+// latency spikes delay the call (respecting ctx cancellation) and outage
+// windows fail it with ErrPartnerDown. A nil Live gates nothing.
 func Gate[T any](l *Live, fetch func(context.Context) (T, error)) func(context.Context) (T, error) {
 	if l == nil {
 		return fetch
@@ -137,5 +147,19 @@ func Gate[T any](l *Live, fetch func(context.Context) (T, error)) func(context.C
 			return zero, ErrPartnerDown
 		}
 		return fetch(ctx)
+	}
+}
+
+func injectDelay(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return nil
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-timer.C:
+		return nil
 	}
 }

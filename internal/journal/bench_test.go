@@ -97,7 +97,7 @@ func BenchmarkJournalReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := rec.RecoverNetwork(); err != nil {
+		if _, _, err := rec.MaterializeAt(len(rec.Ops)); err != nil {
 			b.Fatal(err)
 		}
 	}

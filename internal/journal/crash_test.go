@@ -72,7 +72,7 @@ func writeCrashCopy(t *testing.T, segs [][]byte, seg, off int) string {
 // contract: recovery never errors, the op prefix it yields replays — via
 // snapshot + catch-up when a snapshot survived — to a state bit-identical
 // to a from-scratch serial replay of that prefix, and every digest matches
-// what the uninterrupted run recorded (RecoverNetwork verifies per op).
+// what the uninterrupted run recorded (MaterializeAt verifies per op).
 // It also pins the checkpoint/offset invariants: a surviving checkpoint's
 // offset never exceeds the recovered stream, offsets are nondecreasing per
 // folder, and a checkpoint never claims coverage of ingests that did not
@@ -127,7 +127,7 @@ func checkCrashRecovery(t *testing.T, crashDir string, totalOps, totalIngests in
 		}
 		return
 	}
-	got, _, err := rec.RecoverNetwork()
+	got, _, err := rec.MaterializeAt(len(rec.Ops))
 	if err != nil {
 		t.Fatalf("recover network: %v", err)
 	}
@@ -272,7 +272,7 @@ func TestOpenRepairsTornTail(t *testing.T) {
 	if st.Size() != int64(bounds[len(bounds)-2]) {
 		t.Fatalf("torn tail not truncated: %d bytes, want %d", st.Size(), bounds[len(bounds)-2])
 	}
-	if err := w2.AppendOpaque(); err != nil {
+	if err := w2.AppendIngest(core.QoERecord{SessionID: "after-repair", Score: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w2.Close(); err != nil {
@@ -282,8 +282,9 @@ func TestOpenRepairsTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.TruncatedBytes != 0 || !after.Opaque || len(after.Ops) != len(before.Ops) {
-		t.Fatalf("post-repair recovery: %d ops, truncated %d, opaque %v", len(after.Ops), after.TruncatedBytes, after.Opaque)
+	if after.TruncatedBytes != 0 || len(after.Ops) != len(before.Ops) || len(after.Ingests) != len(before.Ingests)+1 {
+		t.Fatalf("post-repair recovery: %d ops, %d ingests (before: %d), truncated %d",
+			len(after.Ops), len(after.Ingests), len(before.Ingests), after.TruncatedBytes)
 	}
 }
 
@@ -312,13 +313,14 @@ func TestOtherVersionSegmentIsReportedNotRepaired(t *testing.T) {
 		t.Fatalf("want a rotated journal, got %d segment(s)", len(segs))
 	}
 	for _, seg := range []int{0, len(segs) - 1} {
-		v1 := append([]byte(nil), segs[seg]...)
-		v1[len(segMagic)-1] = '1'
-		if _, err := scanSegment(v1, nil); !errors.Is(err, ErrVersion) || errors.Is(err, ErrTorn) {
+		// '2' is the format before this one: intact frames it cannot read.
+		prev := append([]byte(nil), segs[seg]...)
+		prev[len(segMagic)-1] = '2'
+		if _, err := scanSegment(prev, nil); !errors.Is(err, ErrVersion) || errors.Is(err, ErrTorn) {
 			t.Fatalf("segment %d: scanSegment = %v, want ErrVersion and not ErrTorn", seg, err)
 		}
 		path := filepath.Join(dir, segName(seg))
-		if err := os.WriteFile(path, v1, 0o644); err != nil {
+		if err := os.WriteFile(path, prev, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := Recover(dir); !errors.Is(err, ErrVersion) {
@@ -334,7 +336,7 @@ func TestOtherVersionSegmentIsReportedNotRepaired(t *testing.T) {
 		for i, got := range after {
 			want := segs[i]
 			if i == seg {
-				want = v1
+				want = prev
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("segment %d: Open changed segment %d (%d bytes, was %d)", seg, i, len(got), len(want))
@@ -396,7 +398,7 @@ func TestTornMiddleSegmentDropsLater(t *testing.T) {
 	if rec.TruncatedBytes == 0 {
 		t.Fatal("tear bytes not counted")
 	}
-	if _, _, err := rec.RecoverNetwork(); err != nil {
+	if _, _, err := rec.MaterializeAt(len(rec.Ops)); err != nil {
 		t.Fatalf("prefix before mid-log tear must recover: %v", err)
 	}
 

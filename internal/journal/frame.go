@@ -45,10 +45,12 @@ const MaxFrame = 16 << 20
 
 // segMagic opens every segment file, so recovery cannot misread an
 // arbitrary file as a journal. The trailing byte is the format version:
-// '2' since netsim.StateDigest became a multiset hash — the frames are laid
-// out as in version 1, but every recorded op and snapshot digest means
-// something else, so a version-1 log cannot be verified by this build.
-var segMagic = []byte("EONAJ\x00\x002")
+// '2' when netsim.StateDigest became a multiset hash (every recorded op and
+// snapshot digest changed meaning), '3' since record type 7 (the opaque-batch
+// marker) was retired and LinkUtil checkpoints lost their poison byte. A
+// version-2 log would fail later and less clearly — on a checkpoint this build
+// misparses — so it is refused up front.
+var segMagic = []byte("EONAJ\x00\x003")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 

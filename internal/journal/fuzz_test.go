@@ -36,7 +36,8 @@ func FuzzScanSegment(f *testing.F) {
 		NextID: 1, Capacities: []float64{100, 80}, LinkRates: []float64{10, 10},
 		Flows: []netsim.FlowState{{ID: 0, Links: []netsim.LinkID{0}, Demand: 5, Weight: 1}},
 	}, 0xCAFE))
-	emptyFrame := appendFrame(nil, recOpaque, nil)
+	// The scanner does not decode payloads, so a zero-length one frames fine.
+	emptyFrame := appendFrame(nil, recFault, nil)
 
 	valid := fuzzSegment(opFrame, snapFrame, emptyFrame)
 	f.Add(valid)
@@ -46,10 +47,13 @@ func FuzzScanSegment(f *testing.F) {
 	f.Add([]byte("not a journal"))
 	f.Add([]byte{})
 
-	// Another format version: intact frames behind a version-1 magic.
-	v1 := append([]byte(nil), valid...)
-	v1[len(segMagic)-1] = '1'
-	f.Add(v1)
+	// Other format versions: intact frames behind a version-1 or version-2
+	// magic.
+	for _, v := range []byte{'1', '2'} {
+		old := append([]byte(nil), valid...)
+		old[len(segMagic)-1] = v
+		f.Add(old)
+	}
 
 	// Flipped CRC byte.
 	flipped := append([]byte(nil), valid...)
@@ -57,7 +61,7 @@ func FuzzScanSegment(f *testing.F) {
 	f.Add(flipped)
 
 	// Zero-length payload with a valid frame around it.
-	f.Add(fuzzSegment(appendFrame(nil, recOpaque, nil), opFrame))
+	f.Add(fuzzSegment(emptyFrame, opFrame))
 
 	// Oversized length prefix: claims MaxFrame+1 bytes.
 	over := append([]byte(nil), segMagic...)

@@ -340,11 +340,6 @@ func (w *Writer) AppendCheckpoint(name string, state []byte) error {
 	return w.appendLocked(recProjCkpt, w.payload)
 }
 
-// AppendOpaque implements netsim.OpSink: marks an opaque Batch mutation the
-// journal could not capture op-by-op. Replay past this marker is unsound and
-// recovery says so.
-func (w *Writer) AppendOpaque() error { return w.append(recOpaque, nil) }
-
 // AppendFault records one fault event.
 func (w *Writer) AppendFault(ev faults.Event) error {
 	p, err := marshalJSONPayload("fault event", ev)

@@ -66,11 +66,6 @@ func (l *loggedWriter) AppendOp(op netsim.Op, digest uint64) error {
 	return l.Writer.AppendOp(op, digest)
 }
 
-func (l *loggedWriter) AppendOpaque() error {
-	l.log.AppendOpaque()
-	return l.Writer.AppendOpaque()
-}
-
 // driveJournaled runs the canonical seeded multi-driver workload against a
 // deterministic SharedNetwork journaling into w, and returns the final
 // network plus the recorded op log.
@@ -129,9 +124,6 @@ func driveJournaled(t *testing.T, w *Writer, net *netsim.Network, paths []netsim
 	final := s.Close()
 	if err := s.JournalError(); err != nil {
 		t.Fatalf("journal error during drive: %v", err)
-	}
-	if sink.log.Opaque {
-		t.Fatal("op log incomplete without any opaque Batch")
 	}
 	return final, sink.log.Ops
 }
@@ -206,7 +198,7 @@ func TestJournalRecoverRoundTrip(t *testing.T) {
 				if rec.TruncatedBytes != 0 || rec.DroppedSegments != 0 {
 					t.Fatalf("clean log reported truncation: %+v", rec)
 				}
-				got, replayed, err := rec.RecoverNetwork()
+				got, replayed, err := rec.MaterializeAt(len(rec.Ops))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -256,7 +248,7 @@ func TestJournalRotation(t *testing.T) {
 	if len(rec.Ops) != len(ops) {
 		t.Fatalf("recovered %d ops across segments, drove %d", len(rec.Ops), len(ops))
 	}
-	got, _, err := rec.RecoverNetwork()
+	got, _, err := rec.MaterializeAt(len(rec.Ops))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +281,7 @@ func TestJournalSyncPolicies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := rec.RecoverNetwork()
+			got, _, err := rec.MaterializeAt(len(rec.Ops))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -336,7 +328,7 @@ func TestSnapshotCatchUpEquivalence(t *testing.T) {
 	if rec.Snapshot == nil || rec.Snapshot.OpIndex == 0 {
 		t.Fatalf("want a mid-log snapshot, got %+v", rec.Snapshot)
 	}
-	viaSnap, replayed, err := rec.RecoverNetwork()
+	viaSnap, replayed, err := rec.MaterializeAt(len(rec.Ops))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +376,7 @@ func TestWriterResumesAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _, err := rec.RecoverNetwork()
+	n, _, err := rec.MaterializeAt(len(rec.Ops))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,48 +404,11 @@ func TestWriterResumesAcrossReopen(t *testing.T) {
 	if rec2.Snapshot == nil || rec2.Snapshot.OpIndex <= len(ops) {
 		t.Fatalf("post-restart snapshot should index past the pre-restart ops: %+v", rec2.Snapshot)
 	}
-	got, _, err := rec2.RecoverNetwork()
+	got, _, err := rec2.MaterializeAt(len(rec2.Ops))
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameNetworks(t, "recover after resumed run", got, final)
-}
-
-// TestOpaqueBatchPoisonsReplay: an opaque SharedNetwork.Batch lands a
-// marker, and recovery refuses to pretend replay is sound.
-func TestOpaqueBatchPoisonsReplay(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Open(Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, paths, ts := fixtures()["line"]()
-	if err := w.AppendTopology(ts); err != nil {
-		t.Fatal(err)
-	}
-	s := netsim.NewShared(net, netsim.SharedConfig{Journal: w})
-	d := s.Driver(1)
-	d.StartFlow(paths[0], 10, "x")
-	s.Batch(func(n *netsim.Network) {
-		n.SetMaxRate(77)
-	})
-	s.Close()
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rec.Opaque {
-		t.Fatal("opaque batch not recorded")
-	}
-	if _, _, err := rec.RecoverNetwork(); err == nil {
-		t.Fatal("RecoverNetwork succeeded over an opaque batch")
-	}
-	if _, err := rec.Bisect(); err == nil {
-		t.Fatal("Bisect succeeded over an opaque batch")
-	}
 }
 
 // TestRecoverMissingAndEmpty: a missing directory and an empty journal both
@@ -528,9 +483,9 @@ func TestSideStreamsRoundTrip(t *testing.T) {
 		t.Fatalf("polls %+v", rec.Polls)
 	}
 	// Replaying the recovered ingest stream rebuilds the collector — one
-	// batch in journal order, via the Recovered helper restart paths use.
+	// batch in journal order.
 	rebuilt := core.NewA2ICollector(core.CollectorConfig{AppP: "appp-x"})
-	rec.ReplayIngests(rebuilt)
+	rebuilt.IngestBatch(rec.Ingests)
 	if a, b := rebuilt.Summaries(), inner.Summaries(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("rebuilt summaries diverge:\n%+v\n%+v", a, b)
 	}
@@ -570,7 +525,7 @@ func TestScheduleDriverFaultsReplay(t *testing.T) {
 	if len(rec.Ops) != 2 {
 		t.Fatalf("want 2 ops, got %d", len(rec.Ops))
 	}
-	n, _, err := rec.RecoverNetwork()
+	n, _, err := rec.MaterializeAt(len(rec.Ops))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,8 +575,8 @@ func TestBisectFindsFirstDivergentOp(t *testing.T) {
 	if d.Index != target {
 		t.Fatalf("bisect blamed op %d, corrupted op %d", d.Index, target)
 	}
-	if _, _, err := rec.RecoverNetwork(); err == nil {
-		t.Fatal("RecoverNetwork accepted a diverging log")
+	if _, _, err := rec.MaterializeAt(len(rec.Ops)); err == nil {
+		t.Fatal("MaterializeAt accepted a diverging log")
 	}
 }
 

@@ -67,20 +67,6 @@ func (r *PayloadReader) U64(what string) uint64 {
 func (r *PayloadReader) I64(what string) int64   { return int64(r.U64(what)) }
 func (r *PayloadReader) F64(what string) float64 { return math.Float64frombits(r.U64(what)) }
 
-// Byte reads one raw byte (a flag).
-func (r *PayloadReader) Byte(what string) byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) == 0 {
-		r.Fail(what)
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
 // Str reads a uvarint-length-prefixed string.
 func (r *PayloadReader) Str(what string) string { return string(r.Bytes(what)) }
 

@@ -29,9 +29,6 @@ const (
 	recIngest byte = 5
 	// recPoll carries one PollRecord (JSON).
 	recPoll byte = 6
-	// recOpaque marks an opaque Batch mutation that could not be captured
-	// op-by-op. Its presence makes op replay unsound; recovery reports it.
-	recOpaque byte = 7
 	// recProjCkpt carries one projection checkpoint: the folder's name, its
 	// committed offset (the count of records preceding this frame in the
 	// whole record stream), the state's fingerprint and the encoded state

@@ -38,7 +38,6 @@ const (
 	KindFault      = RecordKind(recFault)
 	KindIngest     = RecordKind(recIngest)
 	KindPoll       = RecordKind(recPoll)
-	KindOpaque     = RecordKind(recOpaque)
 	KindCheckpoint = RecordKind(recProjCkpt)
 )
 
@@ -56,8 +55,6 @@ func (k RecordKind) String() string {
 		return "ingest"
 	case KindPoll:
 		return "poll"
-	case KindOpaque:
-		return "opaque"
 	case KindCheckpoint:
 		return "checkpoint"
 	default:
@@ -67,7 +64,7 @@ func (k RecordKind) String() string {
 
 // StreamEntry locates one record in the journal's total order: its kind and
 // its index into the corresponding per-kind slice (Ops, Ingests, Faults,
-// Polls, Snapshots; zero for topo/opaque/checkpoint markers). A projection
+// Polls, Snapshots; zero for topo and checkpoint markers). A projection
 // resuming from committed offset N folds Stream[N:] — the exact surviving
 // suffix, interleaved across kinds in append order.
 type StreamEntry struct {
@@ -114,13 +111,6 @@ type Recovered struct {
 	// Checkpoints holds each projection folder's recovered checkpoints in
 	// append order (oldest first), keyed by folder name.
 	Checkpoints map[string][]Checkpoint
-	// Opaque reports that an opaque-batch marker was seen: some mutation
-	// was not captured op-by-op, so replaying Ops does NOT reproduce the
-	// writer's network. RecoverNetwork refuses in that case.
-	Opaque bool
-	// opaqueAtOp is len(Ops) when the first opaque marker was seen:
-	// materialization at or below that op index is still sound.
-	opaqueAtOp int
 	// TruncatedBytes counts torn-tail bytes that were ignored, and
 	// DroppedSegments counts segments discarded after a mid-log tear.
 	TruncatedBytes  int64
@@ -224,11 +214,6 @@ func (r *Recovered) apply(typ byte, payload []byte) error {
 		}
 		entry.Index = int32(len(r.Polls))
 		r.Polls = append(r.Polls, pr)
-	case recOpaque:
-		if !r.Opaque {
-			r.Opaque = true
-			r.opaqueAtOp = len(r.Ops)
-		}
 	case recProjCkpt:
 		name, offset, digest, state, err := decodeCkptPayload(payload)
 		if err != nil {
@@ -262,38 +247,23 @@ func (r *Recovered) LatestCheckpoint(name string) (Checkpoint, bool) {
 	return cps[len(cps)-1], true
 }
 
-// RecoverNetwork rebuilds the journaled network at the head of the log:
-// latest snapshot imported onto a fresh network over the journaled
-// topology, then the op tail behind the snapshot replayed — or a full
-// replay when no snapshot exists. Every step is verified against the
-// journal's recorded digests; a mismatch means the log does not reproduce
-// the writer's run (use Bisect to find where). Returns the network and the
-// number of tail ops replayed.
-func (r *Recovered) RecoverNetwork() (*netsim.Network, int, error) {
-	if r.Opaque {
-		return nil, 0, fmt.Errorf("journal: log contains opaque batch mutations; op replay is unsound")
-	}
-	return r.MaterializeAt(len(r.Ops))
-}
-
 // MaterializeAt rebuilds the journaled network as it stood after the first
-// opIndex ops — time travel to any journaled point. Cost is O(distance to
+// opIndex ops — time travel to any journaled point; MaterializeAt(len(Ops))
+// is the network at the head of the log. Cost is O(distance to
 // the nearest preceding snapshot), not O(opIndex): the newest snapshot at
 // or before opIndex is imported and only the gap is replayed, the whole
 // tail inside one Batch so the allocator re-solves once at commit instead
 // of per op. Verification is not weakened by batching: StateDigest hashes
 // allocator *inputs*, which update eagerly inside an open batch, so each
-// replayed op is still checked against the digest the writer recorded.
-// Returns the network and the number of tail ops replayed.
+// replayed op is still checked against the digest the writer recorded; a
+// mismatch means the log does not reproduce the writer's run (use Bisect to
+// find where). Returns the network and the number of tail ops replayed.
 func (r *Recovered) MaterializeAt(opIndex int) (*netsim.Network, int, error) {
 	if r.Topo == nil {
 		return nil, 0, fmt.Errorf("journal: no topology record; journal does not carry a network")
 	}
 	if opIndex < 0 || opIndex > len(r.Ops) {
 		return nil, 0, fmt.Errorf("journal: op index %d out of range [0, %d]", opIndex, len(r.Ops))
-	}
-	if r.Opaque && opIndex > r.opaqueAtOp {
-		return nil, 0, fmt.Errorf("journal: opaque batch mutation after op %d poisons replay past it; cannot materialize at %d", r.opaqueAtOp, opIndex)
 	}
 	n := netsim.NewNetwork(r.Topo.Build())
 	start := 0
@@ -346,9 +316,6 @@ func (r *Recovered) ReplayPrefix(opIndex int) (*netsim.Network, error) {
 	if opIndex < 0 || opIndex > len(r.Ops) {
 		return nil, fmt.Errorf("journal: op index %d out of range [0, %d]", opIndex, len(r.Ops))
 	}
-	if r.Opaque && opIndex > r.opaqueAtOp {
-		return nil, fmt.Errorf("journal: opaque batch mutation after op %d poisons replay past it", r.opaqueAtOp)
-	}
 	n := netsim.NewNetwork(r.Topo.Build())
 	rp := netsim.NewReplayer(n)
 	for i, or := range r.Ops[:opIndex] {
@@ -360,15 +327,6 @@ func (r *Recovered) ReplayPrefix(opIndex int) (*netsim.Network, error) {
 		}
 	}
 	return n, nil
-}
-
-// ReplayIngests feeds the recovered ingest stream into a collector as one
-// batch in journal order — warm-start cost matches the batched ingest path
-// instead of a record-at-a-time loop.
-func (r *Recovered) ReplayIngests(col core.A2ICollector) {
-	if len(r.Ingests) > 0 {
-		col.IngestBatch(r.Ingests)
-	}
 }
 
 // Divergence names the first op at which a replayed mirror stops matching
@@ -401,9 +359,6 @@ func (d *Divergence) Error() string {
 func (r *Recovered) Bisect() (*Divergence, error) {
 	if r.Topo == nil {
 		return nil, fmt.Errorf("journal: no topology record; nothing to bisect against")
-	}
-	if r.Opaque {
-		return nil, fmt.Errorf("journal: log contains opaque batch mutations; bisect would diverge spuriously")
 	}
 	n := netsim.NewNetwork(r.Topo.Build())
 	rp := netsim.NewReplayer(n)

@@ -40,7 +40,8 @@ type Snapshot[T any] struct {
 	attempted bool
 	err       error
 
-	// halfLife parameterizes Confidence; zero means no decay.
+	// halfLife parameterizes Confidence (PollConfig.HalfLife); zero means
+	// no decay.
 	halfLife time.Duration
 	// Robustness counters, maintained by the polling loop.
 	polls, successes, failures, retries, skipped uint64
@@ -63,16 +64,6 @@ func (s *Snapshot[T]) Err() error {
 	return s.err
 }
 
-// Age returns time since the last successful fetch, or false if none.
-func (s *Snapshot[T]) Age(now time.Time) (time.Duration, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if !s.ok {
-		return 0, false
-	}
-	return now.Sub(s.at), true
-}
-
 // Confidence grades the snapshot's trustworthiness at now: 0 before any
 // successful fetch, 1 at the instant of a fetch, and exponentially
 // decaying with age on the configured half-life (see DecayConfidence).
@@ -86,15 +77,6 @@ func (s *Snapshot[T]) Confidence(now time.Time) float64 {
 		return 0
 	}
 	return DecayConfidence(now.Sub(s.at), s.halfLife)
-}
-
-// SetHalfLife configures the Confidence decay half-life (non-positive
-// disables decay). PollWith sets it from its config; bare Snapshots and
-// legacy Poll default to no decay.
-func (s *Snapshot[T]) SetHalfLife(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.halfLife = d
 }
 
 // Seed warm-starts the snapshot with a value recovered from durable state
@@ -120,17 +102,6 @@ func (s *Snapshot[T]) LastAttempt() (time.Time, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.attemptAt, s.attempted
-}
-
-// SinceAttempt returns time since the last completed poll attempt, or false
-// if none has completed.
-func (s *Snapshot[T]) SinceAttempt(now time.Time) (time.Duration, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if !s.attempted {
-		return 0, false
-	}
-	return now.Sub(s.attemptAt), true
 }
 
 // Health is a point-in-time view of a poller's robustness counters — what
@@ -219,22 +190,16 @@ func (s *Snapshot[T]) recordSkip() {
 // fields take the documented defaults.
 type PollConfig struct {
 	// Interval is the steady-state delay between successful polls.
-	// Required, positive.
+	// Required, positive. Each fetch also runs under a derived context
+	// timing out after Interval, floored at MinAttemptTimeout, so a hung
+	// peer cannot wedge the polling loop past cancellation (the fetch must
+	// honor its context, as HTTP fetches do).
 	Interval time.Duration
-	// AttemptTimeout bounds each fetch via a derived context, so a hung
-	// peer cannot wedge the polling loop past cancellation (the fetch
-	// must honor its context, as HTTP fetches do). Default: Interval,
-	// floored at MinAttemptTimeout.
-	AttemptTimeout time.Duration
 	// BackoffBase is the delay before the first retry after a failure
-	// (default Interval). Subsequent consecutive failures multiply the
-	// delay by BackoffFactor (default 2) up to BackoffMax (default
-	// 8×Interval), each jittered by ±BackoffJitter fraction (default
-	// 0.1; set negative for none).
-	BackoffBase   time.Duration
-	BackoffMax    time.Duration
-	BackoffFactor float64
-	BackoffJitter float64
+	// (default Interval). Subsequent consecutive failures double the delay
+	// up to BackoffMax (default 8×Interval), each jittered by ±10 %.
+	BackoffBase time.Duration
+	BackoffMax  time.Duration
 	// Seed drives the jitter RNG; same seed, same retry schedule.
 	Seed int64
 	// Breaker configures the consecutive-failure circuit breaker
@@ -248,33 +213,28 @@ type PollConfig struct {
 // polling at millisecond intervals don't time out real loopback fetches.
 const MinAttemptTimeout = 250 * time.Millisecond
 
+// backoffFactor multiplies the retry delay per consecutive failure, and
+// backoffJitter is the ± fraction each delay is jittered by.
+const (
+	backoffFactor = 2
+	backoffJitter = 0.1
+)
+
 func (c PollConfig) withDefaults() PollConfig {
-	if c.AttemptTimeout <= 0 {
-		c.AttemptTimeout = c.Interval
-	}
-	if c.AttemptTimeout < MinAttemptTimeout {
-		c.AttemptTimeout = MinAttemptTimeout
-	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = c.Interval
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 8 * c.Interval
 	}
-	if c.BackoffFactor == 0 {
-		c.BackoffFactor = 2
-	}
-	if c.BackoffJitter == 0 {
-		c.BackoffJitter = 0.1
-	}
 	return c
 }
 
 // PollWith fetches fetch() immediately and then repeatedly until ctx is
-// cancelled, publishing results into the returned Snapshot. It is the
-// hardened form of Poll: each attempt runs under a derived per-attempt
-// timeout, failures retry on jittered exponential backoff instead of the
-// steady interval, and a consecutive-failure circuit breaker suppresses
+// cancelled, publishing results into the returned Snapshot. Each attempt
+// runs under a derived per-attempt timeout, failures retry on jittered
+// exponential backoff instead of the steady interval, and a
+// consecutive-failure circuit breaker suppresses
 // fetches entirely while a peer is down, probing half-open after a
 // cooldown. Failed polls keep the previous value (stale beats absent — the
 // §5 staleness stance) and record the error; Snapshot.Confidence grades
@@ -285,6 +245,7 @@ func PollWith[T any](ctx context.Context, cfg PollConfig, fetch func(context.Con
 		panic("lookingglass: poll interval must be positive")
 	}
 	cfg = cfg.withDefaults()
+	attemptTimeout := max(cfg.Interval, MinAttemptTimeout)
 	snap := &Snapshot[T]{halfLife: cfg.HalfLife}
 	var br *Breaker
 	if cfg.Breaker.Threshold >= 0 {
@@ -301,7 +262,7 @@ func PollWith[T any](ctx context.Context, cfg PollConfig, fetch func(context.Con
 				snap.recordSkip()
 				return
 			}
-			actx, cancel := context.WithTimeout(ctx, cfg.AttemptTimeout)
+			actx, cancel := context.WithTimeout(ctx, attemptTimeout)
 			v, err := fetch(actx)
 			cancel()
 			now := time.Now()
@@ -343,7 +304,7 @@ func PollWith[T any](ctx context.Context, cfg PollConfig, fetch func(context.Con
 func backoffDelay(cfg PollConfig, consec int, rng *rand.Rand) time.Duration {
 	d := float64(cfg.BackoffBase)
 	for i := 1; i < consec; i++ {
-		d *= cfg.BackoffFactor
+		d *= backoffFactor
 		if d >= float64(cfg.BackoffMax) {
 			break
 		}
@@ -351,28 +312,9 @@ func backoffDelay(cfg PollConfig, consec int, rng *rand.Rand) time.Duration {
 	if d > float64(cfg.BackoffMax) {
 		d = float64(cfg.BackoffMax)
 	}
-	if cfg.BackoffJitter > 0 {
-		d *= 1 + cfg.BackoffJitter*(2*rng.Float64()-1)
-	}
+	d *= 1 + backoffJitter*(2*rng.Float64()-1)
 	if d < 1 {
 		d = 1
 	}
 	return time.Duration(d)
-}
-
-// Poll fetches fetch() immediately and then every interval until ctx is
-// cancelled, publishing results into the returned Snapshot. Failed polls
-// keep the previous value (stale beats absent — the §5 staleness stance)
-// and record the error. Each attempt runs under a derived context bounded
-// by the interval (floored at MinAttemptTimeout), so a hung fetch cannot
-// wedge the loop past ctx cancellation. The done channel closes when the
-// polling goroutine exits. For retry backoff, circuit breaking, and
-// confidence decay, use PollWith.
-func Poll[T any](ctx context.Context, interval time.Duration, fetch func(context.Context) (T, error)) (*Snapshot[T], <-chan struct{}) {
-	return PollWith(ctx, PollConfig{
-		Interval:      interval,
-		BackoffFactor: 1,
-		BackoffJitter: -1,
-		Breaker:       BreakerConfig{Threshold: -1},
-	}, fetch)
 }

@@ -20,7 +20,7 @@ func TestPollPublishesAndRefreshes(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	snap, done := Poll(ctx, 5*time.Millisecond, fetch)
+	snap, done := PollWith(ctx, breakerless(5*time.Millisecond), fetch)
 
 	waitFor(t, func() bool { v, _, ok := snap.Get(); return ok && v == 1 })
 	mu.Lock()
@@ -28,8 +28,8 @@ func TestPollPublishesAndRefreshes(t *testing.T) {
 	mu.Unlock()
 	waitFor(t, func() bool { v, _, _ := snap.Get(); return v == 2 })
 
-	if age, ok := snap.Age(time.Now()); !ok || age < 0 || age > time.Minute {
-		t.Errorf("Age = %v, %v", age, ok)
+	if _, at, ok := snap.Get(); !ok || time.Since(at) < 0 || time.Since(at) > time.Minute {
+		t.Errorf("age = %v, %v", time.Since(at), ok)
 	}
 	cancel()
 	select {
@@ -52,7 +52,7 @@ func TestPollKeepsStaleValueOnError(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	snap, _ := Poll(ctx, 5*time.Millisecond, fetch)
+	snap, _ := PollWith(ctx, breakerless(5*time.Millisecond), fetch)
 	waitFor(t, func() bool { _, _, ok := snap.Get(); return ok })
 
 	mu.Lock()
@@ -75,13 +75,13 @@ func TestPollNeverSucceeded(t *testing.T) {
 	fetch := func(context.Context) (int, error) { return 0, errors.New("always down") }
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	snap, _ := Poll(ctx, 5*time.Millisecond, fetch)
+	snap, _ := PollWith(ctx, breakerless(5*time.Millisecond), fetch)
 	waitFor(t, func() bool { return snap.Err() != nil })
 	if _, _, ok := snap.Get(); ok {
 		t.Error("Get reported ok with no successful poll")
 	}
-	if _, ok := snap.Age(time.Now()); ok {
-		t.Error("Age reported ok with no successful poll")
+	if _, at, _ := snap.Get(); !at.IsZero() {
+		t.Errorf("fetch time %v reported with no successful poll", at)
 	}
 }
 
@@ -102,7 +102,7 @@ func TestSnapshotLastAttemptAdvancesOnFailure(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	snap, _ := Poll(ctx, 2*time.Millisecond, fetch)
+	snap, _ := PollWith(ctx, breakerless(2*time.Millisecond), fetch)
 	waitFor(t, func() bool { _, _, ok := snap.Get(); return ok })
 	_, fetchedAt, _ := snap.Get()
 	firstAttempt, ok := snap.LastAttempt()
@@ -137,18 +137,15 @@ func TestSnapshotLastAttemptAdvancesOnFailure(t *testing.T) {
 	if !at.After(fetchedAt) {
 		t.Errorf("LastAttempt %v did not advance past stale fetchedAt %v", at, fetchedAt)
 	}
-	if since, ok := snap.SinceAttempt(time.Now()); !ok || since < 0 || since > time.Minute {
-		t.Errorf("SinceAttempt = %v, %v", since, ok)
+	if at, ok := snap.LastAttempt(); !ok || time.Since(at) < 0 || time.Since(at) > time.Minute {
+		t.Errorf("time since last attempt = %v, %v", time.Since(at), ok)
 	}
 }
 
 func TestSnapshotLastAttemptBeforeAnyPoll(t *testing.T) {
 	var s Snapshot[int]
-	if _, ok := s.LastAttempt(); ok {
-		t.Error("LastAttempt ok with no poll completed")
-	}
-	if _, ok := s.SinceAttempt(time.Now()); ok {
-		t.Error("SinceAttempt ok with no poll completed")
+	if at, ok := s.LastAttempt(); ok || !at.IsZero() {
+		t.Errorf("LastAttempt = %v, %v with no poll completed", at, ok)
 	}
 }
 
@@ -156,7 +153,7 @@ func TestSnapshotLastAttemptOnNeverSucceeded(t *testing.T) {
 	fetch := func(context.Context) (int, error) { return 0, errors.New("always down") }
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	snap, _ := Poll(ctx, 2*time.Millisecond, fetch)
+	snap, _ := PollWith(ctx, breakerless(2*time.Millisecond), fetch)
 	waitFor(t, func() bool { return snap.Err() != nil })
 	if _, _, ok := snap.Get(); ok {
 		t.Error("Get ok with no success")
@@ -174,7 +171,7 @@ func TestPollBadInterval(t *testing.T) {
 			t.Error("zero interval did not panic")
 		}
 	}()
-	Poll(context.Background(), 0, func(context.Context) (int, error) { return 0, nil })
+	PollWith(context.Background(), breakerless(0), func(context.Context) (int, error) { return 0, nil })
 }
 
 func TestPollAgainstRealServer(t *testing.T) {
@@ -183,7 +180,7 @@ func TestPollAgainstRealServer(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	snap, _ := Poll(ctx, 10*time.Millisecond, func(ctx context.Context) ([]core.PeeringInfo, error) {
+	snap, _ := PollWith(ctx, breakerless(10*time.Millisecond), func(ctx context.Context) ([]core.PeeringInfo, error) {
 		return client.PeeringInfo(ctx, "cdnX")
 	})
 	waitFor(t, func() bool { _, _, ok := snap.Get(); return ok })
@@ -209,7 +206,7 @@ func TestSnapshotConcurrentAccess(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	n := 0
-	snap, _ := Poll(ctx, time.Millisecond, func(context.Context) (int, error) {
+	snap, _ := PollWith(ctx, breakerless(time.Millisecond), func(context.Context) (int, error) {
 		n++
 		return n, nil
 	})
@@ -221,13 +218,19 @@ func TestSnapshotConcurrentAccess(t *testing.T) {
 			for j := 0; j < 500; j++ {
 				snap.Get()
 				snap.Err()
-				snap.Age(time.Now())
+				snap.Confidence(time.Now())
 				snap.LastAttempt()
-				snap.SinceAttempt(time.Now())
+				snap.Health(time.Now())
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// breakerless polls every interval with no circuit breaker, so an outage
+// is retried on backoff for as long as it lasts.
+func breakerless(interval time.Duration) PollConfig {
+	return PollConfig{Interval: interval, Breaker: BreakerConfig{Threshold: -1}}
 }
 
 func waitFor(t *testing.T, cond func() bool) {

@@ -48,11 +48,10 @@ func TestDecayConfidence(t *testing.T) {
 
 func TestSnapshotConfidence(t *testing.T) {
 	t0 := time.Now()
-	s := &Snapshot[int]{}
+	s := &Snapshot[int]{halfLife: time.Hour}
 	if c := s.Confidence(t0); c != 0 {
 		t.Errorf("confidence before any success = %v, want 0", c)
 	}
-	s.SetHalfLife(time.Hour)
 	s.set(42, t0)
 	if c := s.Confidence(t0); c != 1 {
 		t.Errorf("confidence at fetch instant = %v, want 1", c)
@@ -174,7 +173,7 @@ func TestPollAttemptTimeoutUnwedgesHungFetch(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	snap, done := Poll(ctx, 10*time.Millisecond, fetch)
+	snap, done := PollWith(ctx, breakerless(10*time.Millisecond), fetch)
 
 	waitFor(t, func() bool { return snap.Err() != nil })
 	if !errors.Is(snap.Err(), context.DeadlineExceeded) {
@@ -269,7 +268,6 @@ func TestSnapshotConcurrentConfidence(t *testing.T) {
 				snap.Err()
 				snap.Confidence(time.Now())
 				snap.Health(time.Now())
-				snap.Age(time.Now())
 				snap.LastAttempt()
 			}
 		}()

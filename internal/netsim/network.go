@@ -616,9 +616,8 @@ func (n *Network) Headroom(id LinkID) float64 {
 	return h
 }
 
-// NoteCoalescedReactions adds k to the CoalescedReactions counter — its
-// only writer, so SharedNetwork.Batch can route the accounting through its
-// owner goroutine.
+// NoteCoalescedReactions adds k to the CoalescedReactions counter, its only
+// writer (control.Coalescer calls it once per coalesced commit).
 func (n *Network) NoteCoalescedReactions(k uint64) {
 	n.stats.CoalescedReactions += k
 }

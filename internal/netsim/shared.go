@@ -87,25 +87,18 @@ type OpSink interface {
 	// AppendSnapshot records a full state snapshot; recovery loads the
 	// latest snapshot and replays only the ops after it.
 	AppendSnapshot(st NetState, digest uint64) error
-	// AppendOpaque marks an opaque Batch whose mutations cannot be
-	// journaled; recovery from a journal containing one is unsound and
-	// must say so.
-	AppendOpaque() error
 }
 
 // OpLog is the in-memory OpSink: it keeps every committed op, in commit
-// order, for Replay-based differential checks and op-sequence export, and
-// notes whether an opaque Batch made the log incomplete. Snapshots are not
-// kept — the ops alone replay the run. The owner goroutine writes it, so read
-// it only after Close.
+// order, for Replay-based differential checks and op-sequence export.
+// Snapshots are not kept — the ops alone replay the run. The owner goroutine
+// writes it, so read it only after Close.
 type OpLog struct {
-	Ops    []Op
-	Opaque bool
+	Ops []Op
 }
 
 func (l *OpLog) AppendOp(op Op, _ uint64) error        { l.Ops = append(l.Ops, op); return nil }
 func (l *OpLog) AppendSnapshot(NetState, uint64) error { return nil }
-func (l *OpLog) AppendOpaque() error                   { l.Opaque = true; return nil }
 
 // SharedConfig configures a SharedNetwork.
 type SharedConfig struct {
@@ -139,17 +132,15 @@ type cmdKind uint8
 
 const (
 	cmdOp cmdKind = iota
-	cmdBatch
 	cmdCommit
 	cmdClose
 )
 
 type sharedCmd struct {
 	kind   cmdKind
-	op     Op             // parameters for cmdOp (Flow field unset until apply)
-	flow   *Flow          // target handle; for OpStart, the placeholder to attach
-	path   Path           // resolved path for OpStart / OpSetPath
-	fn     func(*Network) // cmdBatch body
+	op     Op    // parameters for cmdOp (Flow field unset until apply)
+	flow   *Flow // target handle; for OpStart, the placeholder to attach
+	path   Path  // resolved path for OpStart / OpSetPath
 	driver uint64
 	seq    uint64
 	reply  chan struct{} // cap-1; the owner sends when the command is done (unused for buffered det-mode ops)
@@ -169,7 +160,6 @@ func putCmd(c *sharedCmd) {
 	c.op = Op{}
 	c.flow = nil
 	c.path = nil
-	c.fn = nil
 	c.driver, c.seq = 0, 0
 	cmdPool.Put(c)
 }
@@ -200,7 +190,7 @@ func putCmd(c *sharedCmd) {
 //     regardless of scheduling.
 //
 // Callers must not touch the inner Network directly between NewShared and
-// Close; Batch lends it out on the owner goroutine for compound mutations.
+// Close: every mutation is an op, so the journal records all of them.
 type SharedNetwork struct {
 	net  *Network
 	cfg  SharedConfig
@@ -296,25 +286,6 @@ func (s *SharedNetwork) SetPath(f *Flow, path Path) {
 // race-free.
 func (s *SharedNetwork) SetLinkCapacity(id LinkID, capacity float64) {
 	s.linkOp(id, capacity, 0, s.seq0.Add(1))
-}
-
-// Batch runs fn on the owner goroutine with exclusive access to the inner
-// Network, committing once when fn returns — the compound-mutation escape
-// hatch for control loops. fn must use the passed Network, not the
-// SharedNetwork (calling back in would deadlock). A Batch's mutations are
-// opaque to the journal, which gets an AppendOpaque in their place. In
-// deterministic mode the batch is buffered like any op and fn runs at the
-// next Commit.
-func (s *SharedNetwork) Batch(fn func(*Network)) {
-	c := getCmd()
-	c.kind, c.fn, c.driver, c.seq = cmdBatch, fn, 0, s.seq0.Add(1)
-	if s.cfg.Deterministic {
-		s.send(c) // the owner recycles it after commit
-		return
-	}
-	s.send(c)
-	<-c.reply
-	putCmd(c)
 }
 
 // Commit is a synchronization barrier. In deterministic mode it applies the
@@ -480,14 +451,6 @@ func (s *SharedNetwork) run() {
 			s.maybeSnapshot()
 			s.publish()
 			c.reply <- struct{}{}
-		case cmdBatch:
-			if s.cfg.Deterministic {
-				s.window = append(s.window, c)
-				continue
-			}
-			s.runBatch(c)
-			s.publish()
-			c.reply <- struct{}{}
 		case cmdCommit:
 			s.commitWindow()
 			s.maybeSnapshot()
@@ -526,10 +489,6 @@ func (s *SharedNetwork) commitWindow() {
 	})
 	s.net.Batch(func() {
 		for _, c := range s.window {
-			if c.kind == cmdBatch {
-				s.runBatch(c)
-				continue
-			}
 			s.apply(c)
 		}
 	})
@@ -538,13 +497,6 @@ func (s *SharedNetwork) commitWindow() {
 		s.window[i] = nil
 	}
 	s.window = s.window[:0]
-}
-
-func (s *SharedNetwork) runBatch(c *sharedCmd) {
-	if s.cfg.Journal != nil {
-		s.noteJournalErr(s.cfg.Journal.AppendOpaque())
-	}
-	s.net.Batch(func() { c.fn(s.net) })
 }
 
 // apply performs one mutation on the inner network and records it. Ops on

@@ -134,9 +134,6 @@ func driveSharedDeterministic(t *testing.T, build func() (*Network, []Path), see
 		s.Commit()
 	}
 	final := s.Close()
-	if sink.Opaque {
-		t.Fatal("op log reported incomplete without any opaque Batch")
-	}
 	return sink.Ops, final
 }
 
@@ -255,9 +252,6 @@ func TestSharedImmediateHammer(t *testing.T) {
 
 	final := s.Close()
 	ops := log.Ops
-	if log.Opaque {
-		t.Fatal("op log incomplete without any Batch")
-	}
 	// No-ops on already-stopped handles are not logged, so the log is at
 	// most one op per issued mutation.
 	if len(ops) == 0 || len(ops) > writers*opsPerWriter {
@@ -303,8 +297,8 @@ func TestSharedImmediateBasics(t *testing.T) {
 	net := s.Close()
 	// 2 starts + 1 set-demand + 1 stop; the second stop is a detached
 	// no-op and must not be logged.
-	if log.Opaque || len(log.Ops) != 4 {
-		t.Fatalf("log = %d ops (opaque=%v), want 4 complete", len(log.Ops), log.Opaque)
+	if len(log.Ops) != 4 {
+		t.Fatalf("log = %d ops, want 4", len(log.Ops))
 	}
 	if net.NumFlows() != 1 {
 		t.Errorf("final flows = %d, want 1", net.NumFlows())
@@ -327,26 +321,6 @@ func TestSharedDeterministicPlaceholders(t *testing.T) {
 		t.Errorf("flow view = %+v, %v; want rate 30", v, ok)
 	}
 	s.Close()
-}
-
-func TestSharedBatchMarksLogIncomplete(t *testing.T) {
-	topo, p := line(100)
-	log := &OpLog{}
-	s := NewShared(NewNetwork(topo), SharedConfig{Journal: log})
-	s.Batch(func(n *Network) {
-		n.StartFlow(p, 10, "inside")
-		n.NoteCoalescedReactions(3)
-	})
-	if got := s.Stats().CoalescedReactions; got != 3 {
-		t.Errorf("CoalescedReactions = %d, want 3", got)
-	}
-	if got := s.NumFlows(); got != 1 {
-		t.Errorf("NumFlows = %d, want 1", got)
-	}
-	s.Close()
-	if !log.Opaque {
-		t.Error("log claims complete despite an opaque Batch")
-	}
 }
 
 func TestSharedUseAfterClosePanics(t *testing.T) {
@@ -378,7 +352,6 @@ func (f *failAfterSink) fail() error {
 
 func (f *failAfterSink) AppendOp(Op, uint64) error             { return f.fail() }
 func (f *failAfterSink) AppendSnapshot(NetState, uint64) error { return f.fail() }
-func (f *failAfterSink) AppendOpaque() error                   { return f.fail() }
 
 // TestSharedJournalErrorPollable pins JournalError as callable while the
 // owner goroutine runs (it used to panic before Close): nil while the sink

@@ -29,11 +29,6 @@ const UtilRetention = 512
 // to the newest UtilRetention points, plus live op-derived counters (ops
 // folded, flow starts/stops, capacity edits, samples taken). It is the
 // projection an InfP looking glass charts without replaying history.
-//
-// Poison rule: an opaque-batch marker means ops stopped describing the
-// network, so every op-derived number after it is suspect. The folder
-// latches Poisoned and keeps folding — the series stays queryable, the flag
-// tells consumers how far to trust it.
 type LinkUtil struct {
 	Base
 	// series is a ring once full: sample k (counting from zero) lives at
@@ -45,7 +40,6 @@ type LinkUtil struct {
 	starts   uint64
 	stops    uint64
 	capEdits uint64
-	poisoned bool
 }
 
 // NewLinkUtil builds an empty utilization series.
@@ -61,7 +55,6 @@ func (l *LinkUtil) Reset() {
 	l.series = l.series[:0]
 	l.samples = 0
 	l.ops, l.starts, l.stops, l.capEdits = 0, 0, 0, 0
-	l.poisoned = false
 }
 
 func (l *LinkUtil) FoldOp(op netsim.Op, digest uint64) {
@@ -111,8 +104,6 @@ func (l *LinkUtil) oldest() int {
 	return int(l.samples % UtilRetention)
 }
 
-func (l *LinkUtil) FoldOpaque() { l.poisoned = true }
-
 // Series returns the retained utilization points — the newest UtilRetention
 // at most — in journal order.
 func (l *LinkUtil) Series() []UtilPoint {
@@ -136,20 +127,11 @@ func (l *LinkUtil) Stops() uint64 { return l.stops }
 // CapacityEdits returns the number of capacity-edit ops folded.
 func (l *LinkUtil) CapacityEdits() uint64 { return l.capEdits }
 
-// Poisoned reports whether an opaque-batch marker was folded: op-derived
-// numbers past that point do not describe the real network.
-func (l *LinkUtil) Poisoned() bool { return l.poisoned }
-
 func (l *LinkUtil) EncodeState(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, l.ops)
 	buf = binary.AppendUvarint(buf, l.starts)
 	buf = binary.AppendUvarint(buf, l.stops)
 	buf = binary.AppendUvarint(buf, l.capEdits)
-	if l.poisoned {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
 	buf = binary.AppendUvarint(buf, l.samples)
 	buf = binary.AppendUvarint(buf, uint64(len(l.series)))
 	o := l.oldest()
@@ -170,7 +152,6 @@ func (l *LinkUtil) DecodeState(p []byte) error {
 	starts := r.Uvarint("linkutil starts")
 	stops := r.Uvarint("linkutil stops")
 	capEdits := r.Uvarint("linkutil capacity edits")
-	poisoned := r.Byte("linkutil poisoned flag") != 0
 	samples := r.Uvarint("linkutil sample count")
 	n := r.Uvarint("linkutil point count")
 	if n != min(samples, UtilRetention) {
@@ -190,7 +171,6 @@ func (l *LinkUtil) DecodeState(p []byte) error {
 		return err
 	}
 	l.ops, l.starts, l.stops, l.capEdits = ops, starts, stops, capEdits
-	l.poisoned = poisoned
 	l.series, l.samples = series, samples
 	return nil
 }

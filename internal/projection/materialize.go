@@ -34,8 +34,6 @@ func foldStream(rec *journal.Recovered, f Folder, from, to int) error {
 			f.FoldIngest(rec.Ingests[ent.Index])
 		case journal.KindPoll:
 			f.FoldPoll(rec.Polls[ent.Index])
-		case journal.KindOpaque:
-			f.FoldOpaque()
 		case journal.KindCheckpoint:
 			// Not folded.
 		default:

@@ -6,10 +6,10 @@
 // routes every appended record through the journal writer and then through
 // each folder under one lock, so fold order equals journal order by
 // construction, and periodically commits each folder's encoded state as a
-// checkpoint frame carrying the offset it is durable through. A restarted node Resumes from (checkpoint state,
-// committed offset) and folds only the record tail — O(checkpoint delta),
-// not O(history) — and MaterializeAt rebuilds the read models at any
-// journaled offset for time-travel queries.
+// checkpoint frame carrying the offset it is durable through. A restarted
+// node Resumes from (checkpoint state, committed offset) and folds only the
+// record tail — O(checkpoint delta), not O(history) — and MaterializeAt
+// rebuilds the read models at any journaled offset for time-travel queries.
 //
 // Contract (see DESIGN.md §5):
 //
@@ -23,13 +23,10 @@
 //   - Checkpoint cadence bounds recovery: with CheckpointEvery = k, resume
 //     refolds at most k records per folder plus whatever trailed the last
 //     checkpoint. TestResumeEqualsFromScratchFold pins the bound.
-//   - Poison rule: an opaque-batch marker (a Batch the journal could not
-//     capture op-by-op) poisons every op-derived read model from that point
-//     on. Folders that depend on op replay latch Poisoned and say so in
-//     their queries; ingest/poll-derived folders are unaffected.
 package projection
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -62,8 +59,6 @@ type Folder interface {
 	FoldPoll(pr journal.PollRecord)
 	// FoldFault consumes one fault-plan event.
 	FoldFault(ev faults.Event)
-	// FoldOpaque consumes an opaque-batch marker (see the poison rule).
-	FoldOpaque()
 	// EncodeState appends the folder's state to buf and returns it. The
 	// encoding is binary, in the journal's payload fields
 	// (journal.PayloadReader and the Append helpers), for the reason op
@@ -86,7 +81,6 @@ func (Base) FoldSnapshot(int, *netsim.NetState) {}
 func (Base) FoldIngest(core.QoERecord)          {}
 func (Base) FoldPoll(journal.PollRecord)        {}
 func (Base) FoldFault(faults.Event)             {}
-func (Base) FoldOpaque()                        {}
 
 // StateDigest fingerprints a folder's current state — the value a
 // checkpoint frame records, and the equality differential tests compare.
@@ -232,20 +226,9 @@ func (e *Engine) AppendSnapshot(st netsim.NetState, digest uint64) error {
 	return err
 }
 
-// AppendOpaque implements netsim.OpSink.
-func (e *Engine) AppendOpaque() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var err error
-	if e.w != nil {
-		err = e.w.AppendOpaque()
-	}
-	for _, f := range e.folders {
-		f.FoldOpaque()
-	}
-	e.folded()
-	return err
-}
+// AppendOpaque is a stub kept only because bench/node.go still names it;
+// nothing calls it, and netsim.OpSink no longer has the method.
+func (*Engine) AppendOpaque() error { return errors.New("projection: no opaque records") }
 
 // AppendFault journals and folds one fault event.
 func (e *Engine) AppendFault(ev faults.Event) error {

@@ -237,7 +237,7 @@ func TestResumeEqualsFromScratchFold(t *testing.T) {
 			// The projected QoE queries must match a collector that ingested
 			// the same history directly (same config, noise off).
 			col := core.NewA2ICollector(qoeCfg())
-			rec.ReplayIngests(col)
+			col.IngestBatch(rec.Ingests)
 			wantSums := col.Summaries()
 			gotSums := q2.Summaries()
 			if len(wantSums) != len(gotSums) {
@@ -332,70 +332,6 @@ func TestMaterializeAtDifferentialSweep(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestOpaquePoisonRule: an opaque batch marker latches LinkUtil.Poisoned,
-// blocks network materialization past it but not before it, and leaves
-// ingest-derived folders untouched.
-func TestOpaquePoisonRule(t *testing.T) {
-	dir := t.TempDir()
-	w, err := journal.Open(journal.Config{Dir: dir, Sync: journal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qoe, hints, lu := newFolders()
-	e, err := NewEngine(Config{Writer: w, CheckpointEvery: 8}, qoe, hints, lu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, paths, ts := fixtures()["line"]()
-	driveProjected(t, e, net, paths, ts, 3, 2, 6, 0)
-	if lu.Poisoned() {
-		t.Fatal("poisoned before any opaque marker")
-	}
-	if err := e.AppendOpaque(); err != nil {
-		t.Fatal(err)
-	}
-	if !lu.Poisoned() {
-		t.Fatal("opaque marker did not latch Poisoned")
-	}
-	rng := rand.New(rand.NewSource(99))
-	if err := e.AppendIngest(synthIngest(rng, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rec, err := journal.Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rec.Opaque {
-		t.Fatal("recovery missed the opaque marker")
-	}
-	if _, _, err := rec.RecoverNetwork(); err == nil {
-		t.Fatal("RecoverNetwork must refuse an opaque log")
-	}
-	// Materialization strictly before the marker stays sound.
-	if _, _, err := rec.MaterializeAt(len(rec.Ops)); err != nil {
-		t.Fatalf("materialize at the opaque boundary must work: %v", err)
-	}
-	// Resumed folders reproduce the poison flag and the post-marker ingest.
-	q2, h2, l2 := newFolders()
-	eng2, err := NewEngine(Config{}, q2, h2, l2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng2.Resume(rec); err != nil {
-		t.Fatal(err)
-	}
-	if !l2.Poisoned() {
-		t.Fatal("resumed LinkUtil lost the poison flag")
-	}
-	if q2.Ingested() != qoe.Ingested() {
-		t.Fatalf("resumed ingest count %d != live %d", q2.Ingested(), qoe.Ingested())
 	}
 }
 

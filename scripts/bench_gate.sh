@@ -1,6 +1,8 @@
 #!/bin/sh
 # Bench regression gate: rerun key benchmarks (min of 3+ counts per metric)
-# and compare against the latest recorded BENCH_<yyyy-mm-dd>.json.
+# and compare against the latest recorded BENCH_<yyyy-mm-dd>.json. A second
+# recording on one day is BENCH_<yyyy-mm-dd>T<HHMMSS>.json (bench_record.sh
+# never overwrites); byte order sorts "T" after ".", so it counts as newer.
 # Fails when any shared benchmark:
 #   - regressed ns/op by more than 20%,
 #   - allocates more allocs/op than recorded (zero-alloc steady states must
@@ -37,7 +39,7 @@ cd "$(dirname "$0")/.."
 total=$(($# == 0))
 exempt=scripts/bench_exempt.txt
 pattern="${1:-^BenchmarkCollectorIngest\$|ParallelEngineInstants/workers-1|ReallocateIncremental|ChurnRails|ChurnSkewed|ChurnDiscovery|ChurnLifecycle|PublishChurn|SharedReadScaling|StateDigest|^BenchmarkJournaledWindow\$|^BenchmarkJournalAppend\$|^BenchmarkProjectionFold\$|^BenchmarkMaterializeAt\$|^BenchmarkProjectedQuery\$|^BenchmarkServeSummaries\$}"
-latest=$(ls BENCH_*.json 2>/dev/null | sort | tail -1 || true)
+latest=$(ls BENCH_*.json 2>/dev/null | LC_ALL=C sort | tail -1 || true)
 if [ -z "$latest" ]; then
 	echo "bench gate: no BENCH_*.json recorded; skipping"
 	exit 0

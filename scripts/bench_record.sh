@@ -2,12 +2,19 @@
 # Record the collector, allocator, journal, projection and looking-glass
 # serve micro-benchmarks to a dated JSON file (BENCH_<yyyy-mm-dd>.json in the
 # repo root), so perf regressions are diffable across commits.
+# Recordings are append-only: when today's file exists, the new one is
+# BENCH_<yyyy-mm-dd>T<HHMMSS>.json, and no file is ever overwritten.
+# scripts/bench_gate.sh gates on the newest recording by name order, which
+# still picks the suffixed file because "T" sorts after ".".
 # Usage: scripts/bench_record.sh [benchtime]
-set -eu
+set -euC # -C: the redirect below refuses to clobber an existing recording
 cd "$(dirname "$0")/.."
 
 benchtime="${1:-1s}"
 out="BENCH_$(date +%F).json"
+if [ -e "$out" ]; then
+	out="BENCH_$(date +%FT%H%M%S).json"
+fi
 
 cpus="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)"
 gomaxprocs="${GOMAXPROCS:-$cpus}"
