@@ -325,8 +325,8 @@ type (
 )
 
 // FaultPlan is a materialized, seeded fault schedule (link flaps and
-// outages, partner-exchange outages and error bursts) that a scenario
-// injects through ScenarioConfig.Faults (E15).
+// outages, partner-exchange outages) that a scenario injects through
+// ScenarioConfig.Faults (E15).
 type FaultPlan = faults.Plan
 
 // Control-policy generations.
@@ -341,8 +341,8 @@ func RunScenario(cfg ScenarioConfig) ScenarioResult { return expt.RunFig5(cfg) }
 // ScenarioOracle returns the global-controller upper bound for a scenario.
 func ScenarioOracle(cfg ScenarioConfig) float64 { return expt.Fig5Oracle(cfg) }
 
-// FlashCrowdConfig parameterizes a single Figure 3 arm (crowd shape,
-// access capacity, control mode).
+// FlashCrowdConfig parameterizes a single Figure 3 arm (horizon, crowd
+// peak, control mode).
 type FlashCrowdConfig = expt.E1Config
 
 // FlashCrowdArm is one arm's fleet-level outcome.

@@ -43,7 +43,7 @@ func TestSameInstantMonitorReactionsOneReallocation(t *testing.T) {
 	for i := 0; i < M; i++ {
 		i := i
 		p, conn := newSession(e, 1e6, 5*time.Minute)
-		NewMonitor(e, p, MonitorConfig{Coalesce: coal}, func(*Monitor, Reason) {
+		NewMonitor(e, p, coal, func(*Monitor, Reason) {
 			reacted++
 			net.SetDemand(flows[i], 9e6)
 		})
@@ -81,7 +81,7 @@ func TestSameInstantMonitorReactionsUncoalescedBaseline(t *testing.T) {
 	for i := 0; i < M; i++ {
 		i := i
 		p, conn := newSession(e, 1e6, 5*time.Minute)
-		NewMonitor(e, p, MonitorConfig{}, func(*Monitor, Reason) {
+		NewMonitor(e, p, nil, func(*Monitor, Reason) {
 			net.SetDemand(flows[i], 9e6)
 		})
 		e.Schedule(10*time.Second, func(*sim.Engine) { conn.rate = 1e4 })

@@ -6,34 +6,14 @@ import (
 	"eona/internal/sim"
 )
 
-// FlowMonitorConfig parameterizes a FlowMonitor.
-type FlowMonitorConfig struct {
-	// CheckEvery is the monitoring period. Default 2s.
-	CheckEvery time.Duration
-	// StarvedBelow is the achieved/demanded rate ratio under which a check
-	// counts as starved. Default 0.9.
-	StarvedBelow float64
-	// Consecutive is how many starved checks in a row trigger a reaction.
-	// Default 2 — a single congested instant is noise, a streak is a signal.
-	Consecutive int
-	// Cooldown suppresses re-triggering after a reaction. Default 10s.
-	Cooldown time.Duration
-}
-
-func (c *FlowMonitorConfig) applyDefaults() {
-	if c.CheckEvery == 0 {
-		c.CheckEvery = 2 * time.Second
-	}
-	if c.StarvedBelow == 0 {
-		c.StarvedBelow = 0.9
-	}
-	if c.Consecutive == 0 {
-		c.Consecutive = 2
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 10 * time.Second
-	}
-}
+const (
+	// starvedBelow is the achieved/demanded rate ratio under which a
+	// FlowMonitor check counts as starved.
+	starvedBelow = 0.9
+	// starvedStreak is how many starved checks in a row trigger a
+	// reaction: a single congested instant is noise, a streak is a signal.
+	starvedStreak = 2
+)
 
 // FlowMonitor watches one flow's achieved rate against its demand and fires
 // a reaction after a streak of starved checks. Unlike Monitor it is not
@@ -45,7 +25,6 @@ func (c *FlowMonitorConfig) applyDefaults() {
 // monitors tick inside the region's sim partition and only observe
 // last-commit state.
 type FlowMonitor struct {
-	cfg    FlowMonitorConfig
 	rate   func() float64
 	demand func() float64
 	react  func(*FlowMonitor)
@@ -60,14 +39,13 @@ type FlowMonitor struct {
 	Checks int
 }
 
-// NewFlowMonitor starts a monitor on e that reads the flow's achieved rate
-// and current demand through the given funcs. react runs inside the
-// simulation loop, on e's goroutine/partition. A zero-demand read counts as
-// healthy (the flow is idle, not starved).
-func NewFlowMonitor(e *sim.Engine, rate, demand func() float64, cfg FlowMonitorConfig, react func(*FlowMonitor)) *FlowMonitor {
-	cfg.applyDefaults()
-	m := &FlowMonitor{cfg: cfg, rate: rate, demand: demand, react: react}
-	m.stop = e.Every(cfg.CheckEvery, m.check)
+// NewFlowMonitor starts a monitor on e that checks every period, reading
+// the flow's achieved rate and current demand through the given funcs.
+// react runs inside the simulation loop, on e's goroutine/partition. A
+// zero-demand read counts as healthy (the flow is idle, not starved).
+func NewFlowMonitor(e *sim.Engine, every time.Duration, rate, demand func() float64, react func(*FlowMonitor)) *FlowMonitor {
+	m := &FlowMonitor{rate: rate, demand: demand, react: react}
+	m.stop = e.Every(every, m.check)
 	return m
 }
 
@@ -84,16 +62,16 @@ func (m *FlowMonitor) Starved() int { return m.starved }
 func (m *FlowMonitor) check(e *sim.Engine) bool {
 	m.Checks++
 	d := m.demand()
-	if d <= 0 || m.rate() >= m.cfg.StarvedBelow*d {
+	if d <= 0 || m.rate() >= starvedBelow*d {
 		m.starved = 0
 		return true
 	}
 	m.starved++
-	if e.Now() < m.mutedUntil || m.starved < m.cfg.Consecutive {
+	if e.Now() < m.mutedUntil || m.starved < starvedStreak {
 		return true
 	}
 	m.Triggers++
-	m.mutedUntil = e.Now() + m.cfg.Cooldown
+	m.mutedUntil = e.Now() + cooldown
 	m.starved = 0
 	if m.react != nil {
 		m.react(m)

@@ -11,10 +11,9 @@ func TestFlowMonitorFiresOnStreak(t *testing.T) {
 	e := sim.NewEngine(1)
 	rate, demand := 100.0, 100.0
 	fired := 0
-	m := NewFlowMonitor(e,
+	m := NewFlowMonitor(e, time.Second,
 		func() float64 { return rate },
 		func() float64 { return demand },
-		FlowMonitorConfig{CheckEvery: time.Second, Consecutive: 2, Cooldown: 10 * time.Second},
 		func(*FlowMonitor) { fired++ })
 
 	// Healthy for 3s, then starved.
@@ -46,10 +45,9 @@ func TestFlowMonitorFiresOnStreak(t *testing.T) {
 func TestFlowMonitorRecoveryResetsStreak(t *testing.T) {
 	e := sim.NewEngine(1)
 	rate, demand := 10.0, 100.0
-	m := NewFlowMonitor(e,
+	m := NewFlowMonitor(e, time.Second,
 		func() float64 { return rate },
 		func() float64 { return demand },
-		FlowMonitorConfig{CheckEvery: time.Second, Consecutive: 3},
 		nil)
 	// One starved check, then recovery before the streak completes.
 	e.Schedule(1500*time.Millisecond, func(*sim.Engine) { rate = 100 })
@@ -64,10 +62,9 @@ func TestFlowMonitorRecoveryResetsStreak(t *testing.T) {
 
 func TestFlowMonitorZeroDemandIsHealthy(t *testing.T) {
 	e := sim.NewEngine(1)
-	m := NewFlowMonitor(e,
+	m := NewFlowMonitor(e, time.Second,
 		func() float64 { return 0 },
 		func() float64 { return 0 },
-		FlowMonitorConfig{CheckEvery: time.Second, Consecutive: 1},
 		nil)
 	e.Run(5 * time.Second)
 	if m.Triggers != 0 {
@@ -79,10 +76,9 @@ func TestFlowMonitorZeroDemandIsHealthy(t *testing.T) {
 // Len or drag the clock (the sim.Every regression this PR fixes).
 func TestFlowMonitorStopLeavesNoEvent(t *testing.T) {
 	e := sim.NewEngine(1)
-	m := NewFlowMonitor(e,
+	m := NewFlowMonitor(e, time.Minute,
 		func() float64 { return 0 },
 		func() float64 { return 1 },
-		FlowMonitorConfig{CheckEvery: time.Minute},
 		nil)
 	m.Stop()
 	if got := e.Len(); got != 0 {

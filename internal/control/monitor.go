@@ -16,7 +16,7 @@ const (
 	// ReasonNoProgress: throughput collapsed (e.g., the server died) —
 	// nothing is arriving at all.
 	ReasonNoProgress
-	// ReasonSlowStart: playback has not begun after SlowStartAfter.
+	// ReasonSlowStart: playback has not begun after slowStartAfter.
 	ReasonSlowStart
 )
 
@@ -34,56 +34,31 @@ func (r Reason) String() string {
 	}
 }
 
-// MonitorConfig parameterizes a session monitor.
-type MonitorConfig struct {
-	// CheckEvery is the monitoring period. Default 2s.
-	CheckEvery time.Duration
-	// BufferingThreshold is the recent buffering ratio that triggers
-	// ReasonBuffering. Default 0.15.
-	BufferingThreshold float64
-	// NoProgressAfter triggers ReasonNoProgress when the smoothed
+// The session monitor's thresholds.
+const (
+	// monitorEvery is the monitoring period.
+	monitorEvery = 2 * time.Second
+	// bufferingThreshold is the recent buffering ratio that triggers
+	// ReasonBuffering.
+	bufferingThreshold = 0.15
+	// noProgressAfter triggers ReasonNoProgress when the smoothed
 	// throughput stays below 1 kbps for this long while the player is
-	// not done. Default 6s.
-	NoProgressAfter time.Duration
-	// SlowStartAfter triggers ReasonSlowStart when playback has not
-	// begun after this much startup delay. Default 20s.
-	SlowStartAfter time.Duration
-	// Cooldown suppresses re-triggering after a reaction. Default 10s.
-	Cooldown time.Duration
-	// Coalesce, when non-nil, defers this monitor's reactions to the end
-	// of the current simulated instant, where the Coalescer folds every
-	// reaction deferred there (by any monitor sharing it) into one
-	// allocator batch. Trigger counters and the cooldown are still
-	// updated at fire time. Nil keeps the immediate per-reaction
-	// behaviour.
-	Coalesce *Coalescer
-}
-
-func (c *MonitorConfig) applyDefaults() {
-	if c.CheckEvery == 0 {
-		c.CheckEvery = 2 * time.Second
-	}
-	if c.BufferingThreshold == 0 {
-		c.BufferingThreshold = 0.15
-	}
-	if c.NoProgressAfter == 0 {
-		c.NoProgressAfter = 6 * time.Second
-	}
-	if c.SlowStartAfter == 0 {
-		c.SlowStartAfter = 20 * time.Second
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 10 * time.Second
-	}
-}
+	// not done.
+	noProgressAfter = 6 * time.Second
+	// slowStartAfter triggers ReasonSlowStart when playback has not begun
+	// after this much startup delay.
+	slowStartAfter = 20 * time.Second
+	// cooldown suppresses re-triggering after a reaction (both monitors).
+	cooldown = 10 * time.Second
+)
 
 // Monitor watches one player session and invokes a reaction callback when
 // experience degrades — this is the per-session half of an AppP control
 // loop (the other half, the fleet-level policy, decides what the reaction
 // does: baseline CDN switch vs. EONA-informed response).
 type Monitor struct {
-	cfg    MonitorConfig
 	player *player.Player
+	coal   *Coalescer
 	react  func(*Monitor, Reason)
 
 	lastPlay      time.Duration
@@ -98,15 +73,19 @@ type Monitor struct {
 
 // NewMonitor attaches a monitor to a player and starts its periodic check.
 // react runs inside the simulation loop; it may redirect the player.
-func NewMonitor(e *sim.Engine, p *player.Player, cfg MonitorConfig, react func(*Monitor, Reason)) *Monitor {
-	cfg.applyDefaults()
+//
+// A non-nil coal defers each reaction to the end of the current simulated
+// instant, where the Coalescer folds every reaction deferred there (by any
+// monitor sharing it) into one allocator batch; trigger counters and the
+// cooldown are still updated at fire time. A nil coal reacts immediately.
+func NewMonitor(e *sim.Engine, p *player.Player, coal *Coalescer, react func(*Monitor, Reason)) *Monitor {
 	m := &Monitor{
-		cfg:      cfg,
 		player:   p,
+		coal:     coal,
 		react:    react,
 		Triggers: make(map[Reason]int),
 	}
-	m.stop = e.Every(cfg.CheckEvery, m.check)
+	m.stop = e.Every(monitorEvery, m.check)
 	return m
 }
 
@@ -144,7 +123,7 @@ func (m *Monitor) check(e *sim.Engine) bool {
 
 	// No-progress detection.
 	if m.player.ThroughputEMA() < 1e3 {
-		m.noProgressFor += m.cfg.CheckEvery
+		m.noProgressFor += monitorEvery
 	} else {
 		m.noProgressFor = 0
 	}
@@ -154,11 +133,11 @@ func (m *Monitor) check(e *sim.Engine) bool {
 	}
 	cur := m.player.Metrics()
 	switch {
-	case m.noProgressFor >= m.cfg.NoProgressAfter:
+	case m.noProgressFor >= noProgressAfter:
 		m.fire(e, ReasonNoProgress)
-	case cur.PlayTime == 0 && cur.StartupDelay >= m.cfg.SlowStartAfter:
+	case cur.PlayTime == 0 && cur.StartupDelay >= slowStartAfter:
 		m.fire(e, ReasonSlowStart)
-	case ok && ratio >= m.cfg.BufferingThreshold:
+	case ok && ratio >= bufferingThreshold:
 		m.fire(e, ReasonBuffering)
 	}
 	return true
@@ -166,13 +145,13 @@ func (m *Monitor) check(e *sim.Engine) bool {
 
 func (m *Monitor) fire(e *sim.Engine, r Reason) {
 	m.Triggers[r]++
-	m.mutedUntil = e.Now() + m.cfg.Cooldown
+	m.mutedUntil = e.Now() + cooldown
 	m.noProgressFor = 0
 	if m.react == nil {
 		return
 	}
-	if m.cfg.Coalesce != nil {
-		m.cfg.Coalesce.Defer(func() { m.react(m, r) })
+	if m.coal != nil {
+		m.coal.Defer(func() { m.react(m, r) })
 		return
 	}
 	m.react(m, r)

@@ -37,7 +37,7 @@ func TestMonitorQuietOnHealthySession(t *testing.T) {
 	e := sim.NewEngine(1)
 	p, _ := newSession(e, 5e6, time.Minute)
 	fired := 0
-	NewMonitor(e, p, MonitorConfig{}, func(*Monitor, Reason) { fired++ })
+	NewMonitor(e, p, nil, func(*Monitor, Reason) { fired++ })
 	e.Run(2 * time.Minute)
 	if fired != 0 {
 		t.Errorf("monitor fired %d times on a healthy session", fired)
@@ -48,7 +48,7 @@ func TestMonitorFiresOnBuffering(t *testing.T) {
 	e := sim.NewEngine(1)
 	p, conn := newSession(e, 1e6, 5*time.Minute)
 	var reasons []Reason
-	m := NewMonitor(e, p, MonitorConfig{}, func(_ *Monitor, r Reason) { reasons = append(reasons, r) })
+	m := NewMonitor(e, p, nil, func(_ *Monitor, r Reason) { reasons = append(reasons, r) })
 	// Starve mid-session: 1e6 rung on a 100kbps link.
 	e.Schedule(20*time.Second, func(*sim.Engine) { conn.rate = 1e5 })
 	e.Run(90 * time.Second)
@@ -67,11 +67,12 @@ func TestMonitorCooldownLimitsFiring(t *testing.T) {
 	e := sim.NewEngine(1)
 	p, conn := newSession(e, 1e6, 10*time.Minute)
 	fired := 0
-	NewMonitor(e, p, MonitorConfig{Cooldown: 30 * time.Second}, func(*Monitor, Reason) { fired++ })
+	NewMonitor(e, p, nil, func(*Monitor, Reason) { fired++ })
 	e.Schedule(10*time.Second, func(*sim.Engine) { conn.rate = 1e4 })
 	e.Run(70 * time.Second)
-	// ~45s of continuous misery with a 30s cooldown: at most 2 firings.
-	if fired > 2 {
+	// ~60s of continuous misery: a check every 2s would fire ~30 times,
+	// the 10s cooldown allows at most one firing per 10s.
+	if fired > 6 {
 		t.Errorf("fired %d times, cooldown not enforced", fired)
 	}
 	if fired == 0 {
@@ -83,8 +84,7 @@ func TestMonitorNoProgress(t *testing.T) {
 	e := sim.NewEngine(1)
 	p, conn := newSession(e, 2e6, 10*time.Minute)
 	var got []Reason
-	NewMonitor(e, p, MonitorConfig{NoProgressAfter: 6 * time.Second},
-		func(_ *Monitor, r Reason) { got = append(got, r) })
+	NewMonitor(e, p, nil, func(_ *Monitor, r Reason) { got = append(got, r) })
 	// Server dies completely at 20s.
 	e.Schedule(20*time.Second, func(*sim.Engine) { conn.rate = 0 })
 	e.Run(2 * time.Minute)
@@ -102,7 +102,7 @@ func TestMonitorNoProgress(t *testing.T) {
 func TestMonitorStopsWithSession(t *testing.T) {
 	e := sim.NewEngine(1)
 	p, _ := newSession(e, 5e6, 10*time.Second)
-	NewMonitor(e, p, MonitorConfig{}, nil)
+	NewMonitor(e, p, nil, nil)
 	e.Run(time.Minute)
 	if !p.Done() {
 		t.Fatal("session should finish")
@@ -118,7 +118,7 @@ func TestMonitorStopDetaches(t *testing.T) {
 	e := sim.NewEngine(1)
 	p, conn := newSession(e, 1e6, 10*time.Minute)
 	fired := 0
-	m := NewMonitor(e, p, MonitorConfig{}, func(*Monitor, Reason) { fired++ })
+	m := NewMonitor(e, p, nil, func(*Monitor, Reason) { fired++ })
 	e.Schedule(5*time.Second, func(*sim.Engine) {
 		m.Stop()
 		conn.rate = 1e3 // would trigger if still attached

@@ -37,12 +37,12 @@ import (
 
 // E1Config parameterizes the scenario.
 type E1Config struct {
-	Seed      int64
-	EONA      bool
-	AccessBps float64       // default 60 Mbps
-	Horizon   time.Duration // default 16 min
-	// Crowd shape (sessions/s): default base 0.12 → peak 1.2.
-	BaseRate, PeakRate float64
+	Seed    int64
+	EONA    bool
+	Horizon time.Duration // default 16 min
+	// PeakRate is the crowd's peak arrival rate in sessions/s (default
+	// 1.2); the base rate is e1BaseRate.
+	PeakRate float64
 	// UniformCap (ablation) applies the suggested per-session budget as
 	// one fleet-wide cap instead of the mixed-rung realization, rounding
 	// the whole fleet down a ladder rung.
@@ -52,15 +52,17 @@ type E1Config struct {
 	Trace []workload.Session
 }
 
+const (
+	// e1AccessBps is the access link's capacity: the flash crowd's
+	// bottleneck.
+	e1AccessBps = 60e6
+	// e1BaseRate is the arrival rate outside the crowd, in sessions/s.
+	e1BaseRate = 0.12
+)
+
 func (c *E1Config) applyDefaults() {
-	if c.AccessBps == 0 {
-		c.AccessBps = 60e6
-	}
 	if c.Horizon == 0 {
 		c.Horizon = 16 * time.Minute
-	}
-	if c.BaseRate == 0 {
-		c.BaseRate = 0.12
 	}
 	if c.PeakRate == 0 {
 		c.PeakRate = 1.2
@@ -99,7 +101,7 @@ func e1Workload(cfg E1Config) []workload.Session {
 	cfg.applyDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed + 1000))
 	crowd := workload.FlashCrowd{
-		Base: cfg.BaseRate, Peak: cfg.PeakRate,
+		Base: e1BaseRate, Peak: cfg.PeakRate,
 		Start: 3 * time.Minute, RampUp: 30 * time.Second,
 		Hold: 8 * time.Minute, Down: time.Minute,
 	}
@@ -118,7 +120,7 @@ func RunE1Arm(cfg E1Config) E1Result {
 	eng := sim.NewEngine(cfg.Seed)
 
 	topo := netsim.NewTopology()
-	access := topo.AddLink("clients", "border", cfg.AccessBps, 2*time.Millisecond, "access")
+	access := topo.AddLink("clients", "border", e1AccessBps, 2*time.Millisecond, "access")
 	linkB := topo.AddLink("border", e1CDN1, 1e9, time.Millisecond, "peering-1")
 	linkC := topo.AddLink("border", "ixp", 1e9, 3*time.Millisecond, "peering-2")
 	topo.AddLink("ixp", e1CDN2, 1e9, time.Millisecond, "ixp-cdn2")
@@ -232,13 +234,11 @@ func RunE1Arm(cfg E1Config) E1Result {
 			// conservative smoothing — the regime where
 			// misjudged rungs actually stall (cf. [28,36]).
 			s.p = player.New(e, player.Config{
-				Ladder:        ladder,
-				ABR:           baseABR,
-				BufferTarget:  10 * time.Second,
-				StartupBuffer: 2 * time.Second,
-				StallResume:   2 * time.Second,
-				AdaptEvery:    8 * time.Second,
-				EMAAlpha:      0.15,
+				Ladder:       ladder,
+				ABR:          baseABR,
+				BufferTarget: 10 * time.Second,
+				AdaptEvery:   8 * time.Second,
+				EMAAlpha:     0.15,
 			}, ws.IntendedDuration)
 			s.p.OverrideABR = abrFor(i)
 			sid := fmt.Sprintf("s%04d", i)
@@ -247,7 +247,7 @@ func RunE1Arm(cfg E1Config) E1Result {
 			}
 			s.p.Start(conn, 500*time.Millisecond)
 			net.EndBatch()
-			control.NewMonitor(e, s.p, control.MonitorConfig{Coalesce: coal}, react(s))
+			control.NewMonitor(e, s.p, coal, react(s))
 			active = append(active, s)
 			all = append(all, s)
 		})
@@ -265,7 +265,7 @@ func RunE1Arm(cfg E1Config) E1Result {
 				attribution = core.Attribution{
 					Segment:         core.SegmentAccess,
 					Level:           rep.Congestion,
-					SuggestedCapBps: cfg.AccessBps / float64(n),
+					SuggestedCapBps: e1AccessBps / float64(n),
 				}
 				// Realize the per-session budget as a mix of
 				// the two surrounding rungs.

@@ -33,26 +33,17 @@ import (
 
 // E4Config parameterizes the scenario.
 type E4Config struct {
-	Seed    int64
-	EONA    bool
-	Horizon time.Duration // default 10 min
-	// ArrivalRate is sessions/s; default 0.8.
-	ArrivalRate float64
-	// FailAt is when server east-s00 dies. Default 4 min.
-	FailAt time.Duration
+	Seed int64
+	EONA bool
 }
 
-func (c *E4Config) applyDefaults() {
-	if c.Horizon == 0 {
-		c.Horizon = 10 * time.Minute
-	}
-	if c.ArrivalRate == 0 {
-		c.ArrivalRate = 0.8
-	}
-	if c.FailAt == 0 {
-		c.FailAt = 4 * time.Minute
-	}
-}
+const (
+	e4Horizon = 10 * time.Minute
+	// e4ArrivalRate is the session arrival rate in sessions/s.
+	e4ArrivalRate = 0.8
+	// e4FailAt is when server east-s00 dies.
+	e4FailAt = 4 * time.Minute
+)
 
 // E4Result aggregates the fleet plus the failure-affected cohort.
 type E4Result struct {
@@ -76,7 +67,6 @@ type E4Result struct {
 
 // RunE4Arm executes one arm.
 func RunE4Arm(cfg E4Config) E4Result {
-	cfg.applyDefaults()
 	eng := sim.NewEngine(cfg.Seed)
 	rng := rand.New(rand.NewSource(cfg.Seed + 2000))
 
@@ -166,7 +156,7 @@ func RunE4Arm(cfg E4Config) E4Result {
 		}
 	}
 
-	arrivals := workload.Arrivals(rng, workload.Constant(cfg.ArrivalRate), cfg.ArrivalRate, cfg.Horizon-2*time.Minute)
+	arrivals := workload.Arrivals(rng, workload.Constant(e4ArrivalRate), e4ArrivalRate, e4Horizon-2*time.Minute)
 	for i, at := range arrivals {
 		i := i
 		at := at
@@ -184,7 +174,7 @@ func RunE4Arm(cfg E4Config) E4Result {
 				BufferTarget: 8 * time.Second,
 			}, dur)
 			s.p.Start(connectVia(s, toX, a), 500*time.Millisecond+a.StartupPenalty)
-			control.NewMonitor(e, s.p, control.MonitorConfig{NoProgressAfter: 6 * time.Second, Coalesce: coal}, react(s))
+			control.NewMonitor(e, s.p, coal, react(s))
 			all = append(all, s)
 			_ = i
 		})
@@ -193,7 +183,7 @@ func RunE4Arm(cfg E4Config) E4Result {
 	// The failure: server east-s00 dies. Its sessions' flows stop
 	// delivering (the conn stays attached reading Rate()=0, starving
 	// the player until its monitor reacts).
-	eng.ScheduleAt(cfg.FailAt, func(e *sim.Engine) {
+	eng.ScheduleAt(e4FailAt, func(e *sim.Engine) {
 		east.Servers[0].SetHealthy(false)
 		// Mass churn: every affected flow stops in one batched
 		// reallocation.
@@ -209,7 +199,7 @@ func RunE4Arm(cfg E4Config) E4Result {
 		})
 	})
 
-	eng.Run(cfg.Horizon)
+	eng.Run(e4Horizon)
 
 	res := E4Result{Config: cfg}
 	hits, misses := east.Cache.Stats()

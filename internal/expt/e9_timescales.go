@@ -44,7 +44,7 @@ func RunE9(seed int64) E9Result {
 		base := Fig5Config{
 			Seed: seed, Horizon: horizon,
 			AppPMode: Baseline, InfPMode: Baseline,
-			TEPeriod: te, AppPPeriod: time.Minute,
+			TEPeriod: te, // the AppP runs every 1 min epoch
 		}
 		damp := base
 		damp.Dampening = true

@@ -1,8 +1,11 @@
 package expt
 
 import (
+	"math"
 	"testing"
 	"time"
+
+	"eona/internal/faults"
 )
 
 // Failure injection: the EONA loops must re-converge after infrastructure
@@ -10,19 +13,28 @@ import (
 // control logic ("use reactive measures if they observe quality
 // degradations").
 
+// peeringBFailure degrades peering B from 100 to 60 Mbps at t and never
+// restores it.
+func peeringBFailure(at time.Duration) *faults.Plan {
+	return &faults.Plan{LinkFaults: []faults.LinkFault{{
+		Link:   "peering-B",
+		Window: faults.Window{Start: at, End: math.MaxInt64},
+		Factor: 0.6,
+	}}}
+}
+
 func TestEONAReconvergesAfterPeeringDegradation(t *testing.T) {
 	// Demand 85 Mbps fits peering B (100 Mbps) with margin, so the EONA
 	// pair settles on the cheap local peering. At t=1h B degrades to
 	// 60 Mbps; the A2I estimate (93.5 Mbps with margin) no longer fits,
 	// the InfP moves CDN X to C, and everything is healthy again.
 	cfg := Fig5Config{
-		Seed:           1,
-		Horizon:        2 * time.Hour,
-		Demand:         func(time.Duration) float64 { return 85e6 },
-		AppPMode:       EONA,
-		InfPMode:       EONA,
-		FailPeerBAt:    time.Hour,
-		FailPeerBToBps: 60e6,
+		Seed:     1,
+		Horizon:  2 * time.Hour,
+		Demand:   func(time.Duration) float64 { return 85e6 },
+		AppPMode: EONA,
+		InfPMode: EONA,
+		Faults:   peeringBFailure(time.Hour),
 	}
 	r := RunFig5(cfg)
 
@@ -49,14 +61,13 @@ func TestBaselineChurnsAfterPeeringDegradation(t *testing.T) {
 	// and the AppP's flight to the undersized CDN Y (60 Mbps here) fails
 	// too, so the post-failure regime churns on both knobs.
 	cfg := Fig5Config{
-		Seed:           1,
-		Horizon:        2 * time.Hour,
-		Demand:         func(time.Duration) float64 { return 85e6 },
-		IXPToYBps:      60e6,
-		AppPMode:       Baseline,
-		InfPMode:       Baseline,
-		FailPeerBAt:    time.Hour,
-		FailPeerBToBps: 60e6,
+		Seed:      1,
+		Horizon:   2 * time.Hour,
+		Demand:    func(time.Duration) float64 { return 85e6 },
+		IXPToYBps: 60e6,
+		AppPMode:  Baseline,
+		InfPMode:  Baseline,
+		Faults:    peeringBFailure(time.Hour),
 	}
 	r := RunFig5(cfg)
 	if r.ISPSwitches < 10 {
@@ -67,7 +78,7 @@ func TestBaselineChurnsAfterPeeringDegradation(t *testing.T) {
 		Demand:    func(time.Duration) float64 { return 85e6 },
 		IXPToYBps: 60e6,
 		AppPMode:  EONA, InfPMode: EONA,
-		FailPeerBAt: time.Hour, FailPeerBToBps: 60e6,
+		Faults: peeringBFailure(time.Hour),
 	})
 	if eona.MeanScore <= r.MeanScore {
 		t.Errorf("EONA post-failure score (%v) should beat baseline (%v)",
@@ -80,8 +91,7 @@ func TestFailureBeforeHorizonOnly(t *testing.T) {
 	// the failure-free run.
 	base := Fig5Config{Seed: 1, AppPMode: EONA, InfPMode: EONA}
 	withLateFailure := base
-	withLateFailure.FailPeerBAt = 100 * time.Hour
-	withLateFailure.FailPeerBToBps = 1e6
+	withLateFailure.Faults = peeringBFailure(100 * time.Hour)
 	a, b := RunFig5(base), RunFig5(withLateFailure)
 	if a.MeanScore != b.MeanScore || a.ISPSwitches != b.ISPSwitches {
 		t.Error("failure beyond horizon affected the run")

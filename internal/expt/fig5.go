@@ -20,7 +20,7 @@ import (
 // backs experiments E2 (oscillation), E6 (staleness), E8 (interface width),
 // E9 (timescales), and E11 (privacy blinding).
 //
-// Topology (capacities configurable):
+// Topology (only ixp→Y is configurable):
 //
 //	clients --access--> border --B(100M)--------> cdnX
 //	                    border --C(400M)--> ixp --> cdnX (400M)
@@ -56,17 +56,14 @@ type Fig5Config struct {
 	Horizon time.Duration // default 2h
 	// Epoch is the measurement period and the default control period.
 	Epoch time.Duration // default 1min
-	// TEPeriod and AppPPeriod override the parties' control periods
-	// (E9); both default to Epoch.
-	TEPeriod, AppPPeriod time.Duration
+	// TEPeriod overrides the InfP's control period (E9); it defaults to
+	// Epoch. The AppP always runs every Epoch.
+	TEPeriod time.Duration
 	// Demand is the AppP's offered load in bits/s over time; default
 	// constant 150 Mbps.
 	Demand func(time.Duration) float64
-	// NominalBitrate is the per-session target rate. Default 3 Mbps.
-	NominalBitrate float64
-	// Capacities (defaults: access 1G, B 100M, C 400M, ixp→X 400M,
-	// ixp→Y 80M).
-	AccessBps, PeerBBps, PeerCBps, IXPToXBps, IXPToYBps float64
+	// IXPToYBps is CDN Y's serving capacity behind the IXP. Default 80M.
+	IXPToYBps float64
 
 	AppPMode, InfPMode Mode
 	// Staleness delays both EONA interfaces (E6).
@@ -79,15 +76,11 @@ type Fig5Config struct {
 	// the two mechanisms individually for ablation.
 	Dampening                   bool
 	DampHysteresis, DampBackoff bool
-	// Failure injection: at FailPeerBAt (if positive), peering B's
-	// capacity degrades to FailPeerBToBps (e.g., a partial outage).
-	FailPeerBAt    time.Duration
-	FailPeerBToBps float64
 	// Faults is a deterministic chaos plan (E15): its link faults are
 	// scheduled onto the topology (names: access, peering-B, peering-C,
 	// ixp-cdnX, ixp-cdnY) and its partner faults gate the EONA interface
-	// exchange — epochs inside an outage or error-burst window publish
-	// nothing, so the parties keep deciding on their last-received hints.
+	// exchange — epochs inside an outage window publish nothing, so the
+	// parties keep deciding on their last-received hints.
 	// Nil injects nothing.
 	Faults *faults.Plan
 	// HintHalfLife is the confidence half-life applied to interface data
@@ -110,26 +103,8 @@ func (c *Fig5Config) applyDefaults() {
 	if c.TEPeriod == 0 {
 		c.TEPeriod = c.Epoch
 	}
-	if c.AppPPeriod == 0 {
-		c.AppPPeriod = c.Epoch
-	}
 	if c.Demand == nil {
 		c.Demand = func(time.Duration) float64 { return 150e6 }
-	}
-	if c.NominalBitrate == 0 {
-		c.NominalBitrate = 3e6
-	}
-	if c.AccessBps == 0 {
-		c.AccessBps = 1e9
-	}
-	if c.PeerBBps == 0 {
-		c.PeerBBps = 100e6
-	}
-	if c.PeerCBps == 0 {
-		c.PeerCBps = 400e6
-	}
-	if c.IXPToXBps == 0 {
-		c.IXPToXBps = 400e6
 	}
 	if c.IXPToYBps == 0 {
 		c.IXPToYBps = 80e6
@@ -179,6 +154,14 @@ func (r Fig5Result) Sparkline() string {
 const (
 	cdnXName = "cdnX"
 	cdnYName = "cdnY"
+
+	// fig5NominalBitrate is the per-session target rate.
+	fig5NominalBitrate = 3e6
+	// The fixed capacities: access, peering B, peering C and ixp→X.
+	fig5AccessBps = 1e9
+	fig5PeerBBps  = 100e6
+	fig5PeerCBps  = 400e6
+	fig5IXPToXBps = 400e6
 )
 
 // RunFig5 executes the scenario.
@@ -187,19 +170,19 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 	eng := sim.NewEngine(cfg.Seed)
 
 	topo := netsim.NewTopology()
-	access := topo.AddLink("clients", "border", cfg.AccessBps, 2*time.Millisecond, "access")
-	linkB := topo.AddLink("border", "cdnX", cfg.PeerBBps, time.Millisecond, "peering-B")
-	linkC := topo.AddLink("border", "ixp", cfg.PeerCBps, 3*time.Millisecond, "peering-C")
-	ixpX := topo.AddLink("ixp", "cdnX", cfg.IXPToXBps, time.Millisecond, "ixp-cdnX")
+	access := topo.AddLink("clients", "border", fig5AccessBps, 2*time.Millisecond, "access")
+	linkB := topo.AddLink("border", "cdnX", fig5PeerBBps, time.Millisecond, "peering-B")
+	linkC := topo.AddLink("border", "ixp", fig5PeerCBps, 3*time.Millisecond, "peering-C")
+	ixpX := topo.AddLink("ixp", "cdnX", fig5IXPToXBps, time.Millisecond, "ixp-cdnX")
 	ixpY := topo.AddLink("ixp", "cdnY", cfg.IXPToYBps, time.Millisecond, "ixp-cdnY")
 	net := netsim.NewNetwork(topo)
 	net.SetMaxRate(10e9) // aggregate flow: no per-NIC cap
 
 	if err := cfg.Faults.Schedule(eng, net, map[string]faults.Target{
-		"access":    {ID: access.ID, BaseBps: cfg.AccessBps},
-		"peering-B": {ID: linkB.ID, BaseBps: cfg.PeerBBps},
-		"peering-C": {ID: linkC.ID, BaseBps: cfg.PeerCBps},
-		"ixp-cdnX":  {ID: ixpX.ID, BaseBps: cfg.IXPToXBps},
+		"access":    {ID: access.ID, BaseBps: fig5AccessBps},
+		"peering-B": {ID: linkB.ID, BaseBps: fig5PeerBBps},
+		"peering-C": {ID: linkC.ID, BaseBps: fig5PeerCBps},
+		"ixp-cdnX":  {ID: ixpX.ID, BaseBps: fig5IXPToXBps},
 		"ixp-cdnY":  {ID: ixpY.ID, BaseBps: cfg.IXPToYBps},
 	}); err != nil {
 		panic(fmt.Sprintf("expt: fig5 fault plan: %v", err))
@@ -210,7 +193,7 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 	ispNet.AddPeering("C", linkC, cdnXName, cdnYName)
 
 	model := qoe.DefaultModel()
-	model.MaxBitrate = cfg.NominalBitrate
+	model.MaxBitrate = fig5NominalBitrate
 
 	// --- state ---
 	currentCDN := cdnXName
@@ -237,16 +220,16 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 
 	demandNow := func(now time.Duration) float64 {
 		d := cfg.Demand(now)
-		if d < cfg.NominalBitrate {
-			d = cfg.NominalBitrate
+		if d < fig5NominalBitrate {
+			d = fig5NominalBitrate
 		}
 		return d
 	}
 	sessionsAt := func(now time.Duration) float64 {
-		return demandNow(now) / cfg.NominalBitrate
+		return demandNow(now) / fig5NominalBitrate
 	}
 	flowDemand := func(now time.Duration) float64 {
-		per := cfg.NominalBitrate
+		per := fig5NominalBitrate
 		if capBps > 0 && capBps < per {
 			per = capBps
 		}
@@ -259,12 +242,6 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 	}
 	egressTrack.Record(0, ispNet.EgressOf(cdnXName).ID)
 	cdnTrack.Record(0, currentCDN)
-
-	if cfg.FailPeerBAt > 0 {
-		eng.ScheduleAt(cfg.FailPeerBAt, func(*sim.Engine) {
-			net.SetLinkCapacity(linkB.ID, cfg.FailPeerBToBps)
-		})
-	}
 
 	reachable := map[string][]string{cdnXName: {"B", "C"}, cdnYName: {"C"}}
 
@@ -377,7 +354,7 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 	var ispBackoff, appBackoff *stability.Backoff
 	if useBackoff {
 		ispBackoff = stability.NewBackoff(cfg.TEPeriod, 30*cfg.TEPeriod, 2, 0.2, cfg.Seed+11)
-		appBackoff = stability.NewBackoff(cfg.AppPPeriod, 30*cfg.AppPPeriod, 2, 0.2, cfg.Seed+13)
+		appBackoff = stability.NewBackoff(cfg.Epoch, 30*cfg.Epoch, 2, 0.2, cfg.Seed+13)
 	}
 	// Scenario-level hysteresis for the baseline AppP (the policy itself
 	// has no dampening hook): a CDN switch must promise a clearly better
@@ -396,10 +373,10 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 			scores = append(scores, s)
 		}
 		switchedThisEpoch = false
-		// Partner faults gate the exchange: during an outage or error
-		// burst nothing is published, so the stores (and hence the
-		// policies) keep serving the last completed exchange.
-		if cfg.Faults.PartnerUp(now) && !cfg.Faults.PartnerErrored(now) {
+		// Partner faults gate the exchange: during an outage nothing is
+		// published, so the stores (and hence the policies) keep
+		// serving the last completed exchange.
+		if cfg.Faults.PartnerUp(now) {
 			i2aStore.Set(now, buildI2A())
 			a2iStore.Set(now, buildA2I(now))
 			lastExchange = now
@@ -448,7 +425,7 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 	})
 
 	// --- AppP control loop ---
-	eng.Every(cfg.AppPPeriod, func(e *sim.Engine) bool {
+	eng.Every(cfg.Epoch, func(e *sim.Engine) bool {
 		now := e.Now()
 		obs := control.AppPObs{
 			Now:       now,
@@ -456,7 +433,7 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 			Score:     cdnScore[currentCDN],
 			DemandBps: demandNow(now),
 			CDNs: []control.CDNStat{
-				{Name: cdnXName, Score: cdnScore[cdnXName], ServingCapacityBps: cfg.IXPToXBps},
+				{Name: cdnXName, Score: cdnScore[cdnXName], ServingCapacityBps: fig5IXPToXBps},
 				{Name: cdnYName, Score: cdnScore[cdnYName], ServingCapacityBps: cfg.IXPToYBps},
 			},
 		}
@@ -527,9 +504,9 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 func Fig5Oracle(cfg Fig5Config) float64 {
 	cfg.applyDefaults()
 	model := qoe.DefaultModel()
-	model.MaxBitrate = cfg.NominalBitrate
+	model.MaxBitrate = fig5NominalBitrate
 	demand := cfg.Demand(0)
-	sessions := demand / cfg.NominalBitrate
+	sessions := demand / fig5NominalBitrate
 
 	best := 0.0
 	for _, choice := range []struct {
@@ -537,12 +514,12 @@ func Fig5Oracle(cfg Fig5Config) float64 {
 		egress string
 		path   float64 // bottleneck capacity
 	}{
-		{cdnXName, "B", min2(cfg.AccessBps, cfg.PeerBBps)},
-		{cdnXName, "C", min2(cfg.AccessBps, min2(cfg.PeerCBps, cfg.IXPToXBps))},
-		{cdnYName, "C", min2(cfg.AccessBps, min2(cfg.PeerCBps, cfg.IXPToYBps))},
+		{cdnXName, "B", min2(fig5AccessBps, fig5PeerBBps)},
+		{cdnXName, "C", min2(fig5AccessBps, min2(fig5PeerCBps, fig5IXPToXBps))},
+		{cdnYName, "C", min2(fig5AccessBps, min2(fig5PeerCBps, cfg.IXPToYBps))},
 	} {
 		for _, capped := range []bool{false, true} {
-			perTarget := cfg.NominalBitrate
+			perTarget := fig5NominalBitrate
 			if capped {
 				// The oracle sets the cap so aggregate demand
 				// exactly fits the path.

@@ -125,10 +125,9 @@ func RunEngineArm(cfg EngineArmConfig) EngineArmResult {
 				demand := cfg.SessionDemand
 				f := drv.StartFlow(path, demand, tag)
 				stats[p].started++
-				mon := control.NewFlowMonitor(en,
+				mon := control.NewFlowMonitor(en, cfg.MonitorEvery,
 					func() float64 { return f.Rate }, // last-commit value; workers only write at the barrier
 					func() float64 { return demand },
-					control.FlowMonitorConfig{CheckEvery: cfg.MonitorEvery},
 					func(*control.FlowMonitor) {
 						demand *= 0.7
 						drv.SetDemand(f, demand)

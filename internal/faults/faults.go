@@ -2,8 +2,8 @@
 // experiments (E15) and for hardening tests of the partner exchange.
 //
 // A Plan is pure data: a set of link-capacity faults (flaps, partial
-// degradations, outages) plus partner-exchange faults (outage windows and
-// error bursts) positioned on the simulation timeline.
+// degradations, outages) plus partner-exchange outage windows positioned on
+// the simulation timeline.
 // Plans come either from an explicit literal or from Generate, which
 // places fault windows with a seeded RNG — the same seed always yields the
 // same plan, so every chaos run is bit-for-bit reproducible.
@@ -12,8 +12,7 @@
 // instant becomes one sim.Engine event that commits all of that instant's
 // capacity changes inside a single netsim Batch, i.e. one reallocation per
 // fault regardless of how many links it touches. Partner faults gate the
-// simulated looking-glass exchange through PartnerUp and PartnerErrored. A
-// running node's partner faults are Live windows (live.go), which Gate
+// simulated looking-glass exchange through PartnerUp. A running node's partner faults are Live windows (live.go), which Gate
 // applies to a real poller's fetches.
 package faults
 
@@ -66,9 +65,6 @@ type Plan struct {
 	// PartnerOutages are windows during which the partner exchange is
 	// entirely down (fetches fail, stores are not refreshed).
 	PartnerOutages []Window
-	// ErrorBursts are windows during which the partner responds, but with
-	// errors (HTTP 5xx / decode failures).
-	ErrorBursts []Window
 }
 
 // PartnerUp reports whether the partner exchange is reachable at t. A nil
@@ -83,19 +79,6 @@ func (p *Plan) PartnerUp(t time.Duration) bool {
 		}
 	}
 	return true
-}
-
-// PartnerErrored reports whether an exchange at t lands in an error burst.
-func (p *Plan) PartnerErrored(t time.Duration) bool {
-	if p == nil {
-		return false
-	}
-	for _, w := range p.ErrorBursts {
-		if w.Contains(t) {
-			return true
-		}
-	}
-	return false
 }
 
 // Target binds a plan link name to a simulated link and its healthy
@@ -225,13 +208,9 @@ type LinkFaultConfig struct {
 
 // PartnerFaultConfig describes the partner-exchange fault process for
 // Generate. The single outage window is pinned (OutageAt/OutageLen)
-// because chaos sweeps vary its length as the independent variable; bursts
-// are seed-placed.
+// because chaos sweeps vary its length as the independent variable.
 type PartnerFaultConfig struct {
 	OutageAt, OutageLen time.Duration
-
-	ErrorBursts int
-	BurstLen    time.Duration
 }
 
 // Config parameterizes Generate.
@@ -275,7 +254,6 @@ func Generate(cfg Config) *Plan {
 	if pc.OutageLen > 0 {
 		p.PartnerOutages = append(p.PartnerOutages, Window{Start: pc.OutageAt, End: pc.OutageAt + pc.OutageLen})
 	}
-	p.ErrorBursts = slotWindows(rng, cfg.Horizon, pc.ErrorBursts, pc.BurstLen)
 	return p
 }
 

@@ -17,10 +17,7 @@ func sweepConfig(seed int64) Config {
 			{Link: "access", Count: 3, Duration: 10 * time.Minute, Factor: 0.1},
 			{Link: "peering-B", Count: 2, Duration: 5 * time.Minute, Factor: 0},
 		},
-		Partner: PartnerFaultConfig{
-			OutageAt: time.Hour, OutageLen: 30 * time.Minute,
-			ErrorBursts: 2, BurstLen: 4 * time.Minute,
-		},
+		Partner: PartnerFaultConfig{OutageAt: time.Hour, OutageLen: 30 * time.Minute},
 	}
 }
 
@@ -55,9 +52,6 @@ func TestGenerateWindowsWellFormed(t *testing.T) {
 	if len(p.PartnerOutages) != 1 || p.PartnerOutages[0].Duration() != 30*time.Minute {
 		t.Errorf("outages = %+v", p.PartnerOutages)
 	}
-	if len(p.ErrorBursts) != 2 {
-		t.Errorf("bursts = %+v", p.ErrorBursts)
-	}
 }
 
 func TestGeneratePinnedFault(t *testing.T) {
@@ -75,16 +69,12 @@ func TestGeneratePinnedFault(t *testing.T) {
 func TestPartnerPredicates(t *testing.T) {
 	p := &Plan{
 		PartnerOutages: []Window{{Start: 10 * time.Minute, End: 20 * time.Minute}},
-		ErrorBursts:    []Window{{Start: 30 * time.Minute, End: 31 * time.Minute}},
 	}
 	if !p.PartnerUp(9*time.Minute) || p.PartnerUp(10*time.Minute) || p.PartnerUp(19*time.Minute+59*time.Second) || !p.PartnerUp(20*time.Minute) {
 		t.Error("outage window edges wrong (half-open [start,end) expected)")
 	}
-	if p.PartnerErrored(29*time.Minute) || !p.PartnerErrored(30*time.Minute) {
-		t.Error("error burst window wrong")
-	}
 	var nilPlan *Plan
-	if !nilPlan.PartnerUp(0) || nilPlan.PartnerErrored(0) {
+	if !nilPlan.PartnerUp(0) {
 		t.Error("nil plan must be the empty plan")
 	}
 }

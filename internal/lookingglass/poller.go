@@ -197,11 +197,11 @@ type PollConfig struct {
 	Interval time.Duration
 	// BackoffBase is the delay before the first retry after a failure
 	// (default Interval). Subsequent consecutive failures double the delay
-	// up to BackoffMax (default 8×Interval), each jittered by ±10 %.
+	// up to BackoffMax (default 8×Interval), each jittered by ±10 %. The
+	// jitter RNG has a fixed seed, so every poller draws the same retry
+	// schedule.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Seed drives the jitter RNG; same seed, same retry schedule.
-	Seed int64
 	// Breaker configures the consecutive-failure circuit breaker
 	// (BreakerConfig defaults apply; Threshold −1 disables).
 	Breaker BreakerConfig
@@ -252,7 +252,7 @@ func PollWith[T any](ctx context.Context, cfg PollConfig, fetch func(context.Con
 		br = NewBreaker(cfg.Breaker)
 		snap.breaker = br
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(0))
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

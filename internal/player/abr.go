@@ -3,7 +3,7 @@
 // pluggable ABR algorithms, and the connection redirections (server or CDN
 // switches) that the control loops in internal/control decide on.
 //
-// The buffer model is the standard fluid approximation: every Tick the
+// The buffer model is the standard fluid approximation: every 500 ms tick the
 // player converts downloaded bits into seconds of content at the current
 // bitrate, plays one tick's worth if it has it, and stalls otherwise.
 // Rebuffering, startup delay, and bitrate/CDN switch counts accumulate into

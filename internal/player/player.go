@@ -98,16 +98,8 @@ const (
 type Config struct {
 	// Ladder is the ascending bitrate ladder in bits/s. Required.
 	Ladder []float64
-	// Tick is the integration step. Default 500ms.
-	Tick time.Duration
 	// BufferTarget is where downloading pauses. Default 30s.
 	BufferTarget time.Duration
-	// StartupBuffer is the content needed before playback starts.
-	// Default 2s.
-	StartupBuffer time.Duration
-	// StallResume is the content needed to resume after a stall.
-	// Default 2s.
-	StallResume time.Duration
 	// AdaptEvery is how often the ABR runs. Default 2s.
 	AdaptEvery time.Duration
 	// EMAAlpha smooths throughput samples. Default 0.25.
@@ -123,17 +115,8 @@ func (c *Config) applyDefaults() {
 	if !sort.Float64sAreSorted(c.Ladder) {
 		panic(fmt.Sprintf("player: ladder must ascend: %v", c.Ladder))
 	}
-	if c.Tick == 0 {
-		c.Tick = 500 * time.Millisecond
-	}
 	if c.BufferTarget == 0 {
 		c.BufferTarget = 30 * time.Second
-	}
-	if c.StartupBuffer == 0 {
-		c.StartupBuffer = 2 * time.Second
-	}
-	if c.StallResume == 0 {
-		c.StallResume = 2 * time.Second
 	}
 	if c.AdaptEvery == 0 {
 		c.AdaptEvery = 2 * time.Second
@@ -146,10 +129,14 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// DefaultLadder is a typical streaming ladder: 300kbps to 8Mbps.
-func DefaultLadder() []float64 {
-	return []float64{300e3, 750e3, 1.5e6, 3e6, 4.5e6, 8e6}
-}
+const (
+	// tickStep is the integration step.
+	tickStep = 500 * time.Millisecond
+	// startupBuffer is the content needed before playback starts.
+	startupBuffer = 2 * time.Second
+	// stallResume is the content needed to resume after a stall.
+	stallResume = 2 * time.Second
+)
 
 type phase int
 
@@ -222,7 +209,7 @@ func (p *Player) Start(conn Conn, penalty time.Duration) {
 	p.penalty = penalty
 	p.downloading = false
 	conn.SetDemand(0)
-	p.stopTick = p.engine.Every(p.cfg.Tick, p.tick)
+	p.stopTick = p.engine.Every(tickStep, p.tick)
 }
 
 // Redirect swaps the connection (server or CDN switch). The buffer is
@@ -333,7 +320,7 @@ func (p *Player) tick(*sim.Engine) bool {
 	if p.phase == phaseDone {
 		return false
 	}
-	dt := p.cfg.Tick
+	dt := tickStep
 
 	// 1. Connection setup / origin-fetch penalty gates downloading.
 	if p.penalty > 0 {
@@ -350,7 +337,7 @@ func (p *Player) tick(*sim.Engine) bool {
 		if p.downloading && p.buffer >= p.cfg.BufferTarget {
 			canDownload = false
 		}
-		if !p.downloading && p.buffer >= p.cfg.BufferTarget-4*time.Second && p.buffer >= p.cfg.StartupBuffer {
+		if !p.downloading && p.buffer >= p.cfg.BufferTarget-4*time.Second && p.buffer >= startupBuffer {
 			canDownload = false
 		}
 	}
@@ -394,7 +381,7 @@ func (p *Player) tick(*sim.Engine) bool {
 	switch p.phase {
 	case phaseStarting:
 		p.metrics.StartupDelay += dt
-		if p.buffer >= p.cfg.StartupBuffer {
+		if p.buffer >= startupBuffer {
 			p.phase = phasePlaying
 		}
 	case phasePlaying:
@@ -418,7 +405,7 @@ func (p *Player) tick(*sim.Engine) bool {
 		}
 	case phaseStalled:
 		p.metrics.BufferingTime += dt
-		if p.buffer >= p.cfg.StallResume {
+		if p.buffer >= stallResume {
 			p.phase = phasePlaying
 		}
 	}

@@ -182,12 +182,10 @@ type Session struct {
 
 // Spec describes a workload to generate.
 type Spec struct {
-	Rate        RateFunc
-	MaxRate     float64
-	Horizon     time.Duration
-	CatalogSize int
-	ZipfS       float64 // default 1.2 if zero
-	Groups      *WeightedChoice
+	Rate    RateFunc
+	MaxRate float64
+	Horizon time.Duration
+	Groups  *WeightedChoice
 	// MeanDuration is the mean of the exponentially distributed intended
 	// viewing duration. Default 10 minutes if zero.
 	MeanDuration time.Duration
@@ -195,21 +193,21 @@ type Spec struct {
 	MinDuration time.Duration
 }
 
+// The generated catalog: catalogSize titles with Zipf(zipfS) popularity.
+const (
+	catalogSize = 1000
+	zipfS       = 1.2
+)
+
 // Generate produces the session list for a spec.
 func Generate(rng *rand.Rand, s Spec) []Session {
-	if s.CatalogSize <= 0 {
-		s.CatalogSize = 1000
-	}
-	if s.ZipfS == 0 {
-		s.ZipfS = 1.2
-	}
 	if s.MeanDuration == 0 {
 		s.MeanDuration = 10 * time.Minute
 	}
 	if s.MinDuration == 0 {
 		s.MinDuration = 30 * time.Second
 	}
-	zipf := NewZipf(rng, s.ZipfS, s.CatalogSize)
+	zipf := NewZipf(rng, zipfS, catalogSize)
 	arrivals := Arrivals(rng, s.Rate, s.MaxRate, s.Horizon)
 	out := make([]Session, 0, len(arrivals))
 	for _, at := range arrivals {
