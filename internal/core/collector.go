@@ -25,7 +25,7 @@ type ExportPolicy struct {
 
 // Collector is the AppP-side A2I producer: it ingests per-session
 // QoERecords and serves blinded, windowed summaries and traffic estimates.
-// Ingest is O(1) per record (see BenchmarkE7Scalability).
+// Ingest is O(1) per record (see BenchmarkCollectorIngest and E7).
 type Collector struct {
 	AppP   string
 	Policy ExportPolicy
