@@ -39,9 +39,6 @@ func NewCache(capacity int) *Cache {
 	}
 }
 
-// Capacity returns the configured object capacity.
-func (c *Cache) Capacity() int { return c.capacity }
-
 // Len returns the number of cached objects.
 func (c *Cache) Len() int { return c.ll.Len() }
 

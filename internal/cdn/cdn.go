@@ -28,9 +28,6 @@ func NewServer(id string, capacity int) *Server {
 	return &Server{ID: id, Capacity: capacity, healthy: true}
 }
 
-// Active returns the number of sessions currently assigned.
-func (s *Server) Active() int { return s.active }
-
 // Load returns active/capacity in [0, 1].
 func (s *Server) Load() float64 { return float64(s.active) / float64(s.Capacity) }
 
@@ -39,15 +36,9 @@ func (s *Server) Available() bool {
 	return s.healthy && !s.asleep && s.active < s.Capacity
 }
 
-// Healthy reports server health.
-func (s *Server) Healthy() bool { return s.healthy }
-
 // SetHealthy marks the server failed or recovered. Existing sessions on a
 // failed server are the scenario's responsibility to migrate.
 func (s *Server) SetHealthy(h bool) { s.healthy = h }
-
-// Asleep reports whether the server is powered down.
-func (s *Server) Asleep() bool { return s.asleep }
 
 // SetAsleep powers the server down or up (energy-saving scenario, §2).
 func (s *Server) SetAsleep(a bool) { s.asleep = a }

@@ -226,8 +226,7 @@ func hasViablePeering(infos []core.PeeringInfo, cdnName string) bool {
 // A2IView is the slice of AppP state visible to an InfP through EONA-A2I.
 // Nil means the InfP runs without EONA.
 type A2IView struct {
-	Traffic   []core.TrafficEstimate
-	Summaries []core.QoESummary
+	Traffic []core.TrafficEstimate
 }
 
 // InfPObs is one epoch's observation for the InfP policy.

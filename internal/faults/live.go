@@ -46,9 +46,6 @@ func NewLive(clock func() time.Duration) *Live {
 	}
 }
 
-// Now reports the current position on the live set's timeline.
-func (l *Live) Now() time.Duration { return l.clock() }
-
 // openEnd marks a window with no scheduled end; it stays open until
 // cancelled.
 const openEnd = time.Duration(math.MaxInt64)

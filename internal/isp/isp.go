@@ -98,9 +98,6 @@ func (i *ISP) AddPeering(id string, link *netsim.Link, cdns ...string) *PeeringP
 	return p
 }
 
-// Peerings returns all peering points in declaration order.
-func (i *ISP) Peerings() []*PeeringPoint { return i.peerings }
-
 // PeeringsFor returns the peering points that reach cdnName, in declaration
 // order.
 func (i *ISP) PeeringsFor(cdnName string) []*PeeringPoint {
@@ -295,6 +292,3 @@ func (i *ISP) PeeringReports() []LinkReport {
 	}
 	return out
 }
-
-// Network returns the underlying simulated network.
-func (i *ISP) Network() *netsim.Network { return i.net }

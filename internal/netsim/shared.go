@@ -230,11 +230,6 @@ func NewShared(n *Network, cfg SharedConfig) *SharedNetwork {
 	return s
 }
 
-// Network returns the inner serial network. Only safe before the first
-// concurrent use or after Close; it exists so tests and post-run analysis
-// can inspect final state exactly.
-func (s *SharedNetwork) Network() *Network { return s.net }
-
 // Snapshot returns the latest published read snapshot: one atomic load,
 // never nil, safe from any goroutine. It is the read surface: take one
 // Snapshot and read every value from it, so they all describe one commit.

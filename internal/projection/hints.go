@@ -51,12 +51,6 @@ func (h *Hints) Latest(source string) (journal.PollRecord, bool) {
 	return pr, ok
 }
 
-// Sources returns the known sources in first-observation order.
-func (h *Hints) Sources() []string { return append([]string(nil), h.order...) }
-
-// Polls returns the total poll records folded.
-func (h *Hints) Polls() uint64 { return h.polls }
-
 func (h *Hints) EncodeState(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, h.polls)
 	buf = binary.AppendUvarint(buf, uint64(len(h.order)))

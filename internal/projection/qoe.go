@@ -57,11 +57,6 @@ func (q *QoE) TrafficEstimates(now time.Duration) []core.TrafficEstimate {
 	return q.col.TrafficEstimates(now)
 }
 
-// Collector exposes the maintained collector for callers that serve the
-// full A2ICollector query surface (eona-lg). Mutating it outside the fold
-// path breaks the checkpoint contract.
-func (q *QoE) Collector() *core.Collector { return q.col }
-
 // EncodeState writes the collector's aggregation state: ingest count, then
 // groups in first-observation order (metrics name-sorted within each), then
 // traffic rings CDN-sorted — the deterministic orders ExportState already

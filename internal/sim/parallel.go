@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ParallelEngine is a multi-driver discrete-event engine: P partition
@@ -80,9 +79,6 @@ func NewParallel(seed int64, partitions, workers int) *ParallelEngine {
 // partition's callbacks (or between Run calls / inside barrier hooks).
 func (pe *ParallelEngine) Partition(p int) *Engine { return pe.parts[p] }
 
-// Partitions returns the partition count.
-func (pe *ParallelEngine) Partitions() int { return len(pe.parts) }
-
 // Workers returns the effective worker-goroutine count.
 func (pe *ParallelEngine) Workers() int { return pe.workers }
 
@@ -108,15 +104,6 @@ func (pe *ParallelEngine) Processed() uint64 {
 	var n uint64
 	for _, p := range pe.parts {
 		n += p.Processed
-	}
-	return n
-}
-
-// Len totals pending (non-cancelled) events across all partitions.
-func (pe *ParallelEngine) Len() int {
-	n := 0
-	for _, p := range pe.parts {
-		n += p.Len()
 	}
 	return n
 }
@@ -230,11 +217,4 @@ func (pe *ParallelEngine) setNow(t Time) {
 			p.now = t
 		}
 	}
-}
-
-// EveryOn is a convenience for partitioned periodic sources: it installs an
-// Every ticker on partition p. The returned stop func must only be called
-// from that partition's callbacks or between runs.
-func (pe *ParallelEngine) EveryOn(p int, period time.Duration, fn func(*Engine) bool) (stop func()) {
-	return pe.parts[p].Every(period, fn)
 }

@@ -31,9 +31,6 @@ type Event struct {
 	cancelled bool
 }
 
-// At reports the virtual time at which the event fires.
-func (e *Event) At() Time { return e.at }
-
 // Cancelled reports whether Cancel was called on the event.
 func (e *Event) Cancelled() bool { return e.cancelled }
 
