@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"strings"
 	"time"
 
@@ -30,6 +31,25 @@ func parseMode(s string) (eona.Mode, error) {
 	default:
 		return eona.ModeBaseline, fmt.Errorf("unknown mode %q (want baseline or eona)", s)
 	}
+}
+
+// checkFlags rejects the numeric flag values the scenario cannot run: a
+// non-positive horizon or epoch, a negative staleness, and a negative or
+// non-finite noise ε or demand (demand must also be positive).
+func checkFlags(horizon, epoch, staleness time.Duration, noise, demand float64) error {
+	switch {
+	case horizon <= 0:
+		return fmt.Errorf("-horizon must be positive, got %v", horizon)
+	case epoch <= 0:
+		return fmt.Errorf("-epoch must be positive, got %v", epoch)
+	case staleness < 0:
+		return fmt.Errorf("-staleness must not be negative, got %v", staleness)
+	case math.IsNaN(noise) || math.IsInf(noise, 0) || noise < 0:
+		return fmt.Errorf("-noise must be a finite ε ≥ 0, got %v", noise)
+	case math.IsNaN(demand) || math.IsInf(demand, 0) || demand <= 0:
+		return fmt.Errorf("-demand must be a finite positive rate, got %v", demand)
+	}
+	return nil
 }
 
 func main() {
@@ -50,6 +70,9 @@ func main() {
 	}
 	im, err := parseMode(*infp)
 	if err != nil {
+		log.Fatalf("eona-sim: %v", err)
+	}
+	if err := checkFlags(*horizon, *epoch, *staleness, *noise, *demand); err != nil {
 		log.Fatalf("eona-sim: %v", err)
 	}
 
