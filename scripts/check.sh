@@ -10,6 +10,11 @@ if [ -n "$unformatted" ]; then
 fi
 go build ./...
 go vet ./...
+# go build compiles the examples but nothing else runs them, and a facade or
+# config change can break one at run time: each must exit 0.
+for ex in examples/*/; do
+	go run "./$ex" >/dev/null || { echo "check: $ex exited non-zero" >&2; exit 1; }
+done
 # The benchmark harness is a nested module (outside ./...) built against
 # this tree: an API removal that breaks it must fail here, not in the
 # benchmark run. It is one main package, so -o keeps the binary out of the
