@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"math/rand"
 	"os"
 	"time"
@@ -47,6 +48,26 @@ import (
 	"eona/internal/journal"
 	"eona/internal/workload"
 )
+
+// checkFlags rejects the generator flag values no trace can be made from: a
+// non-positive horizon, a non-finite or non-positive peak or mean rate, a
+// non-finite or negative base rate, and a flash crowd whose base exceeds
+// its peak.
+func checkFlags(profile string, base, peak, mean float64, horizon time.Duration) error {
+	switch {
+	case horizon <= 0:
+		return fmt.Errorf("-horizon must be positive, got %v", horizon)
+	case math.IsNaN(peak) || math.IsInf(peak, 0) || peak <= 0:
+		return fmt.Errorf("-peak must be a finite positive rate, got %v", peak)
+	case math.IsNaN(mean) || math.IsInf(mean, 0) || mean <= 0:
+		return fmt.Errorf("-mean must be a finite positive rate, got %v", mean)
+	case math.IsNaN(base) || math.IsInf(base, 0) || base < 0:
+		return fmt.Errorf("-base must be a finite rate ≥ 0, got %v", base)
+	case profile == "flashcrowd" && base > peak:
+		return fmt.Errorf("-base must not exceed -peak for a flash crowd, got %v > %v", base, peak)
+	}
+	return nil
+}
 
 func main() {
 	profile := flag.String("profile", "flashcrowd", "workload profile: flashcrowd | diurnal | constant")
@@ -85,6 +106,10 @@ func main() {
 			log.Fatalf("eona-trace: %v", err)
 		}
 		return
+	}
+
+	if err := checkFlags(*profile, *base, *peak, *mean, *horizon); err != nil {
+		log.Fatalf("eona-trace: %v", err)
 	}
 
 	var rate workload.RateFunc

@@ -132,9 +132,6 @@ type (
 	// CollectorConfig is the constructor input for A2I collectors: AppP,
 	// policy, traffic window and noise seed. Zero value is runnable.
 	CollectorConfig = core.CollectorConfig
-	// A2ICollector is the one ingest seam *Collector implements (ingest,
-	// summaries, traffic estimates).
-	A2ICollector = core.A2ICollector
 )
 
 // NewA2ICollector builds the collector cfg describes.

@@ -73,70 +73,6 @@ func TestCountMinValidation(t *testing.T) {
 	}
 }
 
-func TestReservoirUnderfill(t *testing.T) {
-	r := NewReservoir(10, 1)
-	for i := 0; i < 5; i++ {
-		r.Add(float64(i))
-	}
-	s := r.Sample()
-	if len(s) != 5 {
-		t.Fatalf("sample size = %d, want 5", len(s))
-	}
-	if r.Seen() != 5 {
-		t.Errorf("Seen = %d", r.Seen())
-	}
-}
-
-func TestReservoirUniformity(t *testing.T) {
-	// Each element of a 1000-long stream should appear in a 100-slot
-	// reservoir with probability ~0.1; check the mean of sampled values
-	// is near the stream mean.
-	r := NewReservoir(100, 3)
-	for i := 0; i < 1000; i++ {
-		r.Add(float64(i))
-	}
-	s := r.Sample()
-	if len(s) != 100 {
-		t.Fatalf("sample size = %d", len(s))
-	}
-	mean := 0.0
-	for _, v := range s {
-		mean += v
-	}
-	mean /= float64(len(s))
-	if mean < 350 || mean > 650 {
-		t.Errorf("sample mean = %v, want ≈500", mean)
-	}
-}
-
-func TestReservoirQuantile(t *testing.T) {
-	r := NewReservoir(1000, 4)
-	for i := 1; i <= 1000; i++ {
-		r.Add(float64(i))
-	}
-	if med := r.Quantile(0.5); math.Abs(med-500) > 2 {
-		t.Errorf("median = %v, want ≈500", med)
-	}
-	if NewReservoir(5, 1).Quantile(0.5) != 0 {
-		t.Error("empty reservoir quantile should be 0")
-	}
-	if got := r.Quantile(0); got != 1 {
-		t.Errorf("q0 = %v, want 1", got)
-	}
-	if got := r.Quantile(1); got != 1000 {
-		t.Errorf("q1 = %v, want 1000", got)
-	}
-}
-
-func TestReservoirValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("k=0 did not panic")
-		}
-	}()
-	NewReservoir(0, 1)
-}
-
 func TestP2Median(t *testing.T) {
 	p := NewP2(0.5)
 	rng := rand.New(rand.NewSource(5))

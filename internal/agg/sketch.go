@@ -1,7 +1,7 @@
 // Package agg provides the streaming-aggregation machinery an AppP needs to
 // turn tens of millions of per-session QoE records per day (§5
 // "Scalability") into the compact summaries exported over EONA-A2I:
-// count-min sketches for heavy-hitter counting, reservoir samples, P²
+// count-min sketches for heavy-hitter counting, P²
 // streaming quantiles, windowed counters, and dimensional group-by rollups.
 //
 // Everything here is O(1) or O(log n) per record and bounded-memory — the

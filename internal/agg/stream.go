@@ -2,71 +2,12 @@ package agg
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 )
 
-// Reservoir keeps a uniform random sample of a stream using Vitter's
-// algorithm R. Determinism comes from the caller-supplied seed.
-type Reservoir struct {
-	k      int
-	seen   uint64
-	sample []float64
-	rng    *rand.Rand
-}
-
-// NewReservoir keeps at most k values.
-func NewReservoir(k int, seed int64) *Reservoir {
-	if k <= 0 {
-		panic("agg: reservoir size must be positive")
-	}
-	return &Reservoir{k: k, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Add offers a value to the sample.
-func (r *Reservoir) Add(v float64) {
-	r.seen++
-	if len(r.sample) < r.k {
-		r.sample = append(r.sample, v)
-		return
-	}
-	if j := r.rng.Int63n(int64(r.seen)); j < int64(r.k) {
-		r.sample[j] = v
-	}
-}
-
-// Seen returns how many values were offered.
-func (r *Reservoir) Seen() uint64 { return r.seen }
-
-// Sample returns a copy of the current sample.
-func (r *Reservoir) Sample() []float64 {
-	out := make([]float64, len(r.sample))
-	copy(out, r.sample)
-	return out
-}
-
-// Quantile returns the q-quantile (q in [0,1]) of the sample, or 0 if the
-// sample is empty.
-func (r *Reservoir) Quantile(q float64) float64 {
-	if len(r.sample) == 0 {
-		return 0
-	}
-	s := r.Sample()
-	sort.Float64s(s)
-	idx := int(q * float64(len(s)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
-}
-
 // P2 estimates a single quantile online with O(1) memory using the P²
-// algorithm (Jain & Chlamtac, 1985). It is the constant-memory alternative
-// to Reservoir for the high-rate A2I ingest path.
+// algorithm (Jain & Chlamtac, 1985), for the high-rate A2I ingest path.
 type P2 struct {
 	q       float64
 	n       int

@@ -1,13 +1,12 @@
 // Package auth implements the access control the paper assumes over
 // EONA-query servers ("We assume some suitable access control mechanism
 // over the EONA-query servers", §3): bearer tokens bound to a collaborator
-// and a scope set, stored as SHA-256 digests and compared in constant time,
-// plus a per-collaborator token-bucket rate limiter.
+// and a scope set, stored only as SHA-256 digests, plus a per-collaborator
+// token-bucket rate limiter.
 package auth
 
 import (
 	"crypto/sha256"
-	"crypto/subtle"
 	"errors"
 	"fmt"
 	"sync"
@@ -38,14 +37,9 @@ var (
 	ErrForbidden    = errors.New("auth: scope not granted")
 )
 
-// ErrExpired is returned for tokens past their expiry.
-var ErrExpired = errors.New("auth: token expired")
-
 type grant struct {
 	collaborator string
 	scopes       map[Scope]bool
-	// expiresAt is the zero Time for non-expiring tokens.
-	expiresAt time.Time
 }
 
 // Store maps token digests to collaborators and scopes. Safe for concurrent
@@ -53,43 +47,20 @@ type grant struct {
 type Store struct {
 	mu     sync.RWMutex
 	grants map[[sha256.Size]byte]grant
-	// now is the clock, injectable for tests.
-	now func() time.Time
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{grants: make(map[[sha256.Size]byte]grant), now: time.Now}
+	return &Store{grants: make(map[[sha256.Size]byte]grant)}
 }
 
-// SetClock replaces the store's clock (tests).
-func (s *Store) SetClock(now func() time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.now = now
-}
-
-// Register grants a non-expiring token to a collaborator with the given
-// scopes. The raw token is hashed immediately and never retained.
+// Register grants a token to a collaborator with the given scopes. The raw
+// token is hashed immediately and never retained.
 func (s *Store) Register(token, collaborator string, scopes ...Scope) {
-	s.register(token, collaborator, time.Time{}, scopes)
-}
-
-// RegisterTemporary grants a token that expires at the given time —
-// short-lived collaborator credentials are the norm between organizations
-// that renegotiate periodically.
-func (s *Store) RegisterTemporary(token, collaborator string, expiresAt time.Time, scopes ...Scope) {
-	if expiresAt.IsZero() {
-		panic("auth: RegisterTemporary needs a non-zero expiry")
-	}
-	s.register(token, collaborator, expiresAt, scopes)
-}
-
-func (s *Store) register(token, collaborator string, expiresAt time.Time, scopes []Scope) {
 	if token == "" || collaborator == "" {
 		panic("auth: empty token or collaborator")
 	}
-	g := grant{collaborator: collaborator, scopes: make(map[Scope]bool, len(scopes)), expiresAt: expiresAt}
+	g := grant{collaborator: collaborator, scopes: make(map[Scope]bool, len(scopes))}
 	for _, sc := range scopes {
 		g.scopes[sc] = true
 	}
@@ -106,23 +77,15 @@ func (s *Store) Revoke(token string) {
 }
 
 // Authorize checks that token is known and granted scope, returning the
-// collaborator name. The digest comparison is constant-time; the map lookup
-// uses the digest, so timing reveals nothing about raw token bytes.
+// collaborator name. Only the token's SHA-256 digest is stored, and the
+// lookup is keyed by that digest, so its timing depends on the digest and
+// never on the raw token bytes.
 func (s *Store) Authorize(token string, scope Scope) (string, error) {
 	digest := sha256.Sum256([]byte(token))
 	s.mu.RLock()
 	g, ok := s.grants[digest]
-	now := s.now()
 	s.mu.RUnlock()
 	if !ok {
-		return "", ErrUnauthorized
-	}
-	if !g.expiresAt.IsZero() && now.After(g.expiresAt) {
-		return "", fmt.Errorf("%w: %s", ErrExpired, g.collaborator)
-	}
-	// Re-derive and compare in constant time (defense in depth against
-	// map-lookup timing signals).
-	if subtle.ConstantTimeCompare(digest[:], digest[:]) != 1 {
 		return "", ErrUnauthorized
 	}
 	if !g.scopes[scope] && !g.scopes[ScopeAdmin] {

@@ -90,36 +90,6 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
-func TestTemporaryTokenExpiry(t *testing.T) {
-	s := NewStore()
-	t0 := time.Unix(1000, 0)
-	s.SetClock(func() time.Time { return t0 })
-	s.RegisterTemporary("tmp", "partner", t0.Add(time.Hour), ScopeI2APeering)
-
-	if _, err := s.Authorize("tmp", ScopeI2APeering); err != nil {
-		t.Fatalf("fresh temporary token denied: %v", err)
-	}
-	// Advance past expiry.
-	s.SetClock(func() time.Time { return t0.Add(2 * time.Hour) })
-	if _, err := s.Authorize("tmp", ScopeI2APeering); !errors.Is(err, ErrExpired) {
-		t.Errorf("expired token err = %v, want ErrExpired", err)
-	}
-	// Non-expiring tokens are unaffected by the clock.
-	s.Register("forever", "partner", ScopeI2APeering)
-	if _, err := s.Authorize("forever", ScopeI2APeering); err != nil {
-		t.Errorf("permanent token denied: %v", err)
-	}
-}
-
-func TestRegisterTemporaryValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero expiry did not panic")
-		}
-	}()
-	NewStore().RegisterTemporary("t", "c", time.Time{}, ScopeAdmin)
-}
-
 func TestRateLimiterBurstThenRefill(t *testing.T) {
 	rl := NewRateLimiter(1, 3) // 1 rps, burst 3
 	now := time.Unix(0, 0)

@@ -93,12 +93,6 @@ func (c *Cache) Warm(ids ...ContentID) {
 	}
 }
 
-// Flush empties the cache (models a cluster restart or config change).
-func (c *Cache) Flush() {
-	c.ll.Init()
-	c.index = make(map[ContentID]*list.Element)
-}
-
 // Stats returns cumulative hit and miss counts.
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 

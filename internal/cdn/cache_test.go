@@ -110,15 +110,6 @@ func TestCacheWarmRefreshesRecency(t *testing.T) {
 	}
 }
 
-func TestCacheFlush(t *testing.T) {
-	c := NewCache(2)
-	c.Request(1)
-	c.Flush()
-	if c.Len() != 0 || c.Contains(1) {
-		t.Error("Flush did not empty cache")
-	}
-}
-
 // Property: the cache never exceeds capacity and Contains is consistent with
 // what Request reported.
 func TestQuickCacheInvariants(t *testing.T) {

@@ -89,29 +89,6 @@ func (c *Cluster) TotalCapacity() int {
 	return total
 }
 
-// ActiveSessions sums active sessions across all servers.
-func (c *Cluster) ActiveSessions() int {
-	total := 0
-	for _, s := range c.Servers {
-		total += s.active
-	}
-	return total
-}
-
-// Load returns cluster-wide active/available-capacity; 1 when no capacity
-// is available.
-func (c *Cluster) Load() float64 {
-	cap := c.TotalCapacity()
-	if cap == 0 {
-		return 1
-	}
-	l := float64(c.ActiveSessions()) / float64(cap)
-	if l > 1 {
-		l = 1
-	}
-	return l
-}
-
 // AwakeServers counts servers that are powered up (healthy or not).
 func (c *Cluster) AwakeServers() int {
 	n := 0
@@ -208,61 +185,4 @@ func (a *Assignment) Release() {
 	if a.Server.active > 0 {
 		a.Server.active--
 	}
-}
-
-// CDN is a named collection of clusters.
-type CDN struct {
-	Name     string
-	Clusters []*Cluster
-}
-
-// New builds a CDN from clusters.
-func New(name string, clusters ...*Cluster) *CDN {
-	if len(clusters) == 0 {
-		panic("cdn: CDN needs at least one cluster")
-	}
-	return &CDN{Name: name, Clusters: clusters}
-}
-
-// Cluster returns the named cluster, or nil.
-func (c *CDN) Cluster(name string) *Cluster {
-	for _, cl := range c.Clusters {
-		if cl.Name == name {
-			return cl
-		}
-	}
-	return nil
-}
-
-// BestCluster returns the least-loaded cluster with available capacity,
-// breaking ties by name, or nil if the CDN is saturated.
-func (c *CDN) BestCluster() *Cluster {
-	var best *Cluster
-	for _, cl := range c.Clusters {
-		if _, err := cl.PickServer(); err != nil {
-			continue
-		}
-		if best == nil || cl.Load() < best.Load() || (cl.Load() == best.Load() && cl.Name < best.Name) {
-			best = cl
-		}
-	}
-	return best
-}
-
-// TotalCapacity sums available capacity across clusters.
-func (c *CDN) TotalCapacity() int {
-	total := 0
-	for _, cl := range c.Clusters {
-		total += cl.TotalCapacity()
-	}
-	return total
-}
-
-// ActiveSessions sums sessions across clusters.
-func (c *CDN) ActiveSessions() int {
-	total := 0
-	for _, cl := range c.Clusters {
-		total += cl.ActiveSessions()
-	}
-	return total
 }

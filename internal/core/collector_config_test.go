@@ -64,7 +64,9 @@ func TestNewA2ICollectorPinsSeam(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewA2ICollector(tc.cfg)
-			c.IngestBatch(recs)
+			for _, r := range recs {
+				c.Ingest(r)
+			}
 			if got := c.Summaries(); !reflect.DeepEqual(got, tc.summaries) {
 				t.Errorf("summaries = %#v\nwant %#v", got, tc.summaries)
 			}

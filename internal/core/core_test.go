@@ -169,9 +169,6 @@ func TestDelayedVisibility(t *testing.T) {
 	if v, _ := d.Get(30 * time.Second); v != 2 {
 		t.Errorf("Get(30s) = %v, want 2", v)
 	}
-	if age, ok := d.Age(30 * time.Second); !ok || age != 10*time.Second {
-		t.Errorf("Age = %v,%v", age, ok)
-	}
 }
 
 func TestDelayedZeroDelay(t *testing.T) {

@@ -52,18 +52,6 @@ func (d *Delayed[T]) Get(now time.Duration) (T, bool) {
 	return zero, false
 }
 
-// Age returns how old the visible value is at time now, or false if none is
-// visible.
-func (d *Delayed[T]) Age(now time.Duration) (time.Duration, bool) {
-	cutoff := now - d.Delay
-	for i := len(d.entries) - 1; i >= 0; i-- {
-		if d.entries[i].at <= cutoff {
-			return now - d.entries[i].at, true
-		}
-	}
-	return 0, false
-}
-
 // prune drops entries that can never be returned again: everything older
 // than the newest already-visible entry.
 func (d *Delayed[T]) prune(now time.Duration) {

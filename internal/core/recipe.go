@@ -196,45 +196,6 @@ func dedup(sorted []string) []string {
 	return out
 }
 
-// Figure3Recipe encodes the flash-crowd use case (Figure 3, §2 "lack of
-// visibility") through the same §4 recipe: the global controller would cap
-// player bitrates using the ISP's access-congestion observations, and tune
-// the ISP's traffic management using the AppP's session counts and
-// experience. Its wide interface derives the exact items the E1 controller
-// exchanges: access congestion + a suggested sustainable rate flowing I2A,
-// session experience + population flowing A2I.
-func Figure3Recipe() Recipe {
-	return Recipe{
-		UseCase: "Figure 3: flash crowd congests the access ISP",
-		Knobs: []Knob{
-			{Name: "bitrate_cap", Owner: OwnerAppP},
-			{Name: "cdn_choice", Owner: OwnerAppP},
-			{Name: "traffic_management", Owner: OwnerInfP},
-		},
-		Data: []DataAttr{
-			{Name: "session_qoe", Owner: OwnerAppP},
-			{Name: "session_count", Owner: OwnerAppP},
-			{Name: "access_congestion", Owner: OwnerInfP},
-			{Name: "sustainable_session_rate", Owner: OwnerInfP},
-			{Name: "bottleneck_attribution", Owner: OwnerInfP},
-			{Name: "subscriber_identity", Owner: OwnerInfP}, // private
-		},
-		Uses: []Use{
-			// The global controller caps bitrates from the ISP's view...
-			{Knob: "bitrate_cap", Data: "access_congestion"},
-			{Knob: "bitrate_cap", Data: "sustainable_session_rate"},
-			{Knob: "bitrate_cap", Data: "session_qoe"},
-			// ...suppresses futile CDN switching using attribution...
-			{Knob: "cdn_choice", Data: "bottleneck_attribution"},
-			{Knob: "cdn_choice", Data: "session_qoe"},
-			// ...and manages ISP traffic with the AppP's population view.
-			{Knob: "traffic_management", Data: "session_count"},
-			{Knob: "traffic_management", Data: "session_qoe"},
-			{Knob: "traffic_management", Data: "access_congestion"},
-		},
-	}
-}
-
 // Figure5Recipe is the paper's §4 illustrative example, encoded: the
 // oscillation scenario of Figure 5 with its knobs, data, and the global
 // controller's uses. Deriving its wide interface yields exactly the A2I and

@@ -60,13 +60,6 @@ func (r *Registry) Register(p Partner) {
 	r.partners[p.Name] = &cp
 }
 
-// Remove opts a partner out entirely ("participation in EONA is optional").
-func (r *Registry) Remove(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.partners, name)
-}
-
 // Partner returns a copy of the named partner's standing.
 func (r *Registry) Partner(name string) (Partner, bool) {
 	r.mu.RLock()

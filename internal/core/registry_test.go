@@ -31,18 +31,6 @@ func TestRegistryGating(t *testing.T) {
 	}
 }
 
-func TestRegistryOptOut(t *testing.T) {
-	r := NewRegistry()
-	r.Register(Partner{Name: "isp-a", Surfaces: map[Surface]bool{SurfacePeering: true}})
-	r.Remove("isp-a")
-	if r.Allowed("isp-a", SurfacePeering) {
-		t.Error("removed partner still allowed")
-	}
-	if len(r.Names()) != 0 {
-		t.Error("Names nonempty after removal")
-	}
-}
-
 func TestRegistryPolicyForUnknownIsRestrictive(t *testing.T) {
 	r := NewRegistry()
 	pol, _ := r.PolicyFor("stranger")

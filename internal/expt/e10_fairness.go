@@ -165,16 +165,3 @@ func (r E10Result) Table() *Table {
 		"per-pipe max-min favors the small AppP's users; A2I session counts let the InfP equalize per-user experience")
 	return t
 }
-
-// jain computes Jain's fairness index over values (exported for tests).
-func jain(values []float64) float64 {
-	var sum, sum2 float64
-	for _, v := range values {
-		sum += v
-		sum2 += v * v
-	}
-	if sum2 == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(values)) * sum2)
-}

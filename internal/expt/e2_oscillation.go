@@ -1,9 +1,6 @@
 package expt
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // E2 — Figure 5: control-loop oscillation.
 //
@@ -29,62 +26,6 @@ func RunE2(seed int64) E2Result {
 		EONA:     RunFig5(eona),
 		Oracle:   Fig5Oracle(eona),
 	}
-}
-
-// E2SensitivityPoint is one demand level of the sensitivity sweep.
-type E2SensitivityPoint struct {
-	DemandBps          float64
-	BaselineOscillates bool
-	BaselineScore      float64
-	EONAScore          float64
-}
-
-// RunE2Sensitivity maps the oscillation regime: sweep offered load from
-// well under peering B's capacity to beyond peering C's, and record where
-// the baseline limit cycle lives and how the EONA arm fares. The cycle
-// requires demand that overloads the cheap peering (B, 100 Mbps) while the
-// fallback CDN (Y, 80 Mbps) cannot absorb it — the paper's exact
-// preconditions.
-func RunE2Sensitivity(seed int64) []E2SensitivityPoint {
-	var out []E2SensitivityPoint
-	for _, demand := range []float64{50e6, 90e6, 110e6, 150e6, 250e6, 350e6} {
-		d := demand
-		mk := func(mode Mode) Fig5Result {
-			return RunFig5(Fig5Config{
-				Seed: seed, Horizon: time.Hour,
-				Demand:   func(time.Duration) float64 { return d },
-				AppPMode: mode, InfPMode: mode,
-			})
-		}
-		b, e := mk(Baseline), mk(EONA)
-		out = append(out, E2SensitivityPoint{
-			DemandBps:          demand,
-			BaselineOscillates: b.Oscillating,
-			BaselineScore:      b.MeanScore,
-			EONAScore:          e.MeanScore,
-		})
-	}
-	return out
-}
-
-// SensitivityTable renders the sweep.
-func SensitivityTable(points []E2SensitivityPoint) *Table {
-	t := &Table{
-		Title:   "E2 sensitivity: where the Figure 5 oscillation regime lives",
-		Columns: []string{"offered load (Mbps)", "baseline oscillates", "baseline score", "EONA score"},
-	}
-	for _, p := range points {
-		osc := "no"
-		if p.BaselineOscillates {
-			osc = "yes"
-		}
-		t.AddRow(Cell(p.DemandBps/1e6), osc, Cell(p.BaselineScore), Cell(p.EONAScore))
-	}
-	t.Notes = append(t.Notes,
-		"the damaging limit cycle needs load that overloads the cheap peering while the fallback CDN cannot absorb it",
-		"at exactly the TE high-water boundary the cost-greedy ISP can flap harmlessly (churn without QoE damage)",
-		"EONA dominates or ties the baseline at every load level")
-	return t
 }
 
 // Table renders the E2 result.

@@ -1,13 +1,16 @@
 package expt
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 func TestE2SensitivityRegime(t *testing.T) {
-	points := RunE2Sensitivity(1)
+	points := runE2Sensitivity(1)
 	if len(points) != 6 {
 		t.Fatalf("points = %d", len(points))
 	}
-	byDemand := map[float64]E2SensitivityPoint{}
+	byDemand := map[float64]e2SensitivityPoint{}
 	for _, p := range points {
 		byDemand[p.DemandBps] = p
 	}
@@ -38,9 +41,38 @@ func TestE2SensitivityRegime(t *testing.T) {
 	}
 }
 
-func TestE2SensitivityTableRenders(t *testing.T) {
-	s := SensitivityTable(RunE2Sensitivity(1)).String()
-	if !contains(s, "oscillation regime") || !contains(s, "350") {
-		t.Errorf("table malformed:\n%s", s)
+// e2SensitivityPoint is one demand level of the sensitivity sweep.
+type e2SensitivityPoint struct {
+	DemandBps          float64
+	BaselineOscillates bool
+	BaselineScore      float64
+	EONAScore          float64
+}
+
+// runE2Sensitivity maps the oscillation regime: sweep offered load from
+// well under peering B's capacity to beyond peering C's, and record where
+// the baseline limit cycle lives and how the EONA arm fares. The cycle
+// requires demand that overloads the cheap peering (B, 100 Mbps) while the
+// fallback CDN (Y, 80 Mbps) cannot absorb it — the paper's exact
+// preconditions.
+func runE2Sensitivity(seed int64) []e2SensitivityPoint {
+	var out []e2SensitivityPoint
+	for _, demand := range []float64{50e6, 90e6, 110e6, 150e6, 250e6, 350e6} {
+		d := demand
+		mk := func(mode Mode) Fig5Result {
+			return RunFig5(Fig5Config{
+				Seed: seed, Horizon: time.Hour,
+				Demand:   func(time.Duration) float64 { return d },
+				AppPMode: mode, InfPMode: mode,
+			})
+		}
+		b, e := mk(Baseline), mk(EONA)
+		out = append(out, e2SensitivityPoint{
+			DemandBps:          demand,
+			BaselineOscillates: b.Oscillating,
+			BaselineScore:      b.MeanScore,
+			EONAScore:          e.MeanScore,
+		})
 	}
+	return out
 }

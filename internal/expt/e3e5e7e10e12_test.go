@@ -126,18 +126,6 @@ func TestE10TableRenders(t *testing.T) {
 	}
 }
 
-func TestJainIndex(t *testing.T) {
-	if got := jain([]float64{1, 1, 1}); got != 1 {
-		t.Errorf("uniform Jain = %v, want 1", got)
-	}
-	if got := jain([]float64{1, 0, 0}); got < 0.33 || got > 0.34 {
-		t.Errorf("concentrated Jain = %v, want 1/3", got)
-	}
-	if got := jain([]float64{0, 0}); got != 1 {
-		t.Errorf("degenerate Jain = %v, want 1", got)
-	}
-}
-
 func TestE12CausalAttributesRankTop(t *testing.T) {
 	r := RunE12(1)
 	if len(r.Ranking) != 4 {

@@ -201,11 +201,7 @@ func RunE4Arm(cfg E4Config) E4Result {
 
 	eng.Run(e4Horizon)
 
-	res := E4Result{Config: cfg}
-	hits, misses := east.Cache.Stats()
-	if hits+misses > 0 {
-		res.WarmHitRatio = float64(hits) / float64(hits+misses)
-	}
+	res := E4Result{Config: cfg, WarmHitRatio: east.Cache.HitRatio()}
 	res.ColdMisses = coldMisses
 	for _, s := range all {
 		m := s.p.Metrics()

@@ -27,10 +27,11 @@ import (
 //
 // Unlike the other experiments' simulations these are wall-clock measurements; exact
 // numbers vary by machine, but the shape — a single core comfortably above
-// the paper's "tens of millions per day" — is the reproducible claim. The
-// matching testing.B benchmarks live in bench_test.go. Allocator, shared-
-// network and engine throughput are not measured here: each is owned by a
-// gated Benchmark* or a bench/ metric (ownership table in EXPERIMENTS.md §E7).
+// the paper's "tens of millions per day" — is the reproducible claim.
+// `eona-bench -only E7` prints these rows; being wall-clock, they are the one
+// table TestSeed1TablesGolden leaves out. Allocator, shared-network and
+// engine throughput are not measured here: each is owned by a gated
+// Benchmark* or a bench/ metric (ownership table in EXPERIMENTS.md §E7).
 
 // E7Result carries measured rates.
 type E7Result struct {

@@ -2,8 +2,9 @@
 // figure/scenario of the paper, as indexed in DESIGN.md §4 (E1–E15). Each
 // experiment is a pure function from a typed config (with a seed) to a
 // typed result, so the same code backs the unit tests that assert the
-// paper's qualitative claims, the top-level benchmarks that regenerate the
-// tables in EXPERIMENTS.md, and the cmd/eona-bench binary.
+// paper's qualitative claims, the cmd/eona-bench binary that regenerates the
+// tables in EXPERIMENTS.md, and TestSeed1TablesGolden, which pins those
+// tables' seed-1 bytes.
 package expt
 
 import (

@@ -240,8 +240,8 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 	if err != nil {
 		panic(fmt.Sprintf("expt: fig5 setup: %v", err))
 	}
-	egressTrack.Record(0, ispNet.EgressOf(cdnXName).ID)
-	cdnTrack.Record(0, currentCDN)
+	egressTrack.Record(ispNet.EgressOf(cdnXName).ID)
+	cdnTrack.Record(currentCDN)
 
 	reachable := map[string][]string{cdnXName: {"B", "C"}, cdnYName: {"C"}}
 
@@ -420,7 +420,7 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 				panic(fmt.Sprintf("expt: fig5 TE: %v", err))
 			}
 		}
-		egressTrack.Record(now, ispNet.EgressOf(cdnXName).ID)
+		egressTrack.Record(ispNet.EgressOf(cdnXName).ID)
 		return true
 	})
 
@@ -467,7 +467,7 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 			}
 		}
 		net.SetDemand(flow, flowDemand(now))
-		cdnTrack.Record(now, currentCDN)
+		cdnTrack.Record(currentCDN)
 		return true
 	})
 

@@ -98,18 +98,6 @@ func (i *ISP) AddPeering(id string, link *netsim.Link, cdns ...string) *PeeringP
 	return p
 }
 
-// PeeringsFor returns the peering points that reach cdnName, in declaration
-// order.
-func (i *ISP) PeeringsFor(cdnName string) []*PeeringPoint {
-	var out []*PeeringPoint
-	for _, p := range i.peerings {
-		if p.Reaches(cdnName) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Peering returns the peering point with the given ID, or nil.
 func (i *ISP) Peering(id string) *PeeringPoint {
 	for _, p := range i.peerings {
@@ -230,25 +218,6 @@ func (i *ISP) SetEgress(cdnName, peeringID string) error {
 		}
 	})
 	return err
-}
-
-// TrafficVia returns the total allocated rate of this ISP's registered
-// flows crossing the given peering point, in bits/s.
-func (i *ISP) TrafficVia(peeringID string) float64 {
-	p := i.Peering(peeringID)
-	if p == nil {
-		return 0
-	}
-	total := 0.0
-	for _, rf := range i.flows {
-		for _, l := range rf.flow.Path {
-			if l == p.Link {
-				total += rf.flow.Rate
-				break
-			}
-		}
-	}
-	return total
 }
 
 // LinkReport is the ISP's observation of one of its links — the raw data

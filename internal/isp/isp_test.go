@@ -2,6 +2,7 @@ package isp
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -96,7 +97,7 @@ func TestPathToErrors(t *testing.T) {
 }
 
 func TestConnectAndTrafficVia(t *testing.T) {
-	_, i, _, _ := fixture(t)
+	_, i, linkB, linkC := fixture(t)
 	f, err := i.Connect("cdnX", "cdnX", 50e6, "s1")
 	if err != nil {
 		t.Fatal(err)
@@ -104,18 +105,12 @@ func TestConnectAndTrafficVia(t *testing.T) {
 	if math.Abs(f.Rate-50e6) > 1 {
 		t.Errorf("rate = %v, want 50e6", f.Rate)
 	}
-	if got := i.TrafficVia("B"); math.Abs(got-50e6) > 1 {
-		t.Errorf("traffic via B = %v, want 50e6", got)
-	}
-	if got := i.TrafficVia("C"); got != 0 {
-		t.Errorf("traffic via C = %v, want 0", got)
-	}
-	if got := i.TrafficVia("missing"); got != 0 {
-		t.Errorf("traffic via unknown point = %v", got)
+	if !slices.Contains(f.Path, linkB) || slices.Contains(f.Path, linkC) {
+		t.Errorf("path = %v, want via peering B only", f.Path)
 	}
 	i.Disconnect(f)
-	if got := i.TrafficVia("B"); got != 0 {
-		t.Errorf("traffic after disconnect = %v, want 0", got)
+	if f.Rate != 0 {
+		t.Errorf("rate after disconnect = %v, want 0", f.Rate)
 	}
 	i.Disconnect(nil)
 }
@@ -206,19 +201,6 @@ func TestReports(t *testing.T) {
 	}
 	if math.Abs(prs[0].HeadroomBps-1e6) > 1 {
 		t.Errorf("B headroom = %v, want 1e6", prs[0].HeadroomBps)
-	}
-}
-
-func TestPeeringsFor(t *testing.T) {
-	_, i, _, _ := fixture(t)
-	if got := i.PeeringsFor("cdnX"); len(got) != 2 {
-		t.Errorf("peerings for cdnX = %d, want 2", len(got))
-	}
-	if got := i.PeeringsFor("cdnY"); len(got) != 1 || got[0].ID != "C" {
-		t.Errorf("peerings for cdnY = %v", got)
-	}
-	if got := i.PeeringsFor("cdnZ"); len(got) != 0 {
-		t.Errorf("peerings for cdnZ = %v, want none", got)
 	}
 }
 

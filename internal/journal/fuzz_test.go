@@ -131,12 +131,13 @@ func FuzzDecodeOp(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		op, digest, err := decodeOpPayload(data)
+		var d decoder
+		op, digest, err := d.decodeOp(data)
 		if err != nil {
 			return
 		}
 		re := appendOpPayload(nil, op, digest)
-		op2, d2, err2 := decodeOpPayload(re)
+		op2, d2, err2 := d.decodeOp(re)
 		if err2 != nil {
 			t.Fatalf("re-encoded op failed to decode: %v", err2)
 		}
@@ -183,12 +184,13 @@ func FuzzDecodeSnap(f *testing.F) {
 	f.Add(appendSnapPayload(nil, 0, netsim.NetState{}, 0))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		opIndex, st, digest, err := decodeSnapPayload(data)
+		var d decoder
+		opIndex, st, digest, err := d.decodeSnap(data)
 		if err != nil {
 			return
 		}
 		re := appendSnapPayload(nil, opIndex, st, digest)
-		oi2, _, d2, err2 := decodeSnapPayload(re)
+		oi2, _, d2, err2 := d.decodeSnap(re)
 		if err2 != nil {
 			t.Fatalf("re-encoded snapshot failed to decode: %v", err2)
 		}

@@ -459,8 +459,8 @@ func TestSideStreamsRoundTrip(t *testing.T) {
 		if err := w.AppendIngest(r); err != nil {
 			t.Fatal(err)
 		}
+		inner.Ingest(r)
 	}
-	inner.IngestBatch(recs)
 	pr := PollRecord{Source: "http://peer/a2i", At: time.Unix(1754500000, 0).UTC(), Data: json.RawMessage(`{"k":1}`)}
 	if err := w.AppendPoll(pr); err != nil {
 		t.Fatal(err)
@@ -485,7 +485,9 @@ func TestSideStreamsRoundTrip(t *testing.T) {
 	// Replaying the recovered ingest stream rebuilds the collector — one
 	// batch in journal order.
 	rebuilt := core.NewA2ICollector(core.CollectorConfig{AppP: "appp-x"})
-	rebuilt.IngestBatch(rec.Ingests)
+	for _, r := range rec.Ingests {
+		rebuilt.Ingest(r)
+	}
 	if a, b := rebuilt.Summaries(), inner.Summaries(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("rebuilt summaries diverge:\n%+v\n%+v", a, b)
 	}
@@ -593,6 +595,7 @@ func corruptFirstValueOp(t *testing.T, dir string) int {
 		t.Fatal(err)
 	}
 	opSeen := -1
+	var d decoder
 	for _, name := range segs {
 		path := filepath.Join(dir, name)
 		data, err := os.ReadFile(path)
@@ -607,7 +610,7 @@ func corruptFirstValueOp(t *testing.T, dir string) int {
 			}
 			if typ == recOp {
 				opSeen++
-				op, digest, derr := decodeOpPayload(payload)
+				op, digest, derr := d.decodeOp(payload)
 				if derr != nil {
 					t.Fatal(derr)
 				}

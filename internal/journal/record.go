@@ -141,13 +141,6 @@ func (d *decoder) decodeOp(p []byte) (netsim.Op, uint64, error) {
 	return op, digest, r.Done("op record")
 }
 
-// decodeOpPayload is the scratch-free form, kept for one-shot callers
-// (fuzzers, tools) that decode a single payload.
-func decodeOpPayload(p []byte) (netsim.Op, uint64, error) {
-	var d decoder
-	return d.decodeOp(p)
-}
-
 func appendSnapPayload(buf []byte, opIndex uint64, st netsim.NetState, digest uint64) []byte {
 	buf = binary.AppendUvarint(buf, opIndex)
 	buf = AppendU64(buf, digest)
@@ -218,12 +211,6 @@ func (d *decoder) decodeSnap(p []byte) (opIndex uint64, st netsim.NetState, dige
 		st.LinkRates = append(st.LinkRates, r.F64("link rate"))
 	}
 	return opIndex, st, digest, r.Done("snapshot record")
-}
-
-// decodeSnapPayload is the scratch-free form, kept for one-shot callers.
-func decodeSnapPayload(p []byte) (opIndex uint64, st netsim.NetState, digest uint64, err error) {
-	var d decoder
-	return d.decodeSnap(p)
 }
 
 // appendCkptPayload frames one projection checkpoint: name, offset, state

@@ -178,7 +178,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 			_ = sn.Utilization(id)
 			_ = sn.Congestion(id)
 			_ = sn.Headroom(id)
-			_ = sn.PathRTT(paths[i%len(paths)])
+			for _, l := range paths[i%len(paths)] {
+				_ = sn.QueueDelay(l.ID)
+			}
 			_, _ = sn.Flow(FlowID(i % 16))
 			i++
 		}

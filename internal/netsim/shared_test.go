@@ -207,7 +207,9 @@ func TestSharedImmediateHammer(t *testing.T) {
 				_ = sn.Utilization(id)
 				_ = sn.Congestion(id)
 				_ = sn.QueueDelay(id)
-				_ = sn.PathRTT(paths[i%len(paths)])
+				for _, l := range paths[i%len(paths)] {
+					_ = sn.QueueDelay(l.ID)
+				}
 				_ = sn.Stats()
 				_ = s.NumFlows()
 				i++
@@ -466,7 +468,12 @@ func BenchmarkSharedReadScaling(b *testing.B) {
 				_ = sn.Utilization(id)
 				_ = sn.Congestion(id)
 				_ = sn.Headroom(id)
-				_ = sn.PathRTT(paths[i%len(paths)])
+				p := paths[i%len(paths)]
+				rtt := 2 * p.PropDelay()
+				for _, l := range p {
+					rtt += sn.QueueDelay(l.ID)
+				}
+				_ = rtt
 				i++
 			}
 		})

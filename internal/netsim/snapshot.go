@@ -284,10 +284,6 @@ func (n *Network) deltaFlowTable(prev *flowTable) flowTable {
 // the one canonical read model a multi-process cluster mode can serialize.
 // A reader that needs several values takes one Snapshot and reads them all
 // from it, so they describe the same commit.
-//
-// Path-shaped queries (PathRTT, PathLoss) index the snapshot's arrays by
-// the path's link IDs; the *Link pointers themselves are only read for ID
-// and propagation delay, both immutable after topology construction.
 type Snapshot struct {
 	// Seq is the publication sequence number: 0 for a snapshot taken
 	// directly off a Network, and a strictly increasing commit counter for
@@ -479,29 +475,10 @@ func (s *Snapshot) QueueDelay(id LinkID) time.Duration {
 	return queueDelayOf(s.Utilization(id), s.delay[id])
 }
 
-// PathRTT returns the round-trip time of a path including forward-direction
-// queueing delay at snapshot-time utilizations.
-func (s *Snapshot) PathRTT(p Path) time.Duration {
-	rtt := 2 * p.PropDelay()
-	for _, l := range p {
-		rtt += s.QueueDelay(l.ID)
-	}
-	return rtt
-}
-
 // LossRate estimates the packet loss probability on a link at its
 // snapshot-time utilization.
 func (s *Snapshot) LossRate(id LinkID) float64 {
 	return lossRateOf(s.Utilization(id))
-}
-
-// PathLoss returns the combined loss probability along a path.
-func (s *Snapshot) PathLoss(p Path) float64 {
-	keep := 1.0
-	for _, l := range p {
-		keep *= 1 - s.LossRate(l.ID)
-	}
-	return 1 - keep
 }
 
 // FlowsOn returns the number of flows crossing a link at snapshot time.

@@ -163,7 +163,8 @@ func TestStateDigestStableInsideBatch(t *testing.T) {
 func TestTopoStateRoundTrip(t *testing.T) {
 	topo := NewTopology()
 	topo.AddLink("a", "b", 100, 2*time.Millisecond, "access")
-	topo.AddDuplexLink("b", "c", 50, time.Millisecond, "peer")
+	topo.AddLink("b", "c", 50, time.Millisecond, "peer")
+	topo.AddLink("c", "b", 50, time.Millisecond, "peer-rev")
 	rebuilt := ExportTopology(topo).Build()
 	if rebuilt.NumLinks() != topo.NumLinks() {
 		t.Fatalf("rebuilt %d links, want %d", rebuilt.NumLinks(), topo.NumLinks())

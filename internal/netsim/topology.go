@@ -13,7 +13,6 @@ package netsim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 )
@@ -90,14 +89,6 @@ func (t *Topology) AddLink(from, to NodeID, capacity float64, delay time.Duratio
 	return l
 }
 
-// AddDuplexLink adds a pair of links (one per direction) with identical
-// capacity and delay, returning (forward, reverse).
-func (t *Topology) AddDuplexLink(a, b NodeID, capacity float64, delay time.Duration, name string) (*Link, *Link) {
-	f := t.AddLink(a, b, capacity, delay, name)
-	r := t.AddLink(b, a, capacity, delay, name+"-rev")
-	return f, r
-}
-
 // Link returns the link with the given ID, or nil.
 func (t *Topology) Link(id LinkID) *Link {
 	if int(id) < 0 || int(id) >= len(t.links) {
@@ -146,18 +137,6 @@ func (p Path) PropDelay() time.Duration {
 		d += l.Delay
 	}
 	return d
-}
-
-// MinCapacity returns the smallest link capacity on the path, or +Inf for an
-// empty path.
-func (p Path) MinCapacity() float64 {
-	min := math.Inf(1)
-	for _, l := range p {
-		if l.Capacity < min {
-			min = l.Capacity
-		}
-	}
-	return min
 }
 
 // String renders the path as "a->b->c".

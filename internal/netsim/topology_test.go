@@ -51,17 +51,6 @@ func TestAddLinkValidation(t *testing.T) {
 	}
 }
 
-func TestDuplexLink(t *testing.T) {
-	topo := NewTopology()
-	f, r := topo.AddDuplexLink("a", "b", 100, time.Millisecond, "ab")
-	if f.From != "a" || f.To != "b" || r.From != "b" || r.To != "a" {
-		t.Error("duplex endpoints wrong")
-	}
-	if len(topo.Out("a")) != 1 || len(topo.Out("b")) != 1 {
-		t.Error("Out adjacency wrong")
-	}
-}
-
 func TestPathValid(t *testing.T) {
 	topo := NewTopology()
 	ab := topo.AddLink("a", "b", 1, 0, "")
@@ -94,9 +83,6 @@ func TestPathMetricsAndString(t *testing.T) {
 	p := Path{ab, bc}
 	if p.PropDelay() != 5*time.Millisecond {
 		t.Errorf("PropDelay = %v", p.PropDelay())
-	}
-	if p.MinCapacity() != 5 {
-		t.Errorf("MinCapacity = %v", p.MinCapacity())
 	}
 	if p.String() != "a->b->c" {
 		t.Errorf("String = %q", p.String())

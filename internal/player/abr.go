@@ -77,13 +77,6 @@ func (b BufferBased) Next(s State) float64 {
 	return s.Ladder[idx]
 }
 
-// Fixed always returns the given rung — useful as a degenerate baseline and
-// in tests.
-type Fixed struct{ Bitrate float64 }
-
-// Next implements ABR.
-func (f Fixed) Next(State) float64 { return f.Bitrate }
-
 // Capped wraps another ABR and clamps its choice to at most Cap — this is
 // how the EONA AppP control loop responds to an I2A access-congestion
 // signal (Figure 3: "switch down bitrate to make the ISP less congested").

@@ -176,7 +176,7 @@ type Player struct {
 	metrics  qoe.SessionMetrics
 	stopTick func()
 
-	// OnComplete fires once when the session finishes (or is aborted).
+	// OnComplete fires once when the session finishes.
 	OnComplete func(qoe.SessionMetrics)
 	// OverrideABR, when non-nil, replaces the configured ABR — the hook
 	// the EONA AppP controller uses to cap bitrate under I2A congestion
@@ -266,15 +266,6 @@ func (p *Player) Metrics() qoe.SessionMetrics {
 	}
 	m.PlayTime = p.played
 	return m
-}
-
-// Abort ends the session early (viewer navigated away).
-func (p *Player) Abort() {
-	if p.phase == phaseDone {
-		return
-	}
-	p.metrics.Abandoned = true
-	p.finish()
 }
 
 func (p *Player) finish() {

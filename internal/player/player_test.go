@@ -36,7 +36,7 @@ func newTestPlayer(t *testing.T, e *sim.Engine, abr ABR, content time.Duration) 
 
 func TestHappyPathCompletes(t *testing.T) {
 	e := sim.NewEngine(1)
-	p := newTestPlayer(t, e, Fixed{1e6}, 30*time.Second)
+	p := newTestPlayer(t, e, fixed{1e6}, 30*time.Second)
 	var done bool
 	p.OnComplete = func(m qoeMetrics) {
 		done = true
@@ -64,12 +64,17 @@ func TestHappyPathCompletes(t *testing.T) {
 	}
 }
 
+// fixed always picks the same rung.
+type fixed struct{ Bitrate float64 }
+
+func (f fixed) Next(State) float64 { return f.Bitrate }
+
 // qoeMetrics aliases the metrics type to keep callback signatures tidy.
 type qoeMetrics = qoe.SessionMetrics
 
 func TestStartupDelayAccounting(t *testing.T) {
 	e := sim.NewEngine(1)
-	p := newTestPlayer(t, e, Fixed{1e6}, 10*time.Second)
+	p := newTestPlayer(t, e, fixed{1e6}, 10*time.Second)
 	// Sessions begin at the lowest rung (300 kbps); at a 300 kbps link
 	// rate, the 2s startup buffer takes 2s to fill.
 	conn := &stubConn{rate: 300e3}
@@ -84,7 +89,7 @@ func TestStartupDelayAccounting(t *testing.T) {
 func TestPenaltyDelaysStartup(t *testing.T) {
 	run := func(penalty time.Duration) time.Duration {
 		e := sim.NewEngine(1)
-		p := newTestPlayer(t, e, Fixed{1e6}, 10*time.Second)
+		p := newTestPlayer(t, e, fixed{1e6}, 10*time.Second)
 		p.Start(&stubConn{rate: 10e6}, penalty)
 		e.Run(time.Minute)
 		return p.Metrics().StartupDelay
@@ -97,7 +102,7 @@ func TestPenaltyDelaysStartup(t *testing.T) {
 
 func TestStallWhenRateDrops(t *testing.T) {
 	e := sim.NewEngine(1)
-	p := newTestPlayer(t, e, Fixed{1e6}, time.Minute)
+	p := newTestPlayer(t, e, fixed{1e6}, time.Minute)
 	conn := &stubConn{rate: 2e6}
 	p.Start(conn, 0)
 	// After 10s, cut the network to a tenth of the bitrate.
@@ -114,7 +119,7 @@ func TestStallWhenRateDrops(t *testing.T) {
 
 func TestStallRecovers(t *testing.T) {
 	e := sim.NewEngine(1)
-	p := newTestPlayer(t, e, Fixed{1e6}, time.Minute)
+	p := newTestPlayer(t, e, fixed{1e6}, time.Minute)
 	// 1 Mbps link matches the 1 Mbps rung, so the buffer stays small and
 	// the mid-session outage produces a visible stall.
 	conn := &stubConn{rate: 1e6}
@@ -133,7 +138,7 @@ func TestStallRecovers(t *testing.T) {
 
 func TestBufferCapsAtTarget(t *testing.T) {
 	e := sim.NewEngine(1)
-	p := newTestPlayer(t, e, Fixed{300e3}, 10*time.Minute)
+	p := newTestPlayer(t, e, fixed{300e3}, 10*time.Minute)
 	conn := &stubConn{rate: 100e6} // absurdly fast
 	p.Start(conn, 0)
 	e.Run(2 * time.Minute)
@@ -187,7 +192,7 @@ func TestCappedABRRespectsSignal(t *testing.T) {
 
 func TestRedirectAccounting(t *testing.T) {
 	e := sim.NewEngine(1)
-	p := newTestPlayer(t, e, Fixed{1e6}, time.Minute)
+	p := newTestPlayer(t, e, fixed{1e6}, time.Minute)
 	c1 := &stubConn{rate: 2e6}
 	p.Start(c1, 0)
 	e.Run(10 * time.Second)
@@ -225,7 +230,7 @@ func TestRedirectCDNResetsAdaptation(t *testing.T) {
 
 func TestRedirectAfterDoneClosesConn(t *testing.T) {
 	e := sim.NewEngine(1)
-	p := newTestPlayer(t, e, Fixed{300e3}, 5*time.Second)
+	p := newTestPlayer(t, e, fixed{300e3}, 5*time.Second)
 	p.Start(&stubConn{rate: 10e6}, 0)
 	e.Run(time.Minute)
 	if !p.Done() {
@@ -238,31 +243,9 @@ func TestRedirectAfterDoneClosesConn(t *testing.T) {
 	}
 }
 
-func TestAbort(t *testing.T) {
-	e := sim.NewEngine(1)
-	p := newTestPlayer(t, e, Fixed{1e6}, time.Hour)
-	var m qoeMetrics
-	got := false
-	p.OnComplete = func(mm qoeMetrics) { m = mm; got = true }
-	conn := &stubConn{rate: 2e6}
-	p.Start(conn, 0)
-	e.Schedule(10*time.Second, func(*sim.Engine) { p.Abort() })
-	e.Run(time.Minute)
-	if !got {
-		t.Fatal("OnComplete not fired on abort")
-	}
-	if !m.Abandoned {
-		t.Error("abort not recorded as abandoned")
-	}
-	if !conn.closed {
-		t.Error("connection not closed on abort")
-	}
-	p.Abort() // idempotent
-}
-
 func TestAvgBitrateWeighting(t *testing.T) {
 	e := sim.NewEngine(1)
-	p := newTestPlayer(t, e, Fixed{1e6}, time.Minute)
+	p := newTestPlayer(t, e, fixed{1e6}, time.Minute)
 	p.Start(&stubConn{rate: 10e6}, 0)
 	e.Run(2 * time.Minute)
 	m := p.Metrics()

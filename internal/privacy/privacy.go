@@ -1,29 +1,16 @@
 // Package privacy implements the "blinding" techniques §4 proposes for
-// balancing interface effectiveness against minimality: k-anonymity
-// suppression of small groups, Laplace noise on exported counts
-// (differential-privacy style, after McSherry & Mahajan), and attribute
-// coarsening. The E11 experiment sweeps these knobs and measures how much
-// control quality the EONA loops retain at each blinding level.
+// balancing interface effectiveness against minimality: Laplace noise on
+// exported counts (differential-privacy style, after McSherry & Mahajan)
+// and attribute coarsening. The third technique, k-anonymity suppression
+// of small groups, is the MinGroupSessions rule core applies when it
+// summarizes a group. The E11 experiment sweeps these knobs and measures
+// how much control quality the EONA loops retain at each blinding level.
 package privacy
 
 import (
 	"math"
 	"math/rand"
-	"time"
 )
-
-// SuppressSmallGroups removes entries whose count is below k — the
-// k-anonymity rule that prevents an A2I summary from identifying individual
-// subscribers. k ≤ 1 suppresses nothing. The input map is not modified.
-func SuppressSmallGroups[K comparable](counts map[K]uint64, k uint64) map[K]uint64 {
-	out := make(map[K]uint64, len(counts))
-	for key, c := range counts {
-		if k <= 1 || c >= k {
-			out[key] = c
-		}
-	}
-	return out
-}
 
 // Laplace draws Laplace(0, scale) noise using inverse-CDF sampling from the
 // provided deterministic source.
@@ -85,13 +72,4 @@ func CoarsenFloat(v, step float64) float64 {
 		return v
 	}
 	return math.Floor(v/step) * step
-}
-
-// CoarsenDuration truncates d to a multiple of granularity — e.g.,
-// timestamps exported at 5-minute granularity.
-func CoarsenDuration(d, granularity time.Duration) time.Duration {
-	if granularity <= 0 {
-		return d
-	}
-	return d - d%granularity
 }

@@ -5,26 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 )
-
-func TestSuppressSmallGroups(t *testing.T) {
-	in := map[string]uint64{"big": 100, "medium": 10, "tiny": 3}
-	out := SuppressSmallGroups(in, 10)
-	if _, ok := out["tiny"]; ok {
-		t.Error("tiny group not suppressed")
-	}
-	if out["big"] != 100 || out["medium"] != 10 {
-		t.Error("groups at or above k must survive")
-	}
-	if len(in) != 3 {
-		t.Error("input map modified")
-	}
-	all := SuppressSmallGroups(in, 0)
-	if len(all) != 3 {
-		t.Error("k=0 should suppress nothing")
-	}
-}
 
 func TestLaplaceMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -85,39 +66,6 @@ func TestCoarsenFloat(t *testing.T) {
 	}
 	if CoarsenFloat(3.7, 0) != 3.7 {
 		t.Error("step 0 should be identity")
-	}
-}
-
-func TestCoarsenDuration(t *testing.T) {
-	d := 7*time.Minute + 23*time.Second
-	if got := CoarsenDuration(d, 5*time.Minute); got != 5*time.Minute {
-		t.Errorf("CoarsenDuration = %v, want 5m", got)
-	}
-	if CoarsenDuration(d, 0) != d {
-		t.Error("granularity 0 should be identity")
-	}
-}
-
-// Property: suppression keeps exactly the groups with count ≥ k, and never
-// invents counts.
-func TestQuickSuppression(t *testing.T) {
-	f := func(counts map[int8]uint8, k uint8) bool {
-		in := make(map[int8]uint64, len(counts))
-		for key, c := range counts {
-			in[key] = uint64(c)
-		}
-		out := SuppressSmallGroups(in, uint64(k))
-		for key, c := range in {
-			_, kept := out[key]
-			want := uint64(k) <= 1 || c >= uint64(k)
-			if kept != want || (kept && out[key] != c) {
-				return false
-			}
-		}
-		return len(out) <= len(in)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -237,7 +237,9 @@ func TestResumeEqualsFromScratchFold(t *testing.T) {
 			// The projected QoE queries must match a collector that ingested
 			// the same history directly (same config, noise off).
 			col := core.NewA2ICollector(qoeCfg())
-			col.IngestBatch(rec.Ingests)
+			for _, r := range rec.Ingests {
+				col.Ingest(r)
+			}
 			wantSums := col.Summaries()
 			gotSums := q2.Summaries()
 			if len(wantSums) != len(gotSums) {

@@ -7,14 +7,14 @@ import (
 
 // Regression: Every's stop func used to only flip a closure flag, leaving
 // the already-queued tick event in the heap. The dead event still counted
-// in Len, fired as a no-op (inflating Processed), and dragged the clock
+// as pending, fired as a no-op (inflating Processed), and dragged the clock
 // forward under RunUntilIdle.
 func TestEveryStopCancelsPendingTick(t *testing.T) {
 	e := NewEngine(1)
 	stop := e.Every(10*time.Second, func(*Engine) bool { return true })
 	stop()
-	if got := e.Len(); got != 0 {
-		t.Fatalf("Len after stop = %d, want 0 (dead tick left queued)", got)
+	if got := pending(e); got != 0 {
+		t.Fatalf("pending after stop = %d, want 0 (dead tick left queued)", got)
 	}
 	end := e.RunUntilIdle()
 	if e.Processed != 0 {
@@ -39,15 +39,15 @@ func TestEveryFalseReturnLeavesNoEvent(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("ticks = %d, want 3", n)
 	}
-	if got := e.Len(); got != 0 {
-		t.Errorf("Len after self-stop = %d, want 0", got)
+	if got := pending(e); got != 0 {
+		t.Errorf("pending after self-stop = %d, want 0", got)
 	}
 	if e.Processed != 3 {
 		t.Errorf("Processed = %d, want 3", e.Processed)
 	}
 	stop() // late stop after self-stop is a harmless no-op
-	if got := e.Len(); got != 0 {
-		t.Errorf("Len after late stop = %d, want 0", got)
+	if got := pending(e); got != 0 {
+		t.Errorf("pending after late stop = %d, want 0", got)
 	}
 }
 
@@ -117,8 +117,8 @@ func TestEverySemantics(t *testing.T) {
 			if got := tc.run(e); got != want[tc.name] {
 				t.Errorf("ticks = %d, want %d", got, want[tc.name])
 			}
-			if got := e.Len(); got != 0 && tc.name != "restart-after-stop" {
-				t.Errorf("Len after run = %d, want 0", got)
+			if got := pending(e); got != 0 && tc.name != "restart-after-stop" {
+				t.Errorf("pending after run = %d, want 0", got)
 			}
 		})
 	}

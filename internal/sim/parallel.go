@@ -44,7 +44,6 @@ type ParallelEngine struct {
 	parts   []*Engine
 	workers int
 	now     Time
-	stopped atomic.Bool
 
 	// instantEnd hooks run after every fully-drained instant, in
 	// registration order, exclusively on the coordinating goroutine.
@@ -86,10 +85,6 @@ func (pe *ParallelEngine) Workers() int { return pe.workers }
 // horizon after a bounded Run that outlived its events).
 func (pe *ParallelEngine) Now() Time { return pe.now }
 
-// Stop halts the run loop after the current instant's barrier completes.
-// Safe to call from partition callbacks and barrier hooks.
-func (pe *ParallelEngine) Stop() { pe.stopped.Store(true) }
-
 // OnInstantEnd registers fn to run after every drained instant, on the
 // coordinating goroutine with no partition running. Unlike Engine.OnTickEnd
 // the hook is persistent. This is the commit barrier: wire a deterministic
@@ -108,26 +103,22 @@ func (pe *ParallelEngine) Processed() uint64 {
 	return n
 }
 
-// Run processes instants until no partition has events left, Stop is
-// called, or the clock would pass horizon (an instant at exactly horizon
-// still runs, barrier included). It returns the virtual time at which
+// Run processes instants until no partition has events left or the clock
+// would pass horizon (an instant at exactly horizon still runs, barrier
+// included). It returns the virtual time at which
 // processing stopped.
 func (pe *ParallelEngine) Run(horizon Time) Time {
 	return pe.run(horizon, true)
 }
 
-// RunUntilIdle processes instants until none remain or Stop is called,
-// leaving the clock at the last drained instant.
+// RunUntilIdle processes instants until none remain, leaving the clock at
+// the last drained instant.
 func (pe *ParallelEngine) RunUntilIdle() Time {
 	return pe.run(Time(1<<63-1), false)
 }
 
 func (pe *ParallelEngine) run(horizon Time, advance bool) Time {
-	pe.stopped.Store(false)
-	for _, p := range pe.parts {
-		p.stopped = false
-	}
-	for !pe.stopped.Load() {
+	for {
 		t, ok := pe.nextInstant()
 		if !ok || t > horizon {
 			break
@@ -138,13 +129,8 @@ func (pe *ParallelEngine) run(horizon Time, advance bool) Time {
 		for _, fn := range pe.instantEnd {
 			fn(pe)
 		}
-		for _, p := range pe.parts {
-			if p.stopped {
-				pe.stopped.Store(true)
-			}
-		}
 	}
-	if advance && pe.now < horizon && !pe.stopped.Load() {
+	if advance && pe.now < horizon {
 		pe.setNow(horizon)
 	}
 	return pe.now

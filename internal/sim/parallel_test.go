@@ -169,41 +169,6 @@ func TestParallelBarrierSchedules(t *testing.T) {
 	}
 }
 
-// Stop from a partition callback halts the run after the current instant.
-func TestParallelStop(t *testing.T) {
-	pe := NewParallel(1, 3, 3)
-	var n atomic.Int64
-	for p := 0; p < 3; p++ {
-		eng := pe.Partition(p)
-		eng.Every(time.Second, func(en *Engine) bool {
-			n.Add(1)
-			if en.Now() == 2*time.Second {
-				pe.Stop()
-			}
-			return true
-		})
-	}
-	end := pe.Run(100 * time.Second)
-	if end != 2*time.Second {
-		t.Errorf("stopped at %v, want 2s", end)
-	}
-	if got := n.Load(); got != 6 {
-		t.Errorf("ticks = %d, want 6 (3 partitions × 2 instants)", got)
-	}
-}
-
-// Engine.Stop on a partition halts the whole lockstep run, mirroring the
-// serial contract.
-func TestParallelPartitionStop(t *testing.T) {
-	pe := NewParallel(1, 2, 1)
-	pe.Partition(0).Schedule(time.Second, func(en *Engine) { en.Stop() })
-	pe.Partition(1).Schedule(5*time.Second, func(*Engine) { t.Error("event after Stop fired") })
-	end := pe.Run(100 * time.Second)
-	if end != time.Second {
-		t.Errorf("stopped at %v, want 1s (no horizon jump after Stop)", end)
-	}
-}
-
 // RunUntilIdle leaves the lockstep clock at the last drained instant (the
 // same regression contract as the serial engine), and scheduling afterwards
 // works.

@@ -71,7 +71,6 @@ type Engine struct {
 	queue   eventQueue
 	seq     uint64
 	rng     *rand.Rand
-	stopped bool
 	tickEnd []func(*Engine)
 
 	// Processed counts events that have fired, for diagnostics and as a
@@ -90,17 +89,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// Len returns the number of pending (non-cancelled) events.
-func (e *Engine) Len() int {
-	n := 0
-	for _, ev := range e.queue {
-		if !ev.cancelled {
-			n++
-		}
-	}
-	return n
-}
 
 // ErrPastEvent is returned by ScheduleAt when the requested time is before
 // the current virtual time.
@@ -142,7 +130,7 @@ func (e *Engine) Cancel(ev *Event) {
 // Every schedules fn to run every period, starting after the first period
 // elapses. The returned stop function cancels the ticker — including the
 // already-queued next tick, so a stopped ticker leaves no dead event behind
-// to inflate Len, Processed, or the idle-run clock. If fn returns false the
+// to fire, inflate Processed, or drag the idle-run clock. If fn returns false the
 // ticker stops itself. Calling stop is idempotent; calling it from inside fn
 // suppresses the reschedule.
 func (e *Engine) Every(period time.Duration, fn func(*Engine) bool) (stop func()) {
@@ -175,10 +163,6 @@ func (e *Engine) Every(period time.Duration, fn func(*Engine) bool) (stop func()
 	}
 }
 
-// Stop halts the run loop after the current event completes. Pending
-// end-of-tick callbacks are not flushed; they carry over to the next Run.
-func (e *Engine) Stop() { e.stopped = true }
-
 // OnTickEnd registers fn to run once every already-queued event at the
 // current instant has fired — i.e. just before virtual time would next
 // advance (or the run loop return). Callbacks run in registration order and
@@ -203,14 +187,14 @@ func (e *Engine) flushTickEnd() {
 	}
 }
 
-// Run processes events until the queue is empty, Stop is called, or the
-// clock would pass horizon (events at exactly horizon still fire). It
-// returns the virtual time at which processing stopped.
+// Run processes events until the queue is empty or the clock would pass
+// horizon (events at exactly horizon still fire). It returns the virtual
+// time at which processing stopped.
 func (e *Engine) Run(horizon Time) Time {
 	return e.run(horizon, true)
 }
 
-// RunUntilIdle processes events until none remain or Stop is called. Unlike
+// RunUntilIdle processes events until none remain. Unlike
 // Run, draining the queue leaves the clock at the last processed event —
 // not at the sentinel horizon — so later Schedule calls keep working
 // instead of overflowing into an ErrPastEvent panic.
@@ -222,8 +206,7 @@ func (e *Engine) RunUntilIdle() Time {
 // the clock forward to horizon (Run's contract) or leaves it at the last
 // processed event (RunUntilIdle's).
 func (e *Engine) run(horizon Time, advance bool) Time {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		// Tick boundary: no queued event remains at the current
 		// instant, so flush end-of-tick callbacks before the clock can
 		// advance (or the loop exit).
@@ -246,7 +229,7 @@ func (e *Engine) run(horizon Time, advance bool) Time {
 		e.Processed++
 		next.fn(e)
 	}
-	if advance && e.now < horizon && !e.stopped {
+	if advance && e.now < horizon {
 		e.now = horizon
 	}
 	return e.now
@@ -284,7 +267,7 @@ func (e *Engine) hasWorkAt(t Time) bool {
 // queued before t.
 func (e *Engine) runInstant(t Time) {
 	e.now = t
-	for !e.stopped {
+	for {
 		if len(e.queue) > 0 && e.queue[0].at == t {
 			next := heap.Pop(&e.queue).(*Event)
 			if next.cancelled {

@@ -13,17 +13,15 @@ import (
 // Tracker records the successive values of one decision variable (an ISP's
 // egress choice, an AppP's CDN choice) and counts switches.
 type Tracker struct {
-	times  []time.Duration
 	values []string
 }
 
-// Record notes the decision value at virtual time at. Only changes count as
-// switches; recording the same value repeatedly is free.
-func (t *Tracker) Record(at time.Duration, value string) {
+// Record notes the next decision value. Only changes count as switches;
+// recording the same value repeatedly is free.
+func (t *Tracker) Record(value string) {
 	if n := len(t.values); n > 0 && t.values[n-1] == value {
 		return
 	}
-	t.times = append(t.times, at)
 	t.values = append(t.values, value)
 }
 
@@ -42,30 +40,6 @@ func (t *Tracker) Switches() int {
 		return 0
 	}
 	return len(t.values) - 1
-}
-
-// SwitchesIn counts transitions that occurred in (from, to].
-func (t *Tracker) SwitchesIn(from, to time.Duration) int {
-	n := 0
-	for i := 1; i < len(t.times); i++ {
-		if t.times[i] > from && t.times[i] <= to {
-			n++
-		}
-	}
-	return n
-}
-
-// SwitchRate returns switches per minute over the tracked span (0 if fewer
-// than 2 records).
-func (t *Tracker) SwitchRate() float64 {
-	if len(t.times) < 2 {
-		return 0
-	}
-	span := t.times[len(t.times)-1] - t.times[0]
-	if span <= 0 {
-		return 0
-	}
-	return float64(t.Switches()) / span.Minutes()
 }
 
 // History returns a copy of the recorded values.
@@ -131,9 +105,6 @@ func (h *Hysteresis) Decide(incumbentScore float64, challenger string, challenge
 	}
 	return h.current
 }
-
-// Reset clears the incumbent.
-func (h *Hysteresis) Reset() { h.current = "" }
 
 // Backoff rate-limits control actions with randomized exponential backoff:
 // after each action the next one is allowed only Base×Factor^n (±jitter)

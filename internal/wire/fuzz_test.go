@@ -39,9 +39,6 @@ func FuzzDecode(f *testing.F) {
 		if !versionAccepted(env.Version) {
 			t.Fatalf("accepted version %q", env.Version)
 		}
-		if env.SchemaRev() < 1 {
-			t.Fatalf("accepted schema revision %d", env.SchemaRev())
-		}
 		if !knownTypes[env.Type] {
 			t.Fatalf("accepted unknown type %q", env.Type)
 		}

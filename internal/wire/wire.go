@@ -76,21 +76,12 @@ type Envelope struct {
 	Type    MessageType `json:"type"`
 	// Schema is the envelope's minor schema revision. Absent on the wire
 	// (0) means the original revision 1; decoders never reject a newer
-	// value, since minor revisions only add fields. Read it via SchemaRev.
+	// value, since minor revisions only add fields.
 	Schema int `json:"schema,omitempty"`
 	// GeneratedAtMs is the producer's clock (virtual or wall) in
 	// milliseconds — consumers use it to judge staleness.
 	GeneratedAtMs int64           `json:"generated_at_ms"`
 	Payload       json.RawMessage `json:"payload"`
-}
-
-// SchemaRev returns the envelope's schema revision, mapping the legacy
-// absent/zero encoding to revision 1.
-func (e Envelope) SchemaRev() int {
-	if e.Schema <= 0 {
-		return 1
-	}
-	return e.Schema
 }
 
 // ErrorBody is the payload of a TypeError message.

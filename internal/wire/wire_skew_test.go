@@ -44,11 +44,11 @@ func TestDecodeVersionSkew(t *testing.T) {
 		TraceID       string          `json:"trace_id,omitempty"` // not in our Envelope
 	}
 	cases := []struct {
-		name string
-		env  futureEnvelope
-		rev  int
+		name   string
+		env    futureEnvelope
+		schema int
 	}{
-		{"current", futureEnvelope{Version: "eona/1", Type: TypeAttribution, GeneratedAtMs: 5, Payload: payload}, 1},
+		{"current", futureEnvelope{Version: "eona/1", Type: TypeAttribution, GeneratedAtMs: 5, Payload: payload}, 0},
 		{"newer-minor", futureEnvelope{Version: "eona/1.7", Type: TypeAttribution, Schema: 7, GeneratedAtMs: 5, Payload: payload}, 7},
 		{"newer-minor-extra-fields", futureEnvelope{Version: "eona/1.2", Type: TypeAttribution, Schema: 2, GeneratedAtMs: 5, Payload: payload, TraceID: "t-1"}, 2},
 	}
@@ -61,8 +61,8 @@ func TestDecodeVersionSkew(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if env.SchemaRev() != tc.rev {
-			t.Errorf("%s: schema revision = %d, want %d", tc.name, env.SchemaRev(), tc.rev)
+		if env.Schema != tc.schema {
+			t.Errorf("%s: schema = %d, want %d", tc.name, env.Schema, tc.schema)
 		}
 		got, err := DecodePayload[core.Attribution](env, TypeAttribution)
 		if err != nil {

@@ -80,11 +80,11 @@ func (d Diurnal) Rate() RateFunc {
 
 // Arrivals samples a non-homogeneous Poisson process with rate function
 // rate, bounded above by maxRate, over [0, horizon), using thinning. The
-// returned times are sorted. maxRate must dominate rate everywhere; points
-// where rate exceeds maxRate are effectively clipped.
+// returned times are sorted. maxRate must be finite and dominate rate
+// everywhere; points where rate exceeds maxRate are effectively clipped.
 func Arrivals(rng *rand.Rand, rate RateFunc, maxRate float64, horizon time.Duration) []time.Duration {
-	if maxRate <= 0 {
-		panic("workload: maxRate must be positive")
+	if !(maxRate > 0) || math.IsInf(maxRate, 1) {
+		panic(fmt.Sprintf("workload: maxRate must be finite and positive, got %v", maxRate))
 	}
 	var out []time.Duration
 	t := 0.0

@@ -116,12 +116,16 @@ func TestArrivalsDeterministic(t *testing.T) {
 }
 
 func TestArrivalsBadMaxRate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-positive maxRate did not panic")
-		}
-	}()
-	Arrivals(rand.New(rand.NewSource(1)), Constant(1), 0, time.Second)
+	for _, maxRate := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("maxRate %v did not panic", maxRate)
+				}
+			}()
+			Arrivals(rand.New(rand.NewSource(1)), Constant(1), maxRate, time.Second)
+		}()
+	}
 }
 
 func TestZipfSkew(t *testing.T) {

@@ -22,7 +22,7 @@ done
 (cd bench && go build -o /dev/null ./... && go vet ./... && go test ./...)
 # ...and must still run it: a short net-churn run, untraced and traced.
 scripts/benchcheck.sh
-# Fast-fail on the concurrency-heavy packages (collector, merge primitives,
+# Fast-fail on the concurrency-heavy packages (collector and its sketches,
 # shared network + snapshots, looking-glass pollers, event journal, control
 # plane + SSE streaming) and the allocator/control-loop packages (component
 # registry, reaction coalescing) before the full sweep.
