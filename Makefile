@@ -2,8 +2,11 @@ GO ?= go
 
 .PHONY: check build vet test race bench benchcheck chaos recover timetravel dashboard fmt
 
-# Tier-1 gate: everything a PR must pass before merging.
-check: build vet race
+# Tier-1 gate: everything a PR must pass before merging. scripts/check.sh
+# is the gate itself (gofmt, build, vet, examples, the bench/ module,
+# benchcheck, race tests, crash sweeps, bench_gate.sh).
+check:
+	sh scripts/check.sh
 
 build:
 	$(GO) build ./...

@@ -45,7 +45,6 @@ var keptExports = map[string]string{
 	// Observers of state that production maintains.
 	"agg.CountMin.Estimate":                    "reads the counts CountMin maintains",
 	"agg.P2.Value":                             "reads the quantile estimate P2 maintains",
-	"agg.Welford.Variance":                     "reads the variance Welford maintains",
 	"cdn.Cache.Contains":                       "reads the cache's resident set",
 	"core.Interface.Contains":                  "reads a negotiated interface's attribute set",
 	"core.Registry.Partner":                    "reads a registered partner",

@@ -1,6 +1,11 @@
 package expt
 
-import "eona/internal/qoe"
+import (
+	"time"
+
+	"eona/internal/netsim"
+	"eona/internal/qoe"
+)
 
 // E10 — §5 "fairness and trust": one InfP serving multiple AppPs.
 //
@@ -55,96 +60,51 @@ func e10AppPs() []E10AppP {
 	return []E10AppP{mk("vod-big", 84), mk("vod-mid", 50), mk("live-small", 34)}
 }
 
-// RunE10 computes both allocations analytically (the link is the only
-// bottleneck, so fluid max-min has a closed form). The scenario is
-// deterministic; the seed parameter keeps the experiment signatures
-// uniform.
+// RunE10 runs both arms on netsim's weighted max-min allocator: the three
+// AppPs' aggregate flows share one peering link, with unit weights in the
+// baseline (per-pipe fairness) and A2I session counts as weights under
+// EONA (per-user fairness). Each flow's demand caps it at the nominal
+// per-user rate. The scenario is deterministic; the seed parameter keeps
+// the experiment signatures uniform.
 func RunE10(_ int64) E10Result {
+	return E10Result{
+		Baseline: e10Arm("baseline (per-pipe max-min)", func(E10AppP) float64 { return 1 }),
+		EONA:     e10Arm("EONA (A2I session-proportional)", func(a E10AppP) float64 { return a.Sessions }),
+	}
+}
+
+// e10Arm allocates the peering among the AppPs' flows with the given
+// max-min weights and scores the per-user rates.
+func e10Arm(name string, weight func(E10AppP) float64) E10Arm {
+	arm := E10Arm{Name: name, AppPs: e10AppPs()}
+	topo := netsim.NewTopology()
+	peering := netsim.Path{topo.AddLink("isp", "appps", e10Capacity, time.Millisecond, "peering")}
+	net := netsim.NewNetwork(topo)
+	flows := make([]*netsim.Flow, len(arm.AppPs))
+	net.Batch(func() {
+		for i, a := range arm.AppPs {
+			flows[i] = net.StartFlow(peering, a.DemandBps, a.Name)
+			net.SetWeight(flows[i], weight(a))
+		}
+	})
+
 	model := qoe.DefaultModel()
 	model.MaxBitrate = e10Nominal
-
-	score := func(perUser float64) float64 {
-		starv := 1 - perUser/e10Nominal
-		if starv < 0 {
-			starv = 0
-		}
-		s := 100*model.BitrateUtility(perUser) - model.BufferingPenalty*100*0.5*starv
-		if s < 0 {
-			return 0
-		}
-		return s
+	var sumRate, sumRate2, totalSessions, weightedScore float64
+	for i := range arm.AppPs {
+		a := &arm.AppPs[i]
+		a.DeliveredPerUserBps = flows[i].Rate / a.Sessions
+		a.Score = model.FluidScore(a.DeliveredPerUserBps, e10Nominal)
+		sumRate += a.Sessions * a.DeliveredPerUserBps
+		sumRate2 += a.Sessions * a.DeliveredPerUserBps * a.DeliveredPerUserBps
+		totalSessions += a.Sessions
+		weightedScore += a.Sessions * a.Score
 	}
-
-	finish := func(arm *E10Arm) {
-		var sumRate, sumRate2, totalSessions, weightedScore float64
-		for i := range arm.AppPs {
-			a := &arm.AppPs[i]
-			a.Score = score(a.DeliveredPerUserBps)
-			sumRate += a.Sessions * a.DeliveredPerUserBps
-			sumRate2 += a.Sessions * a.DeliveredPerUserBps * a.DeliveredPerUserBps
-			totalSessions += a.Sessions
-			weightedScore += a.Sessions * a.Score
-		}
-		// Jain over users: each AppP contributes Sessions users at its
-		// per-user rate.
-		arm.JainPerUser = sumRate * sumRate / (totalSessions * sumRate2)
-		arm.MeanScore = weightedScore / totalSessions
-	}
-
-	// Baseline: max-min over the three aggregate flows (per-pipe
-	// fairness). Progressive filling with demands.
-	base := E10Arm{Name: "baseline (per-pipe max-min)", AppPs: e10AppPs()}
-	{
-		remaining := e10Capacity
-		unfrozen := []int{0, 1, 2}
-		alloc := make([]float64, 3)
-		for len(unfrozen) > 0 {
-			share := remaining / float64(len(unfrozen))
-			progressed := false
-			var still []int
-			for _, i := range unfrozen {
-				if base.AppPs[i].DemandBps <= share {
-					alloc[i] = base.AppPs[i].DemandBps
-					remaining -= alloc[i]
-					progressed = true
-				} else {
-					still = append(still, i)
-				}
-			}
-			if !progressed {
-				for _, i := range still {
-					alloc[i] = share
-				}
-				remaining = 0
-				still = nil
-			}
-			unfrozen = still
-		}
-		for i := range base.AppPs {
-			base.AppPs[i].DeliveredPerUserBps = alloc[i] / base.AppPs[i].Sessions
-		}
-	}
-	finish(&base)
-
-	// EONA: the ISP apportions capacity in proportion to the A2I session
-	// counts (per-user fairness), capped by each AppP's own demand.
-	eona := E10Arm{Name: "EONA (A2I session-proportional)", AppPs: e10AppPs()}
-	{
-		var totalSessions float64
-		for _, a := range eona.AppPs {
-			totalSessions += a.Sessions
-		}
-		perUser := e10Capacity / totalSessions
-		if perUser > e10Nominal {
-			perUser = e10Nominal
-		}
-		for i := range eona.AppPs {
-			eona.AppPs[i].DeliveredPerUserBps = perUser
-		}
-	}
-	finish(&eona)
-
-	return E10Result{Baseline: base, EONA: eona}
+	// Jain over users: each AppP contributes Sessions users at its
+	// per-user rate.
+	arm.JainPerUser = sumRate * sumRate / (totalSessions * sumRate2)
+	arm.MeanScore = weightedScore / totalSessions
+	return arm
 }
 
 // Table renders both arms.

@@ -61,8 +61,8 @@ func e11Demand(epoch int) float64 {
 }
 
 // e11Score scores one epoch of a split: traffic split into a B slice and a
-// C slice, each delivering min(demand, capacity) with the fig5 scoring
-// model (bitrate utility minus starvation penalty).
+// C slice, each delivering min(demand, capacity), scored with the fluid
+// score fig5 uses.
 func e11Score(model qoe.Model, demandB, demandC float64) float64 {
 	total := demandB + demandC
 	if total <= 0 {
@@ -76,17 +76,8 @@ func e11Score(model qoe.Model, demandB, demandC float64) float64 {
 			continue
 		}
 		sessions := slice.demand / e11Nominal
-		delivered := math.Min(slice.demand, slice.cap)
-		per := delivered / sessions
-		starvation := 1 - per/e11Nominal
-		if starvation < 0 {
-			starvation = 0
-		}
-		s := 100*model.BitrateUtility(per) - model.BufferingPenalty*100*0.5*starvation
-		if s < 0 {
-			s = 0
-		}
-		score += s * slice.demand / total
+		per := math.Min(slice.demand, slice.cap) / sessions
+		score += model.FluidScore(per, e11Nominal) * slice.demand / total
 	}
 	return score
 }
@@ -106,10 +97,7 @@ func RunE11(seed int64) E11Result {
 		p.Epsilon = eps
 		for epoch := 0; epoch < e11Epochs; epoch++ {
 			v := e11Demand(epoch)
-			est := noiser.Noise(v)
-			if est < 0 {
-				est = 0
-			}
+			est := max(noiser.Noise(v), 0)
 			p.MeanAbsEstErrBps += math.Abs(est - v)
 			// ISP sizes the cheap-B slice to the estimate, with
 			// 10% safety margin, spilling the rest to C. With no

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"eona/internal/agg"
 	"eona/internal/infer"
 	"eona/internal/qoe"
 	"eona/internal/web"
@@ -45,7 +46,7 @@ func RunE13(seed int64) E13Result {
 	rng := rand.New(rand.NewSource(seed))
 	const n = 600
 	var full, ttfbOnly infer.Dataset
-	var mean, m2 float64
+	var scores agg.Welford
 	aborts := 0
 	for i := 0; i < n; i++ {
 		ch := web.SampleChannel(rng)
@@ -67,10 +68,7 @@ func RunE13(seed int64) E13Result {
 			ttfbMs,
 		}, score)
 		ttfbOnly.Add([]float64{ttfbMs}, score)
-
-		delta := score - mean
-		mean += delta / float64(i+1)
-		m2 += delta * (score - mean)
+		scores.Add(score)
 	}
 
 	res := E13Result{Samples: n, AbortRate: float64(aborts) / n}
@@ -84,7 +82,7 @@ func RunE13(seed int64) E13Result {
 			res.RadioFlow = infer.Evaluate(m, testF)
 		}
 	}
-	res.ScoreStdDev = math.Sqrt(m2 / float64(n))
+	res.ScoreStdDev = math.Sqrt(scores.Variance())
 	return res
 }
 

@@ -46,8 +46,8 @@ type E14Result struct {
 
 // e14Eval builds the joint objective for R regions: per-region demand of
 // 60+10r Mbps, capacities B=100, C=400 (shared with the IXP paths), CDN Y
-// serving 80. The score is the demand-weighted mean of the e11-style
-// utility/starvation score across regions.
+// serving 80. The score is the demand-weighted mean of the regions' fluid
+// scores (qoe.Model.FluidScore).
 func e14Eval(regions int) (spaces []control.KnobSpace, eval func(control.Assignment) float64) {
 	model := qoe.DefaultModel()
 	model.MaxBitrate = 3e6
@@ -109,13 +109,7 @@ func e14Eval(regions int) (spaces []control.KnobSpace, eval func(control.Assignm
 			} else {
 				f = math.Min(fC, fY)
 			}
-			delivered := per * f
-			starv := 1 - f
-			s := 100*model.BitrateUtility(delivered) - model.BufferingPenalty*100*0.5*starv
-			if s < 0 {
-				s = 0
-			}
-			weighted += s * demands[r]
+			weighted += model.FluidScore(per*f, per) * demands[r]
 			total += demands[r]
 		}
 		return weighted / total

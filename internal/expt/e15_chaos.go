@@ -65,27 +65,22 @@ var E15OutageLens = []time.Duration{
 // fault-density rows.
 var E15FlapCounts = []int{1, 2, 4}
 
-// E15Point is one partner-outage length, run under all three variants.
+// E15Point is one fault plan, run under all three variants: a
+// partner-outage length in the main sweep, a link-flap count in the
+// density sweep.
 type E15Point struct {
 	OutageLen time.Duration
+	Flaps     int
 	Baseline  Fig5Result
 	Naive     Fig5Result
 	Aware     Fig5Result
-}
-
-// E15FlapPoint is one link-flap density, run under all three variants.
-type E15FlapPoint struct {
-	Flaps    int
-	Baseline Fig5Result
-	Naive    Fig5Result
-	Aware    Fig5Result
 }
 
 // E15Result holds both sweeps.
 type E15Result struct {
 	Seed      int64
 	Outages   []E15Point
-	FlapRates []E15FlapPoint
+	FlapRates []E15Point
 }
 
 // e15OutagePlan builds the main-sweep fault plan: one pinned access flap
@@ -130,26 +125,27 @@ func e15Variant(seed int64, plan *faults.Plan, mode Mode, halfLife time.Duration
 	})
 }
 
+// e15Point runs the three variants under one plan.
+func e15Point(seed int64, plan *faults.Plan) E15Point {
+	return E15Point{
+		Baseline: e15Variant(seed, plan, Baseline, 0, 0),
+		Naive:    e15Variant(seed, plan, EONA, 0, 0),
+		Aware:    e15Variant(seed, plan, EONA, E15HalfLife, E15Floor),
+	}
+}
+
 // RunE15 executes the chaos sweep.
 func RunE15(seed int64) E15Result {
 	out := E15Result{Seed: seed}
 	for _, l := range E15OutageLens {
-		plan := e15OutagePlan(seed, l)
-		out.Outages = append(out.Outages, E15Point{
-			OutageLen: l,
-			Baseline:  e15Variant(seed, plan, Baseline, 0, 0),
-			Naive:     e15Variant(seed, plan, EONA, 0, 0),
-			Aware:     e15Variant(seed, plan, EONA, E15HalfLife, E15Floor),
-		})
+		p := e15Point(seed, e15OutagePlan(seed, l))
+		p.OutageLen = l
+		out.Outages = append(out.Outages, p)
 	}
 	for _, n := range E15FlapCounts {
-		plan := e15FlapPlan(seed, n)
-		out.FlapRates = append(out.FlapRates, E15FlapPoint{
-			Flaps:    n,
-			Baseline: e15Variant(seed, plan, Baseline, 0, 0),
-			Naive:    e15Variant(seed, plan, EONA, 0, 0),
-			Aware:    e15Variant(seed, plan, EONA, E15HalfLife, E15Floor),
-		})
+		p := e15Point(seed, e15FlapPlan(seed, n))
+		p.Flaps = n
+		out.FlapRates = append(out.FlapRates, p)
 	}
 	return out
 }

@@ -76,15 +76,11 @@ type E1Result struct {
 	MeanScore             float64
 	MeanBufRatio          float64
 	MeanBitrateBps        float64
-	MeanStartupSec        float64
 	CDNSwitchesPerSession float64
 	// EngagementMinutes is the mean engagement per session out of an
 	// intended 10 minutes (Krishnan-slope model); sessions that never
 	// started playing count as zero engagement.
 	EngagementMinutes float64
-	// ExpectedAbandonRate is the mean startup-abandonment probability
-	// over sessions (Krishnan: 5.8%/s of startup delay beyond 2s).
-	ExpectedAbandonRate float64
 	// CapEpochs counts controller polls during which the EONA cap was
 	// active (0 in the baseline arm).
 	CapEpochs int
@@ -143,8 +139,6 @@ func RunE1Arm(cfg E1Config) E1Result {
 	if sessions == nil {
 		sessions = e1Workload(cfg)
 	}
-
-	collector := core.NewA2ICollector(core.CollectorConfig{AppP: "vod", Window: time.Minute, Seed: cfg.Seed})
 
 	type session struct {
 		p   *player.Player
@@ -211,8 +205,6 @@ func RunE1Arm(cfg E1Config) E1Result {
 
 	// Session arrivals.
 	for i, ws := range sessions {
-		ws := ws
-		i := i
 		eng.ScheduleAt(ws.Arrival, func(e *sim.Engine) {
 			cdnName := e1CDN1
 			if i%2 == 1 {
@@ -220,11 +212,9 @@ func RunE1Arm(cfg E1Config) E1Result {
 			}
 			// Session setup — flow attach plus the player's initial
 			// demand parking — is one batched reallocation.
-			var conn player.Conn
-			var err error
 			s := &session{cdn: cdnName, idx: i}
 			net.BeginBatch()
-			conn, err = connect(cdnName)
+			conn, err := connect(cdnName)
 			if err != nil {
 				net.EndBatch()
 				return
@@ -241,10 +231,6 @@ func RunE1Arm(cfg E1Config) E1Result {
 				EMAAlpha:     0.15,
 			}, ws.IntendedDuration)
 			s.p.OverrideABR = abrFor(i)
-			sid := fmt.Sprintf("s%04d", i)
-			s.p.OnComplete = func(m qoe.SessionMetrics) {
-				collector.Ingest(core.RecordFrom(model, m, sid, "vod", "isp1", s.cdn, "-", e.Now()))
-			}
 			s.p.Start(conn, 500*time.Millisecond)
 			net.EndBatch()
 			control.NewMonitor(e, s.p, coal, react(s))
@@ -312,9 +298,7 @@ func RunE1Arm(cfg E1Config) E1Result {
 		res.MeanScore += model.Score(m)
 		res.MeanBufRatio += m.BufferingRatio()
 		res.MeanBitrateBps += m.AvgBitrate
-		res.MeanStartupSec += m.StartupDelay.Seconds()
 		res.CDNSwitchesPerSession += float64(m.CDNSwitches)
-		res.ExpectedAbandonRate += qoe.AbandonmentProbability(m.StartupDelay)
 		if m.PlayTime > 0 {
 			res.EngagementMinutes += model.EngagementMinutes(m, 10)
 		}
@@ -324,10 +308,8 @@ func RunE1Arm(cfg E1Config) E1Result {
 		res.MeanScore /= n
 		res.MeanBufRatio /= n
 		res.MeanBitrateBps /= n
-		res.MeanStartupSec /= n
 		res.CDNSwitchesPerSession /= n
 		res.EngagementMinutes /= n
-		res.ExpectedAbandonRate /= n
 	}
 	return res
 }

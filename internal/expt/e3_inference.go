@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"eona/internal/agg"
 	"eona/internal/infer"
 	"eona/internal/netsim"
 	"eona/internal/player"
@@ -88,13 +89,11 @@ func RunE3(seed int64) E3Result {
 	rng := rand.New(rand.NewSource(seed))
 	var d infer.Dataset
 	const n = 240
-	var mean, m2 float64
+	var score agg.Welford
 	for i := 0; i < n; i++ {
 		x, y := e3Sample(rng)
 		d.Add(x, y)
-		delta := y - mean
-		mean += delta / float64(i+1)
-		m2 += delta * (y - mean)
+		score.Add(y)
 	}
 	train, test := d.Split(5)
 	res := E3Result{Samples: n}
@@ -104,7 +103,7 @@ func RunE3(seed int64) E3Result {
 	if knn, err := infer.FitKNN(train, 7); err == nil {
 		res.KNN = infer.Evaluate(knn, test)
 	}
-	res.ScoreStdDev = math.Sqrt(m2 / float64(n))
+	res.ScoreStdDev = math.Sqrt(score.Variance())
 	return res
 }
 

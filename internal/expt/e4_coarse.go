@@ -158,8 +158,6 @@ func RunE4Arm(cfg E4Config) E4Result {
 
 	arrivals := workload.Arrivals(rng, workload.Constant(e4ArrivalRate), e4ArrivalRate, e4Horizon-2*time.Minute)
 	for i, at := range arrivals {
-		i := i
-		at := at
 		eng.ScheduleAt(at, func(e *sim.Engine) {
 			content := cdn.ContentID(zipf.Draw())
 			a, err := east.Assign(content)

@@ -65,31 +65,18 @@ func (p *e5A2I) Awake(lastDemand, lastScore float64) int {
 	switch {
 	case lastScore < e5ScoreTarget:
 		// Experience degraded: wake capacity immediately.
-		p.cur = clampServers(maxInt(p.cur+2, need+1))
+		p.cur = clampServers(max(p.cur+2, need+1))
 	case p.cur > need:
 		// Healthy and over-provisioned: sleep one server per epoch.
 		p.cur = clampServers(p.cur - 1)
 	default:
-		p.cur = clampServers(maxInt(p.cur, need))
+		p.cur = clampServers(max(p.cur, need))
 	}
 	return p.cur
 }
 
 func clampServers(n int) int {
-	if n < e5MinAwake {
-		return e5MinAwake
-	}
-	if n > e5Servers {
-		return e5Servers
-	}
-	return n
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return min(max(n, e5MinAwake), e5Servers)
 }
 
 // e5Demand is the diurnal concurrent-session curve: trough ~150 at 4am,

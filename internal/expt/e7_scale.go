@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"time"
 
 	"eona/internal/agg"
@@ -129,12 +130,7 @@ func RunE7(n int) E7Result {
 		}
 		lat = append(lat, time.Since(t0))
 	}
-	// Median by insertion sort (small n).
-	for i := 1; i < len(lat); i++ {
-		for j := i; j > 0 && lat[j] < lat[j-1]; j-- {
-			lat[j], lat[j-1] = lat[j-1], lat[j]
-		}
-	}
+	slices.Sort(lat)
 	res.QueryP50 = lat[len(lat)/2]
 	return res
 }

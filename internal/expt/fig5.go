@@ -29,8 +29,8 @@ import (
 // The AppP routes an aggregate of sessions (nominal 3 Mbps each) to one CDN
 // at a time; the ISP picks the egress per CDN. Traffic is modelled as one
 // aggregate fluid flow, and per-epoch QoE is scored from the delivered
-// per-session rate (bitrate utility minus a starvation/buffering penalty
-// and a disruption penalty on switch epochs).
+// per-session rate (qoe.Model.FluidScore, less a disruption penalty on
+// switch epochs).
 
 // Mode selects a party's control policy generation.
 type Mode int
@@ -219,11 +219,7 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 	}
 
 	demandNow := func(now time.Duration) float64 {
-		d := cfg.Demand(now)
-		if d < fig5NominalBitrate {
-			d = fig5NominalBitrate
-		}
-		return d
+		return max(cfg.Demand(now), fig5NominalBitrate)
 	}
 	sessionsAt := func(now time.Duration) float64 {
 		return demandNow(now) / fig5NominalBitrate
@@ -245,27 +241,14 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 
 	reachable := map[string][]string{cdnXName: {"B", "C"}, cdnYName: {"C"}}
 
-	// epochScore computes the per-epoch QoE proxy.
+	// epochScore computes the per-epoch QoE proxy: the fluid score of the
+	// delivered per-session rate, less a disruption penalty on switch
+	// epochs (re-join, lowest-rung restart).
 	epochScore := func(now time.Duration) float64 {
 		sessions := sessionsAt(now)
-		perDelivered := flow.Rate / sessions
-		perTarget := flow.Demand / sessions
-		starvation := 0.0
-		if perTarget > 0 && perDelivered < perTarget {
-			starvation = 1 - perDelivered/perTarget
-		}
-		// Starved sessions stall for a fraction of wall time
-		// proportional to the deficit (fluid approximation).
-		bufRatio := 0.5 * starvation
-		s := 100*model.BitrateUtility(perDelivered) - model.BufferingPenalty*100*bufRatio
+		s := model.FluidScore(flow.Rate/sessions, flow.Demand/sessions)
 		if switchedThisEpoch {
-			s -= 10 // disruption: re-join, lowest-rung restart
-		}
-		if s < 0 {
-			s = 0
-		}
-		if s > 100 {
-			s = 100
+			s = max(s-10, 0)
 		}
 		return s
 	}
@@ -514,48 +497,20 @@ func Fig5Oracle(cfg Fig5Config) float64 {
 		egress string
 		path   float64 // bottleneck capacity
 	}{
-		{cdnXName, "B", min2(fig5AccessBps, fig5PeerBBps)},
-		{cdnXName, "C", min2(fig5AccessBps, min2(fig5PeerCBps, fig5IXPToXBps))},
-		{cdnYName, "C", min2(fig5AccessBps, min2(fig5PeerCBps, cfg.IXPToYBps))},
+		{cdnXName, "B", min(fig5AccessBps, fig5PeerBBps)},
+		{cdnXName, "C", min(fig5AccessBps, fig5PeerCBps, fig5IXPToXBps)},
+		{cdnYName, "C", min(fig5AccessBps, fig5PeerCBps, cfg.IXPToYBps)},
 	} {
 		for _, capped := range []bool{false, true} {
 			perTarget := fig5NominalBitrate
 			if capped {
 				// The oracle sets the cap so aggregate demand
 				// exactly fits the path.
-				fit := choice.path / sessions
-				if fit < perTarget {
-					perTarget = fit
-				}
+				perTarget = min(perTarget, choice.path/sessions)
 			}
-			agg := perTarget * sessions
-			rate := agg
-			if rate > choice.path {
-				rate = choice.path
-			}
-			perDelivered := rate / sessions
-			starvation := 0.0
-			if perTarget > 0 && perDelivered < perTarget {
-				starvation = 1 - perDelivered/perTarget
-			}
-			s := 100*model.BitrateUtility(perDelivered) - model.BufferingPenalty*100*0.5*starvation
-			if s < 0 {
-				s = 0
-			}
-			if s > 100 {
-				s = 100
-			}
-			if s > best {
-				best = s
-			}
+			perDelivered := min(perTarget*sessions, choice.path) / sessions
+			best = max(best, model.FluidScore(perDelivered, perTarget))
 		}
 	}
 	return best
-}
-
-func min2(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,9 +2,12 @@ package expt
 
 import (
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -67,5 +70,84 @@ func TestSeed1TablesGolden(t *testing.T) {
 		if g != w {
 			t.Fatalf("seed-1 tables differ from %s at line %d:\n got: %q\nwant: %q", path, i+1, g, w)
 		}
+	}
+}
+
+// TestExperimentsDocMatchesGolden checks EXPERIMENTS.md against the golden:
+// every numeric cell of a table under an "## En" heading must round, at its
+// printed precision, from some numeric cell of En's table in
+// testdata/seed1.golden. A "%" cell may also match 100× a fraction. E7's
+// rows are wall-clock and exempt. It reads files only, so it runs on every
+// architecture.
+func TestExperimentsDocMatchesGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "seed1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The golden's numeric cells per experiment: tables are separated by
+	// runs of two or more spaces, and notes carry no cells.
+	gaps := regexp.MustCompile(`\s{2,}`)
+	want := map[string][]float64{}
+	id := ""
+	for _, line := range strings.Split(string(golden), "\n") {
+		if rest, ok := strings.CutPrefix(line, "== "); ok {
+			id, _, _ = strings.Cut(rest, " ")
+			continue
+		}
+		if strings.HasPrefix(line, "note:") || strings.HasPrefix(line, "---") {
+			continue
+		}
+		for _, cell := range gaps.Split(strings.TrimSpace(line), -1) {
+			if v, err := strconv.ParseFloat(cell, 64); err == nil {
+				want[id] = append(want[id], v)
+			}
+		}
+	}
+
+	heading := regexp.MustCompile(`^## (E\d+) `)
+	number := regexp.MustCompile(`^-?\d+(\.(\d+))?(%?)$`)
+	thousands := regexp.MustCompile(`(\d),(\d{3})`)
+	id = ""
+	checked := 0
+	for _, line := range strings.Split(string(doc), "\n") {
+		if m := heading.FindStringSubmatch(line); m != nil {
+			id = m[1]
+			continue
+		}
+		if strings.HasPrefix(line, "## ") {
+			id = ""
+		}
+		if id == "" || id == "E7" || !strings.HasPrefix(line, "|") || strings.HasPrefix(line, "|---") {
+			continue
+		}
+		for _, cell := range strings.Split(strings.Trim(line, "|"), "|") {
+			cell = strings.ReplaceAll(strings.TrimSpace(cell), "**", "")
+			cell = strings.TrimSuffix(thousands.ReplaceAllString(cell, "$1$2"), " s")
+			m := number.FindStringSubmatch(cell)
+			if m == nil {
+				continue
+			}
+			v, _ := strconv.ParseFloat(strings.TrimSuffix(cell, "%"), 64)
+			tol := 0.5*math.Pow(10, -float64(len(m[2]))) + 1e-9
+			found := false
+			for _, g := range want[id] {
+				if math.Abs(g-v) <= tol || (m[3] == "%" && math.Abs(100*g-v) <= tol) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("EXPERIMENTS.md %s: cell %q rounds from no cell of the golden's %s table", id, cell, id)
+			}
+			checked++
+		}
+	}
+	if len(want) == 0 || checked == 0 {
+		t.Fatalf("parsed %d golden tables and checked %d doc cells: the formats drifted from this parser", len(want), checked)
 	}
 }

@@ -51,27 +51,6 @@ type EngineArmConfig struct {
 	Build func() EngineArmTopology
 }
 
-func (c *EngineArmConfig) applyDefaults() {
-	if c.Regions <= 0 {
-		c.Regions = 4
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 2 * time.Minute
-	}
-	if c.ArrivalRate == 0 {
-		c.ArrivalRate = 0.5
-	}
-	if c.SessionDemand == 0 {
-		c.SessionDemand = 4e6
-	}
-	if c.SessionLife == 0 {
-		c.SessionLife = 40 * time.Second
-	}
-	if c.MonitorEvery == 0 {
-		c.MonitorEvery = 4 * time.Second
-	}
-}
-
 // EngineArmResult summarizes one multi-driver run. Digest fingerprints the
 // committed op log plus the final link rates and capacities; two runs with
 // equal digests applied bit-identical mutations in bit-identical order and
@@ -86,7 +65,6 @@ type EngineArmResult struct {
 	FinalClock                       time.Duration
 	Digest                           uint64
 	Elapsed                          time.Duration
-	EventsPerSec                     float64
 }
 
 // RunEngineArm runs the multi-driver engine scenario: Regions partitions of
@@ -102,7 +80,6 @@ type EngineArmResult struct {
 // count cannot perturb anything — RunEngineArm with Workers=1 and
 // Workers=N produce equal Digests.
 func RunEngineArm(cfg EngineArmConfig) EngineArmResult {
-	cfg.applyDefaults()
 	if cfg.Build == nil {
 		panic("expt: RunEngineArm requires a topology Build func")
 	}
@@ -114,7 +91,6 @@ func RunEngineArm(cfg EngineArmConfig) EngineArmResult {
 	type regionStats struct{ started, stopped, triggers int }
 	stats := make([]regionStats, cfg.Regions)
 	for p := 0; p < cfg.Regions; p++ {
-		p := p
 		eng := pe.Partition(p)
 		drv := shared.Driver(uint64(p + 1))
 		paths := top.RegionPaths[p%len(top.RegionPaths)]
@@ -168,9 +144,6 @@ func RunEngineArm(cfg EngineArmConfig) EngineArmResult {
 		res.SessionsStarted += s.started
 		res.SessionsStopped += s.stopped
 		res.MonitorTriggers += s.triggers
-	}
-	if elapsed > 0 {
-		res.EventsPerSec = float64(res.Processed) / elapsed.Seconds()
 	}
 	return res
 }

@@ -111,15 +111,18 @@ func (mo Model) EngagementMinutes(m SessionMetrics, intendedMinutes float64) flo
 	return clamp(v, 0, intendedMinutes)
 }
 
-// AbandonmentProbability estimates the chance a viewer abandons during
-// startup: 5.8% per second of startup delay beyond 2 seconds, capped at 0.9
-// (somebody always waits).
-func AbandonmentProbability(startup time.Duration) float64 {
-	extra := startup.Seconds() - 2.0
-	if extra <= 0 {
-		return 0
+// FluidScore scores a fluid population of sessions from its per-session
+// delivered and target rates in bits/s: the bitrate utility of the delivered
+// rate, minus the buffering penalty on a buffering ratio of half the
+// starvation 1 − delivered/target (starved sessions stall in proportion to
+// their deficit). A zero target charges no starvation; the score is clamped
+// to [0, 100].
+func (mo Model) FluidScore(delivered, target float64) float64 {
+	starvation := 0.0
+	if target > 0 && delivered < target {
+		starvation = 1 - delivered/target
 	}
-	return clamp(0.058*extra, 0, 0.9)
+	return clamp(100*mo.BitrateUtility(delivered)-mo.BufferingPenalty*100*0.5*starvation, 0, 100)
 }
 
 func clamp(x, lo, hi float64) float64 {

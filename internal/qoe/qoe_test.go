@@ -97,16 +97,33 @@ func TestEngagementSlope(t *testing.T) {
 	}
 }
 
-func TestAbandonment(t *testing.T) {
-	if AbandonmentProbability(time.Second) != 0 {
-		t.Error("fast startup should never abandon")
+func TestFluidScore(t *testing.T) {
+	mo := DefaultModel()
+	mo.MaxBitrate = 3e6
+	// Delivered at or above target: pure bitrate utility.
+	for _, c := range []struct{ delivered, target float64 }{{3e6, 3e6}, {2e6, 1.5e6}, {1e6, 1e6}} {
+		if got, want := mo.FluidScore(c.delivered, c.target), 100*mo.BitrateUtility(c.delivered); got != want {
+			t.Errorf("FluidScore(%v, %v) = %v, want 100·utility %v", c.delivered, c.target, got, want)
+		}
 	}
-	p3 := AbandonmentProbability(3 * time.Second)
-	if math.Abs(p3-0.058) > 1e-9 {
-		t.Errorf("P(abandon|3s) = %v, want 0.058", p3)
+	// A zero target charges no starvation.
+	if got, want := mo.FluidScore(1e6, 0), 100*mo.BitrateUtility(1e6); got != want {
+		t.Errorf("FluidScore with zero target = %v, want %v", got, want)
 	}
-	if AbandonmentProbability(time.Hour) != 0.9 {
-		t.Error("abandonment should cap at 0.9")
+	// Total starvation clamps at 0.
+	if got := mo.FluidScore(0, 3e6); got != 0 {
+		t.Errorf("FluidScore(0, target) = %v, want 0", got)
+	}
+	// A partial deficit costs the buffering penalty on half the deficit.
+	if got, want := mo.FluidScore(2.7e6, 3e6), 100*mo.BitrateUtility(2.7e6)-mo.BufferingPenalty*100*0.5*0.1; math.Abs(got-want) > 1e-9 {
+		t.Errorf("FluidScore(2.7M, 3M) = %v, want %v", got, want)
+	}
+	f := func(deliveredKbps, targetKbps uint16) bool {
+		s := mo.FluidScore(float64(deliveredKbps)*1000, float64(targetKbps)*1000)
+		return s >= 0 && s <= 100
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 
