@@ -93,7 +93,8 @@ func (c *Client) get(ctx context.Context, path string, query url.Values, want wi
 	if resp.StatusCode == http.StatusNotModified && hasCached {
 		return cached.env, nil
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	// One byte past the limit tells a body at the limit from a longer one.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
 		return wire.Envelope{}, fmt.Errorf("lookingglass: read %s: %w", path, err)
 	}
@@ -111,6 +112,9 @@ func (c *Client) get(ctx context.Context, path string, query url.Values, want wi
 			}
 		}
 		return wire.Envelope{}, &StatusError{Code: resp.StatusCode, Message: truncateMessage(string(body))}
+	}
+	if len(body) > maxResponseBytes {
+		return wire.Envelope{}, fmt.Errorf("lookingglass: %s: response body exceeds the %d-byte limit", path, maxResponseBytes)
 	}
 	env, err := wire.Decode(body)
 	if err != nil {

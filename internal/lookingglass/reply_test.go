@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -138,6 +139,64 @@ func BenchmarkServeSummaries(b *testing.B) {
 		b.Fatalf("status %d, %d bytes", w.code, w.n)
 	}
 	b.SetBytes(int64(w.n))
+}
+
+// servedSummaries is the body the summaries route serves for summaries128.
+func servedSummaries(tb testing.TB) []byte {
+	tb.Helper()
+	rt, req := summariesRoute()
+	rec := httptest.NewRecorder()
+	rt.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+// decodeSummaries decodes a summaries body as Client.QoESummaries does.
+func decodeSummaries(body []byte) ([]core.QoESummary, error) {
+	env, err := wire.Decode(body)
+	if err != nil {
+		return nil, err
+	}
+	return wire.DecodePayload[[]core.QoESummary](env, wire.TypeQoESummaries)
+}
+
+var decodedSummaries []core.QoESummary
+
+func BenchmarkDecodeSummaries(b *testing.B) {
+	body := servedSummaries(b)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if decodedSummaries, err = decodeSummaries(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// Decoding n summaries allocates one string per key field, the payload copy
+// and the slice, which doubles as it grows: at most 3n plus a small
+// constant.
+func TestDecodeSummariesAllocs(t *testing.T) {
+	body := servedSummaries(t)
+	want := summaries128("x")
+	got, err := decodeSummaries(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded summaries differ from the served ones")
+	}
+	n := len(want)
+	allocs := testing.AllocsPerRun(20, func() {
+		decodedSummaries, _ = decodeSummaries(body)
+	})
+	if limit := float64(3*n + 16); allocs > limit {
+		t.Errorf("decoding %d summaries allocates %.0f times, want <= %.0f", n, allocs, limit)
+	}
 }
 
 // A reply allocates nothing sized to its body: the envelope is encoded once

@@ -7,11 +7,15 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"eona/internal/core"
+	"eona/internal/wire"
 )
 
 func TestDecayConfidence(t *testing.T) {
@@ -303,5 +307,32 @@ func TestStatusErrorBodyTruncated(t *testing.T) {
 	}
 	if len(se.Error()) > 2048 {
 		t.Errorf("Error() string still huge: %d bytes", len(se.Error()))
+	}
+}
+
+// Regression: a body past maxResponseBytes used to be cut off silently and
+// then fail as a malformed envelope. A body exactly at the limit decodes; one
+// byte more is refused with an error that names the limit.
+func TestOversizedBodyNamesTheLimit(t *testing.T) {
+	msg, err := wire.Encode(wire.TypeQoESummaries, 1, []core.QoESummary{{Sessions: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Trailing whitespace keeps the envelope valid at any size.
+		io.WriteString(w, string(msg)+strings.Repeat(" ", int(size.Load())-len(msg)))
+	}))
+	defer ts.Close()
+	client := NewClient(ts.URL, "tok", ts.Client())
+
+	size.Store(maxResponseBytes)
+	if got, err := client.QoESummaries(context.Background()); err != nil || len(got) != 1 || got[0].Sessions != 3 {
+		t.Fatalf("body of exactly %d bytes: %v, %v", maxResponseBytes, got, err)
+	}
+	size.Store(maxResponseBytes + 1)
+	_, err = client.QoESummaries(context.Background())
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(maxResponseBytes)) {
+		t.Fatalf("body of %d bytes: err = %v, want one naming the %d-byte limit", maxResponseBytes+1, err, maxResponseBytes)
 	}
 }

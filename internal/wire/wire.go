@@ -5,6 +5,12 @@
 // message type, ISO-agnostic millisecond timestamps, and strict decoding
 // (unknown versions and mismatched types are errors, unknown fields inside
 // payloads are ignored for forward compatibility).
+//
+// Encoding is encoding/json's. Decoding the envelope and the two A2I
+// payloads, []core.QoESummary and []core.TrafficEstimate, is a hand-written
+// single-pass reader (read.go) that gives encoding/json's results on every
+// input; the I2A payloads and ErrorBody, a few hundred bytes each, stay on
+// json.Unmarshal.
 package wire
 
 import (
@@ -14,6 +20,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"eona/internal/core"
 )
 
 // Version is the protocol version this implementation speaks.
@@ -132,10 +140,12 @@ func AppendEncode(dst []byte, t MessageType, generatedAtMs int64, payload any) (
 	return msg, msg[start : len(msg)-1 : len(msg)-1], nil
 }
 
-// Decode parses an envelope and validates its version and type.
+// Decode parses an envelope and validates its version and type. It reads
+// data in one pass: the payload is checked to be valid JSON and copied, not
+// decoded.
 func Decode(data []byte) (Envelope, error) {
-	var env Envelope
-	if err := json.Unmarshal(data, &env); err != nil {
+	env, err := decodeEnvelope(data)
+	if err != nil {
 		return Envelope{}, fmt.Errorf("wire: malformed envelope: %w", err)
 	}
 	if !versionAccepted(env.Version) {
@@ -148,13 +158,24 @@ func Decode(data []byte) (Envelope, error) {
 }
 
 // DecodePayload parses an envelope's payload as T after checking the
-// envelope carries the expected type.
+// envelope carries the expected type. The A2I payloads, []core.QoESummary
+// and []core.TrafficEstimate, are read by the hand-written decoder in
+// read.go; every other T goes through encoding/json.
 func DecodePayload[T any](env Envelope, want MessageType) (T, error) {
 	var v T
 	if env.Type != want {
 		return v, fmt.Errorf("%w: have %q, want %q", ErrType, env.Type, want)
 	}
-	if err := json.Unmarshal(env.Payload, &v); err != nil {
+	var err error
+	switch p := any(&v).(type) {
+	case *[]core.QoESummary:
+		*p, err = decodeList(env.Payload, (*reader).summary)
+	case *[]core.TrafficEstimate:
+		*p, err = decodeList(env.Payload, (*reader).traffic)
+	default:
+		err = json.Unmarshal(env.Payload, &v)
+	}
+	if err != nil {
 		return v, fmt.Errorf("wire: payload for %q: %w", want, err)
 	}
 	return v, nil

@@ -41,6 +41,10 @@ go test -race -run 'TestProjectionCrashSweep|TestResumeEqualsFromScratchFold|Tes
 # The multi-driver engine determinism pin: worker-pool lockstep runs vs the
 # serial reference on every topology fixture, under the race detector.
 go test -race -run 'TestEngineArmDifferentialOnFixtures|TestParallel' ./internal/expt/ ./internal/sim/
+# The wire decoder's differential fuzz: 2000 generated inputs past the seed
+# corpus, each decoded by the hand-written reader and by encoding/json. The
+# budget is an input count, not wall time, so every run does the same work.
+go test -run '^$' -fuzz '^FuzzDecodeMatchesUnmarshal$' -fuzztime 2000x ./internal/wire
 go test -race ./...
 # Hot paths can't quietly regress: key benchmarks vs the latest recording.
 scripts/bench_gate.sh
