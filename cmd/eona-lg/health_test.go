@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"eona"
+	"eona/internal/core"
+	"eona/internal/lookingglass"
 )
 
 func TestHealthEndpointWithPeer(t *testing.T) {
@@ -92,5 +94,22 @@ func TestHealthEndpointWithoutPeer(t *testing.T) {
 	}
 	if p.Breaker != "disabled" || p.Peer != "" {
 		t.Errorf("no-peer health = %+v, want disabled", p)
+	}
+}
+
+// A health document that cannot be encoded — here a last success outside
+// the years JSON times can carry — is a 500 in the error envelope, not a 200
+// with an empty body.
+func TestHealthUnencodableIs500(t *testing.T) {
+	snap := new(lookingglass.Snapshot[[]core.PeeringInfo])
+	snap.Seed(nil, time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC))
+	rec := httptest.NewRecorder()
+	healthHandler("peer", snap)(rec, httptest.NewRequest(http.MethodGet, "/v1/health", nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d body %q, want 500", rec.Code, rec.Body)
+	}
+	var ee lookingglass.ErrorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &ee); err != nil || ee.Err.Code != http.StatusInternalServerError {
+		t.Errorf("body %q is not the error envelope (err %v)", rec.Body, err)
 	}
 }

@@ -381,9 +381,8 @@ type healthPayload struct {
 
 func healthHandler(peer string, snap *lookingglass.Snapshot[[]core.PeeringInfo]) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
 		if snap == nil {
-			json.NewEncoder(w).Encode(healthPayload{Breaker: "disabled"})
+			lookingglass.WriteJSON(w, http.StatusOK, healthPayload{Breaker: "disabled"})
 			return
 		}
 		h := snap.Health(time.Now())
@@ -405,7 +404,7 @@ func healthHandler(peer string, snap *lookingglass.Snapshot[[]core.PeeringInfo])
 		if !h.LastAttempt.IsZero() {
 			p.LastAttempt = &h.LastAttempt
 		}
-		json.NewEncoder(w).Encode(p)
+		lookingglass.WriteJSON(w, http.StatusOK, p)
 	}
 }
 

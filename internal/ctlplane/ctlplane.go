@@ -111,11 +111,6 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
 // --- Read surface -----------------------------------------------------------
 
 // LinkStatus is one link's live state as served by /v1/links (and embedded
@@ -159,7 +154,7 @@ func (s *Server) linkStatuses(snap *netsim.Snapshot) []LinkStatus {
 
 func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request, _ string) {
 	snap := s.cfg.Shared.Snapshot()
-	writeJSON(w, struct {
+	lookingglass.WriteJSON(w, http.StatusOK, struct {
 		Nodes []netsim.NodeID `json:"nodes"`
 		Links []LinkStatus    `json:"links"`
 	}{Nodes: s.cfg.Topo.Nodes(), Links: s.linkStatuses(snap)})
@@ -167,7 +162,7 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request, _ string
 
 func (s *Server) handleLinks(w http.ResponseWriter, r *http.Request, _ string) {
 	snap := s.cfg.Shared.Snapshot()
-	writeJSON(w, struct {
+	lookingglass.WriteJSON(w, http.StatusOK, struct {
 		Seq   uint64       `json:"seq"`
 		Links []LinkStatus `json:"links"`
 	}{Seq: snap.Seq, Links: s.linkStatuses(snap)})
@@ -178,7 +173,7 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request, _ string) {
 	views := make([]netsim.FlowView, 0, snap.NumFlows())
 	snap.Flows(func(v netsim.FlowView) { views = append(views, v) })
 	sort.Slice(views, func(i, j int) bool { return views[i].ID < views[j].ID })
-	writeJSON(w, struct {
+	lookingglass.WriteJSON(w, http.StatusOK, struct {
 		Seq   uint64            `json:"seq"`
 		Count int               `json:"count"`
 		Flows []netsim.FlowView `json:"flows"`
@@ -188,7 +183,7 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request, _ string) {
 func (s *Server) handleComponents(w http.ResponseWriter, r *http.Request, _ string) {
 	snap := s.cfg.Shared.Snapshot()
 	comps := snap.Components()
-	writeJSON(w, struct {
+	lookingglass.WriteJSON(w, http.StatusOK, struct {
 		Seq        uint64                 `json:"seq"`
 		Count      int                    `json:"count"`
 		Components []netsim.ComponentView `json:"components"`
@@ -245,7 +240,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, _ string) {
 	if err := s.cfg.Shared.JournalError(); err != nil {
 		journalError = err.Error()
 	}
-	writeJSON(w, struct {
+	lookingglass.WriteJSON(w, http.StatusOK, struct {
 		Seq               uint64         `json:"seq"`
 		Flows             int            `json:"flows"`
 		Links             int            `json:"links"`
@@ -454,9 +449,7 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request, collab str
 	s.mu.Unlock()
 
 	s.logf("ctlplane: %s injected impairment %d (%s %s)", collab, imp.ID, imp.Kind, imp.Link)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	json.NewEncoder(w).Encode(imp.Impairment)
+	lookingglass.WriteJSON(w, http.StatusCreated, imp.Impairment)
 }
 
 // activeOnLink returns the active link impairment on a link, if any.
@@ -522,7 +515,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, _ string)
 		return
 	}
 	rec.Active = false
-	writeJSON(w, rec)
+	lookingglass.WriteJSON(w, http.StatusOK, rec)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request, _ string) {
@@ -533,7 +526,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request, _ string) {
 	}
 	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	writeJSON(w, struct {
+	lookingglass.WriteJSON(w, http.StatusOK, struct {
 		Impairments []Impairment `json:"impairments"`
 	}{Impairments: out})
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -707,5 +708,32 @@ func TestReadEndpointPayloads(t *testing.T) {
 	}
 	if stats.ReadModels.OpsFolded == 0 || stats.ReadModels.FlowStarts != 1 {
 		t.Errorf("read models = %+v", stats.ReadModels)
+	}
+}
+
+// A read that cannot be encoded — an infinite link capacity here — is a 500
+// in the error envelope, not a 200 with an empty body.
+func TestUnencodableReadIs500(t *testing.T) {
+	topo := netsim.NewTopology()
+	topo.AddLink("a", "b", math.Inf(1), time.Millisecond, "unbounded")
+	shared := netsim.NewShared(netsim.NewNetwork(topo), netsim.SharedConfig{})
+	defer shared.Close()
+	srv, err := New(Config{Shared: shared, Topo: topo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := auth.NewStore()
+	store.Register("reader-token", "reader", auth.ScopeCtlRead)
+	rt := lookingglass.NewRoutes(store, nil)
+	srv.Register(rt)
+	req := httptest.NewRequest(http.MethodGet, "/v1/links", nil)
+	req.Header.Set("Authorization", "Bearer reader-token")
+	rec := httptest.NewRecorder()
+	rt.ServeHTTP(rec, req)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d body %q, want 500", rec.Code, rec.Body)
+	}
+	if code := envelopeCode(t, rec.Body.Bytes()); code != http.StatusInternalServerError {
+		t.Errorf("envelope code = %d, want 500", code)
 	}
 }

@@ -154,6 +154,40 @@ func TestETagGolden(t *testing.T) {
 	}
 }
 
+// TestSummariesETagGolden pins an A2I summaries body and its ETag the same
+// way, on each of the three paths a repeated value takes through the reply
+// memo: the first encode, the encode that promotes it into the memo, and a
+// reply from the memo's stored bytes.
+func TestSummariesETagGolden(t *testing.T) {
+	store := auth.NewStore()
+	store.Register("tok", "p", auth.ScopeA2IQoE)
+	srv := NewServer(store, nil, Sources{QoESummaries: func() []core.QoESummary {
+		return []core.QoESummary{{
+			Key:      core.SummaryKey{ClientISP: "isp<1>", CDN: "cdnX", Cluster: "east"},
+			Sessions: 42, MeanScore: 87.5, MeanBufferingRatio: 0.0125,
+			MeanBitrateBps: 2.5e6, MeanStartupSec: 1.2, AbandonmentRate: 1e-7,
+		}}
+	}})
+	srv.Now = func() int64 { return fixedNow }
+
+	const wantETag = `"4131fa83ebb67d08"`
+	const wantBody = `{"version":"eona/1","type":"a2i.qoe_summaries","generated_at_ms":1700000000123,` +
+		`"payload":[{"key":{"client_isp":"isp\u003c1\u003e","cdn":"cdnX","cluster":"east"},"sessions":42,"mean_score":87.5,` +
+		`"mean_buffering_ratio":0.0125,"mean_bitrate_bps":2500000,"mean_startup_sec":1.2,"abandonment_rate":1e-7}]}`
+	for _, path := range []string{"encode", "promote", "memo"} {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodGet, "/v1/a2i/summaries", nil)
+		req.Header.Set("Authorization", "Bearer tok")
+		srv.Handler().ServeHTTP(rec, req)
+		if got := rec.Header().Get("ETag"); got != wantETag {
+			t.Errorf("%s: ETag = %s, want %s", path, got, wantETag)
+		}
+		if got := rec.Body.String(); got != wantBody {
+			t.Errorf("%s: body = %s\nwant   %s", path, got, wantBody)
+		}
+	}
+}
+
 // TestIfNoneMatchWeakListComparison drives If-None-Match through the server:
 // RFC 9110 §13.1.2 weak comparison over a comma-separated list, or "*".
 func TestIfNoneMatchWeakListComparison(t *testing.T) {

@@ -1,7 +1,6 @@
 package lookingglass
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -49,7 +48,6 @@ func HistoryHandler(maxOffset func() int, at func(offset int) (any, error)) http
 			WriteError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(HistoryResponse{Offset: offset, MaxOffset: max, Data: data})
+		WriteJSON(w, http.StatusOK, HistoryResponse{Offset: offset, MaxOffset: max, Data: data})
 	}
 }

@@ -3,6 +3,7 @@ package lookingglass
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -69,5 +70,40 @@ func TestHistoryHandlerOffsets(t *testing.T) {
 	// Materialization failure surfaces as a server error.
 	if code, _ = getHistory(t, ts.URL+"?offset=7"); code != http.StatusInternalServerError {
 		t.Fatalf("failing offset → %d, want 500", code)
+	}
+}
+
+// A view that cannot be encoded is a server error in the unified envelope,
+// not a 200 with an empty body.
+func TestHistoryUnencodableViewIs500(t *testing.T) {
+	h := HistoryHandler(func() int { return 1 }, func(int) (any, error) {
+		return map[string]float64{"score": math.NaN()}, nil
+	})
+	rec := httptest.NewRecorder()
+	h(rec, httptest.NewRequest(http.MethodGet, "/v1/history/summaries", nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status = %d body %q, want 500", rec.Code, rec.Body)
+	}
+	var ee ErrorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &ee); err != nil || ee.Err.Code != http.StatusInternalServerError {
+		t.Errorf("body %q is not the error envelope (err %v)", rec.Body, err)
+	}
+}
+
+// WriteJSON buffers the body before writing it, in a pooled buffer: it
+// allocates no more than streaming the encoder into the writer did.
+func TestWriteJSONAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	v := HistoryResponse{Offset: 3, MaxOffset: 9, Data: []RouteInfo{{Method: "GET", Pattern: "/v1/links"}}}
+	w := &discardWriter{h: http.Header{}}
+	streamed := testing.AllocsPerRun(100, func() {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(v)
+	})
+	buffered := testing.AllocsPerRun(100, func() { WriteJSON(w, http.StatusOK, v) })
+	if buffered > streamed {
+		t.Errorf("WriteJSON allocates %.0f times, streaming %.0f", buffered, streamed)
 	}
 }

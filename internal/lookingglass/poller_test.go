@@ -3,10 +3,15 @@ package lookingglass
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"eona/internal/auth"
 	"eona/internal/core"
 )
 
@@ -243,4 +248,66 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("condition not met within deadline")
+}
+
+// A 304 is a fresh answer: a poller whose partner's summaries are unchanged
+// gets 304s, from the reply memo once the value is held there, and each one
+// renews the snapshot exactly as a 200 does.
+func TestPollNotModifiedIsFresh(t *testing.T) {
+	payload := summaries128("x")[:8]
+	store := auth.NewStore()
+	store.Register("tok", "p", auth.ScopeA2IQoE)
+	srv := NewServer(store, nil, Sources{QoESummaries: func() []core.QoESummary { return slices.Clone(payload) }})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	ct := &countingTransport{inner: ts.Client().Transport}
+	client := NewClient(ts.URL, "tok", &http.Client{Transport: ct})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Each poll waits for a step, so the test inspects the snapshot between
+	// polls.
+	step := make(chan struct{})
+	cfg := breakerless(time.Millisecond)
+	cfg.HalfLife = time.Minute
+	snap, done := PollWith(ctx, cfg, func(context.Context) ([]core.QoESummary, error) {
+		select {
+		case <-step:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return client.QoESummaries(ctx)
+	})
+
+	var prev time.Time
+	for i := uint64(1); i <= 4; i++ {
+		step <- struct{}{}
+		waitFor(t, func() bool { return snap.Health(time.Now()).Polls == i })
+		v, at, ok := snap.Get()
+		if !ok || !at.After(prev) {
+			t.Fatalf("poll %d: fetchedAt %v did not advance past %v", i, at, prev)
+		}
+		if c := snap.Confidence(at); c != 1 {
+			t.Errorf("poll %d: confidence %v at fetchedAt, want 1", i, c)
+		}
+		if h := snap.Health(at); h.Successes != i || h.Failures != 0 {
+			t.Errorf("poll %d: %d successes, %d failures", i, h.Successes, h.Failures)
+		}
+		if !reflect.DeepEqual(v, payload) {
+			t.Errorf("poll %d: snapshot holds %d summaries, not the served ones", i, len(v))
+		}
+		if ok, notMod := ct.ok.Load(), ct.notMod.Load(); ok != 1 || notMod != int64(i-1) {
+			t.Fatalf("poll %d: %d 200s and %d 304s, want 1 and %d", i, ok, notMod, i-1)
+		}
+		prev = at
+	}
+	sl := srv.summaries.slot("p")
+	sl.mu.Lock()
+	held := sl.held && sameList(payload, sl.value, sameSummary)
+	sl.mu.Unlock()
+	if !held {
+		t.Error("the reply memo does not hold the unchanged summaries: the 304s were re-encoded")
+	}
+	cancel()
+	<-done
 }

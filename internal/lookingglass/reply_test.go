@@ -115,20 +115,35 @@ func (d *discardWriter) Header() http.Header         { return d.h }
 func (d *discardWriter) WriteHeader(code int)        { d.code = code }
 func (d *discardWriter) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
 
-// summariesRoute serves summaries128 from a Routes registry and returns it
-// with a reusable authorized request for it.
-func summariesRoute() (*Routes, *http.Request) {
-	payload := summaries128("x")
+// summariesRoute serves the given payloads in turn from a Routes registry
+// and returns it with a reusable authorized request for it.
+func summariesRoute(payloads ...[]core.QoESummary) (*Routes, *http.Request) {
+	calls := 0
 	store := auth.NewStore()
 	store.Register("tok", "p", auth.ScopeA2IQoE)
-	srv := NewServer(store, nil, Sources{QoESummaries: func() []core.QoESummary { return payload }})
+	srv := NewServer(store, nil, Sources{QoESummaries: func() []core.QoESummary {
+		calls++
+		return payloads[calls%len(payloads)]
+	}})
 	req := httptest.NewRequest(http.MethodGet, "/v1/a2i/summaries", nil)
 	req.Header.Set("Authorization", "Bearer tok")
 	return srv.Routes(), req
 }
 
-func BenchmarkServeSummaries(b *testing.B) {
-	rt, req := summariesRoute()
+// changingSummaries serves two summaries128 payloads alternately, so every
+// reply is a memo miss: the encode on each serve that
+// BENCH_2026-10-15.json recorded.
+func changingSummaries() (*Routes, *http.Request) {
+	return summariesRoute(summaries128("x"), summaries128("y"))
+}
+
+// unchangedSummaries serves one summaries128 payload, so every reply after
+// the second comes from the memo.
+func unchangedSummaries() (*Routes, *http.Request) {
+	return summariesRoute(summaries128("x"))
+}
+
+func benchmarkServe(b *testing.B, rt *Routes, req *http.Request) {
 	w := &discardWriter{h: http.Header{}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -141,10 +156,24 @@ func BenchmarkServeSummaries(b *testing.B) {
 	b.SetBytes(int64(w.n))
 }
 
+// BenchmarkServeSummaries is the changed-state reply: one encode and one
+// SHA-256 per serve.
+func BenchmarkServeSummaries(b *testing.B) {
+	rt, req := changingSummaries()
+	benchmarkServe(b, rt, req)
+}
+
+// BenchmarkServeSummariesUnchanged is the unchanged-state reply: the memo's
+// stored payload in a fresh envelope.
+func BenchmarkServeSummariesUnchanged(b *testing.B) {
+	rt, req := unchangedSummaries()
+	benchmarkServe(b, rt, req)
+}
+
 // servedSummaries is the body the summaries route serves for summaries128.
 func servedSummaries(tb testing.TB) []byte {
 	tb.Helper()
-	rt, req := summariesRoute()
+	rt, req := unchangedSummaries()
 	rec := httptest.NewRecorder()
 	rt.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
@@ -199,18 +228,13 @@ func TestDecodeSummariesAllocs(t *testing.T) {
 	}
 }
 
-// A reply allocates nothing sized to its body: the envelope is encoded once
-// into a pooled buffer.
-func TestServeSummariesAllocBytes(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
-	}
-	rt, req := summariesRoute()
+// serveAllocs serves n replies after a warm-up and returns the body size
+// and the bytes allocated, per reply.
+func serveAllocs(rt *Routes, req *http.Request, n int) (body, alloc uint64) {
 	w := &discardWriter{h: http.Header{}}
 	for i := 0; i < 20; i++ {
 		rt.ServeHTTP(w, req)
 	}
-	const n = 200
 	w.n = 0
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -218,12 +242,47 @@ func TestServeSummariesAllocBytes(t *testing.T) {
 		rt.ServeHTTP(w, req)
 	}
 	runtime.ReadMemStats(&after)
-	body := w.n / n
+	return uint64(w.n / n), (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+}
+
+// A changed-state reply allocates nothing sized to its body: the envelope
+// is encoded once into a pooled buffer.
+func TestServeSummariesAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	rt, req := changingSummaries()
+	body, per := serveAllocs(rt, req, 200)
 	if body < 30<<10 {
 		t.Fatalf("served %d bytes per reply, want the ~34 KB body", body)
 	}
-	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 4<<10 {
+	if per >= 4<<10 {
 		t.Errorf("a summaries reply allocates %d B, want < 4 KB (body is %d B)", per, body)
+	}
+}
+
+// An unchanged-state reply from the memo allocates less often than a
+// changed one (6 times, BENCH_2026-10-15.json), since it neither encodes
+// nor hashes, and nothing near a body: no encode buffer, no value copy.
+func TestServeSummariesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+	}
+	allocs := func(rt *Routes, req *http.Request) float64 {
+		w := &discardWriter{h: http.Header{}}
+		return testing.AllocsPerRun(100, func() { rt.ServeHTTP(w, req) })
+	}
+	hit, miss := allocs(unchangedSummaries()), allocs(changingSummaries())
+	if hit > 6 || hit >= miss {
+		t.Errorf("a memo reply allocates %.0f times, want <= 6 and fewer than a changed reply's %.0f", hit, miss)
+	}
+	rt, req := unchangedSummaries()
+	body, per := serveAllocs(rt, req, 200)
+	if body < 30<<10 {
+		t.Fatalf("served %d bytes per reply, want the ~34 KB body", body)
+	}
+	if per >= 1<<10 {
+		t.Errorf("a memo reply allocates %d B, want < 1 KB (body is %d B)", per, body)
 	}
 }
 

@@ -32,6 +32,23 @@ func WriteError(w http.ResponseWriter, code int, msg string) {
 	json.NewEncoder(w).Encode(ErrorEnvelope{Err: APIError{Code: code, Message: msg}})
 }
 
+// WriteJSON answers code with v's JSON encoding. v is encoded in full
+// before anything is written, so a value that cannot be encoded (a NaN, a
+// time outside years 0–9999) answers 500 with the error envelope, not a 200
+// with an empty body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	buf := getReplyBuf()
+	defer putReplyBuf(buf)
+	*buf = (*buf)[:0]
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		WriteError(w, http.StatusInternalServerError, "encoding failure: "+err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(*buf)
+}
+
 // RouteInfo describes one registered endpoint; Routes.Table exposes the full
 // set for docs and the dashboard.
 type RouteInfo struct {

@@ -25,7 +25,8 @@ import (
 
 // Sources supplies the data a server exports. Nil funcs mean "surface not
 // offered" and return 404. Each func is called per request; implementations
-// close over the owner's state (and its simulator clock, if any).
+// close over the owner's state (and its simulator clock, if any). The server
+// may keep a returned slice and never writes to it.
 type Sources struct {
 	// A2I surfaces (set by an AppP).
 	QoESummaries     func() []core.QoESummary
@@ -56,6 +57,11 @@ type Server struct {
 	Now func() int64
 	// Logf, when set, logs denied and failed requests.
 	Logf func(format string, args ...any)
+
+	// summaries and traffic serve the A2I routes from the bytes of the
+	// last value each collaborator was sent, while it is unchanged.
+	summaries replyMemo[core.QoESummary]
+	traffic   replyMemo[core.TrafficEstimate]
 }
 
 // NewServer builds a server. limiter may be nil (no rate limiting).
@@ -64,10 +70,12 @@ func NewServer(store *auth.Store, limiter *auth.RateLimiter, src Sources) *Serve
 		panic("lookingglass: nil auth store")
 	}
 	return &Server{
-		auth:    store,
-		limiter: limiter,
-		src:     src,
-		Now:     func() int64 { return time.Now().UnixMilli() },
+		auth:      store,
+		limiter:   limiter,
+		src:       src,
+		Now:       func() int64 { return time.Now().UnixMilli() },
+		summaries: replyMemo[core.QoESummary]{t: wire.TypeQoESummaries, same: sameSummary},
+		traffic:   replyMemo[core.TrafficEstimate]{t: wire.TypeTrafficEstimates, same: sameTraffic},
 	}
 }
 
@@ -122,30 +130,61 @@ func (s *Server) deny(w http.ResponseWriter, code int, msg string) {
 // body is left to the collector rather than pinned in the pool.
 const maxPooledReply = 1 << 20
 
+// replyBuf is a reply body under construction. Write appends, so an
+// encoder can fill one.
+type replyBuf []byte
+
+func (b *replyBuf) Write(p []byte) (int, error) {
+	*b = append(*b, p...)
+	return len(p), nil
+}
+
 // replyBufs holds encode buffers across replies, so a poll allocates
 // nothing sized to its body.
-var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+var replyBufs = sync.Pool{New: func() any { return new(replyBuf) }}
+
+func getReplyBuf() *replyBuf { return replyBufs.Get().(*replyBuf) }
+
+func putReplyBuf(buf *replyBuf) {
+	if cap(*buf) <= maxPooledReply {
+		replyBufs.Put(buf)
+	}
+}
 
 func (s *Server) reply(w http.ResponseWriter, r *http.Request, t wire.MessageType, payload any) {
-	buf := replyBufs.Get().(*[]byte)
-	defer func() {
-		if cap(*buf) <= maxPooledReply {
-			replyBufs.Put(buf)
-		}
-	}()
-	msg, raw, err := wire.AppendEncode((*buf)[:0], t, s.Now(), payload)
+	buf := getReplyBuf()
+	defer putReplyBuf(buf)
+	if raw, ok := s.encode(w, buf, t, s.Now(), payload); ok {
+		s.send(w, r, payloadETag(raw), *buf)
+	}
+}
+
+// encode fills buf with payload in t's envelope, generated at ms, and
+// returns the payload's span inside it. On failure it answers 500 with the
+// error envelope and reports false.
+func (s *Server) encode(w http.ResponseWriter, buf *replyBuf, t wire.MessageType, ms int64, payload any) (raw []byte, ok bool) {
+	msg, raw, err := wire.AppendEncode((*buf)[:0], t, ms, payload)
 	if err != nil {
 		s.logf("lookingglass: encode %s: %v", t, err)
 		WriteError(w, http.StatusInternalServerError, "encoding failure")
-		return
+		return nil, false
 	}
 	*buf = msg
-	// ETag over the payload (not the envelope: the envelope timestamp
-	// changes every call even when the data hasn't) so pollers can use
-	// If-None-Match and skip unchanged bodies — EONA peers poll these
-	// endpoints continuously.
+	return raw, true
+}
+
+// payloadETag names a payload by its SHA-256. It hashes the payload, not the
+// envelope: the envelope timestamp changes every call even when the data
+// hasn't, and pollers use If-None-Match to skip unchanged bodies — EONA
+// peers poll these endpoints continuously.
+func payloadETag(raw []byte) string {
 	sum := sha256.Sum256(raw)
-	etag := `"` + hex.EncodeToString(sum[:8]) + `"`
+	return `"` + hex.EncodeToString(sum[:8]) + `"`
+}
+
+// send is every encoded reply's tail: the ETag, then a 304 when the request
+// names it, else msg as the JSON body.
+func (s *Server) send(w http.ResponseWriter, r *http.Request, etag string, msg []byte) {
 	w.Header().Set("ETag", etag)
 	if noneMatch(r.Header.Values("If-None-Match"), etag) {
 		w.WriteHeader(http.StatusNotModified)
@@ -198,9 +237,9 @@ func cutETag(s string) (tag, rest string, ok bool) {
 func (s *Server) handleSummaries(w http.ResponseWriter, r *http.Request, collab string) {
 	switch {
 	case s.src.QoESummariesFor != nil:
-		s.reply(w, r, wire.TypeQoESummaries, s.src.QoESummariesFor(collab))
+		s.summaries.serve(s, w, r, collab, s.src.QoESummariesFor(collab))
 	case s.src.QoESummaries != nil:
-		s.reply(w, r, wire.TypeQoESummaries, s.src.QoESummaries())
+		s.summaries.serve(s, w, r, collab, s.src.QoESummaries())
 	default:
 		s.deny(w, http.StatusNotFound, "a2i summaries not offered")
 	}
@@ -209,9 +248,9 @@ func (s *Server) handleSummaries(w http.ResponseWriter, r *http.Request, collab 
 func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request, collab string) {
 	switch {
 	case s.src.TrafficEstimatesFor != nil:
-		s.reply(w, r, wire.TypeTrafficEstimates, s.src.TrafficEstimatesFor(collab))
+		s.traffic.serve(s, w, r, collab, s.src.TrafficEstimatesFor(collab))
 	case s.src.TrafficEstimates != nil:
-		s.reply(w, r, wire.TypeTrafficEstimates, s.src.TrafficEstimates())
+		s.traffic.serve(s, w, r, collab, s.src.TrafficEstimates())
 	default:
 		s.deny(w, http.StatusNotFound, "a2i traffic not offered")
 	}

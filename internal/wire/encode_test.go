@@ -61,6 +61,12 @@ func requireSameEncoding(t *testing.T, name string, typ MessageType, at int64, p
 	if &raw[len(raw)-1] != &msg[len(msg)-2] {
 		t.Fatalf("%s: raw is not the payload span inside msg", name)
 	}
+	// Re-wrapping the payload span reproduces the message: a server that
+	// keeps raw serves the same bytes without marshalling again.
+	wrapped, err := AppendWrap(prefix[:len(prefix):len(prefix)], typ, at, raw)
+	if err != nil || !bytes.Equal(wrapped, msg) {
+		t.Fatalf("%s: AppendWrap = %q (err %v), want %q", name, wrapped, err, msg)
+	}
 }
 
 func TestEncodeMatchesMarshal(t *testing.T) {

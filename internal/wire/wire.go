@@ -119,15 +119,10 @@ func Encode(t MessageType, generatedAtMs int64, payload any) ([]byte, error) {
 // payload is already compact and HTML-escaped. On error it returns dst
 // unchanged.
 func AppendEncode(dst []byte, t MessageType, generatedAtMs int64, payload any) (msg, raw []byte, err error) {
-	if !knownTypes[t] {
-		return dst, nil, fmt.Errorf("%w: %q", ErrType, t)
+	msg, err = appendHead(dst, t, generatedAtMs)
+	if err != nil {
+		return dst, nil, err
 	}
-	// Known types are plain ASCII: no string escaping needed.
-	msg = append(dst, `{"version":"`+Version+`","type":"`...)
-	msg = append(msg, t...)
-	msg = append(msg, `","generated_at_ms":`...)
-	msg = strconv.AppendInt(msg, generatedAtMs, 10)
-	msg = append(msg, `,"payload":`...)
 	start := len(msg)
 	buf := bytes.NewBuffer(msg)
 	if err := json.NewEncoder(buf).Encode(payload); err != nil {
@@ -138,6 +133,32 @@ func AppendEncode(dst []byte, t MessageType, generatedAtMs int64, payload any) (
 	msg = buf.Bytes()
 	msg[len(msg)-1] = '}'
 	return msg, msg[start : len(msg)-1 : len(msg)-1], nil
+}
+
+// AppendWrap appends raw, a payload as AppendEncode returned it, wrapped in
+// a fresh envelope: the bytes AppendEncode would append for the payload raw
+// was encoded from. On error it returns dst unchanged.
+func AppendWrap(dst []byte, t MessageType, generatedAtMs int64, raw []byte) ([]byte, error) {
+	msg, err := appendHead(dst, t, generatedAtMs)
+	if err != nil {
+		return dst, err
+	}
+	msg = append(msg, raw...)
+	return append(msg, '}'), nil
+}
+
+// appendHead appends an envelope's fixed fields, up to the payload's first
+// byte.
+func appendHead(dst []byte, t MessageType, generatedAtMs int64) ([]byte, error) {
+	if !knownTypes[t] {
+		return dst, fmt.Errorf("%w: %q", ErrType, t)
+	}
+	// Known types are plain ASCII: no string escaping needed.
+	msg := append(dst, `{"version":"`+Version+`","type":"`...)
+	msg = append(msg, t...)
+	msg = append(msg, `","generated_at_ms":`...)
+	msg = strconv.AppendInt(msg, generatedAtMs, 10)
+	return append(msg, `,"payload":`...), nil
 }
 
 // Decode parses an envelope and validates its version and type. It reads

@@ -30,7 +30,10 @@ cd "$(dirname "$0")/.."
 # net-churn window, journal append, and the lockstep engine's serial instant
 # loop, plus the projection hot paths: the incremental fold, checkpoint-
 # seeded materialization and the live (allocation-free) projected query,
-# and one looking-glass summaries reply (encode once into a pooled buffer).
+# and the looking-glass summaries reply to changed state: ServeSummaries
+# alternates two payloads, so every serve misses the reply memo and pays one
+# encode into a pooled buffer and one SHA-256 (the unchanged-state reply,
+# ServeSummariesUnchanged, is not recorded yet).
 # Everything else the recording holds is waived, one reason per name, in
 # scripts/bench_exempt.txt (multi-worker variants are scheduler-bound,
 # synced appends disk-bound, ...). (go test treats each unbracketed "|"

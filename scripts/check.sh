@@ -29,6 +29,10 @@ scripts/benchcheck.sh
 go test -race ./internal/core/... ./internal/agg/... ./internal/netsim/... \
 	./internal/control/... ./internal/lookingglass/... ./internal/journal/... \
 	./internal/projection/... ./internal/ctlplane/...
+# The looking glass's reply memo under concurrency, 50 times over: two
+# partners polling a source that flips between two values, so slots are
+# promoted while other requests read them.
+go test -race -run '^TestReplyMemoConcurrentFlips$' -count 50 ./internal/lookingglass/
 # The crash-injection sweep: kill the journal at every record boundary (and
 # seeded mid-record offsets) on every topology fixture; recovery must equal
 # a from-scratch serial replay of the surviving prefix. The projection sweep
