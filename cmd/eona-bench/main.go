@@ -5,13 +5,14 @@
 //
 //	eona-bench [-seed N] [-only E2,E8] [-list] [-skip-slow] [-parallel N]
 //
-// -only selects a comma-separated subset by experiment ID; -list prints
-// the registry (ID, slow flag, title) and exits. -skip-slow omits the
-// experiments the registry marks slow: the fleet simulations (E1, E4) and
-// the wall-clock measurement (E7), which dominate runtime. -parallel runs
-// that many experiments concurrently (0 = GOMAXPROCS); tables still print
-// in suite order. E7's wall-clock rows are only meaningful at -parallel 1,
-// since co-running experiments steal the cycles it is timing.
+// -only selects a comma-separated subset by experiment ID (an ID not in
+// the registry is an error); -list prints the registry (ID, slow flag,
+// title) and exits. -skip-slow omits the experiments the registry marks
+// slow: the fleet simulations (E1, E4) and the wall-clock measurement (E7),
+// which dominate runtime. -parallel runs that many experiments concurrently
+// (0 = GOMAXPROCS, below 0 is an error); tables still print in suite order.
+// E7's wall-clock rows are only meaningful at -parallel 1, since co-running
+// experiments steal the cycles it is timing.
 package main
 
 import (
@@ -48,7 +49,14 @@ func main() {
 		return
 	}
 
-	want := selector(*only, *skipSlow)
+	want, err := selector(*only, *skipSlow)
+	if err == nil {
+		err = checkParallel(*parallel)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "eona-bench:", err)
+		os.Exit(2)
+	}
 	var selected []eona.ExperimentDef
 	for _, d := range eona.Experiments() {
 		if want(d) {
@@ -65,18 +73,35 @@ func main() {
 }
 
 // selector builds the experiment filter from the -only and -skip-slow
-// flags; the slow set comes from the registry, not a local list.
-func selector(only string, skipSlow bool) func(d eona.ExperimentDef) bool {
+// flags; the slow set comes from the registry, not a local list. An -only ID
+// the registry does not hold is an error that names it.
+func selector(only string, skipSlow bool) (func(d eona.ExperimentDef) bool, error) {
 	selected := map[string]bool{}
+	var unknown []string
 	if only != "" {
 		for _, id := range strings.Split(only, ",") {
-			selected[strings.ToUpper(strings.TrimSpace(id))] = true
+			id = strings.ToUpper(strings.TrimSpace(id))
+			if _, ok := eona.LookupExperiment(id); !ok {
+				unknown = append(unknown, fmt.Sprintf("%q", id))
+			}
+			selected[id] = true
 		}
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("-only names unknown experiments %s (see -list)", strings.Join(unknown, ", "))
 	}
 	return func(d eona.ExperimentDef) bool {
 		if len(selected) > 0 {
 			return selected[d.ID]
 		}
 		return !(skipSlow && d.Slow)
+	}, nil
+}
+
+// checkParallel rejects a negative -parallel; 0 means GOMAXPROCS.
+func checkParallel(n int) error {
+	if n < 0 {
+		return fmt.Errorf("-parallel must be 0 (GOMAXPROCS) or more, got %d", n)
 	}
+	return nil
 }

@@ -23,8 +23,18 @@ func def(t *testing.T, id string) eona.ExperimentDef {
 	return d
 }
 
+// mustSelect is selector for flag values it must accept.
+func mustSelect(t *testing.T, only string, skipSlow bool) func(eona.ExperimentDef) bool {
+	t.Helper()
+	want, err := selector(only, skipSlow)
+	if err != nil {
+		t.Fatalf("selector(%q, %v): %v", only, skipSlow, err)
+	}
+	return want
+}
+
 func TestSelectorAll(t *testing.T) {
-	want := selector("", false)
+	want := mustSelect(t, "", false)
 	for _, id := range []string{"E1", "E2", "E7", "E14"} {
 		if !want(def(t, id)) {
 			t.Errorf("default selector excluded %s", id)
@@ -33,7 +43,7 @@ func TestSelectorAll(t *testing.T) {
 }
 
 func TestSelectorOnly(t *testing.T) {
-	want := selector("e2, E8", false)
+	want := mustSelect(t, "e2, E8", false)
 	if !want(def(t, "E2")) || !want(def(t, "E8")) {
 		t.Error("-only selections excluded")
 	}
@@ -43,7 +53,7 @@ func TestSelectorOnly(t *testing.T) {
 }
 
 func TestSelectorSkipSlow(t *testing.T) {
-	want := selector("", true)
+	want := mustSelect(t, "", true)
 	for _, d := range eona.Experiments() {
 		if d.Slow && want(d) {
 			t.Errorf("-skip-slow included %s", d.ID)
@@ -55,9 +65,45 @@ func TestSelectorSkipSlow(t *testing.T) {
 }
 
 func TestSelectorOnlyOverridesSkipSlow(t *testing.T) {
-	want := selector("E1", true)
+	want := mustSelect(t, "E1", true)
 	if !want(def(t, "E1")) {
 		t.Error("-only E1 should include E1 even with -skip-slow")
+	}
+}
+
+// An -only ID the registry does not hold is rejected by name, not dropped.
+func TestSelectorRejectsUnknownIDs(t *testing.T) {
+	for only, named := range map[string][]string{
+		"E2,E99":   {`"E99"`},
+		"e16, x":   {`"E16"`, `"X"`},
+		"E1,,E2":   {`""`},
+		"E0":       {`"E0"`},
+		"E2 , E15": nil,
+	} {
+		_, err := selector(only, false)
+		if named == nil {
+			if err != nil {
+				t.Errorf("-only %q: rejected: %v", only, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("-only %q: accepted, want the unknown IDs named", only)
+			continue
+		}
+		for _, id := range named {
+			if !strings.Contains(err.Error(), id) {
+				t.Errorf("-only %q: error %q does not name %s", only, err, id)
+			}
+		}
+	}
+}
+
+func TestCheckParallel(t *testing.T) {
+	for n, ok := range map[int]bool{-1: false, -8: false, 0: true, 1: true, 4: true} {
+		if err := checkParallel(n); (err == nil) != ok {
+			t.Errorf("-parallel %d: err = %v, want accepted = %v", n, err, ok)
+		}
 	}
 }
 

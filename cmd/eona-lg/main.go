@@ -67,6 +67,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"time"
@@ -82,6 +83,19 @@ import (
 	"eona/internal/web"
 )
 
+// checkFlags rejects the flag values the server cannot run with: a
+// non-positive or non-finite request rate, and a non-positive partner poll
+// interval.
+func checkFlags(rate float64, peerInterval time.Duration) error {
+	switch {
+	case math.IsNaN(rate) || math.IsInf(rate, 0) || rate <= 0:
+		return fmt.Errorf("-rate must be a finite positive rate, got %v", rate)
+	case peerInterval <= 0:
+		return fmt.Errorf("-peer-interval must be positive, got %v", peerInterval)
+	}
+	return nil
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	role := flag.String("role", "infp", "which side to serve: appp (A2I) or infp (I2A)")
@@ -94,6 +108,9 @@ func main() {
 	journalSync := flag.String("journal-sync", "append", "journal fsync policy: append | rotate | never")
 	netsimOn := flag.Bool("netsim", true, "run the demo network and mount the live control plane + dashboard")
 	flag.Parse()
+	if err := checkFlags(*rate, *peerInterval); err != nil {
+		log.Fatalf("eona-lg: %v", err)
+	}
 
 	store := eona.NewAuthStore()
 	store.Register(*token, "demo-collaborator", eona.ScopeAdmin)

@@ -3,9 +3,11 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -405,4 +407,36 @@ func TestSummariesUnderConcurrentIngest(t *testing.T) {
 	}
 	close(stop)
 	<-done
+}
+
+// Each value the rate limiter or the partner poller would panic on, or that
+// would answer 429 to every request (NaN slips past a <= 0 check), is
+// rejected with an error naming its flag.
+func TestCheckFlags(t *testing.T) {
+	cases := []struct {
+		name     string
+		rate     float64
+		interval time.Duration
+		wantErr  string // "" = accepted
+	}{
+		{"defaults", 50, 10 * time.Second, ""},
+		{"slow poll, low rate", 0.5, time.Hour, ""},
+		{"zero rate", 0, 10 * time.Second, "-rate"},
+		{"negative rate", -1, 10 * time.Second, "-rate"},
+		{"NaN rate", math.NaN(), 10 * time.Second, "-rate"},
+		{"infinite rate", math.Inf(1), 10 * time.Second, "-rate"},
+		{"zero interval", 50, 0, "-peer-interval"},
+		{"negative interval", 50, -time.Second, "-peer-interval"},
+	}
+	for _, c := range cases {
+		err := checkFlags(c.rate, c.interval)
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.wantErr != "" && err == nil:
+			t.Errorf("%s: accepted, want a %s error", c.name, c.wantErr)
+		case c.wantErr != "" && !strings.HasPrefix(err.Error(), c.wantErr+" "):
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.wantErr)
+		}
+	}
 }

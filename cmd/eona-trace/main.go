@@ -1,7 +1,7 @@
 // Command eona-trace generates and inspects workload traces — the synthetic
 // stand-in for the production session logs the paper's scenarios come from.
 // Traces are CSV (see internal/workload.WriteTrace) so an experiment's exact
-// inputs can be archived, diffed, and replayed.
+// inputs can be archived, diffed and inspected.
 //
 // Generate a flash-crowd trace:
 //

@@ -2,6 +2,7 @@ package eona_test
 
 import (
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -10,8 +11,10 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -66,10 +69,11 @@ var keptExports = map[string]string{
 // method, type or const in internal/ that none of them uses. A method counts
 // as used when a type whose method set holds it satisfies an interface with
 // a method of that name, or when its body is a single return statement (an
-// accessor). Struct fields are out of scope. A name whose only use is in
-// another unused name is reported once that one is deleted.
+// accessor). TestInternalFieldsHaveAReader checks struct fields. A name
+// whose only use is in another unused name is reported once that one is
+// deleted.
 func TestInternalExportsHaveACaller(t *testing.T) {
-	s := newExportScan(t)
+	s := sharedScan(t)
 	unused := s.unusedInternalExports()
 
 	var missing []string
@@ -99,8 +103,23 @@ type exportScan struct {
 	files map[string][]*ast.File
 }
 
-func newExportScan(t *testing.T) *exportScan {
+// The two guards share one type-check of the repository.
+var (
+	scanOnce sync.Once
+	scan     *exportScan
+	scanErr  error
+)
+
+func sharedScan(t *testing.T) *exportScan {
 	t.Helper()
+	scanOnce.Do(func() { scan, scanErr = newExportScan() })
+	if scanErr != nil {
+		t.Fatal(scanErr)
+	}
+	return scan
+}
+
+func newExportScan() (*exportScan, error) {
 	fset := token.NewFileSet()
 	s := &exportScan{
 		fset:  fset,
@@ -131,7 +150,7 @@ func newExportScan(t *testing.T) *exportScan {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	paths := make([]string, 0, len(s.dirs))
 	for ip := range s.dirs {
@@ -140,10 +159,10 @@ func newExportScan(t *testing.T) *exportScan {
 	sort.Strings(paths)
 	for _, ip := range paths {
 		if _, err := s.Import(ip); err != nil && !errors.Is(err, errNoGo) {
-			t.Fatalf("type-check %s: %v", ip, err)
+			return nil, fmt.Errorf("type-check %s: %w", ip, err)
 		}
 	}
-	return s
+	return s, nil
 }
 
 var errNoGo = errors.New("no non-test Go files")
@@ -174,7 +193,13 @@ func (s *exportScan) Import(path string) (*types.Package, error) {
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Instances:  map[*ast.Ident]types.Instance{},
+	}
 	pkg, err := (&types.Config{Importer: s}).Check(path, s.fset, files, info)
 	if err != nil {
 		return nil, err
@@ -344,4 +369,396 @@ func (s *exportScan) interfaceMethods() map[types.Object]bool {
 		}
 	}
 	return out
+}
+
+// keptFields lists the struct fields in internal/ that
+// TestInternalFieldsHaveAReader would report, each with the reason it stays.
+// Keys are "pkg.Type.Field", with one more ".Field" per nested anonymous
+// struct. A result field stays only when a named test asserts a property
+// through it that nothing else shows; an option stays only when a test sets
+// it to produce a result the docs report, or to reach a state no production
+// setting reaches in test time.
+var keptFields = map[string]string{
+	// Result fields a test is the reader of.
+	"expt.E1Result.CapEpochs":    "TestE1EONAImprovesExperience: the EONA cap engages",
+	"expt.E4Result.ColdMisses":   "TestE4ColdMisses: EONA failover causes zero cold misses at CDN Y",
+	"expt.E4Result.WarmHitRatio": "TestE4ColdMisses: CDN X's cache is warm when its server fails",
+	"isp.ISP.EgressChanges":      "TestFullStackFigure5OverHTTP: one egress change and no churn (Fig. 5)",
+
+	// Ablation arms: the ablation tests are how EXPERIMENTS.md's ablation
+	// results are produced.
+	"expt.E1Config.UniformCap":       "TestAblationMixedRungCap: the uniform-cap ablation arm",
+	"expt.Fig5Config.DampHysteresis": "TestAblationDampeningComponents: the hysteresis-only arm",
+	"expt.Fig5Config.DampBackoff":    "TestAblationDampeningComponents: the backoff-only arm",
+
+	// Test seams: the robustness tests run the breaker on millisecond
+	// cooldowns, until the poller takes an injectable clock.
+	"lookingglass.PollConfig.BackoffBase": "TestPollWithBreakerRecovery: millisecond retry backoff",
+	"lookingglass.PollConfig.BackoffMax":  "TestPollWithBreakerRecovery: millisecond backoff cap",
+	"lookingglass.PollConfig.Breaker":     "TestPollWithBreakerRecovery: a breaker that opens after 2 failures and cools in 40 ms",
+}
+
+// TestInternalFieldsHaveAReader scans the type-checked packages of
+// TestInternalExportsHaveACaller and fails on each struct field of a type
+// declared in internal/, exported or not, that non-test code never reads, or
+// that it reads but never sets. A field that stays anyway goes in keptFields
+// with a reason; an entry that no longer needs to be there fails too.
+//
+//   - A read is a field selector that is not the target of =, op= or ++/--.
+//     Taking &x.f counts as a read, and as a set.
+//   - A set is an assignment target, including x.f[i] =, or an entry of a
+//     composite literal, keyed or not: linkChange{tgt.ID, degraded} sets
+//     both of linkChange's fields. The fields on the target's selector
+//     chain are set too (b.c.Opens++ sets b.c); one of pointer type is also
+//     read, since the write goes through it.
+//   - A call of a pointer-receiver method through a field (x.mu.Lock())
+//     reads the field and sets it.
+//   - An assignment inside a value-receiver method of the field's own type
+//     (PollConfig.withDefaults) writes a copy and does not set the field.
+//   - A field or method promoted through an embedded field reads the
+//     embedded field, and sets it when the selector sets. An embedded field
+//     that promotes a method counts as read and set.
+//   - A field of a generic type is resolved to its declaration through
+//     (*types.Var).Origin.
+//   - Every exported field of a struct type reachable from a JSON-tagged
+//     struct, or from a value passed to encoding/json, lookingglass.WriteJSON
+//     or wire's Encode, AppendEncode and DecodePayload, is read and set: the
+//     codec does both.
+//
+// A field read only by another reported field is reported once that one is
+// deleted.
+func TestInternalFieldsHaveAReader(t *testing.T) {
+	s := sharedScan(t)
+	found := s.unreadInternalFields()
+
+	var missing []string
+	for key, f := range found {
+		if _, ok := keptFields[key]; !ok {
+			missing = append(missing, f+": "+key)
+		}
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("%s: delete it or list it in keptFields with a reason", m)
+	}
+	for key := range keptFields {
+		if _, ok := found[key]; !ok {
+			t.Errorf("keptFields lists %s, which is gone or has a non-test reader and setter now: drop the entry", key)
+		}
+	}
+}
+
+// fieldUse records whether non-test code reads and sets a field.
+type fieldUse struct{ read, set bool }
+
+// jsonSinks are the functions outside encoding/json that JSON-encode or
+// decode the values passed to them.
+var jsonSinks = map[string]bool{
+	"eona/internal/lookingglass.WriteJSON": true,
+	"eona/internal/wire.Encode":            true,
+	"eona/internal/wire.AppendEncode":      true,
+	"eona/internal/wire.DecodePayload":     true,
+}
+
+// unreadInternalFields returns each field in internal/ that non-test code
+// never reads, or reads but never sets, keyed as in keptFields, with its
+// position and what it lacks.
+func (s *exportScan) unreadInternalFields() map[string]string {
+	keys := map[*types.Var]string{}
+	owner := map[*types.Var]*types.TypeName{}
+	var tagged []types.Type
+	for path, info := range s.infos {
+		internal := strings.HasPrefix(path, "eona/internal/")
+		for _, obj := range info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			if hasJSONTag(st) {
+				tagged = append(tagged, tn.Type())
+			}
+			if internal {
+				declaredFields(st, tn.Pkg().Name()+"."+tn.Name()+".", func(f *types.Var, key string) {
+					keys[f], owner[f] = key, tn
+				})
+			}
+		}
+	}
+
+	uses := map[*types.Var]*fieldUse{}
+	use := func(f *types.Var) *fieldUse {
+		f = f.Origin()
+		u := uses[f]
+		if u == nil {
+			u = &fieldUse{}
+			uses[f] = u
+		}
+		return u
+	}
+	seen := map[types.Type]bool{}
+	for _, t := range tagged {
+		markJSON(t, use, seen)
+	}
+	for path, files := range s.files {
+		for _, f := range files {
+			for _, d := range f.Decls {
+				markFieldUses(s.infos[path], d, owner, use, seen)
+			}
+		}
+	}
+
+	out := map[string]string{}
+	for f, key := range keys {
+		u := use(f)
+		switch {
+		case f.Embedded() && (types.NewMethodSet(f.Type()).Len() > 0 || types.NewMethodSet(types.NewPointer(f.Type())).Len() > 0):
+			// The methods it promotes read it.
+		case !u.read:
+			out[key] = s.fset.Position(f.Pos()).String() + ": no non-test reader"
+		case !u.set:
+			out[key] = s.fset.Position(f.Pos()).String() + ": no non-test setter"
+		}
+	}
+	return out
+}
+
+// declaredFields calls fn with each field of st and of the anonymous structs
+// nested in it, and its key.
+func declaredFields(st *types.Struct, prefix string, fn func(*types.Var, string)) {
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		fn(f, prefix+f.Name())
+		if inner := anonStruct(f.Type()); inner != nil {
+			declaredFields(inner, prefix+f.Name()+".", fn)
+		}
+	}
+}
+
+// anonStruct returns the unnamed struct type t holds directly or as the
+// element of a pointer, slice, array or map, or nil.
+func anonStruct(t types.Type) *types.Struct {
+	for {
+		switch u := t.(type) {
+		case *types.Struct:
+			return u
+		case *types.Pointer:
+			t = u.Elem()
+		case *types.Slice:
+			t = u.Elem()
+		case *types.Array:
+			t = u.Elem()
+		case *types.Map:
+			t = u.Elem()
+		default:
+			return nil
+		}
+	}
+}
+
+func hasJSONTag(st *types.Struct) bool {
+	for i := 0; i < st.NumFields(); i++ {
+		if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// markJSON marks read and set every exported field that encoding/json
+// reaches from a value of type t.
+func markJSON(t types.Type, use func(*types.Var) *fieldUse, seen map[types.Type]bool) {
+	if seen[t] {
+		return
+	}
+	seen[t] = true
+	switch u := t.(type) {
+	case *types.Named:
+		markJSON(u.Underlying(), use, seen)
+	case *types.Pointer:
+		markJSON(u.Elem(), use, seen)
+	case *types.Slice:
+		markJSON(u.Elem(), use, seen)
+	case *types.Array:
+		markJSON(u.Elem(), use, seen)
+	case *types.Map:
+		markJSON(u.Key(), use, seen)
+		markJSON(u.Elem(), use, seen)
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			f := u.Field(i)
+			if !f.Exported() || reflect.StructTag(u.Tag(i)).Get("json") == "-" {
+				continue
+			}
+			fu := use(f)
+			fu.read, fu.set = true, true
+			markJSON(f.Type(), use, seen)
+		}
+	}
+}
+
+// markFieldUses records the field reads and sets in decl, by the rules in
+// TestInternalFieldsHaveAReader's doc.
+func markFieldUses(info *types.Info, decl ast.Decl, owner map[*types.Var]*types.TypeName, use func(*types.Var) *fieldUse, seen map[types.Type]bool) {
+	// A value-receiver method's assignments to its own type's fields write
+	// a copy.
+	var self *types.TypeName
+	if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+		if n, ok := info.Defs[fd.Name].(*types.Func).Type().(*types.Signature).Recv().Type().(*types.Named); ok {
+			self = n.Origin().Obj()
+		}
+	}
+
+	// target holds the selectors an assignment stores into, set those a
+	// pointer to the field escapes from (&x.f, x.f.PtrMethod()), and
+	// through the pointer fields an assignment or escape dereferences.
+	target := map[*ast.SelectorExpr]bool{}
+	set := map[*ast.SelectorExpr]bool{}
+	through := map[*ast.SelectorExpr]bool{}
+	chain := func(e ast.Expr, into map[*ast.SelectorExpr]bool) {
+		deref := false
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e, deref = x.X, false
+			case *ast.StarExpr:
+				e, deref = x.X, true
+			case *ast.SelectorExpr:
+				sel := info.Selections[x]
+				if sel == nil || sel.Kind() != types.FieldVal {
+					return
+				}
+				if deref {
+					through[x] = true
+				} else {
+					into[x] = true
+				}
+				e, deref = x.X, sel.Indirect()
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(decl, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				chain(l, target)
+			}
+		case *ast.IncDecStmt:
+			chain(n.X, target)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				chain(n.X, set)
+			}
+		case *ast.SelectorExpr:
+			if sel := info.Selections[n]; sel != nil && ptrMethod(sel) && !isPointer(info.TypeOf(n.X)) {
+				chain(n.X, set)
+			}
+		case *ast.CompositeLit:
+			t := info.TypeOf(n)
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					use(info.Uses[kv.Key.(*ast.Ident)].(*types.Var)).set = true
+				} else {
+					use(st.Field(i)).set = true
+				}
+			}
+		case *ast.CallExpr:
+			id := calleeIdent(n.Fun)
+			fn, ok := info.Uses[id].(*types.Func)
+			if !ok || fn.Pkg() == nil || (fn.Pkg().Path() != "encoding/json" && !jsonSinks[fn.Pkg().Path()+"."+fn.Name()]) {
+				break
+			}
+			for _, a := range n.Args {
+				markJSON(info.TypeOf(a), use, seen)
+			}
+			if inst, ok := info.Instances[id]; ok {
+				for i := 0; i < inst.TypeArgs.Len(); i++ {
+					markJSON(inst.TypeArgs.At(i), use, seen)
+				}
+			}
+		}
+		return true
+	})
+
+	ast.Inspect(decl, func(n ast.Node) bool {
+		x, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		sel := info.Selections[x]
+		if sel == nil {
+			return true
+		}
+		// The embedded fields a promoted field or method is reached
+		// through, then the selected field itself.
+		var path []*types.Var
+		t := sel.Recv()
+		for _, i := range sel.Index()[:len(sel.Index())-1] {
+			if p, ok := t.Underlying().(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			f := t.Underlying().(*types.Struct).Field(i)
+			path = append(path, f)
+			t = f.Type()
+		}
+		if sel.Kind() == types.FieldVal {
+			path = append(path, sel.Obj().(*types.Var))
+		}
+		for _, f := range path {
+			u := use(f)
+			if !target[x] {
+				u.read = true
+			}
+			if set[x] || through[x] || (target[x] && (self == nil || owner[f.Origin()] != self)) ||
+				(sel.Kind() == types.MethodVal && ptrMethod(sel)) {
+				u.set = true
+			}
+		}
+		return true
+	})
+}
+
+// calleeIdent returns the identifier naming the function a call expression
+// calls, through parentheses, a package qualifier or a method selector and
+// an explicit instantiation, or nil.
+func calleeIdent(fun ast.Expr) *ast.Ident {
+	for {
+		switch f := fun.(type) {
+		case *ast.ParenExpr:
+			fun = f.X
+		case *ast.IndexExpr:
+			fun = f.X
+		case *ast.IndexListExpr:
+			fun = f.X
+		case *ast.SelectorExpr:
+			return f.Sel
+		case *ast.Ident:
+			return f
+		default:
+			return nil
+		}
+	}
+}
+
+func ptrMethod(sel *types.Selection) bool {
+	return sel.Kind() == types.MethodVal && isPointer(sel.Obj().Type().(*types.Signature).Recv().Type())
+}
+
+func isPointer(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Pointer)
+	return ok
 }

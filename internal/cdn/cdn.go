@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"time"
-
-	"eona/internal/netsim"
 )
 
 // Server is one delivery server inside a cluster, with a finite concurrent
@@ -46,12 +44,8 @@ func (s *Server) SetAsleep(a bool) { s.asleep = a }
 // ErrNoServer is returned when no server in a cluster can accept a session.
 var ErrNoServer = errors.New("cdn: no available server in cluster")
 
-// Cluster is a co-located group of servers sharing one content cache,
-// attached to one network node.
+// Cluster is a co-located group of servers sharing one content cache.
 type Cluster struct {
-	Name string
-	// Node is where the cluster sits in the simulated topology.
-	Node netsim.NodeID
 	// OriginPenalty is the extra startup delay a cache miss costs
 	// (origin round trip plus fill).
 	OriginPenalty time.Duration
@@ -60,15 +54,14 @@ type Cluster struct {
 	Cache   *Cache
 }
 
-// NewCluster builds a cluster of n identical servers with the given
-// per-server session capacity and a cache of cacheObjects objects.
-func NewCluster(name string, node netsim.NodeID, n, serverCapacity, cacheObjects int, originPenalty time.Duration) *Cluster {
+// NewCluster builds a cluster of n identical servers, named after the
+// cluster, with the given per-server session capacity and a cache of
+// cacheObjects objects.
+func NewCluster(name string, n, serverCapacity, cacheObjects int, originPenalty time.Duration) *Cluster {
 	if n <= 0 {
 		panic("cdn: cluster needs at least one server")
 	}
 	c := &Cluster{
-		Name:          name,
-		Node:          node,
 		OriginPenalty: originPenalty,
 		Cache:         NewCache(cacheObjects),
 	}
@@ -139,8 +132,7 @@ func (c *Cluster) Alternatives(exclude *Server) []*Server {
 
 // Assignment records a session placed on a server.
 type Assignment struct {
-	Cluster *Cluster
-	Server  *Server
+	Server *Server
 	// CacheHit reports whether the content was already cached.
 	CacheHit bool
 	// StartupPenalty is the extra startup delay from an origin fetch
@@ -169,7 +161,7 @@ func (c *Cluster) AssignTo(s *Server, content ContentID) (*Assignment, error) {
 	}
 	s.active++
 	hit := c.Cache.Request(content)
-	a := &Assignment{Cluster: c, Server: s, CacheHit: hit}
+	a := &Assignment{Server: s, CacheHit: hit}
 	if !hit {
 		a.StartupPenalty = c.OriginPenalty
 	}

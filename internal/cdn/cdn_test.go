@@ -7,7 +7,7 @@ import (
 )
 
 func testCluster() *Cluster {
-	return NewCluster("east", "cdnX-east", 3, 10, 100, 2*time.Second)
+	return NewCluster("east", 3, 10, 100, 2*time.Second)
 }
 
 func TestNewClusterShape(t *testing.T) {
@@ -160,7 +160,7 @@ func TestClusterLoadAndSleep(t *testing.T) {
 func TestConstructorValidation(t *testing.T) {
 	cases := []func(){
 		func() { NewServer("s", 0) },
-		func() { NewCluster("c", "n", 0, 1, 1, 0) },
+		func() { NewCluster("c", 0, 1, 1, 0) },
 	}
 	for i, fn := range cases {
 		func() {

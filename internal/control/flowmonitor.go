@@ -32,11 +32,6 @@ type FlowMonitor struct {
 	starved    int
 	mutedUntil time.Duration
 	stop       func()
-
-	// Triggers counts reactions fired.
-	Triggers int
-	// Checks counts monitor ticks, for test and table diagnostics.
-	Checks int
 }
 
 // NewFlowMonitor starts a monitor on e that checks every period, reading
@@ -60,7 +55,6 @@ func (m *FlowMonitor) Stop() {
 func (m *FlowMonitor) Starved() int { return m.starved }
 
 func (m *FlowMonitor) check(e *sim.Engine) bool {
-	m.Checks++
 	d := m.demand()
 	if d <= 0 || m.rate() >= starvedBelow*d {
 		m.starved = 0
@@ -70,7 +64,6 @@ func (m *FlowMonitor) check(e *sim.Engine) bool {
 	if e.Now() < m.mutedUntil || m.starved < starvedStreak {
 		return true
 	}
-	m.Triggers++
 	m.mutedUntil = e.Now() + cooldown
 	m.starved = 0
 	if m.react != nil {

@@ -11,7 +11,7 @@ func TestFlowMonitorFiresOnStreak(t *testing.T) {
 	e := sim.NewEngine(1)
 	rate, demand := 100.0, 100.0
 	fired := 0
-	m := NewFlowMonitor(e, time.Second,
+	NewFlowMonitor(e, time.Second,
 		func() float64 { return rate },
 		func() float64 { return demand },
 		func(*FlowMonitor) { fired++ })
@@ -37,23 +37,21 @@ func TestFlowMonitorFiresOnStreak(t *testing.T) {
 	if fired != 2 {
 		t.Fatalf("fired = %d after cooldown, want 2", fired)
 	}
-	if m.Triggers != fired {
-		t.Errorf("Triggers = %d, want %d", m.Triggers, fired)
-	}
 }
 
 func TestFlowMonitorRecoveryResetsStreak(t *testing.T) {
 	e := sim.NewEngine(1)
 	rate, demand := 10.0, 100.0
+	fired := 0
 	m := NewFlowMonitor(e, time.Second,
 		func() float64 { return rate },
 		func() float64 { return demand },
-		nil)
+		func(*FlowMonitor) { fired++ })
 	// One starved check, then recovery before the streak completes.
 	e.Schedule(1500*time.Millisecond, func(*sim.Engine) { rate = 100 })
 	e.Run(5 * time.Second)
-	if m.Triggers != 0 {
-		t.Errorf("Triggers = %d after recovery mid-streak, want 0", m.Triggers)
+	if fired != 0 {
+		t.Errorf("fired = %d after recovery mid-streak, want 0", fired)
 	}
 	if m.Starved() != 0 {
 		t.Errorf("streak = %d after recovery, want 0", m.Starved())
@@ -62,13 +60,14 @@ func TestFlowMonitorRecoveryResetsStreak(t *testing.T) {
 
 func TestFlowMonitorZeroDemandIsHealthy(t *testing.T) {
 	e := sim.NewEngine(1)
-	m := NewFlowMonitor(e, time.Second,
+	fired := 0
+	NewFlowMonitor(e, time.Second,
 		func() float64 { return 0 },
 		func() float64 { return 0 },
-		nil)
+		func(*FlowMonitor) { fired++ })
 	e.Run(5 * time.Second)
-	if m.Triggers != 0 {
-		t.Errorf("Triggers = %d on idle flow, want 0", m.Triggers)
+	if fired != 0 {
+		t.Errorf("fired = %d on idle flow, want 0", fired)
 	}
 }
 
@@ -76,8 +75,9 @@ func TestFlowMonitorZeroDemandIsHealthy(t *testing.T) {
 // drag the clock.
 func TestFlowMonitorStopLeavesNoEvent(t *testing.T) {
 	e := sim.NewEngine(1)
+	checks := 0
 	m := NewFlowMonitor(e, time.Minute,
-		func() float64 { return 0 },
+		func() float64 { checks++; return 0 },
 		func() float64 { return 1 },
 		nil)
 	m.Stop()
@@ -87,7 +87,7 @@ func TestFlowMonitorStopLeavesNoEvent(t *testing.T) {
 	if e.Processed != 0 {
 		t.Errorf("Processed = %d after Stop, want 0", e.Processed)
 	}
-	if m.Checks != 0 {
-		t.Errorf("Checks = %d after immediate Stop, want 0", m.Checks)
+	if checks != 0 {
+		t.Errorf("rate read %d times after immediate Stop, want 0", checks)
 	}
 }

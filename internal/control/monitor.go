@@ -65,9 +65,6 @@ type Monitor struct {
 	lastBuffering time.Duration
 	noProgressFor time.Duration
 	mutedUntil    time.Duration
-
-	// Triggers counts reactions fired, by reason.
-	Triggers map[Reason]int
 }
 
 // NewMonitor attaches a monitor to a player and starts its periodic check,
@@ -76,14 +73,13 @@ type Monitor struct {
 //
 // A non-nil coal defers each reaction to the end of the current simulated
 // instant, where the Coalescer folds every reaction deferred there (by any
-// monitor sharing it) into one allocator batch; trigger counters and the
-// cooldown are still updated at fire time. A nil coal reacts immediately.
+// monitor sharing it) into one allocator batch; the cooldown still starts
+// at fire time. A nil coal reacts immediately.
 func NewMonitor(e *sim.Engine, p *player.Player, coal *Coalescer, react func(*Monitor, Reason)) *Monitor {
 	m := &Monitor{
-		player:   p,
-		coal:     coal,
-		react:    react,
-		Triggers: make(map[Reason]int),
+		player: p,
+		coal:   coal,
+		react:  react,
 	}
 	e.Every(monitorEvery, m.check)
 	return m
@@ -137,7 +133,6 @@ func (m *Monitor) check(e *sim.Engine) bool {
 }
 
 func (m *Monitor) fire(e *sim.Engine, r Reason) {
-	m.Triggers[r]++
 	m.mutedUntil = e.Now() + cooldown
 	m.noProgressFor = 0
 	if m.react == nil {

@@ -18,7 +18,6 @@ package control
 
 import (
 	"sort"
-	"time"
 
 	"eona/internal/core"
 	"eona/internal/isp"
@@ -46,7 +45,6 @@ type I2AView struct {
 
 // AppPObs is one epoch's observation for the AppP policy.
 type AppPObs struct {
-	Now time.Duration
 	// Current is the CDN currently carrying the traffic.
 	Current string
 	// Score is the recent mean QoE score on the current CDN.
@@ -231,7 +229,6 @@ type A2IView struct {
 
 // InfPObs is one epoch's observation for the InfP policy.
 type InfPObs struct {
-	Now time.Duration
 	// Peerings is the InfP's own link state, in declaration order.
 	Peerings []isp.LinkReport
 	// Egress maps CDN name to the current peering choice.

@@ -75,10 +75,9 @@ type Use struct {
 
 // Recipe describes one use case per §4.
 type Recipe struct {
-	UseCase string
-	Knobs   []Knob
-	Data    []DataAttr
-	Uses    []Use
+	Knobs []Knob
+	Data  []DataAttr
+	Uses  []Use
 }
 
 // Item is one element of a derived interface: a data attribute that must be
@@ -202,7 +201,6 @@ func dedup(sorted []string) []string {
 // I2A items the paper lists.
 func Figure5Recipe() Recipe {
 	return Recipe{
-		UseCase: "Figure 5: AppP CDN selection vs ISP egress selection oscillation",
 		Knobs: []Knob{
 			{Name: "cdn_choice", Owner: OwnerAppP},
 			{Name: "bitrate", Owner: OwnerAppP},

@@ -147,10 +147,9 @@ func TestFigure3Recipe(t *testing.T) {
 
 func TestSameOwnerUsesStayPrivate(t *testing.T) {
 	r := Recipe{
-		UseCase: "trivial",
-		Knobs:   []Knob{{Name: "k", Owner: OwnerAppP}},
-		Data:    []DataAttr{{Name: "d", Owner: OwnerAppP}},
-		Uses:    []Use{{Knob: "k", Data: "d"}},
+		Knobs: []Knob{{Name: "k", Owner: OwnerAppP}},
+		Data:  []DataAttr{{Name: "d", Owner: OwnerAppP}},
+		Uses:  []Use{{Knob: "k", Data: "d"}},
 	}
 	iface, err := r.WideInterface()
 	if err != nil {
@@ -179,7 +178,6 @@ func TestOwnerDirectionStrings(t *testing.T) {
 // session experience + population flowing A2I.
 func figure3Recipe() Recipe {
 	return Recipe{
-		UseCase: "Figure 3: flash crowd congests the access ISP",
 		Knobs: []Knob{
 			{Name: "bitrate_cap", Owner: OwnerAppP},
 			{Name: "cdn_choice", Owner: OwnerAppP},

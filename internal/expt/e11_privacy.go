@@ -42,7 +42,6 @@ type E11Result struct {
 	Points []E11Point
 	// BaselineScore is the no-sharing (cost-preference) floor.
 	BaselineScore float64
-	Epochs        int
 }
 
 // E11Epsilons is the privacy ladder (Inf = exact).
@@ -86,7 +85,7 @@ func e11Score(model qoe.Model, demandB, demandC float64) float64 {
 func RunE11(seed int64) E11Result {
 	model := qoe.DefaultModel()
 	model.MaxBitrate = e11Nominal
-	out := E11Result{Epochs: e11Epochs}
+	var out E11Result
 
 	for _, eps := range E11Epsilons {
 		noiser := privacy.NewNoiser(0, e11Nominal, seed)

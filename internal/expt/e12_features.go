@@ -29,7 +29,6 @@ import (
 
 // E12Result carries the ranking.
 type E12Result struct {
-	Samples int
 	Ranking []feature.Ranked
 }
 
@@ -85,7 +84,7 @@ func RunE12(seed int64) E12Result {
 	}
 
 	labels := feature.Discretize(scores, 3) // bad / ok / good
-	return E12Result{Samples: n, Ranking: feature.Rank(attrs, labels)}
+	return E12Result{Ranking: feature.Rank(attrs, labels)}
 }
 
 // Table renders the ranking.

@@ -4,8 +4,8 @@ import "testing"
 
 func TestE13InferenceGap(t *testing.T) {
 	r := RunE13(1)
-	if r.Samples < 400 {
-		t.Fatalf("corpus too small: %d", r.Samples)
+	if e13Samples < 400 {
+		t.Fatalf("corpus too small: %d", e13Samples)
 	}
 	// Both operator-side estimators carry material error vs the direct
 	// measurement's zero.

@@ -30,7 +30,6 @@ import (
 
 // E13Result reports error per estimator.
 type E13Result struct {
-	Samples int
 	// TTFBOnly is the single-feature [27]-style estimator.
 	TTFBOnly infer.Eval
 	// RadioFlow is OLS over all operator-visible features.
@@ -41,14 +40,16 @@ type E13Result struct {
 	ScoreStdDev float64
 }
 
+// e13Samples is the size of E13's page-load corpus.
+const e13Samples = 600
+
 // RunE13 builds the corpus and evaluates the estimators.
 func RunE13(seed int64) E13Result {
 	rng := rand.New(rand.NewSource(seed))
-	const n = 600
 	var full, ttfbOnly infer.Dataset
 	var scores agg.Welford
 	aborts := 0
-	for i := 0; i < n; i++ {
+	for i := 0; i < e13Samples; i++ {
 		ch := web.SampleChannel(rng)
 		pg := web.SamplePage(rng)
 		m := web.Load(pg, ch)
@@ -71,7 +72,7 @@ func RunE13(seed int64) E13Result {
 		scores.Add(score)
 	}
 
-	res := E13Result{Samples: n, AbortRate: float64(aborts) / n}
+	res := E13Result{AbortRate: float64(aborts) / e13Samples}
 	if trainT, testT := ttfbOnly.Split(5); trainT.Len() > 0 {
 		if m, err := infer.FitLinReg(trainT); err == nil {
 			res.TTFBOnly = infer.Evaluate(m, testT)

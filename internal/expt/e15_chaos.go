@@ -78,7 +78,6 @@ type E15Point struct {
 
 // E15Result holds both sweeps.
 type E15Result struct {
-	Seed      int64
 	Outages   []E15Point
 	FlapRates []E15Point
 }
@@ -136,7 +135,7 @@ func e15Point(seed int64, plan *faults.Plan) E15Point {
 
 // RunE15 executes the chaos sweep.
 func RunE15(seed int64) E15Result {
-	out := E15Result{Seed: seed}
+	var out E15Result
 	for _, l := range E15OutageLens {
 		p := e15Point(seed, e15OutagePlan(seed, l))
 		p.OutageLen = l

@@ -35,7 +35,9 @@ import (
 // bitrate at the ISP's suggested sustainable per-session rate and
 // suppresses pointless CDN switching.
 
-// E1Config parameterizes the scenario.
+// E1Config parameterizes one arm. The arm's sessions derive from Seed,
+// Horizon and PeakRate alone (e1Workload), so both arms of a seed see the
+// same workload.
 type E1Config struct {
 	Seed    int64
 	EONA    bool
@@ -47,9 +49,6 @@ type E1Config struct {
 	// one fleet-wide cap instead of the mixed-rung realization, rounding
 	// the whole fleet down a ladder rung.
 	UniformCap bool
-	// Trace, when non-nil, replays a recorded workload (see
-	// workload.ReadTrace / cmd/eona-trace) instead of generating one.
-	Trace []workload.Session
 }
 
 const (
@@ -71,7 +70,6 @@ func (c *E1Config) applyDefaults() {
 
 // E1Result aggregates fleet experience.
 type E1Result struct {
-	Config                E1Config
 	Sessions              int
 	MeanScore             float64
 	MeanBufRatio          float64
@@ -91,8 +89,7 @@ const (
 	e1CDN2 = "cdn2"
 )
 
-// e1Workload derives the arm's default flash-crowd session list (exposed
-// for trace archival tests; RunE1Arm uses it when no Trace is supplied).
+// e1Workload derives the arm's flash-crowd session list from its seed.
 func e1Workload(cfg E1Config) []workload.Session {
 	cfg.applyDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed + 1000))
@@ -135,10 +132,7 @@ func RunE1Arm(cfg E1Config) E1Result {
 	model := qoe.DefaultModel()
 	model.MaxBitrate = ladder[len(ladder)-1]
 
-	sessions := cfg.Trace
-	if sessions == nil {
-		sessions = e1Workload(cfg)
-	}
+	sessions := e1Workload(cfg)
 
 	type session struct {
 		p   *player.Player
@@ -285,7 +279,7 @@ func RunE1Arm(cfg E1Config) E1Result {
 
 	eng.Run(cfg.Horizon)
 
-	res := E1Result{Config: cfg, CapEpochs: capEpochs}
+	res := E1Result{CapEpochs: capEpochs}
 	for _, s := range all {
 		m := s.p.Metrics()
 		// Score every session that had at least 20s of wall time in

@@ -30,9 +30,8 @@ import (
 
 // E3Result reports inference error for each method.
 type E3Result struct {
-	Samples int
-	LinReg  infer.Eval
-	KNN     infer.Eval
+	LinReg infer.Eval
+	KNN    infer.Eval
 	// ScoreStdDev contextualizes the MAE (error vs natural spread).
 	ScoreStdDev float64
 }
@@ -84,19 +83,21 @@ func e3Sample(rng *rand.Rand) ([]float64, float64) {
 	return features, model.Score(m)
 }
 
+// e3Samples is the size of E3's session corpus.
+const e3Samples = 240
+
 // RunE3 builds the corpus and evaluates both regressors.
 func RunE3(seed int64) E3Result {
 	rng := rand.New(rand.NewSource(seed))
 	var d infer.Dataset
-	const n = 240
 	var score agg.Welford
-	for i := 0; i < n; i++ {
+	for i := 0; i < e3Samples; i++ {
 		x, y := e3Sample(rng)
 		d.Add(x, y)
 		score.Add(y)
 	}
 	train, test := d.Split(5)
-	res := E3Result{Samples: n}
+	var res E3Result
 	if lin, err := infer.FitLinReg(train); err == nil {
 		res.LinReg = infer.Evaluate(lin, test)
 	}

@@ -7,8 +7,8 @@ import (
 
 func TestE3InferenceIsImperfect(t *testing.T) {
 	r := RunE3(1)
-	if r.Samples < 100 {
-		t.Fatalf("corpus too small: %d", r.Samples)
+	if e3Samples < 100 {
+		t.Fatalf("corpus too small: %d", e3Samples)
 	}
 	// The paper's point: inference from network metrics carries real
 	// error, unlike direct measurement (0 by construction).

@@ -47,8 +47,6 @@ const (
 
 // E4Result aggregates the fleet plus the failure-affected cohort.
 type E4Result struct {
-	Config   E4Config
-	Sessions int
 	// Affected is the number of sessions on the failed server.
 	Affected int
 	// Cohort metrics are over affected sessions only.
@@ -75,8 +73,8 @@ func RunE4Arm(cfg E4Config) E4Result {
 	toY := topo.AddLink("clients", "cdnY-west", 2e9, 8*time.Millisecond, "to-cdnY")
 	net := netsim.NewNetwork(topo)
 
-	east := cdn.NewCluster("east", "cdnX-east", 5, 40, 300, 2500*time.Millisecond)
-	west := cdn.NewCluster("west", "cdnY-west", 5, 40, 300, 2500*time.Millisecond)
+	east := cdn.NewCluster("east", 5, 40, 300, 2500*time.Millisecond)
+	west := cdn.NewCluster("west", 5, 40, 300, 2500*time.Millisecond)
 
 	// A server failure trips many monitors at the same instant; coalesce
 	// their reactions into one end-of-tick reallocation.
@@ -199,15 +197,11 @@ func RunE4Arm(cfg E4Config) E4Result {
 
 	eng.Run(e4Horizon)
 
-	res := E4Result{Config: cfg, WarmHitRatio: east.Cache.HitRatio()}
+	res := E4Result{WarmHitRatio: east.Cache.HitRatio()}
 	res.ColdMisses = coldMisses
 	for _, s := range all {
 		m := s.p.Metrics()
-		if m.PlayTime+m.BufferingTime < 5*time.Second {
-			continue
-		}
-		res.Sessions++
-		if !s.affected {
+		if m.PlayTime+m.BufferingTime < 5*time.Second || !s.affected {
 			continue
 		}
 		res.Affected++

@@ -146,7 +146,7 @@ func RunE5(seed int64) E5Result {
 	var out E5Result
 	for _, pol := range policies {
 		rng := rand.New(rand.NewSource(seed)) // identical trace per arm
-		cluster := cdn.NewCluster("dc1", "dc1", e5Servers, e5PerServer, 1, 0)
+		cluster := cdn.NewCluster("dc1", e5Servers, e5PerServer, 1, 0)
 		arm := E5Arm{Name: pol.name, WorstScore: 100}
 		lastDemand, lastScore := 500.0, 100.0
 		usedServerEpochs := 0

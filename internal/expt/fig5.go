@@ -373,7 +373,6 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 	eng.Every(cfg.TEPeriod, func(e *sim.Engine) bool {
 		now := e.Now()
 		obs := control.InfPObs{
-			Now:      now,
 			Peerings: ispNet.PeeringReports(),
 			Egress: map[string]string{
 				cdnXName: ispNet.EgressOf(cdnXName).ID,
@@ -411,7 +410,6 @@ func RunFig5(cfg Fig5Config) Fig5Result {
 	eng.Every(cfg.Epoch, func(e *sim.Engine) bool {
 		now := e.Now()
 		obs := control.AppPObs{
-			Now:       now,
 			Current:   currentCDN,
 			Score:     cdnScore[currentCDN],
 			DemandBps: demandNow(now),

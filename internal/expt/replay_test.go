@@ -3,23 +3,16 @@ package expt
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"eona/internal/workload"
 )
 
-// Trace replay: an experiment driven by a serialized workload must match
-// the same experiment driven by the in-memory sessions — the archival /
-// replay path of cmd/eona-trace.
+// The E1 flash-crowd workload survives the CSV trace format that
+// cmd/eona-trace archives: every session reads back as generated, its
+// arrival and duration truncated to the millisecond.
 func TestE1TraceReplayMatchesInMemory(t *testing.T) {
-	// Capture the workload the default E1 arm would generate by running
-	// a tiny arm with an explicit trace round-tripped through CSV.
-	cfg := E1Config{Seed: 3, Horizon: 0}
-	direct := RunE1Arm(cfg)
-
-	// Regenerate the identical session list the arm builds internally
-	// (same derivation as RunE1Arm's default path), round-trip it
-	// through CSV, and replay.
-	sessions := e1Workload(cfg)
+	sessions := e1Workload(E1Config{Seed: 3})
 	var buf bytes.Buffer
 	if err := workload.WriteTrace(&buf, sessions); err != nil {
 		t.Fatal(err)
@@ -28,16 +21,15 @@ func TestE1TraceReplayMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgReplay := cfg
-	cfgReplay.Trace = replayed
-	viaTrace := RunE1Arm(cfgReplay)
-
-	// Millisecond truncation in CSV can shift tick boundaries slightly;
-	// the fleet statistics must agree tightly.
-	if direct.Sessions != viaTrace.Sessions {
-		t.Fatalf("session counts differ: %d vs %d", direct.Sessions, viaTrace.Sessions)
+	if len(replayed) != len(sessions) || len(sessions) == 0 {
+		t.Fatalf("replayed %d sessions, generated %d", len(replayed), len(sessions))
 	}
-	if d := direct.MeanScore - viaTrace.MeanScore; d > 0.5 || d < -0.5 {
-		t.Errorf("scores diverge: %v vs %v", direct.MeanScore, viaTrace.MeanScore)
+	for i, s := range sessions {
+		want := s
+		want.Arrival = s.Arrival.Truncate(time.Millisecond)
+		want.IntendedDuration = s.IntendedDuration.Truncate(time.Millisecond)
+		if replayed[i] != want {
+			t.Fatalf("session %d: replayed %+v, want %+v", i, replayed[i], want)
+		}
 	}
 }

@@ -58,8 +58,6 @@ type LatencySpike struct {
 // Plan is a fully materialized fault schedule. The zero value (and a nil
 // *Plan) is the empty plan: no faults, partner always up.
 type Plan struct {
-	// Seed records the seed the plan was generated from (informational).
-	Seed int64
 	// LinkFaults are capacity faults, sorted by Start.
 	LinkFaults []LinkFault
 	// PartnerOutages are windows during which the partner exchange is
@@ -231,7 +229,7 @@ func Generate(cfg Config) *Plan {
 		panic("faults: Generate requires a positive horizon")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	p := &Plan{Seed: cfg.Seed}
+	p := &Plan{}
 	for _, lc := range cfg.Links {
 		if lc.Duration <= 0 {
 			panic(fmt.Sprintf("faults: non-positive fault duration for link %q", lc.Link))

@@ -38,8 +38,6 @@ type ISP struct {
 	Name string
 	// Border is the node where peering links start.
 	Border netsim.NodeID
-	// ClientNode is where the client population attaches.
-	ClientNode netsim.NodeID
 	// Access is the shared access/aggregation link from clients to the
 	// border (the congested link in the Figure 3 flash-crowd scenario).
 	Access *netsim.Link
@@ -74,13 +72,12 @@ func New(net *netsim.Network, cfg Config) *ISP {
 		panic(fmt.Sprintf("isp: access link must run %s->%s", cfg.ClientNode, cfg.Border))
 	}
 	return &ISP{
-		Name:       cfg.Name,
-		Border:     cfg.Border,
-		ClientNode: cfg.ClientNode,
-		Access:     cfg.Access,
-		net:        net,
-		egress:     make(map[string]*PeeringPoint),
-		flows:      make(map[netsim.FlowID]*routedFlow),
+		Name:   cfg.Name,
+		Border: cfg.Border,
+		Access: cfg.Access,
+		net:    net,
+		egress: make(map[string]*PeeringPoint),
+		flows:  make(map[netsim.FlowID]*routedFlow),
 	}
 }
 

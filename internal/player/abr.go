@@ -19,8 +19,6 @@ type State struct {
 	Buffer time.Duration
 	// ThroughputEMA is the smoothed observed download rate in bits/s.
 	ThroughputEMA float64
-	// Bitrate is the rung currently being downloaded, bits/s.
-	Bitrate float64
 	// Ladder is the ascending list of available rungs, bits/s.
 	Ladder []float64
 }

@@ -176,8 +176,6 @@ type Player struct {
 	metrics  qoe.SessionMetrics
 	stopTick func()
 
-	// OnComplete fires once when the session finishes.
-	OnComplete func(qoe.SessionMetrics)
 	// OverrideABR, when non-nil, replaces the configured ABR — the hook
 	// the EONA AppP controller uses to cap bitrate under I2A congestion
 	// signals without restarting the player.
@@ -276,9 +274,6 @@ func (p *Player) finish() {
 	if p.conn != nil {
 		p.conn.Close()
 		p.conn = nil
-	}
-	if p.OnComplete != nil {
-		p.OnComplete(p.Metrics())
 	}
 }
 
@@ -412,7 +407,6 @@ func (p *Player) tick(*sim.Engine) bool {
 		next := abr.Next(State{
 			Buffer:        p.buffer,
 			ThroughputEMA: p.emaRate,
-			Bitrate:       p.bitrate,
 			Ladder:        p.cfg.Ladder,
 		})
 		if next != p.bitrate {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"eona/internal/netsim"
-	"eona/internal/qoe"
 	"eona/internal/sim"
 )
 
@@ -37,30 +36,24 @@ func newTestPlayer(t *testing.T, e *sim.Engine, abr ABR, content time.Duration) 
 func TestHappyPathCompletes(t *testing.T) {
 	e := sim.NewEngine(1)
 	p := newTestPlayer(t, e, fixed{1e6}, 30*time.Second)
-	var done bool
-	p.OnComplete = func(m qoeMetrics) {
-		done = true
-		if m.BufferingRatio() != 0 {
-			t.Errorf("buffering ratio = %v, want 0", m.BufferingRatio())
-		}
-		if m.PlayTime != 30*time.Second {
-			t.Errorf("play time = %v, want 30s", m.PlayTime)
-		}
-		if m.Abandoned {
-			t.Error("completed session marked abandoned")
-		}
-	}
 	conn := &stubConn{rate: 5e6} // 5 Mbps for a ≤3 Mbps ladder: plenty
 	p.Start(conn, 0)
 	e.Run(5 * time.Minute)
-	if !done {
+	if !p.Done() {
 		t.Fatal("session did not complete")
+	}
+	m := p.Metrics()
+	if m.BufferingRatio() != 0 {
+		t.Errorf("buffering ratio = %v, want 0", m.BufferingRatio())
+	}
+	if m.PlayTime != 30*time.Second {
+		t.Errorf("play time = %v, want 30s", m.PlayTime)
+	}
+	if m.Abandoned {
+		t.Error("completed session marked abandoned")
 	}
 	if !conn.closed {
 		t.Error("connection not closed at completion")
-	}
-	if !p.Done() {
-		t.Error("Done() = false after completion")
 	}
 }
 
@@ -68,9 +61,6 @@ func TestHappyPathCompletes(t *testing.T) {
 type fixed struct{ Bitrate float64 }
 
 func (f fixed) Next(State) float64 { return f.Bitrate }
-
-// qoeMetrics aliases the metrics type to keep callback signatures tidy.
-type qoeMetrics = qoe.SessionMetrics
 
 func TestStartupDelayAccounting(t *testing.T) {
 	e := sim.NewEngine(1)

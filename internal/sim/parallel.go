@@ -48,10 +48,6 @@ type ParallelEngine struct {
 	// instantEnd hooks run after every fully-drained instant, in
 	// registration order, exclusively on the coordinating goroutine.
 	instantEnd []func(*ParallelEngine)
-
-	// Instants counts barrier rounds (one per distinct drained instant,
-	// plus re-runs when a barrier hook schedules same-instant work).
-	Instants uint64
 }
 
 // NewParallel returns an engine with the given number of partitions, run by
@@ -77,9 +73,6 @@ func NewParallel(seed int64, partitions, workers int) *ParallelEngine {
 // own partition; the returned *Engine is only safe to use from that
 // partition's callbacks (or between Run calls / inside barrier hooks).
 func (pe *ParallelEngine) Partition(p int) *Engine { return pe.parts[p] }
-
-// Workers returns the effective worker-goroutine count.
-func (pe *ParallelEngine) Workers() int { return pe.workers }
 
 // Now returns the engine's virtual clock: the last drained instant (or the
 // horizon after a bounded Run that outlived its events).
@@ -125,7 +118,6 @@ func (pe *ParallelEngine) run(horizon Time, advance bool) Time {
 		}
 		pe.runOneInstant(t)
 		pe.now = t
-		pe.Instants++
 		for _, fn := range pe.instantEnd {
 			fn(pe)
 		}

@@ -77,8 +77,10 @@ func TestParallelWorkerCountIndependence(t *testing.T) {
 				return true
 			})
 		}
+		var instants uint64
+		pe.OnInstantEnd(func(*ParallelEngine) { instants++ })
 		end := pe.Run(12 * time.Second)
-		return traces, pe.Processed(), pe.Instants, end
+		return traces, pe.Processed(), instants, end
 	}
 	t1, p1, i1, e1 := run(1)
 	t4, p4, i4, e4 := run(4)

@@ -9,7 +9,7 @@ import (
 )
 
 // Trace persistence: session workloads serialize to CSV so an experiment's
-// exact inputs can be archived, diffed, and replayed — the reproducibility
+// exact inputs can be archived, diffed and inspected — the reproducibility
 // counterpart of the production traces the paper's scenarios come from.
 //
 // Format (header + one row per session):

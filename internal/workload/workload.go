@@ -55,12 +55,11 @@ func (f FlashCrowd) Rate() RateFunc {
 }
 
 // Diurnal is a sinusoidal daily load pattern (the off-peak/peak cycle behind
-// the §2 server energy-saving scenario).
+// the §2 server energy-saving scenario), peaking at t = 0.
 type Diurnal struct {
 	Mean      float64 // sessions/s averaged over a period
 	Amplitude float64 // peak deviation from mean, ≤ Mean
 	Period    time.Duration
-	Phase     time.Duration // time of first peak
 }
 
 // Rate returns the RateFunc for the diurnal profile. It is clamped at zero.
@@ -69,7 +68,7 @@ func (d Diurnal) Rate() RateFunc {
 		panic("workload: Diurnal.Period must be positive")
 	}
 	return func(t time.Duration) float64 {
-		x := 2 * math.Pi * float64(t-d.Phase) / float64(d.Period)
+		x := 2 * math.Pi * float64(t) / float64(d.Period)
 		r := d.Mean + d.Amplitude*math.Cos(x)
 		if r < 0 {
 			r = 0

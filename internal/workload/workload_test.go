@@ -40,7 +40,7 @@ func TestFlashCrowdProfile(t *testing.T) {
 }
 
 func TestDiurnalProfile(t *testing.T) {
-	d := Diurnal{Mean: 10, Amplitude: 5, Period: 24 * time.Hour, Phase: 0}
+	d := Diurnal{Mean: 10, Amplitude: 5, Period: 24 * time.Hour}
 	r := d.Rate()
 	if got := r(0); math.Abs(got-15) > 1e-9 {
 		t.Errorf("peak rate = %v, want 15", got)

@@ -10,6 +10,9 @@ if [ -n "$unformatted" ]; then
 fi
 go build ./...
 go vet ./...
+# A dead exported name or struct field fails here in seconds, not after the
+# race sweep.
+go test -run '^TestInternal(Exports|Fields)Have' .
 # go build compiles the examples but nothing else runs them, and a facade or
 # config change can break one at run time: each must exit 0.
 for ex in examples/*/; do
