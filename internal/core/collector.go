@@ -110,13 +110,18 @@ func (c *Collector) SummariesUnder(policy ExportPolicy, seed int64) []QoESummary
 // summariesUnder renders every group, in first-observation order, under a
 // policy. Suppressed groups are skipped; noise is drawn only for surviving
 // groups, in key order, so the noiser stream position is a deterministic
-// function of the exported set.
+// function of the exported set. With no group left it returns nil, which
+// encodes as null, not [].
 func (c *Collector) summariesUnder(policy ExportPolicy, noiser *privacy.Noiser) []QoESummary {
-	var out []QoESummary
-	for _, k := range c.rollup.Keys() {
+	keys := c.rollup.Keys()
+	out := make([]QoESummary, 0, len(keys))
+	for _, k := range keys {
 		if s, ok := summarizeGroup(c.rollup.Group(k), k, policy, noiser); ok {
 			out = append(out, s)
 		}
+	}
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }
@@ -157,9 +162,13 @@ func (c *Collector) SummaryFor(key SummaryKey) (QoESummary, bool) {
 }
 
 // TrafficEstimates returns per-CDN demand estimates over the window ending
-// at now: mean bits/s plus sessions completed in the window.
+// at now: mean bits/s plus sessions completed in the window. With no CDN
+// seen it returns nil, which encodes as null, not [].
 func (c *Collector) TrafficEstimates(now time.Duration) []TrafficEstimate {
-	var out []TrafficEstimate
+	if len(c.trafficBits) == 0 {
+		return nil
+	}
+	out := make([]TrafficEstimate, 0, len(c.trafficBits))
 	// Deterministic order: iterate CDNs sorted.
 	cdns := make([]string, 0, len(c.trafficBits))
 	for cdnName := range c.trafficBits {

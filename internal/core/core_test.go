@@ -276,3 +276,42 @@ func TestIngestAllocFree(t *testing.T) {
 		t.Errorf("Collector.Ingest allocates %v allocs/op in steady state, want 0", a)
 	}
 }
+
+// The read models return nil when nothing is exported, [] never: the two
+// are different wire payloads (null and []), and a poller that kept one
+// would see the other as a change. A non-empty read sizes its slice once.
+func TestReadModelsNilWhenEmpty(t *testing.T) {
+	empty := NewA2ICollector(CollectorConfig{AppP: "vod", Window: time.Minute, Seed: 1})
+	if s := empty.Summaries(); s != nil {
+		t.Errorf("empty collector: Summaries() = %#v, want nil", s)
+	}
+	if e := empty.TrafficEstimates(time.Minute); e != nil {
+		t.Errorf("empty collector: TrafficEstimates() = %#v, want nil", e)
+	}
+	suppressed := NewA2ICollector(CollectorConfig{AppP: "vod", Policy: ExportPolicy{MinGroupSessions: 2}, Window: time.Minute, Seed: 1})
+	suppressed.Ingest(rec("isp1", "cdnX", "east", 80, 0, 0))
+	suppressed.Ingest(rec("isp2", "cdnY", "west", 80, 0, 0))
+	if s := suppressed.Summaries(); s != nil {
+		t.Errorf("all groups suppressed: Summaries() = %#v, want nil", s)
+	}
+	if s := suppressed.SummariesUnder(ExportPolicy{}, 1); len(s) != 2 {
+		t.Errorf("unblinded: %d summaries, want 2", len(s))
+	}
+
+	c := NewA2ICollector(CollectorConfig{AppP: "vod", Window: time.Minute, Seed: 1})
+	for _, r := range genRecords(1<<12, 1) {
+		c.Ingest(r)
+	}
+	sums := c.Summaries()
+	if len(sums) < 16 || len(c.TrafficEstimates(time.Minute)) < 2 {
+		t.Fatalf("%d summaries, want a few dozen groups to size", len(sums))
+	}
+	// Summaries: the key list and the result; TrafficEstimates: the CDN
+	// list and the result.
+	if a := testing.AllocsPerRun(20, func() { c.Summaries() }); a > 2 {
+		t.Errorf("Summaries() of %d groups allocates %v times, want <= 2", len(sums), a)
+	}
+	if a := testing.AllocsPerRun(20, func() { c.TrafficEstimates(time.Minute) }); a > 2 {
+		t.Errorf("TrafficEstimates() allocates %v times, want <= 2", a)
+	}
+}

@@ -155,9 +155,8 @@ func TestETagGolden(t *testing.T) {
 }
 
 // TestSummariesETagGolden pins an A2I summaries body and its ETag the same
-// way, on each of the three paths a repeated value takes through the reply
-// memo: the first encode, the encode that promotes it into the memo, and a
-// reply from the memo's stored bytes.
+// way, on each path a repeated value takes through the reply memo: the
+// encode that fills the slot, then replies from the slot's stored bytes.
 func TestSummariesETagGolden(t *testing.T) {
 	store := auth.NewStore()
 	store.Register("tok", "p", auth.ScopeA2IQoE)
@@ -174,7 +173,7 @@ func TestSummariesETagGolden(t *testing.T) {
 	const wantBody = `{"version":"eona/1","type":"a2i.qoe_summaries","generated_at_ms":1700000000123,` +
 		`"payload":[{"key":{"client_isp":"isp\u003c1\u003e","cdn":"cdnX","cluster":"east"},"sessions":42,"mean_score":87.5,` +
 		`"mean_buffering_ratio":0.0125,"mean_bitrate_bps":2500000,"mean_startup_sec":1.2,"abandonment_rate":1e-7}]}`
-	for _, path := range []string{"encode", "promote", "memo"} {
+	for _, path := range []string{"encode", "memo", "memo again"} {
 		rec := httptest.NewRecorder()
 		req := httptest.NewRequest(http.MethodGet, "/v1/a2i/summaries", nil)
 		req.Header.Set("Authorization", "Bearer tok")

@@ -21,7 +21,7 @@ import (
 
 // shaETag is the ETag formula the server has always used: the first eight
 // bytes of the SHA-256 of the payload as json.Marshal writes it, in hex.
-func shaETag(t *testing.T, v any) string {
+func shaETag(t testing.TB, v any) string {
 	t.Helper()
 	raw, err := json.Marshal(v)
 	if err != nil {
@@ -83,62 +83,83 @@ func TestReplyMemoMatchesEncode(t *testing.T) {
 	t.Run("traffic", func(t *testing.T) { runMemoScript(t, trafficMemoRoute) })
 }
 
-func runMemoScript[E any](t *testing.T, rt memoRoute[E]) {
-	current := map[string][]E{}
+// memoHarness serves one A2I route from a per-partner current value and
+// checks every reply against a fresh encode of it.
+type memoHarness[E any] struct {
+	rt      memoRoute[E]
+	current map[string][]E
+	srv     *Server
+	h       http.Handler
+	// hits counts the requests that found their value in the slot.
+	hits int
+}
+
+func newMemoHarness[E any](rt memoRoute[E]) *memoHarness[E] {
+	mh := &memoHarness[E]{rt: rt, current: map[string][]E{}}
 	store := auth.NewStore()
 	for _, p := range []string{"p", "q"} {
 		store.Register("tok-"+p, p, rt.scope)
 	}
-	srv := NewServer(store, nil, rt.sources(func(partner string) []E { return current[partner] }))
-	srv.Now = func() int64 { return fixedNow }
-	h := srv.Handler()
-	hits := 0
+	mh.srv = NewServer(store, nil, rt.sources(func(partner string) []E { return mh.current[partner] }))
+	mh.srv.Now = func() int64 { return fixedNow }
+	mh.h = mh.srv.Handler()
+	return mh
+}
 
-	// serve sends partner's current value, unconditionally and then with
-	// the ETag it must carry, and checks both replies.
+// serve sends partner's current value, unconditionally and then with the
+// ETag it must carry, and checks both replies.
+func (mh *memoHarness[E]) serve(t testing.TB, step, partner string) {
+	t.Helper()
+	v := mh.current[partner]
+	memo := mh.rt.memo(mh.srv)
+	sl := memo.slot(partner)
+	sl.mu.Lock()
+	if sl.holding(v, memo.same) != nil {
+		mh.hits++
+	}
+	sl.mu.Unlock()
+	get := func(inm string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodGet, mh.rt.path, nil)
+		req.Header.Set("Authorization", "Bearer tok-"+partner)
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		rec := httptest.NewRecorder()
+		mh.h.ServeHTTP(rec, req)
+		return rec
+	}
+	rec := get("")
+	want, err := wire.Encode(mh.rt.t, fixedNow, v)
+	if err != nil {
+		if rec.Code != http.StatusInternalServerError || rec.Header().Get("ETag") != "" {
+			t.Fatalf("%s: unencodable value answered %d (ETag %q), want 500 without an ETag",
+				step, rec.Code, rec.Header().Get("ETag"))
+		}
+		var ee ErrorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &ee); err != nil || ee.Err.Code != http.StatusInternalServerError {
+			t.Fatalf("%s: body %q is not the error envelope", step, rec.Body)
+		}
+		return
+	}
+	etag := shaETag(t, v)
+	if rec.Code != http.StatusOK || rec.Body.String() != string(want) {
+		t.Fatalf("%s: %d %q\nwant 200 %q", step, rec.Code, rec.Body, want)
+	}
+	if got := rec.Header().Get("ETag"); got != etag {
+		t.Fatalf("%s: ETag %s, want %s", step, got, etag)
+	}
+	if rec := get(etag); rec.Code != http.StatusNotModified || rec.Body.Len() != 0 || rec.Header().Get("ETag") != etag {
+		t.Fatalf("%s: conditional GET answered %d, %d bytes, ETag %q; want an empty 304 with %s",
+			step, rec.Code, rec.Body.Len(), rec.Header().Get("ETag"), etag)
+	}
+}
+
+func runMemoScript[E any](t *testing.T, rt memoRoute[E]) {
+	mh := newMemoHarness(rt)
+	current := mh.current
 	serve := func(step, partner string) {
 		t.Helper()
-		v := current[partner]
-		sl := rt.memo(srv).slot(partner)
-		sl.mu.Lock()
-		if sl.held && sameList(v, sl.value, rt.memo(srv).same) {
-			hits++
-		}
-		sl.mu.Unlock()
-		get := func(inm string) *httptest.ResponseRecorder {
-			req := httptest.NewRequest(http.MethodGet, rt.path, nil)
-			req.Header.Set("Authorization", "Bearer tok-"+partner)
-			if inm != "" {
-				req.Header.Set("If-None-Match", inm)
-			}
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			return rec
-		}
-		rec := get("")
-		want, err := wire.Encode(rt.t, fixedNow, v)
-		if err != nil {
-			if rec.Code != http.StatusInternalServerError || rec.Header().Get("ETag") != "" {
-				t.Fatalf("%s: unencodable value answered %d (ETag %q), want 500 without an ETag",
-					step, rec.Code, rec.Header().Get("ETag"))
-			}
-			var ee ErrorEnvelope
-			if err := json.Unmarshal(rec.Body.Bytes(), &ee); err != nil || ee.Err.Code != http.StatusInternalServerError {
-				t.Fatalf("%s: body %q is not the error envelope", step, rec.Body)
-			}
-			return
-		}
-		etag := shaETag(t, v)
-		if rec.Code != http.StatusOK || rec.Body.String() != string(want) {
-			t.Fatalf("%s: %d %q\nwant 200 %q", step, rec.Code, rec.Body, want)
-		}
-		if got := rec.Header().Get("ETag"); got != etag {
-			t.Fatalf("%s: ETag %s, want %s", step, got, etag)
-		}
-		if rec := get(etag); rec.Code != http.StatusNotModified || rec.Body.Len() != 0 || rec.Header().Get("ETag") != etag {
-			t.Fatalf("%s: conditional GET answered %d, %d bytes, ETag %q; want an empty 304 with %s",
-				step, rec.Code, rec.Body.Len(), rec.Header().Get("ETag"), etag)
-		}
+		mh.serve(t, step, partner)
 	}
 
 	a, b := rt.value("a"), rt.value("b")
@@ -202,27 +223,137 @@ func runMemoScript[E any](t *testing.T, rt memoRoute[E]) {
 		serve(fmt.Sprintf("partner q round %d", i), "q")
 	}
 
-	if hits == 0 {
+	if mh.hits == 0 {
 		t.Fatal("no request reached the memo's hit path: the script tests only the encode path")
 	}
 }
 
+// FuzzReplyMemoMatchesEncode runs scripted sequences of polls against the
+// summaries route and checks every reply as TestReplyMemoMatchesEncode
+// does. Each op byte acts on partner p or q (its high bit) and then polls
+// that partner; its low three bits pick the op:
+//
+//	0        poll again, unchanged
+//	1 k f x  set field f of element k to value x
+//	2 x      append element x
+//	3 n      shrink to n elements
+//	4        switch between nil and []
+//	5 k f s  set float f of element k to -0 (s odd) or +0
+//	6 k f s  set float f of element k to NaN, +Inf or -Inf
+//	7        replace every NaN and Inf by 1
+//
+// Operand bytes past the end of the input read as 0. Run with
+// `go test -fuzz=FuzzReplyMemoMatchesEncode ./internal/lookingglass`.
+func FuzzReplyMemoMatchesEncode(f *testing.F) {
+	// TestReplyMemoMatchesEncode's script: unchanged polls, a change, -0
+	// and +0, a NaN and its removal, nil and [], and two partners
+	// alternating.
+	f.Add([]byte{0, 0, 0, 1, 3, 4, 2, 0, 5, 0, 1, 1, 0, 5, 0, 1, 0, 0, 5, 0, 1, 1,
+		6, 0, 1, 0, 0, 7, 4, 0, 4, 0, 2, 3, 2, 9, 0x80, 0, 0x80, 0, 0x81, 2, 4, 7, 0, 0x80, 0})
+	// Shrink to empty and grow back, one element at a time.
+	f.Add([]byte{3, 0, 2, 5, 2, 6, 0, 3, 2, 2, 31, 0x84, 0x82, 1})
+	// A NaN in the middle and an infinity at the end, each taken out
+	// again, then the keys of the first three elements changed.
+	f.Add([]byte{6, 8, 4, 0, 0, 7, 6, 15, 2, 1, 0, 7, 1, 0, 0, 5, 1, 1, 0, 5, 1, 2, 0, 5})
+	// Eight elements, a ninth appended, a NaN put into it, and back to the
+	// eight: the failed build overwrote the first value's body, which must
+	// not be the one that answers the last poll.
+	f.Add([]byte{3, 8, 2, 0, 6, 8, 3, 0, 3, 8})
+	pool := append(summaries128("a")[:16:16], summaries128("b")[:16]...)
+	values := []float64{0, 1, 0.5, 1e-7, 1e21, 123456.789, -3, 5e-324}
+	texts := []string{"", "isp-a-0", "<&>", "bad\xff", "\u2028"}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		mh := newMemoHarness(summariesMemoRoute)
+		mh.current["p"] = slices.Clone(pool[:16])
+		mh.current["q"] = slices.Clone(pool[16:])
+		next := func() int {
+			if len(script) == 0 {
+				return 0
+			}
+			b := script[0]
+			script = script[1:]
+			return int(b)
+		}
+		for step := 0; len(script) > 0; step++ {
+			c := next()
+			partner := "p"
+			if c&0x80 != 0 {
+				partner = "q"
+			}
+			// Read models return a fresh slice on every call.
+			v := slices.Clone(mh.current[partner])
+			elem := func() *core.QoESummary {
+				k := next()
+				if len(v) == 0 {
+					return new(core.QoESummary)
+				}
+				return &v[k%len(v)]
+			}
+			switch c & 7 {
+			case 1:
+				e, field, x := elem(), next(), next()
+				if field%9 < 3 {
+					*[]*string{&e.Key.ClientISP, &e.Key.CDN, &e.Key.Cluster}[field%9] = texts[x%len(texts)]
+				} else {
+					*summaryFloat(e, field%9-3) = values[x%len(values)]
+				}
+			case 2:
+				v = append(v, pool[next()%len(pool)])
+			case 3:
+				v = v[:next()%(len(v)+1)]
+			case 4:
+				if v == nil {
+					v = []core.QoESummary{}
+				} else {
+					v = nil
+				}
+			case 5:
+				e, field, sign := elem(), next(), next()
+				*summaryFloat(e, field) = math.Copysign(0, float64(1-2*(sign%2)))
+			case 6:
+				e, field, which := elem(), next(), next()
+				*summaryFloat(e, field) = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[which%3]
+			case 7:
+				for i := range v {
+					for field := 0; field < 6; field++ {
+						if x := summaryFloat(&v[i], field); math.IsNaN(*x) || math.IsInf(*x, 0) {
+							*x = 1
+						}
+					}
+				}
+			}
+			mh.current[partner] = v
+			mh.serve(t, fmt.Sprintf("step %d (op %#x, %s)", step, c, partner), partner)
+		}
+	})
+}
+
+// summaryFloat returns a summary's float field f, counted modulo six.
+func summaryFloat(e *core.QoESummary, f int) *float64 {
+	return []*float64{&e.Sessions, &e.MeanScore, &e.MeanBufferingRatio,
+		&e.MeanBitrateBps, &e.MeanStartupSec, &e.AbandonmentRate}[f%6]
+}
+
 // The memo under concurrency: two partners, two clients each, and a source
-// that flips between two values every few calls. Every body and ETag must be
-// one of the two encodings, matched to each other; under -race a slot read
-// while promoted shows up as a race.
+// that cycles through three values every few calls. Two of them differ from
+// the third in one element each, so misses copy fragments from a body that
+// other misses of the same partner may be replacing. Every body and ETag
+// must be one of the three encodings, matched to each other; under -race a
+// body written while another request reads it shows up as a race.
 func TestReplyMemoConcurrentFlips(t *testing.T) {
 	const partners, clients, requests = 2, 2, 100
 	store := auth.NewStore()
-	values := map[string][2][]core.QoESummary{}
+	values := map[string][3][]core.QoESummary{}
 	type encoding struct{ body, etag string }
-	want := map[string][2]encoding{}
+	want := map[string][]encoding{}
 	for p := 0; p < partners; p++ {
 		name := fmt.Sprintf("p%d", p)
 		store.Register("tok-"+name, name, auth.ScopeA2IQoE)
-		vals := [2][]core.QoESummary{summaries128(name + "x")[:8], summaries128(name + "y")[:8]}
+		vals := [3][]core.QoESummary{summaries128(name)[:8], summaries128(name)[:8], summaries128(name)[:8]}
+		vals[1][2].Sessions = -1
+		vals[2][5].MeanScore = -1
 		values[name] = vals
-		var enc [2]encoding
+		enc := make([]encoding, len(vals))
 		for i, v := range vals {
 			body, err := wire.Encode(wire.TypeQoESummaries, fixedNow, v)
 			if err != nil {
@@ -234,7 +365,7 @@ func TestReplyMemoConcurrentFlips(t *testing.T) {
 	}
 	var calls atomic.Uint64
 	srv := NewServer(store, nil, Sources{QoESummariesFor: func(partner string) []core.QoESummary {
-		return values[partner][calls.Add(1)/3%2]
+		return values[partner][calls.Add(1)/3%3]
 	}})
 	srv.Now = func() int64 { return fixedNow }
 	h := srv.Handler()
@@ -253,8 +384,8 @@ func TestReplyMemoConcurrentFlips(t *testing.T) {
 					rec := httptest.NewRecorder()
 					h.ServeHTTP(rec, req)
 					got := encoding{rec.Body.String(), rec.Header().Get("ETag")}
-					if rec.Code != http.StatusOK || (got != want[name][0] && got != want[name][1]) {
-						errs <- fmt.Errorf("%s request %d: %d, ETag %s, %d-byte body: not one of its two encodings",
+					if rec.Code != http.StatusOK || !slices.Contains(want[name], got) {
+						errs <- fmt.Errorf("%s request %d: %d, ETag %s, %d-byte body: not one of its three encodings",
 							name, i, rec.Code, got.etag, len(got.body))
 						return
 					}

@@ -303,7 +303,7 @@ func TestPollNotModifiedIsFresh(t *testing.T) {
 	}
 	sl := srv.summaries.slot("p")
 	sl.mu.Lock()
-	held := sl.held && sameList(payload, sl.value, sameSummary)
+	held := sl.holding(payload, sameSummary) != nil
 	sl.mu.Unlock()
 	if !held {
 		t.Error("the reply memo does not hold the unchanged summaries: the 304s were re-encoded")

@@ -11,9 +11,11 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"eona/internal/auth"
 	"eona/internal/core"
@@ -115,32 +117,48 @@ func (d *discardWriter) Header() http.Header         { return d.h }
 func (d *discardWriter) WriteHeader(code int)        { d.code = code }
 func (d *discardWriter) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
 
-// summariesRoute serves the given payloads in turn from a Routes registry
-// and returns it with a reusable authorized request for it.
-func summariesRoute(payloads ...[]core.QoESummary) (*Routes, *http.Request) {
-	calls := 0
+// summariesRoute serves src's summaries from a Routes registry and returns
+// it with a reusable authorized request for it.
+func summariesRoute(src func() []core.QoESummary) (*Routes, *http.Request) {
 	store := auth.NewStore()
 	store.Register("tok", "p", auth.ScopeA2IQoE)
-	srv := NewServer(store, nil, Sources{QoESummaries: func() []core.QoESummary {
-		calls++
-		return payloads[calls%len(payloads)]
-	}})
+	srv := NewServer(store, nil, Sources{QoESummaries: src})
 	req := httptest.NewRequest(http.MethodGet, "/v1/a2i/summaries", nil)
 	req.Header.Set("Authorization", "Bearer tok")
 	return srv.Routes(), req
 }
 
-// changingSummaries serves two summaries128 payloads alternately, so every
-// reply is a memo miss: the encode on each serve that
-// BENCH_2026-10-15.json recorded.
+// changingSummaries serves two summaries128 payloads alternately, which
+// differ in every element, so every reply is a memo miss that encodes every
+// element: the encode on each serve that BENCH_2026-10-15.json recorded.
 func changingSummaries() (*Routes, *http.Request) {
-	return summariesRoute(summaries128("x"), summaries128("y"))
+	payloads := [2][]core.QoESummary{summaries128("x"), summaries128("y")}
+	calls := 0
+	return summariesRoute(func() []core.QoESummary {
+		calls++
+		return payloads[calls%2]
+	})
 }
 
 // unchangedSummaries serves one summaries128 payload, so every reply after
-// the second comes from the memo.
+// the first comes from the memo.
 func unchangedSummaries() (*Routes, *http.Request) {
-	return summariesRoute(summaries128("x"))
+	v := summaries128("x")
+	return summariesRoute(func() []core.QoESummary { return v })
+}
+
+// oneChangedSummaries serves a summaries128 payload with one element
+// changed per serve, each in turn: a memo miss that encodes one element and
+// copies the other 127 from the slot, as on a poll that sees ingest touch a
+// few groups.
+func oneChangedSummaries() (*Routes, *http.Request) {
+	v := summaries128("x")
+	calls := 0
+	return summariesRoute(func() []core.QoESummary {
+		calls++
+		v[calls%len(v)].Sessions = float64(calls)
+		return v
+	})
 }
 
 func benchmarkServe(b *testing.B, rt *Routes, req *http.Request) {
@@ -156,8 +174,8 @@ func benchmarkServe(b *testing.B, rt *Routes, req *http.Request) {
 	b.SetBytes(int64(w.n))
 }
 
-// BenchmarkServeSummaries is the changed-state reply: one encode and one
-// SHA-256 per serve.
+// BenchmarkServeSummaries is the changed-state reply with every element
+// changed: a full encode and one SHA-256 per serve.
 func BenchmarkServeSummaries(b *testing.B) {
 	rt, req := changingSummaries()
 	benchmarkServe(b, rt, req)
@@ -168,6 +186,66 @@ func BenchmarkServeSummaries(b *testing.B) {
 func BenchmarkServeSummariesUnchanged(b *testing.B) {
 	rt, req := unchangedSummaries()
 	benchmarkServe(b, rt, req)
+}
+
+// BenchmarkServeSummariesOneChanged is the partial miss: one element
+// encoded, 127 copied from the slot, and one SHA-256 per serve.
+func BenchmarkServeSummariesOneChanged(b *testing.B) {
+	rt, req := oneChangedSummaries()
+	benchmarkServe(b, rt, req)
+}
+
+// BenchmarkServeSummariesParallel serves one collaborator from concurrent
+// clients, whose serves share one slot and its lock. In "OneChanged"
+// every serve sees one element changed since the serve before it; in
+// "Mixed" one serve in four does and the rest hit. Besides ns/op, the
+// inverse of throughput, it reports the latency of a serve.
+func BenchmarkServeSummariesParallel(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		every uint64
+	}{{"OneChanged", 1}, {"Mixed", 4}} {
+		b.Run(bc.name, func(b *testing.B) {
+			// ring[j] differs from ring[j-1] in element j%128 only.
+			ring := make([][]core.QoESummary, 256)
+			v := summaries128("x")
+			for j := range ring {
+				v[j%len(v)].Sessions = float64(1000 + j)
+				ring[j] = slices.Clone(v)
+			}
+			var calls atomic.Uint64
+			store := auth.NewStore()
+			store.Register("tok", "p", auth.ScopeA2IQoE)
+			rt := NewServer(store, nil, Sources{QoESummaries: func() []core.QoESummary {
+				return ring[calls.Add(1)/bc.every%uint64(len(ring))]
+			}}).Routes()
+
+			var mu sync.Mutex
+			var lat []time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				req := httptest.NewRequest(http.MethodGet, "/v1/a2i/summaries", nil)
+				req.Header.Set("Authorization", "Bearer tok")
+				w := &discardWriter{h: http.Header{}}
+				var own []time.Duration
+				for pb.Next() {
+					start := time.Now()
+					rt.ServeHTTP(w, req)
+					own = append(own, time.Since(start))
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if w.code != 0 && w.code != http.StatusOK {
+					b.Errorf("status %d", w.code)
+				}
+				lat = append(lat, own...)
+			})
+			slices.Sort(lat)
+			b.ReportMetric(float64(lat[len(lat)/2].Microseconds()), "p50-µs")
+			b.ReportMetric(float64(lat[len(lat)*99/100].Microseconds()), "p99-µs")
+		})
+	}
 }
 
 // servedSummaries is the body the summaries route serves for summaries128.
@@ -245,25 +323,32 @@ func serveAllocs(rt *Routes, req *http.Request, n int) (body, alloc uint64) {
 	return uint64(w.n / n), (after.TotalAlloc - before.TotalAlloc) / uint64(n)
 }
 
-// A changed-state reply allocates nothing sized to its body: the envelope
-// is encoded once into a pooled buffer.
+// A changed-state reply allocates nothing sized to its body, whether every
+// element changed or one did: the payload is built into a pooled reply
+// buffer and copied into the slot's spare body, whose capacity it reuses.
 func TestServeSummariesAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
 	}
-	rt, req := changingSummaries()
-	body, per := serveAllocs(rt, req, 200)
-	if body < 30<<10 {
-		t.Fatalf("served %d bytes per reply, want the ~34 KB body", body)
-	}
-	if per >= 4<<10 {
-		t.Errorf("a summaries reply allocates %d B, want < 4 KB (body is %d B)", per, body)
+	for name, route := range map[string]func() (*Routes, *http.Request){
+		"all changed": changingSummaries,
+		"one changed": oneChangedSummaries,
+	} {
+		rt, req := route()
+		body, per := serveAllocs(rt, req, 200)
+		if body < 30<<10 {
+			t.Fatalf("%s: served %d bytes per reply, want the ~34 KB body", name, body)
+		}
+		if per >= 4<<10 {
+			t.Errorf("%s: a summaries reply allocates %d B, want < 4 KB (body is %d B)", name, per, body)
+		}
 	}
 }
 
 // An unchanged-state reply from the memo allocates less often than a
-// changed one (6 times, BENCH_2026-10-15.json), since it neither encodes
-// nor hashes, and nothing near a body: no encode buffer, no value copy.
+// changed one (4 times), since it neither encodes nor hashes, and nothing
+// near a body: no encode buffer, no value copy. A reply that re-encodes one
+// element allocates no more often than one that encodes them all.
 func TestServeSummariesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its puts under the race detector")
@@ -272,9 +357,12 @@ func TestServeSummariesAllocs(t *testing.T) {
 		w := &discardWriter{h: http.Header{}}
 		return testing.AllocsPerRun(100, func() { rt.ServeHTTP(w, req) })
 	}
-	hit, miss := allocs(unchangedSummaries()), allocs(changingSummaries())
+	hit, miss, partial := allocs(unchangedSummaries()), allocs(changingSummaries()), allocs(oneChangedSummaries())
 	if hit > 6 || hit >= miss {
 		t.Errorf("a memo reply allocates %.0f times, want <= 6 and fewer than a changed reply's %.0f", hit, miss)
+	}
+	if partial > miss {
+		t.Errorf("a one-element miss allocates %.0f times, more than a full miss's %.0f", partial, miss)
 	}
 	rt, req := unchangedSummaries()
 	body, per := serveAllocs(rt, req, 200)

@@ -26,7 +26,7 @@ import (
 // Sources supplies the data a server exports. Nil funcs mean "surface not
 // offered" and return 404. Each func is called per request; implementations
 // close over the owner's state (and its simulator clock, if any). The server
-// may keep a returned slice and never writes to it.
+// never writes to a returned slice.
 type Sources struct {
 	// A2I surfaces (set by an AppP).
 	QoESummaries     func() []core.QoESummary
@@ -74,8 +74,8 @@ func NewServer(store *auth.Store, limiter *auth.RateLimiter, src Sources) *Serve
 		limiter:   limiter,
 		src:       src,
 		Now:       func() int64 { return time.Now().UnixMilli() },
-		summaries: replyMemo[core.QoESummary]{t: wire.TypeQoESummaries, same: sameSummary},
-		traffic:   replyMemo[core.TrafficEstimate]{t: wire.TypeTrafficEstimates, same: sameTraffic},
+		summaries: replyMemo[core.QoESummary]{t: wire.TypeQoESummaries, same: sameSummary, appendElem: wire.AppendSummary},
+		traffic:   replyMemo[core.TrafficEstimate]{t: wire.TypeTrafficEstimates, same: sameTraffic, appendElem: wire.AppendTraffic},
 	}
 }
 
@@ -165,12 +165,18 @@ func (s *Server) reply(w http.ResponseWriter, r *http.Request, t wire.MessageTyp
 func (s *Server) encode(w http.ResponseWriter, buf *replyBuf, t wire.MessageType, ms int64, payload any) (raw []byte, ok bool) {
 	msg, raw, err := wire.AppendEncode((*buf)[:0], t, ms, payload)
 	if err != nil {
-		s.logf("lookingglass: encode %s: %v", t, err)
-		WriteError(w, http.StatusInternalServerError, "encoding failure")
+		s.encodeFailed(w, t, err)
 		return nil, false
 	}
 	*buf = msg
 	return raw, true
+}
+
+// encodeFailed logs a payload of type t that failed to encode and answers
+// 500 with the error envelope.
+func (s *Server) encodeFailed(w http.ResponseWriter, t wire.MessageType, err error) {
+	s.logf("lookingglass: encode %s: %v", t, err)
+	WriteError(w, http.StatusInternalServerError, "encoding failure")
 }
 
 // payloadETag names a payload by its SHA-256. It hashes the payload, not the

@@ -69,14 +69,23 @@ func requireSameEncoding(t *testing.T, name string, typ MessageType, at int64, p
 	}
 }
 
+// encodeEscapes holds a string every escaping rule of appendString applies
+// to, and encodeFloatEdges the floats on each side of the 'f'/'e' switch.
+const encodeEscapes = "<script>&amp;</script> \u2028\u2029 \x00\x01\x1f\t\n\"\\ bad\xff\xfeutf8 é 日本"
+
+var encodeFloatEdges = []float64{1e-7, 1e21, math.Copysign(0, -1), 5e-324, 1e20, 1e-6, math.MaxFloat64, -1e-7}
+
 func TestEncodeMatchesMarshal(t *testing.T) {
-	escapes := "<script>&amp;</script> \u2028\u2029 \x00\x01\x1f\t\n\"\\ bad\xff\xfeutf8 é 日本"
 	sum := func(s string, x float64) core.QoESummary {
 		return core.QoESummary{
 			Key:      core.SummaryKey{ClientISP: s, CDN: "cdn" + s, Cluster: s + "-east"},
 			Sessions: x, MeanScore: -x, MeanBufferingRatio: x / 3,
 			MeanBitrateBps: x * 1e6, MeanStartupSec: 1 / (1 + math.Abs(x)), AbandonmentRate: x,
 		}
+	}
+	var floatEdges []core.QoESummary
+	for i, x := range encodeFloatEdges {
+		floatEdges = append(floatEdges, sum(string(rune('a'+i)), x))
 	}
 	cases := []struct {
 		name    string
@@ -91,18 +100,15 @@ func TestEncodeMatchesMarshal(t *testing.T) {
 		}},
 		{"attribution", TypeAttribution, core.Attribution{CDN: "cdnX", Segment: core.SegmentAccess, Level: netsim.CongestionSevere, SuggestedCapBps: 1.5e6}},
 		{"hints", TypeServerHints, []core.ServerHint{{ServerID: "east-s01", Cluster: "east", Load: 0.4, CacheLikely: true}}},
-		{"error-body", TypeError, ErrorBody{Code: 500, Message: escapes}},
+		{"error-body", TypeError, ErrorBody{Code: 500, Message: encodeEscapes}},
 		{"raw-message", TypeAttribution, json.RawMessage(" { \"cdn\" : \"<x>\",\n\t\"segment\": 1 } ")},
 		{"raw-message-nil", TypeAttribution, json.RawMessage(nil)},
 		{"raw-message-invalid", TypeAttribution, json.RawMessage(`{"cdn":`)},
 		{"nil-payload", TypeAttribution, nil},
 		{"nil-slice", TypeQoESummaries, []core.QoESummary(nil)},
 		{"empty-slice", TypeQoESummaries, []core.QoESummary{}},
-		{"escaping", TypeQoESummaries, []core.QoESummary{sum(escapes, 1)}},
-		{"float-edges", TypeQoESummaries, []core.QoESummary{
-			sum("a", 1e-7), sum("b", 1e21), sum("c", math.Copysign(0, -1)), sum("d", 5e-324),
-			sum("e", 1e20), sum("f", 1e-6), sum("g", math.MaxFloat64), sum("h", -1e-7),
-		}},
+		{"escaping", TypeQoESummaries, []core.QoESummary{sum(encodeEscapes, 1)}},
+		{"float-edges", TypeQoESummaries, floatEdges},
 		{"unsupported-nan", TypeQoESummaries, []core.QoESummary{sum("x", math.NaN())}},
 		{"unsupported-inf", TypePeeringInfo, []core.PeeringInfo{{HeadroomBps: math.Inf(1)}}},
 		{"unsupported-chan", TypeAttribution, make(chan int)},
@@ -116,18 +122,51 @@ func TestEncodeMatchesMarshal(t *testing.T) {
 }
 
 // FuzzEncodeMatchesMarshal feeds arbitrary strings and floats through both
-// encoders; unsupported floats (NaN, ±Inf) must fail on both sides. Run with
-// `go test -fuzz=FuzzEncodeMatchesMarshal ./internal/wire`.
+// encoders, as summaries and as traffic estimates, whole payloads and one
+// element at a time; unsupported floats (NaN, ±Inf) must fail on both sides.
+// Run with `go test -fuzz=FuzzEncodeMatchesMarshal ./internal/wire`.
 func FuzzEncodeMatchesMarshal(f *testing.F) {
 	f.Add("isp1", "cdnX", 42.0, 77.5, int64(12345))
 	f.Add("<&>\u2028", "\xff\x00", 1e21, 1e-7, int64(-1))
 	f.Add("", "", math.Copysign(0, -1), 5e-324, int64(0))
 	f.Add("nan", "inf", math.NaN(), math.Inf(-1), int64(1))
+	for i, x := range encodeFloatEdges {
+		f.Add(encodeEscapes, encodeEscapes[i:], x, -x, int64(i))
+	}
 	f.Fuzz(func(t *testing.T, isp, cdn string, a, b float64, at int64) {
-		payload := []core.QoESummary{
+		summaries := []core.QoESummary{
 			{Key: core.SummaryKey{ClientISP: isp, CDN: cdn, Cluster: isp + cdn}, Sessions: a, MeanScore: b},
 			{Key: core.SummaryKey{ClientISP: cdn}, MeanBitrateBps: a * b, AbandonmentRate: b},
 		}
-		requireSameEncoding(t, "fuzz", TypeQoESummaries, at, payload)
+		traffic := []core.TrafficEstimate{
+			{AppP: isp, CDN: cdn, VolumeBps: a, Sessions: b},
+			{AppP: cdn + isp, VolumeBps: b / 3, Sessions: a * b},
+		}
+		requireSameEncoding(t, "fuzz summaries", TypeQoESummaries, at, summaries)
+		requireSameEncoding(t, "fuzz traffic", TypeTrafficEstimates, at, traffic)
+		for i := range summaries {
+			requireSameElement(t, &summaries[i], AppendSummary)
+		}
+		for i := range traffic {
+			requireSameElement(t, &traffic[i], AppendTraffic)
+		}
 	})
+}
+
+// requireSameElement fails unless appending e after a prefix writes
+// json.Marshal(e) there, or both fail and the prefix comes back unchanged.
+func requireSameElement[E any](t *testing.T, e *E, appendElem func([]byte, *E) ([]byte, error)) {
+	t.Helper()
+	want, werr := json.Marshal(e)
+	prefix := []byte("prefix")
+	got, gerr := appendElem(prefix[:len(prefix):len(prefix)], e)
+	if (werr != nil) != (gerr != nil) {
+		t.Fatalf("%+v: json.Marshal err = %v, appender err = %v", *e, werr, gerr)
+	}
+	if werr != nil {
+		want = nil
+	}
+	if !bytes.Equal(got, append(prefix, want...)) {
+		t.Fatalf("%+v: appender wrote %q, want %q after the prefix", *e, got, want)
+	}
 }

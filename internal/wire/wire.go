@@ -6,11 +6,13 @@
 // (unknown versions and mismatched types are errors, unknown fields inside
 // payloads are ignored for forward compatibility).
 //
-// Encoding is encoding/json's. Decoding the envelope and the two A2I
-// payloads, []core.QoESummary and []core.TrafficEstimate, is a hand-written
-// single-pass reader (read.go) that gives encoding/json's results on every
-// input; the I2A payloads and ErrorBody, a few hundred bytes each, stay on
-// json.Unmarshal.
+// The two A2I payloads, []core.QoESummary and []core.TrafficEstimate, are
+// what partners poll continuously, and both directions of them skip
+// reflection: encoding is a hand-written appender per element (write.go)
+// that writes json.Marshal's bytes, and decoding, of the envelope too, is a
+// single-pass reader (read.go) that gives json.Unmarshal's results on every
+// input. The I2A payloads and ErrorBody, a few hundred bytes each, stay on
+// encoding/json both ways.
 package wire
 
 import (
@@ -114,25 +116,45 @@ func Encode(t MessageType, generatedAtMs int64, payload any) ([]byte, error) {
 // AppendEncode appends payload, wrapped in a versioned envelope, to dst. It
 // returns the extended buffer and raw, the payload's JSON inside it. The
 // payload is marshalled exactly once, straight after the envelope's fixed
-// fields. The bytes are those encoding/json emits for the whole Envelope:
-// its pass over a RawMessage payload only re-compacts, and a marshalled
-// payload is already compact and HTML-escaped. On error it returns dst
-// unchanged.
+// fields: the A2I payloads, []core.QoESummary and []core.TrafficEstimate, by
+// the appenders in write.go, every other payload by encoding/json. The bytes
+// are those encoding/json emits for the whole Envelope: its pass over a
+// RawMessage payload only re-compacts, and a marshalled payload is already
+// compact and HTML-escaped. On error it returns dst unchanged.
 func AppendEncode(dst []byte, t MessageType, generatedAtMs int64, payload any) (msg, raw []byte, err error) {
+	return AppendEnvelope(dst, t, generatedAtMs, func(b []byte) ([]byte, error) {
+		switch p := payload.(type) {
+		case []core.QoESummary:
+			return AppendList(b, p, func(b []byte, i int) ([]byte, error) { return AppendSummary(b, &p[i]) })
+		case []core.TrafficEstimate:
+			return AppendList(b, p, func(b []byte, i int) ([]byte, error) { return AppendTraffic(b, &p[i]) })
+		}
+		buf := bytes.NewBuffer(b)
+		if err := json.NewEncoder(buf).Encode(payload); err != nil {
+			return b, err
+		}
+		// The encoder ends each value with a newline; drop it.
+		b = buf.Bytes()
+		return b[:len(b)-1], nil
+	})
+}
+
+// AppendEnvelope appends a versioned envelope of type t to dst, with
+// appendPayload appending the payload's JSON after the fixed fields. It
+// returns the extended buffer and raw, the payload inside it. On error it
+// returns dst unchanged.
+func AppendEnvelope(dst []byte, t MessageType, generatedAtMs int64, appendPayload func(b []byte) ([]byte, error)) (msg, raw []byte, err error) {
 	msg, err = appendHead(dst, t, generatedAtMs)
 	if err != nil {
 		return dst, nil, err
 	}
 	start := len(msg)
-	buf := bytes.NewBuffer(msg)
-	if err := json.NewEncoder(buf).Encode(payload); err != nil {
+	if msg, err = appendPayload(msg); err != nil {
 		return dst, nil, fmt.Errorf("wire: marshal payload: %w", err)
 	}
-	// The encoder ends each value with a newline; it becomes the envelope's
-	// closing brace.
-	msg = buf.Bytes()
-	msg[len(msg)-1] = '}'
-	return msg, msg[start : len(msg)-1 : len(msg)-1], nil
+	end := len(msg)
+	msg = append(msg, '}')
+	return msg, msg[start:end:end], nil
 }
 
 // AppendWrap appends raw, a payload as AppendEncode returned it, wrapped in

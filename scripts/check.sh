@@ -33,8 +33,8 @@ go test -race ./internal/core/... ./internal/agg/... ./internal/netsim/... \
 	./internal/control/... ./internal/lookingglass/... ./internal/journal/... \
 	./internal/projection/... ./internal/ctlplane/...
 # The looking glass's reply memo under concurrency, 50 times over: two
-# partners polling a source that flips between two values, so slots are
-# promoted while other requests read them.
+# partners polling a source that cycles through three overlapping values, so
+# misses build from a slot's body while other requests replace it.
 go test -race -run '^TestReplyMemoConcurrentFlips$' -count 50 ./internal/lookingglass/
 # The crash-injection sweep: kill the journal at every record boundary (and
 # seeded mid-record offsets) on every topology fixture; recovery must equal
@@ -48,10 +48,14 @@ go test -race -run 'TestProjectionCrashSweep|TestResumeEqualsFromScratchFold|Tes
 # The multi-driver engine determinism pin: worker-pool lockstep runs vs the
 # serial reference on every topology fixture, under the race detector.
 go test -race -run 'TestEngineArmDifferentialOnFixtures|TestParallel' ./internal/expt/ ./internal/sim/
-# The wire decoder's differential fuzz: 2000 generated inputs past the seed
-# corpus, each decoded by the hand-written reader and by encoding/json. The
-# budget is an input count, not wall time, so every run does the same work.
+# The wire codec's differential fuzzes: 2000 generated inputs past the seed
+# corpus, each decoded by the hand-written reader and by encoding/json, then
+# each encoded by the hand-written appenders and by encoding/json; and the
+# reply memo's poll sequences, each reply against a fresh encode. The budget
+# is an input count, not wall time, so every run does the same work.
 go test -run '^$' -fuzz '^FuzzDecodeMatchesUnmarshal$' -fuzztime 2000x ./internal/wire
+go test -run '^$' -fuzz '^FuzzEncodeMatchesMarshal$' -fuzztime 2000x ./internal/wire
+go test -run '^$' -fuzz '^FuzzReplyMemoMatchesEncode$' -fuzztime 2000x ./internal/lookingglass
 go test -race ./...
 # Hot paths can't quietly regress: key benchmarks vs the latest recording.
 scripts/bench_gate.sh
