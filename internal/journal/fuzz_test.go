@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"eona/internal/netsim"
@@ -183,6 +185,8 @@ func FuzzDecodeSnap(f *testing.F) {
 	}, 99))
 	f.Add(appendSnapPayload(nil, 0, netsim.NetState{}, 0))
 	f.Add([]byte{})
+	f.Add(bogusFlowCountSnap(1 << 40))
+	f.Add(bogusFlowCountSnap(4096))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var d decoder
 		opIndex, st, digest, err := d.decodeSnap(data)
@@ -198,4 +202,63 @@ func FuzzDecodeSnap(f *testing.F) {
 			t.Fatalf("snapshot round trip drifted: %d/%x vs %d/%x", opIndex, digest, oi2, d2)
 		}
 	})
+}
+
+// bogusFlowCountSnap is a snapshot payload whose header claims count flows
+// over a 4 KB body: a frame whose CRC checks out but whose count does not.
+func bogusFlowCountSnap(count uint64) []byte {
+	p := appendSnapPayload(nil, 1, netsim.NetState{NextID: 1}, 0)
+	p = p[:len(p)-3] // drop the empty flow, capacity and link-rate counts
+	p = binary.AppendUvarint(p, count)
+	return append(p, make([]byte, 4096)...)
+}
+
+// TestDecodeSnapBogusFlowCount: a flow count that the body cannot hold
+// fails before anything is sized from it. 4 096 flows would fit at one
+// byte each but not at the 19 bytes the smallest encoded flow takes, and
+// pre-sizing for them would allocate 64 bytes per payload byte.
+func TestDecodeSnapBogusFlowCount(t *testing.T) {
+	for _, count := range []uint64{1 << 40, 4096, 4096/minSnapFlow + 1} {
+		p := bogusFlowCountSnap(count)
+		var d decoder
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err := d.decodeSnap(p)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("count %d over %d bytes decoded", count, len(p))
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 1024 {
+			t.Errorf("count %d over %d bytes: decode allocated %d B before failing", count, len(p), b)
+		}
+	}
+}
+
+// TestDecoderSharesPaths: recovery keeps every record it decodes, so an op
+// and a snapshot flow on the same path share one slice, capped at its
+// length so an append cannot write into it, while a different path gets its
+// own.
+func TestDecoderSharesPaths(t *testing.T) {
+	var d decoder
+	ab, c := []netsim.LinkID{0, 300}, []netsim.LinkID{2}
+	op, _, err := d.decodeOp(appendOpPayload(nil, netsim.Op{Kind: netsim.OpStart, Links: ab, Tag: "x"}, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, _, err := d.decodeSnap(appendSnapPayload(nil, 1, netsim.NetState{NextID: 2, Flows: []netsim.FlowState{
+		{ID: 0, Links: ab, Tag: "x"}, {ID: 1, Links: c, Tag: "x"},
+	}}, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, other := st.Flows[0].Links, st.Flows[1].Links
+	if !slices.Equal(op.Links, ab) || !slices.Equal(shared, ab) || !slices.Equal(other, c) {
+		t.Fatalf("decoded paths %v, %v, %v; want %v, %v, %v", op.Links, shared, other, ab, ab, c)
+	}
+	if &op.Links[0] != &shared[0] {
+		t.Error("an op and a snapshot flow on one path decoded to two slices")
+	}
+	if &other[0] == &shared[0] || cap(shared) != len(shared) {
+		t.Errorf("paths share storage wrongly: cap %d for len %d", cap(shared), len(shared))
+	}
 }

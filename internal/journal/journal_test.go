@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -344,6 +345,68 @@ func TestSnapshotCatchUpEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameNetworks(t, "snapshot+tail vs full replay", viaSnap, full)
+}
+
+// snapPayloadSink encodes every snapshot the owner hands the journal and
+// requires the bytes to equal those of a fresh ExportState of the same
+// network: the owner exports into one reused scratch, and a scratch that
+// carried anything over from an earlier, larger export would show here. It
+// runs on the owner goroutine, where reading net is safe.
+type snapPayloadSink struct {
+	netsim.OpLog
+	t           *testing.T
+	net         *netsim.Network
+	snaps, last int
+	shrank      bool
+}
+
+func (s *snapPayloadSink) AppendSnapshot(st netsim.NetState, digest uint64) error {
+	got := appendSnapPayload(nil, uint64(s.snaps), st, digest)
+	want := appendSnapPayload(nil, uint64(s.snaps), s.net.ExportState(), digest)
+	if !bytes.Equal(got, want) {
+		s.t.Errorf("snapshot %d: scratch export encodes to %d bytes, fresh export to %d, and they differ", s.snaps, len(got), len(want))
+	}
+	s.shrank = s.shrank || len(st.Flows) < s.last
+	s.snaps, s.last = s.snaps+1, len(st.Flows)
+	return nil
+}
+
+// TestSnapshotPayloadSameForBothExports journals a snapshot after every op
+// of a seeded storm, ending in a drain, on every journal fixture.
+func TestSnapshotPayloadSameForBothExports(t *testing.T) {
+	for name, build := range fixtures() {
+		t.Run(name, func(t *testing.T) {
+			net, paths, _ := build()
+			sink := &snapPayloadSink{t: t, net: net}
+			s := netsim.NewShared(net, netsim.SharedConfig{Journal: sink, SnapshotEvery: 1})
+			rng := rand.New(rand.NewSource(44))
+			var live []*netsim.Flow
+			for step := 0; step < 200; step++ {
+				p := paths[rng.Intn(len(paths))]
+				switch op := rng.Intn(6); {
+				case op < 2 || len(live) == 0:
+					live = append(live, s.StartFlow(p, float64(1+rng.Intn(300)), "storm"))
+				case op == 2:
+					k := rng.Intn(len(live))
+					s.StopFlow(live[k])
+					live = append(live[:k], live[k+1:]...)
+				case op == 3:
+					s.SetPath(live[rng.Intn(len(live))], p)
+				case op == 4:
+					s.SetWeight(live[rng.Intn(len(live))], float64(rng.Intn(4)))
+				default:
+					s.SetLinkCapacity(p[0].ID, float64(50+rng.Intn(200)))
+				}
+			}
+			for _, f := range live {
+				s.StopFlow(f)
+			}
+			s.Close()
+			if sink.snaps < 200 || !sink.shrank {
+				t.Fatalf("%d snapshots, shrank %v: the storm tests too little", sink.snaps, sink.shrank)
+			}
+		})
+	}
 }
 
 // TestWriterResumesAcrossReopen: a reopened journal continues the op count,

@@ -68,35 +68,49 @@ func appendOpPayload(buf []byte, op netsim.Op, digest uint64) []byte {
 }
 
 // decoder is per-recovery decode scratch. A journal replay decodes tens of
-// thousands of records whose variable-width fields (op paths, tags) would
-// each allocate; the decoder amortizes them — link slices are carved out of
-// chunked arenas that outlive individual records, and tag strings are
-// interned (the map lookup on a []byte key compiles allocation-free), so a
-// log that reuses a handful of tags pays for each exactly once. The zero
-// value is ready to use; a decoder serves one goroutine.
+// thousands of records whose variable-width fields (paths, tags) would each
+// allocate, and Recover keeps every record it decodes. So both are
+// interned: a path decodes to one slice shared by every op and snapshot
+// flow that travels it, and a tag to one string (the map lookups on a
+// []byte key compile allocation-free). A log that reuses a handful of
+// routes and tags pays for each exactly once. The zero value is ready to
+// use; a decoder serves one goroutine.
 type decoder struct {
-	chunk []netsim.LinkID   // current link-ID arena chunk
-	tags  map[string]string // interned tag strings
+	paths map[string][]netsim.LinkID // interned paths, by encoded bytes
+	tags  map[string]string          // interned tag strings
 }
 
-// linkSlice carves an n-entry slice from the arena. Chunks are never
-// recycled while referenced — a full chunk is simply abandoned to its
-// existing slices and a fresh one started — so returned slices stay valid
-// for the life of the recovery.
-func (d *decoder) linkSlice(n int) []netsim.LinkID {
-	if n == 0 {
+// path reads an n-link path from r. The returned slice is shared with
+// every other record on the same path, so callers must not write to it; its
+// capacity is its length, so an append copies.
+func (d *decoder) path(r *PayloadReader, n uint64, what string) []netsim.LinkID {
+	if r.err == nil && n > uint64(len(r.b)) {
+		r.Fail(what)
+	}
+	if r.err != nil || n == 0 {
 		return nil
 	}
-	if len(d.chunk)+n > cap(d.chunk) {
-		c := 1024
-		if n > c {
-			c = n
-		}
-		d.chunk = make([]netsim.LinkID, 0, c)
+	enc := r.b
+	for i := uint64(0); i < n && r.err == nil; i++ {
+		r.Uvarint(what)
 	}
-	s := d.chunk[len(d.chunk) : len(d.chunk)+n : len(d.chunk)+n]
-	d.chunk = d.chunk[:len(d.chunk)+n]
-	return s
+	if r.err != nil {
+		return nil
+	}
+	enc = enc[:len(enc)-len(r.b)]
+	if p, ok := d.paths[string(enc)]; ok {
+		return p
+	}
+	p := make([]netsim.LinkID, n)
+	er := NewPayloadReader(enc)
+	for i := range p {
+		p[i] = netsim.LinkID(er.Uvarint(what))
+	}
+	if d.paths == nil {
+		d.paths = make(map[string][]netsim.LinkID)
+	}
+	d.paths[string(enc)] = p
+	return p
 }
 
 // intern returns b as a string, reusing a previously decoded copy when one
@@ -126,16 +140,7 @@ func (d *decoder) decodeOp(p []byte) (netsim.Op, uint64, error) {
 	op.Flow = netsim.FlowID(r.Uvarint("op flow"))
 	op.Value = r.F64("op value")
 	op.Link = netsim.LinkID(r.Uvarint("op link"))
-	n := r.Uvarint("op path length")
-	if r.err == nil && n > uint64(len(r.b)) {
-		r.Fail("op path")
-	}
-	if r.err == nil && n > 0 {
-		op.Links = d.linkSlice(int(n))
-		for i := range op.Links {
-			op.Links[i] = netsim.LinkID(r.Uvarint("op path link"))
-		}
-	}
+	op.Links = d.path(r, r.Uvarint("op path length"), "op path")
 	op.Tag = d.intern(r.Bytes("op tag"))
 	digest := r.U64("op digest")
 	return op, digest, r.Done("op record")
@@ -168,6 +173,11 @@ func appendSnapPayload(buf []byte, opIndex uint64, st netsim.NetState, digest ui
 	return buf
 }
 
+// minSnapFlow is the smallest encoded snapshot flow: an ID varint, demand
+// and weight (8 bytes each), a tag length and a path length (one byte each
+// at least).
+const minSnapFlow = 1 + 8 + 8 + 1 + 1
+
 func (d *decoder) decodeSnap(p []byte) (opIndex uint64, st netsim.NetState, digest uint64, err error) {
 	r := NewPayloadReader(p)
 	opIndex = r.Uvarint("snapshot op index")
@@ -175,8 +185,13 @@ func (d *decoder) decodeSnap(p []byte) (opIndex uint64, st netsim.NetState, dige
 	st.NextID = netsim.FlowID(r.Uvarint("snapshot next id"))
 	st.MaxRate = r.F64("snapshot max rate")
 	nf := r.Uvarint("snapshot flow count")
-	if r.err == nil && nf > uint64(len(r.b)) {
+	// The check comes before the pre-size, so a CRC-valid frame with a
+	// bogus count fails instead of allocating 64 bytes per payload byte.
+	if r.err == nil && nf > uint64(len(r.b))/minSnapFlow {
 		r.Fail("snapshot flows")
+	}
+	if r.err == nil && nf > 0 {
+		st.Flows = make([]netsim.FlowState, 0, nf)
 	}
 	for i := uint64(0); r.err == nil && i < nf; i++ {
 		var f netsim.FlowState
@@ -184,21 +199,15 @@ func (d *decoder) decodeSnap(p []byte) (opIndex uint64, st netsim.NetState, dige
 		f.Demand = r.F64("flow demand")
 		f.Weight = r.F64("flow weight")
 		f.Tag = d.intern(r.Bytes("flow tag"))
-		nl := r.Uvarint("flow path length")
-		if r.err == nil && nl > uint64(len(r.b)) {
-			r.Fail("flow path")
-		}
-		if r.err == nil && nl > 0 {
-			f.Links = d.linkSlice(int(nl))
-			for j := range f.Links {
-				f.Links[j] = netsim.LinkID(r.Uvarint("flow path link"))
-			}
-		}
+		f.Links = d.path(r, r.Uvarint("flow path length"), "flow path")
 		st.Flows = append(st.Flows, f)
 	}
 	nc := r.Uvarint("capacity count")
 	if r.err == nil && nc > uint64(len(r.b))/8+1 {
 		r.Fail("capacities")
+	}
+	if r.err == nil && nc > 0 {
+		st.Capacities = make([]float64, 0, nc)
 	}
 	for i := uint64(0); r.err == nil && i < nc; i++ {
 		st.Capacities = append(st.Capacities, r.F64("capacity"))
@@ -206,6 +215,9 @@ func (d *decoder) decodeSnap(p []byte) (opIndex uint64, st netsim.NetState, dige
 	nr := r.Uvarint("link-rate count")
 	if r.err == nil && nr > uint64(len(r.b))/8+1 {
 		r.Fail("link rates")
+	}
+	if r.err == nil && nr > 0 {
+		st.LinkRates = make([]float64, 0, nr)
 	}
 	for i := uint64(0); r.err == nil && i < nr; i++ {
 		st.LinkRates = append(st.LinkRates, r.F64("link rate"))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -178,15 +179,34 @@ func churnRegions(regions, flows int) (*Network, []Path, []*Flow) {
 }
 
 // TestDigestAndExportCost pins what the journaled write path pays per op and
-// per snapshot: reading the digest allocates nothing at any flow count, and
-// ExportState makes a constant number of allocations, not one per flow.
+// per snapshot: reading the digest allocates nothing at any flow count,
+// ExportState makes a constant number of allocations, not one per flow, and
+// the owner's export into its reused scratch allocates nothing in steady
+// state, across flow churn included.
 func TestDigestAndExportCost(t *testing.T) {
-	n, _, _ := churnLike(1000)
+	n, paths, live := churnLike(1000)
 	if a := testing.AllocsPerRun(200, func() { n.StateDigest() }); a != 0 {
 		t.Errorf("StateDigest allocates %v allocs/op, want 0", a)
 	}
 	if a := testing.AllocsPerRun(20, func() { n.ExportState() }); a > 8 {
 		t.Errorf("ExportState allocates %v allocs/op at 1000 flows, want <= 8", a)
+	}
+	var scratch NetState
+	links := n.exportState(&scratch, nil)
+	var ms runtime.MemStats
+	mallocs := uint64(0)
+	for i := 0; i < 50; i++ {
+		k := i % len(live)
+		n.StopFlow(live[k])
+		live[k] = n.StartFlow(paths[(i*7)%len(paths)], float64(1+i%16)*0.5e6, "churn")
+		runtime.ReadMemStats(&ms)
+		m0 := ms.Mallocs
+		links = n.exportState(&scratch, links)
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs - m0
+	}
+	if mallocs != 0 {
+		t.Errorf("reused-scratch export allocated %d times over 50 churned exports, want 0", mallocs)
 	}
 	// The carved Links slices must not be able to grow into each other.
 	st := n.ExportState()
@@ -216,6 +236,21 @@ func TestPublishChurnAllocs(t *testing.T) {
 	})
 	if a > 20 {
 		t.Errorf("StopFlow+StartFlow publish allocates %v allocs at 1000 flows, want <= 20", a)
+	}
+	// Bytes, not only counts: the chunk's static half is a handle and a
+	// weight per flow (16 B), not a copied FlowView (48 B).
+	const pairs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for j := 0; j < pairs; j++ {
+		k := i % len(live)
+		s.StopFlow(live[k])
+		live[k] = s.StartFlow(paths[(i*7)%len(paths)], float64(1+i%16)*0.5e6, "churn")
+		i++
+	}
+	runtime.ReadMemStats(&after)
+	if b := float64(after.TotalAlloc-before.TotalAlloc) / pairs; b > 12<<10 {
+		t.Errorf("StopFlow+StartFlow publish allocates %.0f B at 1000 flows, want <= %d", b, 12<<10)
 	}
 }
 

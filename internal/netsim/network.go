@@ -9,8 +9,11 @@ import (
 // FlowID identifies an active flow.
 type FlowID int64
 
-// Flow is a fluid flow over a path. Rate is maintained by the Network's
-// max-min fair allocator; callers read it, never write it.
+// Flow is a fluid flow over a path. The Network writes every field and
+// callers never write any: Rate is maintained by the max-min fair
+// allocator, and Demand, Weight and Path change only through the Network's
+// setters. ID and Tag are fixed when the flow is attached and never written
+// again, so snapshots read them through the handle instead of copying them.
 type Flow struct {
 	ID   FlowID
 	Path Path
@@ -121,6 +124,7 @@ type Network struct {
 	scratchRate   []float64    // per-component fill rates
 	scratchFrozen []bool       // per-component fill freeze marks
 	scratchComps  []*component // components touched by one commit
+	scratchRuns   []mergeRun   // exportState's merge heap
 	compPool      []*component // recycled component husks (cleared member lists)
 
 	// Snapshot copy-on-write bookkeeping (snapshot.go): per-facet dirty

@@ -52,8 +52,8 @@ type component struct {
 	// set without allocating; always false between commits.
 	mark bool
 	// slot is the component's snapshot chunk slot (snapshot.go): published
-	// snapshots cache one FlowView chunk per component and share the
-	// chunks of components untouched since the previous snapshot.
+	// snapshots cache one flow chunk per component and share the chunks
+	// of components untouched since the previous snapshot.
 	slot int32
 }
 

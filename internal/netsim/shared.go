@@ -85,7 +85,10 @@ type OpSink interface {
 	// divergence.
 	AppendOp(op Op, digest uint64) error
 	// AppendSnapshot records a full state snapshot; recovery loads the
-	// latest snapshot and replays only the ops after it.
+	// latest snapshot and replays only the ops after it. st is valid only
+	// during the call: the owner exports every snapshot into the same
+	// scratch, so an implementation encodes or folds st before returning
+	// and keeps none of its slices.
 	AppendSnapshot(st NetState, digest uint64) error
 }
 
@@ -205,6 +208,10 @@ type SharedNetwork struct {
 	window       []*sharedCmd // deterministic mode: ops buffered until Commit
 	pubSeq       uint64
 	opsSinceSnap int
+	// snapState and snapLinks are the journal snapshot's export scratch,
+	// reused by every maybeSnapshot (Network.exportState).
+	snapState NetState
+	snapLinks []LinkID
 
 	// journalErr is the first sink error: stored once by the owner
 	// goroutine, readable from any goroutine while it runs.
@@ -553,7 +560,8 @@ func (s *SharedNetwork) maybeSnapshot() {
 		return
 	}
 	s.opsSinceSnap = 0
-	s.noteJournalErr(j.AppendSnapshot(s.net.ExportState(), s.net.StateDigest()))
+	s.snapLinks = s.net.exportState(&s.snapState, s.snapLinks)
+	s.noteJournalErr(j.AppendSnapshot(s.snapState, s.net.StateDigest()))
 }
 
 func (s *SharedNetwork) noteJournalErr(err error) {

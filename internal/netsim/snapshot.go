@@ -74,19 +74,25 @@ type FlowView struct {
 // flowChunk is one registry component's flows frozen at snapshot time,
 // sorted by ascending flow ID. Chunks are immutable once built, so
 // consecutive snapshots share the chunks of components untouched between
-// them. The static fields (ID, Weight, Tag) live in views; Rate and Demand
-// live in dyn, so a pure re-fill — by far the hottest publish — shares the
-// views slice and rebuilds only the two floats per flow.
+// them. The static half lives in flows: each flow's handle, through which
+// ID and Tag are read (both are fixed at attach), and its weight, copied
+// because SetWeight changes it. Rate and Demand live in dyn, so a pure
+// re-fill — by far the hottest publish — shares the flows slice and rebuilds
+// only the two floats per flow.
 type flowChunk struct {
-	views []FlowView // static fields; Rate/Demand left zero
-	dyn   []float64  // [rate, demand] per flow, same order as views
+	flows []chunkFlow // static half, in flow-ID order
+	dyn   []float64   // [rate, demand] per flow, same order as flows
+}
+
+// chunkFlow is one flow's static half in a chunk.
+type chunkFlow struct {
+	f      *Flow
+	weight float64
 }
 
 func (ch *flowChunk) view(pos int) FlowView {
-	v := ch.views[pos]
-	v.Rate = ch.dyn[2*pos]
-	v.Demand = ch.dyn[2*pos+1]
-	return v
+	e := ch.flows[pos]
+	return FlowView{ID: e.f.ID, Rate: ch.dyn[2*pos], Demand: ch.dyn[2*pos+1], Weight: e.weight, Tag: e.f.Tag}
 }
 
 // flowTable is a snapshot's flow set: per-component chunks indexed by the
@@ -101,11 +107,11 @@ type flowTable struct {
 // its ID range or binary-searched.
 func (t *flowTable) lookup(id FlowID) (FlowView, bool) {
 	for _, ch := range t.chunks {
-		if ch == nil || id < ch.views[0].ID || id > ch.views[len(ch.views)-1].ID {
+		if ch == nil || id < ch.flows[0].f.ID || id > ch.flows[len(ch.flows)-1].f.ID {
 			continue
 		}
-		pos, ok := slices.BinarySearchFunc(ch.views, id, func(v FlowView, id FlowID) int {
-			return cmp.Compare(v.ID, id)
+		pos, ok := slices.BinarySearchFunc(ch.flows, id, func(e chunkFlow, id FlowID) int {
+			return cmp.Compare(e.f.ID, id)
 		})
 		if ok {
 			return ch.view(pos), true
@@ -195,7 +201,7 @@ func (n *Network) markChunkDirty(c *component) {
 
 // markChunkStatic flags a component's snapshot chunk for a full rebuild:
 // its membership or a static flow field (weight) changed, so the previous
-// chunk's views slice cannot be shared.
+// chunk's static half cannot be shared.
 func (n *Network) markChunkStatic(c *component) {
 	n.markChunkDirty(c)
 	if c.slot >= 0 {
@@ -215,10 +221,10 @@ func (n *Network) markRateDirty(id LinkID) {
 
 // buildChunk freezes one component into a chunk.
 func (n *Network) buildChunk(c *component) *flowChunk {
-	ch := &flowChunk{views: make([]FlowView, len(c.flows)), dyn: n.chunkDyn(c)}
+	ch := &flowChunk{flows: make([]chunkFlow, len(c.flows)), dyn: n.chunkDyn(c)}
 	for pos, i := range c.flows {
 		f := n.arFlow[i]
-		ch.views[pos] = FlowView{ID: f.ID, Weight: f.Weight, Tag: f.Tag}
+		ch.flows[pos] = chunkFlow{f: f, weight: f.Weight}
 	}
 	return ch
 }
@@ -246,7 +252,7 @@ func (n *Network) buildFlowTable() flowTable {
 
 // deltaFlowTable builds the next snapshot's flow table, sharing the previous
 // table's chunks for components untouched since it was published, and the
-// static views of components that were only re-filled.
+// static halves of components that were only re-filled.
 func (n *Network) deltaFlowTable(prev *flowTable) flowTable {
 	if !n.snapFreed && n.dirtyChunks == 0 {
 		return *prev
@@ -263,12 +269,12 @@ func (n *Network) deltaFlowTable(prev *flowTable) flowTable {
 		switch {
 		case !n.chunkDirty[s] && prevCh != nil:
 			t.chunks[s] = prevCh
-		case !n.chunkStatic[s] && prevCh != nil && len(prevCh.views) == len(c.flows):
+		case !n.chunkStatic[s] && prevCh != nil && len(prevCh.flows) == len(c.flows):
 			// Only rates and demands moved: membership and static fields
 			// are unchanged since prevCh was built (every membership or
-			// weight mutation sets chunkStatic), so its views are shared —
-			// they and c.flows are both in flow-ID order.
-			t.chunks[s] = &flowChunk{views: prevCh.views, dyn: n.chunkDyn(c)}
+			// weight mutation sets chunkStatic), so its static half is
+			// shared — it and c.flows are both in flow-ID order.
+			t.chunks[s] = &flowChunk{flows: prevCh.flows, dyn: n.chunkDyn(c)}
 		default:
 			t.chunks[s] = n.buildChunk(c)
 		}
@@ -521,7 +527,7 @@ func (s *Snapshot) Flows(fn func(FlowView)) {
 		if ch == nil {
 			continue
 		}
-		for pos := range ch.views {
+		for pos := range ch.flows {
 			fn(ch.view(pos))
 		}
 	}
@@ -543,12 +549,12 @@ type ComponentView struct {
 func (s *Snapshot) Components() []ComponentView {
 	var out []ComponentView
 	for slot, ch := range s.flows.chunks {
-		if ch == nil || len(ch.views) == 0 {
+		if ch == nil || len(ch.flows) == 0 {
 			continue
 		}
-		ids := make([]FlowID, len(ch.views))
-		for i, v := range ch.views {
-			ids[i] = v.ID
+		ids := make([]FlowID, len(ch.flows))
+		for i, e := range ch.flows {
+			ids[i] = e.f.ID
 		}
 		out = append(out, ComponentView{Slot: slot, Flows: ids})
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -174,4 +175,131 @@ func TestSnapshotFlowLookup(t *testing.T) {
 		s.StopFlow(f)
 	}
 	check("drained")
+}
+
+// TestSnapshotKeepsPublishedWeightAndIdentity pins the immutability of a
+// chunk that points at its flows: after a snapshot is published, the flow's
+// weight changes, the flow stops and a new flow takes its arena index, and
+// the old snapshot must still report the flow's old weight, ID and tag
+// through Flow, Flows and Components.
+func TestSnapshotKeepsPublishedWeightAndIdentity(t *testing.T) {
+	n, paths := sharedFixtures()["rails"]()
+	s := NewShared(n, SharedConfig{})
+	defer s.Close()
+	var others []*Flow
+	for i := 0; i < 6; i++ {
+		others = append(others, s.StartFlow(paths[i%len(paths)], 10, "other"))
+	}
+	f := s.StartFlow(paths[0], 10, "old")
+	s.SetWeight(f, 2)
+	id, idx := f.ID, f.idx
+	old := s.Snapshot()
+	want, ok := old.Flow(id)
+	if !ok || want.ID != id || want.Weight != 2 || want.Tag != "old" {
+		t.Fatalf("published view %+v, %v", want, ok)
+	}
+
+	s.SetWeight(f, 3)
+	s.StopFlow(f)
+	g := s.StartFlow(paths[0], 20, "new")
+	if g.idx != idx {
+		t.Fatalf("new flow took arena index %d, want the stopped flow's %d", g.idx, idx)
+	}
+	s.SetWeight(g, 4)
+
+	if v, ok := old.Flow(id); !ok || v != want {
+		t.Errorf("Flow(%d) = %+v, %v after churn; published %+v", id, v, ok, want)
+	}
+	if _, ok := old.Flow(g.ID); ok {
+		t.Errorf("old snapshot sees flow %d started after it", g.ID)
+	}
+	seen := 0
+	old.Flows(func(v FlowView) {
+		if v.ID == id {
+			seen++
+			if v != want {
+				t.Errorf("Flows reports %+v, published %+v", v, want)
+			}
+		}
+		if v.ID == g.ID || v.Tag == "new" {
+			t.Errorf("Flows reports %+v, started after the snapshot", v)
+		}
+	})
+	if seen != 1 || old.NumFlows() != len(others)+1 {
+		t.Errorf("Flows visited flow %d %d times over %d flows", id, seen, old.NumFlows())
+	}
+	inComp := 0
+	for _, c := range old.Components() {
+		for _, cid := range c.Flows {
+			if cid == id {
+				inComp++
+			}
+			if cid == g.ID {
+				t.Errorf("Components lists flow %d, started after the snapshot", g.ID)
+			}
+		}
+	}
+	if inComp != 1 {
+		t.Errorf("Components lists flow %d %d times", id, inComp)
+	}
+	if v, ok := s.Snapshot().Flow(g.ID); !ok || v.Weight != 4 || v.Tag != "new" {
+		t.Errorf("current snapshot Flow(%d) = %+v, %v", g.ID, v, ok)
+	}
+}
+
+// TestSnapshotReadsUnderChurn has readers walk fresh snapshots with Flows
+// and Flow while a writer starts, stops and re-weights flows, so chunk
+// handles are read while the owner writes the same flows' other fields.
+// Every snapshot must agree with itself. scripts/check.sh runs it under
+// -race, 20 times.
+func TestSnapshotReadsUnderChurn(t *testing.T) {
+	n, paths := sharedFixtures()["rails"]()
+	s := NewShared(n, SharedConfig{})
+	defer s.Close()
+	var live []*Flow
+	for i := 0; i < 24; i++ {
+		live = append(live, s.StartFlow(paths[i%len(paths)], float64(10+i), "hammer"))
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				sn := s.Snapshot()
+				count := 0
+				sn.Flows(func(v FlowView) {
+					count++
+					if w, ok := sn.Flow(v.ID); !ok || w != v {
+						t.Errorf("snapshot %d: Flow(%d) = %+v, %v; Flows says %+v", sn.Seq, v.ID, w, ok, v)
+					}
+					if v.Tag != "hammer" {
+						t.Errorf("snapshot %d: flow %d tag %q", sn.Seq, v.ID, v.Tag)
+					}
+				})
+				if count != sn.NumFlows() {
+					t.Errorf("snapshot %d: Flows visited %d of %d", sn.Seq, count, sn.NumFlows())
+				}
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(5))
+	for step := 0; step < 400; step++ {
+		k := rng.Intn(len(live))
+		switch rng.Intn(3) {
+		case 0:
+			s.StopFlow(live[k])
+			live[k] = s.StartFlow(paths[rng.Intn(len(paths))], float64(1+rng.Intn(300)), "hammer")
+		default:
+			s.SetWeight(live[k], float64(1+rng.Intn(4)))
+		}
+	}
+	close(done)
+	wg.Wait()
 }

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"slices"
 	"time"
 )
 
@@ -43,39 +42,99 @@ type NetState struct {
 // shares no memory with the network; it can be serialized, stored and
 // re-imported on a fresh network over the same topology.
 func (n *Network) ExportState() NetState {
-	st := NetState{
-		NextID:     n.nextID,
-		MaxRate:    n.maxRate,
-		Capacities: make([]float64, n.topo.NumLinks()),
-		LinkRates:  make([]float64, n.topo.NumLinks()),
+	var st NetState
+	n.exportState(&st, nil)
+	return st
+}
+
+// exportState writes the network's allocator-input state into st, reusing
+// st's slices, and carves every FlowState.Links from links, which it grows
+// as needed and returns for the next call. Flows come out in ascending ID
+// from a k-way merge of the registry components' member lists: the
+// components partition the live flows (stale ones included) and each list is
+// already in ID order, so there is no map walk and no sort. With st and links
+// kept from an earlier call of the same size, it allocates nothing.
+func (n *Network) exportState(st *NetState, links []LinkID) []LinkID {
+	st.NextID, st.MaxRate = n.nextID, n.maxRate
+	st.Capacities = reuse(st.Capacities, len(n.topo.links))
+	for _, l := range n.topo.links {
+		st.Capacities = append(st.Capacities, l.Capacity)
 	}
-	for i, l := range n.topo.links {
-		st.Capacities[i] = l.Capacity
+	st.LinkRates = append(reuse(st.LinkRates, len(n.linkRate)), n.linkRate...)
+	st.Flows = reuse(st.Flows, len(n.flows))
+
+	runs, hops := n.scratchRuns[:0], 0
+	for _, c := range n.slotComp {
+		if c == nil || len(c.flows) == 0 {
+			continue
+		}
+		for _, i := range c.flows {
+			hops += len(n.arPath[i])
+		}
+		runs = append(runs, mergeRun{head: n.arID[c.flows[0]], rest: c.flows})
 	}
-	copy(st.LinkRates, n.linkRate)
-	ids := make([]FlowID, 0, len(n.flows))
-	hops := 0
-	for id, f := range n.flows {
-		ids = append(ids, id)
-		hops += len(f.Path)
+	links = reuse(links, hops)
+	for k := len(runs)/2 - 1; k >= 0; k-- {
+		siftRun(runs, k)
 	}
-	slices.Sort(ids)
-	// Every FlowState.Links is carved from one backing array; the
-	// full-slice expression caps each at its own length, so an append to
-	// one cannot write into its neighbour.
-	links := make([]LinkID, 0, hops)
-	st.Flows = make([]FlowState, 0, len(ids))
-	for _, id := range ids {
-		f := n.flows[id]
+	for len(runs) > 0 {
+		i := runs[0].rest[0]
+		f := n.arFlow[i]
+		// The full-slice expression caps each Links at its own length, so
+		// an append to one cannot write into its neighbour.
 		from := len(links)
-		for _, l := range f.Path {
-			links = append(links, l.ID)
+		for _, l := range n.arPath[i] {
+			links = append(links, LinkID(l))
 		}
 		st.Flows = append(st.Flows, FlowState{
-			ID: id, Links: links[from:len(links):len(links)], Demand: f.Demand, Weight: f.Weight, Tag: f.Tag,
+			ID: f.ID, Links: links[from:len(links):len(links)], Demand: f.Demand, Weight: f.Weight, Tag: f.Tag,
 		})
+		if rest := runs[0].rest[1:]; len(rest) > 0 {
+			runs[0] = mergeRun{head: n.arID[rest[0]], rest: rest}
+		} else {
+			last := len(runs) - 1
+			runs[0] = runs[last]
+			runs[last] = mergeRun{}
+			runs = runs[:last]
+		}
+		siftRun(runs, 0)
 	}
-	return st
+	n.scratchRuns = runs
+	return links
+}
+
+// reuse empties s for n elements, allocating only when it is nil or too
+// small, so a fresh export's slices are non-nil even when empty.
+func reuse[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// mergeRun is one component's not-yet-exported members in exportState's
+// merge: rest[0] is the next member, head its flow ID.
+type mergeRun struct {
+	head FlowID
+	rest []int32
+}
+
+// siftRun restores the min-heap order on head below runs[k].
+func siftRun(runs []mergeRun, k int) {
+	for {
+		m := k
+		if l := 2*k + 1; l < len(runs) && runs[l].head < runs[m].head {
+			m = l
+		}
+		if r := 2*k + 2; r < len(runs) && runs[r].head < runs[m].head {
+			m = r
+		}
+		if m == k {
+			return
+		}
+		runs[k], runs[m] = runs[m], runs[k]
+		k = m
+	}
 }
 
 // ImportState restores an exported state onto a fresh network built over an

@@ -1,7 +1,11 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -174,5 +178,149 @@ func TestTopoStateRoundTrip(t *testing.T) {
 		if a.From != b.From || a.To != b.To || a.Capacity != b.Capacity || a.Delay != b.Delay || a.Name != b.Name {
 			t.Fatalf("link %d: %+v != %+v", i, a, b)
 		}
+	}
+}
+
+// exportStateOracle is the export reference: the map walk and sort that
+// exportState's merge over the component member lists replaced. It trusts
+// nothing the registry maintains — it reads n.flows and the topology — so a
+// component that loses or duplicates a member parts ways with it.
+func exportStateOracle(n *Network) NetState {
+	st := NetState{
+		NextID:     n.nextID,
+		MaxRate:    n.maxRate,
+		Capacities: make([]float64, n.topo.NumLinks()),
+		LinkRates:  make([]float64, n.topo.NumLinks()),
+	}
+	for i, l := range n.topo.links {
+		st.Capacities[i] = l.Capacity
+	}
+	copy(st.LinkRates, n.linkRate)
+	ids := make([]FlowID, 0, len(n.flows))
+	for id := range n.flows {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	st.Flows = make([]FlowState, 0, len(ids))
+	for _, id := range ids {
+		f := n.flows[id]
+		st.Flows = append(st.Flows, FlowState{
+			ID: id, Links: linkIDs(f.Path), Demand: f.Demand, Weight: f.Weight, Tag: f.Tag,
+		})
+	}
+	return st
+}
+
+// requireExportShape fails unless st lists every live flow of n exactly
+// once, in strictly ascending ID, with each Links capped at its own length.
+func requireExportShape(t *testing.T, phase string, n *Network, st NetState) {
+	t.Helper()
+	if len(st.Flows) != len(n.flows) {
+		t.Fatalf("%s: %d flows exported, %d live", phase, len(st.Flows), len(n.flows))
+	}
+	for k, fs := range st.Flows {
+		if k > 0 && fs.ID <= st.Flows[k-1].ID {
+			t.Fatalf("%s: flow %d follows %d", phase, fs.ID, st.Flows[k-1].ID)
+		}
+		if n.flows[fs.ID] == nil {
+			t.Fatalf("%s: exported flow %d is not live", phase, fs.ID)
+		}
+		if cap(fs.Links) != len(fs.Links) {
+			t.Fatalf("%s: flow %d Links has cap %d, len %d", phase, fs.ID, cap(fs.Links), len(fs.Links))
+		}
+	}
+}
+
+// TestExportMatchesOracle runs a seeded storm on every differential fixture
+// — starts, stops, SetPath moves and stops that leave stale components, nested
+// batches, weight, demand and capacity edits — and after every op, inside
+// batches too, requires both the fresh ExportState and the owner's
+// reused-scratch export to equal the oracle. The storm ends by stopping
+// flows one at a time, so the scratch, which once held a longer export,
+// must shrink without a stale tail.
+func TestExportMatchesOracle(t *testing.T) {
+	staleChecks := 0
+	for name, build := range diffFixtures() {
+		build := build
+		t.Run(name, func(t *testing.T) {
+			n, paths := build()
+			rng := rand.New(rand.NewSource(44))
+			var (
+				flows   []*Flow
+				scratch NetState
+				links   []LinkID
+				peak    int
+			)
+			check := func(phase string) {
+				t.Helper()
+				want := exportStateOracle(n)
+				got := n.ExportState()
+				requireExportShape(t, phase+" fresh", n, got)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: ExportState differs from the oracle", phase)
+				}
+				links = n.exportState(&scratch, links)
+				requireExportShape(t, phase+" scratch", n, scratch)
+				if !reflect.DeepEqual(scratch, want) {
+					t.Fatalf("%s: reused-scratch export differs from the oracle", phase)
+				}
+				peak = max(peak, len(scratch.Flows))
+				for _, c := range n.slotComp {
+					if c != nil && c.stale {
+						staleChecks++
+						break
+					}
+				}
+			}
+			var op func(depth int)
+			op = func(depth int) {
+				kind := rng.Intn(8)
+				if len(flows) == 0 {
+					kind = 0
+				}
+				p := paths[rng.Intn(len(paths))]
+				f := (*Flow)(nil)
+				if len(flows) > 0 {
+					f = flows[rng.Intn(len(flows))]
+				}
+				switch kind {
+				case 0, 1:
+					flows = append(flows, n.StartFlow(p, float64(1+rng.Intn(300)), fmt.Sprintf("t%d", rng.Intn(3))))
+				case 2:
+					n.StopFlow(f)
+				case 3:
+					n.SetPath(f, p)
+				case 4:
+					n.SetWeight(f, float64(rng.Intn(4)))
+				case 5:
+					n.SetDemand(f, float64(rng.Intn(300)))
+				case 6:
+					n.SetLinkCapacity(p[rng.Intn(len(p))].ID, float64(50+rng.Intn(200)))
+				case 7:
+					if depth < 2 {
+						n.Batch(func() {
+							for k := rng.Intn(5); k >= 0; k-- {
+								op(depth + 1)
+							}
+						})
+					}
+				}
+				check(fmt.Sprintf("depth %d op %d", depth, kind))
+			}
+			check("empty")
+			for step := 0; step < 300; step++ {
+				op(0)
+			}
+			for _, f := range flows {
+				n.StopFlow(f)
+				check("drain")
+			}
+			if peak < 5 {
+				t.Errorf("storm peaked at %d flows; the drain tests too little", peak)
+			}
+		})
+	}
+	if staleChecks == 0 {
+		t.Error("no export ran over a stale component")
 	}
 }

@@ -36,6 +36,10 @@ go test -race ./internal/core/... ./internal/agg/... ./internal/netsim/... \
 # partners polling a source that cycles through three overlapping values, so
 # misses build from a slot's body while other requests replace it.
 go test -race -run '^TestReplyMemoConcurrentFlips$' -count 50 ./internal/lookingglass/
+# Snapshot flow chunks hold flow handles and read ID and Tag through them:
+# readers walk fresh snapshots while the owner churns and re-weights the
+# same flows, 20 times over.
+go test -race -run '^TestSnapshotReadsUnderChurn$' -count 20 ./internal/netsim/
 # The crash-injection sweep: kill the journal at every record boundary (and
 # seeded mid-record offsets) on every topology fixture; recovery must equal
 # a from-scratch serial replay of the surviving prefix. The projection sweep
@@ -51,11 +55,14 @@ go test -race -run 'TestEngineArmDifferentialOnFixtures|TestParallel' ./internal
 # The wire codec's differential fuzzes: 2000 generated inputs past the seed
 # corpus, each decoded by the hand-written reader and by encoding/json, then
 # each encoded by the hand-written appenders and by encoding/json; and the
-# reply memo's poll sequences, each reply against a fresh encode. The budget
-# is an input count, not wall time, so every run does the same work.
+# reply memo's poll sequences, each reply against a fresh encode; and the
+# journal's snapshot decoder, which recovery runs on every snapshot frame.
+# The budget is an input count, not wall time, so every run does the same
+# work.
 go test -run '^$' -fuzz '^FuzzDecodeMatchesUnmarshal$' -fuzztime 2000x ./internal/wire
 go test -run '^$' -fuzz '^FuzzEncodeMatchesMarshal$' -fuzztime 2000x ./internal/wire
 go test -run '^$' -fuzz '^FuzzReplyMemoMatchesEncode$' -fuzztime 2000x ./internal/lookingglass
+go test -run '^$' -fuzz '^FuzzDecodeSnap$' -fuzztime 2000x ./internal/journal
 go test -race ./...
 # Hot paths can't quietly regress: key benchmarks vs the latest recording.
 scripts/bench_gate.sh
