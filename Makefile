@@ -30,9 +30,11 @@ bench:
 benchcheck:
 	scripts/benchcheck.sh
 
-# Chaos suite: the deterministic fault-injection tests (E15 + faults pkg).
+# Chaos suite: the deterministic fault-injection tests (E15 + faults pkg),
+# the poller's breaker, and the partner impairments that gate a real poller.
 chaos:
-	$(GO) test -race -count=1 -run 'E15|Chaos|Fault|Breaker' ./internal/expt ./internal/faults ./internal/lookingglass
+	$(GO) test -race -count=1 -run 'E15|Chaos|Fault|Breaker|Partner|Gate' ./internal/expt ./internal/faults \
+		./internal/lookingglass ./internal/ctlplane ./cmd/eona-lg
 
 # Kill-and-catch-up demo: boot eona-lg with a journal, kill -9 it, restart,
 # and verify the A2I summaries are identical across the crash.

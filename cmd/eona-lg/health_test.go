@@ -3,13 +3,20 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"eona"
 	"eona/internal/core"
+	"eona/internal/ctlplane"
+	"eona/internal/faults"
 	"eona/internal/lookingglass"
 )
 
@@ -112,4 +119,114 @@ func TestHealthUnencodableIs500(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &ee); err != nil || ee.Err.Code != http.StatusInternalServerError {
 		t.Errorf("body %q is not the error envelope (err %v)", rec.Body, err)
 	}
+}
+
+// TestPartnerImpairmentGatesPeerPoll drives the product's partner chain end
+// to end: impairments POSTed to the control plane reach the real poller that
+// pollPeer starts against an InfP peer. An outage fails its polls with
+// ErrPartnerDown, /v1/health counts the failures, and the last good hints
+// stay; after DELETE a poll succeeds and confidence is fresh again; a 50 ms
+// latency spike delays every attempt.
+func TestPartnerImpairmentGatesPeerPoll(t *testing.T) {
+	store := eona.NewAuthStore()
+	store.Register("demo-token", "demo", eona.ScopeAdmin)
+	peerTS := httptest.NewServer(eona.NewServer(store, nil, infpSources()).Handler())
+	defer peerTS.Close()
+
+	eng, _, _, _, err := buildEngine(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, topo, err := buildDemoNetwork(eng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shared.Close()
+	ctl, err := ctlplane.New(ctlplane.Config{Shared: shared, Topo: topo, Engine: eng, Clock: faults.WallClock(time.Now())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	snap := pollPeer(ctx, peerTS.URL, "demo-token", 5*time.Millisecond, nil, nil, ctl)
+	ts := httptest.NewServer(newRouter(eona.NewServer(store, nil, foldOnlyAppp(t)), peerTS.URL, snap, nil, ctl))
+	defer ts.Close()
+
+	call := func(method, path, body string) []byte {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer demo-token")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode/100 != 2 {
+			t.Fatalf("%s %s: %d %s", method, path, resp.StatusCode, b)
+		}
+		return b
+	}
+	health := func() healthPayload {
+		t.Helper()
+		var p healthPayload
+		if err := json.Unmarshal(call("GET", "/v1/health", ""), &p); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	impair := func(body string) int {
+		t.Helper()
+		var imp ctlplane.Impairment
+		if err := json.Unmarshal(call("POST", "/v1/impairments", body), &imp); err != nil {
+			t.Fatal(err)
+		}
+		return imp.ID
+	}
+	waitUntil := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	waitUntil("a first successful poll", func() bool { _, _, ok := snap.Get(); return ok })
+	good, _, _ := snap.Get()
+
+	out := impair(`{"kind":"partner-outage"}`)
+	before := health().Failures
+	waitUntil("ErrPartnerDown", func() bool { return errors.Is(snap.Err(), ctlplane.ErrPartnerDown) })
+	waitUntil("health to count outage failures", func() bool { return health().Failures > before })
+	if v, _, ok := snap.Get(); !ok || !reflect.DeepEqual(v, good) {
+		t.Errorf("last good hints lost during the outage: %+v, %v", v, ok)
+	}
+
+	call("DELETE", fmt.Sprintf("/v1/impairments?id=%d", out), "")
+	successes := health().Successes
+	waitUntil("a poll after DELETE", func() bool { return snap.Err() == nil && health().Successes > successes })
+	waitUntil("confidence near 1", func() bool { return health().Confidence > 0.9 })
+
+	spike := impair(`{"kind":"latency-spike","extra":"50ms"}`)
+	posted := time.Now()
+	// Attempt k starts after attempt k-1 finished; once k-1 finished after
+	// the POST, attempt k sleeps the spike before it fetches.
+	var prev time.Time
+	waitUntil("an attempt after the spike", func() bool { prev, _ = snap.LastAttempt(); return prev.After(posted) })
+	var next time.Time
+	waitUntil("the next attempt", func() bool { next, _ = snap.LastAttempt(); return next.After(prev) })
+	if gap := next.Sub(prev); gap < 50*time.Millisecond {
+		t.Errorf("attempts %v apart under a 50ms latency spike", gap)
+	}
+	if err := snap.Err(); err != nil {
+		t.Errorf("a delayed attempt failed: %v", err)
+	}
+	call("DELETE", fmt.Sprintf("/v1/impairments?id=%d", spike), "")
 }

@@ -159,23 +159,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	start := time.Now()
-	var live *faults.Live
-	if *peer != "" {
-		live = faults.NewLive(faults.WallClock(start))
-	}
-
-	var snap *lookingglass.Snapshot[[]core.PeeringInfo]
-	if *peer != "" {
-		snap = pollPeer(context.Background(), *peer, *peerToken, *peerInterval, eng, hintModel, live)
-		log.Printf("eona-lg: polling partner %s every %v", *peer, *peerInterval)
-	}
-
 	var history http.HandlerFunc
 	if recovered != nil {
 		history = summariesHistory(recovered)
 	}
 
+	// The control plane comes first: the partner poller gates through it.
 	var ctl *ctlplane.Server
 	if *netsimOn {
 		shared, topo, err := buildDemoNetwork(eng, recovered)
@@ -189,8 +178,7 @@ func main() {
 			Engine:   eng,
 			LinkUtil: utilModel,
 			QoE:      qoeModel,
-			Partner:  live,
-			Clock:    faults.WallClock(start),
+			Clock:    faults.WallClock(time.Now()),
 			Logf:     log.Printf,
 		})
 		if err != nil {
@@ -198,6 +186,12 @@ func main() {
 		}
 		log.Printf("eona-lg: control plane on /v1 (%d links, %d flows); dashboard at /dashboard",
 			topo.NumLinks(), shared.NumFlows())
+	}
+
+	var snap *lookingglass.Snapshot[[]core.PeeringInfo]
+	if *peer != "" {
+		snap = pollPeer(context.Background(), *peer, *peerToken, *peerInterval, eng, hintModel, ctl)
+		log.Printf("eona-lg: polling partner %s every %v", *peer, *peerInterval)
 	}
 
 	srv := eona.NewServer(store, limiter, src)
@@ -321,12 +315,12 @@ func summariesHistory(rec *journal.Recovered) http.HandlerFunc {
 // peer: confidence decays from its original fetch time, so a restart
 // inherits last-known-good hints at an honest trust level instead of
 // starting blind.
-// A non-nil live gate threads the control plane's partner impairments into
-// the fetch path: operator-injected outages and latency spikes hit this
-// poller exactly like real partner failures would.
-func pollPeer(ctx context.Context, base, token string, interval time.Duration, eng *projection.Engine, hintModel *projection.Hints, live *faults.Live) *lookingglass.Snapshot[[]core.PeeringInfo] {
+// A non-nil control plane gates the fetch path with its partner
+// impairments: operator-injected outages and latency spikes hit this poller
+// exactly like real partner failures would.
+func pollPeer(ctx context.Context, base, token string, interval time.Duration, eng *projection.Engine, hintModel *projection.Hints, ctl *ctlplane.Server) *lookingglass.Snapshot[[]core.PeeringInfo] {
 	client := lookingglass.NewClient(base, token, nil)
-	fetch := faults.Gate(live, func(ctx context.Context) ([]core.PeeringInfo, error) {
+	fetch := ctlplane.Gate(ctl, func(ctx context.Context) ([]core.PeeringInfo, error) {
 		v, err := client.PeeringInfo(ctx, "")
 		if err == nil && eng != nil {
 			if data, merr := json.Marshal(v); merr == nil {
@@ -335,10 +329,7 @@ func pollPeer(ctx context.Context, base, token string, interval time.Duration, e
 		}
 		return v, err
 	})
-	snap, _ := lookingglass.PollWith(ctx, lookingglass.PollConfig{
-		Interval: interval,
-		HalfLife: 10 * interval,
-	}, fetch)
+	snap, _ := lookingglass.PollWith(ctx, interval, fetch)
 	if hintModel != nil {
 		if pr, ok := hintModel.Latest(base); ok {
 			var v []core.PeeringInfo

@@ -46,22 +46,21 @@ var keptExports = map[string]string{
 	"netsim.Driver.SetPath":          "journaled op kind",
 
 	// Observers of state that production maintains.
-	"agg.CountMin.Estimate":                    "reads the counts CountMin maintains",
-	"agg.P2.Value":                             "reads the quantile estimate P2 maintains",
-	"cdn.Cache.Contains":                       "reads the cache's resident set",
-	"core.Interface.Contains":                  "reads a negotiated interface's attribute set",
-	"core.Registry.Partner":                    "reads a registered partner",
-	"journal.Writer.Ops":                       "reads the writer's op count",
-	"lookingglass.Snapshot.Get":                "reads the poller's last good value",
-	"lookingglass.Snapshot.Err":                "reads the poller's last error",
-	"lookingglass.Snapshot.Confidence":         "reads the poller's freshness confidence",
-	"lookingglass.Snapshot.LastAttempt":        "reads when the poller last tried",
-	"lookingglass.Breaker.ConsecutiveFailures": "reads the breaker's failure count",
-	"lookingglass.Client.ServerHints":          "reads the hints the last response carried",
-	"lookingglass.Routes.Table":                "reads the route table the server serves",
-	"netsim.Network.ActiveFlowsOn":             "reads the flows the allocator keeps per link",
-	"projection.LinkUtil.Series":               "reads the utilisation series the projection keeps",
-	"stability.Tracker.Current":                "reads the tracker's current choice",
+	"agg.CountMin.Estimate":             "reads the counts CountMin maintains",
+	"agg.P2.Value":                      "reads the quantile estimate P2 maintains",
+	"cdn.Cache.Contains":                "reads the cache's resident set",
+	"core.Interface.Contains":           "reads a negotiated interface's attribute set",
+	"core.Registry.Partner":             "reads a registered partner",
+	"journal.Writer.Ops":                "reads the writer's op count",
+	"lookingglass.Snapshot.Get":         "reads the poller's last good value",
+	"lookingglass.Snapshot.Err":         "reads the poller's last error",
+	"lookingglass.Snapshot.Confidence":  "reads the poller's freshness confidence",
+	"lookingglass.Snapshot.LastAttempt": "reads when the poller last tried",
+	"lookingglass.Client.ServerHints":   "reads the hints the last response carried",
+	"lookingglass.Routes.Table":         "reads the route table the server serves",
+	"netsim.Network.ActiveFlowsOn":      "reads the flows the allocator keeps per link",
+	"projection.LinkUtil.Series":        "reads the utilisation series the projection keeps",
+	"stability.Tracker.Current":         "reads the tracker's current choice",
 }
 
 // TestInternalExportsHaveACaller type-checks every non-test package of the
@@ -390,12 +389,6 @@ var keptFields = map[string]string{
 	"expt.E1Config.UniformCap":       "TestAblationMixedRungCap: the uniform-cap ablation arm",
 	"expt.Fig5Config.DampHysteresis": "TestAblationDampeningComponents: the hysteresis-only arm",
 	"expt.Fig5Config.DampBackoff":    "TestAblationDampeningComponents: the backoff-only arm",
-
-	// Test seams: the robustness tests run the breaker on millisecond
-	// cooldowns, until the poller takes an injectable clock.
-	"lookingglass.PollConfig.BackoffBase": "TestPollWithBreakerRecovery: millisecond retry backoff",
-	"lookingglass.PollConfig.BackoffMax":  "TestPollWithBreakerRecovery: millisecond backoff cap",
-	"lookingglass.PollConfig.Breaker":     "TestPollWithBreakerRecovery: a breaker that opens after 2 failures and cools in 40 ms",
 }
 
 // TestInternalFieldsHaveAReader scans the type-checked packages of
@@ -414,7 +407,8 @@ var keptFields = map[string]string{
 //   - A call of a pointer-receiver method through a field (x.mu.Lock())
 //     reads the field and sets it.
 //   - An assignment inside a value-receiver method of the field's own type
-//     (PollConfig.withDefaults) writes a copy and does not set the field.
+//     (a withDefaults that fills a copy's zero fields) writes a copy and
+//     does not set the field.
 //   - A field or method promoted through an embedded field reads the
 //     embedded field, and sets it when the selector sets. An embedded field
 //     that promotes a method counts as read and set.

@@ -8,10 +8,13 @@
 // API applies goes through the same durable path as scripted chaos — link
 // throttles/flaps become SetLinkCapacity ops plus a faults.Event annotation
 // appended through the projection engine's sink, partner outages and latency
-// spikes open faults.Live windows and journal an annotation event. A node
-// that crashes mid-demo replays the impairment exactly; eona-trace lists it;
-// MaterializeAt rebuilds the degraded network at any offset. Nothing the
-// dashboard does is off the record.
+// spikes journal an annotation event and gate the node's partner exchange
+// through Gate. A node that crashes mid-demo replays the link impairment
+// exactly; eona-trace lists it; MaterializeAt rebuilds the degraded network
+// at any offset. Nothing the dashboard does is off the record.
+//
+// The impairment table is the only record of an impairment: Gate reads the
+// partner rules from it, with each rule's deadline on Config.Clock.
 //
 // Read endpoints serve from netsim.Snapshot pointers and never touch the
 // write path; the SSE stream samples the same pointers on a ticker, adding
@@ -19,13 +22,16 @@
 package ctlplane
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"eona/internal/auth"
@@ -36,8 +42,8 @@ import (
 )
 
 // Config wires a control plane to a running node. Shared and Topo are
-// required; the rest degrade gracefully when nil (no journal annotation, no
-// partner impairments, reduced stats).
+// required; the rest degrade gracefully when nil (no journal annotation,
+// reduced stats). Partner impairments need a fetch wrapped by Gate.
 type Config struct {
 	// Shared is the running network; reads come from its snapshots, link
 	// impairments go through its owner goroutine.
@@ -50,11 +56,8 @@ type Config struct {
 	// LinkUtil and QoE, when set, enrich /v1/stats and the SSE stream.
 	LinkUtil *projection.LinkUtil
 	QoE      *projection.QoE
-	// Partner, when set, enables partner-outage and latency-spike
-	// impairments gating the node's poller.
-	Partner *faults.Live
-	// Clock positions impairment events on the fault timeline; defaults to
-	// faults.WallClock(time.Now()). Share it with Partner's clock.
+	// Clock positions impairment events on the fault timeline and times
+	// partner rules' deadlines; defaults to faults.WallClock(time.Now()).
 	Clock func() time.Duration
 	// Logf, when set, logs impairment activity.
 	Logf func(format string, args ...any)
@@ -70,9 +73,14 @@ type Server struct {
 	// or an unfinished restore has degraded. Taken before mu.
 	linkMu sync.Mutex
 
-	mu     sync.Mutex
-	nextID int
-	imps   map[int]*impairment
+	// gated is set once Gate wraps a partner fetch: partner kinds need an
+	// exchange to impair.
+	gated atomic.Bool
+
+	mu sync.Mutex
+	// imps holds every impairment ever injected; IDs are dense and never
+	// reused, so impairment id is imps[id-1].
+	imps []*impairment
 }
 
 // New validates the wiring and builds a control plane.
@@ -87,7 +95,7 @@ func New(cfg Config) (*Server, error) {
 	if clock == nil {
 		clock = faults.WallClock(time.Now())
 	}
-	return &Server{cfg: cfg, clock: clock, nextID: 1, imps: make(map[int]*impairment)}, nil
+	return &Server{cfg: cfg, clock: clock}, nil
 }
 
 // Register mounts the control-plane routes on a registry. Inspection and
@@ -305,9 +313,17 @@ type Impairment struct {
 type impairment struct {
 	Impairment
 	linkID netsim.LinkID
-	liveID int
-	timer  *time.Timer
+	// extra is a latency spike's added exchange delay.
+	extra time.Duration
+	// deadline is when the rule stops gating, on Config.Clock; openEnd for
+	// a rule that lasts until DELETE.
+	deadline time.Duration
+	timer    *time.Timer
 }
+
+// openEnd is the deadline of a rule with no scheduled end: one injected
+// without a duration, or whose deadline would overflow.
+const openEnd = time.Duration(math.MaxInt64)
 
 // journalFault appends one fault annotation to the durable sink. Partner
 // impairments carry no capacity changes — the event marks the instant on the
@@ -368,12 +384,16 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request, collab str
 		return
 	}
 
+	now := s.clock()
 	imp := &impairment{Impairment: Impairment{
 		Kind:       req.Kind,
 		Duration:   req.Duration,
-		InjectedAt: s.clock().String(),
+		InjectedAt: now.String(),
 		Active:     true,
-	}}
+	}, deadline: openEnd}
+	if dur > 0 && dur <= openEnd-now {
+		imp.deadline = now + dur
+	}
 
 	switch req.Kind {
 	case KindLinkThrottle, KindLinkFlap:
@@ -411,26 +431,19 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request, collab str
 		imp.Link, imp.Factor, imp.BaseBps, imp.AppliedBps, imp.linkID = l.Name, factor, base, applied, l.ID
 		s.applyCapacity(l.ID, applied)
 
-	case KindLatencySpike:
-		if s.cfg.Partner == nil {
+	case KindLatencySpike, KindPartnerOut:
+		if !s.gated.Load() {
 			lookingglass.WriteError(w, http.StatusConflict, "no partner exchange to impair (run with -peer)")
 			return
 		}
-		extra, err := time.ParseDuration(req.Extra)
-		if err != nil || extra <= 0 {
-			lookingglass.WriteError(w, http.StatusBadRequest, "latency-spike requires positive extra duration")
-			return
+		if req.Kind == KindLatencySpike {
+			extra, err := time.ParseDuration(req.Extra)
+			if err != nil || extra <= 0 {
+				lookingglass.WriteError(w, http.StatusBadRequest, "latency-spike requires positive extra duration")
+				return
+			}
+			imp.Extra, imp.extra = extra.String(), extra
 		}
-		imp.Extra = extra.String()
-		imp.liveID, _ = s.cfg.Partner.AddLatencySpike(extra, dur)
-		s.journalFault(nil)
-
-	case KindPartnerOut:
-		if s.cfg.Partner == nil {
-			lookingglass.WriteError(w, http.StatusConflict, "no partner exchange to impair (run with -peer)")
-			return
-		}
-		imp.liveID, _ = s.cfg.Partner.AddOutage(dur)
 		s.journalFault(nil)
 
 	default:
@@ -439,17 +452,18 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request, collab str
 	}
 
 	s.mu.Lock()
-	imp.ID = s.nextID
-	s.nextID++
-	s.imps[imp.ID] = imp
+	s.imps = append(s.imps, imp)
+	imp.ID = len(s.imps)
 	if dur > 0 {
 		id := imp.ID
 		imp.timer = time.AfterFunc(dur, func() { s.restoreByID(id) })
 	}
+	// Copied under mu: a short timer may already be flipping Active.
+	rec := imp.Impairment
 	s.mu.Unlock()
 
-	s.logf("ctlplane: %s injected impairment %d (%s %s)", collab, imp.ID, imp.Kind, imp.Link)
-	lookingglass.WriteJSON(w, http.StatusCreated, imp.Impairment)
+	s.logf("ctlplane: %s injected impairment %d (%s %s)", collab, rec.ID, rec.Kind, rec.Link)
+	lookingglass.WriteJSON(w, http.StatusCreated, rec)
 }
 
 // activeOnLink returns the active link impairment on a link, if any.
@@ -465,22 +479,23 @@ func (s *Server) activeOnLink(id netsim.LinkID) (int, bool) {
 }
 
 // restoreByID undoes one impairment: link kinds re-apply the recorded base
-// capacity (journaled like the injection), partner kinds close their live
-// window. Idempotent; timers and DELETE race safely.
+// capacity (journaled like the injection), partner kinds stop gating and
+// journal the annotation. Idempotent; timers and DELETE race safely.
 func (s *Server) restoreByID(id int) (Impairment, bool) {
 	// Held from the Active flip to the capacity write: an inject that sees
 	// the link free must also see its restored capacity.
 	s.linkMu.Lock()
 	defer s.linkMu.Unlock()
 	s.mu.Lock()
-	imp, ok := s.imps[id]
-	if !ok || !imp.Active {
-		var rec Impairment
-		if ok {
-			rec = imp.Impairment
-		}
+	if id < 1 || id > len(s.imps) {
 		s.mu.Unlock()
-		return rec, ok
+		return Impairment{}, false
+	}
+	imp := s.imps[id-1]
+	if !imp.Active {
+		rec := imp.Impairment
+		s.mu.Unlock()
+		return rec, true
 	}
 	imp.Active = false
 	if imp.timer != nil {
@@ -493,9 +508,6 @@ func (s *Server) restoreByID(id int) (Impairment, bool) {
 	case KindLinkThrottle, KindLinkFlap:
 		s.applyCapacity(imp.linkID, rec.BaseBps)
 	case KindLatencySpike, KindPartnerOut:
-		if s.cfg.Partner != nil {
-			s.cfg.Partner.Cancel(imp.liveID)
-		}
 		s.journalFault(nil)
 	}
 	s.logf("ctlplane: restored impairment %d (%s %s)", id, rec.Kind, rec.Link)
@@ -520,13 +532,64 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, _ string)
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request, _ string) {
 	s.mu.Lock()
-	out := make([]Impairment, 0, len(s.imps))
-	for _, imp := range s.imps {
-		out = append(out, imp.Impairment)
+	out := make([]Impairment, len(s.imps))
+	for i, imp := range s.imps {
+		out[i] = imp.Impairment
 	}
 	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	lookingglass.WriteJSON(w, http.StatusOK, struct {
 		Impairments []Impairment `json:"impairments"`
 	}{Impairments: out})
+}
+
+// --- Partner exchange gate --------------------------------------------------
+
+// ErrPartnerDown is the error a gated fetch returns while a partner-outage
+// impairment is active.
+var ErrPartnerDown = errors.New("ctlplane: injected partner outage")
+
+// Gate wraps a partner fetch (a looking-glass poll) with the control plane's
+// partner impairments: the summed extra of the active latency spikes delays
+// the call (returning ctx's error if it ends first), and an active
+// partner-outage then fails it with ErrPartnerDown. A rule stops gating at
+// its deadline on Config.Clock, before its restore timer flips it inactive.
+// Wrapping a fetch is what enables the partner kinds on s. A nil s gates
+// nothing.
+func Gate[T any](s *Server, fetch func(context.Context) (T, error)) func(context.Context) (T, error) {
+	if s == nil {
+		return fetch
+	}
+	s.gated.Store(true)
+	return func(ctx context.Context) (T, error) {
+		var zero T
+		if extra, _ := s.partnerRules(); extra > 0 {
+			t := time.NewTimer(extra)
+			select {
+			case <-ctx.Done():
+				t.Stop()
+				return zero, ctx.Err()
+			case <-t.C:
+			}
+		}
+		if _, down := s.partnerRules(); down {
+			return zero, ErrPartnerDown
+		}
+		return fetch(ctx)
+	}
+}
+
+// partnerRules reads the partner impairments in force now: the summed extra
+// delay of the latency spikes, and whether a partner outage is on.
+func (s *Server) partnerRules() (extra time.Duration, down bool) {
+	now := s.clock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, imp := range s.imps {
+		if !imp.Active || now >= imp.deadline {
+			continue
+		}
+		extra += imp.extra
+		down = down || imp.Kind == KindPartnerOut
+	}
+	return extra, down
 }

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -37,7 +39,9 @@ type fixture struct {
 	closed bool
 }
 
-func newFixture(t *testing.T, jw *journal.Writer, live *faults.Live) *fixture {
+// newFixture builds the fixture on clock, or, when clock is nil, on a fake
+// clock that advances 1 ms per read (not safe for concurrent readers).
+func newFixture(t *testing.T, jw *journal.Writer, clock func() time.Duration) *fixture {
 	t.Helper()
 	topo := netsim.NewTopology()
 	topo.AddLink("a", "b", 100e6, 5*time.Millisecond, "access")
@@ -56,15 +60,17 @@ func newFixture(t *testing.T, jw *journal.Writer, live *faults.Live) *fixture {
 	f := shared.StartFlow(netsim.Path{links[0], links[1]}, 30e6, "demo")
 	shared.Commit()
 
-	clock := time.Duration(0)
+	if clock == nil {
+		now := time.Duration(0)
+		clock = func() time.Duration { now += time.Millisecond; return now }
+	}
 	srv, err := New(Config{
 		Shared:   shared,
 		Topo:     topo,
 		Engine:   eng,
 		LinkUtil: util,
 		QoE:      qoe,
-		Partner:  live,
-		Clock:    func() time.Duration { clock += time.Millisecond; return clock },
+		Clock:    clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,8 +205,10 @@ func TestImpairmentValidation(t *testing.T) {
 	if code, body := fx.do("DELETE", "/v1/impairments?id=abc", "writer-token", ""); code != 400 {
 		t.Errorf("bad restore id: %d %s", code, body)
 	}
-	if code, body := fx.do("DELETE", "/v1/impairments?id=99", "writer-token", ""); code != 404 {
-		t.Errorf("unknown restore id: %d %s", code, body)
+	for _, id := range []string{"99", "0", "-1"} {
+		if code, body := fx.do("DELETE", "/v1/impairments?id="+id, "writer-token", ""); code != 404 {
+			t.Errorf("unknown restore id %s: %d %s", id, code, body)
+		}
 	}
 }
 
@@ -306,36 +314,180 @@ func TestLinksServedFromOneSnapshot(t *testing.T) {
 	}
 }
 
-// TestPartnerImpairments drives latency-spike and partner-outage through a
-// live fault set and checks the poller-facing gate state flips.
-func TestPartnerImpairments(t *testing.T) {
-	live := faults.NewLive(faults.WallClock(time.Now()))
-	fx := newFixture(t, nil, live)
-
-	code, body := fx.do("POST", "/v1/impairments", "writer-token", `{"kind":"partner-outage"}`)
+// inject POSTs an impairment and returns its ID.
+func (fx *fixture) inject(body string) int {
+	fx.t.Helper()
+	code, resp := fx.do("POST", "/v1/impairments", "writer-token", body)
 	if code != 201 {
-		t.Fatalf("outage: %d %s", code, body)
+		fx.t.Fatalf("inject %s: %d %s", body, code, resp)
 	}
 	var imp Impairment
-	if err := json.Unmarshal(body, &imp); err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal(resp, &imp); err != nil {
+		fx.t.Fatal(err)
 	}
-	if live.PartnerUp() {
-		t.Error("partner still up during outage impairment")
+	return imp.ID
+}
+
+// restore DELETEs an impairment.
+func (fx *fixture) restore(id int) {
+	fx.t.Helper()
+	if code, resp := fx.do("DELETE", fmt.Sprintf("/v1/impairments?id=%d", id), "writer-token", ""); code != 200 {
+		fx.t.Fatalf("restore %d: %d %s", id, code, resp)
 	}
-	if code, _ := fx.do("DELETE", fmt.Sprintf("/v1/impairments?id=%d", imp.ID), "writer-token", ""); code != 200 {
-		t.Fatalf("restore outage: %d", code)
+}
+
+// TestPartnerImpairments drives latency-spike and partner-outage through
+// the HTTP surface into a gated fetch: an outage fails it with
+// ErrPartnerDown until DELETE, spikes sum, a spike's wait ends with its
+// context, and a nil control plane gates nothing.
+func TestPartnerImpairments(t *testing.T) {
+	fx := newFixture(t, nil, faults.WallClock(time.Now()))
+	calls := 0
+	fetch := func(context.Context) (int, error) { calls++; return 42, nil }
+	gated := Gate(fx.srv, fetch)
+
+	if v, err := gated(context.Background()); err != nil || v != 42 {
+		t.Fatalf("clean gate = %d, %v", v, err)
 	}
-	if !live.PartnerUp() {
-		t.Error("partner still down after restore")
+	out := fx.inject(`{"kind":"partner-outage"}`)
+	if _, err := gated(context.Background()); !errors.Is(err, ErrPartnerDown) {
+		t.Fatalf("gate during outage: err = %v, want ErrPartnerDown", err)
+	}
+	fx.restore(out)
+	if v, err := gated(context.Background()); err != nil || v != 42 {
+		t.Fatalf("gate after restore = %d, %v", v, err)
+	}
+	if calls != 2 {
+		t.Errorf("underlying fetch ran %d times, want 2", calls)
 	}
 
-	code, body = fx.do("POST", "/v1/impairments", "writer-token", `{"kind":"latency-spike","extra":"150ms"}`)
-	if code != 201 {
-		t.Fatalf("spike: %d %s", code, body)
+	fx.inject(`{"kind":"latency-spike","extra":"150ms"}`)
+	fx.inject(`{"kind":"latency-spike","extra":"1h"}`)
+	if extra, down := fx.srv.partnerRules(); extra != time.Hour+150*time.Millisecond || down {
+		t.Errorf("partner rules = %v, %v; want the spikes' sum and up", extra, down)
 	}
-	if got := live.Delay(); got != 150*time.Millisecond {
-		t.Errorf("live delay = %v, want 150ms", got)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if _, err := gated(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("spiked gate err = %v, want deadline exceeded", err)
+	}
+	if calls != 2 {
+		t.Errorf("a fetch ran through a spike its context did not outlast")
+	}
+
+	if v, err := Gate[int](nil, fetch)(context.Background()); err != nil || v != 42 {
+		t.Errorf("nil control plane gate = %d, %v", v, err)
+	}
+}
+
+// TestPartnerDeadlines runs partner rules on a fake clock: a timed rule
+// stops gating at its deadline while its restore timer (wall time) has not
+// fired and the list still shows it active; an open-ended rule lasts until
+// DELETE; a duration whose deadline would overflow is open-ended.
+func TestPartnerDeadlines(t *testing.T) {
+	var mu sync.Mutex
+	now := time.Hour
+	fx := newFixture(t, nil, func() time.Duration { mu.Lock(); defer mu.Unlock(); return now })
+	advance := func(to time.Duration) { mu.Lock(); now = to; mu.Unlock() }
+	gated := Gate(fx.srv, func(context.Context) (int, error) { return 1, nil })
+	down := func() bool {
+		_, err := gated(context.Background())
+		return errors.Is(err, ErrPartnerDown)
+	}
+
+	timed := fx.inject(`{"kind":"partner-outage","duration":"30m"}`)
+	if !down() {
+		t.Fatal("partner up inside a timed outage")
+	}
+	advance(time.Hour + 30*time.Minute - 1)
+	if !down() {
+		t.Fatal("partner up 1ns before the outage's deadline")
+	}
+	advance(time.Hour + 30*time.Minute)
+	if down() {
+		t.Fatal("partner down at the outage's deadline")
+	}
+	if _, body := fx.do("GET", "/v1/impairments", "reader-token", ""); !strings.Contains(string(body), `"active":true`) {
+		t.Fatalf("timed outage %d inactive before its restore timer fired: %s", timed, body)
+	}
+	fx.restore(timed)
+
+	open := fx.inject(`{"kind":"partner-outage"}`)
+	advance(100 * time.Hour)
+	if !down() {
+		t.Fatal("open-ended outage ended before DELETE")
+	}
+	fx.restore(open)
+	if down() {
+		t.Fatal("partner down after the open-ended outage's DELETE")
+	}
+
+	huge := fx.inject(`{"kind":"partner-outage","duration":"2562047h"}`)
+	if d := fx.srv.imps[huge-1].deadline; d != openEnd {
+		t.Errorf("2562047h outage at t=100h: deadline %v, want the open end", d)
+	}
+	if !down() {
+		t.Fatal("partner up inside a 2562047h outage")
+	}
+	fx.restore(huge)
+}
+
+// TestPartnerGateUnderImpairmentChurn calls the gate from four goroutines
+// while POST and DELETE cycle a partner outage, a 1 ms latency spike and a
+// link throttle, some left to their restore timers. After the last DELETE the
+// gate is up with no delay and every link is back at its base capacity.
+func TestPartnerGateUnderImpairmentChurn(t *testing.T) {
+	fx := newFixture(t, nil, faults.WallClock(time.Now()))
+	gated := Gate(fx.srv, func(context.Context) (int, error) { return 7, nil })
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if v, err := gated(context.Background()); err != nil && !errors.Is(err, ErrPartnerDown) || err == nil && v != 7 {
+					t.Errorf("gated fetch = %d, %v", v, err)
+					return
+				}
+				runtime.Gosched() // on one CPU, leave the HTTP handlers room to run
+			}
+		}()
+	}
+	for i := 0; i < 30; i++ {
+		dur := ""
+		if i%3 == 0 {
+			dur = `,"duration":"1ms"`
+		}
+		ids := []int{
+			fx.inject(`{"kind":"partner-outage"` + dur + `}`),
+			fx.inject(`{"kind":"latency-spike","extra":"1ms"` + dur + `}`),
+			fx.inject(`{"kind":"link-throttle","link":"peering","factor":0.5` + dur + `}`),
+		}
+		for _, id := range ids {
+			fx.restore(id)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	if extra, down := fx.srv.partnerRules(); extra != 0 || down {
+		t.Errorf("after the last DELETE: extra %v, down %v; want 0 and up", extra, down)
+	}
+	if v, err := gated(context.Background()); err != nil || v != 7 {
+		t.Errorf("gate after the last DELETE = %d, %v", v, err)
+	}
+	snap := fx.shared.Snapshot()
+	for _, l := range fx.topo.Links() {
+		if got := snap.Capacity(l.ID); got != l.Capacity {
+			t.Errorf("link %s at %v after the last DELETE, want its base %v", l.Name, got, l.Capacity)
+		}
 	}
 }
 

@@ -12,8 +12,9 @@
 // instant becomes one sim.Engine event that commits all of that instant's
 // capacity changes inside a single netsim Batch, i.e. one reallocation per
 // fault regardless of how many links it touches. Partner faults gate the
-// simulated looking-glass exchange through PartnerUp. A running node's partner faults are Live windows (live.go), which Gate
-// applies to a real poller's fetches.
+// simulated looking-glass exchange through PartnerUp. A running node's
+// partner faults are control-plane impairments (ctlplane.Gate applies them
+// to a real poller's fetches); WallClock is that node's fault timeline.
 package faults
 
 import (
@@ -37,6 +38,12 @@ func (w Window) Contains(t time.Duration) bool { return t >= w.Start && t < w.En
 // Duration returns the window's length.
 func (w Window) Duration() time.Duration { return w.End - w.Start }
 
+// WallClock returns a clock mapping wall time to fault-timeline time, with
+// t=0 at start: the timeline a running process positions its impairments on.
+func WallClock(start time.Time) func() time.Duration {
+	return func() time.Duration { return time.Since(start) }
+}
+
 // LinkFault degrades one named link for the duration of its window: the
 // link's capacity becomes Factor × its base capacity at Start and is
 // restored at End. Factor 0 models a full outage (capacity is floored at
@@ -46,13 +53,6 @@ type LinkFault struct {
 	Link string
 	Window
 	Factor float64
-}
-
-// LatencySpike adds Extra delay to every gated partner exchange inside its
-// window (see Live.AddLatencySpike).
-type LatencySpike struct {
-	Window
-	Extra time.Duration
 }
 
 // Plan is a fully materialized fault schedule. The zero value (and a nil

@@ -31,23 +31,8 @@ func (s BreakerState) String() string {
 	}
 }
 
-// Default breaker parameters, applied by NewBreaker for zero config
-// fields.
-const (
-	DefaultBreakerThreshold = 5
-	DefaultBreakerCooldown  = 30 * time.Second
-)
-
-// BreakerConfig parameterizes a Breaker.
-type BreakerConfig struct {
-	// Threshold is the consecutive-failure count that opens the breaker.
-	// Zero selects DefaultBreakerThreshold; negative disables the
-	// breaker (it stays closed forever).
-	Threshold int
-	// Cooldown is how long the breaker stays open before admitting a
-	// half-open probe. Zero selects DefaultBreakerCooldown.
-	Cooldown time.Duration
-}
+// breakerThreshold is the consecutive-failure count that opens a Breaker.
+const breakerThreshold = 5
 
 // BreakerCounters are cumulative breaker statistics, exported so a live
 // poller's health is observable (cmd/eona-lg /v1/health).
@@ -68,27 +53,20 @@ type BreakerCounters struct {
 // Breaker is a consecutive-failure circuit breaker
 // (closed → open → half-open probe → closed). It is safe for concurrent
 // use. Callers ask Allow before each exchange and report the outcome with
-// OnSuccess/OnFailure; time is passed in explicitly so simulated and
-// wall-clock users share one implementation.
+// OnSuccess/OnFailure, passing the time of each event.
 type Breaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	state     BreakerState
-	consec    int
-	openedAt  time.Time
-	c         BreakerCounters
+	mu       sync.Mutex
+	cooldown time.Duration
+	state    BreakerState
+	consec   int
+	openedAt time.Time
+	c        BreakerCounters
 }
 
-// NewBreaker builds a breaker, applying defaults for zero config fields.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	if cfg.Threshold == 0 {
-		cfg.Threshold = DefaultBreakerThreshold
-	}
-	if cfg.Cooldown == 0 {
-		cfg.Cooldown = DefaultBreakerCooldown
-	}
-	return &Breaker{threshold: cfg.Threshold, cooldown: cfg.Cooldown}
+// newBreaker builds a closed breaker that opens after breakerThreshold
+// consecutive failures and stays open for cooldown.
+func newBreaker(cooldown time.Duration) *Breaker {
+	return &Breaker{cooldown: cooldown}
 }
 
 // Allow reports whether an exchange may proceed at now. While open it
@@ -135,7 +113,7 @@ func (b *Breaker) OnFailure(now time.Time) {
 	defer b.mu.Unlock()
 	b.c.Failures++
 	b.consec++
-	if b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.threshold > 0 && b.consec >= b.threshold) {
+	if b.state == BreakerHalfOpen || (b.state == BreakerClosed && b.consec >= breakerThreshold) {
 		b.state = BreakerOpen
 		b.openedAt = now
 		b.c.Opens++
@@ -147,13 +125,6 @@ func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// ConsecutiveFailures returns the current failure streak.
-func (b *Breaker) ConsecutiveFailures() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.consec
 }
 
 // Counters returns a snapshot of the cumulative statistics.

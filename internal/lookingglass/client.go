@@ -99,17 +99,11 @@ func (c *Client) get(ctx context.Context, path string, query url.Values, want wi
 		return wire.Envelope{}, fmt.Errorf("lookingglass: read %s: %w", path, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		// Error responses carry the unified {"error":{...}} envelope; older
-		// peers used a wire TypeError envelope — accept both, else fall back
-		// to the raw body.
+		// Error responses carry the {"error":{...}} envelope; anything
+		// else falls back to the raw body.
 		var ee ErrorEnvelope
 		if jerr := json.Unmarshal(body, &ee); jerr == nil && ee.Err.Message != "" {
 			return wire.Envelope{}, &StatusError{Code: resp.StatusCode, Message: truncateMessage(ee.Err.Message)}
-		}
-		if env, derr := wire.Decode(body); derr == nil {
-			if eb, perr := wire.DecodePayload[wire.ErrorBody](env, wire.TypeError); perr == nil {
-				return wire.Envelope{}, &StatusError{Code: resp.StatusCode, Message: truncateMessage(eb.Message)}
-			}
 		}
 		return wire.Envelope{}, &StatusError{Code: resp.StatusCode, Message: truncateMessage(string(body))}
 	}

@@ -40,8 +40,8 @@ type Snapshot[T any] struct {
 	attempted bool
 	err       error
 
-	// halfLife parameterizes Confidence (PollConfig.HalfLife); zero means
-	// no decay.
+	// halfLife parameterizes Confidence; zero (a snapshot no poller runs)
+	// means no decay.
 	halfLife time.Duration
 	// Robustness counters, maintained by the polling loop.
 	polls, successes, failures, retries, skipped uint64
@@ -117,7 +117,7 @@ type Health struct {
 	Skipped uint64
 	// ConsecutiveFailures is the current failure streak.
 	ConsecutiveFailures int
-	// Breaker is the breaker position (closed for breakerless pollers).
+	// Breaker is the breaker position.
 	Breaker BreakerState
 	// BreakerCounters are the breaker's cumulative statistics.
 	BreakerCounters BreakerCounters
@@ -147,7 +147,7 @@ func (s *Snapshot[T]) Health(now time.Time) Health {
 	}
 	br := s.breaker
 	s.mu.RUnlock()
-	if br != nil {
+	if br != nil { // nil only on a snapshot no poller runs
 		h.Breaker = br.State()
 		h.BreakerCounters = br.Counters()
 	}
@@ -186,79 +186,51 @@ func (s *Snapshot[T]) recordSkip() {
 	s.skipped++
 }
 
-// PollConfig parameterizes PollWith. Only Interval is required; zero
-// fields take the documented defaults.
-type PollConfig struct {
-	// Interval is the steady-state delay between successful polls.
-	// Required, positive. Each fetch also runs under a derived context
-	// timing out after Interval, floored at MinAttemptTimeout, so a hung
-	// peer cannot wedge the polling loop past cancellation (the fetch must
-	// honor its context, as HTTP fetches do).
-	Interval time.Duration
-	// BackoffBase is the delay before the first retry after a failure
-	// (default Interval). Subsequent consecutive failures double the delay
-	// up to BackoffMax (default 8×Interval), each jittered by ±10 %. The
-	// jitter RNG has a fixed seed, so every poller draws the same retry
-	// schedule.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// Breaker configures the consecutive-failure circuit breaker
-	// (BreakerConfig defaults apply; Threshold −1 disables).
-	Breaker BreakerConfig
-	// HalfLife is the Confidence decay half-life (0 = no decay).
-	HalfLife time.Duration
-}
-
 // MinAttemptTimeout floors the derived per-attempt timeout so that tests
 // polling at millisecond intervals don't time out real loopback fetches.
 const MinAttemptTimeout = 250 * time.Millisecond
 
-// backoffFactor multiplies the retry delay per consecutive failure, and
-// backoffJitter is the ± fraction each delay is jittered by.
+// The poller's settings, each a fixed multiple of the poll interval (at a
+// 10 s interval: retries back off from 10 s to 80 s, the breaker cools for
+// 30 s, confidence halves every 100 s). Retry delays double per consecutive
+// failure from one interval up to backoffMaxIntervals, each jittered by
+// ±backoffJitter; the jitter RNG has a fixed seed, so every poller draws the
+// same retry schedule.
 const (
-	backoffFactor = 2
-	backoffJitter = 0.1
+	backoffFactor            = 2
+	backoffMaxIntervals      = 8
+	backoffJitter            = 0.1
+	breakerCooldownIntervals = 3
+	halfLifeIntervals        = 10
 )
 
-func (c PollConfig) withDefaults() PollConfig {
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = c.Interval
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 8 * c.Interval
-	}
-	return c
-}
-
-// PollWith fetches fetch() immediately and then repeatedly until ctx is
+// PollWith fetches fetch() immediately and then every interval until ctx is
 // cancelled, publishing results into the returned Snapshot. Each attempt
-// runs under a derived per-attempt timeout, failures retry on jittered
-// exponential backoff instead of the steady interval, and a
-// consecutive-failure circuit breaker suppresses
-// fetches entirely while a peer is down, probing half-open after a
-// cooldown. Failed polls keep the previous value (stale beats absent — the
-// §5 staleness stance) and record the error; Snapshot.Confidence grades
-// how far trust in that stale value has decayed. The done channel closes
-// when the polling goroutine exits.
-func PollWith[T any](ctx context.Context, cfg PollConfig, fetch func(context.Context) (T, error)) (*Snapshot[T], <-chan struct{}) {
-	if cfg.Interval <= 0 {
+// runs under a per-attempt timeout of one interval (floored at
+// MinAttemptTimeout), so a hung peer cannot wedge the loop past
+// cancellation (the fetch must honor its context, as HTTP fetches do).
+// Failures retry on jittered exponential backoff instead of the steady
+// interval, and a consecutive-failure circuit breaker opens on the fifth
+// failure in a row and admits one half-open probe after its cooldown. Failed
+// polls keep the previous value (stale beats absent — the §5 staleness
+// stance) and record the error; Snapshot.Confidence grades how far trust in
+// that stale value has decayed. The interval is the only setting: every
+// other value derives from it (see halfLifeIntervals and its neighbours).
+// The done channel closes when the polling goroutine exits.
+func PollWith[T any](ctx context.Context, interval time.Duration, fetch func(context.Context) (T, error)) (*Snapshot[T], <-chan struct{}) {
+	if interval <= 0 {
 		panic("lookingglass: poll interval must be positive")
 	}
-	cfg = cfg.withDefaults()
-	attemptTimeout := max(cfg.Interval, MinAttemptTimeout)
-	snap := &Snapshot[T]{halfLife: cfg.HalfLife}
-	var br *Breaker
-	if cfg.Breaker.Threshold >= 0 {
-		br = NewBreaker(cfg.Breaker)
-		snap.breaker = br
-	}
+	attemptTimeout := max(interval, MinAttemptTimeout)
+	br := newBreaker(breakerCooldownIntervals * interval)
+	snap := &Snapshot[T]{halfLife: halfLifeIntervals * interval, breaker: br}
 	rng := rand.New(rand.NewSource(0))
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		consec := 0
 		attempt := func() {
-			if br != nil && !br.Allow(time.Now()) {
+			if !br.Allow(time.Now()) {
 				snap.recordSkip()
 				return
 			}
@@ -268,23 +240,19 @@ func PollWith[T any](ctx context.Context, cfg PollConfig, fetch func(context.Con
 			now := time.Now()
 			if err != nil {
 				consec++
-				if br != nil {
-					br.OnFailure(now)
-				}
+				br.OnFailure(now)
 				snap.fail(err, now)
 				return
 			}
 			consec = 0
-			if br != nil {
-				br.OnSuccess(now)
-			}
+			br.OnSuccess(now)
 			snap.set(v, now)
 		}
 		attempt()
 		for {
-			d := cfg.Interval
+			d := interval
 			if consec > 0 {
-				d = backoffDelay(cfg, consec, rng)
+				d = backoffDelay(interval, consec, rng)
 			}
 			timer := time.NewTimer(d)
 			select {
@@ -301,16 +269,13 @@ func PollWith[T any](ctx context.Context, cfg PollConfig, fetch func(context.Con
 
 // backoffDelay computes the jittered exponential retry delay for the
 // consec'th consecutive failure (consec ≥ 1).
-func backoffDelay(cfg PollConfig, consec int, rng *rand.Rand) time.Duration {
-	d := float64(cfg.BackoffBase)
-	for i := 1; i < consec; i++ {
+func backoffDelay(interval time.Duration, consec int, rng *rand.Rand) time.Duration {
+	d, dmax := float64(interval), float64(backoffMaxIntervals*interval)
+	for i := 1; i < consec && d < dmax; i++ {
 		d *= backoffFactor
-		if d >= float64(cfg.BackoffMax) {
-			break
-		}
 	}
-	if d > float64(cfg.BackoffMax) {
-		d = float64(cfg.BackoffMax)
+	if d > dmax {
+		d = dmax
 	}
 	d *= 1 + backoffJitter*(2*rng.Float64()-1)
 	if d < 1 {

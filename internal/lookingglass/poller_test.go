@@ -25,7 +25,7 @@ func TestPollPublishesAndRefreshes(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	snap, done := PollWith(ctx, breakerless(5*time.Millisecond), fetch)
+	snap, done := PollWith(ctx, 5*time.Millisecond, fetch)
 
 	waitFor(t, func() bool { v, _, ok := snap.Get(); return ok && v == 1 })
 	mu.Lock()
@@ -57,7 +57,7 @@ func TestPollKeepsStaleValueOnError(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	snap, _ := PollWith(ctx, breakerless(5*time.Millisecond), fetch)
+	snap, _ := PollWith(ctx, 5*time.Millisecond, fetch)
 	waitFor(t, func() bool { _, _, ok := snap.Get(); return ok })
 
 	mu.Lock()
@@ -80,7 +80,7 @@ func TestPollNeverSucceeded(t *testing.T) {
 	fetch := func(context.Context) (int, error) { return 0, errors.New("always down") }
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	snap, _ := PollWith(ctx, breakerless(5*time.Millisecond), fetch)
+	snap, _ := PollWith(ctx, 5*time.Millisecond, fetch)
 	waitFor(t, func() bool { return snap.Err() != nil })
 	if _, _, ok := snap.Get(); ok {
 		t.Error("Get reported ok with no successful poll")
@@ -107,7 +107,7 @@ func TestSnapshotLastAttemptAdvancesOnFailure(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	snap, _ := PollWith(ctx, breakerless(2*time.Millisecond), fetch)
+	snap, _ := PollWith(ctx, 2*time.Millisecond, fetch)
 	waitFor(t, func() bool { _, _, ok := snap.Get(); return ok })
 	_, fetchedAt, _ := snap.Get()
 	firstAttempt, ok := snap.LastAttempt()
@@ -158,7 +158,7 @@ func TestSnapshotLastAttemptOnNeverSucceeded(t *testing.T) {
 	fetch := func(context.Context) (int, error) { return 0, errors.New("always down") }
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	snap, _ := PollWith(ctx, breakerless(2*time.Millisecond), fetch)
+	snap, _ := PollWith(ctx, 2*time.Millisecond, fetch)
 	waitFor(t, func() bool { return snap.Err() != nil })
 	if _, _, ok := snap.Get(); ok {
 		t.Error("Get ok with no success")
@@ -176,7 +176,7 @@ func TestPollBadInterval(t *testing.T) {
 			t.Error("zero interval did not panic")
 		}
 	}()
-	PollWith(context.Background(), breakerless(0), func(context.Context) (int, error) { return 0, nil })
+	PollWith(context.Background(), 0, func(context.Context) (int, error) { return 0, nil })
 }
 
 func TestPollAgainstRealServer(t *testing.T) {
@@ -185,7 +185,7 @@ func TestPollAgainstRealServer(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	snap, _ := PollWith(ctx, breakerless(10*time.Millisecond), func(ctx context.Context) ([]core.PeeringInfo, error) {
+	snap, _ := PollWith(ctx, 10*time.Millisecond, func(ctx context.Context) ([]core.PeeringInfo, error) {
 		return client.PeeringInfo(ctx, "cdnX")
 	})
 	waitFor(t, func() bool { _, _, ok := snap.Get(); return ok })
@@ -211,7 +211,7 @@ func TestSnapshotConcurrentAccess(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	n := 0
-	snap, _ := PollWith(ctx, breakerless(time.Millisecond), func(context.Context) (int, error) {
+	snap, _ := PollWith(ctx, time.Millisecond, func(context.Context) (int, error) {
 		n++
 		return n, nil
 	})
@@ -230,12 +230,6 @@ func TestSnapshotConcurrentAccess(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// breakerless polls every interval with no circuit breaker, so an outage
-// is retried on backoff for as long as it lasts.
-func breakerless(interval time.Duration) PollConfig {
-	return PollConfig{Interval: interval, Breaker: BreakerConfig{Threshold: -1}}
 }
 
 func waitFor(t *testing.T, cond func() bool) {
@@ -268,9 +262,7 @@ func TestPollNotModifiedIsFresh(t *testing.T) {
 	// Each poll waits for a step, so the test inspects the snapshot between
 	// polls.
 	step := make(chan struct{})
-	cfg := breakerless(time.Millisecond)
-	cfg.HalfLife = time.Minute
-	snap, done := PollWith(ctx, cfg, func(context.Context) ([]core.QoESummary, error) {
+	snap, done := PollWith(ctx, time.Millisecond, func(context.Context) ([]core.QoESummary, error) {
 		select {
 		case <-step:
 		case <-ctx.Done():

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -77,31 +78,34 @@ func TestSnapshotConfidence(t *testing.T) {
 
 func TestBreakerTransitions(t *testing.T) {
 	t0 := time.Now()
-	b := NewBreaker(BreakerConfig{Threshold: 3, Cooldown: time.Minute})
+	b := newBreaker(time.Minute)
 
 	// Closed: failures below threshold keep it closed.
-	for i := 0; i < 2; i++ {
-		if !b.Allow(t0) {
-			t.Fatal("closed breaker refused an exchange")
+	fail := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if !b.Allow(t0) {
+				t.Fatal("closed breaker refused an exchange")
+			}
+			b.OnFailure(t0)
 		}
-		b.OnFailure(t0)
 	}
+	fail(breakerThreshold - 1)
 	if b.State() != BreakerClosed {
-		t.Fatalf("state after 2/3 failures = %v, want closed", b.State())
+		t.Fatalf("state after %d/%d failures = %v, want closed", breakerThreshold-1, breakerThreshold, b.State())
 	}
-	// A success resets the streak.
+	// A success resets the streak: as many failures again still leave it
+	// closed.
 	b.OnSuccess(t0)
-	if b.ConsecutiveFailures() != 0 {
+	fail(breakerThreshold - 1)
+	if b.State() != BreakerClosed {
 		t.Fatal("success did not reset the failure streak")
 	}
 
 	// Threshold consecutive failures open it.
-	for i := 0; i < 3; i++ {
-		b.Allow(t0)
-		b.OnFailure(t0)
-	}
+	fail(1)
 	if b.State() != BreakerOpen {
-		t.Fatalf("state after 3 failures = %v, want open", b.State())
+		t.Fatalf("state after %d failures = %v, want open", breakerThreshold, b.State())
 	}
 	if b.Allow(t0.Add(30 * time.Second)) {
 		t.Error("open breaker admitted an exchange before cooldown")
@@ -150,20 +154,6 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 }
 
-func TestBreakerDisabled(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: -1})
-	t0 := time.Now()
-	for i := 0; i < 100; i++ {
-		if !b.Allow(t0) {
-			t.Fatal("disabled breaker refused an exchange")
-		}
-		b.OnFailure(t0)
-	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("disabled breaker state = %v, want closed", b.State())
-	}
-}
-
 // Regression: a fetch that hangs (honoring only its context) used to wedge
 // the polling goroutine forever — no retries, no error surfaced, and the
 // snapshot frozen. The per-attempt timeout bounds each fetch so the loop
@@ -177,7 +167,7 @@ func TestPollAttemptTimeoutUnwedgesHungFetch(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	snap, done := PollWith(ctx, breakerless(10*time.Millisecond), fetch)
+	snap, done := PollWith(ctx, 10*time.Millisecond, fetch)
 
 	waitFor(t, func() bool { return snap.Err() != nil })
 	if !errors.Is(snap.Err(), context.DeadlineExceeded) {
@@ -194,9 +184,9 @@ func TestPollAttemptTimeoutUnwedgesHungFetch(t *testing.T) {
 	}
 }
 
-// PollWith rides its breaker through an outage: failures open it, scheduled
-// polls are skipped instead of hammering the dead peer, a half-open probe
-// discovers recovery, and the snapshot refreshes.
+// PollWith rides its breaker through an outage: five failures open it, a
+// half-open probe discovers recovery and closes it, and the snapshot
+// refreshes.
 func TestPollWithBreakerRecovery(t *testing.T) {
 	var down atomic.Bool
 	down.Store(true)
@@ -208,21 +198,15 @@ func TestPollWithBreakerRecovery(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	snap, _ := PollWith(ctx, PollConfig{
-		Interval:    5 * time.Millisecond,
-		BackoffBase: 5 * time.Millisecond,
-		BackoffMax:  10 * time.Millisecond,
-		Breaker:     BreakerConfig{Threshold: 2, Cooldown: 40 * time.Millisecond},
-		HalfLife:    time.Hour,
-	}, fetch)
+	// The five failures back off 20+40+80+160 ms before the breaker opens;
+	// the next attempt, 160 ms on, is past its 60 ms cooldown and so is the
+	// half-open probe. Confidence halves every 200 ms.
+	snap, _ := PollWith(ctx, 20*time.Millisecond, fetch)
 
-	// Outage: the breaker opens and starts skipping scheduled polls.
-	waitFor(t, func() bool { return snap.Health(time.Now()).Skipped > 0 })
+	// Outage: the breaker opens.
+	waitFor(t, func() bool { return snap.Health(time.Now()).Breaker == BreakerOpen })
 	h := snap.Health(time.Now())
-	if h.BreakerCounters.Opens == 0 {
-		t.Errorf("health during outage = %+v, want an open", h)
-	}
-	if h.Failures == 0 || h.ConsecutiveFailures == 0 {
+	if h.BreakerCounters.Opens == 0 || h.Failures < breakerThreshold || h.ConsecutiveFailures < breakerThreshold {
 		t.Errorf("health during outage = %+v, want failures recorded", h)
 	}
 
@@ -237,8 +221,40 @@ func TestPollWithBreakerRecovery(t *testing.T) {
 	if h.Retries == 0 {
 		t.Errorf("health after recovery = %+v, want retries counted", h)
 	}
-	if h.Confidence <= 0.9 {
-		t.Errorf("confidence right after recovery = %v, want ~1", h.Confidence)
+	// Polls now land every interval, so one soon finds the snapshot at most
+	// a few milliseconds old.
+	waitFor(t, func() bool { return snap.Health(time.Now()).Confidence > 0.9 })
+}
+
+// TestPollSettingsDeriveFromInterval pins the values the interval sets, at
+// eona-lg's default 10 s: retries back off 10 s, 20 s, 40 s, then 80 s on,
+// each within ±10 % jitter; the breaker opens on the fifth consecutive
+// failure and cools for 30 s; confidence halves every 100 s.
+func TestPollSettingsDeriveFromInterval(t *testing.T) {
+	const interval = 10 * time.Second
+	rng := rand.New(rand.NewSource(1))
+	for consec, want := range map[int]time.Duration{
+		1: 10 * time.Second, 2: 20 * time.Second, 3: 40 * time.Second,
+		4: 80 * time.Second, 5: 80 * time.Second, 50: 80 * time.Second,
+	} {
+		for i := 0; i < 100; i++ {
+			if d := backoffDelay(interval, consec, rng); d < want*9/10 || d > want*11/10 {
+				t.Fatalf("retry %d waits %v, want %v ± 10%%", consec, d, want)
+			}
+		}
+	}
+	if breakerThreshold != 5 {
+		t.Errorf("breaker opens after %d failures, want 5", breakerThreshold)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	snap, done := PollWith(ctx, interval, func(context.Context) (int, error) { return 0, nil })
+	cancel()
+	<-done
+	if snap.breaker.cooldown != 30*time.Second {
+		t.Errorf("breaker cooldown = %v, want 30s", snap.breaker.cooldown)
+	}
+	if snap.halfLife != 100*time.Second {
+		t.Errorf("confidence half-life = %v, want 100s", snap.halfLife)
 	}
 }
 
@@ -248,16 +264,11 @@ func TestSnapshotConcurrentConfidence(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var n atomic.Int64
-	snap, _ := PollWith(ctx, PollConfig{
-		Interval:    time.Millisecond,
-		BackoffBase: time.Millisecond,
-		HalfLife:    time.Second,
-		Breaker:     BreakerConfig{Threshold: 3, Cooldown: 5 * time.Millisecond},
-	}, func(context.Context) (int64, error) {
-		// Alternate success and failure so set, fail, and the breaker all
-		// churn while readers run.
+	snap, _ := PollWith(ctx, time.Millisecond, func(context.Context) (int64, error) {
+		// One success in six attempts: set, fail, and the breaker (which
+		// opens on the fifth failure in a row) all churn while readers run.
 		v := n.Add(1)
-		if v%2 == 0 {
+		if v%6 != 0 {
 			return 0, errors.New("flaky")
 		}
 		return v, nil

@@ -98,7 +98,7 @@ func TestServerFromSharedSnapshotUnderChurn(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	snap, done := PollWith(ctx, PollConfig{Interval: 2 * time.Millisecond},
+	snap, done := PollWith(ctx, 2*time.Millisecond,
 		func(ctx context.Context) ([]core.PeeringInfo, error) {
 			return client.PeeringInfo(ctx, "cdnX")
 		})

@@ -127,14 +127,14 @@ func decodeSeeds() []string {
 		`{"version":"eona/1.x","type":"i2a.attribution","payload":{}}`,
 		`{"version":"eona/2","type":"i2a.attribution","payload":{}}`,
 		// Unknown envelope fields from a newer producer are tolerated.
-		`{"version":"eona/1","type":"error","payload":{},"trace_id":"abc","hop_count":2}`,
-		`{"trace":{"a":[1,{"b":null}],"c":"\u00e9"},"version":"eona/1","type":"error","payload":0}`,
+		`{"version":"eona/1","type":"i2a.attribution","payload":{},"trace_id":"abc","hop_count":2}`,
+		`{"trace":{"a":[1,{"b":null}],"c":"\u00e9"},"version":"eona/1","type":"i2a.attribution","payload":0}`,
 		// Keys: exact, escaped, folded (ASCII and non-ASCII), duplicated.
-		`{"VERSION":"eona/1","Type":"error","payload":1}`,
-		`{"vers\u0069on":"eona/1","type":"error","payload":1}`,
-		`{"version":"eona/2","version":"eona/1","type":"error","payload":1}`,
-		`{"version":"eona/1","type":"error","payload":1,"payload":[2]}`,
-		`{"version":"eona/1","type":"error","payload":1,"type":"bogus"}`,
+		`{"VERSION":"eona/1","Type":"i2a.attribution","payload":1}`,
+		`{"vers\u0069on":"eona/1","type":"i2a.attribution","payload":1}`,
+		`{"version":"eona/2","version":"eona/1","type":"i2a.attribution","payload":1}`,
+		`{"version":"eona/1","type":"i2a.attribution","payload":1,"payload":[2]}`,
+		`{"version":"eona/1","type":"i2a.attribution","payload":1,"type":"bogus"}`,
 		`[{"ſessions":3,"\u212Aey":{"CDN":"x","clu\u017fter":"y"}}]`,
 		`[{"\u017fessions":3,"\u212aey":{"cdn":"x"}}]`,
 		`[{"sessionſ":3,"key":{"cdnK":"x"}}]`,
@@ -147,26 +147,26 @@ func decodeSeeds() []string {
 		`[null]`, `null`, ` null `, `[]`, ` [ ] `, `{}`, `nul`, `nullx`,
 		envelopeWith(`null`), envelopeWith(`[]`), envelopeWith(`[null]`),
 		`{"version":null,"type":null,"schema":null,"generated_at_ms":null,"payload":null}`,
-		`{"version":"eona/1","type":"error","payload":1,"version":null}`,
+		`{"version":"eona/1","type":"i2a.attribution","payload":1,"version":null}`,
 		// The whitespace inside the payload is kept.
 		envelopeWith(`[ 1 , 2 ]`), envelopeWith(" [ {\n\t\"sessions\" : 1 } ] "),
 		// Type mismatches.
 		`[{"sessions":"1"}]`, `[{"sessions":true}]`, `[{"sessions":{}}]`, `[{"sessions":[]}]`,
 		`[{"key":"k"}]`, `[{"key":[]}]`, `[{"key":5}]`, `[{"key":{"cdn":5}}]`, `[{"key":{"cdn":true}}]`,
 		`[1]`, `["x"]`, `[true]`, `[[]]`, `{"sessions":1}`, `"x"`, `5`, `true`,
-		`{"version":5,"type":"error","payload":1}`, `{"version":"eona/1","type":["error"],"payload":1}`,
+		`{"version":5,"type":"i2a.attribution","payload":1}`, `{"version":"eona/1","type":["i2a.attribution"],"payload":1}`,
 		`[]x`, `["x"]`, `[1,2]`,
 		// Numbers: float range, integer fields.
 		`[{"sessions":1e400}]`, `[{"sessions":-1e400}]`, `[{"sessions":1e-400}]`, `[{"sessions":-0}]`,
 		`[{"volume_bps":1.7976931348623157e308,"sessions":5e-324}]`,
 		`[{"sessions":01}]`, `[{"sessions":1.}]`, `[{"sessions":.5}]`, `[{"sessions":1e}]`, `[{"sessions":-}]`, `[{"sessions":+1}]`,
-		`{"version":"eona/1","type":"error","schema":1.0,"payload":1}`,
-		`{"version":"eona/1","type":"error","schema":1e2,"payload":1}`,
-		`{"version":"eona/1","type":"error","schema":-3,"payload":1}`,
-		`{"version":"eona/1","type":"error","generated_at_ms":9223372036854775807,"payload":1}`,
-		`{"version":"eona/1","type":"error","generated_at_ms":9223372036854775808,"payload":1}`,
-		`{"version":"eona/1","type":"error","generated_at_ms":-9223372036854775809,"payload":1}`,
-		`{"version":"eona/1","type":"error","generated_at_ms":"5","payload":1}`,
+		`{"version":"eona/1","type":"i2a.attribution","schema":1.0,"payload":1}`,
+		`{"version":"eona/1","type":"i2a.attribution","schema":1e2,"payload":1}`,
+		`{"version":"eona/1","type":"i2a.attribution","schema":-3,"payload":1}`,
+		`{"version":"eona/1","type":"i2a.attribution","generated_at_ms":9223372036854775807,"payload":1}`,
+		`{"version":"eona/1","type":"i2a.attribution","generated_at_ms":9223372036854775808,"payload":1}`,
+		`{"version":"eona/1","type":"i2a.attribution","generated_at_ms":-9223372036854775809,"payload":1}`,
+		`{"version":"eona/1","type":"i2a.attribution","generated_at_ms":"5","payload":1}`,
 		// Strings: escapes, invalid UTF-8, surrogates, control characters.
 		`[{"key":{"cdn":"a\"\\\/\b\f\n\r\tz","cluster":"\u00e9\u65e5\uD83D\uDE00"}}]`,
 		"[{\"key\":{\"cdn\":\"bad\xff\xfeutf8\",\"cluster\":\"\xed\xa0\x80\",\"client_isp\":\"\xf0\x9f\x98\"}}]",
@@ -176,9 +176,9 @@ func decodeSeeds() []string {
 		`[{"key":{"cdn":"\ud800\"}}]`, `[{"key":{"cdn":"\u12"}}]`, `[{"key":{"cdn":"\x"}}]`,
 		"[{\"key\":{\"cdn\":\"tab\there\"}}]", "[{\"key\":{\"cdn\":\"nul\x00\"}}]", "[{\"key\":{\"cdn\":\"del\x7f\"}}]",
 		// Syntax: trailing bytes, truncation, stray separators.
-		`{"version":"eona/1","type":"error","payload":1} x`, `{"version":"eona/1","type":"error","payload":1}` + " \n\t\r",
-		`{"version":"eona/1","type":"error","payload":1}{}`,
-		`{"version":"eona/1","type":"error","payload":1,}`, `{"version":"eona/1" "type":"error"}`,
+		`{"version":"eona/1","type":"i2a.attribution","payload":1} x`, `{"version":"eona/1","type":"i2a.attribution","payload":1}` + " \n\t\r",
+		`{"version":"eona/1","type":"i2a.attribution","payload":1}{}`,
+		`{"version":"eona/1","type":"i2a.attribution","payload":1,}`, `{"version":"eona/1" "type":"i2a.attribution"}`,
 		`[{"sessions":1},]`, `[{"sessions":1}}`, `[{"sessions" 1}]`, `[{,}]`, `[,]`, `[{"a":[}]`,
 		`{`, ``, ` `, `[`, `{"version"`, "\xef\xbb\xbf[]",
 	}
@@ -192,8 +192,8 @@ func decodeSeeds() []string {
 	}
 	for _, d := range []int{maxDepth - 1, maxDepth} {
 		seeds = append(seeds,
-			nest(`{"version":"eona/1","type":"error","payload":`, "[", "]", "}", d),
-			nest(`{"version":"eona/1","type":"error","payload":0,"x":`, `{"a":`, "}", "}", d),
+			nest(`{"version":"eona/1","type":"i2a.attribution","payload":`, "[", "]", "}", d),
+			nest(`{"version":"eona/1","type":"i2a.attribution","payload":0,"x":`, `{"a":`, "}", "}", d),
 			nest(`[{"trace":`, "[", "]", "}]", d-1),
 			nest(`[{"key":{"trace":`, "[", "]", "}}]", d-2),
 		)

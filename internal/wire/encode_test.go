@@ -100,7 +100,6 @@ func TestEncodeMatchesMarshal(t *testing.T) {
 		}},
 		{"attribution", TypeAttribution, core.Attribution{CDN: "cdnX", Segment: core.SegmentAccess, Level: netsim.CongestionSevere, SuggestedCapBps: 1.5e6}},
 		{"hints", TypeServerHints, []core.ServerHint{{ServerID: "east-s01", Cluster: "east", Load: 0.4, CacheLikely: true}}},
-		{"error-body", TypeError, ErrorBody{Code: 500, Message: encodeEscapes}},
 		{"raw-message", TypeAttribution, json.RawMessage(" { \"cdn\" : \"<x>\",\n\t\"segment\": 1 } ")},
 		{"raw-message-nil", TypeAttribution, json.RawMessage(nil)},
 		{"raw-message-invalid", TypeAttribution, json.RawMessage(`{"cdn":`)},

@@ -11,8 +11,8 @@
 // reflection: encoding is a hand-written appender per element (write.go)
 // that writes json.Marshal's bytes, and decoding, of the envelope too, is a
 // single-pass reader (read.go) that gives json.Unmarshal's results on every
-// input. The I2A payloads and ErrorBody, a few hundred bytes each, stay on
-// encoding/json both ways.
+// input. The I2A payloads, a few hundred bytes each, stay on encoding/json
+// both ways.
 package wire
 
 import (
@@ -65,8 +65,6 @@ const (
 	TypeAttribution MessageType = "i2a.attribution"
 	// TypeServerHints carries []core.ServerHint (I2A).
 	TypeServerHints MessageType = "i2a.server_hints"
-	// TypeError carries an ErrorBody.
-	TypeError MessageType = "error"
 )
 
 var knownTypes = map[MessageType]bool{
@@ -75,7 +73,6 @@ var knownTypes = map[MessageType]bool{
 	TypePeeringInfo:      true,
 	TypeAttribution:      true,
 	TypeServerHints:      true,
-	TypeError:            true,
 }
 
 // Envelope is the outer message framing. Decoding tolerates unknown
@@ -92,12 +89,6 @@ type Envelope struct {
 	// milliseconds — consumers use it to judge staleness.
 	GeneratedAtMs int64           `json:"generated_at_ms"`
 	Payload       json.RawMessage `json:"payload"`
-}
-
-// ErrorBody is the payload of a TypeError message.
-type ErrorBody struct {
-	Code    int    `json:"code"`
-	Message string `json:"message"`
 }
 
 // Encoding and decoding errors.

@@ -83,7 +83,7 @@ func TestDecodeVersionSkew(t *testing.T) {
 // original envelope (version "eona/1", no schema field) — consumers at the
 // previous release decode it unchanged.
 func TestEncodeStaysLegacyShape(t *testing.T) {
-	data, err := Encode(TypeError, 1, ErrorBody{Code: 400, Message: "m"})
+	data, err := Encode(TypeAttribution, 1, core.Attribution{CDN: "cdnX"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,21 +143,3 @@ func TestQuickAttributionRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestErrorBodyRoundTrip(t *testing.T) {
-	data, err := Encode(TypeError, 5, ErrorBody{Code: 403, Message: "forbidden"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eb, err := DecodePayload[ErrorBody](env, TypeError)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eb.Code != 403 || eb.Message != "forbidden" {
-		t.Errorf("error body = %+v", eb)
-	}
-}

@@ -36,6 +36,10 @@ go test -race ./internal/core/... ./internal/agg/... ./internal/netsim/... \
 # partners polling a source that cycles through three overlapping values, so
 # misses build from a slot's body while other requests replace it.
 go test -race -run '^TestReplyMemoConcurrentFlips$' -count 50 ./internal/lookingglass/
+# The partner gate under impairment churn, 20 times over: four goroutines
+# call the gate while POST and DELETE cycle an outage, a latency spike and a
+# link throttle, some left to their restore timers.
+go test -race -run '^TestPartnerGateUnderImpairmentChurn$' -count 20 ./internal/ctlplane/
 # Snapshot flow chunks hold flow handles and read ID and Tag through them:
 # readers walk fresh snapshots while the owner churns and re-weights the
 # same flows, 20 times over.
