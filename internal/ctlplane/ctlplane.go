@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -315,15 +314,11 @@ type impairment struct {
 	linkID netsim.LinkID
 	// extra is a latency spike's added exchange delay.
 	extra time.Duration
-	// deadline is when the rule stops gating, on Config.Clock; openEnd for
-	// a rule that lasts until DELETE.
-	deadline time.Duration
-	timer    *time.Timer
+	// window is when the rule gates, on Config.Clock; its End is
+	// faults.OpenEnd for a rule that lasts until DELETE.
+	window faults.Window
+	timer  *time.Timer
 }
-
-// openEnd is the deadline of a rule with no scheduled end: one injected
-// without a duration, or whose deadline would overflow.
-const openEnd = time.Duration(math.MaxInt64)
 
 // journalFault appends one fault annotation to the durable sink. Partner
 // impairments carry no capacity changes — the event marks the instant on the
@@ -390,10 +385,7 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request, collab str
 		Duration:   req.Duration,
 		InjectedAt: now.String(),
 		Active:     true,
-	}, deadline: openEnd}
-	if dur > 0 && dur <= openEnd-now {
-		imp.deadline = now + dur
-	}
+	}, window: faults.Open(now, dur)}
 
 	switch req.Kind {
 	case KindLinkThrottle, KindLinkFlap:
@@ -585,7 +577,7 @@ func (s *Server) partnerRules() (extra time.Duration, down bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, imp := range s.imps {
-		if !imp.Active || now >= imp.deadline {
+		if !imp.Active || !imp.window.Contains(now) {
 			continue
 		}
 		extra += imp.extra

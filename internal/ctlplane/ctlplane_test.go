@@ -337,46 +337,26 @@ func (fx *fixture) restore(id int) {
 }
 
 // TestPartnerImpairments drives latency-spike and partner-outage through
-// the HTTP surface into a gated fetch: an outage fails it with
-// ErrPartnerDown until DELETE, spikes sum, a spike's wait ends with its
-// context, and a nil control plane gates nothing.
+// the HTTP surface into the partner rules a gate reads: an outage is on
+// until DELETE and spikes sum. The gate's own behaviour is faults'
+// TestLiveGate.
 func TestPartnerImpairments(t *testing.T) {
 	fx := newFixture(t, nil, faults.WallClock(time.Now()))
-	calls := 0
-	fetch := func(context.Context) (int, error) { calls++; return 42, nil }
-	gated := Gate(fx.srv, fetch)
+	Gate(fx.srv, func(context.Context) (int, error) { return 42, nil })
 
-	if v, err := gated(context.Background()); err != nil || v != 42 {
-		t.Fatalf("clean gate = %d, %v", v, err)
-	}
 	out := fx.inject(`{"kind":"partner-outage"}`)
-	if _, err := gated(context.Background()); !errors.Is(err, ErrPartnerDown) {
-		t.Fatalf("gate during outage: err = %v, want ErrPartnerDown", err)
+	if extra, down := fx.srv.partnerRules(); extra != 0 || !down {
+		t.Errorf("partner rules during outage = %v, %v; want 0 and down", extra, down)
 	}
 	fx.restore(out)
-	if v, err := gated(context.Background()); err != nil || v != 42 {
-		t.Fatalf("gate after restore = %d, %v", v, err)
-	}
-	if calls != 2 {
-		t.Errorf("underlying fetch ran %d times, want 2", calls)
+	if extra, down := fx.srv.partnerRules(); extra != 0 || down {
+		t.Errorf("partner rules after restore = %v, %v; want 0 and up", extra, down)
 	}
 
 	fx.inject(`{"kind":"latency-spike","extra":"150ms"}`)
 	fx.inject(`{"kind":"latency-spike","extra":"1h"}`)
 	if extra, down := fx.srv.partnerRules(); extra != time.Hour+150*time.Millisecond || down {
 		t.Errorf("partner rules = %v, %v; want the spikes' sum and up", extra, down)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := gated(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("spiked gate err = %v, want deadline exceeded", err)
-	}
-	if calls != 2 {
-		t.Errorf("a fetch ran through a spike its context did not outlast")
-	}
-
-	if v, err := Gate[int](nil, fetch)(context.Background()); err != nil || v != 42 {
-		t.Errorf("nil control plane gate = %d, %v", v, err)
 	}
 }
 
@@ -423,8 +403,8 @@ func TestPartnerDeadlines(t *testing.T) {
 	}
 
 	huge := fx.inject(`{"kind":"partner-outage","duration":"2562047h"}`)
-	if d := fx.srv.imps[huge-1].deadline; d != openEnd {
-		t.Errorf("2562047h outage at t=100h: deadline %v, want the open end", d)
+	if w := fx.srv.imps[huge-1].window; w.End != faults.OpenEnd {
+		t.Errorf("2562047h outage at t=100h: window %+v, want the open end", w)
 	}
 	if !down() {
 		t.Fatal("partner up inside a 2562047h outage")

@@ -19,6 +19,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -37,6 +38,20 @@ func (w Window) Contains(t time.Duration) bool { return t >= w.Start && t < w.En
 
 // Duration returns the window's length.
 func (w Window) Duration() time.Duration { return w.End - w.Start }
+
+// OpenEnd is the End of a window with no scheduled end: it lasts until the
+// fault is cancelled.
+const OpenEnd = time.Duration(math.MaxInt64)
+
+// Open returns the window a fault of duration d opened at start covers:
+// [start, start+d), or open-ended when d <= 0 or start+d would overflow. A
+// running node's partner impairments are such windows on its WallClock.
+func Open(start, d time.Duration) Window {
+	if d > 0 && d <= OpenEnd-start {
+		return Window{Start: start, End: start + d}
+	}
+	return Window{Start: start, End: OpenEnd}
+}
 
 // WallClock returns a clock mapping wall time to fault-timeline time, with
 // t=0 at start: the timeline a running process positions its impairments on.

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -193,5 +194,53 @@ func TestScheduleDriverUnknownLink(t *testing.T) {
 	p := &Plan{LinkFaults: []LinkFault{{Link: "nope", Window: Window{Start: 1, End: 2}, Factor: 0.5}}}
 	if err := p.ScheduleDriver(sim.NewEngine(1), shared.Driver(1), map[string]Target{}); err == nil {
 		t.Fatal("unknown link name accepted")
+	}
+}
+
+// TestLiveWindows pins the windows a running node's impairments open: a
+// timed window is the half-open [start, start+d) and expires exactly at its
+// end, like a sealed plan window; d <= 0 is open-ended.
+func TestLiveWindows(t *testing.T) {
+	w := Open(time.Minute, 10*time.Second)
+	if w.Start != time.Minute || w.End != time.Minute+10*time.Second {
+		t.Errorf("outage window = %+v", w)
+	}
+	if !w.Contains(time.Minute) || !w.Contains(w.End-1) {
+		t.Error("window does not cover its start and its last instant")
+	}
+	if w.Contains(w.End) || w.Contains(w.End+time.Second) {
+		t.Error("window still covers its end")
+	}
+
+	for _, d := range []time.Duration{0, -time.Second} {
+		open := Open(time.Minute, d)
+		if open.End != OpenEnd {
+			t.Errorf("Open(1m, %v) = %+v, want End = OpenEnd", d, open)
+		}
+		if !open.Contains(100 * time.Hour) {
+			t.Errorf("Open(1m, %v) expired by 100h", d)
+		}
+	}
+}
+
+// TestLiveWindowsClampHugeDurations: a duration that would overflow
+// start+d opens a window that ends at the open end, never one that wraps
+// negative and so never applies.
+func TestLiveWindowsClampHugeDurations(t *testing.T) {
+	for _, c := range []struct{ start, d time.Duration }{
+		{time.Second, math.MaxInt64},
+		{100 * time.Hour, 2562047 * time.Hour},
+		{0, math.MaxInt64},
+	} {
+		w := Open(c.start, c.d)
+		if w.Start != c.start || w.End != OpenEnd {
+			t.Errorf("Open(%v, %v) = %+v, want [start, OpenEnd)", c.start, c.d, w)
+		}
+		if !w.Contains(c.start) || !w.Contains(OpenEnd-1) {
+			t.Errorf("Open(%v, %v) does not cover its start and the timeline's end", c.start, c.d)
+		}
+	}
+	if w := Open(0, OpenEnd-1); w.End != OpenEnd-1 {
+		t.Errorf("largest representable window = %+v, want End = OpenEnd-1", w)
 	}
 }
