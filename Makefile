@@ -31,9 +31,10 @@ benchcheck:
 	scripts/benchcheck.sh
 
 # Chaos suite: the deterministic fault-injection tests (E15 + faults pkg),
-# the poller's breaker, and the partner impairments that gate a real poller.
+# the poller's retry schedule and recovery under a partner outage, and the
+# partner impairments that gate a real poller.
 chaos:
-	$(GO) test -race -count=1 -run 'E15|Chaos|Fault|Breaker|Partner|Gate' ./internal/expt ./internal/faults \
+	$(GO) test -race -count=1 -run 'E15|Chaos|Fault|Outage|Partner|Gate' ./internal/expt ./internal/faults \
 		./internal/lookingglass ./internal/ctlplane ./cmd/eona-lg
 
 # Kill-and-catch-up demo: boot eona-lg with a journal, kill -9 it, restart,

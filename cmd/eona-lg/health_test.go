@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -58,24 +59,35 @@ func TestHealthEndpointWithPeer(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("health status = %d", resp.StatusCode)
 	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(doc))
+	for k := range doc {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	want := []string{"confidence", "consecutive_failures", "failures", "last_attempt", "last_success", "peer", "retries", "successes"}
+	if !reflect.DeepEqual(keys, want) {
+		t.Errorf("health keys = %v, want %v", keys, want)
+	}
 	var p healthPayload
-	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
+	if err := json.Unmarshal(body, &p); err != nil {
 		t.Fatal(err)
 	}
 	if p.Peer != peerTS.URL {
 		t.Errorf("peer = %q, want %q", p.Peer, peerTS.URL)
 	}
-	if p.Breaker != "closed" {
-		t.Errorf("breaker = %q, want closed", p.Breaker)
-	}
-	if p.Polls == 0 || p.Successes == 0 {
-		t.Errorf("counters not populated: %+v", p)
+	if p.Successes == 0 {
+		t.Errorf("counters not populated: %s", body)
 	}
 	if p.Confidence <= 0.5 {
 		t.Errorf("confidence = %v, want fresh (> 0.5)", p.Confidence)
-	}
-	if p.LastSuccess == nil || p.LastAttempt == nil {
-		t.Errorf("timestamps missing: %+v", p)
 	}
 
 	// The looking-glass surfaces must still be served through the mux.
@@ -95,12 +107,12 @@ func TestHealthEndpointWithoutPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var p healthPayload
-	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Breaker != "disabled" || p.Peer != "" {
-		t.Errorf("no-peer health = %+v, want disabled", p)
+	if got := strings.TrimSpace(string(body)); got != "{}" {
+		t.Errorf("no-peer health = %s, want {}", got)
 	}
 }
 

@@ -19,7 +19,7 @@
 //
 // With -peer the server also polls a partner looking glass for its I2A
 // peering hints, through the hardened poller (per-attempt timeouts,
-// exponential backoff, circuit breaker, confidence decay). The poller's
+// jittered exponential backoff, confidence decay). The poller's
 // robustness counters are exported unauthenticated at GET /v1/health:
 //
 //	eona-lg -role appp -peer http://localhost:8081 -peer-token demo-token
@@ -307,14 +307,13 @@ func summariesHistory(rec *journal.Recovered) http.HandlerFunc {
 
 // pollPeer starts the hardened background poller against a partner looking
 // glass: per-attempt timeouts, jittered exponential backoff while the
-// partner is failing, a circuit breaker that probes half-open after a
-// cooldown, and hint confidence decaying on ten polling intervals. Every
-// successful poll is appended through the projection engine — journaled
-// when one is attached, and folded into the hint read model either way —
-// and the snapshot warm-starts from that read model's newest hint for this
-// peer: confidence decays from its original fetch time, so a restart
-// inherits last-known-good hints at an honest trust level instead of
-// starting blind.
+// partner is failing (its only failure mechanism), and hint confidence
+// decaying on ten polling intervals. Every successful poll is appended
+// through the projection engine — journaled when one is attached, and
+// folded into the hint read model either way — and the snapshot
+// warm-starts from that read model's newest hint for this peer: confidence
+// decays from its original fetch time, so a restart inherits
+// last-known-good hints at an honest trust level instead of starting blind.
 // A non-nil control plane gates the fetch path with its partner
 // impairments: operator-injected outages and latency spikes hit this poller
 // exactly like real partner failures would.
@@ -369,50 +368,20 @@ func newRouter(srv *lookingglass.Server, peer string, snap *lookingglass.Snapsho
 	return rt.Handler()
 }
 
-// healthPayload is the GET /v1/health document: the partner poller's
-// robustness counters, or just {"breaker":"disabled"} when no partner is
-// configured.
+// healthPayload is the GET /v1/health document: the partner's URL beside
+// the poller's robustness counters. Without a partner the document is {}.
 type healthPayload struct {
-	Peer                string                       `json:"peer,omitempty"`
-	Breaker             string                       `json:"breaker"`
-	Confidence          float64                      `json:"confidence"`
-	Polls               uint64                       `json:"polls"`
-	Successes           uint64                       `json:"successes"`
-	Failures            uint64                       `json:"failures"`
-	Retries             uint64                       `json:"retries"`
-	Skipped             uint64                       `json:"skipped"`
-	ConsecutiveFailures int                          `json:"consecutive_failures"`
-	BreakerCounters     lookingglass.BreakerCounters `json:"breaker_counters"`
-	LastSuccess         *time.Time                   `json:"last_success,omitempty"`
-	LastAttempt         *time.Time                   `json:"last_attempt,omitempty"`
+	Peer string `json:"peer"`
+	lookingglass.Health
 }
 
 func healthHandler(peer string, snap *lookingglass.Snapshot[[]core.PeeringInfo]) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if snap == nil {
-			lookingglass.WriteJSON(w, http.StatusOK, healthPayload{Breaker: "disabled"})
+			lookingglass.WriteJSON(w, http.StatusOK, struct{}{})
 			return
 		}
-		h := snap.Health(time.Now())
-		p := healthPayload{
-			Peer:                peer,
-			Breaker:             h.Breaker.String(),
-			Confidence:          h.Confidence,
-			Polls:               h.Polls,
-			Successes:           h.Successes,
-			Failures:            h.Failures,
-			Retries:             h.Retries,
-			Skipped:             h.Skipped,
-			ConsecutiveFailures: h.ConsecutiveFailures,
-			BreakerCounters:     h.BreakerCounters,
-		}
-		if !h.LastSuccess.IsZero() {
-			p.LastSuccess = &h.LastSuccess
-		}
-		if !h.LastAttempt.IsZero() {
-			p.LastAttempt = &h.LastAttempt
-		}
-		lookingglass.WriteJSON(w, http.StatusOK, p)
+		lookingglass.WriteJSON(w, http.StatusOK, healthPayload{peer, snap.Health(time.Now())})
 	}
 }
 

@@ -43,10 +43,10 @@ type Snapshot[T any] struct {
 	// halfLife parameterizes Confidence; zero (a snapshot no poller runs)
 	// means no decay.
 	halfLife time.Duration
-	// Robustness counters, maintained by the polling loop.
-	polls, successes, failures, retries, skipped uint64
-	consecFails                                  int
-	breaker                                      *Breaker
+	// Robustness counters, maintained by the polling loop; consecFails is
+	// the failure streak its backoff grows with.
+	successes, failures, retries uint64
+	consecFails                  int
 }
 
 // Get returns the latest value, when it was fetched, and whether any fetch
@@ -105,51 +105,41 @@ func (s *Snapshot[T]) LastAttempt() (time.Time, bool) {
 }
 
 // Health is a point-in-time view of a poller's robustness counters — what
-// an operator needs to tell a healthy poller from one riding its breaker.
+// an operator needs to tell a healthy poller from one backing off a failing
+// partner. Its JSON form is the body of eona-lg's /v1/health.
 type Health struct {
-	// Polls counts completed fetch attempts; Successes + Failures.
-	Polls uint64
-	// Successes and Failures count attempt outcomes.
-	Successes, Failures uint64
-	// Retries counts attempts made while already in a failure streak.
-	Retries uint64
-	// Skipped counts scheduled polls suppressed by an open breaker.
-	Skipped uint64
-	// ConsecutiveFailures is the current failure streak.
-	ConsecutiveFailures int
-	// Breaker is the breaker position.
-	Breaker BreakerState
-	// BreakerCounters are the breaker's cumulative statistics.
-	BreakerCounters BreakerCounters
 	// Confidence is the snapshot's decayed trust at the query instant.
-	Confidence float64
-	// LastSuccess and LastAttempt are zero until the respective event.
-	LastSuccess, LastAttempt time.Time
+	Confidence float64 `json:"confidence"`
+	// Successes and Failures count attempt outcomes.
+	Successes uint64 `json:"successes"`
+	Failures  uint64 `json:"failures"`
+	// Retries counts attempts made while already in a failure streak.
+	Retries uint64 `json:"retries"`
+	// ConsecutiveFailures is the current failure streak.
+	ConsecutiveFailures int `json:"consecutive_failures"`
+	// LastSuccess and LastAttempt are nil until the respective event.
+	LastSuccess *time.Time `json:"last_success,omitempty"`
+	LastAttempt *time.Time `json:"last_attempt,omitempty"`
 }
 
 // Health reports the poller's robustness counters at now.
 func (s *Snapshot[T]) Health(now time.Time) Health {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	h := Health{
-		Polls:               s.polls,
 		Successes:           s.successes,
 		Failures:            s.failures,
 		Retries:             s.retries,
-		Skipped:             s.skipped,
 		ConsecutiveFailures: s.consecFails,
 	}
 	if s.ok {
-		h.LastSuccess = s.at
+		at := s.at
+		h.LastSuccess = &at
 		h.Confidence = DecayConfidence(now.Sub(s.at), s.halfLife)
 	}
 	if s.attempted {
-		h.LastAttempt = s.attemptAt
-	}
-	br := s.breaker
-	s.mu.RUnlock()
-	if br != nil { // nil only on a snapshot no poller runs
-		h.Breaker = br.State()
-		h.BreakerCounters = br.Counters()
+		at := s.attemptAt
+		h.LastAttempt = &at
 	}
 	return h
 }
@@ -159,7 +149,6 @@ func (s *Snapshot[T]) set(v T, at time.Time) {
 	defer s.mu.Unlock()
 	s.v, s.at, s.ok, s.err = v, at, true, nil
 	s.attemptAt, s.attempted = at, true
-	s.polls++
 	s.successes++
 	if s.consecFails > 0 {
 		s.retries++
@@ -167,23 +156,18 @@ func (s *Snapshot[T]) set(v T, at time.Time) {
 	s.consecFails = 0
 }
 
-func (s *Snapshot[T]) fail(err error, at time.Time) {
+// fail records a failed attempt and returns the failure streak it extends.
+func (s *Snapshot[T]) fail(err error, at time.Time) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.err = err
 	s.attemptAt, s.attempted = at, true
-	s.polls++
 	s.failures++
 	if s.consecFails > 0 {
 		s.retries++
 	}
 	s.consecFails++
-}
-
-func (s *Snapshot[T]) recordSkip() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.skipped++
+	return s.consecFails
 }
 
 // MinAttemptTimeout floors the derived per-attempt timeout so that tests
@@ -191,17 +175,16 @@ func (s *Snapshot[T]) recordSkip() {
 const MinAttemptTimeout = 250 * time.Millisecond
 
 // The poller's settings, each a fixed multiple of the poll interval (at a
-// 10 s interval: retries back off from 10 s to 80 s, the breaker cools for
-// 30 s, confidence halves every 100 s). Retry delays double per consecutive
-// failure from one interval up to backoffMaxIntervals, each jittered by
-// ±backoffJitter; the jitter RNG has a fixed seed, so every poller draws the
-// same retry schedule.
+// 10 s interval: retries back off from 10 s to 80 s, confidence halves
+// every 100 s). Retry delays double per consecutive failure from one
+// interval up to backoffMaxIntervals, each jittered by ±backoffJitter; the
+// jitter RNG has a fixed seed, so every poller draws the same retry
+// schedule.
 const (
-	backoffFactor            = 2
-	backoffMaxIntervals      = 8
-	backoffJitter            = 0.1
-	breakerCooldownIntervals = 3
-	halfLifeIntervals        = 10
+	backoffFactor       = 2
+	backoffMaxIntervals = 8
+	backoffJitter       = 0.1
+	halfLifeIntervals   = 10
 )
 
 // PollWith fetches fetch() immediately and then every interval until ctx is
@@ -210,11 +193,10 @@ const (
 // MinAttemptTimeout), so a hung peer cannot wedge the loop past
 // cancellation (the fetch must honor its context, as HTTP fetches do).
 // Failures retry on jittered exponential backoff instead of the steady
-// interval, and a consecutive-failure circuit breaker opens on the fifth
-// failure in a row and admits one half-open probe after its cooldown. Failed
-// polls keep the previous value (stale beats absent — the §5 staleness
-// stance) and record the error; Snapshot.Confidence grades how far trust in
-// that stale value has decayed. The interval is the only setting: every
+// interval; that backoff is the loop's only failure mechanism. Failed polls
+// keep the previous value (stale beats absent — the §5 staleness stance)
+// and record the error; Snapshot.Confidence grades how far trust in that
+// stale value has decayed. The interval is the only setting: every
 // other value derives from it (see halfLifeIntervals and its neighbours).
 // The done channel closes when the polling goroutine exits.
 func PollWith[T any](ctx context.Context, interval time.Duration, fetch func(context.Context) (T, error)) (*Snapshot[T], <-chan struct{}) {
@@ -222,37 +204,26 @@ func PollWith[T any](ctx context.Context, interval time.Duration, fetch func(con
 		panic("lookingglass: poll interval must be positive")
 	}
 	attemptTimeout := max(interval, MinAttemptTimeout)
-	br := newBreaker(breakerCooldownIntervals * interval)
-	snap := &Snapshot[T]{halfLife: halfLifeIntervals * interval, breaker: br}
+	snap := &Snapshot[T]{halfLife: halfLifeIntervals * interval}
 	rng := rand.New(rand.NewSource(0))
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		consec := 0
-		attempt := func() {
-			if !br.Allow(time.Now()) {
-				snap.recordSkip()
-				return
-			}
+		// attempt runs one fetch and returns the failure streak after it.
+		attempt := func() int {
 			actx, cancel := context.WithTimeout(ctx, attemptTimeout)
 			v, err := fetch(actx)
 			cancel()
-			now := time.Now()
 			if err != nil {
-				consec++
-				br.OnFailure(now)
-				snap.fail(err, now)
-				return
+				return snap.fail(err, time.Now())
 			}
-			consec = 0
-			br.OnSuccess(now)
-			snap.set(v, now)
+			snap.set(v, time.Now())
+			return 0
 		}
-		attempt()
-		for {
+		for streak := attempt(); ; {
 			d := interval
-			if consec > 0 {
-				d = backoffDelay(interval, consec, rng)
+			if streak > 0 {
+				d = backoffDelay(interval, streak, rng)
 			}
 			timer := time.NewTimer(d)
 			select {
@@ -260,7 +231,7 @@ func PollWith[T any](ctx context.Context, interval time.Duration, fetch func(con
 				timer.Stop()
 				return
 			case <-timer.C:
-				attempt()
+				streak = attempt()
 			}
 		}
 	}()

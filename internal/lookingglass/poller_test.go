@@ -168,6 +168,10 @@ func TestSnapshotLastAttemptOnNeverSucceeded(t *testing.T) {
 	if _, ok := snap.LastAttempt(); !ok {
 		t.Error("LastAttempt not recorded for failing-only poller")
 	}
+	// Health leaves the success timestamp absent until a success.
+	if h := snap.Health(time.Now()); h.LastSuccess != nil || h.LastAttempt == nil {
+		t.Errorf("health of a failing-only poller: LastSuccess %v, LastAttempt %v", h.LastSuccess, h.LastAttempt)
+	}
 }
 
 func TestPollBadInterval(t *testing.T) {
@@ -274,7 +278,7 @@ func TestPollNotModifiedIsFresh(t *testing.T) {
 	var prev time.Time
 	for i := uint64(1); i <= 4; i++ {
 		step <- struct{}{}
-		waitFor(t, func() bool { return snap.Health(time.Now()).Polls == i })
+		waitFor(t, func() bool { return snap.Health(time.Now()).Successes == i })
 		v, at, ok := snap.Get()
 		if !ok || !at.After(prev) {
 			t.Fatalf("poll %d: fetchedAt %v did not advance past %v", i, at, prev)

@@ -76,84 +76,6 @@ func TestSnapshotConfidence(t *testing.T) {
 	}
 }
 
-func TestBreakerTransitions(t *testing.T) {
-	t0 := time.Now()
-	b := newBreaker(time.Minute)
-
-	// Closed: failures below threshold keep it closed.
-	fail := func(n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if !b.Allow(t0) {
-				t.Fatal("closed breaker refused an exchange")
-			}
-			b.OnFailure(t0)
-		}
-	}
-	fail(breakerThreshold - 1)
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after %d/%d failures = %v, want closed", breakerThreshold-1, breakerThreshold, b.State())
-	}
-	// A success resets the streak: as many failures again still leave it
-	// closed.
-	b.OnSuccess(t0)
-	fail(breakerThreshold - 1)
-	if b.State() != BreakerClosed {
-		t.Fatal("success did not reset the failure streak")
-	}
-
-	// Threshold consecutive failures open it.
-	fail(1)
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after %d failures = %v, want open", breakerThreshold, b.State())
-	}
-	if b.Allow(t0.Add(30 * time.Second)) {
-		t.Error("open breaker admitted an exchange before cooldown")
-	}
-
-	// Cooldown elapses: exactly one half-open probe is admitted.
-	probeAt := t0.Add(time.Minute)
-	if !b.Allow(probeAt) {
-		t.Fatal("breaker did not admit the half-open probe after cooldown")
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state during probe = %v, want half-open", b.State())
-	}
-	if b.Allow(probeAt) {
-		t.Error("second exchange admitted while probe in flight")
-	}
-
-	// Failed probe re-opens immediately and restarts the cooldown.
-	b.OnFailure(probeAt)
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after failed probe = %v, want open", b.State())
-	}
-	if b.Allow(probeAt.Add(30 * time.Second)) {
-		t.Error("re-opened breaker admitted an exchange before new cooldown")
-	}
-
-	// Successful probe closes.
-	probe2 := probeAt.Add(time.Minute)
-	if !b.Allow(probe2) {
-		t.Fatal("second probe not admitted")
-	}
-	b.OnSuccess(probe2)
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after successful probe = %v, want closed", b.State())
-	}
-	if !b.Allow(probe2) {
-		t.Error("closed breaker refused an exchange after recovery")
-	}
-
-	c := b.Counters()
-	if c.Opens != 2 || c.Probes != 2 {
-		t.Errorf("counters = %+v, want 2 opens and 2 probes", c)
-	}
-	if c.Skipped == 0 || c.Allowed == 0 {
-		t.Errorf("counters = %+v, want nonzero allowed and skipped", c)
-	}
-}
-
 // Regression: a fetch that hangs (honoring only its context) used to wedge
 // the polling goroutine forever — no retries, no error surfaced, and the
 // snapshot frozen. The per-attempt timeout bounds each fetch so the loop
@@ -184,10 +106,56 @@ func TestPollAttemptTimeoutUnwedgesHungFetch(t *testing.T) {
 	}
 }
 
-// PollWith rides its breaker through an outage: five failures open it, a
-// half-open probe discovers recovery and closes it, and the snapshot
-// refreshes.
-func TestPollWithBreakerRecovery(t *testing.T) {
+// TestPollScheduleUnderOutage pins the retry schedule under a permanent
+// outage: fetch runs once per scheduled attempt, and the gap before retry k
+// is at least 0.9 × min(2^(k−1), 8) intervals — the capped backoff less its
+// jitter. Only that lower bound is asserted, because timers never fire early.
+func TestPollScheduleUnderOutage(t *testing.T) {
+	const interval = 20 * time.Millisecond
+	const attempts = 8
+	var mu sync.Mutex
+	var starts []time.Time
+	fetch := func(context.Context) (int, error) {
+		mu.Lock()
+		starts = append(starts, time.Now())
+		mu.Unlock()
+		return 0, errors.New("peer down")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	snap, done := PollWith(ctx, interval, fetch)
+	// Eight attempts take 20+40+80+4×160 ms ≈ 0.8 s past the first.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		mu.Lock()
+		n := len(starts)
+		mu.Unlock()
+		if n >= attempts {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d attempts in 10s, want %d", n, attempts)
+		}
+	}
+	cancel()
+	<-done
+
+	mu.Lock()
+	defer mu.Unlock()
+	if h := snap.Health(time.Now()); uint64(len(starts)) != h.Failures {
+		t.Errorf("fetch ran %d times for %d scheduled attempts", len(starts), h.Failures)
+	}
+	for k := 1; k < len(starts); k++ {
+		want := time.Duration(0.9 * float64(min(1<<(k-1), backoffMaxIntervals)) * float64(interval))
+		if gap := starts[k].Sub(starts[k-1]); gap < want {
+			t.Errorf("gap before retry %d = %v, want ≥ %v", k, gap, want)
+		}
+	}
+}
+
+// PollWith rides out an outage on its backoff alone: the failure streak
+// grows while the peer is down, the first attempt after it returns ends the
+// streak, and confidence recovers.
+func TestPollWithOutageRecovery(t *testing.T) {
 	var down atomic.Bool
 	down.Store(true)
 	fetch := func(context.Context) (string, error) {
@@ -198,25 +166,20 @@ func TestPollWithBreakerRecovery(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// The five failures back off 20+40+80+160 ms before the breaker opens;
-	// the next attempt, 160 ms on, is past its 60 ms cooldown and so is the
-	// half-open probe. Confidence halves every 200 ms.
+	// Five failures back off 20+40+80+160 ms; retries then come every
+	// 160 ms (±10 %). Confidence halves every 200 ms.
 	snap, _ := PollWith(ctx, 20*time.Millisecond, fetch)
 
-	// Outage: the breaker opens.
-	waitFor(t, func() bool { return snap.Health(time.Now()).Breaker == BreakerOpen })
-	h := snap.Health(time.Now())
-	if h.BreakerCounters.Opens == 0 || h.Failures < breakerThreshold || h.ConsecutiveFailures < breakerThreshold {
-		t.Errorf("health during outage = %+v, want failures recorded", h)
+	waitFor(t, func() bool { return snap.Health(time.Now()).ConsecutiveFailures >= 5 })
+	if h := snap.Health(time.Now()); h.Failures < 5 || h.Successes != 0 {
+		t.Errorf("health during outage = %+v, want only failures", h)
 	}
 
-	// Recovery: a half-open probe finds the peer back and closes the loop.
 	down.Store(false)
 	waitFor(t, func() bool { v, _, ok := snap.Get(); return ok && v == "recovered" })
-	waitFor(t, func() bool { return snap.Health(time.Now()).Breaker == BreakerClosed })
-	h = snap.Health(time.Now())
-	if h.BreakerCounters.Probes == 0 {
-		t.Errorf("health after recovery = %+v, want a probe", h)
+	h := snap.Health(time.Now())
+	if h.ConsecutiveFailures != 0 {
+		t.Errorf("health after recovery = %+v, want the failure streak ended", h)
 	}
 	if h.Retries == 0 {
 		t.Errorf("health after recovery = %+v, want retries counted", h)
@@ -228,8 +191,7 @@ func TestPollWithBreakerRecovery(t *testing.T) {
 
 // TestPollSettingsDeriveFromInterval pins the values the interval sets, at
 // eona-lg's default 10 s: retries back off 10 s, 20 s, 40 s, then 80 s on,
-// each within ±10 % jitter; the breaker opens on the fifth consecutive
-// failure and cools for 30 s; confidence halves every 100 s.
+// each within ±10 % jitter; confidence halves every 100 s.
 func TestPollSettingsDeriveFromInterval(t *testing.T) {
 	const interval = 10 * time.Second
 	rng := rand.New(rand.NewSource(1))
@@ -243,16 +205,10 @@ func TestPollSettingsDeriveFromInterval(t *testing.T) {
 			}
 		}
 	}
-	if breakerThreshold != 5 {
-		t.Errorf("breaker opens after %d failures, want 5", breakerThreshold)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	snap, done := PollWith(ctx, interval, func(context.Context) (int, error) { return 0, nil })
 	cancel()
 	<-done
-	if snap.breaker.cooldown != 30*time.Second {
-		t.Errorf("breaker cooldown = %v, want 30s", snap.breaker.cooldown)
-	}
 	if snap.halfLife != 100*time.Second {
 		t.Errorf("confidence half-life = %v, want 100s", snap.halfLife)
 	}
@@ -265,8 +221,8 @@ func TestSnapshotConcurrentConfidence(t *testing.T) {
 	defer cancel()
 	var n atomic.Int64
 	snap, _ := PollWith(ctx, time.Millisecond, func(context.Context) (int64, error) {
-		// One success in six attempts: set, fail, and the breaker (which
-		// opens on the fifth failure in a row) all churn while readers run.
+		// One success in six attempts: set, fail and the failure streak
+		// all churn while readers run.
 		v := n.Add(1)
 		if v%6 != 0 {
 			return 0, errors.New("flaky")

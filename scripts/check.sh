@@ -10,9 +10,10 @@ if [ -n "$unformatted" ]; then
 fi
 go build ./...
 go vet ./...
-# A dead exported name or struct field fails here in seconds, not after the
-# race sweep.
-go test -run '^TestInternal(Exports|Fields)Have' .
+# A dead exported name or struct field, or a test name the docs or this
+# script cite that no test file declares, fails here in seconds, not after
+# the race sweep.
+go test -run '^TestInternal(Exports|Fields)Have|^TestDocsAndScriptsNameExistingTests$' .
 # go build compiles the examples but nothing else runs them, and a facade or
 # config change can break one at run time: each must exit 0.
 for ex in examples/*/; do
