@@ -1,20 +1,20 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
 
-// Regression: Every's stop func used to only flip a closure flag, leaving
-// the already-queued tick event in the heap. The dead event still counted
-// as pending, fired as a no-op (inflating Processed), and dragged the clock
-// forward under RunUntilIdle.
+// Regression: a stopped ticker's already-queued tick once counted as
+// pending, fired as a no-op (inflating Processed), and dragged the clock
+// forward under RunUntilIdle. Its slot is dead now: still queued, never live.
 func TestEveryStopCancelsPendingTick(t *testing.T) {
 	e := NewEngine(1)
 	stop := e.Every(10*time.Second, func(*Engine) bool { return true })
 	stop()
 	if got := pending(e); got != 0 {
-		t.Fatalf("pending after stop = %d, want 0 (dead tick left queued)", got)
+		t.Fatalf("pending after stop = %d, want 0 (stopped tick still live)", got)
 	}
 	end := e.RunUntilIdle()
 	if e.Processed != 0 {
@@ -173,5 +173,30 @@ func TestRunStillAdvancesToHorizon(t *testing.T) {
 	e.RunUntilIdle()
 	if at != 31*time.Second {
 		t.Errorf("post-horizon event fired at %v, want 31s", at)
+	}
+}
+
+// A ticker's re-arm keeps ScheduleAt's guard: a next tick whose time
+// overflows panics with ErrPastEvent and leaves nothing queued in the past.
+func TestEveryOverflowPanics(t *testing.T) {
+	e := NewEngine(1)
+	n := 0
+	e.Every(1<<62, func(*Engine) bool { n++; return true })
+	func() {
+		defer func() {
+			err, _ := recover().(error)
+			if !errors.Is(err, ErrPastEvent) {
+				t.Errorf("recovered %v, want ErrPastEvent", err)
+			}
+		}()
+		e.RunUntilIdle()
+	}()
+	if n != 1 {
+		t.Errorf("ticks = %d, want 1", n)
+	}
+	for _, s := range e.queue {
+		if s.at < e.Now() {
+			t.Errorf("queued slot at %v, before Now %v", s.at, e.Now())
+		}
 	}
 }

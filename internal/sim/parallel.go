@@ -45,6 +45,10 @@ type ParallelEngine struct {
 	workers int
 	now     Time
 
+	// active lists the partitions with work at the current instant. It
+	// is reused across instants so a lockstep step allocates nothing.
+	active []int
+
 	// instantEnd hooks run after every fully-drained instant, in
 	// registration order, exclusively on the coordinating goroutine.
 	instantEnd []func(*ParallelEngine)
@@ -150,20 +154,20 @@ func (pe *ParallelEngine) nextInstant() (Time, bool) {
 // pe.workers goroutines (sequentially, in partition order, when one worker
 // suffices — the serial reference path).
 func (pe *ParallelEngine) runOneInstant(t Time) {
-	var active []int
+	pe.active = pe.active[:0]
 	for i, p := range pe.parts {
 		if p.hasWorkAt(t) {
-			active = append(active, i)
+			pe.active = append(pe.active, i)
 		} else if p.now < t {
 			p.now = t
 		}
 	}
 	w := pe.workers
-	if w > len(active) {
-		w = len(active)
+	if w > len(pe.active) {
+		w = len(pe.active)
 	}
 	if w <= 1 {
-		for _, i := range active {
+		for _, i := range pe.active {
 			pe.parts[i].runInstant(t)
 		}
 		return
@@ -176,10 +180,10 @@ func (pe *ParallelEngine) runOneInstant(t Time) {
 			defer wg.Done()
 			for {
 				j := int(next.Add(1)) - 1
-				if j >= len(active) {
+				if j >= len(pe.active) {
 					return
 				}
-				pe.parts[active[j]].runInstant(t)
+				pe.parts[pe.active[j]].runInstant(t)
 			}
 		}()
 	}

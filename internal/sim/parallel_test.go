@@ -192,11 +192,14 @@ func TestParallelRunUntilIdleClock(t *testing.T) {
 }
 
 // Cancelled events neither define instants nor count as work: a partition
-// whose only remaining event is cancelled is idle.
+// whose only remaining event is a stopped ticker's queued tick is idle.
 func TestParallelCancelledEventsIgnored(t *testing.T) {
 	pe := NewParallel(1, 2, 2)
-	ev := pe.Partition(0).Schedule(time.Second, func(*Engine) { t.Error("cancelled event fired") })
-	pe.Partition(0).Cancel(ev)
+	stop := pe.Partition(0).Every(time.Second, func(*Engine) bool {
+		t.Error("stopped ticker fired")
+		return true
+	})
+	stop()
 	pe.Partition(1).Schedule(2*time.Second, func(*Engine) {})
 	barriers := 0
 	pe.OnInstantEnd(func(*ParallelEngine) { barriers++ })

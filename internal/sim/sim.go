@@ -6,10 +6,14 @@
 // bit-for-bit reproducible given the same seed. All EONA experiments run on
 // top of this engine so that results in EXPERIMENTS.md can be regenerated
 // exactly.
+//
+// The queue is a binary min-heap of value slots ordered by (time, sequence
+// number). An event cannot be cancelled once scheduled; a ticker (Every)
+// re-arms its one slot in place after each firing and is stopped through
+// the func Every returns, so periodic work allocates nothing per tick.
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -20,47 +24,35 @@ import (
 // the simulation. The zero Time is the simulation epoch.
 type Time = time.Duration
 
-// Event is a scheduled callback. The callback receives the engine so that it
-// can schedule further events.
-type Event struct {
+// slot is one queued firing, held by value in the engine's heap. A
+// one-shot event carries fn; a ticker's firing carries t and no fn. Slots
+// fire in (at, seq) order, and seq is unique, so the order is total.
+type slot struct {
 	at  Time
 	seq uint64
 	fn  func(*Engine)
-
-	index     int // heap index; -1 when not queued
-	cancelled bool
+	t   *ticker
 }
 
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e.cancelled }
+// dead reports whether the slot belongs to a stopped ticker. A dead slot is
+// dropped where it surfaces at the head of the queue: it does not fire,
+// does not count in Processed and does not define an instant.
+func (s *slot) dead() bool { return s.t != nil && s.t.stopped }
 
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before orders slots by time, then by schedule order.
+func (s *slot) before(o *slot) bool {
+	if s.at != o.at {
+		return s.at < o.at
 	}
-	return q[i].seq < q[j].seq
+	return s.seq < o.seq
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+
+// ticker is Every's state. It has at most one slot queued at a time and
+// re-pushes that slot after each firing, so a tick allocates nothing.
+type ticker struct {
+	period  time.Duration
+	fn      func(*Engine) bool
+	stopped bool
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
@@ -68,7 +60,7 @@ func (q *eventQueue) Pop() any {
 // goroutine.
 type Engine struct {
 	now     Time
-	queue   eventQueue
+	queue   []slot // binary min-heap on (at, seq)
 	seq     uint64
 	rng     *rand.Rand
 	tickEnd []func(*Engine)
@@ -90,77 +82,118 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// ErrPastEvent is returned by ScheduleAt when the requested time is before
-// the current virtual time.
+// ErrPastEvent is the error ScheduleAt panics with when the requested time
+// is before the current virtual time.
 var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
 // ScheduleAt schedules fn to run at absolute virtual time at. It panics if
 // at is before Now; simulations that need "as soon as possible" semantics
 // should pass Now().
-func (e *Engine) ScheduleAt(at Time, fn func(*Engine)) *Event {
-	if at < e.now {
-		panic(fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now))
-	}
-	ev := &Event{at: at, seq: e.seq, fn: fn}
-	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev
+func (e *Engine) ScheduleAt(at Time, fn func(*Engine)) {
+	e.enqueue(at, fn, nil)
 }
 
 // Schedule schedules fn to run after delay d (relative to Now).
-func (e *Engine) Schedule(d time.Duration, fn func(*Engine)) *Event {
+func (e *Engine) Schedule(d time.Duration, fn func(*Engine)) {
 	if d < 0 {
 		d = 0
 	}
-	return e.ScheduleAt(e.now+d, fn)
+	e.ScheduleAt(e.now+d, fn)
 }
 
-// Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.cancelled || ev.index < 0 {
-		if ev != nil {
-			ev.cancelled = true
+// enqueue pushes a slot at time at numbered with the next seq. A time
+// before Now (including an overflowed now+d) panics, so the queue never
+// holds a firing in the past.
+func (e *Engine) enqueue(at Time, fn func(*Engine), t *ticker) {
+	if at < e.now {
+		panic(fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now))
+	}
+	e.push(slot{at: at, seq: e.seq, fn: fn, t: t})
+	e.seq++
+}
+
+// push adds s to the heap, sifting it up from the end.
+func (e *Engine) push(s slot) {
+	e.queue = append(e.queue, s)
+	q := e.queue
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.before(&q[p]) {
+			break
 		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = s
+}
+
+// pop removes and returns the head of the heap, sifting the last slot down
+// from the root. The vacated tail slot is zeroed so the backing array keeps
+// no callback alive.
+func (e *Engine) pop() slot {
+	q := e.queue
+	head := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = slot{}
+	q = q[:n]
+	e.queue = q
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(&q[c]) {
+				c = r
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	return head
+}
+
+// fire runs a popped live slot at the current time.
+func (e *Engine) fire(s *slot) {
+	e.Processed++
+	if s.t == nil {
+		s.fn(e)
 		return
 	}
-	ev.cancelled = true
+	t := s.t
+	if !t.fn(e) {
+		t.stopped = true
+		return
+	}
+	if !t.stopped { // fn may have called stop
+		e.enqueue(e.now+t.period, nil, t)
+	}
 }
 
 // Every schedules fn to run every period, starting after the first period
-// elapses. The returned stop function cancels the ticker — including the
-// already-queued next tick, so a stopped ticker leaves no dead event behind
-// to fire, inflate Processed, or drag the idle-run clock. If fn returns false the
-// ticker stops itself. Calling stop is idempotent; calling it from inside fn
-// suppresses the reschedule.
+// elapses. If fn returns false the ticker stops itself. The returned stop
+// function stops the ticker: its already-queued next tick is dropped
+// unfired where it surfaces, so it neither inflates Processed nor drags the
+// idle-run clock. Calling stop is idempotent; calling it from inside fn
+// suppresses the next tick.
+//
+// A ticker is one queued slot that re-arms in place after each firing,
+// numbered with the next seq exactly as Schedule would number it, so a tick
+// allocates nothing.
 func (e *Engine) Every(period time.Duration, fn func(*Engine) bool) (stop func()) {
 	if period <= 0 {
 		panic("sim: Every requires a positive period")
 	}
-	stopped := false
-	var pending *Event
-	var tick func(*Engine)
-	tick = func(en *Engine) {
-		if stopped {
-			return
-		}
-		pending = nil // this tick just fired
-		if !fn(en) {
-			stopped = true
-			return
-		}
-		if !stopped { // fn may have called stop
-			pending = en.Schedule(period, tick)
-		}
-	}
-	pending = e.Schedule(period, tick)
-	return func() {
-		stopped = true
-		if pending != nil {
-			e.Cancel(pending)
-			pending = nil
-		}
-	}
+	t := &ticker{period: period, fn: fn}
+	e.enqueue(e.now+period, nil, t)
+	return func() { t.stopped = true }
 }
 
 // OnTickEnd registers fn to run once every already-queued event at the
@@ -214,20 +247,15 @@ func (e *Engine) run(horizon Time, advance bool) Time {
 			e.flushTickEnd()
 			continue
 		}
-		if len(e.queue) == 0 {
+		if len(e.queue) == 0 || e.queue[0].at > horizon {
 			break
 		}
-		next := e.queue[0]
-		if next.at > horizon {
-			break
-		}
-		heap.Pop(&e.queue)
-		if next.cancelled {
+		next := e.pop()
+		if next.dead() {
 			continue
 		}
 		e.now = next.at
-		e.Processed++
-		next.fn(e)
+		e.fire(&next)
 	}
 	if advance && e.now < horizon {
 		e.now = horizon
@@ -235,12 +263,12 @@ func (e *Engine) run(horizon Time, advance bool) Time {
 	return e.now
 }
 
-// peek returns the time of the next live event, discarding cancelled events
-// from the head of the queue on the way. ok is false when no live event
-// remains queued.
+// peek returns the time of the next live event, discarding dead slots from
+// the head of the queue on the way. ok is false when no live event remains
+// queued.
 func (e *Engine) peek() (at Time, ok bool) {
-	for len(e.queue) > 0 && e.queue[0].cancelled {
-		heap.Pop(&e.queue)
+	for len(e.queue) > 0 && e.queue[0].dead() {
+		e.pop()
 	}
 	if len(e.queue) == 0 {
 		return 0, false
@@ -269,12 +297,10 @@ func (e *Engine) runInstant(t Time) {
 	e.now = t
 	for {
 		if len(e.queue) > 0 && e.queue[0].at == t {
-			next := heap.Pop(&e.queue).(*Event)
-			if next.cancelled {
-				continue
+			next := e.pop()
+			if !next.dead() {
+				e.fire(&next)
 			}
-			e.Processed++
-			next.fn(e)
 			continue
 		}
 		if len(e.tickEnd) > 0 {

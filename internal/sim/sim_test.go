@@ -67,22 +67,6 @@ func TestHorizonExcludesLaterEvents(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := NewEngine(1)
-	fired := false
-	ev := e.Schedule(time.Second, func(*Engine) { fired = true })
-	e.Cancel(ev)
-	e.RunUntilIdle()
-	if fired {
-		t.Error("cancelled event fired")
-	}
-	if !ev.Cancelled() {
-		t.Error("Cancelled() = false after Cancel")
-	}
-	e.Cancel(ev) // idempotent
-	e.Cancel(nil)
-}
-
 func TestScheduleInsideEvent(t *testing.T) {
 	e := NewEngine(1)
 	var times []Time
@@ -173,11 +157,12 @@ func TestNegativeDelayClamped(t *testing.T) {
 	}
 }
 
-// pending returns the number of queued, non-cancelled events.
+// pending returns the number of queued live slots: a stopped ticker's
+// queued tick is dead and does not count.
 func pending(e *Engine) int {
 	n := 0
-	for _, ev := range e.queue {
-		if !ev.cancelled {
+	for i := range e.queue {
+		if !e.queue[i].dead() {
 			n++
 		}
 	}
@@ -186,14 +171,14 @@ func pending(e *Engine) int {
 
 func TestLenCountsPending(t *testing.T) {
 	e := NewEngine(1)
-	ev := e.Schedule(time.Second, func(*Engine) {})
+	stop := e.Every(time.Second, func(*Engine) bool { return true })
 	e.Schedule(2*time.Second, func(*Engine) {})
 	if got := pending(e); got != 2 {
 		t.Fatalf("pending = %d, want 2", got)
 	}
-	e.Cancel(ev)
+	stop()
 	if got := pending(e); got != 1 {
-		t.Fatalf("pending after cancel = %d, want 1", got)
+		t.Fatalf("pending after stop = %d, want 1", got)
 	}
 }
 

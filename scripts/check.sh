@@ -60,14 +60,16 @@ go test -race -run 'TestEngineArmDifferentialOnFixtures|TestParallel' ./internal
 # The wire codec's differential fuzzes: 2000 generated inputs past the seed
 # corpus, each decoded by the hand-written reader and by encoding/json, then
 # each encoded by the hand-written appenders and by encoding/json; and the
-# reply memo's poll sequences, each reply against a fresh encode; and the
-# journal's snapshot decoder, which recovery runs on every snapshot frame.
-# The budget is an input count, not wall time, so every run does the same
-# work.
+# reply memo's poll sequences, each reply against a fresh encode; the
+# journal's snapshot decoder, which recovery runs on every snapshot frame;
+# and the event engine's scripted schedules, tickers and tick-end hooks,
+# each run against a linear-scan sort model. The budget is an input count,
+# not wall time, so every run does the same work.
 go test -run '^$' -fuzz '^FuzzDecodeMatchesUnmarshal$' -fuzztime 2000x ./internal/wire
 go test -run '^$' -fuzz '^FuzzEncodeMatchesMarshal$' -fuzztime 2000x ./internal/wire
 go test -run '^$' -fuzz '^FuzzReplyMemoMatchesEncode$' -fuzztime 2000x ./internal/lookingglass
 go test -run '^$' -fuzz '^FuzzDecodeSnap$' -fuzztime 2000x ./internal/journal
+go test -run '^$' -fuzz '^FuzzEngineMatchesSortOracle$' -fuzztime 2000x ./internal/sim
 go test -race ./...
 # Hot paths can't quietly regress: key benchmarks vs the latest recording.
 scripts/bench_gate.sh
