@@ -66,7 +66,8 @@ type EngineArmResult struct {
 // session arrivals + monitors, one fault partition, all mutating a
 // deterministic SharedNetwork through per-partition Drivers, with the
 // engine's per-instant barrier calling Commit so ops apply in canonical
-// (driver, seq) order and exactly one snapshot publishes per instant.
+// (driver, seq) order and at most one snapshot publishes per instant; none
+// when the instant buffered no op.
 //
 // The partitioning rule in action: region p's callbacks touch only region
 // p's sessions, monitors, rng and Driver. Cross-partition state (the

@@ -193,6 +193,10 @@ func TestDigestAndExportCost(t *testing.T) {
 	}
 	var scratch NetState
 	links := n.exportState(&scratch, nil)
+	// MemStats.Mallocs is process-wide: pin one P around the loop, as
+	// testing.AllocsPerRun does, so no other goroutine allocates inside
+	// a measured export.
+	procs := runtime.GOMAXPROCS(1)
 	var ms runtime.MemStats
 	mallocs := uint64(0)
 	for i := 0; i < 50; i++ {
@@ -205,6 +209,7 @@ func TestDigestAndExportCost(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		mallocs += ms.Mallocs - m0
 	}
+	runtime.GOMAXPROCS(procs)
 	if mallocs != 0 {
 		t.Errorf("reused-scratch export allocated %d times over 50 churned exports, want 0", mallocs)
 	}

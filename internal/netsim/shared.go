@@ -112,7 +112,8 @@ type SharedConfig struct {
 	// regardless of goroutine scheduling. In this mode mutation calls
 	// return before their op is applied: a StartFlow handle's ID and Rate
 	// are unspecified until the next Commit, and reads see the previous
-	// commit's snapshot.
+	// commit's snapshot. A Commit publishes at most one snapshot, and none
+	// when no op was buffered since the last one.
 	Deterministic bool
 	// Journal, when set, receives every committed op (and, on the
 	// SnapshotEvery cadence, full state snapshots) in commit order: a
@@ -203,6 +204,9 @@ type SharedNetwork struct {
 
 	closed atomic.Bool
 	seq0   atomic.Uint64 // op sequence for driver 0 (the SharedNetwork's own methods)
+	// buffered counts deterministic-mode ops sent since the last Commit;
+	// drivers on worker goroutines bump it, Commit swaps it to zero.
+	buffered atomic.Int64
 
 	// Owner-goroutine state.
 	window       []*sharedCmd // deterministic mode: ops buffered until Commit
@@ -292,10 +296,18 @@ func (s *SharedNetwork) SetLinkCapacity(id LinkID, capacity float64) {
 
 // Commit is a synchronization barrier. In deterministic mode it applies the
 // buffered window — sorted by (driver, sequence) — as one batch and
-// publishes the resulting snapshot. In immediate mode it just republishes
-// (every mutation already committed); it still serves as a fence: when
-// Commit returns, every command sent before it has been applied.
+// publishes the resulting snapshot; with no op buffered since the last
+// Commit it returns at once, publishing nothing, so Snapshot and its Seq
+// stay as they were. In immediate mode it just republishes (every mutation
+// already committed); it still serves as a fence: when Commit returns,
+// every command sent before it has been applied.
 func (s *SharedNetwork) Commit() {
+	if s.cfg.Deterministic && s.buffered.Swap(0) == 0 {
+		if s.closed.Load() {
+			panic("netsim: SharedNetwork used after Close")
+		}
+		return
+	}
 	c := getCmd()
 	c.kind = cmdCommit
 	s.send(c)
@@ -394,10 +406,12 @@ func (s *SharedNetwork) send(c *sharedCmd) {
 
 // enqueue ships one mutation: buffered (fire into the window, recycled by
 // the owner after commit) in deterministic mode, synchronous (recycled here
-// after the owner's reply) in immediate mode.
+// after the owner's reply) in immediate mode. A buffered op is counted
+// after it is sent, so the Commit that sees the count is queued behind it.
 func (s *SharedNetwork) enqueue(c *sharedCmd) {
 	if s.cfg.Deterministic {
 		s.send(c)
+		s.buffered.Add(1)
 		return
 	}
 	s.send(c)

@@ -325,6 +325,54 @@ func TestSharedDeterministicPlaceholders(t *testing.T) {
 	s.Close()
 }
 
+// TestDeterministicEmptyCommitPublishesNothing pins the idle barrier: a
+// deterministic Commit with no op buffered since the last one returns at
+// once, leaving the published Snapshot (pointer and Seq) as it was and
+// allocating nothing, while one buffered op — from a Driver or from the
+// SharedNetwork's own driver-0 methods — makes the next Commit publish
+// exactly once. Close still commits a pending window.
+func TestDeterministicEmptyCommitPublishesNothing(t *testing.T) {
+	topo, p := line(100)
+	s := NewShared(NewNetwork(topo), SharedConfig{Deterministic: true})
+	d := s.Driver(1)
+	f := d.StartFlow(p, 40, "")
+	s.Commit()
+
+	idle := s.Snapshot()
+	if a := testing.AllocsPerRun(100, s.Commit); a != 0 {
+		t.Errorf("empty Commit: %v allocs, want 0", a)
+	}
+	if got := s.Snapshot(); got != idle || got.Seq != idle.Seq {
+		t.Fatalf("empty Commits published: Seq %d -> %d", idle.Seq, got.Seq)
+	}
+
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"driver", func() { d.SetDemand(f, 20) }},
+		{"driver-0", func() { s.SetDemand(f, 30) }},
+	} {
+		before := s.Snapshot()
+		tc.op()
+		s.Commit()
+		after := s.Snapshot()
+		if after.Seq != before.Seq+1 {
+			t.Errorf("%s op: Commit moved Seq %d -> %d, want one publish", tc.name, before.Seq, after.Seq)
+		}
+		s.Commit()
+		if s.Snapshot() != after {
+			t.Errorf("%s op: the Commit after it published again", tc.name)
+		}
+	}
+
+	d.SetDemand(f, 10)
+	net := s.Close()
+	if r := net.LinkRate(p[0].ID); r != 10 {
+		t.Errorf("Close left the pending window uncommitted: link rate %v, want 10", r)
+	}
+}
+
 func TestSharedUseAfterClosePanics(t *testing.T) {
 	topo, p := line(100)
 	s := NewShared(NewNetwork(topo), SharedConfig{})

@@ -194,7 +194,7 @@ func TestEveryOverflowPanics(t *testing.T) {
 	if n != 1 {
 		t.Errorf("ticks = %d, want 1", n)
 	}
-	for _, s := range e.queue {
+	for _, s := range queued(e) {
 		if s.at < e.Now() {
 			t.Errorf("queued slot at %v, before Now %v", s.at, e.Now())
 		}

@@ -16,10 +16,12 @@ import (
 // consumed; the parallel run must also drain exactly the model's instants.
 
 // Script vocabulary. Delays and periods come from small sets so that ties
-// on one instant are common.
+// on one instant are common. Periods take more distinct values than
+// maxLanes, so a long script runs tickers both on lanes and, past the cap,
+// on the heap.
 var (
 	oracleDelays   = []time.Duration{0, 1, 1, 2, 3, 5}
-	oraclePeriods  = []time.Duration{1, 2, 3}
+	oraclePeriods  = []time.Duration{1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	oracleHorizons = []time.Duration{0, 1, 2, 4, 7}
 )
 
@@ -126,7 +128,10 @@ type oracleResult struct {
 }
 
 // engineRunner drives the script on an Engine.
-type engineRunner struct{ trace []firing }
+type engineRunner struct {
+	trace   []firing
+	periods map[time.Duration]bool // every ticker period issued
+}
 
 func (r *engineRunner) issue(e *Engine, a *act) {
 	switch a.kind {
@@ -135,6 +140,10 @@ func (r *engineRunner) issue(e *Engine, a *act) {
 	case actTickEnd:
 		e.OnTickEnd(func(en *Engine) { r.fire(en, a) })
 	case actEvery:
+		if r.periods == nil {
+			r.periods = map[time.Duration]bool{}
+		}
+		r.periods[a.delay] = true
 		ticks := 0
 		var stop func()
 		stop = e.Every(a.delay, func(en *Engine) bool {
@@ -167,7 +176,9 @@ func (r *engineRunner) fire(e *Engine, a *act) {
 	}
 }
 
-func runOnEngine(script []phase) oracleResult {
+// runOnEngine also reports whether some ticker period found no lane, so
+// its slots queued on the heap.
+func runOnEngine(script []phase) (oracleResult, bool) {
 	e := NewEngine(1)
 	r := &engineRunner{}
 	for _, ph := range script {
@@ -180,7 +191,7 @@ func runOnEngine(script []phase) oracleResult {
 			e.Run(e.Now() + ph.horizon)
 		}
 	}
-	return oracleResult{r.trace, e.Processed, e.Now(), e.seq, -1}
+	return oracleResult{r.trace, e.Processed, e.Now(), e.seq, -1}, len(r.periods) > len(e.lanes)
 }
 
 func runOnParallel(script []phase) oracleResult {
@@ -372,23 +383,35 @@ func diffResults(name string, got, want oracleResult) error {
 	return nil
 }
 
-func checkSortOracle(b []byte) error {
+// checkSortOracle runs the script on every runner against the model and
+// reports whether the engine queued some ticker on the heap fallback.
+func checkSortOracle(b []byte) (fallback bool, err error) {
 	script := decodeScript(b)
 	want := runOnModel(script)
-	if err := diffResults("engine", runOnEngine(script), want); err != nil {
-		return err
+	got, fallback := runOnEngine(script)
+	if err := diffResults("engine", got, want); err != nil {
+		return fallback, err
 	}
-	return diffResults("parallel", runOnParallel(script), want)
+	return fallback, diffResults("parallel", runOnParallel(script), want)
 }
 
 func TestEngineMatchesSortOracle(t *testing.T) {
+	fallbacks := 0
 	for seed := int64(1); seed <= 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		b := make([]byte, 4+rng.Intn(60))
+		b := make([]byte, 4+rng.Intn(200))
 		rng.Read(b)
-		if err := checkSortOracle(b); err != nil {
+		fallback, err := checkSortOracle(b)
+		if err != nil {
 			t.Fatalf("seed %d (script %x): %v", seed, b, err)
 		}
+		if fallback {
+			fallbacks++
+		}
+	}
+	// Both ticker paths must have run against the model.
+	if fallbacks < 20 {
+		t.Errorf("%d of 400 scripts ran a ticker past the %d-lane cap, want >= 20", fallbacks, maxLanes)
 	}
 }
 
@@ -396,11 +419,20 @@ func FuzzEngineMatchesSortOracle(f *testing.F) {
 	f.Add([]byte{1, 0, 2, 0, 1, 3, 4, 1, 1, 1, 1, 0})
 	f.Add([]byte{0, 1, 2, 2, 0, 0, 1, 0, 2, 2, 2, 1, 3, 1, 1, 5, 2, 0, 1})
 	f.Add([]byte{1, 1, 3, 3, 0, 2, 0, 4, 1, 7, 7, 7, 1, 0, 1, 1, 3, 0})
+	// Ten tickers of ten distinct periods, each beside a one-shot: the last
+	// two periods find no lane and queue on the heap.
+	f.Add([]byte{
+		0, 1, 0, 0, 2, 0, 0, 0, 3, 0, 0, 1, 2, 0, 2, 0, 0, 0, 3, 0,
+		0, 1, 4, 0, 2, 0, 0, 0, 3, 0, 0, 1, 6, 0, 2, 0, 0, 0, 3, 0,
+		0, 1, 7, 0, 2, 0, 0, 0, 3, 0, 0, 1, 8, 0, 2, 0, 0, 0, 3, 0,
+		0, 1, 9, 0, 2, 0, 0, 0, 3, 0, 0, 1, 10, 0, 2, 0, 0, 0, 3, 0,
+		0, 1, 11, 0, 2, 0, 0, 0, 3, 0, 0, 1, 12, 0, 2, 0, 0, 0, 3, 0,
+	})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) > 256 {
 			b = b[:256] // bound the program's size, not its shape
 		}
-		if err := checkSortOracle(b); err != nil {
+		if _, err := checkSortOracle(b); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -26,8 +26,9 @@ import (
 //     where cross-partition effects commit: hooks typically call a
 //     deterministic-mode netsim.SharedNetwork's Commit, which applies the
 //     instant's buffered ops in canonical (driver, seq) order and publishes
-//     exactly one snapshot for the instant. Hooks may schedule events into
-//     any partition; partition callbacks must only schedule into their own.
+//     at most one snapshot for the instant; none when the instant buffered
+//     no op. Hooks may schedule events into any partition; partition
+//     callbacks must only schedule into their own.
 //
 //  3. Worker-count independence — the worker count W (and goroutine
 //     scheduling generally) affects wall-clock only, never results: cross-
@@ -86,7 +87,8 @@ func (pe *ParallelEngine) Now() Time { return pe.now }
 // coordinating goroutine with no partition running. Unlike Engine.OnTickEnd
 // the hook is persistent. This is the commit barrier: wire a deterministic
 // SharedNetwork's Commit here so every instant's buffered ops apply in
-// (driver, seq) order and exactly one snapshot publishes per instant.
+// (driver, seq) order and at most one snapshot publishes per instant; none
+// when the instant buffered no op.
 func (pe *ParallelEngine) OnInstantEnd(fn func(*ParallelEngine)) {
 	pe.instantEnd = append(pe.instantEnd, fn)
 }

@@ -7,10 +7,13 @@
 // top of this engine so that results in EXPERIMENTS.md can be regenerated
 // exactly.
 //
-// The queue is a binary min-heap of value slots ordered by (time, sequence
-// number). An event cannot be cancelled once scheduled; a ticker (Every)
-// re-arms its one slot in place after each firing and is stopped through
-// the func Every returns, so periodic work allocates nothing per tick.
+// The queue holds value slots ordered by (time, sequence number). One-shot
+// events sit in a binary min-heap; tickers (Every) sit in per-period FIFO
+// lanes, each already sorted because every push onto a lane is at
+// now+period with the next sequence number. An event cannot be cancelled
+// once scheduled; a ticker re-arms its one slot after each firing and is
+// stopped through the func Every returns, so periodic work allocates
+// nothing per tick.
 package sim
 
 import (
@@ -24,9 +27,9 @@ import (
 // the simulation. The zero Time is the simulation epoch.
 type Time = time.Duration
 
-// slot is one queued firing, held by value in the engine's heap. A
-// one-shot event carries fn; a ticker's firing carries t and no fn. Slots
-// fire in (at, seq) order, and seq is unique, so the order is total.
+// slot is one queued firing, held by value in the engine's heap or in a
+// lane. A one-shot event carries fn; a ticker's firing carries t and no fn.
+// Slots fire in (at, seq) order, and seq is unique, so the order is total.
 type slot struct {
 	at  Time
 	seq uint64
@@ -53,6 +56,46 @@ type ticker struct {
 	period  time.Duration
 	fn      func(*Engine) bool
 	stopped bool
+	lane    int // index into Engine.lanes; -1 queues on the heap
+}
+
+// maxLanes caps the per-period lanes, so finding the queue's front scans
+// at most this many lane heads. A ticker whose period finds no lane and no
+// room for one queues its slots on the heap.
+const maxLanes = 8
+
+// lane is the FIFO of every ticker slot with one period. Each push is at
+// now+period with the next seq, and the clock never goes back, so the FIFO
+// is sorted on (at, seq) without any sifting. Slots are consumed through
+// head and the backing array is reused in place.
+type lane struct {
+	period time.Duration
+	slots  []slot
+	head   int
+}
+
+// push appends s. A full backing array whose consumed prefix is at least
+// half of it is compacted in place instead of grown, so a lane in steady
+// state allocates nothing.
+func (l *lane) push(s slot) {
+	if n := len(l.slots); n == cap(l.slots) && l.head > 0 && 2*l.head >= n {
+		live := copy(l.slots, l.slots[l.head:])
+		clear(l.slots[live:])
+		l.slots, l.head = l.slots[:live], 0
+	}
+	l.slots = append(l.slots, s)
+}
+
+// take removes and returns the head slot, zeroing its place so the backing
+// array keeps no ticker alive. A drained lane rewinds to its start.
+func (l *lane) take() slot {
+	s := l.slots[l.head]
+	l.slots[l.head] = slot{}
+	l.head++
+	if l.head == len(l.slots) {
+		l.slots, l.head = l.slots[:0], 0
+	}
+	return s
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
@@ -60,7 +103,8 @@ type ticker struct {
 // goroutine.
 type Engine struct {
 	now     Time
-	queue   []slot // binary min-heap on (at, seq)
+	queue   []slot // one-shot events: binary min-heap on (at, seq)
+	lanes   []lane // ticker slots, one FIFO per period, at most maxLanes
 	seq     uint64
 	rng     *rand.Rand
 	tickEnd []func(*Engine)
@@ -101,15 +145,65 @@ func (e *Engine) Schedule(d time.Duration, fn func(*Engine)) {
 	e.ScheduleAt(e.now+d, fn)
 }
 
-// enqueue pushes a slot at time at numbered with the next seq. A time
-// before Now (including an overflowed now+d) panics, so the queue never
-// holds a firing in the past.
+// enqueue queues a slot at time at numbered with the next seq: on its
+// ticker's lane if it has one, else on the heap. A time before Now
+// (including an overflowed now+d) panics, so the queue never holds a
+// firing in the past.
 func (e *Engine) enqueue(at Time, fn func(*Engine), t *ticker) {
 	if at < e.now {
 		panic(fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now))
 	}
-	e.push(slot{at: at, seq: e.seq, fn: fn, t: t})
+	s := slot{at: at, seq: e.seq, fn: fn, t: t}
 	e.seq++
+	if t != nil && t.lane >= 0 {
+		e.lanes[t.lane].push(s)
+		return
+	}
+	e.push(s)
+}
+
+// laneFor returns the lane index for a ticker of the given period, opening
+// a lane while fewer than maxLanes exist, or -1 for the heap.
+func (e *Engine) laneFor(period time.Duration) int {
+	for i := range e.lanes {
+		if e.lanes[i].period == period {
+			return i
+		}
+	}
+	if len(e.lanes) == maxLanes {
+		return -1
+	}
+	e.lanes = append(e.lanes, lane{period: period})
+	return len(e.lanes) - 1
+}
+
+// front returns the least queued slot, dead or alive, and where it sits:
+// src is its lane index, or -1 for the heap head. s is nil when nothing is
+// queued. The pointer is valid until the queue next changes. front stays
+// within the compiler's inlining budget: the run loops call it per event.
+func (e *Engine) front() (s *slot, src int) {
+	src = -1
+	if len(e.queue) > 0 {
+		s = &e.queue[0]
+	}
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		if l.head < len(l.slots) {
+			// h.before(s), spelled out to stay within the budget.
+			if h := &l.slots[l.head]; s == nil || h.at < s.at || h.at == s.at && h.seq < s.seq {
+				s, src = h, i
+			}
+		}
+	}
+	return s, src
+}
+
+// take removes and returns the slot front reported at src.
+func (e *Engine) take(src int) slot {
+	if src < 0 {
+		return e.pop()
+	}
+	return e.lanes[src].take()
 }
 
 // push adds s to the heap, sifting it up from the end.
@@ -184,14 +278,14 @@ func (e *Engine) fire(s *slot) {
 // idle-run clock. Calling stop is idempotent; calling it from inside fn
 // suppresses the next tick.
 //
-// A ticker is one queued slot that re-arms in place after each firing,
-// numbered with the next seq exactly as Schedule would number it, so a tick
-// allocates nothing.
+// A ticker is one queued slot that re-arms after each firing, numbered with
+// the next seq exactly as Schedule would number it, on the lane of its
+// period, so a tick allocates nothing.
 func (e *Engine) Every(period time.Duration, fn func(*Engine) bool) (stop func()) {
 	if period <= 0 {
 		panic("sim: Every requires a positive period")
 	}
-	t := &ticker{period: period, fn: fn}
+	t := &ticker{period: period, fn: fn, lane: e.laneFor(period)}
 	e.enqueue(e.now+period, nil, t)
 	return func() { t.stopped = true }
 }
@@ -243,14 +337,15 @@ func (e *Engine) run(horizon Time, advance bool) Time {
 		// Tick boundary: no queued event remains at the current
 		// instant, so flush end-of-tick callbacks before the clock can
 		// advance (or the loop exit).
-		if len(e.tickEnd) > 0 && (len(e.queue) == 0 || e.queue[0].at > e.now) {
+		s, src := e.front()
+		if len(e.tickEnd) > 0 && (s == nil || s.at > e.now) {
 			e.flushTickEnd()
 			continue
 		}
-		if len(e.queue) == 0 || e.queue[0].at > horizon {
+		if s == nil || s.at > horizon {
 			break
 		}
-		next := e.pop()
+		next := e.take(src)
 		if next.dead() {
 			continue
 		}
@@ -267,13 +362,16 @@ func (e *Engine) run(horizon Time, advance bool) Time {
 // the head of the queue on the way. ok is false when no live event remains
 // queued.
 func (e *Engine) peek() (at Time, ok bool) {
-	for len(e.queue) > 0 && e.queue[0].dead() {
-		e.pop()
+	for {
+		s, src := e.front()
+		if s == nil {
+			return 0, false
+		}
+		if !s.dead() {
+			return s.at, true
+		}
+		e.take(src)
 	}
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue[0].at, true
 }
 
 // hasWorkAt reports whether the engine has a queued event at exactly t, or
@@ -296,8 +394,8 @@ func (e *Engine) hasWorkAt(t Time) bool {
 func (e *Engine) runInstant(t Time) {
 	e.now = t
 	for {
-		if len(e.queue) > 0 && e.queue[0].at == t {
-			next := e.pop()
+		if s, src := e.front(); s != nil && s.at == t {
+			next := e.take(src)
 			if !next.dead() {
 				e.fire(&next)
 			}

@@ -157,12 +157,22 @@ func TestNegativeDelayClamped(t *testing.T) {
 	}
 }
 
+// queued returns every queued slot, dead or alive: the heap's and each
+// lane's unconsumed ones.
+func queued(e *Engine) []slot {
+	out := append([]slot(nil), e.queue...)
+	for _, l := range e.lanes {
+		out = append(out, l.slots[l.head:]...)
+	}
+	return out
+}
+
 // pending returns the number of queued live slots: a stopped ticker's
 // queued tick is dead and does not count.
 func pending(e *Engine) int {
 	n := 0
-	for i := range e.queue {
-		if !e.queue[i].dead() {
+	for _, s := range queued(e) {
+		if !s.dead() {
 			n++
 		}
 	}

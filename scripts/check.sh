@@ -45,6 +45,10 @@ go test -race -run '^TestPartnerGateUnderImpairmentChurn$' -count 20 ./internal/
 # readers walk fresh snapshots while the owner churns and re-weights the
 # same flows, 20 times over.
 go test -race -run '^TestSnapshotReadsUnderChurn$' -count 20 ./internal/netsim/
+# The reused-scratch export's zero-allocation pin, 100 times over: it reads
+# the process-wide malloc count, so it holds only while its loop runs with
+# GOMAXPROCS pinned to 1, and a lapse shows up as an occasional failure.
+go test -run '^TestDigestAndExportCost$' -count 100 ./internal/netsim/
 # The crash-injection sweep: kill the journal at every record boundary (and
 # seeded mid-record offsets) on every topology fixture; recovery must equal
 # a from-scratch serial replay of the surviving prefix. The projection sweep
