@@ -56,13 +56,7 @@ type ticker struct {
 	period  time.Duration
 	fn      func(*Engine) bool
 	stopped bool
-	lane    int // index into Engine.lanes; -1 queues on the heap
 }
-
-// maxLanes caps the per-period lanes, so finding the queue's front scans
-// at most this many lane heads. A ticker whose period finds no lane and no
-// room for one queues its slots on the heap.
-const maxLanes = 8
 
 // lane is the FIFO of every ticker slot with one period. Each push is at
 // now+period with the next seq, and the clock never goes back, so the FIFO
@@ -87,14 +81,11 @@ func (l *lane) push(s slot) {
 }
 
 // take removes and returns the head slot, zeroing its place so the backing
-// array keeps no ticker alive. A drained lane rewinds to its start.
+// array keeps no ticker alive.
 func (l *lane) take() slot {
 	s := l.slots[l.head]
 	l.slots[l.head] = slot{}
 	l.head++
-	if l.head == len(l.slots) {
-		l.slots, l.head = l.slots[:0], 0
-	}
 	return s
 }
 
@@ -104,7 +95,7 @@ func (l *lane) take() slot {
 type Engine struct {
 	now     Time
 	queue   []slot // one-shot events: binary min-heap on (at, seq)
-	lanes   []lane // ticker slots, one FIFO per period, at most maxLanes
+	lanes   []lane // ticker slots, one FIFO per period
 	seq     uint64
 	rng     *rand.Rand
 	tickEnd []func(*Engine)
@@ -145,8 +136,8 @@ func (e *Engine) Schedule(d time.Duration, fn func(*Engine)) {
 	e.ScheduleAt(e.now+d, fn)
 }
 
-// enqueue queues a slot at time at numbered with the next seq: on its
-// ticker's lane if it has one, else on the heap. A time before Now
+// enqueue queues a slot at time at numbered with the next seq: a ticker's
+// on the lane of its period, a one-shot on the heap. A time before Now
 // (including an overflowed now+d) panics, so the queue never holds a
 // firing in the past.
 func (e *Engine) enqueue(at Time, fn func(*Engine), t *ticker) {
@@ -155,26 +146,22 @@ func (e *Engine) enqueue(at Time, fn func(*Engine), t *ticker) {
 	}
 	s := slot{at: at, seq: e.seq, fn: fn, t: t}
 	e.seq++
-	if t != nil && t.lane >= 0 {
-		e.lanes[t.lane].push(s)
+	if t != nil {
+		e.laneFor(t.period).push(s)
 		return
 	}
 	e.push(s)
 }
 
-// laneFor returns the lane index for a ticker of the given period, opening
-// a lane while fewer than maxLanes exist, or -1 for the heap.
-func (e *Engine) laneFor(period time.Duration) int {
+// laneFor returns the lane of the given period, opening it on first use.
+func (e *Engine) laneFor(period time.Duration) *lane {
 	for i := range e.lanes {
 		if e.lanes[i].period == period {
-			return i
+			return &e.lanes[i]
 		}
 	}
-	if len(e.lanes) == maxLanes {
-		return -1
-	}
 	e.lanes = append(e.lanes, lane{period: period})
-	return len(e.lanes) - 1
+	return &e.lanes[len(e.lanes)-1]
 }
 
 // front returns the least queued slot, dead or alive, and where it sits:
@@ -285,7 +272,7 @@ func (e *Engine) Every(period time.Duration, fn func(*Engine) bool) (stop func()
 	if period <= 0 {
 		panic("sim: Every requires a positive period")
 	}
-	t := &ticker{period: period, fn: fn, lane: e.laneFor(period)}
+	t := &ticker{period: period, fn: fn}
 	e.enqueue(e.now+period, nil, t)
 	return func() { t.stopped = true }
 }
