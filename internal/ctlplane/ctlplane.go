@@ -45,7 +45,7 @@ import (
 // reduced stats). Partner impairments need a fetch wrapped by Gate.
 type Config struct {
 	// Shared is the running network; reads come from its snapshots, link
-	// impairments go through its owner goroutine.
+	// impairments apply through its writer lock.
 	Shared *netsim.SharedNetwork
 	// Topo names the links (impairments address links by name).
 	Topo *netsim.Topology
@@ -224,7 +224,8 @@ func (s *Server) readModelStats() ReadModelStats {
 		}
 	}
 	// The folders have no locks of their own: the engine folds into them
-	// under its lock, from the network's owner goroutine and from ingest.
+	// under its lock, from the network's writers (as its OpSink) and from
+	// ingest.
 	if e := s.cfg.Engine; e != nil {
 		e.Read(read)
 	} else {
@@ -333,9 +334,9 @@ func (s *Server) journalFault(changes []faults.CapacityChange) {
 	}
 }
 
-// applyCapacity routes one interactive capacity change through the owner
-// goroutine, fences until it committed (so the next snapshot read observes
-// it), then journals the fault annotation.
+// applyCapacity applies one interactive capacity change under the network's
+// writer lock, commits (so the next snapshot read observes it), then
+// journals the fault annotation.
 func (s *Server) applyCapacity(id netsim.LinkID, bps float64) {
 	s.cfg.Shared.SetLinkCapacity(id, bps)
 	s.cfg.Shared.Commit()

@@ -96,9 +96,9 @@ func segmentFiles(dir string) ([]string, error) {
 	return segs, nil
 }
 
-// Writer is the append side of a journal. Safe for concurrent use: the
-// SharedNetwork owner goroutine, the fault scheduler and a collector wrapper
-// may all append. The first write error latches (Err); later appends return
+// Writer is the append side of a journal. Safe for concurrent use: a
+// SharedNetwork's writers, the fault scheduler and a collector wrapper may
+// all append. The first write error latches (Err); later appends return
 // it without touching the file, so a full disk cannot interleave torn
 // frames.
 type Writer struct {

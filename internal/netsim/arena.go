@@ -94,11 +94,14 @@ func (n *Network) markLink(id LinkID) { n.linkMark[id] = n.epoch }
 
 // --- SoA progressive fill ----------------------------------------------------
 
-// growFillScratch sizes the per-component rate/frozen scratch.
+// growFillScratch sizes the per-component rate/frozen scratch for k flows,
+// growing it geometrically so a component that gains one flow at a time
+// reallocates O(log k) times, not at every new maximum.
 func (n *Network) growFillScratch(k int) {
-	if cap(n.scratchRate) < k {
-		n.scratchRate = make([]float64, k)
-		n.scratchFrozen = make([]bool, k)
+	if c := cap(n.scratchRate); c < k {
+		c = max(k, 2*c)
+		n.scratchRate = make([]float64, c)
+		n.scratchFrozen = make([]bool, c)
 	}
 }
 

@@ -236,3 +236,25 @@ func TestStormsUnderRegistrySplitsShared(t *testing.T) {
 		}
 	}
 }
+
+// TestFillScratchGrowsGeometrically pins the fill scratch's growth: one
+// component that gains a flow at a time, 1 to 256 flows on one link,
+// reallocates the rate/frozen scratch at most 10 times, not at every new
+// maximum.
+func TestFillScratchGrowsGeometrically(t *testing.T) {
+	topo, p := line(100)
+	n := NewNetwork(topo)
+	reallocs, last := 0, 0
+	for k := 1; k <= 256; k++ {
+		n.StartFlow(p, float64(k), "")
+		if c := cap(n.scratchRate); c != last {
+			reallocs, last = reallocs+1, c
+		}
+		if len(n.scratchFrozen) < k {
+			t.Fatalf("%d flows: frozen scratch holds %d", k, len(n.scratchFrozen))
+		}
+	}
+	if reallocs > 10 {
+		t.Errorf("fill scratch reallocated %d times growing to 256 flows, want ≤ 10", reallocs)
+	}
+}

@@ -272,10 +272,10 @@ func (n *Network) StartFlow(path Path, demand float64, tag string) *Flow {
 	return f
 }
 
-// startFlowAs attaches a caller-provided flow handle. SharedNetwork's
-// deterministic mode hands callers their *Flow before the op is applied;
-// the owner goroutine fills it in here so the caller's handle and the
-// network's handle are the same object.
+// startFlowAs attaches a caller-provided flow handle. SharedNetwork hands
+// callers their *Flow before the op is applied (in deterministic mode, a
+// Commit later); its write path fills it in here so the caller's handle
+// and the network's handle are the same object.
 func (n *Network) startFlowAs(f *Flow, path Path, demand float64, tag string) {
 	if !path.Valid("", "") {
 		panic(fmt.Sprintf("netsim: disconnected path %v", path))

@@ -76,8 +76,11 @@ func (t *Topology) pathOf(ids []LinkID) (Path, error) {
 // OpSink receives every committed op (and periodic state snapshots) as
 // they apply — the hook a durable journal implements (internal/journal) so
 // a SharedNetwork's history survives the process. All methods are called
-// from the owner goroutine, in commit order; implementations need no
-// locking against the network but must not call back into it.
+// in commit order with the network's write path held — the writer lock in
+// immediate mode, the owner goroutine in deterministic mode — so
+// implementations need no locking against the network, but must not call
+// back into it: a mutation or Commit from inside a sink deadlocks. A sink
+// that panics leaves the network unusable (see SharedNetwork).
 type OpSink interface {
 	// AppendOp records one committed op together with the post-apply
 	// StateDigest of the network (a fingerprint of the allocator inputs,
@@ -94,8 +97,8 @@ type OpSink interface {
 
 // OpLog is the in-memory OpSink: it keeps every committed op, in commit
 // order, for Replay-based differential checks and op-sequence export.
-// Snapshots are not kept — the ops alone replay the run. The owner goroutine
-// writes it, so read it only after Close.
+// Snapshots are not kept — the ops alone replay the run. The network's
+// writers append to it, so read it only after Close.
 type OpLog struct {
 	Ops []Op
 }
@@ -127,9 +130,9 @@ type SharedConfig struct {
 	SnapshotEvery int
 }
 
-// sharedQueue is the command channel capacity: the backpressure bound for
-// writers. It only has to absorb a burst of buffered deterministic-mode ops
-// between owner wake-ups; immediate-mode writers block on their reply anyway.
+// sharedQueue is the deterministic-mode command channel capacity: the
+// backpressure bound for drivers. It only has to absorb a burst of buffered
+// ops between owner wake-ups.
 const sharedQueue = 128
 
 type cmdKind uint8
@@ -151,9 +154,9 @@ type sharedCmd struct {
 }
 
 // cmdPool recycles sharedCmd structs (with their reply channels) across
-// mutations: the synchronous caller returns its command after the owner's
-// reply, and in deterministic mode the owner returns the whole window after
-// commit — the command path allocates nothing in steady state.
+// mutations: an immediate-mode writer returns its command once applied, and
+// in deterministic mode the owner returns the whole window after commit —
+// the command path allocates nothing in steady state.
 var cmdPool = sync.Pool{New: func() any {
 	return &sharedCmd{reply: make(chan struct{}, 1)}
 }}
@@ -169,37 +172,49 @@ func putCmd(c *sharedCmd) {
 }
 
 // SharedNetwork makes one Network drivable from many goroutines without a
-// lock on the read path. A single owner goroutine has exclusive access to
-// the Network and drains a bounded command channel; every mutation is a
-// command carrying the caller's *Flow handle, so callers keep the same
-// handles and (in the default immediate mode) the same synchronous
-// semantics as the serial API. At every commit the owner publishes an
-// immutable *Snapshot through an atomic pointer; Snapshot() is one atomic
-// load, so readers never block writers and writers never block readers.
+// lock on the read path. Every mutation is a command carrying the caller's
+// *Flow handle, so callers keep the same handles and (in the default
+// immediate mode) the same synchronous semantics as the serial API. At
+// every commit the writer publishes an immutable *Snapshot through an
+// atomic pointer; Snapshot() is one atomic load, so readers never block
+// writers and writers never block readers.
 //
 // Two modes:
 //
 //   - Immediate (default): each mutation applies and commits before the
-//     call returns, exactly like the serial Network, just serialized
-//     through the owner. Safe for any number of concurrent writers;
-//     the interleaving (and thus flow-ID assignment) follows arrival
-//     order, so distinct runs may differ — an OpLog journal still makes
-//     any single run exactly replayable.
+//     call returns, exactly like the serial Network. The calling goroutine
+//     applies it itself under one writer lock, so any number of goroutines
+//     may write; the interleaving (and thus flow-ID assignment) follows
+//     lock order, so distinct runs may differ — an OpLog journal still
+//     makes any single run exactly replayable. If an op panics mid-apply
+//     (a panicking OpSink, say), the lock is released but the network is
+//     torn: every later mutation and Commit panics with the same message,
+//     Snapshot keeps returning the last published snapshot, and Close
+//     still returns the inner Network.
 //
 //   - Deterministic (SharedConfig.Deterministic): mutations buffer into a
 //     window and Commit() applies the window as one batch, ordered by
 //     (driver ID, per-driver sequence). Give each concurrent goroutine its
 //     own Driver and synchronize goroutines with the Commit barrier, and a
 //     run's rates, flow IDs and op log are bit-identical across executions
-//     regardless of scheduling.
+//     regardless of scheduling. One owner goroutine has exclusive access to
+//     the Network and drains a bounded command channel.
 //
 // Callers must not touch the inner Network directly between NewShared and
 // Close: every mutation is an op, so the journal records all of them.
 type SharedNetwork struct {
 	net  *Network
 	cfg  SharedConfig
-	cmds chan *sharedCmd
 	snap atomic.Pointer[Snapshot]
+
+	// Immediate mode: mu is the writer lock, and torn marks a network whose
+	// last op panicked before it committed.
+	mu   sync.Mutex
+	torn bool
+
+	// Deterministic mode: the owner goroutine's command channel, and done,
+	// closed when it exits.
+	cmds chan *sharedCmd
 	done chan struct{}
 
 	closed atomic.Bool
@@ -208,7 +223,8 @@ type SharedNetwork struct {
 	// drivers on worker goroutines bump it, Commit swaps it to zero.
 	buffered atomic.Int64
 
-	// Owner-goroutine state.
+	// Write-path state: held by the writer lock in immediate mode, owned by
+	// the owner goroutine in deterministic mode.
 	window       []*sharedCmd // deterministic mode: ops buffered until Commit
 	pubSeq       uint64
 	opsSinceSnap int
@@ -217,27 +233,27 @@ type SharedNetwork struct {
 	snapState NetState
 	snapLinks []LinkID
 
-	// journalErr is the first sink error: stored once by the owner
-	// goroutine, readable from any goroutine while it runs.
+	// journalErr is the first sink error: stored once by the write path,
+	// readable from any goroutine while the network runs.
 	journalErr atomic.Pointer[error]
 }
 
-// NewShared wraps a serial Network and starts the owner goroutine, taking
-// ownership of n (the caller must not use n directly afterwards). The
-// initial snapshot reflects n's state at handoff, so n may be pre-populated
-// serially before sharing.
+// NewShared wraps a serial Network, taking ownership of n (the caller must
+// not use n directly afterwards); in deterministic mode it starts the owner
+// goroutine, in immediate mode no goroutine at all. The initial snapshot
+// reflects n's state at handoff, so n may be pre-populated serially before
+// sharing.
 func NewShared(n *Network, cfg SharedConfig) *SharedNetwork {
-	s := &SharedNetwork{
-		net:  n,
-		cfg:  cfg,
-		cmds: make(chan *sharedCmd, sharedQueue),
-		done: make(chan struct{}),
-	}
+	s := &SharedNetwork{net: n, cfg: cfg}
 	// The initial publication is a full snapshot that also consumes the
 	// pending delta flags, so the first delta publish diffs against an
 	// accurate baseline even when the network was mutated serially first.
 	s.snap.Store(n.snapshotDelta(0, nil))
-	go s.run()
+	if cfg.Deterministic {
+		s.cmds = make(chan *sharedCmd, sharedQueue)
+		s.done = make(chan struct{})
+		go s.run()
+	}
 	return s
 }
 
@@ -257,8 +273,8 @@ func (s *SharedNetwork) Stats() Stats { return s.Snapshot().Stats() }
 // StartFlow attaches a flow, like Network.StartFlow. In immediate mode the
 // returned handle is fully attached (ID and Rate valid) when the call
 // returns; in deterministic mode it is a placeholder the next Commit
-// attaches. The path is validated in the calling goroutine so a scenario
-// bug panics the caller, not the owner.
+// attaches. The path is validated before the op enters the write path, so
+// a scenario bug panics the caller and leaves the network usable.
 func (s *SharedNetwork) StartFlow(path Path, demand float64, tag string) *Flow {
 	return s.startFlow(path, demand, tag, 0, s.seq0.Add(1))
 }
@@ -288,7 +304,7 @@ func (s *SharedNetwork) SetPath(f *Flow, path Path) {
 
 // SetLinkCapacity changes a link's capacity. The link and capacity are
 // validated caller-side (the topology's link set is immutable); the
-// equal-capacity no-op check stays owner-side where reading Capacity is
+// equal-capacity no-op check runs in apply, where reading Capacity is
 // race-free.
 func (s *SharedNetwork) SetLinkCapacity(id LinkID, capacity float64) {
 	s.linkOp(id, capacity, 0, s.seq0.Add(1))
@@ -298,13 +314,17 @@ func (s *SharedNetwork) SetLinkCapacity(id LinkID, capacity float64) {
 // buffered window — sorted by (driver, sequence) — as one batch and
 // publishes the resulting snapshot; with no op buffered since the last
 // Commit it returns at once, publishing nothing, so Snapshot and its Seq
-// stay as they were. In immediate mode it just republishes (every mutation
-// already committed); it still serves as a fence: when Commit returns,
-// every command sent before it has been applied.
+// stay as they were. In immediate mode it republishes under the writer
+// lock (every mutation already committed), moving Seq: ctlplane serves that
+// numbering on /v1.
 func (s *SharedNetwork) Commit() {
-	if s.cfg.Deterministic && s.buffered.Swap(0) == 0 {
+	if !s.cfg.Deterministic {
+		s.write(nil)
+		return
+	}
+	if s.buffered.Swap(0) == 0 {
 		if s.closed.Load() {
-			panic("netsim: SharedNetwork used after Close")
+			panic(closedMsg)
 		}
 		return
 	}
@@ -315,11 +335,20 @@ func (s *SharedNetwork) Commit() {
 	putCmd(c)
 }
 
-// Close commits any buffered window, publishes a final snapshot, stops the
-// owner goroutine and returns the inner Network for serial inspection.
-// Callers must quiesce writers first: a mutation issued concurrently with
-// (or after) Close may panic or block forever. Close is idempotent.
+// Close commits any buffered window, publishes a final snapshot (none on a
+// torn network), stops the owner goroutine in deterministic mode and
+// returns the inner Network for serial inspection. Callers must quiesce
+// writers first: a mutation issued concurrently with (or after) Close may
+// panic or block forever. Close is idempotent.
 func (s *SharedNetwork) Close() *Network {
+	if !s.cfg.Deterministic {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if !s.closed.Swap(true) && !s.torn {
+			s.publish()
+		}
+		return s.net
+	}
 	if s.closed.Swap(true) {
 		<-s.done
 		return s.net
@@ -399,14 +428,14 @@ func (d *Driver) SetLinkCapacity(id LinkID, capacity float64) {
 
 func (s *SharedNetwork) send(c *sharedCmd) {
 	if s.closed.Load() {
-		panic("netsim: SharedNetwork used after Close")
+		panic(closedMsg)
 	}
 	s.cmds <- c
 }
 
 // enqueue ships one mutation: buffered (fire into the window, recycled by
-// the owner after commit) in deterministic mode, synchronous (recycled here
-// after the owner's reply) in immediate mode. A buffered op is counted
+// the owner after commit) in deterministic mode, applied here under the
+// writer lock (and recycled) in immediate mode. A buffered op is counted
 // after it is sent, so the Commit that sees the count is queued behind it.
 func (s *SharedNetwork) enqueue(c *sharedCmd) {
 	if s.cfg.Deterministic {
@@ -414,9 +443,38 @@ func (s *SharedNetwork) enqueue(c *sharedCmd) {
 		s.buffered.Add(1)
 		return
 	}
-	s.send(c)
-	<-c.reply
+	s.write(c)
 	putCmd(c)
+}
+
+// closedMsg is the panic of every mutation and Commit after Close.
+const closedMsg = "netsim: SharedNetwork used after Close"
+
+// tornMsg is the panic of every mutation and Commit on an immediate-mode
+// network whose earlier op panicked before it committed.
+const tornMsg = "netsim: SharedNetwork torn: an earlier op panicked mid-apply"
+
+// write is one immediate-mode commit under the writer lock: apply c (none
+// for a bare Commit), append a journal snapshot when one is due, publish.
+// torn is set for the duration, so a panic anywhere in between leaves it
+// set while the deferred Unlock still frees the lock: later writers panic
+// with tornMsg instead of deadlocking or running on a half-applied op.
+func (s *SharedNetwork) write(c *sharedCmd) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed.Load() {
+		panic(closedMsg)
+	}
+	if s.torn {
+		panic(tornMsg)
+	}
+	s.torn = true
+	if c != nil {
+		s.apply(c)
+		s.maybeSnapshot()
+	}
+	s.publish()
+	s.torn = false
 }
 
 func (s *SharedNetwork) startFlow(path Path, demand float64, tag string, driver, seq uint64) *Flow {
@@ -452,21 +510,14 @@ func (s *SharedNetwork) linkOp(id LinkID, capacity float64, driver, seq uint64) 
 	s.enqueue(c)
 }
 
-// --- Owner goroutine --------------------------------------------------------
+// --- Deterministic-mode owner goroutine -------------------------------------
 
 func (s *SharedNetwork) run() {
 	defer close(s.done)
 	for c := range s.cmds {
 		switch c.kind {
 		case cmdOp:
-			if s.cfg.Deterministic {
-				s.window = append(s.window, c)
-				continue
-			}
-			s.apply(c)
-			s.maybeSnapshot()
-			s.publish()
-			c.reply <- struct{}{}
+			s.window = append(s.window, c)
 		case cmdCommit:
 			s.commitWindow()
 			s.maybeSnapshot()
@@ -482,7 +533,7 @@ func (s *SharedNetwork) run() {
 }
 
 // commitWindow applies the deterministic window, sorted by (driver, seq),
-// as one batch. A no-op when the window is empty or in immediate mode.
+// as one batch. A no-op when the window is empty.
 func (s *SharedNetwork) commitWindow() {
 	if len(s.window) == 0 {
 		return

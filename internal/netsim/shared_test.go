@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -175,14 +176,15 @@ func TestSharedDifferentialOnFixtures(t *testing.T) {
 
 // TestSharedImmediateHammer exercises immediate mode under -race: writer
 // goroutines doing lifecycle churn, reader goroutines spinning on
-// snapshots, and a capacity churner — all concurrent. Afterwards the op
-// log replayed serially must reproduce the final state exactly (immediate
-// mode logs ops in application order).
+// snapshots, and a capacity churner — all concurrent. A journal snapshot
+// every 8 ops runs the export's shared scratch on whichever writer holds
+// the lock. Afterwards the op log replayed serially must reproduce the
+// final state exactly (immediate mode logs ops in application order).
 func TestSharedImmediateHammer(t *testing.T) {
 	build := sharedFixtures()["rails"]
 	net, paths := build()
 	log := &OpLog{}
-	s := NewShared(net, SharedConfig{Journal: log})
+	s := NewShared(net, SharedConfig{Journal: log, SnapshotEvery: 8})
 	nl := net.Topology().NumLinks()
 
 	const writers = 4
@@ -304,6 +306,120 @@ func TestSharedImmediateBasics(t *testing.T) {
 	}
 	if net.NumFlows() != 1 {
 		t.Errorf("final flows = %d, want 1", net.NumFlows())
+	}
+}
+
+// settledGoroutines reads runtime.NumGoroutine once it has held still for
+// a few milliseconds, so goroutines that other tests left exiting do not
+// count.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n && i >= 5 {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// TestSharedImmediateStartsNoGoroutine pins immediate mode's write path on
+// the caller: NewShared, 100 ops and a Close start no goroutine, while the
+// network is open or after.
+func TestSharedImmediateStartsNoGoroutine(t *testing.T) {
+	topo, p := line(100)
+	before := settledGoroutines()
+	s := NewShared(NewNetwork(topo), SharedConfig{Journal: &OpLog{}, SnapshotEvery: 8})
+	f := s.StartFlow(p, 1, "")
+	for i := 0; i < 99; i++ {
+		s.SetDemand(f, float64(2+i))
+	}
+	if open := settledGoroutines(); open != before {
+		t.Errorf("goroutines %d before NewShared, %d after 100 ops", before, open)
+	}
+	s.Close()
+	if after := settledGoroutines(); after != before {
+		t.Errorf("goroutines %d before NewShared, %d after Close", before, after)
+	}
+}
+
+// panicSink is an OpSink whose AppendOp panics on call number at.
+type panicSink struct{ at, calls int }
+
+func (p *panicSink) AppendOp(Op, uint64) error {
+	if p.calls++; p.calls == p.at {
+		panic("sink exploded")
+	}
+	return nil
+}
+func (p *panicSink) AppendSnapshot(NetState, uint64) error { return nil }
+
+// TestSharedSinkPanicTearsNetwork pins the panic contract of the writer
+// lock: the op whose sink panics (the 5th) propagates the sink's panic to
+// its caller and leaves the lock free, so every later mutation and Commit —
+// here from another goroutine, as a recovered HTTP handler's successor
+// would be — panics with tornMsg instead of deadlocking or running on the
+// half-applied op. Snapshot keeps the last published snapshot, and Close
+// still returns the inner Network without publishing.
+func TestSharedSinkPanicTearsNetwork(t *testing.T) {
+	topo, p := line(100)
+	inner := NewNetwork(topo)
+	s := NewShared(inner, SharedConfig{Journal: &panicSink{at: 5}})
+	f := s.StartFlow(p, 10, "")
+	for i := 0; i < 3; i++ {
+		s.SetDemand(f, float64(20+i))
+	}
+	last := s.Snapshot()
+
+	panicOf := func(op func()) (v any) {
+		defer func() { v = recover() }()
+		op()
+		return nil
+	}
+	if v := panicOf(func() { s.SetDemand(f, 50) }); v != "sink exploded" {
+		t.Fatalf("5th op panicked with %v, want the sink's panic", v)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, tc := range []struct {
+			name string
+			op   func()
+		}{
+			{"StartFlow", func() { s.StartFlow(p, 1, "") }},
+			{"StopFlow", func() { s.StopFlow(f) }},
+			{"SetDemand", func() { s.SetDemand(f, 60) }},
+			{"SetWeight", func() { s.SetWeight(f, 2) }},
+			{"SetPath", func() { s.SetPath(f, p) }},
+			{"SetLinkCapacity", func() { s.SetLinkCapacity(p[0].ID, 70) }},
+			{"Driver.SetDemand", func() { s.Driver(1).SetDemand(f, 80) }},
+			{"Commit", s.Commit},
+		} {
+			if v := panicOf(tc.op); v != tornMsg {
+				t.Errorf("%s on a torn network: panic %v, want %q", tc.name, v, tornMsg)
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("writers still blocked after 10 s: the panicking op left the writer lock held")
+	}
+
+	if got := s.Snapshot(); got != last {
+		t.Errorf("Snapshot moved on a torn network: Seq %d -> %d", last.Seq, got.Seq)
+	}
+	if got := s.Close(); got != inner {
+		t.Errorf("Close returned %p, want the inner network %p", got, inner)
+	}
+	if got := s.Snapshot(); got != last {
+		t.Errorf("Close published on a torn network: Seq %d -> %d", last.Seq, got.Seq)
+	}
+	if got := s.Close(); got != inner {
+		t.Errorf("second Close returned %p, want %p", got, inner)
 	}
 }
 

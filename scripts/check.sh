@@ -42,9 +42,11 @@ go test -race -run '^TestReplyMemoConcurrentFlips$' -count 50 ./internal/looking
 # link throttle, some left to their restore timers.
 go test -race -run '^TestPartnerGateUnderImpairmentChurn$' -count 20 ./internal/ctlplane/
 # Snapshot flow chunks hold flow handles and read ID and Tag through them:
-# readers walk fresh snapshots while the owner churns and re-weights the
-# same flows, 20 times over.
-go test -race -run '^TestSnapshotReadsUnderChurn$' -count 20 ./internal/netsim/
+# readers walk fresh snapshots while a writer churns and re-weights the
+# same flows. Immediate-mode writers share one lock: four of them churn
+# while readers spin (the export scratch runs on whichever holds it), and a
+# sink that panics mid-apply must free the lock. All 20 times over.
+go test -race -run '^TestSnapshotReadsUnderChurn$|^TestSharedImmediateHammer$|^TestSharedSinkPanicTearsNetwork$' -count 20 ./internal/netsim/
 # The reused-scratch export's zero-allocation pin, 100 times over: it reads
 # the process-wide malloc count, so it holds only while its loop runs with
 # GOMAXPROCS pinned to 1, and a lapse shows up as an occasional failure.
